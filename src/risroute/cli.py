@@ -10,9 +10,10 @@ Subcommands map onto the experiment kinds:
     mobility          throughput vs maximum waypoint speed
 
 Exit status: 0 success, 1 configuration error, 2 experiment failure.
-Every run writes a manifest JSON capturing the resolved configuration;
-feeding that manifest back through --config reproduces the outputs
-byte for byte.
+Every run writes a manifest JSON capturing the resolved configuration
+and the plan. Feeding that manifest back through --config restores only
+the configuration: the outputs are reproduced byte for byte when --seed
+and --replications are passed again with their original values.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ blocklength 1000 at error probability 1e-4.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -62,15 +63,16 @@ class SimConfig:
     # Routing
     total_delay_ms: float = 50.0
     fixed_rate_bits: int = 2  # constellation pinned by the fixed-modulation baseline
-    # Metrics
-    throughput_term: str = "size"  # Eq-verbatim constellation size; "bits" for log2(m)
-    # Mobility
-    v_max_mps: float = 0.0
     # Optional fixed endpoints (defaults: experiments pick their own)
     source_xy: tuple[float, float] | None = None
     dest_xy: tuple[float, float] | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v!r}")
         if self.arena_m <= 0 or self.coverage_m <= 0:
             raise ConfigError("arena_m and coverage_m must be positive")
         if self.iu_count < 0:
@@ -87,8 +89,8 @@ class SimConfig:
             raise ConfigError("target_ber must lie in (0, 1)")
         if self.threshold_rule not in ("table3", "eqtext"):
             raise ConfigError(f"threshold_rule must be 'table3' or 'eqtext', got {self.threshold_rule!r}")
-        if self.throughput_term not in ("size", "bits"):
-            raise ConfigError(f"throughput_term must be 'size' or 'bits', got {self.throughput_term!r}")
+        if not 1 <= self.fixed_rate_bits <= 8:
+            raise ConfigError(f"fixed_rate_bits must lie in 1..8, got {self.fixed_rate_bits}")
         if self.slot_us <= 0 or self.total_delay_ms <= 0:
             raise ConfigError("slot_us and total_delay_ms must be positive")
         if self.packets < 1 or self.bits_per_packet < 1:
@@ -149,7 +151,7 @@ class SimConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
 
 _INT_KEYS = {"iu_count", "ris_elements", "blocklength", "packets", "bits_per_packet", "fixed_rate_bits"}
-_STR_KEYS = {"threshold_rule", "throughput_term"}
+_STR_KEYS = {"threshold_rule"}
 _LIST_OK = {"lambda_off_ms", "mu_on_ms"}
 _PAIR_KEYS = {"source_xy", "dest_xy"}
 _NULLABLE = {"ris_spacing_m", "source_xy", "dest_xy"}

@@ -214,14 +214,15 @@ class MobilityField:
 # --------------------------------------------------------------------------
 
 
-def _profiles_for(cfg: SimConfig) -> list[traffic.TrafficProfile]:
-    lam = cfg.lambda_off_ms
-    mu = cfg.mu_on_ms
-    lams = list(lam) if isinstance(lam, tuple) else [lam] * cfg.iu_count
-    mus = list(mu) if isinstance(mu, tuple) else [mu] * cfg.iu_count
-    if len(lams) != cfg.iu_count or len(mus) != cfg.iu_count:
-        raise ValueError("per-IU traffic lists must match iu_count")
-    return [traffic.TrafficProfile(l * 1e-3, m * 1e-3, cfg.slot_s) for l, m in zip(lams, mus)]
+def _profiles_for(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-IU mean OFF and ON lengths (lambda_s, mu_s) in seconds; scalars are broadcast."""
+    means = []
+    for value in (cfg.lambda_off_ms, cfg.mu_on_ms):
+        seconds = np.asarray(value, dtype=float) * 1e-3
+        if seconds.ndim and seconds.size != cfg.iu_count:
+            raise ValueError("per-IU traffic lists must match iu_count")
+        means.append(np.broadcast_to(seconds, (cfg.iu_count,)))
+    return tuple(means)
 
 
 def run_one_route(
@@ -232,15 +233,12 @@ def run_one_route(
     v_max: float = 0.0,
 ) -> router.RouteLedger:
     """One replication: topology draw, traffic, route under the variant policy."""
-    src = Position(*cfg.source_xy) if cfg.source_xy else None
-    dst = Position(*cfg.dest_xy) if cfg.dest_xy else None
-    topo = topology.generate_topology(cfg, rng, src, dst)
-    profiles = _profiles_for(cfg)
+    topo = topology.generate_topology(cfg, rng)
+    means = _profiles_for(cfg)
     mobility = None
     if mobility_rng is not None and v_max > 0:
-        initial = topo.positions_of(topology.NodeKind.IU)
-        mobility = MobilityField(initial, topo.arena, v_max, mobility_rng)
-    return router.baseline_route(variant, topo, profiles, cfg, rng, mobility=mobility)
+        mobility = MobilityField(topo.iu_xy, topo.arena, v_max, mobility_rng)
+    return router.baseline_route(variant, topo, means, cfg, rng, mobility=mobility)
 
 
 def _detail_row(scenario_id, seed, variant, coverage, density, ledger, cfg) -> dict:
@@ -435,27 +433,24 @@ def estimate_duration_quantiles(
 def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
     slot = cfg.slot_s
     rng = derive_rng(plan.seed, 0)
-    ln_terms = {d: np.log(1.0 / (1.0 - d)) for d in plan.deltas}
     for figure, fixed_ms in (("nu_b", cfg.lambda_off_ms), ("nu_i", cfg.mu_on_ms)):
         fixed_s = (fixed_ms if not isinstance(fixed_ms, tuple) else fixed_ms[0]) * 1e-3
-        rows = []
-        scales = []
-        for xi in plan.xi_grid:
-            if figure == "nu_b":
-                mu = xi * fixed_s / (1.0 - xi)  # lambda fixed
-                scales.append(mu / slot)
-            else:
-                lam = fixed_s * (1.0 - xi) / xi  # mu fixed
-                scales.append(lam / slot)
+        if figure == "nu_b":  # lambda fixed, mu swept
+            means = [xi * fixed_s / (1.0 - xi) for xi in plan.xi_grid]
+            estimator = traffic.duration_of_busyness
+        else:  # mu fixed, lambda swept
+            means = [fixed_s * (1.0 - xi) / xi for xi in plan.xi_grid]
+            estimator = traffic.duration_of_idleness
         quantiles = estimate_duration_quantiles(
-            np.asarray(scales), plan.deltas, plan.chains, plan.batches, rng
+            np.asarray(means) / slot, plan.deltas, plan.chains, plan.batches, rng
         )
+        rows = []
         for si, xi in enumerate(plan.xi_grid):
             for di, delta in enumerate(plan.deltas):
-                analytic = scales[si] * ln_terms[delta]
                 mc_mean, mc_se = quantiles[(si, di)]
                 rows.append(
-                    {"xi": xi, "delta": delta, "analytic": analytic, "mc_mean": mc_mean, "mc_se": mc_se}
+                    {"xi": xi, "delta": delta, "analytic": estimator(means[si], slot, delta),
+                     "mc_mean": mc_mean, "mc_se": mc_se}
                 )
         result.files.append(write_csv(out / f"{figure}.csv", ["xi", "delta", "analytic", "mc_mean", "mc_se"], rows))
         result.summary_rows.extend({"figure": figure, **r} for r in rows)

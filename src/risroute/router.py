@@ -31,7 +31,7 @@ import numpy as np
 from . import channel, delaymodel, linkbudget, topology, traffic
 from .config import SimConfig
 from .linkbudget import ModeTable, TransferDemand, TransmissionMode
-from .topology import Node, NodeKind, Position, Topology
+from .topology import DEST_ID, FIRST_IU_ID, NodeKind, Position, Topology
 
 LEDGER_SCHEMA_VERSION = 1
 
@@ -156,7 +156,7 @@ BASELINE_POLICIES = {
 
 @dataclass(frozen=True)
 class CandidateLink:
-    node: Node
+    node_id: int
     snr_db: float
     snr_linear: float
     remaining_m: float
@@ -198,25 +198,29 @@ def select_iu(
     """argmin of the slot count; ties by least remaining distance, then id."""
     if not aset:
         raise ValueError("availability set is empty")
-    return min(aset, key=lambda entry: (entry[2], entry[0].remaining_m, entry[0].node.id))
+    return min(aset, key=lambda entry: (entry[2], entry[0].remaining_m, entry[0].node_id))
 
 
 class Router:
-    """Single-route state machine: one topology, one traffic field, one clock."""
+    """Single-route state machine: one topology, one traffic field, one clock.
+
+    ``means`` is the per-IU ``(lambda_s, mu_s)`` pair of arrays that
+    ``experiments._profiles_for`` returns, in IU row order.
+    """
 
     def __init__(
         self,
         topo: Topology,
-        profiles: list[traffic.TrafficProfile],
+        means: tuple[np.ndarray, np.ndarray],
         cfg: SimConfig,
         rng: np.random.Generator,
         policy: RoutePolicy | None = None,
         mobility=None,
     ):
-        if len(profiles) != len(topo.ius):
-            raise ValueError("need one traffic profile per IU")
+        lambda_s, mu_s = means
+        if len(lambda_s) != len(topo.iu_xy) or len(mu_s) != len(topo.iu_xy):
+            raise ValueError("need one (lambda_s, mu_s) pair per IU")
         self.topo = topo
-        self.profiles = profiles
         self.cfg = cfg
         self.rng = rng
         self.policy = policy or RoutePolicy()
@@ -225,11 +229,8 @@ class Router:
         self.table = linkbudget.build_mode_table(cfg.target_ber, rule=cfg.threshold_rule)
         self.demand = TransferDemand.from_config(cfg)
         self.harvester = linkbudget.HarvesterParams.from_config(cfg)
-        self.field = traffic.TrafficField(profiles, rng)
+        self.field = traffic.TrafficField(lambda_s, mu_s, cfg.slot_s, cfg.delta, cfg.p_th, rng)
         self.clock = 0  # slots elapsed
-        self._nu_idle = np.array(
-            [traffic.duration_of_idleness(p, cfg.delta) for p in profiles]
-        ) if profiles else np.empty(0)
 
     # -- geometry/time helpers -------------------------------------------------
 
@@ -238,11 +239,11 @@ class Router:
             return None
         return self.mobility.positions_at(self.clock * self.cfg.slot_s)
 
-    def _position_of(self, node: Node, iu_pos: np.ndarray | None) -> Position:
-        if node.kind is NodeKind.IU and iu_pos is not None:
-            x, y = iu_pos[node.traffic_index]
-            return Position(float(x), float(y))
-        return node.position
+    def _idle_window(self, node_id: int) -> float:
+        """nu_I of an IU in slots; the destination is never busy."""
+        if self.topo.kind(node_id) is NodeKind.IU:
+            return float(self.field.nu_idle[node_id - FIRST_IU_ID])
+        return math.inf
 
     def _elapsed_s(self) -> float:
         return self.clock * self.cfg.slot_s
@@ -252,25 +253,24 @@ class Router:
 
     # -- link evaluation -------------------------------------------------------
 
-    def _direct_candidates(self, origin: Position, nodes: list[Node], iu_pos) -> list[CandidateLink]:
+    def _direct_candidates(self, origin: Position, ids: list[int], iu_pos) -> list[CandidateLink]:
         """Fresh fading and SNR for each node on a direct device-device link."""
-        if not nodes:
+        if not ids:
             return []
-        fading = channel.sample_fading(len(nodes), self.params.rician_k_db, self.rng)
-        dest = self.topo.dest.position
+        fading = channel.sample_fading(len(ids), self.params.rician_k_db, self.rng)
+        dest = self.topo.dest
         links = []
-        for node, amp in zip(nodes, fading.amplitudes):
-            pos = self._position_of(node, iu_pos)
+        for node_id, amp in zip(ids, fading.amplitudes):
+            pos = self.topo.position(node_id, iu_pos)
             d = origin.distance_to(pos)
             snr = channel.direct_snr(self.params, complex(amp), d)
-            nu = self._nu_idle[node.traffic_index] if node.kind is NodeKind.IU else math.inf
             links.append(
                 CandidateLink(
-                    node=node,
+                    node_id=node_id,
                     snr_db=10.0 * math.log10(snr) if snr > 0 else -math.inf,
                     snr_linear=snr,
                     remaining_m=pos.distance_to(dest),
-                    nu_idle_slots=float(nu),
+                    nu_idle_slots=self._idle_window(node_id),
                 )
             )
         return links
@@ -282,11 +282,11 @@ class Router:
 
     # -- traffic helpers -------------------------------------------------------
 
-    def _split_idle_busy(self, ius: list[Node]) -> tuple[list[Node], list[Node]]:
-        idx = np.array([n.traffic_index for n in ius], dtype=np.intp)
-        states = self.field.states_at(self.clock, idx, self.rng)
-        idle = [n for n, s in zip(ius, states) if s == traffic.IDLE]
-        busy = [n for n, s in zip(ius, states) if s == traffic.BUSY]
+    def _split_idle_busy(self, ius: list[int]) -> tuple[list[int], list[int]]:
+        rows = np.array(ius, dtype=np.intp) - FIRST_IU_ID
+        states = self.field.states_at(self.clock, rows, self.rng)
+        idle = [i for i, s in zip(ius, states) if s == traffic.IDLE]
+        busy = [i for i, s in zip(ius, states) if s == traffic.BUSY]
         return idle, busy
 
     # -- route steps -----------------------------------------------------------
@@ -294,18 +294,17 @@ class Router:
     def _try_position(self, origin: Position):
         """One scan at the current epoch: destination shortcut, then relays.
 
-        Returns (entry | None, busy_nodes); ``entry`` is a commit-ready
-        (link, mode-or-None, tau, rate, kind-specific payload) tuple.
+        Returns (entry | None, busy_ids); ``entry`` is a commit-ready
+        (link, mode, tau) tuple.
         """
         dest = self.topo.dest
         iu_pos = self._iu_positions()
         found = topology.half_circle_scan(
-            self.topo, origin, dest.position, (NodeKind.DEST, NodeKind.IU), iu_positions=iu_pos
+            self.topo, origin, dest, (NodeKind.DEST, NodeKind.IU), iu_positions=iu_pos
         )
-        dest_hit = [n for n in found if n.kind is NodeKind.DEST]
-        ius = [n for n in found if n.kind is NodeKind.IU]
-        if dest_hit:
-            link = self._direct_candidates(origin, dest_hit, iu_pos)[0]
+        ius = [i for i in found if i != DEST_ID]
+        if DEST_ID in found:
+            link = self._direct_candidates(origin, [DEST_ID], iu_pos)[0]
             mode = self.table.select(link.snr_db)
             if self.policy.adaptive:
                 usable = mode if mode.rate > 0 else None
@@ -318,15 +317,12 @@ class Router:
             if usable is not None:
                 tau = linkbudget.transfer_slots(self.demand, usable)
                 return (link, usable, tau), []
-        origin_remaining = origin.distance_to(dest.position)
+        origin_remaining = origin.distance_to(dest)
         idle, busy = self._split_idle_busy(ius)
         links = self._direct_candidates(origin, idle, iu_pos)
         # forward progress is required of a hop, not just half-disc membership
         links = [ln for ln in links if ln.remaining_m < origin_remaining]
-        busy = [
-            n for n in busy
-            if self._position_of(n, iu_pos).distance_to(dest.position) < origin_remaining
-        ]
+        busy = [i for i in busy if self.topo.position(i, iu_pos).distance_to(dest) < origin_remaining]
         aset = availability_set(
             links, self.table, self.demand, self.policy.adaptive, self.policy.fixed_rate_bits
         )
@@ -334,38 +330,35 @@ class Router:
             return select_iu(aset), busy
         return None, busy
 
-    def _reflector_endpoints(self, ris: Node, origin: Position, gamma_of) -> list[tuple]:
-        """Qualifying endpoints behind ``ris``: (link, tau, rate, gamma)."""
+    def _reflector_endpoints(self, ris_id: int, origin: Position, gamma_of) -> list[tuple]:
+        """Qualifying endpoints behind reflector ``ris_id``: (link, tau, rate, gamma)."""
         iu_pos = self._iu_positions()
         dest = self.topo.dest
-        origin_remaining = origin.distance_to(dest.position)
+        origin_remaining = origin.distance_to(dest)
         found = topology.half_circle_scan(
-            self.topo, ris.position, dest.position, (NodeKind.DEST, NodeKind.IU), iu_positions=iu_pos
+            self.topo, self.topo.position(ris_id), dest, (NodeKind.DEST, NodeKind.IU), iu_positions=iu_pos
         )
-        dest_hits = [n for n in found if n.kind is NodeKind.DEST]
-        ius = [n for n in found if n.kind is NodeKind.IU]
-        idle, _ = self._split_idle_busy(ius)
+        idle, _ = self._split_idle_busy([i for i in found if i != DEST_ID])
         out = []
-        for node in dest_hits + idle:
-            pos = self._position_of(node, iu_pos)
-            remaining = pos.distance_to(dest.position)
+        for node_id in ([DEST_ID] if DEST_ID in found else []) + idle:
+            pos = self.topo.position(node_id, iu_pos)
+            remaining = pos.distance_to(dest)
             if remaining >= origin_remaining:
                 continue  # a reflector hop must still make forward progress
-            gamma = gamma_of(node, pos)
+            gamma = gamma_of(pos)
             rate = self._reflected_rate(gamma)
             if rate <= 0.0:
                 continue
             tau = linkbudget.transfer_slots_at_rate(self.demand, rate)
-            if node.kind is NodeKind.IU and tau > self._nu_idle[node.traffic_index]:
+            nu = self._idle_window(node_id)
+            if tau > nu:
                 continue
             link = CandidateLink(
-                node=node,
+                node_id=node_id,
                 snr_db=10.0 * math.log10(gamma) if gamma > 0 else -math.inf,
                 snr_linear=gamma,
                 remaining_m=remaining,
-                nu_idle_slots=float(
-                    self._nu_idle[node.traffic_index] if node.kind is NodeKind.IU else math.inf
-                ),
+                nu_idle_slots=nu,
             )
             out.append((link, tau, rate, gamma))
         return out
@@ -379,55 +372,57 @@ class Router:
         surface; no third. "single_only" skips the extension,
         "double_only" skips the single stage.
         """
-        dest_pos = self.topo.dest.position
-        candidates = topology.half_circle_scan(self.topo, origin, dest_pos, NodeKind.RIS)
+        topo = self.topo
+        n_elements = topo.ris_elements
+        candidates = topology.half_circle_scan(topo, origin, topo.dest, NodeKind.RIS)
         if not candidates:
             return FailureReason.NO_IU_NO_RIS
         incoming: dict[int, channel.FadingVector] = {}
 
         if self.policy.ris_mode in ("both", "single_only"):
-            best = None  # (progress, ris_id, ris, entry)
-            for ris in candidates:
-                h_in = channel.sample_fading(ris.ris_elements, self.params.rician_k_db, self.rng)
-                incoming[ris.id] = h_in
-                d_in = origin.distance_to(ris.position)
+            best = None  # ((progress, ris_id), ris_id, entry)
+            for ris_id in candidates:
+                h_in = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
+                incoming[ris_id] = h_in
+                ris_pos = topo.position(ris_id)
+                d_in = origin.distance_to(ris_pos)
 
-                def gamma_of(node, pos, _ris=ris, _h_in=h_in, _d_in=d_in):
-                    h_out = channel.sample_fading(_ris.ris_elements, self.params.rician_k_db, self.rng)
+                def gamma_of(pos, _ris_pos=ris_pos, _h_in=h_in, _d_in=d_in):
+                    h_out = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
                     return channel.optimal_single_reflection_snr(
-                        self.params, _h_in, h_out, _d_in, _ris.position.distance_to(pos)
+                        self.params, _h_in, h_out, _d_in, _ris_pos.distance_to(pos)
                     )
 
-                endpoints = self._reflector_endpoints(ris, origin, gamma_of)
+                endpoints = self._reflector_endpoints(ris_id, origin, gamma_of)
                 if not endpoints:
                     continue
                 entry = self._select_reflector_endpoint(endpoints)
                 progress = min(e[0].remaining_m for e in endpoints)
-                key = (progress, ris.id)
+                key = (progress, ris_id)
                 if best is None or key < best[0]:
-                    best = (key, ris, entry)
+                    best = (key, ris_id, entry)
             if best is not None:
-                _, ris, (link, tau, rate, gamma) = best
-                return ("single", ris, link, tau, rate, gamma)
+                _, ris_id, (link, tau, rate, gamma) = best
+                return ("single", ris_id, link, tau, rate, gamma)
 
         if self.policy.ris_mode in ("both", "double_only"):
             first = candidates[0]  # nearest the destination (LRD scan order)
-            adjacent = topology.half_circle_scan(self.topo, first.position, dest_pos, NodeKind.RIS)
-            adjacent = [r for r in adjacent if r.id != first.id]
+            first_pos = topo.position(first)
+            adjacent = topology.half_circle_scan(topo, first_pos, topo.dest, NodeKind.RIS)
+            adjacent = [r for r in adjacent if r != first]
             if not adjacent:
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
             second = adjacent[0]
-            h_in = incoming.get(first.id)
+            second_pos = topo.position(second)
+            h_in = incoming.get(first)
             if h_in is None:
-                h_in = channel.sample_fading(first.ris_elements, self.params.rician_k_db, self.rng)
-            h_mid = channel.sample_fading(
-                (second.ris_elements, first.ris_elements), self.params.rician_k_db, self.rng
-            )
-            d_in = origin.distance_to(first.position)
-            d_mid = first.position.distance_to(second.position)
+                h_in = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
+            h_mid = channel.sample_fading((n_elements, n_elements), self.params.rician_k_db, self.rng)
+            d_in = origin.distance_to(first_pos)
+            d_mid = first_pos.distance_to(second_pos)
 
-            def gamma_of(node, pos):
-                h_out = channel.sample_fading(second.ris_elements, self.params.rician_k_db, self.rng)
+            def gamma_of(pos):
+                h_out = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
                 phase_i, phase_j = channel.alternating_double_phases(h_in, h_mid, h_out)
                 return channel.double_reflection_sinr(
                     self.params,
@@ -438,7 +433,7 @@ class Router:
                     h_out,
                     d_in,
                     d_mid,
-                    second.position.distance_to(pos),
+                    second_pos.distance_to(pos),
                 )
 
             endpoints = self._reflector_endpoints(second, origin, gamma_of)
@@ -450,17 +445,17 @@ class Router:
     @staticmethod
     def _select_reflector_endpoint(endpoints: list[tuple]) -> tuple:
         for entry in endpoints:
-            if entry[0].node.kind is NodeKind.DEST:
+            if entry[0].node_id == DEST_ID:
                 return entry
-        return min(endpoints, key=lambda e: (e[1], e[0].remaining_m, e[0].node.id))
+        return min(endpoints, key=lambda e: (e[1], e[0].remaining_m, e[0].node_id))
 
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> RouteLedger:
         cfg = self.cfg
         topo = self.topo
-        src = topo.source.position
-        dst = topo.dest.position
+        src = topo.source
+        dst = topo.dest
         l = src.distance_to(dst)
         psi = topology.min_hops(l, topo.coverage_radius)
         ledger = RouteLedger(total_delay_s=cfg.total_delay_s, slot_s=cfg.slot_s, psi=psi)
@@ -468,7 +463,6 @@ class Router:
             ledger.failure_reason = FailureReason.DELAY_EXCEEDED
             return ledger
         budget = delaymodel.DelayBudget.start(cfg.total_delay_s, psi)
-        current: Node = topo.source
         current_pos = src
 
         while True:
@@ -513,8 +507,8 @@ class Router:
             if hop is None:  # commit failed on time or outage; reason already set
                 ledger.total_slots = self.clock
                 return ledger
-            endpoint_node, endpoint_pos = hop
-            if endpoint_node.kind is NodeKind.DEST:
+            endpoint_id, endpoint_pos = hop
+            if endpoint_id == DEST_ID:
                 ledger.success = True
                 ledger.total_slots = self.clock
                 return ledger
@@ -525,17 +519,15 @@ class Router:
                 budget.advance(wait_s, is_d2d_wait, psi_next)
             except delaymodel.HopOvershootError:
                 budget.pin_next(wait_s, is_d2d_wait, self._remaining_s())
-            current = endpoint_node
             current_pos = endpoint_pos
 
     # -- commit helpers ----------------------------------------------------------
 
-    def _deferral(self, busy: list[Node], budget: delaymodel.DelayBudget) -> int:
+    def _deferral(self, busy: list[int], budget: delaymodel.DelayBudget) -> int:
         """Slots to wait at this position, honoring the wait caps; 0 = skip."""
         if not busy:
             return 0
-        profiles = [self.profiles[n.traffic_index] for n in busy]
-        eta = traffic.deferral_window(profiles, self.cfg.p_th)
+        eta = traffic.deferral_window(self.field.eta_idle[np.array(busy, dtype=np.intp) - FIRST_IU_ID])
         cap = min(budget.current_limit, self._remaining_s())
         if eta * self.cfg.slot_s > cap:
             return 0
@@ -547,36 +539,42 @@ class Router:
             return False
         return True
 
-    def _outage(self, tx_pos: Position | None, ris_pos: Position | None, node: Node, end_clock: int) -> bool:
-        """Counterpart out of coverage at transfer end (mobile runs only)."""
-        if self.mobility is None or node.kind is not NodeKind.IU:
+    def _check_progress(self, origin: Position, link: CandidateLink) -> None:
+        """A committed hop must end strictly closer to the destination than ``origin``."""
+        if not link.remaining_m < origin.distance_to(self.topo.dest):
+            raise ValueError(
+                f"hop to {self.topo.label(link.node_id)} ends {link.remaining_m} m from the "
+                "destination, no closer than its origin"
+            )
+
+    def _outage(self, anchor: Position, node_id: int, end_clock: int) -> bool:
+        """Counterpart out of coverage of ``anchor`` at transfer end (mobile runs only)."""
+        if self.mobility is None or self.topo.kind(node_id) is not NodeKind.IU:
             return False
         moved = self.mobility.positions_at(end_clock * self.cfg.slot_s)
-        pos = Position(float(moved[node.traffic_index][0]), float(moved[node.traffic_index][1]))
-        anchor = ris_pos if ris_pos is not None else tx_pos
-        return anchor.distance_to(pos) > self.topo.coverage_radius
+        return anchor.distance_to(self.topo.position(node_id, moved)) > self.topo.coverage_radius
 
     def _commit_direct(self, origin, link: CandidateLink, mode, tau, ledger):
+        self._check_progress(origin, link)
         if not self._check_transfer_time(tau, ledger):
             return None
         end_clock = self.clock + tau
-        if self._outage(origin, None, link.node, end_clock):
+        if self._outage(origin, link.node_id, end_clock):
             ledger.failure_reason = FailureReason.OUTAGE
             self.clock = end_clock
             return None
         self.clock = end_clock
         harvested = 0.0
-        if link.node.kind is NodeKind.IU:
+        if self.topo.kind(link.node_id) is NodeKind.IU:
             received = link.snr_linear * self.params.noise_power
             harvested = linkbudget.harvested_energy_for_transfer(
                 self.harvester, received, tau, self.cfg.slot_s
             )
-        assert link.remaining_m < origin.distance_to(self.topo.dest.position)
         ledger.hops.append(
             HopChoice(
                 kind=HopKind.DIRECT_IU,
-                via=(link.node.id,),
-                labels=(link.node.label,),
+                via=(link.node_id,),
+                labels=(self.topo.label(link.node_id),),
                 slots_used=tau,
                 rate=float(mode.rate),
                 constellation=mode.constellation,
@@ -584,42 +582,37 @@ class Router:
                 remaining_m=link.remaining_m,
             )
         )
-        iu_pos = self._iu_positions()
-        return link.node, self._position_of(link.node, iu_pos)
+        return link.node_id, self.topo.position(link.node_id, self._iu_positions())
 
     def _commit_reflected(self, origin, outcome, ledger):
         if outcome[0] == "single":
             _, ris, link, tau, rate, gamma = outcome
-            via = (ris.id, link.node.id)
-            labels = (ris.label, link.node.label)
-            anchor = ris.position
+            via = (ris, link.node_id)
             kind = HopKind.SINGLE_RIS
         else:
-            _, first, second, link, tau, rate, gamma = outcome
-            via = (first.id, second.id, link.node.id)
-            labels = (first.label, second.label, link.node.label)
-            anchor = second.position
+            _, first, ris, link, tau, rate, gamma = outcome  # ris: the surface reaching the endpoint
+            via = (first, ris, link.node_id)
             kind = HopKind.DOUBLE_RIS
+        self._check_progress(origin, link)
         if not self._check_transfer_time(tau, ledger):
             return None
         end_clock = self.clock + tau
-        if self._outage(origin, anchor, link.node, end_clock):
+        if self._outage(self.topo.position(ris), link.node_id, end_clock):
             ledger.failure_reason = FailureReason.OUTAGE
             self.clock = end_clock
             return None
         self.clock = end_clock
         harvested = 0.0
-        if link.node.kind is NodeKind.IU:
+        if self.topo.kind(link.node_id) is NodeKind.IU:
             received = gamma * self.params.noise_power
             harvested = linkbudget.harvested_energy_for_transfer(
                 self.harvester, received, tau, self.cfg.slot_s
             )
-        assert link.remaining_m < origin.distance_to(self.topo.dest.position)
         ledger.hops.append(
             HopChoice(
                 kind=kind,
                 via=via,
-                labels=labels,
+                labels=tuple(self.topo.label(i) for i in via),
                 slots_used=tau,
                 rate=float(rate),
                 constellation=0,
@@ -627,26 +620,25 @@ class Router:
                 remaining_m=link.remaining_m,
             )
         )
-        iu_pos = self._iu_positions()
-        return link.node, self._position_of(link.node, iu_pos)
+        return link.node_id, self.topo.position(link.node_id, self._iu_positions())
 
 
 def route(
     topo: Topology,
-    profiles: list[traffic.TrafficProfile],
+    means: tuple[np.ndarray, np.ndarray],
     cfg: SimConfig,
     rng: np.random.Generator,
     policy: RoutePolicy | None = None,
     mobility=None,
 ) -> RouteLedger:
     """Run the full decision procedure once and return its ledger."""
-    return Router(topo, profiles, cfg, rng, policy=policy, mobility=mobility).run()
+    return Router(topo, means, cfg, rng, policy=policy, mobility=mobility).run()
 
 
 def baseline_route(
     variant: str,
     topo: Topology,
-    profiles: list[traffic.TrafficProfile],
+    means: tuple[np.ndarray, np.ndarray],
     cfg: SimConfig,
     rng: np.random.Generator,
     mobility=None,
@@ -657,4 +649,4 @@ def baseline_route(
     policy = BASELINE_POLICIES[variant]
     if variant == "fixed_mod":
         policy = RoutePolicy(adaptive=False, fixed_rate_bits=cfg.fixed_rate_bits)
-    return route(topo, profiles, cfg, rng, policy=policy, mobility=mobility)
+    return route(topo, means, cfg, rng, policy=policy, mobility=mobility)

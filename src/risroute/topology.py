@@ -1,9 +1,23 @@
-"""Node geometry and directional neighborhood queries.
+"""Scenario geometry as arrays, and directional neighborhood queries.
+
+A topology is one source point S, one destination point D, an (m, 2)
+array of intermediate-user (IU) positions and a (k, 2) array of
+reflector (RIS) positions, every RIS having the same element count.
+Nodes are named by integer ids in one layout:
+
+    0                  S
+    1                  D
+    2 .. m+1           IUs in array order, labels U1..Um
+    m+2 .. m+k+1       RISs in array order, labels R1..Rk
+
+so an IU's id minus ``FIRST_IU_ID`` is its row in the IU array and in the
+run's traffic arrays.
 
 Every routing step scans the half-disc of radius r facing the destination
 (the forward half circle) and orders candidates by least remaining
-distance (LRD). Nodes sitting exactly on the perpendicular through the
-scan center count as zero progress and are excluded.
+distance (LRD), ties broken by lower id. Nodes sitting exactly on the
+perpendicular through the scan center count as zero progress and are
+excluded.
 """
 
 from __future__ import annotations
@@ -15,6 +29,10 @@ from enum import Enum
 import numpy as np
 
 from .config import SimConfig
+
+SOURCE_ID = 0
+DEST_ID = 1
+FIRST_IU_ID = 2
 
 
 class NodeKind(Enum):
@@ -32,77 +50,82 @@ class Position:
     def distance_to(self, other: "Position") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array((self.x, self.y))
-
-
-@dataclass(frozen=True)
-class Node:
-    id: int
-    kind: NodeKind
-    position: Position
-    ris_elements: int = 0  # RIS nodes only
-    ordinal: int = 0  # 1-based index within its kind (U3, R7, ...)
-
-    def __post_init__(self):
-        if self.kind is NodeKind.RIS and self.ris_elements < 1:
-            raise ValueError("RIS node needs ris_elements >= 1")
-
-    @property
-    def traffic_index(self) -> int:
-        """Row of this IU in the run's traffic state arrays."""
-        return self.ordinal - 1
-
-    @property
-    def label(self) -> str:
-        if self.kind is NodeKind.SOURCE:
-            return "S"
-        if self.kind is NodeKind.DEST:
-            return "D"
-        prefix = "U" if self.kind is NodeKind.IU else "R"
-        return f"{prefix}{self.ordinal}"
-
 
 class Topology:
-    """Immutable node registry with per-kind position caches."""
+    """Immutable scenario: endpoint points plus IU and RIS position arrays."""
 
-    def __init__(self, nodes: list[Node], coverage_radius: float, arena: tuple[float, float]):
+    def __init__(
+        self,
+        source: Position,
+        dest: Position,
+        iu_xy: np.ndarray,
+        ris_xy: np.ndarray,
+        ris_elements: int,
+        coverage_radius: float,
+        arena: tuple[float, float],
+    ):
         if coverage_radius <= 0:
             raise ValueError("coverage_radius must be positive")
-        sources = [n for n in nodes if n.kind is NodeKind.SOURCE]
-        dests = [n for n in nodes if n.kind is NodeKind.DEST]
-        if len(sources) != 1 or len(dests) != 1:
-            raise ValueError("scenario needs exactly one source and one destination")
+        self.iu_xy = np.asarray(iu_xy, dtype=float).reshape(-1, 2)
+        self.ris_xy = np.asarray(ris_xy, dtype=float).reshape(-1, 2)
+        if len(self.ris_xy) and ris_elements < 1:
+            raise ValueError("RIS nodes need ris_elements >= 1")
         w, h = arena
-        for n in nodes:
-            if not (0.0 <= n.position.x <= w and 0.0 <= n.position.y <= h):
-                raise ValueError(f"node {n.id} at ({n.position.x}, {n.position.y}) lies outside the arena")
-        self.nodes = tuple(sorted(nodes, key=lambda n: n.id))
+        xy = np.vstack([(source.x, source.y), (dest.x, dest.y), self.iu_xy, self.ris_xy])
+        outside = np.nonzero(~((xy[:, 0] >= 0.0) & (xy[:, 0] <= w) & (xy[:, 1] >= 0.0) & (xy[:, 1] <= h)))[0]
+        if outside.size:
+            i = int(outside[0])
+            raise ValueError(f"node {i} at ({xy[i, 0]}, {xy[i, 1]}) lies outside the arena")
+        self.source = source
+        self.dest = dest
+        self.ris_elements = int(ris_elements)
         self.coverage_radius = float(coverage_radius)
         self.arena = (float(w), float(h))
-        self.source = sources[0]
-        self.dest = dests[0]
-        self.ius = tuple(n for n in self.nodes if n.kind is NodeKind.IU)
-        self.riss = tuple(n for n in self.nodes if n.kind is NodeKind.RIS)
-        self._by_kind: dict[NodeKind, tuple[Node, ...]] = {
-            NodeKind.SOURCE: (self.source,),
-            NodeKind.DEST: (self.dest,),
-            NodeKind.IU: self.ius,
-            NodeKind.RIS: self.riss,
-        }
-        self._pos_by_kind = {
-            kind: np.array([(n.position.x, n.position.y) for n in group]).reshape(-1, 2)
-            for kind, group in self._by_kind.items()
+        self.first_ris_id = FIRST_IU_ID + len(self.iu_xy)
+        self._groups = {
+            NodeKind.SOURCE: (SOURCE_ID, xy[0:1]),
+            NodeKind.DEST: (DEST_ID, xy[1:2]),
+            NodeKind.IU: (FIRST_IU_ID, self.iu_xy),
+            NodeKind.RIS: (self.first_ris_id, self.ris_xy),
         }
 
-    def of_kind(self, kind: NodeKind) -> tuple[Node, ...]:
-        return self._by_kind[kind]
+    def group(self, kind: NodeKind, iu_xy: np.ndarray | None = None) -> tuple[int, np.ndarray]:
+        """(first id, (n, 2) positions) of one kind; ``iu_xy`` overrides the IUs (mobility)."""
+        first, xy = self._groups[kind]
+        if kind is NodeKind.IU and iu_xy is not None:
+            return first, iu_xy
+        return first, xy
 
-    def positions_of(self, kind: NodeKind, moved: np.ndarray | None = None) -> np.ndarray:
-        """(n, 2) positions; ``moved`` overrides the IU cache (mobility)."""
-        if moved is not None and kind is NodeKind.IU:
-            return moved
-        return self._pos_by_kind[kind]
+    def kind(self, node_id: int) -> NodeKind:
+        if node_id == SOURCE_ID:
+            return NodeKind.SOURCE
+        if node_id == DEST_ID:
+            return NodeKind.DEST
+        if FIRST_IU_ID <= node_id < self.first_ris_id:
+            return NodeKind.IU
+        if self.first_ris_id <= node_id < self.first_ris_id + len(self.ris_xy):
+            return NodeKind.RIS
+        raise ValueError(f"no node with id {node_id}")
+
+    def label(self, node_id: int) -> str:
+        kind = self.kind(node_id)
+        if kind is NodeKind.SOURCE:
+            return "S"
+        if kind is NodeKind.DEST:
+            return "D"
+        if kind is NodeKind.IU:
+            return f"U{node_id - FIRST_IU_ID + 1}"
+        return f"R{node_id - self.first_ris_id + 1}"
+
+    def position(self, node_id: int, iu_xy: np.ndarray | None = None) -> Position:
+        """Where ``node_id`` is; ``iu_xy`` overrides the IU positions (mobility)."""
+        if node_id == SOURCE_ID:
+            return self.source
+        if node_id == DEST_ID:
+            return self.dest
+        first, xy = self.group(self.kind(node_id), iu_xy)
+        row = node_id - first
+        return Position(float(xy[row, 0]), float(xy[row, 1]))
 
 
 def half_circle_scan(
@@ -111,8 +134,8 @@ def half_circle_scan(
     target: Position,
     kinds: NodeKind | tuple[NodeKind, ...],
     iu_positions: np.ndarray | None = None,
-) -> list[Node]:
-    """Nodes within coverage of ``center`` in the half-disc facing ``target``.
+) -> list[int]:
+    """Ids of the nodes within coverage of ``center`` in the half-disc facing ``target``.
 
     Keeps nodes with strictly positive projection onto the center->target
     axis and distance <= r from the center, ordered by ascending remaining
@@ -128,24 +151,23 @@ def half_circle_scan(
     axis = t - c
     axis = axis / np.linalg.norm(axis)
     r = topo.coverage_radius
-    found: list[tuple[float, int, Node]] = []
+    ids, remaining = [], []
     for kind in kinds:
-        group = topo.of_kind(kind)
-        if not group:
+        first, pos = topo.group(kind, iu_positions)
+        if not len(pos):
             continue
-        pos = topo.positions_of(kind, moved=iu_positions)
         rel = pos - c
         dist_c = np.hypot(rel[:, 0], rel[:, 1])
         proj = rel @ axis
-        mask = (proj > 0.0) & (dist_c <= r)
-        if not mask.any():
+        hits = np.nonzero((proj > 0.0) & (dist_c <= r))[0]
+        if not hits.size:
             continue
-        remaining = np.hypot(pos[:, 0] - t[0], pos[:, 1] - t[1])
-        for idx in np.nonzero(mask)[0]:
-            node = group[idx]
-            found.append((float(remaining[idx]), node.id, node))
-    found.sort(key=lambda item: (item[0], item[1]))
-    return [node for _, _, node in found]
+        ids.append(first + hits)
+        remaining.append(np.hypot(pos[hits, 0] - t[0], pos[hits, 1] - t[1]))
+    if not ids:
+        return []
+    ids, remaining = np.concatenate(ids), np.concatenate(remaining)
+    return ids[np.lexsort((ids, remaining))].tolist()
 
 
 def min_hops(l: float, r: float) -> int:
@@ -162,14 +184,13 @@ def hops_consumed(s_pos: Position, u_pos: Position, r: float) -> int:
     return int(math.floor(s_pos.distance_to(u_pos) / r))
 
 
-def ris_grid_positions(arena: tuple[float, float], spacing: float) -> list[Position]:
-    """Uniform grid covering the arena, first row/column offset by spacing/2."""
+def ris_grid_positions(arena: tuple[float, float], spacing: float) -> np.ndarray:
+    """(k, 2) grid covering the arena row by row, first row/column offset by spacing/2."""
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     w, h = arena
-    xs = np.arange(spacing / 2.0, w, spacing)
-    ys = np.arange(spacing / 2.0, h, spacing)
-    return [Position(float(x), float(y)) for y in ys for x in xs]
+    xs, ys = np.meshgrid(np.arange(spacing / 2.0, w, spacing), np.arange(spacing / 2.0, h, spacing))
+    return np.column_stack([xs.ravel(), ys.ravel()])
 
 
 def generate_topology(
@@ -198,15 +219,6 @@ def generate_topology(
             if s.distance_to(d) > 1e-9:
                 source, dest = s, d
                 break
-    nodes = [Node(0, NodeKind.SOURCE, source), Node(1, NodeKind.DEST, dest)]
-    next_id = 2
     iu_xy = rng.uniform(0.0, cfg.arena_m, size=(cfg.iu_count, 2))
-    for j in range(cfg.iu_count):
-        nodes.append(
-            Node(next_id, NodeKind.IU, Position(float(iu_xy[j, 0]), float(iu_xy[j, 1])), ordinal=j + 1)
-        )
-        next_id += 1
-    for k, pos in enumerate(ris_grid_positions(arena, cfg.ris_spacing)):
-        nodes.append(Node(next_id, NodeKind.RIS, pos, ris_elements=cfg.ris_elements, ordinal=k + 1))
-        next_id += 1
-    return Topology(nodes, cfg.coverage_m, arena)
+    ris_xy = ris_grid_positions(arena, cfg.ris_spacing)
+    return Topology(source, dest, iu_xy, ris_xy, cfg.ris_elements, cfg.coverage_m, arena)

@@ -1,4 +1,4 @@
-"""ON/OFF user traffic as a two-state discrete-time Markov chain.
+"""ON/OFF user traffic as two-state discrete-time Markov chains, one per IU.
 
 Each intermediate user alternates exponentially distributed OFF (idle,
 mean lambda) and ON (busy, mean mu) periods, sampled on a slot clock of
@@ -17,13 +17,18 @@ the geometric first-success wait until a busy user turns idle,
     eta_I = (mu/T_s) ln(max((1 - exp(-T_s/mu))/p_th, 1)) + 1,
 
 and the transmission deferral window eta_w = min over busy users of eta_I.
+
+A run's traffic is held as arrays indexed by IU row (the IU's node id
+minus ``topology.FIRST_IU_ID``): per-IU means ``lambda_s`` and ``mu_s`` in
+seconds, and in ``TrafficField`` the per-IU stationary busy probability
+``pi``, chain eigenvalue ``rho``, ``nu_idle``, ``eta_idle`` and the
+current state. The estimators accept a scalar or such an array.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,100 +40,38 @@ class NoBusyIuError(Exception):
     """Deferral requested with no busy IU in sight; fall back to a RIS."""
 
 
-@dataclass(frozen=True)
-class TrafficProfile:
-    """Mean OFF length, mean ON length, and slot duration, all in seconds."""
+def _per_value(fn, x) -> np.ndarray:
+    """``fn`` (a ``math`` function) of each element of ``x``, called once per distinct value.
 
-    lambda_off: float
-    mu_on: float
-    slot: float
-
-    def __post_init__(self):
-        if self.lambda_off <= 0 or self.mu_on <= 0 or self.slot <= 0:
-            raise ValueError("lambda_off, mu_on, and slot must be positive")
-        if self.slot > 0.2 * min(self.lambda_off, self.mu_on):
-            warnings.warn(
-                "slot duration is not small against the ON/OFF means; "
-                "multiple state changes per slot become likely",
-                stacklevel=2,
-            )
+    ``math`` and numpy's ufuncs can differ in the last bit, and results are
+    written as ``repr(float)``; a scalar traffic config thus costs one call
+    and gives the bits of the scalar formula.
+    """
+    x = np.asarray(x, dtype=float)
+    values, inverse = np.unique(x.ravel(), return_inverse=True)
+    return np.array([fn(v) for v in values.tolist()])[inverse.ravel()].reshape(x.shape)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-
-    def __post_init__(self):
-        for p in (self.p00, self.p01, self.p10, self.p11):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("transition probabilities must lie in [0, 1]")
-        if abs(self.p00 + self.p01 - 1.0) > 1e-12 or abs(self.p10 + self.p11 - 1.0) > 1e-12:
-            raise ValueError("transition matrix rows must sum to 1")
-
-    @property
-    def stationary_busy(self) -> float:
-        return self.p01 / (self.p01 + self.p10)
+def switch_probability(mean_s, slot: float):
+    """P(leaving a state within one slot) for exponential sojourns of mean ``mean_s``."""
+    return 1.0 - _per_value(math.exp, -slot / np.asarray(mean_s, dtype=float))
 
 
-def transition_matrix(profile: TrafficProfile) -> TransitionMatrix:
-    p00 = math.exp(-profile.slot / profile.lambda_off)
-    p11 = math.exp(-profile.slot / profile.mu_on)
-    return TransitionMatrix(p00=p00, p01=1.0 - p00, p10=1.0 - p11, p11=p11)
-
-
-class TrafficChain:
-    """One user's chain state, advanced slot by slot or in closed-form jumps."""
-
-    def __init__(self, profile: TrafficProfile, state: int = IDLE):
-        if state not in (IDLE, BUSY):
-            raise ValueError("state must be IDLE (0) or BUSY (1)")
-        self.profile = profile
-        self.matrix = transition_matrix(profile)
-        self.state = state
-
-    def step(self, rng: np.random.Generator) -> int:
-        """Advance one slot; at most one state change per slot by construction."""
-        flip = self.matrix.p01 if self.state == IDLE else self.matrix.p10
-        if rng.random() < flip:
-            self.state = BUSY if self.state == IDLE else IDLE
-        return self.state
-
-    def jump(self, rng: np.random.Generator, slots: int) -> int:
-        """Advance ``slots`` at once using the n-step transition law."""
-        if slots < 0:
-            raise ValueError("slots must be nonnegative")
-        if slots == 0:
-            return self.state
-        p_busy = busy_probability_after(self.matrix, self.state, slots)
-        self.state = BUSY if rng.random() < p_busy else IDLE
-        return self.state
-
-
-def busy_probability_after(tm: TransitionMatrix, state: int, slots: int) -> float:
-    """P(busy after ``slots`` steps | current state), via the chain's eigenvalue."""
-    pi = tm.stationary_busy
-    rho = 1.0 - tm.p01 - tm.p10
-    return pi + (rho**slots) * ((1.0 if state == BUSY else 0.0) - pi)
-
-
-def duration_of_idleness(profile: TrafficProfile, delta: float) -> float:
+def duration_of_idleness(lambda_s, slot: float, delta: float):
     """Slots an idle user is trusted to stay idle, at error tolerance delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return (profile.lambda_off / profile.slot) * math.log(1.0 / (1.0 - delta))
+    return (lambda_s / slot) * math.log(1.0 / (1.0 - delta))
 
 
-def duration_of_busyness(profile: TrafficProfile, delta: float) -> float:
+def duration_of_busyness(mu_s, slot: float, delta: float):
     """Slots a busy user is expected to stay busy, at error tolerance delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return (profile.mu_on / profile.slot) * math.log(1.0 / (1.0 - delta))
+    return (mu_s / slot) * math.log(1.0 / (1.0 - delta))
 
 
-def idle_wait_estimate(profile: TrafficProfile, p_th: float) -> float:
+def idle_wait_estimate(mu_s, slot: float, p_th: float) -> np.ndarray:
     """Slots until a busy user's first idle slot has probability >= p_th.
 
     Geometric first-success argument; the max(x, 1) clamp keeps the
@@ -136,21 +79,19 @@ def idle_wait_estimate(profile: TrafficProfile, p_th: float) -> float:
     """
     if not 0.0 < p_th < 1.0:
         raise ValueError("p_th must lie in (0, 1)")
-    p10 = 1.0 - math.exp(-profile.slot / profile.mu_on)
-    arg = max(p10 / p_th, 1.0)
-    return (profile.mu_on / profile.slot) * math.log(arg) + 1.0
+    p10 = switch_probability(mu_s, slot)
+    return (np.asarray(mu_s, dtype=float) / slot) * _per_value(math.log, np.maximum(p10 / p_th, 1.0)) + 1.0
 
 
-def deferral_window(busy_profiles: list[TrafficProfile], p_th: float) -> int:
-    """Whole slots to defer transmission: ceil of the smallest idle-wait estimate.
+def deferral_window(busy_eta: np.ndarray) -> int:
+    """Whole slots to defer transmission: ceil of the busy users' smallest eta_I.
 
     Rounding up keeps the waited time no shorter than the estimate. Raises
     NoBusyIuError when there is nobody to wait for.
     """
-    if not busy_profiles:
+    if not busy_eta.size:
         raise NoBusyIuError("no busy IU to wait for")
-    eta = min(idle_wait_estimate(p, p_th) for p in busy_profiles)
-    return int(math.ceil(eta))
+    return int(math.ceil(busy_eta.min()))
 
 
 class TrafficField:
@@ -162,14 +103,26 @@ class TrafficField:
     Initial states are drawn from the chain's stationary distribution.
     """
 
-    def __init__(self, profiles: list[TrafficProfile], rng: np.random.Generator):
-        self.profiles = list(profiles)
-        self.matrices = [transition_matrix(p) for p in self.profiles]
-        m = len(self.profiles)
-        self._pi = np.array([tm.stationary_busy for tm in self.matrices])
-        self._rho = np.array([1.0 - tm.p01 - tm.p10 for tm in self.matrices])
-        self.state = (rng.random(m) < self._pi).astype(np.int8)
-        self.updated_at = np.zeros(m, dtype=np.int64)
+    def __init__(self, lambda_s, mu_s, slot: float, delta: float, p_th: float, rng: np.random.Generator):
+        lam, mu = np.broadcast_arrays(np.asarray(lambda_s, dtype=float), np.asarray(mu_s, dtype=float))
+        if lam.ndim != 1:
+            raise ValueError("lambda_s and mu_s must be one value per IU")
+        if not (slot > 0 and np.all(lam > 0) and np.all(mu > 0)):
+            raise ValueError("lambda_off, mu_on, and slot must be positive")
+        if lam.size and slot > 0.2 * min(lam.min(), mu.min()):
+            warnings.warn(
+                "slot duration is not small against the ON/OFF means; "
+                "multiple state changes per slot become likely",
+                stacklevel=2,
+            )
+        self.p01 = switch_probability(lam, slot)
+        self.p10 = switch_probability(mu, slot)
+        self.pi = self.p01 / (self.p01 + self.p10)
+        self.rho = 1.0 - self.p01 - self.p10
+        self.nu_idle = duration_of_idleness(lam, slot, delta)
+        self.eta_idle = idle_wait_estimate(mu, slot, p_th)
+        self.state = (rng.random(lam.size) < self.pi).astype(np.int8)
+        self.updated_at = np.zeros(lam.size, dtype=np.int64)
 
     def states_at(self, slot: int, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Observe the given users at ``slot`` (monotone per user)."""
@@ -182,8 +135,8 @@ class TrafficField:
         stale = indices[lag > 0]
         if stale.size:
             n = (slot - self.updated_at[stale]).astype(np.float64)
-            pi = self._pi[stale]
-            p_busy = pi + (self._rho[stale] ** n) * (self.state[stale] - pi)
+            pi = self.pi[stale]
+            p_busy = pi + (self.rho[stale] ** n) * (self.state[stale] - pi)
             self.state[stale] = (rng.random(stale.size) < p_busy).astype(np.int8)
             self.updated_at[stale] = slot
         return self.state[indices]

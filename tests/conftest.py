@@ -3,26 +3,18 @@
 import numpy as np
 
 from risroute.config import SimConfig
-from risroute.topology import Node, NodeKind, Position, Topology
-from risroute.traffic import TrafficProfile
+from risroute.topology import Position, Topology
 
 
 def build_topology(iu_xy, ris_xy=(), src=(0.0, 200.0), dst=(400.0, 200.0),
                    r=60.0, arena=(400.0, 400.0), ris_elements=250):
-    nodes = [Node(0, NodeKind.SOURCE, Position(*src)), Node(1, NodeKind.DEST, Position(*dst))]
-    next_id = 2
-    for j, (x, y) in enumerate(iu_xy):
-        nodes.append(Node(next_id, NodeKind.IU, Position(x, y), ordinal=j + 1))
-        next_id += 1
-    for k, (x, y) in enumerate(ris_xy):
-        nodes.append(Node(next_id, NodeKind.RIS, Position(x, y), ris_elements=ris_elements, ordinal=k + 1))
-        next_id += 1
-    return Topology(nodes, r, arena)
+    return Topology(Position(*src), Position(*dst), np.array(iu_xy, dtype=float),
+                    np.array(ris_xy, dtype=float), ris_elements, r, arena)
 
 
-def idle_profiles(count, slot=1e-4):
-    """Profiles whose stationary law is essentially always idle."""
-    return [TrafficProfile(lambda_off=1e6, mu_on=4e-3, slot=slot)] * count
+def idle_profiles(count):
+    """Per-IU (lambda_s, mu_s) whose stationary law is essentially always idle."""
+    return np.full(count, 1e6), np.full(count, 4e-3)
 
 
 def line_config(**overrides):

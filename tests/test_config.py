@@ -1,0 +1,55 @@
+import json
+import math
+
+import pytest
+
+from risroute.config import ConfigError, SimConfig, load_config
+
+NON_FINITE = [
+    ("alpha_d2d", math.nan),
+    ("total_delay_ms", math.inf),
+    ("noise_dbm", -math.inf),
+    ("ris_spacing_m", math.nan),
+    ("lambda_off_ms", (4.0, math.nan)),
+    ("mu_on_ms", (math.inf, 4.0)),
+    ("source_xy", (20.0, math.inf)),
+    ("dest_xy", (math.nan, 200.0)),
+]
+
+
+class TestRejectsBadNumbers:
+    @pytest.mark.parametrize("key,value", NON_FINITE)
+    def test_non_finite_rejected_by_constructor(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            SimConfig(**{key: value})
+
+    @pytest.mark.parametrize("key,value", NON_FINITE)
+    def test_non_finite_rejected_from_file(self, key, value, tmp_path):
+        text = ", ".join(repr(v) for v in value) if isinstance(value, tuple) else repr(value)
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {text}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize("bits", [0, 9, -2])
+    def test_fixed_rate_bits_outside_constellations_rejected(self, bits, tmp_path):
+        with pytest.raises(ConfigError, match="fixed_rate_bits"):
+            SimConfig(fixed_rate_bits=bits)
+        path = tmp_path / "bits.cfg"
+        path.write_text(f"fixed_rate_bits = {bits}\n")
+        with pytest.raises(ConfigError, match="fixed_rate_bits"):
+            load_config(path)
+
+    def test_constellation_range_accepted(self):
+        assert [SimConfig(fixed_rate_bits=b).fixed_rate_bits for b in (1, 8)] == [1, 8]
+
+
+class TestDeadKeys:
+    @pytest.mark.parametrize("key,value", [("v_max_mps", 5.0), ("throughput_term", "bits")])
+    def test_old_manifest_key_is_unknown(self, key, value, tmp_path):
+        config = SimConfig().to_dict()
+        config[key] = value
+        path = tmp_path / "manifest_trajectory.json"
+        path.write_text(json.dumps({"schema": 1, "config": config}))
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_config(path)

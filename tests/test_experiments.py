@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risroute import experiments
+from risroute import experiments, traffic
 from risroute.config import SimConfig, load_config
 from risroute.experiments import (
     ExperimentPlan,
@@ -173,6 +173,25 @@ class TestTrafficValidation:
             i = [float(r["analytic"]) for r in nui if r["delta"] == delta]
             assert all(x < y for x, y in zip(b, b[1:]))
             assert all(x > y for x, y in zip(i, i[1:]))
+
+
+    def test_analytic_column_is_the_estimator(self, tmp_path, monkeypatch):
+        plan = ExperimentPlan(kind="traffic_validation", seed=3, chains=2000, batches=4)
+        cfg = SimConfig()
+        run(plan, cfg, tmp_path / "a")
+        for name, estimator, mean in (
+            ("nu_b", traffic.duration_of_busyness, lambda xi: xi * cfg.lambda_off_ms * 1e-3 / (1.0 - xi)),
+            ("nu_i", traffic.duration_of_idleness, lambda xi: cfg.mu_on_ms * 1e-3 * (1.0 - xi) / xi),
+        ):
+            for row in read_csv(tmp_path / "a" / f"{name}.csv"):
+                expected = estimator(mean(float(row["xi"])), cfg.slot_s, float(row["delta"]))
+                assert float(row["analytic"]) == expected
+        # the column follows the estimators, not a copy of their formula
+        monkeypatch.setattr(traffic, "duration_of_busyness", lambda *args: -1.0)
+        monkeypatch.setattr(traffic, "duration_of_idleness", lambda *args: -2.0)
+        run(plan, cfg, tmp_path / "b")
+        assert {r["analytic"] for r in read_csv(tmp_path / "b" / "nu_b.csv")} == {"-1.0"}
+        assert {r["analytic"] for r in read_csv(tmp_path / "b" / "nu_i.csv")} == {"-2.0"}
 
 
 class TestComparison:

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +23,11 @@ from risroute.router import (
     select_iu,
 )
 from risroute.experiments import MobilityField
-from risroute.topology import Node, NodeKind, Position
+from risroute.topology import Position, generate_topology
 
 
-def make_link(node_id, snr_db, remaining, nu, ordinal=1):
-    node = Node(node_id, NodeKind.IU, Position(0.0, 0.0), ordinal=ordinal)
-    return CandidateLink(node=node, snr_db=snr_db, snr_linear=10 ** (snr_db / 10),
+def make_link(node_id, snr_db, remaining, nu):
+    return CandidateLink(node_id=node_id, snr_db=snr_db, snr_linear=10 ** (snr_db / 10),
                          remaining_m=remaining, nu_idle_slots=nu)
 
 
@@ -73,7 +75,7 @@ class TestSelectIu:
         out = []
         for i, (tau, rem) in enumerate(taus_remainings):
             mode = next(m for m in self.table if m.rate == 8)
-            out.append((make_link(2 + i, 25.0, rem, 100.0, ordinal=i + 1), mode, tau))
+            out.append((make_link(2 + i, 25.0, rem, 100.0), mode, tau))
         return out
 
     def test_argmin_slots(self):
@@ -86,7 +88,7 @@ class TestSelectIu:
 
     def test_tie_break_lower_id(self):
         aset = self.entries([(3, 200.0), (3, 200.0)])
-        assert select_iu(aset)[0].node.id == 2
+        assert select_iu(aset)[0].node_id == 2
 
     def test_singleton(self):
         aset = self.entries([(4, 100.0)])
@@ -119,13 +121,13 @@ class TestDirectRouting:
     def test_no_iu_no_ris_failure(self):
         topo = build_topology([])
         cfg = line_config()
-        led = route(topo, [], cfg, rng_for(102))
+        led = route(topo, idle_profiles(0), cfg, rng_for(102))
         assert led.failure_reason is FailureReason.NO_IU_NO_RIS
 
     def test_direct_termination_at_destination(self):
         topo = build_topology([], src=(350.0, 200.0))
         cfg = line_config()
-        led = route(topo, [], cfg, rng_for(103))
+        led = route(topo, idle_profiles(0), cfg, rng_for(103))
         assert led.success
         assert led.hop_count == 1
         assert led.hops[0].labels == ("D",)
@@ -133,8 +135,8 @@ class TestDirectRouting:
     def test_fixed_modulation_needs_more_slots(self):
         topo = build_topology([], src=(360.0, 200.0))
         cfg = line_config(packets=4)  # 32 bits
-        full = baseline_route("full", topo, [], cfg, rng_for(104))
-        fixed = baseline_route("fixed_mod", topo, [], cfg, rng_for(104))
+        full = baseline_route("full", topo, idle_profiles(0), cfg, rng_for(104))
+        fixed = baseline_route("fixed_mod", topo, idle_profiles(0), cfg, rng_for(104))
         assert full.success and fixed.success
         assert full.hops[0].slots_used == 4  # 256-QAM
         assert fixed.hops[0].slots_used == 16  # pinned QPSK
@@ -216,13 +218,14 @@ class TestDeferral:
         ius = [(50.0, 200.0)] + [(50.0 * k, 200.0) for k in range(2, 8)]
         topo = build_topology(ius)
         cfg = line_config()
-        profiles = [traffic.TrafficProfile(4e-3, 0.6e-3, 1e-4)] + list(idle_profiles(6))
-        r = Router(topo, profiles, cfg, rng_for(110))
+        lam, mu = idle_profiles(7)
+        lam[0], mu[0] = 4e-3, 0.6e-3
+        r = Router(topo, (lam, mu), cfg, rng_for(110))
         r.field.state[:] = 0
         r.field.state[0] = 1  # force the gatekeeper busy
         led = r.run()
         assert led.hops[0].kind is HopKind.WAIT
-        eta = traffic.deferral_window([profiles[0]], cfg.p_th)
+        eta = math.ceil(traffic.idle_wait_estimate(0.6e-3, cfg.slot_s, cfg.p_th))
         assert led.hops[0].slots_used == eta
         assert led.hops[1].kind is HopKind.DIRECT_IU
         assert led.hops[1].labels == ("U1",)
@@ -234,10 +237,8 @@ class TestDeferral:
         cfg = SimConfig(delta=0.1, iu_count=60)
         for seed in range(6):
             rng = rng_for(111, seed)
-            from risroute.topology import generate_topology
             topo = generate_topology(cfg, rng, Position(20, 200), Position(380, 200))
-            profiles = [traffic.TrafficProfile(4e-3, 4e-3, 1e-4)] * 60
-            led = route(topo, profiles, cfg, rng)
+            led = route(topo, (np.full(60, 4e-3), np.full(60, 4e-3)), cfg, rng)
             kinds = [h.kind for h in led.hops]
             assert not any(a is HopKind.WAIT and b is HopKind.WAIT for a, b in zip(kinds, kinds[1:]))
 
@@ -245,13 +246,11 @@ class TestDeferral:
 class TestSafetyInvariants:
     def ledgers(self):
         cfg = SimConfig(delta=0.3, iu_count=150, coverage_m=45.0)
-        from risroute.topology import generate_topology
         out = []
         for seed in range(25):
             rng = rng_for(112, seed)
             topo = generate_topology(cfg, rng, Position(20, 200), Position(380, 200))
-            profiles = [traffic.TrafficProfile(4e-3, 4e-3, 1e-4)] * 150
-            out.append((cfg, route(topo, profiles, cfg, rng)))
+            out.append((cfg, route(topo, (np.full(150, 4e-3), np.full(150, 4e-3)), cfg, rng)))
         return out
 
     def test_monotone_progress_and_delay_safety(self):
@@ -274,13 +273,11 @@ class TestSafetyInvariants:
 
     def test_byte_determinism(self):
         cfg = SimConfig(delta=0.3, iu_count=150, coverage_m=45.0)
-        from risroute.topology import generate_topology
         rows = []
         for _ in range(2):
             rng = rng_for(113)
             topo = generate_topology(cfg, rng, Position(20, 200), Position(380, 200))
-            profiles = [traffic.TrafficProfile(4e-3, 4e-3, 1e-4)] * 150
-            rows.append(route(topo, profiles, cfg, rng).to_rows())
+            rows.append(route(topo, (np.full(150, 4e-3), np.full(150, 4e-3)), cfg, rng).to_rows())
         assert rows[0] == rows[1]
 
 
@@ -304,7 +301,7 @@ class TestMobilityOutage:
                                (200.0, 200.0), (250.0, 200.0), (300.0, 200.0), (350.0, 200.0)])
         cfg = line_config()
         static = route(topo, idle_profiles(7), cfg, rng_for(116))
-        mob = MobilityField(topo.positions_of(NodeKind.IU), (400.0, 400.0), 0.0, rng_for(117))
+        mob = MobilityField(topo.iu_xy, (400.0, 400.0), 0.0, rng_for(117))
         moving = route(topo, idle_profiles(7), cfg, rng_for(116), mobility=mob)
         assert static.to_rows() == moving.to_rows()
 
@@ -341,3 +338,34 @@ class TestLedgerOutput:
         for row in rows:
             assert set(row) == {"index", "kind", "ids", "slots", "rate",
                                 "harvested_J", "remaining_distance_m"}
+
+
+class TestCommitProgress:
+    """The commit helpers refuse a hop that ends no closer to D, also under ``python -O``."""
+
+    def check(self):
+        topo = build_topology([(50.0, 200.0)], [(30.0, 200.0)])  # U1 is id 2, R1 is id 3
+        r = Router(topo, idle_profiles(1), line_config(), rng_for(118))
+        origin = Position(100.0, 200.0)  # 300 m from D
+        stuck = make_link(2, 25.0, 300.0, 1e9)
+        mode = next(m for m in r.table if m.rate == 8)
+        commits = (
+            lambda led: r._commit_direct(origin, stuck, mode, 3, led),
+            lambda led: r._commit_reflected(origin, ("single", 3, stuck, 3, 10.0, 100.0), led),
+            lambda led: r._commit_reflected(origin, ("double", 3, 3, stuck, 3, 10.0, 100.0), led),
+        )
+        for commit in commits:
+            led = RouteLedger()
+            with pytest.raises(ValueError, match="no closer"):
+                commit(led)
+            assert led.hops == [] and r.clock == 0
+
+    def test_non_progressing_link_raises(self):
+        self.check()
+
+    def test_raises_with_asserts_stripped(self):
+        tests = str(Path(__file__).resolve().parent)
+        code = (f"import sys; sys.path.insert(0, {tests!r}); import test_router; "
+                "test_router.TestCommitProgress().check()")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -1,11 +1,13 @@
+import gc
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from risroute.config import SimConfig
+from risroute.experiments import _profiles_for
 from risroute.topology import (
-    Node,
     NodeKind,
     Position,
     Topology,
@@ -15,51 +17,50 @@ from risroute.topology import (
     min_hops,
     ris_grid_positions,
 )
+from risroute.traffic import TrafficField
 
 
-def make_topo(iu_positions, r=60.0, arena=(400.0, 400.0), src=(0.0, 0.0), dst=(400.0, 0.0)):
-    nodes = [Node(0, NodeKind.SOURCE, Position(*src)), Node(1, NodeKind.DEST, Position(*dst))]
-    for j, (x, y) in enumerate(iu_positions):
-        nodes.append(Node(2 + j, NodeKind.IU, Position(x, y), ordinal=j + 1))
-    return Topology(nodes, r, arena)
+def make_topo(iu_positions, r=60.0, arena=(400.0, 400.0), src=(0.0, 0.0), dst=(400.0, 0.0), ris=()):
+    return Topology(Position(*src), Position(*dst), np.array(iu_positions, dtype=float),
+                    np.array(ris, dtype=float), 250, r, arena)
 
 
 class TestHalfCircleScan:
     def test_forward_node_included(self):
         topo = make_topo([(30.0, 10.0)])
-        hits = half_circle_scan(topo, topo.source.position, topo.dest.position, NodeKind.IU)
-        assert [n.label for n in hits] == ["U1"]
+        hits = half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU)
+        assert [topo.label(i) for i in hits] == ["U1"]
 
     def test_node_behind_excluded(self):
         # center at (50,0): the IU at (40,0) has negative projection toward (400,0)
         topo = make_topo([(40.0, 0.0)], src=(50.0, 0.0))
-        hits = half_circle_scan(topo, topo.source.position, topo.dest.position, NodeKind.IU)
+        hits = half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU)
         assert hits == []
 
     def test_lrd_ordering(self):
         # brute-force distances to (400,0): 350.0, 360.555, 380.033
         topo = make_topo([(20.0, 5.0), (50.0, 0.0), (40.0, 20.0)])
-        hits = half_circle_scan(topo, topo.source.position, topo.dest.position, NodeKind.IU)
-        assert [n.position.x for n in hits] == [50.0, 40.0, 20.0]
-        dists = [n.position.distance_to(topo.dest.position) for n in hits]
+        hits = half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU)
+        assert [topo.position(i).x for i in hits] == [50.0, 40.0, 20.0]
+        dists = [topo.position(i).distance_to(topo.dest) for i in hits]
         assert dists == sorted(dists)
 
     def test_zero_projection_excluded(self):
         # nodes on the perpendicular through the center: zero progress, out
         topo = make_topo([(50.0, 30.0), (50.0, 10.0)], src=(50.0, 5.0), dst=(400.0, 5.0))
-        hits = half_circle_scan(topo, topo.source.position, topo.dest.position, NodeKind.IU)
+        hits = half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU)
         assert hits == []
 
     def test_tie_break_lower_id(self):
         # two IUs mirrored about the axis: equal remaining distance
         topo = make_topo([(30.0, 110.0), (30.0, 90.0)], src=(0.0, 100.0), dst=(400.0, 100.0))
-        hits = half_circle_scan(topo, topo.source.position, topo.dest.position, NodeKind.IU)
-        assert [n.id for n in hits] == [2, 3]
+        hits = half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU)
+        assert hits == [2, 3]
 
     def test_center_equals_target_rejected(self):
         topo = make_topo([(30.0, 10.0)])
         with pytest.raises(ValueError):
-            half_circle_scan(topo, topo.source.position, topo.source.position, NodeKind.IU)
+            half_circle_scan(topo, topo.source, topo.source, NodeKind.IU)
 
     def test_subset_of_coverage_disc_random(self):
         # scan hits must be exactly the forward in-range nodes (brute force)
@@ -68,15 +69,14 @@ class TestHalfCircleScan:
             pts = rng.uniform(0.0, 500.0, size=(40, 2))
             topo = make_topo([tuple(p) for p in pts], arena=(500.0, 500.0), src=(100.0, 100.0),
                              dst=(400.0, 100.0))
-            hits = {n.id for n in half_circle_scan(topo, topo.source.position, topo.dest.position,
-                                                   NodeKind.IU)}
+            hits = set(half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU))
             expected = set()
-            c, t = topo.source.position, topo.dest.position
-            for n in topo.ius:
-                d = c.distance_to(n.position)
-                proj = (n.position.x - c.x) * (t.x - c.x) + (n.position.y - c.y) * (t.y - c.y)
+            c, t = topo.source, topo.dest
+            for j, (x, y) in enumerate(pts):
+                d = c.distance_to(Position(x, y))
+                proj = (x - c.x) * (t.x - c.x) + (y - c.y) * (t.y - c.y)
                 if d <= topo.coverage_radius and proj > 0:
-                    expected.add(n.id)
+                    expected.add(2 + j)
             assert hits == expected
 
 
@@ -116,28 +116,35 @@ class TestHopArithmetic:
 
 class TestTopologyConstruction:
     def test_exactly_one_source_and_dest(self):
-        nodes = [Node(0, NodeKind.SOURCE, Position(0, 0)),
-                 Node(1, NodeKind.SOURCE, Position(1, 1)),
-                 Node(2, NodeKind.DEST, Position(2, 2))]
-        with pytest.raises(ValueError):
-            Topology(nodes, 60.0, (400.0, 400.0))
+        # ids 0 and 1 are S and D; every other id is an IU or a RIS, in that order
+        topo = make_topo([(30.0, 10.0), (60.0, 10.0)], ris=[(15.0, 15.0)])
+        kinds = [topo.kind(i) for i in range(5)]
+        assert kinds == [NodeKind.SOURCE, NodeKind.DEST, NodeKind.IU, NodeKind.IU, NodeKind.RIS]
+        assert [topo.label(i) for i in range(5)] == ["S", "D", "U1", "U2", "R1"]
+        assert topo.position(0) == topo.source and topo.position(1) == topo.dest
+        assert topo.position(3) == Position(60.0, 10.0) and topo.position(4) == Position(15.0, 15.0)
+        for bad in (-1, 5):
+            with pytest.raises(ValueError):
+                topo.kind(bad)
 
     def test_positions_inside_arena_enforced(self):
-        nodes = [Node(0, NodeKind.SOURCE, Position(0, 0)),
-                 Node(1, NodeKind.DEST, Position(500.0, 0.0))]
-        with pytest.raises(ValueError):
-            Topology(nodes, 60.0, (400.0, 400.0))
+        with pytest.raises(ValueError, match="node 1 "):
+            make_topo([], dst=(500.0, 0.0))
+        with pytest.raises(ValueError, match="node 3 "):
+            make_topo([(30.0, 10.0), (30.0, -1.0)])
 
     def test_ris_needs_elements(self):
         with pytest.raises(ValueError):
-            Node(5, NodeKind.RIS, Position(1, 1), ris_elements=0)
+            Topology(Position(0, 0), Position(9, 9), np.empty((0, 2)), np.array([[1.0, 1.0]]), 0,
+                     60.0, (400.0, 400.0))
 
     def test_grid_spacing_and_bounds(self):
         pts = ris_grid_positions((400.0, 400.0), 30.0)
-        assert len(pts) == 169  # 13 x 13
-        assert all(0 <= p.x <= 400 and 0 <= p.y <= 400 for p in pts)
-        xs = sorted({p.x for p in pts})
+        assert pts.shape == (169, 2)  # 13 x 13
+        assert ((pts >= 0) & (pts <= 400)).all()
+        xs = sorted(set(pts[:, 0]))
         assert xs[0] == 15.0 and math.isclose(xs[1] - xs[0], 30.0)
+        assert np.array_equal(pts[:13, 1], np.full(13, 15.0))  # row by row
 
     def test_generate_topology_counts_and_determinism(self):
         cfg = SimConfig(iu_count=50)
@@ -145,6 +152,32 @@ class TestTopologyConstruction:
         rng2 = np.random.default_rng(np.random.SeedSequence([9, 0]))
         t1 = generate_topology(cfg, rng1, Position(20, 200), Position(380, 200))
         t2 = generate_topology(cfg, rng2, Position(20, 200), Position(380, 200))
-        assert len(t1.ius) == 50
-        assert len(t1.riss) == len(ris_grid_positions(t1.arena, cfg.ris_spacing))
-        assert [n.position for n in t1.nodes] == [n.position for n in t2.nodes]
+        assert t1.iu_xy.shape == (50, 2)
+        assert np.array_equal(t1.ris_xy, ris_grid_positions(t1.arena, cfg.ris_spacing))
+        assert np.array_equal(t1.iu_xy, t2.iu_xy)
+
+
+class TestScenarioIsArrays:
+    @staticmethod
+    def kept_blocks(m):
+        """Interpreter memory blocks still held by one scenario set-up with ``m`` IUs."""
+        cfg = SimConfig(iu_count=m, coverage_m=10.0)  # 20x20 reflectors
+        rng = np.random.default_rng(1)
+
+        def setup():
+            field = TrafficField(*_profiles_for(cfg), cfg.slot_s, cfg.delta, cfg.p_th, rng)
+            return generate_topology(cfg, rng), field
+
+        setup()  # first-call caches
+        gc.collect()
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            kept = setup()  # noqa: F841 -- held while counting
+            return sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+
+    def test_setup_allocates_no_per_node_objects(self):
+        # a Python object per IU or per reflector would hold thousands of blocks more
+        assert abs(self.kept_blocks(2000) - self.kept_blocks(10)) < 50

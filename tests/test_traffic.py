@@ -8,37 +8,63 @@ from risroute.traffic import (
     BUSY,
     IDLE,
     NoBusyIuError,
-    TrafficChain,
     TrafficField,
-    TrafficProfile,
-    TransitionMatrix,
-    busy_probability_after,
     deferral_window,
     duration_of_busyness,
     duration_of_idleness,
     idle_wait_estimate,
-    transition_matrix,
+    switch_probability,
 )
 
 MS = 1e-3
-PROFILE = TrafficProfile(lambda_off=4 * MS, mu_on=4 * MS, slot=0.1 * MS)
+LAM = 4 * MS  # mean OFF length
+MU = 4 * MS  # mean ON length
+SLOT = 0.1 * MS
+
+
+def make_field(lam=LAM, mu=MU, count=1, slot=SLOT, delta=0.1, p_th=0.01, seed=0):
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (count,))
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), (count,))
+    return TrafficField(lam, mu, slot, delta, p_th, np.random.default_rng(np.random.SeedSequence([seed])))
+
+
+def oracle_matrix(lam, mu, slot=SLOT):
+    """Per-slot transition matrix [[p00, p01], [p10, p11]], from numpy's exp."""
+    p00, p11 = np.exp(-slot / lam), np.exp(-slot / mu)
+    return np.array([[p00, 1.0 - p00], [1.0 - p11, p11]])
+
+
+def oracle_busy_after(lam, mu, state, n):
+    """P(busy after n slots | state), by matrix power."""
+    return np.linalg.matrix_power(oracle_matrix(lam, mu), n)[state, 1]
+
+
+class Draws:
+    """Stand-in generator whose uniform draws are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
 
 
 class TestTransitionMatrix:
     def test_off_switch_probability_exact(self):
-        tm = transition_matrix(PROFILE)
-        assert tm.p01 == pytest.approx(1 - math.exp(-0.025), rel=1e-15)
-        assert tm.p01 == pytest.approx(0.024690087971667385, rel=1e-12)
-        assert tm.p10 == pytest.approx(0.024690087971667385, rel=1e-12)
+        field = make_field()
+        assert field.p01[0] == pytest.approx(1 - math.exp(-0.025), rel=1e-15)
+        assert field.p01[0] == pytest.approx(0.024690087971667385, rel=1e-12)
+        assert field.p10[0] == pytest.approx(0.024690087971667385, rel=1e-12)
 
     def test_off_switch_probability_monte_carlo_oracle(self):
         # fraction of exponential OFF periods ending within one slot
         rng = np.random.default_rng(2024)
-        draws = rng.exponential(4 * MS, size=1_000_000)
-        frac = float(np.mean(draws < 0.1 * MS))
-        tm = transition_matrix(PROFILE)
-        sigma = math.sqrt(tm.p01 * (1 - tm.p01) / 1_000_000)
-        assert abs(frac - tm.p01) < 4 * sigma
+        draws = rng.exponential(LAM, size=1_000_000)
+        frac = float(np.mean(draws < SLOT))
+        p01 = make_field().p01[0]
+        sigma = math.sqrt(p01 * (1 - p01) / 1_000_000)
+        assert abs(frac - p01) < 4 * sigma
 
     def test_rows_sum_to_one_over_random_profiles(self):
         rng = np.random.default_rng(5)
@@ -46,96 +72,98 @@ class TestTransitionMatrix:
             lam, mu, ts = rng.uniform(0.1, 50, size=3)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                tm = transition_matrix(TrafficProfile(lam * MS, mu * MS, ts * MS))
-            assert abs(tm.p00 + tm.p01 - 1) < 1e-12
-            assert abs(tm.p10 + tm.p11 - 1) < 1e-12
-            assert 0 <= min(tm.p00, tm.p01, tm.p10, tm.p11) <= max(tm.p00, tm.p01, tm.p10, tm.p11) <= 1
+                field = make_field(lam * MS, mu * MS, slot=ts * MS)
+            p = oracle_matrix(lam * MS, mu * MS, ts * MS)
+            assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert abs(field.p01[0] - p[0, 1]) < 1e-15 and abs(field.p10[0] - p[1, 0]) < 1e-15
+            assert 0 <= field.pi[0] <= 1 and abs(field.rho[0]) <= 1
 
     def test_infinite_off_mean_limit(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            tm = transition_matrix(TrafficProfile(1e9, 4 * MS, 0.1 * MS))
-        assert tm.p01 < 1e-9
-        assert tm.p00 > 1 - 1e-9
+        field = make_field(lam=1e9)
+        assert field.p01[0] < 1e-9 and field.pi[0] < 1e-9
+        never = make_field(lam=math.inf)
+        assert never.p01[0] == 0.0 and never.pi[0] == 0.0
 
     def test_invalid_rows_rejected(self):
-        with pytest.raises(ValueError):
-            TransitionMatrix(0.9, 0.2, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            TransitionMatrix(1.2, -0.2, 0.5, 0.5)
+        # means that cannot give a stochastic matrix are refused
+        for lam, mu in ((math.nan, MU), (LAM, math.nan), (0.0, MU), (LAM, -1.0)):
+            with pytest.raises(ValueError):
+                make_field(lam, mu)
 
 
 class TestChainStep:
+    """One-slot observations are single steps of the chain."""
+
     def test_absorbing_idle_under_zero_flip(self):
-        chain = TrafficChain(PROFILE, state=IDLE)
-        chain.matrix = TransitionMatrix(1.0, 0.0, 0.5, 0.5)
+        field = make_field(lam=math.inf)  # p01 = 0
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            assert chain.step(rng) == IDLE
+        assert field.state[0] == IDLE
+        for slot in range(1, 101):
+            assert field.states_at(slot, np.array([0]), rng)[0] == IDLE
 
     def test_forced_busy_to_idle(self):
-        chain = TrafficChain(PROFILE, state=BUSY)
-        chain.matrix = TransitionMatrix(0.5, 0.5, 1.0, 0.0)
-        rng = np.random.default_rng(0)
-        assert chain.step(rng) == IDLE
+        with pytest.warns(UserWarning):
+            field = make_field(lam=math.inf, mu=1e-300)  # p10 = 1
+        field.state[0] = BUSY
+        assert field.states_at(1, np.array([0]), np.random.default_rng(0))[0] == IDLE
 
     def test_stationary_busy_fraction(self):
         # long-run busy fraction approaches mu/(mu+lambda); 2-state chain has
-        # autocorrelation rho, variance inflated by (1+rho)/(1-rho)
-        chain = TrafficChain(PROFILE, state=IDLE)
+        # autocorrelation rho, variance inflated by at most (1+rho)/(1-rho)
+        chains, slots = 20_000, 100
+        field = make_field(count=chains, seed=99)
         rng = np.random.default_rng(99)
-        n = 1_000_000
-        busy = 0
-        for _ in range(n):
-            busy += chain.step(rng)
-        frac = busy / n
-        tm = chain.matrix
-        rho = 1 - tm.p01 - tm.p10
-        sigma = math.sqrt(0.25 * (1 + rho) / (1 - rho) / n)
+        idx = np.arange(chains)
+        busy = sum(int(field.states_at(slot, idx, rng).sum()) for slot in range(1, slots + 1))
+        frac = busy / (chains * slots)
+        rho = field.rho[0]
+        sigma = math.sqrt(0.25 * (1 + rho) / (1 - rho) / (chains * slots))
         assert abs(frac - 0.5) < 3 * sigma
 
     def test_jump_matches_matrix_power_oracle(self):
-        tm = transition_matrix(PROFILE)
-        p = np.array([[tm.p00, tm.p01], [tm.p10, tm.p11]])
+        # uniforms just below / above the oracle's P(busy) must give busy / idle
         for n in (1, 2, 7, 40, 333):
-            power = np.linalg.matrix_power(p, n)
-            assert busy_probability_after(tm, IDLE, n) == pytest.approx(power[0, 1], rel=1e-12)
-            assert busy_probability_after(tm, BUSY, n) == pytest.approx(power[1, 1], rel=1e-12)
+            for s0 in (IDLE, BUSY):
+                field = make_field(count=2)
+                field.state[:] = s0
+                p = oracle_busy_after(LAM, MU, s0, n)
+                got = field.states_at(n, np.array([0, 1]), Draws([p * (1 - 1e-9), p * (1 + 1e-9)]))
+                assert got.tolist() == [BUSY, IDLE]
 
 
 class TestDurationEstimators:
     def test_idleness_frozen_value(self):
-        assert duration_of_idleness(PROFILE, 0.1) == pytest.approx(4.214420626313054, rel=1e-12)
+        assert duration_of_idleness(LAM, SLOT, 0.1) == pytest.approx(4.214420626313054, rel=1e-12)
 
     def test_busyness_frozen_value(self):
-        assert duration_of_busyness(PROFILE, 0.1) == pytest.approx(4.214420626313054, rel=1e-12)
+        assert duration_of_busyness(MU, SLOT, 0.1) == pytest.approx(4.214420626313054, rel=1e-12)
 
     def test_vanishing_tolerance(self):
-        assert duration_of_idleness(PROFILE, 1e-12) < 1e-9
-        assert duration_of_busyness(PROFILE, 1e-12) < 1e-9
+        assert duration_of_idleness(LAM, SLOT, 1e-12) < 1e-9
+        assert duration_of_busyness(MU, SLOT, 1e-12) < 1e-9
 
     def test_linearity_in_mean(self):
-        a = duration_of_idleness(TrafficProfile(4 * MS, 4 * MS, 0.1 * MS), 0.1)
-        b = duration_of_idleness(TrafficProfile(8 * MS, 4 * MS, 0.1 * MS), 0.1)
+        a = duration_of_idleness(4 * MS, SLOT, 0.1)
+        b = duration_of_idleness(8 * MS, SLOT, 0.1)
         assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_delta_out_of_range_rejected(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                duration_of_idleness(PROFILE, bad)
+                duration_of_idleness(LAM, SLOT, bad)
 
     def test_idleness_against_chain_survival_oracle(self):
         # step idle chains slot by slot; the largest n with empirical
         # survival >= 1-delta must sit within one slot of the analytic value
         delta = 0.1
-        tm = transition_matrix(PROFILE)
+        p01 = oracle_matrix(LAM, MU)[0, 1]
         rng = np.random.default_rng(42)
         chains = 100_000
         alive = np.ones(chains, dtype=bool)
         survival_n = 0
-        analytic = duration_of_idleness(PROFILE, delta)
+        analytic = duration_of_idleness(LAM, SLOT, delta)
         for n in range(1, 200):
-            flips = rng.random(chains) < tm.p01
+            flips = rng.random(chains) < p01
             alive &= ~flips
             if alive.mean() >= 1 - delta:
                 survival_n = n
@@ -145,15 +173,14 @@ class TestDurationEstimators:
 
     def test_busyness_against_chain_survival_oracle(self):
         delta = 0.2
-        profile = TrafficProfile(4 * MS, 6 * MS, 0.1 * MS)
-        tm = transition_matrix(profile)
+        p10 = oracle_matrix(LAM, 6 * MS)[1, 0]
         rng = np.random.default_rng(43)
         chains = 100_000
         alive = np.ones(chains, dtype=bool)
         survival_n = 0
-        analytic = duration_of_busyness(profile, delta)
+        analytic = duration_of_busyness(6 * MS, SLOT, delta)
         for n in range(1, 400):
-            flips = rng.random(chains) < tm.p10
+            flips = rng.random(chains) < p10
             alive &= ~flips
             if alive.mean() >= 1 - delta:
                 survival_n = n
@@ -163,55 +190,42 @@ class TestDurationEstimators:
 
     def test_duty_cycle_complement(self):
         # nu_I strictly falls and nu_B strictly rises as the duty cycle grows
-        lam = 4 * MS
-        nub, nui = [], []
-        for xi in np.linspace(0.1, 0.9, 9):
-            mu = xi * lam / (1 - xi)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                p_b = TrafficProfile(lam, mu, 0.1 * MS)
-                p_i = TrafficProfile(4 * MS * (1 - xi) / xi, 4 * MS, 0.1 * MS)
-            nub.append(duration_of_busyness(p_b, 0.1))
-            nui.append(duration_of_idleness(p_i, 0.1))
-        assert all(x < y for x, y in zip(nub, nub[1:]))
-        assert all(x > y for x, y in zip(nui, nui[1:]))
+        xi = np.linspace(0.1, 0.9, 9)
+        nub = duration_of_busyness(xi * LAM / (1 - xi), SLOT, 0.1)
+        nui = duration_of_idleness(MU * (1 - xi) / xi, SLOT, 0.1)
+        assert (np.diff(nub) > 0).all()
+        assert (np.diff(nui) < 0).all()
 
 
 class TestIdleWait:
     def test_clamp_gives_one_slot(self):
-        tm = transition_matrix(PROFILE)
-        assert idle_wait_estimate(PROFILE, tm.p10) == 1.0
-        assert idle_wait_estimate(PROFILE, 0.5) == 1.0
+        assert idle_wait_estimate(MU, SLOT, switch_probability(MU, SLOT)) == 1.0
+        assert idle_wait_estimate(MU, SLOT, 0.5) == 1.0
 
     def test_frozen_value(self):
-        assert idle_wait_estimate(PROFILE, 0.01) == pytest.approx(37.15267093620766, rel=1e-12)
+        assert idle_wait_estimate(MU, SLOT, 0.01) == pytest.approx(37.15267093620766, rel=1e-12)
 
     def test_matches_geometric_quantile_brute_force(self):
         # largest integer n with p11^(n-1) p10 >= p_th equals floor(eta)
         # (cases chosen inside the unclamped regime p10 >= p_th)
         for mu_ms, p_th in ((4, 0.01), (2, 0.005), (8, 0.005), (1, 0.001)):
-            profile = TrafficProfile(4 * MS, mu_ms * MS, 0.1 * MS)
-            tm = transition_matrix(profile)
-            eta = idle_wait_estimate(profile, p_th)
+            p = oracle_matrix(LAM, mu_ms * MS)
+            eta = idle_wait_estimate(mu_ms * MS, SLOT, p_th)
             n = 0
-            while tm.p11**n * tm.p10 >= p_th:
+            while p[1, 1] ** n * p[1, 0] >= p_th:
                 n += 1
             assert n == math.floor(eta)
 
     def test_nondecreasing_in_mu_deep_in_regime(self):
         # the estimate rises with mu only while p10 >> e * p_th; at
         # p_th=1e-4 the whole 1..20 ms sweep sits in that regime
-        values = [
-            idle_wait_estimate(TrafficProfile(4 * MS, mu * MS, 0.1 * MS), 1e-4)
-            for mu in np.linspace(1.0, 20.0, 40)
-        ]
-        assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
+        values = idle_wait_estimate(np.linspace(1.0, 20.0, 40) * MS, SLOT, 1e-4)
+        assert (np.diff(values) >= -1e-12).all()
 
     def test_not_monotone_near_clamp(self):
         # by the formula itself, larger mu can need a SHORTER wait once
         # p10 approaches p_th; the 2 ms vs 8 ms pair at p_th=0.01 flips
-        fast = idle_wait_estimate(TrafficProfile(4 * MS, 2 * MS, 0.1 * MS), 0.01)
-        slow = idle_wait_estimate(TrafficProfile(4 * MS, 8 * MS, 0.1 * MS), 0.01)
+        fast, slow = idle_wait_estimate(np.array([2 * MS, 8 * MS]), SLOT, 0.01)
         assert slow < fast
 
     def test_always_at_least_one_slot(self):
@@ -219,66 +233,61 @@ class TestIdleWait:
         for _ in range(200):
             mu = float(rng.uniform(0.5, 50))
             p_th = float(rng.uniform(1e-6, 0.999))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                profile = TrafficProfile(4 * MS, mu * MS, 0.1 * MS)
-            assert idle_wait_estimate(profile, p_th) >= 1.0
+            assert idle_wait_estimate(mu * MS, SLOT, p_th) >= 1.0
 
 
 class TestDeferralWindow:
     def test_singleton(self):
-        eta = idle_wait_estimate(PROFILE, 0.01)
-        assert deferral_window([PROFILE], 0.01) == math.ceil(eta)
+        eta = idle_wait_estimate(MU, SLOT, 0.01)
+        assert deferral_window(np.array([eta])) == math.ceil(eta)
 
     def test_min_over_two_profiles(self):
-        fast = TrafficProfile(4 * MS, 2 * MS, 0.1 * MS)
-        slow = TrafficProfile(4 * MS, 8 * MS, 0.1 * MS)
-        expected = math.ceil(min(idle_wait_estimate(fast, 0.01), idle_wait_estimate(slow, 0.01)))
-        assert deferral_window([slow, fast], 0.01) == expected
+        field = make_field(mu=np.array([8 * MS, 2 * MS]), count=2, p_th=0.01)
+        slow, fast = (idle_wait_estimate(mu, SLOT, 0.01) for mu in (8 * MS, 2 * MS))
+        assert field.eta_idle.tolist() == [slow, fast]
+        expected = math.ceil(min(slow, fast))
+        assert deferral_window(field.eta_idle) == expected
         # evaluated both: the 8 ms profile wins here (see regime note above)
-        assert expected == math.ceil(idle_wait_estimate(slow, 0.01))
+        assert expected == math.ceil(slow)
 
     def test_identical_profiles(self):
-        assert deferral_window([PROFILE] * 5, 0.01) == math.ceil(idle_wait_estimate(PROFILE, 0.01))
+        field = make_field(count=5, p_th=0.01)
+        assert deferral_window(field.eta_idle) == math.ceil(idle_wait_estimate(MU, SLOT, 0.01))
 
     def test_empty_raises(self):
         with pytest.raises(NoBusyIuError):
-            deferral_window([], 0.01)
+            deferral_window(np.empty(0))
 
 
 class TestTrafficField:
     def test_deterministic_and_stationary_start(self):
-        profiles = [PROFILE] * 2000
-        f1 = TrafficField(profiles, np.random.default_rng(np.random.SeedSequence([8])))
-        f2 = TrafficField(profiles, np.random.default_rng(np.random.SeedSequence([8])))
+        f1 = make_field(count=2000, seed=8)
+        f2 = make_field(count=2000, seed=8)
         assert np.array_equal(f1.state, f2.state)
         assert abs(f1.state.mean() - 0.5) < 0.05
 
     def test_lazy_jump_distribution(self):
         # observing after n slots must match the n-step law
-        profiles = [PROFILE] * 50_000
-        field = TrafficField(profiles, np.random.default_rng(np.random.SeedSequence([12])))
+        count = 50_000
+        field = make_field(count=count, seed=12)
         start = field.state.copy()
-        idx = np.arange(len(profiles))
-        rng = np.random.default_rng(np.random.SeedSequence([13]))
-        states = field.states_at(25, idx, rng)
-        tm = transition_matrix(PROFILE)
+        states = field.states_at(25, np.arange(count), np.random.default_rng(np.random.SeedSequence([13])))
         for s0 in (IDLE, BUSY):
             mask = start == s0
-            expected = busy_probability_after(tm, s0, 25)
+            expected = oracle_busy_after(LAM, MU, s0, 25)
             got = states[mask].mean()
             sigma = math.sqrt(expected * (1 - expected) / mask.sum())
             assert abs(got - expected) < 4 * sigma
 
     def test_clock_cannot_rewind(self):
-        field = TrafficField([PROFILE] * 3, np.random.default_rng(1))
+        field = make_field(count=3, seed=1)
         rng = np.random.default_rng(2)
         field.states_at(10, np.array([0, 1, 2]), rng)
         with pytest.raises(ValueError):
             field.states_at(5, np.array([0]), rng)
 
     def test_same_slot_repeat_consumes_no_randomness(self):
-        field = TrafficField([PROFILE] * 4, np.random.default_rng(1))
+        field = make_field(count=4, seed=1)
         rng = np.random.default_rng(2)
         a = field.states_at(7, np.array([0, 1, 2, 3]), rng)
         before = rng.bit_generator.state
@@ -286,14 +295,35 @@ class TestTrafficField:
         assert np.array_equal(a, b)
         assert rng.bit_generator.state == before
 
+    def test_arrays_match_scalar_formulas_bit_for_bit(self):
+        # the per-IU arrays must equal the one-user formulas evaluated with math;
+        # np.exp differs from math.exp in the last bit at every mean here but 4 ms
+        lam = np.array([4 * MS, 4.52 * MS, 3.56 * MS, 0.88 * MS])
+        mu = np.array([4 * MS, 0.65 * MS, 1.88 * MS, 1.2 * MS])
+        delta, p_th = 0.3, 0.02
+        field = make_field(lam, mu, count=4, delta=delta, p_th=p_th)
+        for j in range(4):
+            p01 = 1.0 - math.exp(-SLOT / lam[j])
+            p10 = 1.0 - math.exp(-SLOT / mu[j])
+            assert field.p01[j] == p01 and field.p10[j] == p10
+            assert field.pi[j] == p01 / (p01 + p10) and field.rho[j] == 1.0 - p01 - p10
+            assert field.nu_idle[j] == (lam[j] / SLOT) * math.log(1.0 / (1.0 - delta))
+            assert field.eta_idle[j] == (mu[j] / SLOT) * math.log(max(p10 / p_th, 1.0)) + 1.0
+
 
 class TestProfileValidation:
     def test_positive_parameters_required(self):
         with pytest.raises(ValueError):
-            TrafficProfile(-1.0, 1.0, 0.1)
+            make_field(lam=-1.0, mu=1.0, slot=0.1)
         with pytest.raises(ValueError):
-            TrafficProfile(1.0, 1.0, 0.0)
+            make_field(lam=1.0, mu=1.0, slot=0.0)
 
     def test_large_slot_warns(self):
         with pytest.warns(UserWarning):
-            TrafficProfile(1 * MS, 1 * MS, 0.5 * MS)
+            make_field(lam=1 * MS, mu=1 * MS, slot=0.5 * MS)
+
+    def test_large_slot_warns_once_per_field(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            make_field(lam=1 * MS, mu=1 * MS, count=500, slot=0.5 * MS)
+        assert len(caught) == 1
