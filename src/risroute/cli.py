@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="replications per grid point (default: 1 for route, 500 otherwise)",
         )
-        p.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes, used by sweep-coverage and sweep-density only")
         p.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser
 

@@ -100,6 +100,8 @@ class SimConfig:
             vals = val if isinstance(val, tuple) else (val,)
             if not vals or any(v <= 0 for v in vals):
                 raise ConfigError(f"{name} values must be positive")
+            if isinstance(val, tuple) and len(val) != self.iu_count:
+                raise ConfigError(f"{name} has {len(val)} per-IU values but iu_count is {self.iu_count}")
 
     # Derived quantities, SI units.
 

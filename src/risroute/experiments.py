@@ -8,6 +8,11 @@ Kinds:
   comparison         policy variants across the coverage grid
   mobility           throughput vs maximum waypoint speed
 
+The sweep, comparison and mobility kinds are grids of cells, each cell one
+grid point under one policy and one summary row: ``_grid_cells`` lists them
+in output order, ``_run_cell`` runs one cell's replications and ``_run_grid``
+runs them all (the two sweeps on worker processes when asked) into CSVs.
+
 Replication streams derive deterministically from (seed, indices) via
 SeedSequence, so outputs are byte-identical across runs and thread
 counts; comparison variants and mobility grid points reuse the same
@@ -21,12 +26,13 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics, router, topology, traffic
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .topology import Position
 
 EXPERIMENT_KINDS = (
@@ -75,13 +81,17 @@ class ExperimentPlan:
     batches: int = 20
     vmax_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     variants: tuple[str, ...] = ("full", "shannon", "fixed_mod", "single_ris", "double_ris")
-    threads: int = 1
+    threads: int = 1  # worker processes; only coverage_sweep and density_sweep use them
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+            raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.replications < 1 or self.chains < 1 or self.batches < 2:
-            raise ValueError("replications and chains must be >= 1, batches >= 2")
+            raise ConfigError("replications and chains must be >= 1, batches >= 2")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if not all((self.resolved_coverage_grid(), self.resolved_density_grid(), self.vmax_grid, self.variants)):
+            raise ConfigError("grids and variants must not be empty")
 
     def resolved_coverage_grid(self) -> tuple[float, ...]:
         if self.coverage_grid is not None:
@@ -106,7 +116,6 @@ class ExperimentResult:
     files: list[Path] = field(default_factory=list)
     attempted: int = 0
     succeeded: int = 0
-    summary_rows: list[dict] = field(default_factory=list)
     traces: list[str] = field(default_factory=list)
 
     @property
@@ -216,13 +225,10 @@ class MobilityField:
 
 def _profiles_for(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-IU mean OFF and ON lengths (lambda_s, mu_s) in seconds; scalars are broadcast."""
-    means = []
-    for value in (cfg.lambda_off_ms, cfg.mu_on_ms):
-        seconds = np.asarray(value, dtype=float) * 1e-3
-        if seconds.ndim and seconds.size != cfg.iu_count:
-            raise ValueError("per-IU traffic lists must match iu_count")
-        means.append(np.broadcast_to(seconds, (cfg.iu_count,)))
-    return tuple(means)
+    return tuple(
+        np.broadcast_to(np.asarray(value, dtype=float) * 1e-3, (cfg.iu_count,))
+        for value in (cfg.lambda_off_ms, cfg.mu_on_ms)
+    )
 
 
 def run_one_route(
@@ -241,28 +247,66 @@ def run_one_route(
     return router.baseline_route(variant, topo, means, cfg, rng, mobility=mobility)
 
 
-def _detail_row(scenario_id, seed, variant, coverage, density, ledger, cfg) -> dict:
-    if ledger.success:
-        m = metrics.compute_route_metrics(ledger, cfg)
-        return {
-            "scenario_id": scenario_id,
-            "seed": seed,
-            "variant": variant,
-            "coverage_m": coverage,
-            "density": density,
-            "D_T": m.throughput,
-            "D_T_normalized": m.throughput_normalized,
-            "E_eff": m.energy_efficiency,
-            "ris_count": m.ris_count,
-            "hops": m.hop_count,
-            "success": 1,
-        }
-    return {
-        "scenario_id": scenario_id,
+@dataclass(frozen=True)
+class Cell:
+    """One grid point under one policy; its replications make one summary row."""
+
+    scenario_id: str
+    variant: str  # label in the detail rows' variant column
+    policy: str  # router policy the routes run under
+    cfg: SimConfig  # the grid point's coverage and density are cfg.coverage_m and cfg.iu_count
+    stream: int | None  # grid index keying the route streams; None keys them by replication only
+    v_max: float = 0.0  # maximum waypoint speed of the IUs
+    extra: dict = field(default_factory=dict)  # summary columns between density and the stats
+
+
+def _grid_cells(plan: ExperimentPlan, cfg: SimConfig) -> list[Cell]:
+    """A grid plan's cells in output order; every config is built (and checked) before any route runs."""
+    base = cfg.with_overrides(source_xy=SWEEP_SOURCE, dest_xy=SWEEP_DEST)
+    coverages = plan.resolved_coverage_grid()
+    if plan.kind == "comparison":
+        return [
+            Cell(f"comparison-r{c:g}-{v}", v, v, base.with_overrides(coverage_m=c), ci, extra={"variant": v})
+            for ci, c in enumerate(coverages)
+            for v in plan.variants
+        ]
+    if plan.kind == "mobility":
+        point = base.with_overrides(coverage_m=coverages[0])
+        return [
+            Cell(f"mobility-v{v:g}", f"v{v:g}", "full", point, None, v_max=v, extra={"v_max": v})
+            for v in plan.vmax_grid
+        ]
+    points = [(c, d) for d in plan.resolved_density_grid() for c in coverages]
+    return [
+        Cell(f"{plan.kind}-r{c:g}-m{d}", "full", "full", base.with_overrides(coverage_m=c, iu_count=d), gi)
+        for gi, (c, d) in enumerate(points)
+    ]
+
+
+def _run_cell(cell: Cell, seed: int, replications: int) -> list[dict]:
+    """A cell's detail rows; module-level for process pools, and the one place grid streams are derived.
+
+    Comparison cells at one coverage share ``stream`` and mobility cells share
+    the per-replication streams, so their curves differ by policy or speed only.
+    """
+    rows = []
+    for rep in range(replications):
+        if cell.stream is None:
+            rng, walk = derive_rng(seed, rep, 0), derive_rng(seed, rep, 1)
+        else:
+            rng, walk = derive_rng(seed, cell.stream, rep), None
+        ledger = run_one_route(cell.cfg, rng, variant=cell.policy, mobility_rng=walk, v_max=cell.v_max)
+        rows.append(_detail_row(cell, seed, ledger))
+    return rows
+
+
+def _detail_row(cell: Cell, seed: int, ledger: router.RouteLedger) -> dict:
+    row = {
+        "scenario_id": cell.scenario_id,
         "seed": seed,
-        "variant": variant,
-        "coverage_m": coverage,
-        "density": density,
+        "variant": cell.variant,
+        "coverage_m": cell.cfg.coverage_m,
+        "density": cell.cfg.iu_count,
         "D_T": 0.0,
         "D_T_normalized": 0.0,
         "E_eff": 0.0,
@@ -270,6 +314,11 @@ def _detail_row(scenario_id, seed, variant, coverage, density, ledger, cfg) -> d
         "hops": "",
         "success": 0,
     }
+    if ledger.success:
+        m = metrics.compute_route_metrics(ledger, cell.cfg)
+        row.update(D_T=m.throughput, D_T_normalized=m.throughput_normalized,
+                   E_eff=m.energy_efficiency, ris_count=m.ris_count, hops=m.hop_count, success=1)
+    return row
 
 
 def _mean_se(values: list[float]) -> tuple[float | str, float | str]:
@@ -300,27 +349,6 @@ def _aggregate(details: list[dict]) -> dict:
         "eeff_mean": eeff_mean,
         "eeff_se": eeff_se,
     }
-
-
-def _sweep_point(payload: tuple) -> tuple[int, list[dict], dict]:
-    """One (coverage, density) grid point; module-level for process pools."""
-    grid_index, plan_kind, seed, replications, coverage, density, cfg_dict = payload
-    cfg = SimConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg_dict.items()})
-    cfg = cfg.with_overrides(
-        coverage_m=coverage,
-        iu_count=density,
-        source_xy=SWEEP_SOURCE,
-        dest_xy=SWEEP_DEST,
-    )
-    scenario = f"{plan_kind}-r{coverage:g}-m{density}"
-    details = []
-    for rep in range(replications):
-        rng = derive_rng(seed, grid_index, rep)
-        ledger = run_one_route(cfg, rng)
-        details.append(_detail_row(scenario, seed, "full", coverage, density, ledger, cfg))
-    summary = {"scenario_id": scenario, "coverage_m": coverage, "density": density}
-    summary.update(_aggregate(details))
-    return grid_index, details, summary
 
 
 # --------------------------------------------------------------------------
@@ -378,37 +406,6 @@ def _run_trajectory(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: Exp
         result.files.append(path)
 
 
-def _run_sweep(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
-    stem = "coverage" if plan.kind == "coverage_sweep" else "density"
-    coverages = plan.resolved_coverage_grid()
-    densities = plan.resolved_density_grid()
-    points = []
-    grid_index = 0
-    for density in densities:
-        for coverage in coverages:
-            points.append(
-                (grid_index, plan.kind, plan.seed, plan.replications, coverage, density, cfg.to_dict())
-            )
-            grid_index += 1
-    if plan.threads > 1:
-        with ProcessPoolExecutor(max_workers=plan.threads) as pool:
-            outcomes = list(pool.map(_sweep_point, points))
-        outcomes.sort(key=lambda item: item[0])
-    else:
-        outcomes = [_sweep_point(p) for p in points]
-    details, summaries = [], []
-    for _, point_details, summary in outcomes:
-        details.extend(point_details)
-        summaries.append(summary)
-        result.attempted += len(point_details)
-        result.succeeded += sum(d["success"] for d in point_details)
-    result.files.append(write_csv(out / f"{stem}_detail.csv", DETAIL_COLUMNS, details))
-    summary_cols = ["scenario_id", "coverage_m", "density", "replications", "success_rate",
-                    "ris_mean", "ris_se", "dt_mean", "dt_se", "dtn_mean", "eeff_mean", "eeff_se"]
-    result.files.append(write_csv(out / f"{stem}_summary.csv", summary_cols, summaries))
-    result.summary_rows = summaries
-
-
 def estimate_duration_quantiles(
     scales_slots: np.ndarray, deltas: tuple[float, ...], chains: int, batches: int, rng: np.random.Generator
 ) -> dict[tuple[int, int], tuple[float, float]]:
@@ -431,10 +428,12 @@ def estimate_duration_quantiles(
 
 
 def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
+    if isinstance(cfg.lambda_off_ms, tuple) or isinstance(cfg.mu_on_ms, tuple):
+        raise ConfigError("traffic validation needs scalar lambda_off_ms and mu_on_ms, not per-IU lists")
     slot = cfg.slot_s
     rng = derive_rng(plan.seed, 0)
     for figure, fixed_ms in (("nu_b", cfg.lambda_off_ms), ("nu_i", cfg.mu_on_ms)):
-        fixed_s = (fixed_ms if not isinstance(fixed_ms, tuple) else fixed_ms[0]) * 1e-3
+        fixed_s = fixed_ms * 1e-3
         if figure == "nu_b":  # lambda fixed, mu swept
             means = [xi * fixed_s / (1.0 - xi) for xi in plan.xi_grid]
             estimator = traffic.duration_of_busyness
@@ -453,80 +452,29 @@ def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, res
                      "mc_mean": mc_mean, "mc_se": mc_se}
                 )
         result.files.append(write_csv(out / f"{figure}.csv", ["xi", "delta", "analytic", "mc_mean", "mc_se"], rows))
-        result.summary_rows.extend({"figure": figure, **r} for r in rows)
     result.attempted = len(plan.xi_grid) * len(plan.deltas) * 2
     result.succeeded = result.attempted
 
 
-def _run_comparison(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
-    coverages = plan.resolved_coverage_grid()
+def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
+    """Sweeps, comparison and mobility: one summary row per cell."""
+    cells = _grid_cells(plan, cfg)
+    run_cell = partial(_run_cell, seed=plan.seed, replications=plan.replications)
+    if plan.threads > 1 and plan.kind in ("coverage_sweep", "density_sweep"):
+        with ProcessPoolExecutor(max_workers=plan.threads) as pool:
+            outcomes = list(pool.map(run_cell, cells))
+    else:
+        outcomes = list(map(run_cell, cells))
     details, summaries = [], []
-    for ci, coverage in enumerate(coverages):
-        point_cfg = cfg.with_overrides(
-            coverage_m=coverage, source_xy=SWEEP_SOURCE, dest_xy=SWEEP_DEST
-        )
-        per_variant = {v: [] for v in plan.variants}
-        for rep in range(plan.replications):
-            for variant in plan.variants:
-                rng = derive_rng(plan.seed, ci, rep)  # shared across variants
-                ledger = run_one_route(point_cfg, rng, variant=variant)
-                scenario = f"comparison-r{coverage:g}-{variant}"
-                row = _detail_row(
-                    scenario, plan.seed, variant, coverage, point_cfg.iu_count, ledger, point_cfg
-                )
-                per_variant[variant].append(row)
-        for variant in plan.variants:
-            rows = per_variant[variant]
-            details.extend(rows)
-            summary = {
-                "scenario_id": f"comparison-r{coverage:g}-{variant}",
-                "coverage_m": coverage,
-                "density": point_cfg.iu_count,
-                "variant": variant,
-            }
-            summary.update(_aggregate(rows))
-            summaries.append(summary)
-            result.attempted += len(rows)
-            result.succeeded += sum(d["success"] for d in rows)
-    result.files.append(write_csv(out / "comparison_detail.csv", DETAIL_COLUMNS, details))
-    summary_cols = ["scenario_id", "coverage_m", "density", "variant", "replications",
-                    "success_rate", "ris_mean", "ris_se", "dt_mean", "dt_se", "dtn_mean",
-                    "eeff_mean", "eeff_se"]
-    result.files.append(write_csv(out / "comparison_summary.csv", summary_cols, summaries))
-    result.summary_rows = summaries
-
-
-def _run_mobility(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
-    coverage = plan.resolved_coverage_grid()[0]
-    point_cfg = cfg.with_overrides(coverage_m=coverage, source_xy=SWEEP_SOURCE, dest_xy=SWEEP_DEST)
-    details, summaries = [], []
-    for vi, v_max in enumerate(plan.vmax_grid):
-        rows = []
-        for rep in range(plan.replications):
-            rng = derive_rng(plan.seed, rep, 0)  # shared across the v_max grid
-            mob_rng = derive_rng(plan.seed, rep, 1)
-            ledger = run_one_route(point_cfg, rng, mobility_rng=mob_rng, v_max=v_max)
-            scenario = f"mobility-v{v_max:g}"
-            rows.append(
-                _detail_row(scenario, plan.seed, f"v{v_max:g}", coverage, point_cfg.iu_count, ledger, point_cfg)
-            )
+    for cell, rows in zip(cells, outcomes):
         details.extend(rows)
-        summary = {
-            "scenario_id": f"mobility-v{v_max:g}",
-            "coverage_m": coverage,
-            "density": point_cfg.iu_count,
-            "v_max": v_max,
-        }
-        summary.update(_aggregate(rows))
-        summaries.append(summary)
+        summaries.append({"scenario_id": cell.scenario_id, "coverage_m": cell.cfg.coverage_m,
+                          "density": cell.cfg.iu_count, **cell.extra, **_aggregate(rows)})
         result.attempted += len(rows)
         result.succeeded += sum(d["success"] for d in rows)
-    result.files.append(write_csv(out / "mobility_detail.csv", DETAIL_COLUMNS, details))
-    summary_cols = ["scenario_id", "coverage_m", "density", "v_max", "replications",
-                    "success_rate", "ris_mean", "ris_se", "dt_mean", "dt_se", "dtn_mean",
-                    "eeff_mean", "eeff_se"]
-    result.files.append(write_csv(out / "mobility_summary.csv", summary_cols, summaries))
-    result.summary_rows = summaries
+    stem = plan.kind.removesuffix("_sweep")
+    result.files.append(write_csv(out / f"{stem}_detail.csv", DETAIL_COLUMNS, details))
+    result.files.append(write_csv(out / f"{stem}_summary.csv", list(summaries[0]), summaries))
 
 
 def run(plan: ExperimentPlan, cfg: SimConfig, out_dir: str | Path) -> ExperimentResult:
@@ -537,12 +485,8 @@ def run(plan: ExperimentPlan, cfg: SimConfig, out_dir: str | Path) -> Experiment
     result.files.append(write_manifest(out / f"manifest_{plan.kind}.json", plan, cfg))
     if plan.kind == "trajectory":
         _run_trajectory(plan, cfg, out, result)
-    elif plan.kind in ("coverage_sweep", "density_sweep"):
-        _run_sweep(plan, cfg, out, result)
     elif plan.kind == "traffic_validation":
         _run_traffic_validation(plan, cfg, out, result)
-    elif plan.kind == "comparison":
-        _run_comparison(plan, cfg, out, result)
     else:
-        _run_mobility(plan, cfg, out, result)
+        _run_grid(plan, cfg, out, result)
     return result

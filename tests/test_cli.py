@@ -53,6 +53,33 @@ class TestConfigErrors:
         assert "delta" in capsys.readouterr().err
 
 
+class TestRejectedBeforeAnyRoute:
+    @pytest.mark.parametrize("args,count,iu_count,message", [
+        # the density grid overrides iu_count, so a per-IU list cannot be swept
+        (["sweep-coverage", "--replications", "1"], 120, 120, "has 120 per-IU values but iu_count is 100"),
+        (["route"], 3, 400, "has 3 per-IU values but iu_count is 400"),
+        (["validate-traffic"], 120, 120, "scalar lambda_off_ms"),
+    ])
+    def test_per_iu_list_is_config_error(self, tmp_path, capsys, args, count, iu_count, message):
+        values = ", ".join(repr(0.8 + 0.01 * j) for j in range(count))
+        cfg = write_cfg(tmp_path / "per_iu.cfg", f"iu_count = {iu_count}\nlambda_off_ms = {values}\n")
+        assert main(args + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "lambda_off_ms" in err and message in err
+        assert "Traceback" not in err
+        assert not any(p.suffix == ".csv" for p in (tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("args", [
+        ["route", "--threads", "0"],
+        ["sweep-coverage", "--threads", "-2", "--replications", "1"],
+        ["route", "--replications", "0"],
+    ])
+    def test_bad_plan_flag_is_config_error(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+
 class TestValidateTraffic:
     def test_emits_both_csvs_with_schema(self, tmp_path, capsys):
         assert main(["validate-traffic", "--out", str(tmp_path), "--quiet"]) == 0

@@ -53,3 +53,11 @@ class TestDeadKeys:
         path.write_text(json.dumps({"schema": 1, "config": config}))
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             load_config(path)
+
+
+class TestPerIuLists:
+    @pytest.mark.parametrize("key", ["lambda_off_ms", "mu_on_ms"])
+    def test_length_must_equal_iu_count(self, key):
+        with pytest.raises(ConfigError, match=f"{key} has 3 per-IU values but iu_count is 4"):
+            SimConfig(iu_count=4, **{key: (1.0, 2.0, 3.0)})
+        assert SimConfig(iu_count=3, **{key: (1.0, 2.0, 3.0)}).iu_count == 3

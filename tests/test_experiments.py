@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from risroute import experiments, traffic
-from risroute.config import SimConfig, load_config
+from risroute.config import ConfigError, SimConfig, load_config
 from risroute.experiments import (
     ExperimentPlan,
     MobilityField,
@@ -33,6 +33,14 @@ class TestRngDerivation:
         c = derive_rng(1, 2, 4).random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestPlanValidation:
+    @pytest.mark.parametrize("bad", [{"threads": 0}, {"threads": -2}, {"replications": 0},
+                                     {"coverage_grid": ()}, {"variants": ()}, {"kind": "bogus"}])
+    def test_rejected_as_config_error(self, bad):
+        with pytest.raises(ConfigError):
+            ExperimentPlan(**{"kind": "comparison", **bad})
 
 
 class TestMobilityStep:
@@ -123,10 +131,14 @@ class TestSweeps:
         for name in ("coverage_detail.csv", "coverage_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        run(self.small_plan(), SimConfig(), tmp_path / "serial")
-        run(self.small_plan(threads=2), SimConfig(), tmp_path / "pooled")
-        for name in ("coverage_detail.csv", "coverage_summary.csv"):
+    @pytest.mark.parametrize("kind", ["coverage_sweep", "density_sweep", "comparison", "mobility"])
+    def test_threads_do_not_change_bytes(self, tmp_path, kind):
+        cfg = SimConfig(iu_count=120)
+        serial = run(self.small_plan(kind), cfg, tmp_path / "serial")
+        run(self.small_plan(kind, threads=2), cfg, tmp_path / "pooled")
+        names = [p.name for p in serial.files if p.suffix == ".csv"]
+        assert len(names) == 2
+        for name in names:
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pooled" / name).read_bytes()
 
     def test_standard_error_shrinks_with_replications(self, tmp_path):
