@@ -10,6 +10,10 @@ middle segment included.
 For a single served user the per-element alignment theta_n = t_in,n +
 t_out,n makes every cascaded term real positive, so the reflected SNR
 peaks at P (sum_n a_in,n a_out,n)^2 rho_L^2 (d_in d_out)^-alpha / sigma^2.
+The router uses only that closed form; the cascade h_out Phi h_in for an
+arbitrary Phi lives in ``tests/test_channel.py`` as the oracle it is
+checked against. Two surfaces have no closed form: their phases are
+aligned alternately, one surface at a time, and the cascade is evaluated.
 
 The short-packet achievable rate is the normal approximation
 
@@ -59,24 +63,6 @@ class FadingVector:
 
     def __len__(self) -> int:
         return self.amplitudes.shape[0]
-
-
-@dataclass(frozen=True)
-class PhaseShiftMatrix:
-    """Diagonal unit-amplitude response, entries exp(+1j * phases)."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        ph = np.mod(np.asarray(self.phases, dtype=float), TWO_PI)
-        object.__setattr__(self, "phases", ph)
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.exp(1j * self.phases)
-
-    def __len__(self) -> int:
-        return self.phases.shape[0]
 
 
 @dataclass(frozen=True)
@@ -132,58 +118,6 @@ def direct_snr(params: LinkBudgetParams, h: complex, d: float) -> float:
     )
 
 
-def single_reflection_gain(h_in: FadingVector, phase: PhaseShiftMatrix, h_out: FadingVector) -> complex:
-    if not (len(h_in) == len(phase) == len(h_out)):
-        raise ValueError("element counts of h_in, phase, h_out must agree")
-    return complex(np.sum(h_out.values * phase.diagonal * h_in.values))
-
-
-def single_reflection_received_power(
-    params: LinkBudgetParams,
-    h_in: FadingVector,
-    phase: PhaseShiftMatrix,
-    h_out: FadingVector,
-    d_in: float,
-    d_out: float,
-) -> float:
-    gain = single_reflection_gain(h_in, phase, h_out)
-    return (
-        params.tx_power
-        * abs(gain) ** 2
-        * params.rho_l**2
-        * d_in ** (-params.alpha_other)
-        * d_out ** (-params.alpha_other)
-    )
-
-
-def single_reflection_sinr(
-    params: LinkBudgetParams,
-    h_in: FadingVector,
-    phase: PhaseShiftMatrix,
-    h_out: FadingVector,
-    d_in: float,
-    d_out: float,
-    interferers: tuple = (),
-) -> float:
-    """Reflected SINR; interferers are (h_in, phase, h_out, d_in, d_out) cascades."""
-    signal = single_reflection_received_power(params, h_in, phase, h_out, d_in, d_out)
-    denom = params.noise_power
-    for cascade in interferers:
-        denom += single_reflection_received_power(params, *cascade)
-    return signal / denom
-
-
-def optimal_single_user_phases(h_in: FadingVector, h_out: FadingVector) -> PhaseShiftMatrix:
-    """Per-element alignment theta_n = t_in,n + t_out,n (single served user).
-
-    Turns every cascaded term real positive, so |h_out Phi h_in| becomes
-    sum_n a_in,n a_out,n, the single-reflection maximum.
-    """
-    if len(h_in) != len(h_out):
-        raise ValueError("element counts must agree")
-    return PhaseShiftMatrix(phases=h_in.phases + h_out.phases)
-
-
 def optimal_single_reflection_snr(
     params: LinkBudgetParams,
     h_in: FadingVector,
@@ -192,6 +126,8 @@ def optimal_single_reflection_snr(
     d_out: float,
 ) -> float:
     """Closed-form aligned SNR: P (sum a_in a_out)^2 rho_L^2 (d_in d_out)^-alpha / sigma^2."""
+    if len(h_in) != len(h_out):
+        raise ValueError("element counts of h_in and h_out must agree")
     coherent = float(np.sum(h_in.amplitudes * h_out.amplitudes))
     return (
         params.tx_power
@@ -203,13 +139,19 @@ def optimal_single_reflection_snr(
     )
 
 
-def double_reflection_gain(
+def double_reflection_sinr(
+    params: LinkBudgetParams,
     h_in: FadingVector,
-    phase_i: PhaseShiftMatrix,
+    phase_i: np.ndarray,
     h_mid: FadingVector,
-    phase_j: PhaseShiftMatrix,
+    phase_j: np.ndarray,
     h_out: FadingVector,
-) -> complex:
+    d_in: float,
+    d_mid: float,
+    d_out: float,
+) -> float:
+    """SNR through surfaces i then j, phases in radians:
+    P |h_out Phi_j H Phi_i h_in|^2 rho_L^3 (d_in d_mid d_out)^-alpha / sigma^2."""
     mid = h_mid.values
     if mid.ndim != 2:
         raise ValueError("h_mid must be a 2-D out x in fading matrix")
@@ -218,23 +160,8 @@ def double_reflection_gain(
         raise ValueError("h_in/phase_i length must match h_mid columns")
     if len(h_out) != n_out or len(phase_j) != n_out:
         raise ValueError("h_out/phase_j length must match h_mid rows")
-    inner = mid @ (phase_i.diagonal * h_in.values)
-    return complex(np.sum(h_out.values * phase_j.diagonal * inner))
-
-
-def double_reflection_received_power(
-    params: LinkBudgetParams,
-    h_in: FadingVector,
-    phase_i: PhaseShiftMatrix,
-    h_mid: FadingVector,
-    phase_j: PhaseShiftMatrix,
-    h_out: FadingVector,
-    d_in: float,
-    d_mid: float,
-    d_out: float,
-) -> float:
-    """Received power through two surfaces (no noise division)."""
-    gain = double_reflection_gain(h_in, phase_i, h_mid, phase_j, h_out)
+    inner = mid @ (np.exp(1j * phase_i) * h_in.values)
+    gain = complex(np.sum(h_out.values * np.exp(1j * phase_j) * inner))
     return (
         params.tx_power
         * abs(gain) ** 2
@@ -242,29 +169,8 @@ def double_reflection_received_power(
         * d_in ** (-params.alpha_other)
         * d_mid ** (-params.alpha_other)
         * d_out ** (-params.alpha_other)
+        / params.noise_power
     )
-
-
-def double_reflection_sinr(
-    params: LinkBudgetParams,
-    h_in: FadingVector,
-    phase_i: PhaseShiftMatrix,
-    h_mid: FadingVector,
-    phase_j: PhaseShiftMatrix,
-    h_out: FadingVector,
-    d_in: float,
-    d_mid: float,
-    d_out: float,
-    interferers: tuple = (),
-) -> float:
-    """Doubly reflected SINR; interferers are full 8-tuple double cascades."""
-    signal = double_reflection_received_power(
-        params, h_in, phase_i, h_mid, phase_j, h_out, d_in, d_mid, d_out
-    )
-    denom = params.noise_power
-    for cascade in interferers:
-        denom += double_reflection_received_power(params, *cascade)
-    return signal / denom
 
 
 def alternating_double_phases(
@@ -272,9 +178,9 @@ def alternating_double_phases(
     h_mid: FadingVector,
     h_out: FadingVector,
     rounds: int = 20,
-) -> tuple[PhaseShiftMatrix, PhaseShiftMatrix]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-surface alignment for a double reflection, alternated a fixed
-    number of rounds.
+    number of rounds; returns the phases of surfaces i and j in [0, 2 pi).
 
     Each half-step aligns one surface for its effective incident/outgoing
     vectors with the other held fixed, which cannot decrease the cascade
@@ -290,10 +196,7 @@ def alternating_double_phases(
         diag_j = np.exp(-1j * np.angle(v_out * inner))
         outgoing = (v_out * diag_j) @ mid
         diag_i = np.exp(-1j * np.angle(outgoing * v_in))
-    return (
-        PhaseShiftMatrix(phases=np.angle(diag_i)),
-        PhaseShiftMatrix(phases=np.angle(diag_j)),
-    )
+    return np.mod(np.angle(diag_i), TWO_PI), np.mod(np.angle(diag_j), TWO_PI)
 
 
 def q_inv(epsilon: float) -> float:

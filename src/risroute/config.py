@@ -95,6 +95,13 @@ class SimConfig:
             raise ConfigError("slot_us and total_delay_ms must be positive")
         if self.packets < 1 or self.bits_per_packet < 1:
             raise ConfigError("packets and bits_per_packet must be >= 1")
+        if self.blocklength < 1:
+            raise ConfigError(f"blocklength must be >= 1, got {self.blocklength}")
+        if self.ris_spacing_m is not None and self.ris_spacing_m <= 0:
+            raise ConfigError(f"ris_spacing_m must be positive when set, got {self.ris_spacing_m}")
+        for name in ("mh_mw", "eh_slope", "eh_threshold_w"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("lambda_off_ms", "mu_on_ms"):
             val = getattr(self, name)
             vals = val if isinstance(val, tuple) else (val,)
@@ -132,10 +139,6 @@ class SimConfig:
     @property
     def ris_spacing(self) -> float:
         return self.coverage_m / 2.0 if self.ris_spacing_m is None else self.ris_spacing_m
-
-    @property
-    def demand_bits(self) -> int:
-        return self.packets * self.bits_per_packet
 
     def with_overrides(self, **kwargs) -> "SimConfig":
         return replace(self, **kwargs)

@@ -19,11 +19,19 @@ telescopes to the closed form
 which increases monotonically in i. Leftover budget carries forward one
 hop only; a negative budget is returned as-is so feasibility is decided
 by the caller in one place.
+
+With a first-hop wait in the small-T_s/mu regime, t_0 = mu ln(T_s/(mu p_th))
++ T_s (the Taylor form of the deferral wait), the first relay's budget is
+
+    T_d1 = T_d ( (1/(Psi-Psi_1)) (1 - 1/Psi) + 1/Psi ) - t_0.
+
+The router runs only the recursion (``DelayBudget``). The closed form and
+the Taylor forms are analysis results; they live in
+``tests/test_delaymodel.py`` as oracles the recursion is checked against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -42,14 +50,17 @@ def _next_budget(total: float, psi: int, psi_i: int, prev_limit: float, waits: l
 
 @dataclass
 class DelayBudget:
-    """Running budget record for one route; per_hop_limits[i] is T_di."""
+    """Running budget record for one route; per_hop_limits[i] is T_di.
+
+    actual_waits[k] is w_k, whatever hop k paid (a relay deferral, or the
+    reflector decision slot plus any deferral), so one recursion serves the
+    relay-only, all-busy and mixed relay/reflector variants alike.
+    """
 
     total: float
     psi: int
     per_hop_limits: list[float] = field(default_factory=list)
     actual_waits: list[float] = field(default_factory=list)
-    busy_flags: list[int] = field(default_factory=list)
-    d2d_flags: list[int] = field(default_factory=list)
 
     @classmethod
     def start(cls, total: float, psi: int) -> "DelayBudget":
@@ -64,7 +75,7 @@ class DelayBudget:
         """Maximum acceptable wait at the current position."""
         return self.per_hop_limits[-1]
 
-    def advance(self, wait_s: float, is_d2d_wait: bool, psi_next: int) -> float:
+    def advance(self, wait_s: float, psi_next: int) -> float:
         """Record the wait paid at the current position and budget the next.
 
         Returns the new position's limit (may be negative; not clamped).
@@ -74,92 +85,17 @@ class DelayBudget:
             raise ValueError("wait must be nonnegative")
         waits = self.actual_waits + [wait_s]
         limit = _next_budget(self.total, self.psi, psi_next, self.per_hop_limits[-1], waits)
-        self._record(wait_s, is_d2d_wait, limit)
+        self._record(wait_s, limit)
         return limit
 
-    def pin_next(self, wait_s: float, is_d2d_wait: bool, limit: float) -> float:
+    def pin_next(self, wait_s: float, limit: float) -> float:
         """Record the wait but pin the next limit directly (overshoot fallback)."""
         if wait_s < 0:
             raise ValueError("wait must be nonnegative")
-        self._record(wait_s, is_d2d_wait, limit)
+        self._record(wait_s, limit)
         return limit
 
-    def _record(self, wait_s: float, is_d2d_wait: bool, limit: float) -> None:
+    def _record(self, wait_s: float, limit: float) -> None:
         self.actual_waits.append(wait_s)
-        self.busy_flags.append(1 if wait_s > 0 else 0)
-        self.d2d_flags.append(1 if is_d2d_wait else 0)
         self.per_hop_limits.append(limit)
 
-
-def _padded(waits: list[float], i: int) -> list[float]:
-    """w_0..w_(i-1); waits not recorded yet count as zero."""
-    out = list(waits[:i])
-    out.extend(0.0 for _ in range(i - len(out)))
-    return out
-
-
-def next_budget_only_iu(state: DelayBudget, i: int, psi_i: int) -> float:
-    """Relay-only budget at hop i, waits gated by the busy flags."""
-    if i < 1 or i > len(state.per_hop_limits):
-        raise ValueError("hop index i needs T_d(i-1) to be known")
-    waits = [b * t for b, t in zip(state.busy_flags[:i], state.actual_waits[:i])]
-    return _next_budget(state.total, state.psi, psi_i, state.per_hop_limits[i - 1], _padded(waits, i))
-
-
-def next_budget_case2(state: DelayBudget, i: int, psi_i: int, waits: list[float]) -> float:
-    """All-busy variant: every previous hop paid its wait t_k."""
-    if i < 1 or len(waits) != i:
-        raise ValueError("need exactly i waits t_0..t_(i-1)")
-    return _next_budget(state.total, state.psi, psi_i, state.per_hop_limits[i - 1], list(waits))
-
-
-def next_budget_ris_iu(state: DelayBudget, i: int, psi_i: int) -> float:
-    """Mixed relay/reflector variant: w_k = c_k t'_k + (1-c_k) t''_k.
-
-    The stored wait of a hop is whichever of t'/t'' occurred (exactly one
-    does), so the flag selection is the identity on the record.
-    """
-    if i < 1 or i > len(state.per_hop_limits):
-        raise ValueError("hop index i needs T_d(i-1) to be known")
-    return _next_budget(
-        state.total, state.psi, psi_i, state.per_hop_limits[i - 1], _padded(state.actual_waits, i)
-    )
-
-
-def closed_form_case1(total: float, psi: int, psi_list: list[int]) -> float:
-    """No-wait budget at hop i = len(psi_list), straight from the telescoped form."""
-    for p in psi_list:
-        if p >= psi:
-            raise HopOvershootError(f"Psi_p={p} must be below Psi={psi}")
-    i = len(psi_list)
-    acc = 0.0
-    for p in range(1, i + 1):
-        term = 1.0 / (psi - psi_list[p - 1])
-        for q in range(p + 1, i + 1):
-            term *= 1.0 - 1.0 / (psi - psi_list[q - 1])
-        acc += term
-    tail = 1.0 / psi
-    for n in range(1, i + 1):
-        tail *= 1.0 - 1.0 / (psi - psi_list[n - 1])
-    return total * (acc + tail)
-
-
-def deferral_wait_seconds(mu_on: float, slot: float, p_th: float) -> float:
-    """Exact wait t = eta * T_s paid when deferring for one busy relay."""
-    p10 = 1.0 - math.exp(-slot / mu_on)
-    return mu_on * math.log(max(p10 / p_th, 1.0)) + slot
-
-
-def first_hop_budget_taylor(total: float, psi: int, psi_1: int, mu: float, slot: float, p_th: float) -> float:
-    """First-hop budget with the small-T_s/mu Taylor wait (analysis form)."""
-    if psi_1 >= psi:
-        raise HopOvershootError(f"Psi_1={psi_1} must be below Psi={psi}")
-    lead = total * ((1.0 / (psi - psi_1)) * (1.0 - 1.0 / psi) + 1.0 / psi)
-    return lead - mu * math.log(slot / (mu * p_th)) - slot
-
-
-def first_hop_taylor_gap(mu: float, slot: float, p_th: float) -> float:
-    """Exact-vs-Taylor gap of the deferral wait (diagnostic, not hidden)."""
-    exact = deferral_wait_seconds(mu, slot, p_th)
-    approx = mu * math.log(slot / (mu * p_th)) + slot
-    return abs(exact - approx)

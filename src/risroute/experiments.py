@@ -92,6 +92,13 @@ class ExperimentPlan:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not all((self.resolved_coverage_grid(), self.resolved_density_grid(), self.vmax_grid, self.variants)):
             raise ConfigError("grids and variants must not be empty")
+        # a grid the kind would ignore is refused rather than dropped
+        if self.density_grid is not None and self.kind not in ("coverage_sweep", "density_sweep"):
+            raise ConfigError(f"{self.kind} takes no density_grid (only the two sweeps run one)")
+        if self.coverage_grid is not None and self.kind in ("trajectory", "traffic_validation"):
+            raise ConfigError(f"{self.kind} takes no coverage_grid")
+        if self.kind == "mobility" and len(self.resolved_coverage_grid()) > 1:
+            raise ConfigError("mobility runs at one coverage radius; give coverage_grid a single value")
 
     def resolved_coverage_grid(self) -> tuple[float, ...]:
         if self.coverage_grid is not None:

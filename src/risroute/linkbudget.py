@@ -13,7 +13,8 @@ supported, because the evaluation text and its mode table disagree:
 The default is "table3" since all experiments cite the table.
 
 Transfer of alpha packets of phi bits at D bits/symbol needs
-tau = ceil(alpha phi / D) slots and E = (P + P_proc) tau T_s joules.
+tau = ceil(alpha phi / D) slots and E = (P + P_proc) tau T_s joules
+(spent energy is summed over a route's hops in ``metrics``).
 Harvested power follows the saturating nonlinearity
 P_harv = M_h (1 - exp(-a x)) / (1 + exp(-a (x - b))), zero at x = 0 and
 approaching M_h as the received power x grows.
@@ -26,17 +27,8 @@ from dataclasses import dataclass
 
 from .config import SimConfig
 
-MODE_LABELS = {
-    1: "No transmission",
-    2: "BPSK",
-    4: "QPSK",
-    8: "8-QAM",
-    16: "16-QAM",
-    32: "32-QAM",
-    64: "64-QAM",
-    128: "128-QAM",
-    256: "256-QAM",
-}
+BER_CONSTANTS = (2.0, 1.5, 1.0, 1.0)  # (c1, c2, c3, c4) of the BER model
+MAX_RATE = 8  # bits/symbol of the largest constellation, 256-QAM
 
 
 class UntransmittableError(Exception):
@@ -49,10 +41,6 @@ class TransmissionMode:
     rate: int  # D_q = log2(m_q), bits per symbol
     snr_lower_db: float
     snr_upper_db: float
-
-    @property
-    def label(self) -> str:
-        return MODE_LABELS[self.constellation]
 
 
 class ModeTable:
@@ -86,38 +74,25 @@ class ModeTable:
                 hi = mid - 1
         return self.modes[lo]
 
-    @property
-    def thresholds_db(self) -> list[float]:
-        return [m.snr_lower_db for m in self.modes[1:]]
 
-
-def build_mode_table(
-    target_ber: float,
-    rule: str = "table3",
-    constants: tuple[float, float, float, float] = (2.0, 1.5, 1.0, 1.0),
-    max_rate: int = 8,
-) -> ModeTable:
-    """SNR-threshold table for M-QAM constellations 2..2^max_rate."""
+def build_mode_table(target_ber: float, rule: str = "table3") -> ModeTable:
+    """SNR-threshold table for M-QAM constellations 2..2^MAX_RATE."""
     if not 0.0 < target_ber < 1.0:
         raise ValueError("target_ber must lie in (0, 1)")
     if rule not in ("table3", "eqtext"):
         raise ValueError(f"unknown threshold rule {rule!r}")
-    c1, c2, c3, c4 = constants
+    c1, c2, c3, c4 = BER_CONSTANTS
     multiplier = math.log(c1 / target_ber) / c2
     thresholds_db = []
-    for bits in range(1, max_rate + 1):
+    for bits in range(1, MAX_RATE + 1):
         m = 2**bits
         linear = multiplier * (bits if rule == "table3" else (m**c3 - c4))
         thresholds_db.append(10.0 * math.log10(linear))
     modes = [TransmissionMode(1, 0, -math.inf, thresholds_db[0])]
-    for bits in range(1, max_rate + 1):
-        upper = thresholds_db[bits] if bits < max_rate else math.inf
+    for bits in range(1, MAX_RATE + 1):
+        upper = thresholds_db[bits] if bits < MAX_RATE else math.inf
         modes.append(TransmissionMode(2**bits, bits, thresholds_db[bits - 1], upper))
     return ModeTable(modes)
-
-
-def select_mode(table: ModeTable, snr_db: float) -> TransmissionMode:
-    return table.select(snr_db)
 
 
 @dataclass(frozen=True)
@@ -150,15 +125,6 @@ def transfer_slots(demand: TransferDemand, mode: TransmissionMode) -> int:
     if mode.rate == 0:
         raise UntransmittableError("no-transmission mode selected")
     return transfer_slots_at_rate(demand, mode.rate)
-
-
-def transfer_energy(demand: TransferDemand, mode: TransmissionMode, tx_power: float, slot: float) -> float:
-    """(P + P_proc) tau T_s joules for the whole transfer at this mode."""
-    return energy_for_slots(transfer_slots(demand, mode), tx_power, demand.proc_power, slot)
-
-
-def energy_for_slots(slots: int, tx_power: float, proc_power: float, slot: float) -> float:
-    return (tx_power + proc_power) * slots * slot
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,9 @@ class HopKind(Enum):
     WAIT = "wait"
 
 
+HOP_KINDS = (HopKind.DIRECT_IU, HopKind.SINGLE_RIS, HopKind.DOUBLE_RIS)  # by surfaces crossed
+
+
 class FailureReason(Enum):
     NO_IU_NO_RIS = "no_iu_no_ris"
     DELAY_EXCEEDED = "delay_exceeded"
@@ -136,8 +139,7 @@ class RouteLedger:
 @dataclass(frozen=True)
 class RoutePolicy:
     ris_mode: str = "both"  # "both" | "single_only" | "double_only"
-    adaptive: bool = True
-    fixed_rate_bits: int = 2
+    adaptive: bool = True  # False pins the constellation to SimConfig.fixed_rate_bits
     shannon: bool = False
 
     def __post_init__(self):
@@ -163,29 +165,35 @@ class CandidateLink:
     nu_idle_slots: float
 
 
+def usable_modes(table: ModeTable, snr_db: float, fixed_rate_bits: int | None) -> list[TransmissionMode]:
+    """Constellations a direct link at ``snr_db`` may carry, in ascending rate.
+
+    Every transmitting mode up to the channel's best one; with a pinned
+    ``fixed_rate_bits`` only that mode, and only if the channel supports it.
+    """
+    best = table.select(snr_db)
+    if best.rate == 0:
+        return []
+    if fixed_rate_bits is None:
+        return [m for m in table.modes[1:] if m.rate <= best.rate]
+    return [m for m in table.modes[1:] if m.rate == fixed_rate_bits and m.rate <= best.rate]
+
+
 def availability_set(
     links: list[CandidateLink],
     table: ModeTable,
     demand: TransferDemand,
-    adaptive: bool = True,
-    fixed_rate_bits: int = 2,
+    fixed_rate_bits: int | None = None,
 ) -> list[tuple[CandidateLink, TransmissionMode, int]]:
     """All (relay, constellation, slot-count) triples passing the
     availability constraint tau_req <= nu_I for the relay.
 
-    With adaptation every channel-feasible constellation of a relay is
-    enumerated (cost |idle| x |modes|); without it only the pinned one.
+    Every usable constellation of a relay is enumerated (cost |idle| x
+    |modes|); with a pinned ``fixed_rate_bits`` at most one.
     """
     out = []
     for link in links:
-        best = table.select(link.snr_db)
-        if best.rate == 0:
-            continue
-        if adaptive:
-            usable = [m for m in table.modes[1:] if m.rate <= best.rate]
-        else:
-            usable = [m for m in table.modes[1:] if m.rate == fixed_rate_bits and best.rate >= m.rate]
-        for mode in usable:
+        for mode in usable_modes(table, link.snr_db, fixed_rate_bits):
             tau = linkbudget.transfer_slots(demand, mode)
             if tau <= link.nu_idle_slots:
                 out.append((link, mode, tau))
@@ -229,6 +237,7 @@ class Router:
         self.table = linkbudget.build_mode_table(cfg.target_ber, rule=cfg.threshold_rule)
         self.demand = TransferDemand.from_config(cfg)
         self.harvester = linkbudget.HarvesterParams.from_config(cfg)
+        self.fixed_rate_bits = None if self.policy.adaptive else cfg.fixed_rate_bits
         self.field = traffic.TrafficField(lambda_s, mu_s, cfg.slot_s, cfg.delta, cfg.p_th, rng)
         self.clock = 0  # slots elapsed
 
@@ -305,33 +314,22 @@ class Router:
         ius = [i for i in found if i != DEST_ID]
         if DEST_ID in found:
             link = self._direct_candidates(origin, [DEST_ID], iu_pos)[0]
-            mode = self.table.select(link.snr_db)
-            if self.policy.adaptive:
-                usable = mode if mode.rate > 0 else None
-            else:
-                usable = next(
-                    (m for m in self.table.modes[1:] if m.rate == self.policy.fixed_rate_bits), None
-                )
-                if usable is not None and mode.rate < usable.rate:
-                    usable = None
-            if usable is not None:
-                tau = linkbudget.transfer_slots(self.demand, usable)
-                return (link, usable, tau), []
+            modes = usable_modes(self.table, link.snr_db, self.fixed_rate_bits)
+            if modes:  # the fastest usable mode
+                return (link, modes[-1], linkbudget.transfer_slots(self.demand, modes[-1])), []
         origin_remaining = origin.distance_to(dest)
         idle, busy = self._split_idle_busy(ius)
         links = self._direct_candidates(origin, idle, iu_pos)
         # forward progress is required of a hop, not just half-disc membership
         links = [ln for ln in links if ln.remaining_m < origin_remaining]
         busy = [i for i in busy if self.topo.position(i, iu_pos).distance_to(dest) < origin_remaining]
-        aset = availability_set(
-            links, self.table, self.demand, self.policy.adaptive, self.policy.fixed_rate_bits
-        )
+        aset = availability_set(links, self.table, self.demand, self.fixed_rate_bits)
         if aset:
             return select_iu(aset), busy
         return None, busy
 
     def _reflector_endpoints(self, ris_id: int, origin: Position, gamma_of) -> list[tuple]:
-        """Qualifying endpoints behind reflector ``ris_id``: (link, tau, rate, gamma)."""
+        """Qualifying endpoints behind reflector ``ris_id``: (link, tau, rate)."""
         iu_pos = self._iu_positions()
         dest = self.topo.dest
         origin_remaining = origin.distance_to(dest)
@@ -360,11 +358,14 @@ class Router:
                 remaining_m=remaining,
                 nu_idle_slots=nu,
             )
-            out.append((link, tau, rate, gamma))
+            out.append((link, tau, rate))
         return out
 
     def ris_fallback(self, origin: Position):
-        """Reflector stage; returns a commit-ready tuple or a FailureReason.
+        """Reflector stage; returns (surfaces, link, tau, rate) or a FailureReason.
+
+        ``surfaces`` holds the one or two RIS ids the signal crosses, in
+        order; ``link`` is the endpoint behind the last one.
 
         Single reflection: every visible surface is scored by the forward
         progress of its best qualifying endpoint. Double reflection: the
@@ -402,8 +403,8 @@ class Router:
                 if best is None or key < best[0]:
                     best = (key, ris_id, entry)
             if best is not None:
-                _, ris_id, (link, tau, rate, gamma) = best
-                return ("single", ris_id, link, tau, rate, gamma)
+                _, ris_id, (link, tau, rate) = best
+                return (ris_id,), link, tau, rate
 
         if self.policy.ris_mode in ("both", "double_only"):
             first = candidates[0]  # nearest the destination (LRD scan order)
@@ -438,8 +439,8 @@ class Router:
 
             endpoints = self._reflector_endpoints(second, origin, gamma_of)
             if endpoints:
-                link, tau, rate, gamma = self._select_reflector_endpoint(endpoints)
-                return ("double", first, second, link, tau, rate, gamma)
+                link, tau, rate = self._select_reflector_endpoint(endpoints)
+                return (first, second), link, tau, rate
         return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
 
     @staticmethod
@@ -487,8 +488,7 @@ class Router:
                     entry, _ = self._try_position(current_pos)
             if entry is not None:
                 link, mode, tau = entry
-                hop = self._commit_direct(current_pos, link, mode, tau, ledger)
-                is_d2d_wait = True
+                hop = self._commit(current_pos, (), link, tau, mode.rate, mode.constellation, ledger)
             else:
                 # reflector decision epoch costs one slot
                 self.clock += 1
@@ -501,8 +501,8 @@ class Router:
                     ledger.failure_reason = outcome
                     ledger.total_slots = self.clock
                     return ledger
-                hop = self._commit_reflected(current_pos, outcome, ledger)
-                is_d2d_wait = False
+                surfaces, link, tau, rate = outcome
+                hop = self._commit(current_pos, surfaces, link, tau, rate, 0, ledger)
                 wait_slots += 1  # the decision slot joins the t'' tally
             if hop is None:  # commit failed on time or outage; reason already set
                 ledger.total_slots = self.clock
@@ -516,9 +516,9 @@ class Router:
             psi_next = topology.hops_consumed(src, endpoint_pos, topo.coverage_radius)
             wait_s = wait_slots * cfg.slot_s
             try:
-                budget.advance(wait_s, is_d2d_wait, psi_next)
+                budget.advance(wait_s, psi_next)
             except delaymodel.HopOvershootError:
-                budget.pin_next(wait_s, is_d2d_wait, self._remaining_s())
+                budget.pin_next(wait_s, self._remaining_s())
             current_pos = endpoint_pos
 
     # -- commit helpers ----------------------------------------------------------
@@ -533,20 +533,6 @@ class Router:
             return 0
         return eta
 
-    def _check_transfer_time(self, tau: int, ledger: RouteLedger) -> bool:
-        if (self.clock + tau) * self.cfg.slot_s > self.cfg.total_delay_s:
-            ledger.failure_reason = FailureReason.DELAY_EXCEEDED
-            return False
-        return True
-
-    def _check_progress(self, origin: Position, link: CandidateLink) -> None:
-        """A committed hop must end strictly closer to the destination than ``origin``."""
-        if not link.remaining_m < origin.distance_to(self.topo.dest):
-            raise ValueError(
-                f"hop to {self.topo.label(link.node_id)} ends {link.remaining_m} m from the "
-                "destination, no closer than its origin"
-            )
-
     def _outage(self, anchor: Position, node_id: int, end_clock: int) -> bool:
         """Counterpart out of coverage of ``anchor`` at transfer end (mobile runs only)."""
         if self.mobility is None or self.topo.kind(node_id) is not NodeKind.IU:
@@ -554,68 +540,44 @@ class Router:
         moved = self.mobility.positions_at(end_clock * self.cfg.slot_s)
         return anchor.distance_to(self.topo.position(node_id, moved)) > self.topo.coverage_radius
 
-    def _commit_direct(self, origin, link: CandidateLink, mode, tau, ledger):
-        self._check_progress(origin, link)
-        if not self._check_transfer_time(tau, ledger):
+    def _commit(self, origin: Position, surfaces: tuple[int, ...], link: CandidateLink,
+                tau: int, rate: float, constellation: int, ledger: RouteLedger):
+        """Transmit from ``origin`` to ``link``'s node via zero, one or two ``surfaces``.
+
+        Returns (endpoint id, endpoint position), or None with the ledger's
+        failure reason set when the transfer overruns the delay budget or
+        the endpoint leaves coverage of the last transmitter meanwhile.
+        Raises ValueError, before any state changes, on a hop that does not
+        end strictly closer to the destination than ``origin``.
+        """
+        if not link.remaining_m < origin.distance_to(self.topo.dest):
+            raise ValueError(
+                f"hop to {self.topo.label(link.node_id)} ends {link.remaining_m} m from the "
+                "destination, no closer than its origin"
+            )
+        if (self.clock + tau) * self.cfg.slot_s > self.cfg.total_delay_s:
+            ledger.failure_reason = FailureReason.DELAY_EXCEEDED
             return None
-        end_clock = self.clock + tau
-        if self._outage(origin, link.node_id, end_clock):
+        self.clock += tau
+        anchor = self.topo.position(surfaces[-1]) if surfaces else origin
+        if self._outage(anchor, link.node_id, self.clock):
             ledger.failure_reason = FailureReason.OUTAGE
-            self.clock = end_clock
             return None
-        self.clock = end_clock
         harvested = 0.0
         if self.topo.kind(link.node_id) is NodeKind.IU:
             received = link.snr_linear * self.params.noise_power
             harvested = linkbudget.harvested_energy_for_transfer(
                 self.harvester, received, tau, self.cfg.slot_s
             )
+        via = (*surfaces, link.node_id)
         ledger.hops.append(
             HopChoice(
-                kind=HopKind.DIRECT_IU,
-                via=(link.node_id,),
-                labels=(self.topo.label(link.node_id),),
-                slots_used=tau,
-                rate=float(mode.rate),
-                constellation=mode.constellation,
-                harvested_j=harvested,
-                remaining_m=link.remaining_m,
-            )
-        )
-        return link.node_id, self.topo.position(link.node_id, self._iu_positions())
-
-    def _commit_reflected(self, origin, outcome, ledger):
-        if outcome[0] == "single":
-            _, ris, link, tau, rate, gamma = outcome
-            via = (ris, link.node_id)
-            kind = HopKind.SINGLE_RIS
-        else:
-            _, first, ris, link, tau, rate, gamma = outcome  # ris: the surface reaching the endpoint
-            via = (first, ris, link.node_id)
-            kind = HopKind.DOUBLE_RIS
-        self._check_progress(origin, link)
-        if not self._check_transfer_time(tau, ledger):
-            return None
-        end_clock = self.clock + tau
-        if self._outage(self.topo.position(ris), link.node_id, end_clock):
-            ledger.failure_reason = FailureReason.OUTAGE
-            self.clock = end_clock
-            return None
-        self.clock = end_clock
-        harvested = 0.0
-        if self.topo.kind(link.node_id) is NodeKind.IU:
-            received = gamma * self.params.noise_power
-            harvested = linkbudget.harvested_energy_for_transfer(
-                self.harvester, received, tau, self.cfg.slot_s
-            )
-        ledger.hops.append(
-            HopChoice(
-                kind=kind,
+                kind=HOP_KINDS[len(surfaces)],
                 via=via,
                 labels=tuple(self.topo.label(i) for i in via),
                 slots_used=tau,
                 rate=float(rate),
-                constellation=0,
+                constellation=constellation,
                 harvested_j=harvested,
                 remaining_m=link.remaining_m,
             )
@@ -646,7 +608,4 @@ def baseline_route(
     """Route under a named comparison policy (see BASELINE_POLICIES)."""
     if variant not in BASELINE_POLICIES:
         raise ValueError(f"unknown variant {variant!r}; choose from {sorted(BASELINE_POLICIES)}")
-    policy = BASELINE_POLICIES[variant]
-    if variant == "fixed_mod":
-        policy = RoutePolicy(adaptive=False, fixed_rate_bits=cfg.fixed_rate_bits)
-    return route(topo, means, cfg, rng, policy=policy, mobility=mobility)
+    return route(topo, means, cfg, rng, policy=BASELINE_POLICIES[variant], mobility=mobility)

@@ -193,24 +193,17 @@ def ris_grid_positions(arena: tuple[float, float], spacing: float) -> np.ndarray
     return np.column_stack([xs.ravel(), ys.ravel()])
 
 
-def generate_topology(
-    cfg: SimConfig,
-    rng: np.random.Generator,
-    source: Position | None = None,
-    dest: Position | None = None,
-) -> Topology:
+def generate_topology(cfg: SimConfig, rng: np.random.Generator) -> Topology:
     """Random IU placement plus a deterministic RIS grid.
 
     IUs are uniform over the arena; RISs sit on a grid with spacing
     <= coverage so a forward half-disc always holds a reflector. The
-    source and destination default to config positions, else are drawn
-    uniformly (redrawn until distinct).
+    source and destination are the config's ``source_xy`` and ``dest_xy``;
+    either left unset is drawn uniformly (redrawn until the two are distinct).
     """
     arena = (cfg.arena_m, cfg.arena_m)
-    if source is None:
-        source = Position(*cfg.source_xy) if cfg.source_xy else None
-    if dest is None:
-        dest = Position(*cfg.dest_xy) if cfg.dest_xy else None
+    source = Position(*cfg.source_xy) if cfg.source_xy else None
+    dest = Position(*cfg.dest_xy) if cfg.dest_xy else None
     if source is None or dest is None:
         while True:
             draw = rng.uniform(0.0, cfg.arena_m, size=4)

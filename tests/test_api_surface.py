@@ -1,0 +1,60 @@
+"""Every function, class and method of ``risroute`` is reached by the program.
+
+A name counts as reached when an identifier, attribute or string constant
+in ``src/risroute`` or ``bench/`` outside the name's own definition spells
+it (``bench/tracing.py`` rebinds targets it names in strings). Helpers that
+only the tests call belong in the tests, as oracles next to the checks
+that use them. Dunders are exempt, and so is ``cli.main``, the console
+entry point declared in ``pyproject.toml``.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+EXEMPT = {"cli.main"}
+
+
+def references(node: ast.AST) -> Counter:
+    """Identifiers, attribute names and string constants used under ``node``."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out[sub.value] += 1
+    return out
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, bare name, node) of top-level functions and classes and their methods."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, defs):
+                    yield f"{node.name}.{sub.name}", sub.name, sub
+
+
+def unreached_names() -> list[str]:
+    package = sorted((ROOT / "src" / "risroute").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in package + sorted((ROOT / "bench").glob("*.py"))}
+    used = sum((references(tree) for tree in trees.values()), Counter())
+    unreached = []
+    for path in package:
+        for qualified, name, node in definitions(trees[path]):
+            qualified = f"{path.stem}.{qualified}"
+            if name.startswith("__") and name.endswith("__") or qualified in EXEMPT:
+                continue
+            if used[name] - references(node)[name] <= 0:
+                unreached.append(qualified)
+    return unreached
+
+
+def test_every_definition_is_reached_by_the_program():
+    assert unreached_names() == []

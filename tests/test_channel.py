@@ -8,21 +8,14 @@ from scipy.stats import kstest
 from risroute.channel import (
     FadingVector,
     LinkBudgetParams,
-    PhaseShiftMatrix,
     alternating_double_phases,
     direct_snr,
-    double_reflection_gain,
-    double_reflection_received_power,
     double_reflection_sinr,
     finite_blocklength_rate,
     optimal_single_reflection_snr,
-    optimal_single_user_phases,
     q_inv,
     sample_fading,
     shannon_rate,
-    single_reflection_gain,
-    single_reflection_received_power,
-    single_reflection_sinr,
 )
 from risroute.config import SimConfig
 
@@ -49,6 +42,22 @@ def q_inv_bisection(eps: float) -> float:
 
 def ones_vector(n):
     return FadingVector(amplitudes=np.ones(n), phases=np.zeros(n))
+
+
+# -- the arbitrary-phase single-reflection cascade, kept here as the oracle for
+# -- the closed form the router uses (optimal_single_reflection_snr)
+
+
+def single_reflection_sinr(params, h_in, phases, h_out, d_in, d_out):
+    """P |h_out diag(exp(j phases)) h_in|^2 rho_L^2 (d_in d_out)^-alpha / sigma^2."""
+    gain = np.sum(h_out.values * np.exp(1j * np.asarray(phases)) * h_in.values)
+    return (params.tx_power * abs(gain) ** 2 * params.rho_l**2
+            * (d_in * d_out) ** (-params.alpha_other) / params.noise_power)
+
+
+def aligned_phases(h_in, h_out):
+    """Per-element alignment theta_n = t_in,n + t_out,n (single served user)."""
+    return h_in.phases + h_out.phases
 
 
 class TestFadingSampler:
@@ -103,31 +112,23 @@ class TestDirectSnr:
 class TestSingleReflection:
     def test_coherent_gain_n_squared(self):
         n = 16
-        sinr = single_reflection_sinr(UNIT, ones_vector(n), PhaseShiftMatrix(np.zeros(n)),
-                                      ones_vector(n), 1.0, 1.0)
-        assert sinr == pytest.approx(n**2, rel=1e-12)
-
-    def test_single_interferer_equal_power(self):
-        n = 4
-        params = LinkBudgetParams(rho_l=1.0, alpha_d2d=2.0, alpha_other=2.0,
-                                  noise_power=1e-15, tx_power=1.0, rician_k_db=10.0)
-        cascade = (ones_vector(n), PhaseShiftMatrix(np.zeros(n)), ones_vector(n), 1.0, 1.0)
-        sinr = single_reflection_sinr(params, *cascade[:3], 1.0, 1.0, interferers=(cascade,))
-        assert sinr == pytest.approx(1.0, rel=1e-9)
+        assert single_reflection_sinr(UNIT, ones_vector(n), np.zeros(n), ones_vector(n),
+                                      1.0, 1.0) == pytest.approx(n**2, rel=1e-12)
+        assert optimal_single_reflection_snr(UNIT, ones_vector(n), ones_vector(n),
+                                             1.0, 1.0) == pytest.approx(n**2, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            single_reflection_gain(ones_vector(4), PhaseShiftMatrix(np.zeros(4)), ones_vector(5))
+        with pytest.raises(ValueError, match="element counts"):
+            optimal_single_reflection_snr(UNIT, ones_vector(1), ones_vector(5), 1.0, 1.0)
 
     def test_optimal_phases_zero_channel_phases(self):
-        opt = optimal_single_user_phases(ones_vector(6), ones_vector(6))
-        assert np.allclose(opt.phases, 0.0)
+        h = ones_vector(6)
+        assert np.allclose(aligned_phases(h, h), 0.0)
 
     def test_two_element_coherence(self):
         h = ones_vector(2)
-        opt = optimal_single_user_phases(h, h)
-        aligned = abs(single_reflection_gain(h, opt, h)) ** 2
-        anti = abs(single_reflection_gain(h, PhaseShiftMatrix(np.array([0.0, math.pi])), h)) ** 2
+        aligned = optimal_single_reflection_snr(UNIT, h, h, 1.0, 1.0)
+        anti = single_reflection_sinr(UNIT, h, np.array([0.0, math.pi]), h, 1.0, 1.0)
         assert aligned == pytest.approx(4.0, rel=1e-12)
         assert anti == pytest.approx(0.0, abs=1e-20)
 
@@ -136,8 +137,7 @@ class TestSingleReflection:
         for _ in range(50):
             h_in = sample_fading(32, 10.0, rng)
             h_out = sample_fading(32, 10.0, rng)
-            opt = optimal_single_user_phases(h_in, h_out)
-            via_cascade = single_reflection_sinr(PARAMS, h_in, opt, h_out, 25.0, 35.0)
+            via_cascade = single_reflection_sinr(PARAMS, h_in, aligned_phases(h_in, h_out), h_out, 25.0, 35.0)
             closed = optimal_single_reflection_snr(PARAMS, h_in, h_out, 25.0, 35.0)
             assert via_cascade == pytest.approx(closed, rel=1e-10)
 
@@ -173,20 +173,22 @@ class TestSingleReflection:
                 assert best_grid >= opt * math.cos(math.pi / 64) ** 2 * (1 - 1e-9)
 
 
+def unit_gain(h_in, phase_i, h_mid, phase_j, h_out):
+    """|h_out Phi_j H Phi_i h_in|^2 read through the SNR at unit power, loss, noise and distances."""
+    return double_reflection_sinr(UNIT, h_in, phase_i, h_mid, phase_j, h_out, 1.0, 1.0, 1.0)
+
+
 class TestDoubleReflection:
     def test_identity_middle_reduces_to_single(self):
         rng = np.random.default_rng(13)
         n = 12
         h_in = sample_fading(n, 10.0, rng)
         h_out = sample_fading(n, 10.0, rng)
-        phase_i = optimal_single_user_phases(h_in, h_out)
+        phase_i = aligned_phases(h_in, h_out)
         identity = FadingVector(amplitudes=np.eye(n), phases=np.zeros((n, n)))
-        phase_j = PhaseShiftMatrix(np.zeros(n))
-        double_p = double_reflection_received_power(
-            PARAMS, h_in, phase_i, identity, phase_j, h_out, 25.0, 1.0, 35.0
-        )
-        single_p = single_reflection_received_power(PARAMS, h_in, phase_i, h_out, 25.0, 35.0)
-        assert double_p == pytest.approx(single_p * PARAMS.rho_l, rel=1e-12)
+        double = double_reflection_sinr(PARAMS, h_in, phase_i, identity, np.zeros(n), h_out, 25.0, 1.0, 35.0)
+        single = single_reflection_sinr(PARAMS, h_in, phase_i, h_out, 25.0, 35.0)
+        assert double == pytest.approx(single * PARAMS.rho_l, rel=1e-12)
 
     def test_triple_path_loss_power_law(self):
         rng = np.random.default_rng(14)
@@ -195,8 +197,8 @@ class TestDoubleReflection:
         h_mid = sample_fading((n, n), 10.0, rng)
         h_out = sample_fading(n, 10.0, rng)
         pi, pj = alternating_double_phases(h_in, h_mid, h_out)
-        near = double_reflection_received_power(PARAMS, h_in, pi, h_mid, pj, h_out, 10.0, 15.0, 20.0)
-        far = double_reflection_received_power(PARAMS, h_in, pi, h_mid, pj, h_out, 20.0, 30.0, 40.0)
+        near = double_reflection_sinr(PARAMS, h_in, pi, h_mid, pj, h_out, 10.0, 15.0, 20.0)
+        far = double_reflection_sinr(PARAMS, h_in, pi, h_mid, pj, h_out, 20.0, 30.0, 40.0)
         assert near / far == pytest.approx(2 ** (3 * PARAMS.alpha_other), rel=1e-12)
 
     def test_alternating_beats_random_pairs(self):
@@ -206,12 +208,12 @@ class TestDoubleReflection:
         h_mid = sample_fading((n, n), 10.0, rng)
         h_out = sample_fading(n, 10.0, rng)
         pi, pj = alternating_double_phases(h_in, h_mid, h_out, rounds=20)
-        best = abs(double_reflection_gain(h_in, pi, h_mid, pj, h_out)) ** 2
+        assert np.all((pi >= 0) & (pi < 2 * math.pi)) and np.all((pj >= 0) & (pj < 2 * math.pi))
+        best = unit_gain(h_in, pi, h_mid, pj, h_out)
         mid = h_mid.values
         vin = h_in.values
         vout = h_out.values
         draws = rng.uniform(0, 2 * math.pi, size=(10_000, 2, n))
-        worst_meets = 0
         for k in range(10_000):
             g = (vout * np.exp(1j * draws[k, 1])) @ mid @ (np.exp(1j * draws[k, 0]) * vin)
             assert abs(g) ** 2 <= best * (1 + 1e-9)
@@ -225,30 +227,15 @@ class TestDoubleReflection:
         gains = []
         for rounds in (1, 2, 5, 10, 20):
             pi, pj = alternating_double_phases(h_in, h_mid, h_out, rounds=rounds)
-            gains.append(abs(double_reflection_gain(h_in, pi, h_mid, pj, h_out)) ** 2)
+            gains.append(unit_gain(h_in, pi, h_mid, pj, h_out))
         assert all(a <= b + 1e-9 * abs(b) for a, b in zip(gains, gains[1:]))
-
-    def test_sinr_with_interferer(self):
-        rng = np.random.default_rng(17)
-        n = 4
-        h_in = sample_fading(n, 10.0, rng)
-        h_mid = sample_fading((n, n), 10.0, rng)
-        h_out = sample_fading(n, 10.0, rng)
-        pi, pj = alternating_double_phases(h_in, h_mid, h_out)
-        cascade = (h_in, pi, h_mid, pj, h_out, 10.0, 10.0, 10.0)
-        clean = double_reflection_sinr(UNIT, *cascade)
-        noisy = double_reflection_sinr(UNIT, *cascade, interferers=(cascade,))
-        assert noisy < clean
-        signal = double_reflection_received_power(UNIT, *cascade)
-        assert noisy == pytest.approx(signal / (signal + 1.0), rel=1e-12)
 
     def test_dimension_checks(self):
         n = 4
         good = sample_fading(n, 10.0, np.random.default_rng(0))
         bad_mid = sample_fading((n, n + 1), 10.0, np.random.default_rng(1))
         with pytest.raises(ValueError):
-            double_reflection_gain(good, PhaseShiftMatrix(np.zeros(n)), bad_mid,
-                                   PhaseShiftMatrix(np.zeros(n)), good)
+            unit_gain(good, np.zeros(n), bad_mid, np.zeros(n), good)
 
 
 class TestFiniteBlocklengthRate:

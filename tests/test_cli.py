@@ -69,6 +69,19 @@ class TestRejectedBeforeAnyRoute:
         assert "Traceback" not in err
         assert not any(p.suffix == ".csv" for p in (tmp_path / "out").glob("*"))
 
+    @pytest.mark.parametrize("args,text", [
+        # each used to exit 0, or 2 with a traceback once a route reached the bad value
+        (["route"], "blocklength = 0"),
+        (["sweep-coverage", "--replications", "1"], "blocklength = 0"),
+        (["sweep-coverage", "--replications", "1"], "mh_mw = 0"),
+        (["route"], "ris_spacing_m = -1"),
+    ])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, args, text):
+        cfg = write_cfg(tmp_path / "bad.cfg", text + "\n")
+        assert main(args + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and text.split()[0] in err and "Traceback" not in err
+
     @pytest.mark.parametrize("args", [
         ["route", "--threads", "0"],
         ["sweep-coverage", "--threads", "-2", "--replications", "1"],

@@ -44,6 +44,29 @@ class TestRejectsBadNumbers:
         assert [SimConfig(fixed_rate_bits=b).fixed_rate_bits for b in (1, 8)] == [1, 8]
 
 
+# values a downstream constructor would refuse later, mid-run
+OUT_OF_RANGE = [
+    ("blocklength", 0),
+    ("blocklength", -5),
+    ("ris_spacing_m", 0.0),
+    ("ris_spacing_m", -30.0),
+    ("mh_mw", 0.0),
+    ("eh_slope", -150.0),
+    ("eh_threshold_w", 0.0),
+]
+
+
+class TestRejectsOutOfRange:
+    @pytest.mark.parametrize("key,value", OUT_OF_RANGE)
+    def test_rejected_by_constructor_and_from_file(self, key, value, tmp_path):
+        with pytest.raises(ConfigError, match=key):
+            SimConfig(**{key: value})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+
 class TestDeadKeys:
     @pytest.mark.parametrize("key,value", [("v_max_mps", 5.0), ("throughput_term", "bits")])
     def test_old_manifest_key_is_unknown(self, key, value, tmp_path):

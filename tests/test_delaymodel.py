@@ -3,17 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from risroute.delaymodel import (
-    DelayBudget,
-    HopOvershootError,
-    closed_form_case1,
-    deferral_wait_seconds,
-    first_hop_budget_taylor,
-    first_hop_taylor_gap,
-    next_budget_case2,
-    next_budget_only_iu,
-    next_budget_ris_iu,
-)
+from risroute import traffic
+from risroute.delaymodel import DelayBudget, HopOvershootError
 
 TD = 0.050
 PSI = 7
@@ -21,6 +12,17 @@ PSI = 7
 
 def fresh_budget():
     return DelayBudget.start(TD, PSI)
+
+
+def chain(total, psi, psi_list, waits):
+    """Limits T_d0..T_di from the production recursion, one advance per hop."""
+    budget = DelayBudget.start(total, psi)
+    for psi_i, wait in zip(psi_list, waits):
+        budget.advance(wait, psi_i)
+    return budget.per_hop_limits
+
+
+# -- analysis forms of the budget, kept here as oracles for DelayBudget --------
 
 
 def recursion_reference(total, psi, psi_list, waits):
@@ -33,6 +35,32 @@ def recursion_reference(total, psi, psi_list, waits):
     return limits
 
 
+def closed_form_case1(total, psi, psi_list):
+    """No-wait budget at hop i = len(psi_list), straight from the telescoped form."""
+    i = len(psi_list)
+    acc = 0.0
+    for p in range(1, i + 1):
+        term = 1.0 / (psi - psi_list[p - 1])
+        for q in range(p + 1, i + 1):
+            term *= 1.0 - 1.0 / (psi - psi_list[q - 1])
+        acc += term
+    tail = 1.0 / psi
+    for n in range(1, i + 1):
+        tail *= 1.0 - 1.0 / (psi - psi_list[n - 1])
+    return total * (acc + tail)
+
+
+def taylor_wait(mu, slot, p_th):
+    """Small-T_s/mu Taylor form of the deferral wait, in seconds."""
+    return mu * math.log(slot / (mu * p_th)) + slot
+
+
+def first_hop_budget_taylor(total, psi, psi_1, mu, slot, p_th):
+    """First-hop budget with the Taylor wait (analysis form)."""
+    lead = total * ((1.0 / (psi - psi_1)) * (1.0 - 1.0 / psi) + 1.0 / psi)
+    return lead - taylor_wait(mu, slot, p_th)
+
+
 class TestStartAndFirstHop:
     def test_source_share(self):
         assert fresh_budget().current_limit == pytest.approx(TD / PSI, rel=1e-15)
@@ -40,12 +68,12 @@ class TestStartAndFirstHop:
 
     def test_first_hop_no_wait(self):
         b = fresh_budget()
-        assert next_budget_only_iu(b, 1, 1) == pytest.approx(0.014285714285714287, rel=1e-12)
+        assert b.advance(0.0, 1) == pytest.approx(0.014285714285714287, rel=1e-12)
 
     def test_first_hop_full_wait_consumes_carry(self):
         b = fresh_budget()
         t0 = b.current_limit
-        got = b.advance(t0, True, 1)
+        got = b.advance(t0, 1)
         assert got == pytest.approx((TD - TD / PSI) / (PSI - 1), rel=1e-12)
 
     def test_bad_inputs(self):
@@ -55,7 +83,9 @@ class TestStartAndFirstHop:
             DelayBudget.start(1.0, 0)
         b = fresh_budget()
         with pytest.raises(ValueError):
-            b.advance(-1.0, True, 1)
+            b.advance(-1.0, 1)
+        with pytest.raises(ValueError):
+            b.pin_next(-1.0, 0.01)
 
 
 class TestClosedForm:
@@ -63,6 +93,7 @@ class TestClosedForm:
         got = closed_form_case1(TD, PSI, [1])
         want = TD * (1 / (PSI - 1) + (1 / PSI) * (1 - 1 / (PSI - 1)))
         assert got == pytest.approx(want, rel=1e-14)
+        assert fresh_budget().advance(0.0, 1) == pytest.approx(got, rel=1e-14)
 
     def test_two_hop_expansion(self):
         got = closed_form_case1(TD, PSI, [1, 2])
@@ -81,7 +112,7 @@ class TestClosedForm:
             depth = int(rng.integers(1, 7))
             psi_list = sorted(int(rng.integers(0, psi)) for _ in range(depth))
             total = float(rng.uniform(0.001, 1.0))
-            limits = recursion_reference(total, psi, psi_list, [0.0] * depth)
+            limits = chain(total, psi, psi_list, [0.0] * depth)
             closed = closed_form_case1(total, psi, psi_list)
             assert abs(closed - limits[-1]) <= 1e-12 * abs(limits[-1])
 
@@ -91,19 +122,22 @@ class TestClosedForm:
             psi = int(rng.integers(2, 11))
             depth = int(rng.integers(2, 7))
             psi_list = [int(rng.integers(0, psi)) for _ in range(depth)]
-            vals = [closed_form_case1(1.0, psi, psi_list[: i + 1]) for i in range(depth)]
-            vals.insert(0, 1.0 / psi)
+            vals = chain(1.0, psi, psi_list, [0.0] * depth)
+            assert vals[0] == 1.0 / psi
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_overshoot_rejected(self):
+        # a relay at the hop span is refused at any hop, not only the first
+        b = fresh_budget()
+        b.advance(0.0, 1)
         with pytest.raises(HopOvershootError):
-            closed_form_case1(TD, PSI, [1, 7])
+            b.advance(0.0, PSI)
 
 
 class TestCaseTwo:
     def test_zero_waits_reduce_to_case_one(self):
         b = fresh_budget()
-        got = next_budget_case2(b, 1, 1, [0.0])
+        got = b.advance(0.0, 1)
         assert got == pytest.approx(closed_form_case1(TD, PSI, [1]), rel=1e-13)
 
     def test_first_hop_matches_taylor_form(self):
@@ -111,76 +145,77 @@ class TestCaseTwo:
         # are the same algebra; the regime T_s/(mu p_th) > 1 must hold
         mu, slot, p_th = 4e-3, 1e-4, 0.01
         assert slot / (mu * p_th) > 1
-        t0 = mu * math.log(slot / (mu * p_th)) + slot
         b = fresh_budget()
-        got = next_budget_case2(b, 1, 1, [t0])
+        got = b.advance(taylor_wait(mu, slot, p_th), 1)
         want = first_hop_budget_taylor(TD, PSI, 1, mu, slot, p_th)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_taylor_gap_reported(self):
-        gap = first_hop_taylor_gap(4e-3, 1e-4, 0.01)
-        exact = deferral_wait_seconds(4e-3, 1e-4, 0.01)
-        approx = 4e-3 * math.log(1e-4 / (4e-3 * 0.01)) + 1e-4
-        assert gap == pytest.approx(abs(exact - approx), rel=1e-12)
-        assert gap < 1e-4  # higher-order Taylor terms are small here
+        # the router waits the exact estimate; the Taylor form is close to it here
+        mu, slot, p_th = 4e-3, 1e-4, 0.01
+        exact = float(traffic.idle_wait_estimate(mu, slot, p_th)) * slot
+        p10 = 1.0 - math.exp(-slot / mu)
+        assert exact == pytest.approx(mu * math.log(p10 / p_th) + slot, rel=1e-12)
+        gap = abs(exact - taylor_wait(mu, slot, p_th))
+        assert 0.0 < gap < 1e-4  # higher-order Taylor terms are small here
 
     def test_first_hop_budget_increases_with_mu(self):
         # the wait term mu*ln(T_s/(mu p_th)) shrinks with mu exactly when
         # 1 < T_s/(mu p_th) < e; sweep inside that window (p_th=0.01:
         # mu between T_s/(e p_th)=3.68 ms and T_s/p_th=10 ms)
-        mus = np.linspace(4e-3, 9.9e-3, 50)
-        vals = [first_hop_budget_taylor(TD, PSI, 1, float(m), 1e-4, 0.01) for m in mus]
+        def budget(mu):
+            return fresh_budget().advance(taylor_wait(float(mu), 1e-4, 0.01), 1)
+
+        vals = [budget(m) for m in np.linspace(4e-3, 9.9e-3, 50)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
         # outside the window the trend flips, by the same formula
-        low = [first_hop_budget_taylor(TD, PSI, 1, float(m), 1e-4, 0.01)
-               for m in np.linspace(0.5e-3, 3e-3, 20)]
+        low = [budget(m) for m in np.linspace(0.5e-3, 3e-3, 20)]
         assert low[0] > low[-1]
 
     def test_wait_lengths_must_match_index(self):
+        # every hop records exactly one wait and one limit, pinned or not,
+        # and a refused hop records neither
         b = fresh_budget()
-        with pytest.raises(ValueError):
-            next_budget_case2(b, 2, 2, [0.0])
+        b.advance(0.001, 1)
+        with pytest.raises(HopOvershootError):
+            b.advance(0.0, PSI)
+        b.pin_next(0.002, 0.01)
+        b.advance(0.0, 3)
+        assert b.actual_waits == [0.001, 0.002, 0.0]
+        assert len(b.per_hop_limits) == len(b.actual_waits) + 1
 
 
 class TestRisIuVariant:
     def test_all_d2d_flags_collapse_to_only_iu(self):
-        b1, b2 = fresh_budget(), fresh_budget()
-        waits = [0.0012, 0.0007, 0.0]
-        psi_seq = [1, 2, 3]
-        for w, p in zip(waits, psi_seq):
-            b1.advance(w, True, p)
-            b2.advance(w, True, p)
-        got = next_budget_ris_iu(b1, 3, 4)
-        want = next_budget_case2(b2, 3, 4, waits)
-        assert got == pytest.approx(want, rel=1e-13)
+        # relay-only row: w_k = beta_k t_k, so a hop that found an idle relay
+        # (beta_k = 0) records no wait and the recursion is the all-busy one
+        t = [0.0012, 0.0007, 0.0009]
+        beta = [1, 0, 1]
+        waits = [b * w for b, w in zip(beta, t)]
+        got = chain(TD, PSI, [1, 2, 4], waits)
+        assert got == pytest.approx(recursion_reference(TD, PSI, [1, 2, 4], waits), rel=1e-13)
+        assert got[-1] > chain(TD, PSI, [1, 2, 4], t)[-1]  # the skipped wait stays in the budget
 
     def test_all_ris_flags_same_recursion(self):
-        b = fresh_budget()
+        # reflector hops pay t'' (the decision slot plus any deferral) and
+        # feed the same recursion
         waits = [0.0012, 0.0007]
-        b.advance(waits[0], False, 1)
-        b.advance(waits[1], False, 2)
-        got = next_budget_ris_iu(b, 2, 3)
-        # T_d2 recomputed with psi_2=3: previous limit is T_d1
-        limits = recursion_reference(TD, PSI, [1, 2], waits)
-        prev = limits[1]
+        b = fresh_budget()
+        b.advance(waits[0], 1)
+        got = b.advance(waits[1], 3)
+        prev = recursion_reference(TD, PSI, [1], waits)[1]  # T_d1
         expected = (TD - waits[0] - prev) / (PSI - 3) + (prev - waits[1])
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_mixed_flags_hand_expansion(self):
         # four-hop record, alternating relay waits t' and reflector waits t''
-        b = fresh_budget()
         t = [0.001, 0.0004, 0.0016, 0.0002]
-        flags = [True, False, True, False]
-        psi_seq = [1, 2, 2, 4]
-        for w, f, p in zip(t, flags, psi_seq):
-            b.advance(w, f, p)
-        assert b.d2d_flags == [1, 0, 1, 0]
-        limits = recursion_reference(TD, PSI, psi_seq, t)
-        assert b.per_hop_limits == pytest.approx(limits, rel=1e-13)
-        got = next_budget_ris_iu(b, 4, 5)
+        psi_seq = [1, 2, 2, 5]
+        limits = chain(TD, PSI, psi_seq, t)
+        assert limits == pytest.approx(recursion_reference(TD, PSI, psi_seq, t), rel=1e-13)
         prev = limits[3]  # T_d3 feeds the hop-4 recursion
         expected = (TD - sum(t[:3]) - prev) / (PSI - 5) + (prev - t[3])
-        assert got == pytest.approx(expected, rel=1e-13)
+        assert limits[4] == pytest.approx(expected, rel=1e-13)
 
 
 class TestBudgetProperties:
@@ -193,9 +228,9 @@ class TestBudgetProperties:
             psi_list = sorted(int(rng.integers(0, psi)) for _ in range(depth))
             waits = [float(w) for w in rng.uniform(0, 0.01, size=depth)]
             flags = [bool(b) for b in rng.integers(0, 2, size=depth)]
-            mixed = recursion_reference(1.0, psi, psi_list, [w if f else 0.0 for w, f in zip(waits, flags)])
-            allb = recursion_reference(1.0, psi, psi_list, waits)
-            none = recursion_reference(1.0, psi, psi_list, [0.0] * depth)
+            mixed = chain(1.0, psi, psi_list, [w if f else 0.0 for w, f in zip(waits, flags)])
+            allb = chain(1.0, psi, psi_list, waits)
+            none = chain(1.0, psi, psi_list, [0.0] * depth)
             assert allb[-1] <= mixed[-1] + 1e-12
             assert mixed[-1] <= none[-1] + 1e-12
 
@@ -209,19 +244,19 @@ class TestBudgetProperties:
             for i in range(1, psi):
                 wait = b.current_limit
                 total_waited += wait
-                b.advance(wait, True, i)
+                b.advance(wait, i)
             assert total_waited <= 1.0 + 1e-9
 
     def test_overshoot_guard(self):
         b = fresh_budget()
         with pytest.raises(HopOvershootError):
-            b.advance(0.0, True, PSI)
+            b.advance(0.0, PSI)
         # state must be untouched after the failed advance
         assert b.actual_waits == [] and len(b.per_hop_limits) == 1
-        assert b.pin_next(0.0, True, 0.02) == 0.02
+        assert b.pin_next(0.0, 0.02) == 0.02
         assert b.per_hop_limits[-1] == 0.02
 
     def test_negative_budget_not_clamped(self):
         b = DelayBudget.start(0.01, 3)
-        limit = b.advance(0.5, True, 1)  # absurd wait
+        limit = b.advance(0.5, 1)  # absurd wait
         assert limit < 0.0

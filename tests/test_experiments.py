@@ -36,8 +36,15 @@ class TestRngDerivation:
 
 
 class TestPlanValidation:
-    @pytest.mark.parametrize("bad", [{"threads": 0}, {"threads": -2}, {"replications": 0},
-                                     {"coverage_grid": ()}, {"variants": ()}, {"kind": "bogus"}])
+    @pytest.mark.parametrize("bad", [
+        {"threads": 0}, {"threads": -2}, {"replications": 0}, {"coverage_grid": ()}, {"variants": ()},
+        {"kind": "bogus"},
+        # a grid the kind would ignore
+        {"kind": "mobility", "coverage_grid": (30.0, 60.0)}, {"density_grid": (100,)},
+        {"kind": "mobility", "density_grid": (100,)}, {"kind": "trajectory", "density_grid": (100,)},
+        {"kind": "traffic_validation", "density_grid": (100,)}, {"kind": "trajectory", "coverage_grid": (60.0,)},
+        {"kind": "traffic_validation", "coverage_grid": (60.0,)},
+    ])
     def test_rejected_as_config_error(self, bad):
         with pytest.raises(ConfigError):
             ExperimentPlan(**{"kind": "comparison", **bad})
@@ -112,8 +119,13 @@ class TestDurationQuantiles:
 
 class TestSweeps:
     def small_plan(self, kind="coverage_sweep", threads=1):
-        return ExperimentPlan(kind=kind, seed=3, replications=8,
-                              coverage_grid=(50.0, 70.0), density_grid=(120,), threads=threads)
+        """Only the grids ``kind`` runs: comparison runs at the config's iu_count, mobility at r=50."""
+        grids = {"coverage_grid": (50.0, 70.0), "density_grid": (120,)}
+        if kind == "comparison":
+            grids = {"coverage_grid": (50.0, 70.0)}
+        elif kind == "mobility":
+            grids = {"coverage_grid": (50.0,)}
+        return ExperimentPlan(kind=kind, seed=3, replications=8, threads=threads, **grids)
 
     def test_outputs_and_schema(self, tmp_path):
         res = run(self.small_plan(), SimConfig(), tmp_path)

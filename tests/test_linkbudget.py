@@ -8,31 +8,42 @@ from risroute.linkbudget import (
     TransferDemand,
     UntransmittableError,
     build_mode_table,
-    energy_for_slots,
     harvested_energy_for_transfer,
     harvested_power,
-    select_mode,
-    transfer_energy,
     transfer_slots,
     transfer_slots_at_rate,
 )
+from risroute.metrics import energy_efficiency
+from risroute.router import HopChoice, HopKind, RouteLedger
 
 # published thresholds for P_b = 1e-6, dB
 TABLE3 = [9.8554, 12.8657, 14.6266, 15.8760, 16.8451, 17.6369, 18.3063, 18.8863]
 
 
+def thresholds_db(table):
+    """Lower SNR bound of each transmitting mode, BPSK first."""
+    return [m.snr_lower_db for m in table.modes[1:]]
+
+
+def spent_energy(demand, slots, tx_power, slot):
+    """(P + P_proc) tau T_s of one unharvested hop, read back through the route efficiency."""
+    ledger = RouteLedger(hops=[HopChoice(HopKind.DIRECT_IU, (1,), ("D",), slots, 8.0, 256, 0.0, 0.0)],
+                         total_slots=slots, success=True)
+    return demand.total_bits / energy_efficiency(ledger, demand, tx_power, slot)
+
+
 class TestModeTable:
     def test_thresholds_match_published_table(self):
         table = build_mode_table(1e-6)
-        assert len(table.thresholds_db) == 8
-        for got, want in zip(table.thresholds_db, TABLE3):
+        assert len(thresholds_db(table)) == 8
+        for got, want in zip(thresholds_db(table), TABLE3):
             assert abs(got - want) <= 1e-4
 
     def test_low_snr_means_no_transmission(self):
         table = build_mode_table(1e-6)
         assert table.select(9.0).rate == 0
         assert table.select(-1e9).rate == 0
-        assert table.select(9.0).label == "No transmission"
+        assert table.select(9.0).constellation == 1  # m_q = 1 encodes no transmission
 
     def test_mid_band_is_qpsk(self):
         table = build_mode_table(1e-6)
@@ -46,7 +57,7 @@ class TestModeTable:
 
     def test_lower_bound_inclusive(self):
         table = build_mode_table(1e-6)
-        qpsk_lower = table.thresholds_db[1]
+        qpsk_lower = thresholds_db(table)[1]
         assert table.select(qpsk_lower).constellation == 4
         assert table.select(12.8657).constellation == 4
         assert table.select(math.nextafter(qpsk_lower, -math.inf)).constellation == 2
@@ -67,13 +78,9 @@ class TestModeTable:
     def test_eqtext_rule_uses_constellation_minus_one(self):
         table = build_mode_table(1e-6, rule="eqtext")
         # (m-1) rule: QPSK bound at 10 log10(9.6724 * 3)
-        assert table.thresholds_db[0] == pytest.approx(TABLE3[0], abs=1e-4)
-        assert table.thresholds_db[1] == pytest.approx(14.6266, abs=1e-4)
-        assert table.thresholds_db[1] > build_mode_table(1e-6).thresholds_db[1]
-
-    def test_select_mode_wrapper(self):
-        table = build_mode_table(1e-6)
-        assert select_mode(table, 20.0).constellation == 256
+        assert thresholds_db(table)[0] == pytest.approx(TABLE3[0], abs=1e-4)
+        assert thresholds_db(table)[1] == pytest.approx(14.6266, abs=1e-4)
+        assert thresholds_db(table)[1] > thresholds_db(build_mode_table(1e-6))[1]
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -111,22 +118,26 @@ class TestTransferCost:
         slots = [transfer_slots(self.demand, self.table_mode(b)) for b in range(1, 9)]
         assert all(a >= b for a, b in zip(slots, slots[1:]))
 
+    def energy(self, demand, bits, tx_power, slot):
+        return spent_energy(demand, transfer_slots(demand, self.table_mode(bits)), tx_power, slot)
+
     def test_energy_simple_product(self):
-        e = transfer_energy(self.demand, self.table_mode(8), tx_power=1.0, slot=1e-4)
+        e = self.energy(self.demand, 8, tx_power=1.0, slot=1e-4)
         assert e == pytest.approx(1e-3, rel=1e-12)
 
     def test_energy_with_processing_power(self):
         demand = TransferDemand(packets=10, bits_per_packet=8, proc_power=0.01)
-        e = transfer_energy(demand, self.table_mode(3), tx_power=1.0, slot=1e-4)
+        e = self.energy(demand, 3, tx_power=1.0, slot=1e-4)
         assert e == pytest.approx(2.727e-3, rel=1e-12)
 
     def test_doubling_rate_halves_energy(self):
-        e4 = transfer_energy(self.demand, self.table_mode(4), tx_power=1.0, slot=1e-4)
-        e8 = transfer_energy(self.demand, self.table_mode(8), tx_power=1.0, slot=1e-4)
+        e4 = self.energy(self.demand, 4, tx_power=1.0, slot=1e-4)
+        e8 = self.energy(self.demand, 8, tx_power=1.0, slot=1e-4)
         assert e4 == pytest.approx(2 * e8, rel=1e-12)
 
     def test_energy_for_slots(self):
-        assert energy_for_slots(27, 1.0, 0.01, 1e-4) == pytest.approx(2.727e-3, rel=1e-12)
+        demand = TransferDemand(packets=1, bits_per_packet=8, proc_power=0.01)
+        assert spent_energy(demand, 27, 1.0, 1e-4) == pytest.approx(2.727e-3, rel=1e-12)
 
 
 class TestHarvester:

@@ -26,6 +26,9 @@ from risroute.experiments import MobilityField
 from risroute.topology import Position, generate_topology
 
 
+LINE_ENDS = {"source_xy": (20.0, 200.0), "dest_xy": (380.0, 200.0)}
+
+
 def make_link(node_id, snr_db, remaining, nu):
     return CandidateLink(node_id=node_id, snr_db=snr_db, snr_linear=10 ** (snr_db / 10),
                          remaining_m=remaining, nu_idle_slots=nu)
@@ -58,13 +61,13 @@ class TestAvailabilitySet:
 
     def test_non_adaptive_keeps_only_pinned_mode(self):
         links = [make_link(2, 25.0, 300.0, 1e9)]
-        aset = availability_set(links, self.table, self.demand, adaptive=False, fixed_rate_bits=2)
+        aset = availability_set(links, self.table, self.demand, fixed_rate_bits=2)
         assert len(aset) == 1
         assert aset[0][1].rate == 2
 
     def test_non_adaptive_needs_channel_support(self):
         links = [make_link(2, 10.0, 300.0, 1e9)]  # only BPSK feasible
-        aset = availability_set(links, self.table, self.demand, adaptive=False, fixed_rate_bits=2)
+        aset = availability_set(links, self.table, self.demand, fixed_rate_bits=2)
         assert aset == []
 
 
@@ -141,6 +144,10 @@ class TestDirectRouting:
         assert full.hops[0].slots_used == 4  # 256-QAM
         assert fixed.hops[0].slots_used == 16  # pinned QPSK
         assert fixed.hops[0].rate == 2.0
+        # the pinned constellation is the config's
+        cfg16 = line_config(packets=4, fixed_rate_bits=4)
+        pinned16 = baseline_route("fixed_mod", topo, idle_profiles(0), cfg16, rng_for(104))
+        assert (pinned16.hops[0].slots_used, pinned16.hops[0].constellation) == (8, 16)
 
 
 class TestReflectorFallback:
@@ -234,10 +241,10 @@ class TestDeferral:
     def test_no_second_wait_at_same_position(self):
         # deferral happens at most once per position: never two consecutive
         # WAIT entries in any ledger
-        cfg = SimConfig(delta=0.1, iu_count=60)
+        cfg = SimConfig(delta=0.1, iu_count=60, **LINE_ENDS)
         for seed in range(6):
             rng = rng_for(111, seed)
-            topo = generate_topology(cfg, rng, Position(20, 200), Position(380, 200))
+            topo = generate_topology(cfg, rng)
             led = route(topo, (np.full(60, 4e-3), np.full(60, 4e-3)), cfg, rng)
             kinds = [h.kind for h in led.hops]
             assert not any(a is HopKind.WAIT and b is HopKind.WAIT for a, b in zip(kinds, kinds[1:]))
@@ -245,11 +252,11 @@ class TestDeferral:
 
 class TestSafetyInvariants:
     def ledgers(self):
-        cfg = SimConfig(delta=0.3, iu_count=150, coverage_m=45.0)
+        cfg = SimConfig(delta=0.3, iu_count=150, coverage_m=45.0, **LINE_ENDS)
         out = []
         for seed in range(25):
             rng = rng_for(112, seed)
-            topo = generate_topology(cfg, rng, Position(20, 200), Position(380, 200))
+            topo = generate_topology(cfg, rng)
             out.append((cfg, route(topo, (np.full(150, 4e-3), np.full(150, 4e-3)), cfg, rng)))
         return out
 
@@ -272,11 +279,11 @@ class TestSafetyInvariants:
                     assert len(h.via) == 3
 
     def test_byte_determinism(self):
-        cfg = SimConfig(delta=0.3, iu_count=150, coverage_m=45.0)
+        cfg = SimConfig(delta=0.3, iu_count=150, coverage_m=45.0, **LINE_ENDS)
         rows = []
         for _ in range(2):
             rng = rng_for(113)
-            topo = generate_topology(cfg, rng, Position(20, 200), Position(380, 200))
+            topo = generate_topology(cfg, rng)
             rows.append(route(topo, (np.full(150, 4e-3), np.full(150, 4e-3)), cfg, rng).to_rows())
         assert rows[0] == rows[1]
 
@@ -341,24 +348,28 @@ class TestLedgerOutput:
 
 
 class TestCommitProgress:
-    """The commit helpers refuse a hop that ends no closer to D, also under ``python -O``."""
+    """The hop commit refuses a hop that ends no closer to D, also under ``python -O``."""
 
     def check(self):
-        topo = build_topology([(50.0, 200.0)], [(30.0, 200.0)])  # U1 is id 2, R1 is id 3
+        topo = build_topology([(50.0, 200.0)], [(30.0, 200.0), (40.0, 200.0)])  # U1 is id 2, R1 3, R2 4
         r = Router(topo, idle_profiles(1), line_config(), rng_for(118))
         origin = Position(100.0, 200.0)  # 300 m from D
         stuck = make_link(2, 25.0, 300.0, 1e9)
-        mode = next(m for m in r.table if m.rate == 8)
-        commits = (
-            lambda led: r._commit_direct(origin, stuck, mode, 3, led),
-            lambda led: r._commit_reflected(origin, ("single", 3, stuck, 3, 10.0, 100.0), led),
-            lambda led: r._commit_reflected(origin, ("double", 3, 3, stuck, 3, 10.0, 100.0), led),
-        )
-        for commit in commits:
+        closer = make_link(2, 25.0, 350.0, 1e9)
+        for surfaces, kind, constellation in (((), HopKind.DIRECT_IU, 256), ((3,), HopKind.SINGLE_RIS, 0),
+                                              ((3, 4), HopKind.DOUBLE_RIS, 0)):
             led = RouteLedger()
             with pytest.raises(ValueError, match="no closer"):
-                commit(led)
+                r._commit(origin, surfaces, stuck, 3, 8.0, constellation, led)
             assert led.hops == [] and r.clock == 0
+            # the same hop from farther out commits: clock, ledger and endpoint
+            end = r._commit(Position(10.0, 200.0), surfaces, closer, 3, 8.0, constellation, led)
+            assert end == (2, Position(50.0, 200.0)) and r.clock == 3
+            hop = led.hops[-1]
+            assert (hop.kind, hop.via) == (kind, (*surfaces, 2))
+            assert (hop.slots_used, hop.constellation) == (3, constellation)
+            assert hop.harvested_j > 0.0
+            r.clock = 0
 
     def test_non_progressing_link_raises(self):
         self.check()

@@ -147,11 +147,12 @@ class TestTopologyConstruction:
         assert np.array_equal(pts[:13, 1], np.full(13, 15.0))  # row by row
 
     def test_generate_topology_counts_and_determinism(self):
-        cfg = SimConfig(iu_count=50)
+        cfg = SimConfig(iu_count=50, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
         rng1 = np.random.default_rng(np.random.SeedSequence([9, 0]))
         rng2 = np.random.default_rng(np.random.SeedSequence([9, 0]))
-        t1 = generate_topology(cfg, rng1, Position(20, 200), Position(380, 200))
-        t2 = generate_topology(cfg, rng2, Position(20, 200), Position(380, 200))
+        t1 = generate_topology(cfg, rng1)
+        t2 = generate_topology(cfg, rng2)
+        assert (t1.source, t1.dest) == (Position(20, 200), Position(380, 200))
         assert t1.iu_xy.shape == (50, 2)
         assert np.array_equal(t1.ris_xy, ris_grid_positions(t1.arena, cfg.ris_spacing))
         assert np.array_equal(t1.iu_xy, t2.iu_xy)
