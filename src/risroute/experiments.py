@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -99,6 +99,9 @@ class ExperimentPlan:
             raise ConfigError(f"{self.kind} takes no coverage_grid")
         if self.kind == "mobility" and len(self.resolved_coverage_grid()) > 1:
             raise ConfigError("mobility runs at one coverage radius; give coverage_grid a single value")
+        for name, owner in _OWNED_FIELDS:
+            if self.kind != owner and getattr(self, name) != _PLAN_DEFAULTS[name]:
+                raise ConfigError(f"{self.kind} takes no {name} (only {owner} runs one)")
 
     def resolved_coverage_grid(self) -> tuple[float, ...]:
         if self.coverage_grid is not None:
@@ -115,6 +118,15 @@ class ExperimentPlan:
         if self.kind == "density_sweep":
             return (100, 200, 400, 600, 900)
         return (100, 400, 900)
+
+
+_PLAN_DEFAULTS = {f.name: f.default for f in fields(ExperimentPlan)}
+# plan fields only one kind reads; any other kind refuses a non-default value
+_OWNED_FIELDS = (
+    ("variants", "comparison"),
+    ("vmax_grid", "mobility"),
+    *((name, "traffic_validation") for name in ("deltas", "xi_grid", "chains", "batches")),
+)
 
 
 @dataclass
@@ -251,7 +263,7 @@ def run_one_route(
     mobility = None
     if mobility_rng is not None and v_max > 0:
         mobility = MobilityField(topo.iu_xy, topo.arena, v_max, mobility_rng)
-    return router.baseline_route(variant, topo, means, cfg, rng, mobility=mobility)
+    return router.route(topo, means, cfg, rng, variant=variant, mobility=mobility)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,25 @@
 """Hop-by-hop route construction under a total delay budget.
 
-At each position the transmitter scans the forward half-disc for idle
-relays, keeps the (relay, constellation) pairs whose transfer fits inside
-the relay's estimated idle window (the availability constraint), and takes
-the pair with the smallest slot count, ties broken by least remaining
-distance then lower id. With no qualifying relay it defers once — waiting
-the minimum estimated turn-idle time of the busy relays in sight, budget
-permitting — rescans, and only then falls back to a reflector: the
-surface whose best reachable idle relay makes the most forward progress,
-extended to exactly one adjacent surface (a double reflection) when no
-single reflection finds anyone, after which the attempt stops.
+Every hop is picked by one rule from the forward half-disc of the current
+transmitter: the destination when it qualifies, otherwise the endpoint
+that needs the fewest slots, ties broken by least remaining distance then
+lower id. Endpoints are sought in three stages, each yielding commit-ready
+entries ``(link, tau, rate, constellation)``:
+
+* idle relays, each with every constellation whose transfer fits inside
+  the relay's estimated idle window (the availability constraint); with
+  none, the transmitter defers once — waiting the minimum estimated
+  turn-idle time of the busy relays in sight, budget permitting — and
+  rescans;
+* one reflector: the surface whose best qualifying endpoint makes the
+  most forward progress;
+* two reflectors: the surface nearest the destination extended to exactly
+  one adjacent surface, after which the attempt stops.
 
 Reflected hops carry the short-packet achievable rate instead of a
 constellation (no rate adaptation through a surface), and the relay
-reached harvests energy from the received signal on every hop.
+reached harvests energy from the received signal on every hop. One clock
+counts the slots spent, and moving IUs (mobility runs) move with it.
 
 Baseline policies restrict the reflector stage (single-only /
 double-only), pin the constellation (no rate adaptation), or swap the
@@ -25,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,6 +172,15 @@ class CandidateLink:
     nu_idle_slots: float
 
 
+class Entry(NamedTuple):
+    """A commit-ready hop endpoint: its link, slot count and how it is carried."""
+
+    link: CandidateLink
+    tau: int
+    rate: float  # bits/symbol on direct hops, bits/use on reflected hops
+    constellation: int  # m_q on direct hops, 0 on reflected hops
+
+
 def usable_modes(table: ModeTable, snr_db: float, fixed_rate_bits: int | None) -> list[TransmissionMode]:
     """Constellations a direct link at ``snr_db`` may carry, in ascending rate.
 
@@ -184,29 +200,32 @@ def availability_set(
     table: ModeTable,
     demand: TransferDemand,
     fixed_rate_bits: int | None = None,
-) -> list[tuple[CandidateLink, TransmissionMode, int]]:
-    """All (relay, constellation, slot-count) triples passing the
+) -> list[Entry]:
+    """The entry of every (relay, constellation) pair passing the
     availability constraint tau_req <= nu_I for the relay.
 
-    Every usable constellation of a relay is enumerated (cost |idle| x
-    |modes|); with a pinned ``fixed_rate_bits`` at most one.
+    Every usable constellation of a relay is enumerated in ascending rate
+    (cost |idle| x |modes|); with a pinned ``fixed_rate_bits`` at most one.
+    A constellation's slot count is worked out once per call.
     """
-    out = []
-    for link in links:
-        for mode in usable_modes(table, link.snr_db, fixed_rate_bits):
-            tau = linkbudget.transfer_slots(demand, mode)
-            if tau <= link.nu_idle_slots:
-                out.append((link, mode, tau))
-    return out
+    tau_of = {mode.rate: linkbudget.transfer_slots(demand, mode) for mode in table.modes[1:]}
+    return [
+        Entry(link, tau_of[mode.rate], mode.rate, mode.constellation)
+        for link in links
+        for mode in usable_modes(table, link.snr_db, fixed_rate_bits)
+        if tau_of[mode.rate] <= link.nu_idle_slots
+    ]
 
 
-def select_iu(
-    aset: list[tuple[CandidateLink, TransmissionMode, int]],
-) -> tuple[CandidateLink, TransmissionMode, int]:
-    """argmin of the slot count; ties by least remaining distance, then id."""
-    if not aset:
-        raise ValueError("availability set is empty")
-    return min(aset, key=lambda entry: (entry[2], entry[0].remaining_m, entry[0].node_id))
+def select_entry(entries: list[Entry]) -> Entry:
+    """The destination when it qualifies, else the argmin of the slot count;
+    ties by least remaining distance, then id (then first listed)."""
+    if not entries:
+        raise ValueError("no qualifying entry")
+    for entry in entries:
+        if entry.link.node_id == DEST_ID:
+            return entry
+    return min(entries, key=lambda e: (e.tau, e.link.remaining_m, e.link.node_id))
 
 
 class Router:
@@ -240,56 +259,49 @@ class Router:
         self.fixed_rate_bits = None if self.policy.adaptive else cfg.fixed_rate_bits
         self.field = traffic.TrafficField(lambda_s, mu_s, cfg.slot_s, cfg.delta, cfg.p_th, rng)
         self.clock = 0  # slots elapsed
+        self.iu_xy = topo.iu_xy  # IU positions at the clock
 
-    # -- geometry/time helpers -------------------------------------------------
+    # -- clock -------------------------------------------------------------------
 
-    def _iu_positions(self) -> np.ndarray | None:
-        if self.mobility is None:
-            return None
-        return self.mobility.positions_at(self.clock * self.cfg.slot_s)
-
-    def _idle_window(self, node_id: int) -> float:
-        """nu_I of an IU in slots; the destination is never busy."""
-        if self.topo.kind(node_id) is NodeKind.IU:
-            return float(self.field.nu_idle[node_id - FIRST_IU_ID])
-        return math.inf
-
-    def _elapsed_s(self) -> float:
-        return self.clock * self.cfg.slot_s
+    def _tick(self, slots: int) -> None:
+        """Advance the clock by ``slots``, and the IU walk with it (mobile runs only)."""
+        self.clock += slots
+        if self.mobility is not None:
+            self.iu_xy = self.mobility.positions_at(self.clock * self.cfg.slot_s)
 
     def _remaining_s(self) -> float:
-        return self.cfg.total_delay_s - self._elapsed_s()
+        return self.cfg.total_delay_s - self.clock * self.cfg.slot_s
 
     # -- link evaluation -------------------------------------------------------
 
-    def _direct_candidates(self, origin: Position, ids: list[int], iu_pos) -> list[CandidateLink]:
+    def _scan(self, center: Position) -> list[int]:
+        """Destination and IUs in the half-disc of ``center`` facing the destination."""
+        return topology.half_circle_scan(
+            self.topo, center, self.topo.dest, (NodeKind.DEST, NodeKind.IU), iu_positions=self.iu_xy
+        )
+
+    def _link(self, node_id: int, pos: Position, snr: float) -> CandidateLink:
+        """The link to ``node_id`` at ``pos`` with linear SNR ``snr``; the destination is never busy."""
+        snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
+        nu = math.inf if node_id == DEST_ID else float(self.field.nu_idle[node_id - FIRST_IU_ID])
+        return CandidateLink(node_id, snr_db, snr, pos.distance_to(self.topo.dest), nu)
+
+    def _direct_links(self, origin: Position, ids: list[int]) -> list[CandidateLink]:
         """Fresh fading and SNR for each node on a direct device-device link."""
         if not ids:
             return []
         fading = channel.sample_fading(len(ids), self.params.rician_k_db, self.rng)
-        dest = self.topo.dest
         links = []
         for node_id, amp in zip(ids, fading.amplitudes):
-            pos = self.topo.position(node_id, iu_pos)
-            d = origin.distance_to(pos)
-            snr = channel.direct_snr(self.params, complex(amp), d)
-            links.append(
-                CandidateLink(
-                    node_id=node_id,
-                    snr_db=10.0 * math.log10(snr) if snr > 0 else -math.inf,
-                    snr_linear=snr,
-                    remaining_m=pos.distance_to(dest),
-                    nu_idle_slots=self._idle_window(node_id),
-                )
-            )
+            pos = self.topo.position(node_id, self.iu_xy)
+            snr = channel.direct_snr(self.params, complex(amp), origin.distance_to(pos))
+            links.append(self._link(node_id, pos, snr))
         return links
 
     def _reflected_rate(self, gamma: float) -> float:
         if self.policy.shannon:
             return channel.shannon_rate(gamma)
         return channel.finite_blocklength_rate(gamma, self.cfg.blocklength, self.cfg.epsilon)
-
-    # -- traffic helpers -------------------------------------------------------
 
     def _split_idle_busy(self, ius: list[int]) -> tuple[list[int], list[int]]:
         rows = np.array(ius, dtype=np.intp) - FIRST_IU_ID
@@ -300,72 +312,55 @@ class Router:
 
     # -- route steps -----------------------------------------------------------
 
-    def _try_position(self, origin: Position):
-        """One scan at the current epoch: destination shortcut, then relays.
+    def _relay_stage(self, origin: Position) -> tuple[Entry | None, list[int]]:
+        """One scan at the current epoch: (entry | None, forward busy ids).
 
-        Returns (entry | None, busy_ids); ``entry`` is a commit-ready
-        (link, mode, tau) tuple.
+        The destination, when in sight with a usable mode, is taken at its
+        fastest mode before any IU traffic is observed.
         """
         dest = self.topo.dest
-        iu_pos = self._iu_positions()
-        found = topology.half_circle_scan(
-            self.topo, origin, dest, (NodeKind.DEST, NodeKind.IU), iu_positions=iu_pos
-        )
-        ius = [i for i in found if i != DEST_ID]
+        found = self._scan(origin)
         if DEST_ID in found:
-            link = self._direct_candidates(origin, [DEST_ID], iu_pos)[0]
+            link = self._direct_links(origin, [DEST_ID])[0]
             modes = usable_modes(self.table, link.snr_db, self.fixed_rate_bits)
-            if modes:  # the fastest usable mode
-                return (link, modes[-1], linkbudget.transfer_slots(self.demand, modes[-1])), []
+            if modes:
+                mode = modes[-1]  # the fastest usable mode
+                tau = linkbudget.transfer_slots(self.demand, mode)
+                return Entry(link, tau, mode.rate, mode.constellation), []
         origin_remaining = origin.distance_to(dest)
-        idle, busy = self._split_idle_busy(ius)
-        links = self._direct_candidates(origin, idle, iu_pos)
+        idle, busy = self._split_idle_busy([i for i in found if i != DEST_ID])
         # forward progress is required of a hop, not just half-disc membership
-        links = [ln for ln in links if ln.remaining_m < origin_remaining]
-        busy = [i for i in busy if self.topo.position(i, iu_pos).distance_to(dest) < origin_remaining]
+        links = [ln for ln in self._direct_links(origin, idle) if ln.remaining_m < origin_remaining]
+        busy = [i for i in busy if self.topo.position(i, self.iu_xy).distance_to(dest) < origin_remaining]
         aset = availability_set(links, self.table, self.demand, self.fixed_rate_bits)
-        if aset:
-            return select_iu(aset), busy
-        return None, busy
+        return (select_entry(aset) if aset else None), busy
 
-    def _reflector_endpoints(self, ris_id: int, origin: Position, gamma_of) -> list[tuple]:
-        """Qualifying endpoints behind reflector ``ris_id``: (link, tau, rate)."""
-        iu_pos = self._iu_positions()
+    def _reflector_entries(self, ris_id: int, origin: Position, gamma_of) -> list[Entry]:
+        """Qualifying entries behind reflector ``ris_id``, the destination first."""
         dest = self.topo.dest
         origin_remaining = origin.distance_to(dest)
-        found = topology.half_circle_scan(
-            self.topo, self.topo.position(ris_id), dest, (NodeKind.DEST, NodeKind.IU), iu_positions=iu_pos
-        )
+        found = self._scan(self.topo.position(ris_id))
         idle, _ = self._split_idle_busy([i for i in found if i != DEST_ID])
         out = []
         for node_id in ([DEST_ID] if DEST_ID in found else []) + idle:
-            pos = self.topo.position(node_id, iu_pos)
-            remaining = pos.distance_to(dest)
-            if remaining >= origin_remaining:
+            pos = self.topo.position(node_id, self.iu_xy)
+            if pos.distance_to(dest) >= origin_remaining:
                 continue  # a reflector hop must still make forward progress
-            gamma = gamma_of(pos)
-            rate = self._reflected_rate(gamma)
+            link = self._link(node_id, pos, gamma_of(pos))
+            rate = self._reflected_rate(link.snr_linear)
             if rate <= 0.0:
                 continue
             tau = linkbudget.transfer_slots_at_rate(self.demand, rate)
-            nu = self._idle_window(node_id)
-            if tau > nu:
-                continue
-            link = CandidateLink(
-                node_id=node_id,
-                snr_db=10.0 * math.log10(gamma) if gamma > 0 else -math.inf,
-                snr_linear=gamma,
-                remaining_m=remaining,
-                nu_idle_slots=nu,
-            )
-            out.append((link, tau, rate))
+            if tau <= link.nu_idle_slots:
+                out.append(Entry(link, tau, rate, 0))
         return out
 
     def ris_fallback(self, origin: Position):
-        """Reflector stage; returns (surfaces, link, tau, rate) or a FailureReason.
+        """Reflector stage; returns (surfaces, entry) or a FailureReason.
 
         ``surfaces`` holds the one or two RIS ids the signal crosses, in
-        order; ``link`` is the endpoint behind the last one.
+        order; ``entry`` is the endpoint behind the last one, picked by
+        ``select_entry`` like a relay.
 
         Single reflection: every visible surface is scored by the forward
         progress of its best qualifying endpoint. Double reflection: the
@@ -381,7 +376,7 @@ class Router:
         incoming: dict[int, channel.FadingVector] = {}
 
         if self.policy.ris_mode in ("both", "single_only"):
-            best = None  # ((progress, ris_id), ris_id, entry)
+            best = None  # ((progress, ris_id), surfaces, entry)
             for ris_id in candidates:
                 h_in = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
                 incoming[ris_id] = h_in
@@ -394,17 +389,14 @@ class Router:
                         self.params, _h_in, h_out, _d_in, _ris_pos.distance_to(pos)
                     )
 
-                endpoints = self._reflector_endpoints(ris_id, origin, gamma_of)
-                if not endpoints:
+                entries = self._reflector_entries(ris_id, origin, gamma_of)
+                if not entries:
                     continue
-                entry = self._select_reflector_endpoint(endpoints)
-                progress = min(e[0].remaining_m for e in endpoints)
-                key = (progress, ris_id)
+                key = (min(e.link.remaining_m for e in entries), ris_id)
                 if best is None or key < best[0]:
-                    best = (key, ris_id, entry)
+                    best = (key, (ris_id,), select_entry(entries))
             if best is not None:
-                _, ris_id, (link, tau, rate) = best
-                return (ris_id,), link, tau, rate
+                return best[1:]
 
         if self.policy.ris_mode in ("both", "double_only"):
             first = candidates[0]  # nearest the destination (LRD scan order)
@@ -426,100 +418,71 @@ class Router:
                 h_out = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
                 phase_i, phase_j = channel.alternating_double_phases(h_in, h_mid, h_out)
                 return channel.double_reflection_sinr(
-                    self.params,
-                    h_in,
-                    phase_i,
-                    h_mid,
-                    phase_j,
-                    h_out,
-                    d_in,
-                    d_mid,
-                    second_pos.distance_to(pos),
+                    self.params, h_in, phase_i, h_mid, phase_j, h_out,
+                    d_in, d_mid, second_pos.distance_to(pos),
                 )
 
-            endpoints = self._reflector_endpoints(second, origin, gamma_of)
-            if endpoints:
-                link, tau, rate = self._select_reflector_endpoint(endpoints)
-                return (first, second), link, tau, rate
+            entries = self._reflector_entries(second, origin, gamma_of)
+            if entries:
+                return (first, second), select_entry(entries)
         return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
-
-    @staticmethod
-    def _select_reflector_endpoint(endpoints: list[tuple]) -> tuple:
-        for entry in endpoints:
-            if entry[0].node_id == DEST_ID:
-                return entry
-        return min(endpoints, key=lambda e: (e[1], e[0].remaining_m, e[0].node_id))
 
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> RouteLedger:
-        cfg = self.cfg
-        topo = self.topo
-        src = topo.source
-        dst = topo.dest
-        l = src.distance_to(dst)
-        psi = topology.min_hops(l, topo.coverage_radius)
-        ledger = RouteLedger(total_delay_s=cfg.total_delay_s, slot_s=cfg.slot_s, psi=psi)
-        if cfg.total_delay_s < cfg.slot_s:
-            ledger.failure_reason = FailureReason.DELAY_EXCEEDED
-            return ledger
-        budget = delaymodel.DelayBudget.start(cfg.total_delay_s, psi)
-        current_pos = src
+        """Route from the source until the destination is reached or a step fails.
 
+        Each position takes the relay stage's entry, else (after at most one
+        deferral) the reflector stage's, and commits it; a failure ends the
+        route with its reason. The ledger's slot total is the clock at the end.
+        """
+        cfg = self.cfg
+        psi = topology.min_hops(self.topo.source.distance_to(self.topo.dest), self.topo.coverage_radius)
+        ledger = RouteLedger(total_delay_s=cfg.total_delay_s, slot_s=cfg.slot_s, psi=psi)
+        ledger.failure_reason = self._route(ledger)
+        ledger.success = ledger.failure_reason is None
+        ledger.total_slots = self.clock
+        return ledger
+
+    def _route(self, ledger: RouteLedger) -> FailureReason | None:
+        """The hop loop of ``run``; None once the destination is reached."""
+        if self.cfg.total_delay_s < self.cfg.slot_s:
+            return FailureReason.DELAY_EXCEEDED
+        src = origin = self.topo.source
+        budget = delaymodel.DelayBudget.start(self.cfg.total_delay_s, ledger.psi)
         while True:
             wait_slots = 0
-            entry, busy = self._try_position(current_pos)
+            entry, busy = self._relay_stage(origin)
             if entry is None:
                 wait_slots = self._deferral(busy, budget)
                 if wait_slots > 0:
-                    self.clock += wait_slots
-                    ledger.hops.append(
-                        HopChoice(
-                            kind=HopKind.WAIT,
-                            via=(),
-                            labels=(),
-                            slots_used=wait_slots,
-                            rate=0.0,
-                            constellation=0,
-                            harvested_j=0.0,
-                            remaining_m=current_pos.distance_to(dst),
-                        )
-                    )
-                    entry, _ = self._try_position(current_pos)
-            if entry is not None:
-                link, mode, tau = entry
-                hop = self._commit(current_pos, (), link, tau, mode.rate, mode.constellation, ledger)
-            else:
-                # reflector decision epoch costs one slot
-                self.clock += 1
+                    self._tick(wait_slots)
+                    remaining = origin.distance_to(self.topo.dest)
+                    ledger.hops.append(HopChoice(HopKind.WAIT, (), (), wait_slots, 0.0, 0, 0.0, remaining))
+                    entry, _ = self._relay_stage(origin)
+            surfaces = ()
+            if entry is None:
+                self._tick(1)  # the reflector decision epoch costs one slot
+                wait_slots += 1  # and joins the t'' tally
                 if self._remaining_s() < 0:
-                    ledger.failure_reason = FailureReason.DELAY_EXCEEDED
-                    ledger.total_slots = self.clock
-                    return ledger
-                outcome = self.ris_fallback(current_pos)
+                    return FailureReason.DELAY_EXCEEDED
+                outcome = self.ris_fallback(origin)
                 if isinstance(outcome, FailureReason):
-                    ledger.failure_reason = outcome
-                    ledger.total_slots = self.clock
-                    return ledger
-                surfaces, link, tau, rate = outcome
-                hop = self._commit(current_pos, surfaces, link, tau, rate, 0, ledger)
-                wait_slots += 1  # the decision slot joins the t'' tally
-            if hop is None:  # commit failed on time or outage; reason already set
-                ledger.total_slots = self.clock
-                return ledger
-            endpoint_id, endpoint_pos = hop
-            if endpoint_id == DEST_ID:
-                ledger.success = True
-                ledger.total_slots = self.clock
-                return ledger
+                    return outcome
+                surfaces, entry = outcome
+            endpoint = self._commit(origin, surfaces, entry, ledger)
+            if isinstance(endpoint, FailureReason):
+                return endpoint
+            if entry.link.node_id == DEST_ID:
+                return None
             # budget the next position, carrying this position's wait forward
-            psi_next = topology.hops_consumed(src, endpoint_pos, topo.coverage_radius)
-            wait_s = wait_slots * cfg.slot_s
+            psi_next = topology.hops_consumed(src, endpoint, self.topo.coverage_radius)
+            wait_s = wait_slots * self.cfg.slot_s
             try:
                 budget.advance(wait_s, psi_next)
             except delaymodel.HopOvershootError:
                 budget.pin_next(wait_s, self._remaining_s())
-            current_pos = endpoint_pos
+            origin = endpoint
 
     # -- commit helpers ----------------------------------------------------------
 
@@ -533,38 +496,32 @@ class Router:
             return 0
         return eta
 
-    def _outage(self, anchor: Position, node_id: int, end_clock: int) -> bool:
-        """Counterpart out of coverage of ``anchor`` at transfer end (mobile runs only)."""
-        if self.mobility is None or self.topo.kind(node_id) is not NodeKind.IU:
-            return False
-        moved = self.mobility.positions_at(end_clock * self.cfg.slot_s)
-        return anchor.distance_to(self.topo.position(node_id, moved)) > self.topo.coverage_radius
+    def _commit(self, origin: Position, surfaces: tuple[int, ...], entry: Entry, ledger: RouteLedger):
+        """Transmit ``entry`` from ``origin`` via zero, one or two ``surfaces``.
 
-    def _commit(self, origin: Position, surfaces: tuple[int, ...], link: CandidateLink,
-                tau: int, rate: float, constellation: int, ledger: RouteLedger):
-        """Transmit from ``origin`` to ``link``'s node via zero, one or two ``surfaces``.
-
-        Returns (endpoint id, endpoint position), or None with the ledger's
-        failure reason set when the transfer overruns the delay budget or
-        the endpoint leaves coverage of the last transmitter meanwhile.
-        Raises ValueError, before any state changes, on a hop that does not
-        end strictly closer to the destination than ``origin``.
+        Returns the endpoint's position once ``_tick`` has run the
+        transfer's slots, or a FailureReason and logs no hop: DELAY_EXCEEDED,
+        before the clock moves, when the transfer would overrun the budget;
+        OUTAGE, after it, when (mobile runs) an IU endpoint has left coverage
+        of the last transmitter by the transfer's end. Raises ValueError,
+        before any state changes, on a hop that does not end strictly closer
+        to the destination than ``origin``.
         """
+        link, tau = entry.link, entry.tau
         if not link.remaining_m < origin.distance_to(self.topo.dest):
             raise ValueError(
                 f"hop to {self.topo.label(link.node_id)} ends {link.remaining_m} m from the "
                 "destination, no closer than its origin"
             )
         if (self.clock + tau) * self.cfg.slot_s > self.cfg.total_delay_s:
-            ledger.failure_reason = FailureReason.DELAY_EXCEEDED
-            return None
-        self.clock += tau
-        anchor = self.topo.position(surfaces[-1]) if surfaces else origin
-        if self._outage(anchor, link.node_id, self.clock):
-            ledger.failure_reason = FailureReason.OUTAGE
-            return None
+            return FailureReason.DELAY_EXCEEDED
+        self._tick(tau)
+        endpoint = self.topo.position(link.node_id, self.iu_xy)
         harvested = 0.0
-        if self.topo.kind(link.node_id) is NodeKind.IU:
+        if link.node_id != DEST_ID:
+            anchor = self.topo.position(surfaces[-1]) if surfaces else origin
+            if self.mobility is not None and anchor.distance_to(endpoint) > self.topo.coverage_radius:
+                return FailureReason.OUTAGE
             received = link.snr_linear * self.params.noise_power
             harvested = linkbudget.harvested_energy_for_transfer(
                 self.harvester, received, tau, self.cfg.slot_s
@@ -576,13 +533,13 @@ class Router:
                 via=via,
                 labels=tuple(self.topo.label(i) for i in via),
                 slots_used=tau,
-                rate=float(rate),
-                constellation=constellation,
+                rate=float(entry.rate),
+                constellation=entry.constellation,
                 harvested_j=harvested,
                 remaining_m=link.remaining_m,
             )
         )
-        return link.node_id, self.topo.position(link.node_id, self._iu_positions())
+        return endpoint
 
 
 def route(
@@ -590,22 +547,10 @@ def route(
     means: tuple[np.ndarray, np.ndarray],
     cfg: SimConfig,
     rng: np.random.Generator,
-    policy: RoutePolicy | None = None,
+    variant: str = "full",
     mobility=None,
 ) -> RouteLedger:
-    """Run the full decision procedure once and return its ledger."""
-    return Router(topo, means, cfg, rng, policy=policy, mobility=mobility).run()
-
-
-def baseline_route(
-    variant: str,
-    topo: Topology,
-    means: tuple[np.ndarray, np.ndarray],
-    cfg: SimConfig,
-    rng: np.random.Generator,
-    mobility=None,
-) -> RouteLedger:
-    """Route under a named comparison policy (see BASELINE_POLICIES)."""
+    """Run the decision procedure once under a named policy (see BASELINE_POLICIES)."""
     if variant not in BASELINE_POLICIES:
         raise ValueError(f"unknown variant {variant!r}; choose from {sorted(BASELINE_POLICIES)}")
-    return route(topo, means, cfg, rng, policy=BASELINE_POLICIES[variant], mobility=mobility)
+    return Router(topo, means, cfg, rng, policy=BASELINE_POLICIES[variant], mobility=mobility).run()

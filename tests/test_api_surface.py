@@ -1,11 +1,14 @@
-"""Every function, class and method of ``risroute`` is reached by the program.
+"""Every function, class and method of ``risroute`` is reached by the program,
+and every name a ``risroute`` module imports is used in that module.
 
 A name counts as reached when an identifier, attribute or string constant
 in ``src/risroute`` or ``bench/`` outside the name's own definition spells
 it (``bench/tracing.py`` rebinds targets it names in strings). Helpers that
 only the tests call belong in the tests, as oracles next to the checks
 that use them. Dunders are exempt, and so is ``cli.main``, the console
-entry point declared in ``pyproject.toml``.
+entry point declared in ``pyproject.toml``. An import counts as used when
+an identifier of its module spells the bound name; ``from __future__``
+imports are exempt.
 """
 
 import ast
@@ -58,3 +61,23 @@ def unreached_names() -> list[str]:
 
 def test_every_definition_is_reached_by_the_program():
     assert unreached_names() == []
+
+
+def unused_imports() -> list[str]:
+    """``module.name`` for each name a ``src/risroute`` module imports but never uses."""
+    unused = []
+    for path in sorted((ROOT / "src" / "risroute").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

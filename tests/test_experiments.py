@@ -44,6 +44,11 @@ class TestPlanValidation:
         {"kind": "mobility", "density_grid": (100,)}, {"kind": "trajectory", "density_grid": (100,)},
         {"kind": "traffic_validation", "density_grid": (100,)}, {"kind": "trajectory", "coverage_grid": (60.0,)},
         {"kind": "traffic_validation", "coverage_grid": (60.0,)},
+        # a plan field only another kind reads
+        {"kind": "coverage_sweep", "variants": ("shannon",)}, {"kind": "mobility", "variants": ("full",)},
+        {"vmax_grid": (0.0,)}, {"kind": "density_sweep", "vmax_grid": (0.0, 5.0)},
+        {"deltas": (0.1,)}, {"xi_grid": (0.5,)}, {"chains": 10}, {"batches": 4},
+        {"kind": "mobility", "chains": 10}, {"kind": "trajectory", "deltas": (0.2,)},
     ])
     def test_rejected_as_config_error(self, bad):
         with pytest.raises(ConfigError):

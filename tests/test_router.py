@@ -7,23 +7,23 @@ import numpy as np
 import pytest
 from conftest import build_topology, idle_profiles, line_config, rng_for
 
-from risroute import traffic
+from risroute import linkbudget, traffic
 from risroute.config import SimConfig
 from risroute.linkbudget import TransferDemand, build_mode_table
 from risroute.router import (
     CandidateLink,
+    Entry,
     FailureReason,
     HopChoice,
     HopKind,
     RouteLedger,
     Router,
     availability_set,
-    baseline_route,
     route,
-    select_iu,
+    select_entry,
 )
 from risroute.experiments import MobilityField
-from risroute.topology import Position, generate_topology
+from risroute.topology import DEST_ID, Position, generate_topology
 
 
 LINE_ENDS = {"source_xy": (20.0, 200.0), "dest_xy": (380.0, 200.0)}
@@ -42,7 +42,8 @@ class TestAvailabilitySet:
         # 24 bits at 8 bits/symbol -> 3 slots <= nu=4.21
         links = [make_link(2, 25.0, 300.0, 4.21)]
         aset = availability_set(links, self.table, self.demand)
-        assert any(mode.rate == 8 and tau == 3 for _, mode, tau in aset)
+        assert any((e.tau, e.rate, e.constellation) == (3, 8, 256) for e in aset)
+        assert all(e.link is links[0] for e in aset)
 
     def test_oversized_transfer_excluded(self):
         # best is 6 bits/symbol at 18 dB -> 4 slots > nu=3.9; lower rates worse
@@ -58,48 +59,67 @@ class TestAvailabilitySet:
         links = [make_link(2, 25.0, 300.0, 1e9)]
         aset = availability_set(links, self.table, self.demand)
         assert len(aset) == 8  # rates 1..8 all usable at 25 dB
+        assert [e.rate for e in aset] == list(range(1, 9))  # ascending rate
+        assert [e.tau for e in aset] == [24, 12, 8, 6, 5, 4, 4, 3]
 
     def test_non_adaptive_keeps_only_pinned_mode(self):
         links = [make_link(2, 25.0, 300.0, 1e9)]
         aset = availability_set(links, self.table, self.demand, fixed_rate_bits=2)
         assert len(aset) == 1
-        assert aset[0][1].rate == 2
+        assert (aset[0].rate, aset[0].constellation, aset[0].tau) == (2, 4, 12)
 
     def test_non_adaptive_needs_channel_support(self):
         links = [make_link(2, 10.0, 300.0, 1e9)]  # only BPSK feasible
         aset = availability_set(links, self.table, self.demand, fixed_rate_bits=2)
         assert aset == []
 
+    def test_slot_count_once_per_constellation(self, monkeypatch):
+        real, calls = linkbudget.transfer_slots, []
+        monkeypatch.setattr(linkbudget, "transfer_slots", lambda d, m: calls.append(m) or real(d, m))
+        links = [make_link(2 + i, 25.0, 300.0, 1e9) for i in range(200)]
+        aset = availability_set(links, self.table, self.demand)
+        assert len(aset) == 200 * 8
+        assert len(calls) <= 8
+
 
 class TestSelectIu:
-    table = build_mode_table(1e-6)
+    """``select_entry`` picking among relay (IU) entries, and the destination over any of them."""
 
     def entries(self, taus_remainings):
-        out = []
-        for i, (tau, rem) in enumerate(taus_remainings):
-            mode = next(m for m in self.table if m.rate == 8)
-            out.append((make_link(2 + i, 25.0, rem, 100.0), mode, tau))
-        return out
+        return [Entry(make_link(2 + i, 25.0, rem, 100.0), tau, 8, 256)
+                for i, (tau, rem) in enumerate(taus_remainings)]
 
     def test_argmin_slots(self):
         aset = self.entries([(5, 100.0), (3, 300.0), (7, 50.0)])
-        assert select_iu(aset)[2] == 3
+        assert select_entry(aset).tau == 3
 
     def test_tie_break_least_remaining(self):
         aset = self.entries([(3, 250.0), (3, 200.0)])
-        assert select_iu(aset)[0].remaining_m == 200.0
+        assert select_entry(aset).link.remaining_m == 200.0
 
     def test_tie_break_lower_id(self):
         aset = self.entries([(3, 200.0), (3, 200.0)])
-        assert select_iu(aset)[0].node_id == 2
+        assert select_entry(aset).link.node_id == 2
 
     def test_singleton(self):
         aset = self.entries([(4, 100.0)])
-        assert select_iu(aset)[2] == 4
+        assert select_entry(aset).tau == 4
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            select_iu([])
+            select_entry([])
+
+    def test_destination_beats_faster_iu(self):
+        dest = Entry(make_link(DEST_ID, 12.0, 0.0, math.inf), 6, 4.0, 0)
+        aset = self.entries([(2, 50.0)]) + [dest]
+        assert select_entry(aset) is dest
+
+    def test_equal_slot_modes_lowest_rate_wins(self):
+        # 24 bits at 18.5 dB: rates 6 and 7 both need 4 slots, rate 8 is unusable
+        aset = availability_set([make_link(2, 18.5, 300.0, 1e9)], build_mode_table(1e-6),
+                                TransferDemand(packets=3, bits_per_packet=8, proc_power=0.01))
+        chosen = select_entry(aset)
+        assert (chosen.tau, chosen.rate) == (4, 6)
 
 
 class TestDirectRouting:
@@ -138,15 +158,15 @@ class TestDirectRouting:
     def test_fixed_modulation_needs_more_slots(self):
         topo = build_topology([], src=(360.0, 200.0))
         cfg = line_config(packets=4)  # 32 bits
-        full = baseline_route("full", topo, idle_profiles(0), cfg, rng_for(104))
-        fixed = baseline_route("fixed_mod", topo, idle_profiles(0), cfg, rng_for(104))
+        full = route(topo, idle_profiles(0), cfg, rng_for(104), variant="full")
+        fixed = route(topo, idle_profiles(0), cfg, rng_for(104), variant="fixed_mod")
         assert full.success and fixed.success
         assert full.hops[0].slots_used == 4  # 256-QAM
         assert fixed.hops[0].slots_used == 16  # pinned QPSK
         assert fixed.hops[0].rate == 2.0
         # the pinned constellation is the config's
         cfg16 = line_config(packets=4, fixed_rate_bits=4)
-        pinned16 = baseline_route("fixed_mod", topo, idle_profiles(0), cfg16, rng_for(104))
+        pinned16 = route(topo, idle_profiles(0), cfg16, rng_for(104), variant="fixed_mod")
         assert (pinned16.hops[0].slots_used, pinned16.hops[0].constellation) == (8, 16)
 
 
@@ -188,10 +208,10 @@ class TestReflectorFallback:
         riss = [(50.0, 200.0), (100.0, 200.0)]
         topo = build_topology(ius, riss)
         cfg = line_config()
-        led = baseline_route("single_ris", topo, idle_profiles(5), cfg, rng_for(107))
+        led = route(topo, idle_profiles(5), cfg, rng_for(107), variant="single_ris")
         assert not led.success
         assert led.failure_reason is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
-        full = baseline_route("full", topo, idle_profiles(5), cfg, rng_for(107))
+        full = route(topo, idle_profiles(5), cfg, rng_for(107), variant="full")
         assert full.success
 
     def test_double_only_fails_without_adjacent_reflector(self):
@@ -200,10 +220,10 @@ class TestReflectorFallback:
         riss = [(50.0, 200.0)]
         topo = build_topology(ius, riss)
         cfg = line_config()
-        led = baseline_route("double_ris", topo, idle_profiles(6), cfg, rng_for(108))
+        led = route(topo, idle_profiles(6), cfg, rng_for(108), variant="double_ris")
         assert not led.success
         assert led.failure_reason is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
-        full = baseline_route("full", topo, idle_profiles(6), cfg, rng_for(108))
+        full = route(topo, idle_profiles(6), cfg, rng_for(108), variant="full")
         assert full.success
         assert full.hops[0].kind is HopKind.SINGLE_RIS
 
@@ -213,7 +233,7 @@ class TestReflectorFallback:
         cfg = line_config(packets=1)  # 8 bits: QPSK transfer fits the idle window
         traces = set()
         for variant in ("full", "shannon", "single_ris", "double_ris", "fixed_mod"):
-            led = baseline_route(variant, topo, idle_profiles(7), cfg, rng_for(109))
+            led = route(topo, idle_profiles(7), cfg, rng_for(109), variant=variant)
             assert led.success
             traces.add(led.trace())
         assert len(traces) == 1
@@ -348,7 +368,8 @@ class TestLedgerOutput:
 
 
 class TestCommitProgress:
-    """The hop commit refuses a hop that ends no closer to D, also under ``python -O``."""
+    """The hop commit takes one entry shape for every hop kind; it refuses a hop
+    that ends no closer to D, also under ``python -O``, and reports an overrun."""
 
     def check(self):
         topo = build_topology([(50.0, 200.0)], [(30.0, 200.0), (40.0, 200.0)])  # U1 is id 2, R1 3, R2 4
@@ -356,18 +377,23 @@ class TestCommitProgress:
         origin = Position(100.0, 200.0)  # 300 m from D
         stuck = make_link(2, 25.0, 300.0, 1e9)
         closer = make_link(2, 25.0, 350.0, 1e9)
+        overrun = r.cfg.total_delay_s / r.cfg.slot_s + 1
         for surfaces, kind, constellation in (((), HopKind.DIRECT_IU, 256), ((3,), HopKind.SINGLE_RIS, 0),
                                               ((3, 4), HopKind.DOUBLE_RIS, 0)):
             led = RouteLedger()
             with pytest.raises(ValueError, match="no closer"):
-                r._commit(origin, surfaces, stuck, 3, 8.0, constellation, led)
+                r._commit(origin, surfaces, Entry(stuck, 3, 8.0, constellation), led)
+            assert led.hops == [] and r.clock == 0
+            far = Position(10.0, 200.0)
+            reason = r._commit(far, surfaces, Entry(closer, int(overrun), 8.0, constellation), led)
+            assert reason is FailureReason.DELAY_EXCEEDED
             assert led.hops == [] and r.clock == 0
             # the same hop from farther out commits: clock, ledger and endpoint
-            end = r._commit(Position(10.0, 200.0), surfaces, closer, 3, 8.0, constellation, led)
-            assert end == (2, Position(50.0, 200.0)) and r.clock == 3
+            end = r._commit(far, surfaces, Entry(closer, 3, 8.0, constellation), led)
+            assert end == Position(50.0, 200.0) and r.clock == 3
             hop = led.hops[-1]
             assert (hop.kind, hop.via) == (kind, (*surfaces, 2))
-            assert (hop.slots_used, hop.constellation) == (3, constellation)
+            assert (hop.slots_used, hop.rate, hop.constellation) == (3, 8.0, constellation)
             assert hop.harvested_j > 0.0
             r.clock = 0
 
