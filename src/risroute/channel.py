@@ -15,6 +15,9 @@ arbitrary Phi lives in ``tests/test_channel.py`` as the oracle it is
 checked against. Two surfaces have no closed form: their phases are
 aligned alternately, one surface at a time, and the cascade is evaluated.
 
+A fading draw advances the generator when it is made, but its arrays
+are built on first read, so a draw no link reads costs only the draw.
+
 The short-packet achievable rate is the normal approximation
 
     R(g) = log2(1+g) - Qinv(eps)/ln2 * sqrt((g^2+2g) / (M_b (1+g)^2)),
@@ -35,31 +38,49 @@ from .config import SimConfig
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class FadingVector:
     """Element-wise fading, value = amplitudes * exp(-1j * phases).
 
     1-D for device-surface segments, 2-D (out x in) for the surface-to-
     surface segment; rectangular shapes are allowed when element counts
-    differ.
+    differ. ``source`` returns (amplitudes, phases); it runs on the first
+    read of either and is then dropped. ``values`` is built once, on its
+    first read.
     """
 
-    amplitudes: np.ndarray
-    phases: np.ndarray
+    __slots__ = ("_source", "_amplitudes", "_phases", "_values")
 
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=float)
-        ph = np.mod(np.asarray(self.phases, dtype=float), TWO_PI)
+    def __init__(self, source):
+        self._source = source
+        self._values = None
+
+    def _build(self) -> None:
+        amp, ph = self._source()
+        amp = np.asarray(amp, dtype=float)
+        ph = np.mod(np.asarray(ph, dtype=float), TWO_PI)
         if amp.shape != ph.shape:
             raise ValueError("amplitudes and phases must share a shape")
-        if not np.all(np.isfinite(amp)) or np.any(amp < 0):
+        if not np.isfinite(amp).all() or (amp < 0).any():
             raise ValueError("amplitudes must be finite and nonnegative")
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "phases", ph)
+        self._amplitudes, self._phases, self._source = amp, ph, None
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if self._source is not None:
+            self._build()
+        return self._amplitudes
+
+    @property
+    def phases(self) -> np.ndarray:
+        if self._source is not None:
+            self._build()
+        return self._phases
 
     @property
     def values(self) -> np.ndarray:
-        return self.amplitudes * np.exp(-1j * self.phases)
+        if self._values is None:
+            self._values = self.amplitudes * np.exp(-1j * self.phases)
+        return self._values
 
     def __len__(self) -> int:
         return self.amplitudes.shape[0]
@@ -95,18 +116,22 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
 
     The line-of-sight part carries K/(K+1) of the power at a uniformly
     drawn phase; the scattered part is circularly symmetric Gaussian with
-    the remaining 1/(K+1).
+    the remaining 1/(K+1). ``rng`` is advanced here, by the phases and then
+    the real and imaginary normals; the arrays are built on first read.
     """
     shape = (n,) if isinstance(n, int) else tuple(n)
     if any(s < 1 for s in shape):
         raise ValueError("fading shape components must be >= 1")
     k = 10.0 ** (rician_k_db / 10.0)
-    los = math.sqrt(k / (k + 1.0)) * np.exp(1j * rng.uniform(0.0, TWO_PI, size=shape))
-    scatter = math.sqrt(1.0 / (k + 1.0)) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ) / math.sqrt(2.0)
-    h = los + scatter
-    return FadingVector(amplitudes=np.abs(h), phases=np.mod(-np.angle(h), TWO_PI))
+    los_amp, scatter_amp = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
+    phase = rng.uniform(0.0, TWO_PI, size=shape)
+    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+
+    def arrays():
+        h = los_amp * np.exp(1j * phase) + scatter_amp * (re + 1j * im) / math.sqrt(2.0)
+        return np.abs(h), np.mod(-np.angle(h), TWO_PI)
+
+    return FadingVector(arrays)
 
 
 def direct_snr(params: LinkBudgetParams, h: complex, d: float) -> float:

@@ -99,9 +99,9 @@ class ExperimentPlan:
             raise ConfigError(f"{self.kind} takes no coverage_grid")
         if self.kind == "mobility" and len(self.resolved_coverage_grid()) > 1:
             raise ConfigError("mobility runs at one coverage radius; give coverage_grid a single value")
-        for name, owner in _OWNED_FIELDS:
-            if self.kind != owner and getattr(self, name) != _PLAN_DEFAULTS[name]:
-                raise ConfigError(f"{self.kind} takes no {name} (only {owner} runs one)")
+        for name, readers in _OWNED_FIELDS:
+            if self.kind not in readers and getattr(self, name) != _PLAN_DEFAULTS[name]:
+                raise ConfigError(f"{self.kind} takes no {name} (read only by {', '.join(readers)})")
 
     def resolved_coverage_grid(self) -> tuple[float, ...]:
         if self.coverage_grid is not None:
@@ -121,11 +121,12 @@ class ExperimentPlan:
 
 
 _PLAN_DEFAULTS = {f.name: f.default for f in fields(ExperimentPlan)}
-# plan fields only one kind reads; any other kind refuses a non-default value
+# plan fields some kinds do not read, with the kinds that do; any other kind refuses a non-default value
 _OWNED_FIELDS = (
-    ("variants", "comparison"),
-    ("vmax_grid", "mobility"),
-    *((name, "traffic_validation") for name in ("deltas", "xi_grid", "chains", "batches")),
+    ("variants", ("comparison",)),
+    ("vmax_grid", ("mobility",)),
+    *((name, ("traffic_validation",)) for name in ("deltas", "xi_grid", "chains", "batches")),
+    ("replications", tuple(kind for kind in EXPERIMENT_KINDS if kind != "traffic_validation")),
 )
 
 

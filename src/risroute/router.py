@@ -303,6 +303,15 @@ class Router:
             return channel.shannon_rate(gamma)
         return channel.finite_blocklength_rate(gamma, self.cfg.blocklength, self.cfg.epsilon)
 
+    def _forward(self, node_ids: list[int], origin: Position) -> list[tuple[int, Position]]:
+        """(id, position) of each node strictly closer to the destination than ``origin``."""
+        dest = self.topo.dest
+        origin_remaining = origin.distance_to(dest)
+        return [
+            (i, pos) for i in node_ids
+            if (pos := self.topo.position(i, self.iu_xy)).distance_to(dest) < origin_remaining
+        ]
+
     def _split_idle_busy(self, ius: list[int]) -> tuple[list[int], list[int]]:
         rows = np.array(ius, dtype=np.intp) - FIRST_IU_ID
         states = self.field.states_at(self.clock, rows, self.rng)
@@ -331,21 +340,16 @@ class Router:
         idle, busy = self._split_idle_busy([i for i in found if i != DEST_ID])
         # forward progress is required of a hop, not just half-disc membership
         links = [ln for ln in self._direct_links(origin, idle) if ln.remaining_m < origin_remaining]
-        busy = [i for i in busy if self.topo.position(i, self.iu_xy).distance_to(dest) < origin_remaining]
+        busy = [i for i, _ in self._forward(busy, origin)]
         aset = availability_set(links, self.table, self.demand, self.fixed_rate_bits)
         return (select_entry(aset) if aset else None), busy
 
-    def _reflector_entries(self, ris_id: int, origin: Position, gamma_of) -> list[Entry]:
-        """Qualifying entries behind reflector ``ris_id``, the destination first."""
-        dest = self.topo.dest
-        origin_remaining = origin.distance_to(dest)
-        found = self._scan(self.topo.position(ris_id))
+    def _reflector_entries(self, found: list[int], origin: Position, gamma_of) -> list[Entry]:
+        """Qualifying entries among ``found``, a reflector's scan, the destination first."""
         idle, _ = self._split_idle_busy([i for i in found if i != DEST_ID])
         out = []
-        for node_id in ([DEST_ID] if DEST_ID in found else []) + idle:
-            pos = self.topo.position(node_id, self.iu_xy)
-            if pos.distance_to(dest) >= origin_remaining:
-                continue  # a reflector hop must still make forward progress
+        # a reflector hop must still make forward progress
+        for node_id, pos in self._forward(([DEST_ID] if DEST_ID in found else []) + idle, origin):
             link = self._link(node_id, pos, gamma_of(pos))
             rate = self._reflected_rate(link.snr_linear)
             if rate <= 0.0:
@@ -367,6 +371,11 @@ class Router:
         surface nearest the destination extends to exactly one adjacent
         surface; no third. "single_only" skips the extension,
         "double_only" skips the single stage.
+
+        The double stage is a dead end before any draw or traffic
+        observation when the second surface's half-disc holds neither the
+        destination nor an IU strictly closer to it than ``origin``
+        (``_forward``); a dead end ends the route, so nothing reads them.
         """
         topo = self.topo
         n_elements = topo.ris_elements
@@ -389,7 +398,7 @@ class Router:
                         self.params, _h_in, h_out, _d_in, _ris_pos.distance_to(pos)
                     )
 
-                entries = self._reflector_entries(ris_id, origin, gamma_of)
+                entries = self._reflector_entries(self._scan(ris_pos), origin, gamma_of)
                 if not entries:
                     continue
                 key = (min(e.link.remaining_m for e in entries), ris_id)
@@ -407,6 +416,9 @@ class Router:
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
             second = adjacent[0]
             second_pos = topo.position(second)
+            found = self._scan(second_pos)
+            if not self._forward(found, origin):
+                return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # nothing h_mid could reach
             h_in = incoming.get(first)
             if h_in is None:
                 h_in = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
@@ -422,7 +434,7 @@ class Router:
                     d_in, d_mid, second_pos.distance_to(pos),
                 )
 
-            entries = self._reflector_entries(second, origin, gamma_of)
+            entries = self._reflector_entries(found, origin, gamma_of)
             if entries:
                 return (first, second), select_entry(entries)
         return FailureReason.DEAD_END_AFTER_DOUBLE_RIS

@@ -6,6 +6,7 @@ from scipy import integrate
 from scipy.stats import kstest
 
 from risroute.channel import (
+    TWO_PI,
     FadingVector,
     LinkBudgetParams,
     alternating_double_phases,
@@ -41,7 +42,7 @@ def q_inv_bisection(eps: float) -> float:
 
 
 def ones_vector(n):
-    return FadingVector(amplitudes=np.ones(n), phases=np.zeros(n))
+    return FadingVector(lambda: (np.ones(n), np.zeros(n)))
 
 
 # -- the arbitrary-phase single-reflection cascade, kept here as the oracle for
@@ -58,6 +59,20 @@ def single_reflection_sinr(params, h_in, phases, h_out, d_in, d_out):
 def aligned_phases(h_in, h_out):
     """Per-element alignment theta_n = t_in,n + t_out,n (single served user)."""
     return h_in.phases + h_out.phases
+
+
+def eager_fading(n, rician_k_db, rng):
+    """The eager sampler, arrays built at call time, as the oracle of the lazy one:
+    (amplitudes, phases, values), the phases wrapped twice as FadingVector wrapped them."""
+    shape = (n,) if isinstance(n, int) else tuple(n)
+    k = 10.0 ** (rician_k_db / 10.0)
+    los = math.sqrt(k / (k + 1.0)) * np.exp(1j * rng.uniform(0.0, TWO_PI, size=shape))
+    scatter = math.sqrt(1.0 / (k + 1.0)) * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ) / math.sqrt(2.0)
+    h = los + scatter
+    amplitudes, phases = np.abs(h), np.mod(np.mod(-np.angle(h), TWO_PI), TWO_PI)
+    return amplitudes, phases, amplitudes * np.exp(-1j * phases)
 
 
 class TestFadingSampler:
@@ -86,8 +101,48 @@ class TestFadingSampler:
         assert np.all((fv.phases >= 0) & (fv.phases < 2 * math.pi))
 
     def test_value_convention(self):
-        fv = FadingVector(amplitudes=np.array([2.0]), phases=np.array([math.pi / 3]))
+        fv = FadingVector(lambda: (np.array([2.0]), np.array([math.pi / 3])))
         assert fv.values[0] == pytest.approx(2.0 * np.exp(-1j * math.pi / 3), rel=1e-12)
+
+
+class TestLazyDraw:
+    @pytest.mark.parametrize("shape", [1, 250, (8, 5), (250, 250)])
+    def test_same_stream_and_arrays_as_eager(self, shape):
+        rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(21)
+        fv = sample_fading(shape, 10.0, rng)
+        amplitudes, phases, values = eager_fading(shape, 10.0, oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state  # advanced at call time
+        assert np.array_equal(fv.values, values)
+        assert np.array_equal(fv.amplitudes, amplitudes) and np.array_equal(fv.phases, phases)
+        assert fv.values is fv.values and fv.amplitudes is fv.amplitudes  # each built once
+
+    def test_amplitudes_first_then_values(self):
+        fv = sample_fading(250, 10.0, np.random.default_rng(22))
+        amplitudes, phases, values = eager_fading(250, 10.0, np.random.default_rng(22))
+        assert np.array_equal(fv.amplitudes, amplitudes)
+        assert np.array_equal(fv.values, values) and np.array_equal(fv.phases, phases)
+        assert len(fv) == 250
+
+    def test_raw_draws_released_once_built(self):
+        fv = sample_fading((4, 4), 10.0, np.random.default_rng(23))
+        fv.values
+        assert fv._source is None
+
+    @pytest.mark.parametrize("read", ["values", "amplitudes", "phases"])
+    def test_non_finite_draw_raises_on_first_read(self, read):
+        rng, oracle_rng = np.random.default_rng(24), np.random.default_rng(24)
+        fv = sample_fading(4, math.nan, rng)  # K = nan: every amplitude is nan
+        eager_fading(4, math.nan, oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state  # drawn all the same
+        with pytest.raises(ValueError, match="finite"):
+            getattr(fv, read)
+        with pytest.raises(ValueError, match="finite"):
+            fv.values  # still refused on a second read, never a nan value
+
+    def test_negative_amplitudes_raise_on_first_read(self):
+        fv = FadingVector(lambda: (np.array([1.0, -0.5]), np.zeros(2)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            fv.values
 
 
 class TestDirectSnr:
@@ -185,7 +240,7 @@ class TestDoubleReflection:
         h_in = sample_fading(n, 10.0, rng)
         h_out = sample_fading(n, 10.0, rng)
         phase_i = aligned_phases(h_in, h_out)
-        identity = FadingVector(amplitudes=np.eye(n), phases=np.zeros((n, n)))
+        identity = FadingVector(lambda: (np.eye(n), np.zeros((n, n))))
         double = double_reflection_sinr(PARAMS, h_in, phase_i, identity, np.zeros(n), h_out, 25.0, 1.0, 35.0)
         single = single_reflection_sinr(PARAMS, h_in, phase_i, h_out, 25.0, 35.0)
         assert double == pytest.approx(single * PARAMS.rho_l, rel=1e-12)

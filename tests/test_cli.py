@@ -86,6 +86,7 @@ class TestRejectedBeforeAnyRoute:
         ["route", "--threads", "0"],
         ["sweep-coverage", "--threads", "-2", "--replications", "1"],
         ["route", "--replications", "0"],
+        ["validate-traffic", "--seed", "5", "--replications", "3"],
     ])
     def test_bad_plan_flag_is_config_error(self, tmp_path, capsys, args):
         assert main(args + ["--out", str(tmp_path / "out")]) == 1

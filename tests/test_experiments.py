@@ -49,6 +49,8 @@ class TestPlanValidation:
         {"vmax_grid": (0.0,)}, {"kind": "density_sweep", "vmax_grid": (0.0, 5.0)},
         {"deltas": (0.1,)}, {"xi_grid": (0.5,)}, {"chains": 10}, {"batches": 4},
         {"kind": "mobility", "chains": 10}, {"kind": "trajectory", "deltas": (0.2,)},
+        # a plan field the kind ignores: traffic validation reads chains and batches instead
+        {"kind": "traffic_validation", "replications": 3},
     ])
     def test_rejected_as_config_error(self, bad):
         with pytest.raises(ConfigError):

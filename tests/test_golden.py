@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from risroute import channel, router
 from risroute.config import SimConfig
 from risroute.experiments import ExperimentPlan, run
 
@@ -63,6 +64,12 @@ CASES = {
         ExperimentPlan(kind="mobility", seed=5, replications=3, vmax_grid=(0.0, 10.0)),
         SimConfig(iu_count=150),
     ),
+    # the sparse-ris benchmark shape: almost every route ends in the double-reflection stage
+    "coverage_sweep_sparse": (
+        ExperimentPlan(kind="coverage_sweep", seed=5, replications=6,
+                       coverage_grid=(30.0,), density_grid=(100,)),
+        SimConfig(),
+    ),
 }
 
 
@@ -102,6 +109,31 @@ def test_outputs_match_golden(name, tmp_path):
             assert len(g_row) == len(w_row), (filename, i)
             for g, w in zip(g_row, w_row):
                 assert cells_match(g, w), (filename, i, g, w)
+
+
+def test_sparse_case_reaches_dead_end_check(tmp_path, monkeypatch):
+    """Some route of the sparse case ends at the double stage's geometric check.
+
+    The RIS grid (spacing r/2) gives every first surface here an adjacent
+    one, so a dead end that drew no h_mid is one the check ended.
+    """
+    real_fading, real_fallback = channel.sample_fading, router.Router.ris_fallback
+    hmid_draws, checked = [0], [0]
+
+    def fading(n, k, rng):
+        hmid_draws[0] += not isinstance(n, int)
+        return real_fading(n, k, rng)
+
+    def fallback(self, origin):
+        before = hmid_draws[0]
+        outcome = real_fallback(self, origin)
+        checked[0] += outcome is router.FailureReason.DEAD_END_AFTER_DOUBLE_RIS and hmid_draws[0] == before
+        return outcome
+
+    monkeypatch.setattr(channel, "sample_fading", fading)
+    monkeypatch.setattr(router.Router, "ris_fallback", fallback)
+    outputs("coverage_sweep_sparse", tmp_path)
+    assert checked[0] >= 1
 
 
 def test_cell_comparison():

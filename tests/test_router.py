@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from conftest import build_topology, idle_profiles, line_config, rng_for
 
-from risroute import linkbudget, traffic
+from risroute import channel, linkbudget, traffic
 from risroute.config import SimConfig
 from risroute.linkbudget import TransferDemand, build_mode_table
 from risroute.router import (
+    BASELINE_POLICIES,
     CandidateLink,
     Entry,
     FailureReason,
@@ -237,6 +238,53 @@ class TestReflectorFallback:
             assert led.success
             traces.add(led.trace())
         assert len(traces) == 1
+
+
+def fading_shapes(monkeypatch) -> list:
+    """Record the shape of every ``sample_fading`` call from now on."""
+    real, shapes = channel.sample_fading, []
+    monkeypatch.setattr(channel, "sample_fading", lambda n, k, rng: shapes.append(n) or real(n, k, rng))
+    return shapes
+
+
+class TestDoubleStageDeadEnd:
+    """The double stage ends before drawing anything when no endpoint behind the
+    second surface could make forward progress."""
+
+    origin = Position(200.0, 200.0)  # 200 m from D at (400, 200)
+    riss = [(205.0, 255.0), (225.0, 310.0)]  # the first surface, then the one adjacent to it
+    # behind the second surface; math.hypot puts it exactly 200 m from D (no progress),
+    # np.hypot, the scan's distance, 1 ulp closer
+    on_boundary = (268.3790697883004, 350.58529387097167)
+    # behind the second surface; math.hypot puts it 1 ulp inside 200 m (progress), np.hypot does not
+    inside_boundary = (268.81556516388173, 350.96570490256465)
+
+    def router(self, iu):
+        topo = build_topology([iu], self.riss)
+        policy = BASELINE_POLICIES["double_ris"]
+        r = Router(topo, idle_profiles(1), line_config(), rng_for(120), policy=policy)
+        assert r._scan(Position(*self.riss[1])) == [2]  # the IU is in the second surface's half-disc
+        return r
+
+    def test_boundary_distances(self):
+        dest = Position(400.0, 200.0)
+        assert Position(*self.on_boundary).distance_to(dest) == self.origin.distance_to(dest) == 200.0
+        assert Position(*self.inside_boundary).distance_to(dest) < 200.0
+
+    def test_no_forward_endpoint_draws_nothing(self, monkeypatch):
+        r = self.router(self.on_boundary)
+        shapes = fading_shapes(monkeypatch)
+        before = r.rng.bit_generator.state
+        assert r.ris_fallback(self.origin) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
+        assert [n for n in shapes if not isinstance(n, int)] == []
+        assert r.rng.bit_generator.state == before
+
+    def test_busy_forward_endpoint_still_draws_h_mid(self, monkeypatch):
+        r = self.router(self.inside_boundary)
+        r.field.state[:] = traffic.BUSY  # observed at slot 0, so read without a draw
+        shapes = fading_shapes(monkeypatch)
+        assert r.ris_fallback(self.origin) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
+        assert [n for n in shapes if not isinstance(n, int)] == [(250, 250)]
 
 
 class TestDeferral:
