@@ -14,16 +14,24 @@ Every run writes a manifest JSON capturing the resolved configuration
 and the plan. Feeding that manifest back through --config restores only
 the configuration: the outputs are reproduced byte for byte when --seed
 and --replications are passed again with their original values.
+
+``main`` pins BLAS and OpenMP to one thread before numpy loads: a
+250x250 mat-vec of the double-reflection alignment rounds differently
+when OpenBLAS splits it across threads, so unpinned outputs would depend
+on the host's core count. Calling ``main`` in a process that has already
+loaded numpy keeps that process's setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
-from . import experiments
 from .config import ConfigError, SimConfig, load_config
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _SUBCOMMAND_KINDS = {
     "route": "trajectory",
@@ -59,6 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    os.environ.update(dict.fromkeys(BLAS_VARS, "1"))
+    from . import experiments  # loads numpy, after the BLAS pin
+
     args = build_parser().parse_args(argv)
     kind = _SUBCOMMAND_KINDS[args.subcommand]
     try:

@@ -13,6 +13,13 @@ grid point under one policy and one summary row: ``_grid_cells`` lists them
 in output order, ``_run_cell`` runs one cell's replications and ``_run_grid``
 runs them all (the two sweeps on worker processes when asked) into CSVs.
 
+Node positions are rows of the topology's node table (a node's id is its row;
+see ``topology``). The mobility walk keeps IU i's position, waypoint and
+speed on row i of three arrays: nodes that stay on their leg move in one
+vectorised step, and each node that reaches its waypoint walks on in IU
+order with scalar float arithmetic (``math.dist``), drawing its next
+waypoint and speed from the walk's own stream.
+
 Replication streams derive deterministically from (seed, indices) via
 SeedSequence, so outputs are byte-identical across runs and thread
 counts; comparison variants and mobility grid points reuse the same
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -33,7 +41,6 @@ import numpy as np
 
 from . import metrics, router, topology, traffic
 from .config import ConfigError, SimConfig
-from .topology import Position
 
 EXPERIMENT_KINDS = (
     "trajectory",
@@ -148,49 +155,13 @@ class ExperimentResult:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MobilityState:
-    """One node's waypoint-walk state (model: random waypoint, no pauses)."""
-
-    position: Position
-    waypoint: Position
-    velocity: float  # m/s, in [0, v_max]
-
-
-def mobility_step(
-    state: MobilityState,
-    dt: float,
-    arena: tuple[float, float],
-    v_max: float,
-    rng: np.random.Generator,
-) -> MobilityState:
-    """Advance one node ``dt`` seconds; redraw waypoint and speed on arrival."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    pos, wp, v = state.position, state.waypoint, state.velocity
-    remaining = dt
-    while True:
-        dist = pos.distance_to(wp)
-        if v <= 0.0:
-            break
-        time_to_wp = dist / v
-        if time_to_wp > remaining:
-            frac = v * remaining / dist
-            pos = Position(pos.x + (wp.x - pos.x) * frac, pos.y + (wp.y - pos.y) * frac)
-            break
-        pos = wp
-        remaining -= time_to_wp
-        wp = Position(rng.uniform(0.0, arena[0]), rng.uniform(0.0, arena[1]))
-        v = rng.uniform(0.0, 1.0) * v_max
-    return MobilityState(position=pos, waypoint=wp, velocity=v)
-
-
 class MobilityField:
-    """Lazy random-waypoint walk for all IUs of one run.
+    """Lazy random-waypoint walk (no pauses) for all IUs of one run.
 
-    Speeds are a shared uniform fraction times v_max, so runs that differ
-    only in v_max scale the same displacements (and v_max=0 is exactly
-    static). Owns its RNG: the route's streams are never touched.
+    Row i of ``xy``, ``waypoints`` and ``speeds`` is IU i's walk. Speeds are
+    a shared uniform fraction times v_max, so runs that differ only in v_max
+    scale the same displacements (and v_max=0 is exactly static). Owns its
+    RNG: the route's streams are never touched.
     """
 
     def __init__(
@@ -224,16 +195,22 @@ class MobilityField:
             if np.any(moving):
                 frac = (step[moving] / dist[moving])[:, None]
                 self.xy[moving] += delta[moving] * frac
+            # arriving nodes walk on leg by leg; each arrival draws the next waypoint's x, y, then the speed
             for i in np.nonzero(arriving)[0]:
-                state = MobilityState(
-                    position=Position(*self.xy[i]),
-                    waypoint=Position(*self.waypoints[i]),
-                    velocity=float(self.speeds[i]),
-                )
-                state = mobility_step(state, dt, self.arena, self.v_max, self.rng)
-                self.xy[i] = (state.position.x, state.position.y)
-                self.waypoints[i] = (state.waypoint.x, state.waypoint.y)
-                self.speeds[i] = state.velocity
+                (x, y), (wx, wy), v = self.xy[i].tolist(), self.waypoints[i].tolist(), float(self.speeds[i])
+                remaining = dt
+                while v > 0.0:
+                    dist = math.dist((x, y), (wx, wy))
+                    time_to_wp = dist / v
+                    if time_to_wp > remaining:
+                        frac = v * remaining / dist
+                        x, y = x + (wx - x) * frac, y + (wy - y) * frac
+                        break
+                    x, y = wx, wy
+                    remaining -= time_to_wp
+                    wx, wy = self.rng.uniform(0.0, self.arena[0]), self.rng.uniform(0.0, self.arena[1])
+                    v = self.rng.uniform(0.0, 1.0) * self.v_max
+                self.xy[i], self.waypoints[i], self.speeds[i] = (x, y), (wx, wy), v
         self.t = t
         return self.xy.copy()
 

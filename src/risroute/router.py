@@ -24,6 +24,14 @@ counts the slots spent, and moving IUs (mobility runs) move with it.
 Baseline policies restrict the reflector stage (single-only /
 double-only), pin the constellation (no rate adaptation), or swap the
 reflected rate for its infinite-blocklength limit.
+
+Node positions are rows of the node table ``Router.xy`` (a node's id is its
+row; see ``topology``): the topology's own table in static runs, a copy
+whose IU rows follow the walk in mobile runs. A point is an ``(x, y)``
+pair of floats read from a row, and every distance compared or written is
+``math.dist`` of two points. The scan's ``np.hypot`` distances are never
+reused: they differ from ``math.dist`` in the last bit for some pairs, and
+a hop must make forward progress by the same distance the ledger records.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import numpy as np
 from . import channel, delaymodel, linkbudget, topology, traffic
 from .config import SimConfig
 from .linkbudget import ModeTable, TransferDemand, TransmissionMode
-from .topology import DEST_ID, FIRST_IU_ID, NodeKind, Position, Topology
+from .topology import DEST_ID, FIRST_IU_ID, SOURCE_ID, Point, Topology
 
 LEDGER_SCHEMA_VERSION = 1
 
@@ -259,7 +267,10 @@ class Router:
         self.fixed_rate_bits = None if self.policy.adaptive else cfg.fixed_rate_bits
         self.field = traffic.TrafficField(lambda_s, mu_s, cfg.slot_s, cfg.delta, cfg.p_th, rng)
         self.clock = 0  # slots elapsed
-        self.iu_xy = topo.iu_xy  # IU positions at the clock
+        self.xy = topo.xy if mobility is None else topo.xy.copy()  # node positions at the clock
+        self.relay_ids = range(DEST_ID, topo.first_ris_id)  # the destination and the IUs
+        self.ris_ids = range(topo.first_ris_id, len(topo.xy))
+        self.dest = self._point(DEST_ID)
 
     # -- clock -------------------------------------------------------------------
 
@@ -267,34 +278,40 @@ class Router:
         """Advance the clock by ``slots``, and the IU walk with it (mobile runs only)."""
         self.clock += slots
         if self.mobility is not None:
-            self.iu_xy = self.mobility.positions_at(self.clock * self.cfg.slot_s)
+            ius = self.mobility.positions_at(self.clock * self.cfg.slot_s)
+            self.xy[FIRST_IU_ID:self.topo.first_ris_id] = ius
 
     def _remaining_s(self) -> float:
         return self.cfg.total_delay_s - self.clock * self.cfg.slot_s
 
     # -- link evaluation -------------------------------------------------------
 
-    def _scan(self, center: Position) -> list[int]:
-        """Destination and IUs in the half-disc of ``center`` facing the destination."""
-        return topology.half_circle_scan(
-            self.topo, center, self.topo.dest, (NodeKind.DEST, NodeKind.IU), iu_positions=self.iu_xy
-        )
+    def _point(self, node_id: int) -> Point:
+        """Where ``node_id`` is at the clock."""
+        x, y = self.xy[node_id].tolist()
+        return x, y
 
-    def _link(self, node_id: int, pos: Position, snr: float) -> CandidateLink:
+    def _scan(self, center: Point, ids: range | None = None) -> list[int]:
+        """Ids in ``ids`` (default: the destination and the IUs) in the half-disc
+        of ``center`` facing the destination."""
+        ids = self.relay_ids if ids is None else ids
+        return topology.half_circle_scan(self.xy, ids, center, self.dest, self.topo.coverage_radius)
+
+    def _link(self, node_id: int, pos: Point, snr: float) -> CandidateLink:
         """The link to ``node_id`` at ``pos`` with linear SNR ``snr``; the destination is never busy."""
         snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
         nu = math.inf if node_id == DEST_ID else float(self.field.nu_idle[node_id - FIRST_IU_ID])
-        return CandidateLink(node_id, snr_db, snr, pos.distance_to(self.topo.dest), nu)
+        return CandidateLink(node_id, snr_db, snr, math.dist(pos, self.dest), nu)
 
-    def _direct_links(self, origin: Position, ids: list[int]) -> list[CandidateLink]:
+    def _direct_links(self, origin: Point, ids: list[int]) -> list[CandidateLink]:
         """Fresh fading and SNR for each node on a direct device-device link."""
         if not ids:
             return []
         fading = channel.sample_fading(len(ids), self.params.rician_k_db, self.rng)
         links = []
         for node_id, amp in zip(ids, fading.amplitudes):
-            pos = self.topo.position(node_id, self.iu_xy)
-            snr = channel.direct_snr(self.params, complex(amp), origin.distance_to(pos))
+            pos = self._point(node_id)
+            snr = channel.direct_snr(self.params, complex(amp), math.dist(origin, pos))
             links.append(self._link(node_id, pos, snr))
         return links
 
@@ -303,14 +320,11 @@ class Router:
             return channel.shannon_rate(gamma)
         return channel.finite_blocklength_rate(gamma, self.cfg.blocklength, self.cfg.epsilon)
 
-    def _forward(self, node_ids: list[int], origin: Position) -> list[tuple[int, Position]]:
+    def _forward(self, node_ids: list[int], origin: Point) -> list[tuple[int, Point]]:
         """(id, position) of each node strictly closer to the destination than ``origin``."""
-        dest = self.topo.dest
-        origin_remaining = origin.distance_to(dest)
-        return [
-            (i, pos) for i in node_ids
-            if (pos := self.topo.position(i, self.iu_xy)).distance_to(dest) < origin_remaining
-        ]
+        dest = self.dest
+        origin_remaining = math.dist(origin, dest)
+        return [(i, pos) for i in node_ids if math.dist(pos := self._point(i), dest) < origin_remaining]
 
     def _split_idle_busy(self, ius: list[int]) -> tuple[list[int], list[int]]:
         rows = np.array(ius, dtype=np.intp) - FIRST_IU_ID
@@ -321,13 +335,12 @@ class Router:
 
     # -- route steps -----------------------------------------------------------
 
-    def _relay_stage(self, origin: Position) -> tuple[Entry | None, list[int]]:
+    def _relay_stage(self, origin: Point) -> tuple[Entry | None, list[int]]:
         """One scan at the current epoch: (entry | None, forward busy ids).
 
         The destination, when in sight with a usable mode, is taken at its
         fastest mode before any IU traffic is observed.
         """
-        dest = self.topo.dest
         found = self._scan(origin)
         if DEST_ID in found:
             link = self._direct_links(origin, [DEST_ID])[0]
@@ -336,7 +349,7 @@ class Router:
                 mode = modes[-1]  # the fastest usable mode
                 tau = linkbudget.transfer_slots(self.demand, mode)
                 return Entry(link, tau, mode.rate, mode.constellation), []
-        origin_remaining = origin.distance_to(dest)
+        origin_remaining = math.dist(origin, self.dest)
         idle, busy = self._split_idle_busy([i for i in found if i != DEST_ID])
         # forward progress is required of a hop, not just half-disc membership
         links = [ln for ln in self._direct_links(origin, idle) if ln.remaining_m < origin_remaining]
@@ -344,7 +357,7 @@ class Router:
         aset = availability_set(links, self.table, self.demand, self.fixed_rate_bits)
         return (select_entry(aset) if aset else None), busy
 
-    def _reflector_entries(self, found: list[int], origin: Position, gamma_of) -> list[Entry]:
+    def _reflector_entries(self, found: list[int], origin: Point, gamma_of) -> list[Entry]:
         """Qualifying entries among ``found``, a reflector's scan, the destination first."""
         idle, _ = self._split_idle_busy([i for i in found if i != DEST_ID])
         out = []
@@ -359,7 +372,7 @@ class Router:
                 out.append(Entry(link, tau, rate, 0))
         return out
 
-    def ris_fallback(self, origin: Position):
+    def ris_fallback(self, origin: Point):
         """Reflector stage; returns (surfaces, entry) or a FailureReason.
 
         ``surfaces`` holds the one or two RIS ids the signal crosses, in
@@ -377,9 +390,8 @@ class Router:
         destination nor an IU strictly closer to it than ``origin``
         (``_forward``); a dead end ends the route, so nothing reads them.
         """
-        topo = self.topo
-        n_elements = topo.ris_elements
-        candidates = topology.half_circle_scan(topo, origin, topo.dest, NodeKind.RIS)
+        n_elements = self.topo.ris_elements
+        candidates = self._scan(origin, self.ris_ids)
         if not candidates:
             return FailureReason.NO_IU_NO_RIS
         incoming: dict[int, channel.FadingVector] = {}
@@ -389,13 +401,13 @@ class Router:
             for ris_id in candidates:
                 h_in = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
                 incoming[ris_id] = h_in
-                ris_pos = topo.position(ris_id)
-                d_in = origin.distance_to(ris_pos)
+                ris_pos = self._point(ris_id)
+                d_in = math.dist(origin, ris_pos)
 
                 def gamma_of(pos, _ris_pos=ris_pos, _h_in=h_in, _d_in=d_in):
                     h_out = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
                     return channel.optimal_single_reflection_snr(
-                        self.params, _h_in, h_out, _d_in, _ris_pos.distance_to(pos)
+                        self.params, _h_in, h_out, _d_in, math.dist(_ris_pos, pos)
                     )
 
                 entries = self._reflector_entries(self._scan(ris_pos), origin, gamma_of)
@@ -409,13 +421,13 @@ class Router:
 
         if self.policy.ris_mode in ("both", "double_only"):
             first = candidates[0]  # nearest the destination (LRD scan order)
-            first_pos = topo.position(first)
-            adjacent = topology.half_circle_scan(topo, first_pos, topo.dest, NodeKind.RIS)
+            first_pos = self._point(first)
+            adjacent = self._scan(first_pos, self.ris_ids)
             adjacent = [r for r in adjacent if r != first]
             if not adjacent:
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
             second = adjacent[0]
-            second_pos = topo.position(second)
+            second_pos = self._point(second)
             found = self._scan(second_pos)
             if not self._forward(found, origin):
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # nothing h_mid could reach
@@ -423,15 +435,15 @@ class Router:
             if h_in is None:
                 h_in = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
             h_mid = channel.sample_fading((n_elements, n_elements), self.params.rician_k_db, self.rng)
-            d_in = origin.distance_to(first_pos)
-            d_mid = first_pos.distance_to(second_pos)
+            d_in = math.dist(origin, first_pos)
+            d_mid = math.dist(first_pos, second_pos)
 
             def gamma_of(pos):
                 h_out = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
                 phase_i, phase_j = channel.alternating_double_phases(h_in, h_mid, h_out)
                 return channel.double_reflection_sinr(
                     self.params, h_in, phase_i, h_mid, phase_j, h_out,
-                    d_in, d_mid, second_pos.distance_to(pos),
+                    d_in, d_mid, math.dist(second_pos, pos),
                 )
 
             entries = self._reflector_entries(found, origin, gamma_of)
@@ -449,7 +461,7 @@ class Router:
         route with its reason. The ledger's slot total is the clock at the end.
         """
         cfg = self.cfg
-        psi = topology.min_hops(self.topo.source.distance_to(self.topo.dest), self.topo.coverage_radius)
+        psi = topology.min_hops(math.dist(self._point(SOURCE_ID), self.dest), self.topo.coverage_radius)
         ledger = RouteLedger(total_delay_s=cfg.total_delay_s, slot_s=cfg.slot_s, psi=psi)
         ledger.failure_reason = self._route(ledger)
         ledger.success = ledger.failure_reason is None
@@ -460,7 +472,7 @@ class Router:
         """The hop loop of ``run``; None once the destination is reached."""
         if self.cfg.total_delay_s < self.cfg.slot_s:
             return FailureReason.DELAY_EXCEEDED
-        src = origin = self.topo.source
+        src = origin = self._point(SOURCE_ID)
         budget = delaymodel.DelayBudget.start(self.cfg.total_delay_s, ledger.psi)
         while True:
             wait_slots = 0
@@ -469,7 +481,7 @@ class Router:
                 wait_slots = self._deferral(busy, budget)
                 if wait_slots > 0:
                     self._tick(wait_slots)
-                    remaining = origin.distance_to(self.topo.dest)
+                    remaining = math.dist(origin, self.dest)
                     ledger.hops.append(HopChoice(HopKind.WAIT, (), (), wait_slots, 0.0, 0, 0.0, remaining))
                     entry, _ = self._relay_stage(origin)
             surfaces = ()
@@ -508,7 +520,7 @@ class Router:
             return 0
         return eta
 
-    def _commit(self, origin: Position, surfaces: tuple[int, ...], entry: Entry, ledger: RouteLedger):
+    def _commit(self, origin: Point, surfaces: tuple[int, ...], entry: Entry, ledger: RouteLedger):
         """Transmit ``entry`` from ``origin`` via zero, one or two ``surfaces``.
 
         Returns the endpoint's position once ``_tick`` has run the
@@ -520,7 +532,7 @@ class Router:
         to the destination than ``origin``.
         """
         link, tau = entry.link, entry.tau
-        if not link.remaining_m < origin.distance_to(self.topo.dest):
+        if not link.remaining_m < math.dist(origin, self.dest):
             raise ValueError(
                 f"hop to {self.topo.label(link.node_id)} ends {link.remaining_m} m from the "
                 "destination, no closer than its origin"
@@ -528,11 +540,11 @@ class Router:
         if (self.clock + tau) * self.cfg.slot_s > self.cfg.total_delay_s:
             return FailureReason.DELAY_EXCEEDED
         self._tick(tau)
-        endpoint = self.topo.position(link.node_id, self.iu_xy)
+        endpoint = self._point(link.node_id)
         harvested = 0.0
         if link.node_id != DEST_ID:
-            anchor = self.topo.position(surfaces[-1]) if surfaces else origin
-            if self.mobility is not None and anchor.distance_to(endpoint) > self.topo.coverage_radius:
+            anchor = self._point(surfaces[-1]) if surfaces else origin
+            if self.mobility is not None and math.dist(anchor, endpoint) > self.topo.coverage_radius:
                 return FailureReason.OUTAGE
             received = link.snr_linear * self.params.noise_power
             harvested = linkbudget.harvested_energy_for_transfer(

@@ -3,12 +3,12 @@
 import numpy as np
 
 from risroute.config import SimConfig
-from risroute.topology import Position, Topology
+from risroute.topology import Topology
 
 
 def build_topology(iu_xy, ris_xy=(), src=(0.0, 200.0), dst=(400.0, 200.0),
                    r=60.0, arena=(400.0, 400.0), ris_elements=250):
-    return Topology(Position(*src), Position(*dst), np.array(iu_xy, dtype=float),
+    return Topology(src, dst, np.array(iu_xy, dtype=float),
                     np.array(ris_xy, dtype=float), ris_elements, r, arena)
 
 

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from risroute.cli import main
+from risroute.cli import BLAS_VARS, main
 
 
 def write_cfg(path: Path, text: str) -> str:
@@ -115,3 +118,19 @@ class TestManifestReproduction:
         payload = json.loads(manifest.read_text())
         assert payload["config"]["iu_count"] == 100
         assert payload["plan"]["seed"] == 11
+
+
+class TestBlasPinned:
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # at seed 9 one double-reflection route at r=40 m writes a D_T differing in its last digits when
+        # OpenBLAS splits the 250x250 alignment mat-vecs over two threads, unless the CLI pins one
+        src = Path(__file__).resolve().parents[1] / "src"
+        written = []
+        for threads in ("1", "2"):
+            blas = dict.fromkeys(BLAS_VARS, threads)
+            out = tmp_path / threads
+            cmd = [sys.executable, "-m", "risroute.cli", "compare", "--seed", "9", "--replications", "3",
+                   "--out", str(out), "--quiet"]
+            subprocess.run(cmd, env={**os.environ, **blas, "PYTHONPATH": str(src)}, check=True, timeout=300)
+            written.append((out / "comparison_detail.csv").read_bytes())
+        assert written[0] == written[1]

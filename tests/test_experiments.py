@@ -1,6 +1,8 @@
+import copy
 import csv
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +13,11 @@ from risroute.config import ConfigError, SimConfig, load_config
 from risroute.experiments import (
     ExperimentPlan,
     MobilityField,
-    MobilityState,
     derive_rng,
     estimate_duration_quantiles,
-    mobility_step,
     run,
     run_one_route,
 )
-from risroute.topology import Position
 
 
 def read_csv(path):
@@ -57,34 +56,79 @@ class TestPlanValidation:
             ExperimentPlan(**{"kind": "comparison", **bad})
 
 
+@dataclass(frozen=True)
+class MobilityState:
+    """Oracle: one node's waypoint-walk state (random waypoint, no pauses)."""
+
+    position: tuple[float, float]
+    waypoint: tuple[float, float]
+    velocity: float  # m/s, in [0, v_max]
+
+
+def mobility_step(state, dt, arena, v_max, rng) -> MobilityState:
+    """Oracle: advance one node ``dt`` seconds; redraw waypoint and speed on arrival."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    pos, wp, v = state.position, state.waypoint, state.velocity
+    remaining = dt
+    while True:
+        dist = math.hypot(pos[0] - wp[0], pos[1] - wp[1])
+        if v <= 0.0:
+            break
+        time_to_wp = dist / v
+        if time_to_wp > remaining:
+            frac = v * remaining / dist
+            pos = (pos[0] + (wp[0] - pos[0]) * frac, pos[1] + (wp[1] - pos[1]) * frac)
+            break
+        pos = wp
+        remaining -= time_to_wp
+        wp = (rng.uniform(0.0, arena[0]), rng.uniform(0.0, arena[1]))
+        v = rng.uniform(0.0, 1.0) * v_max
+    return MobilityState(position=pos, waypoint=wp, velocity=v)
+
+
+def oracle_positions_at(walk, dt, arena, v_max, rng) -> int:
+    """Oracle: ``MobilityField.positions_at`` over ``walk = (xy, waypoints, speeds)``,
+    each arriving node advanced by ``mobility_step``; returns the arrivals."""
+    xy, waypoints, speeds = walk
+    delta = waypoints - xy
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    step = speeds * dt
+    arriving = step >= dist
+    moving = ~arriving & (speeds > 0)
+    xy[moving] += delta[moving] * (step[moving] / dist[moving])[:, None]
+    for i in np.nonzero(arriving)[0]:
+        state = MobilityState(tuple(xy[i].tolist()), tuple(waypoints[i].tolist()), float(speeds[i]))
+        state = mobility_step(state, dt, arena, v_max, rng)
+        xy[i], waypoints[i], speeds[i] = state.position, state.waypoint, state.velocity
+    return int(arriving.sum())
+
+
 class TestMobilityStep:
     arena = (400.0, 400.0)
 
     def test_displacement_toward_waypoint(self):
-        state = MobilityState(position=Position(0.0, 0.0), waypoint=Position(300.0, 400.0),
-                              velocity=5.0)
+        state = MobilityState(position=(0.0, 0.0), waypoint=(300.0, 400.0), velocity=5.0)
         out = mobility_step(state, 2.0, self.arena, 20.0, np.random.default_rng(0))
-        dist = math.hypot(out.position.x, out.position.y)
+        dist = math.hypot(*out.position)
         assert dist == pytest.approx(10.0, rel=1e-12)  # v*dt
         assert out.waypoint == state.waypoint  # leg not finished
 
     def test_zero_velocity_is_static(self):
-        state = MobilityState(position=Position(5.0, 5.0), waypoint=Position(300.0, 300.0),
-                              velocity=0.0)
+        state = MobilityState(position=(5.0, 5.0), waypoint=(300.0, 300.0), velocity=0.0)
         out = mobility_step(state, 100.0, self.arena, 0.0, np.random.default_rng(0))
         assert out.position == state.position
 
     def test_arrival_redraws_waypoint_and_speed(self):
-        state = MobilityState(position=Position(0.0, 0.0), waypoint=Position(3.0, 4.0),
-                              velocity=5.0)
+        state = MobilityState(position=(0.0, 0.0), waypoint=(3.0, 4.0), velocity=5.0)
         out = mobility_step(state, 10.0, self.arena, 20.0, np.random.default_rng(7))
         assert out.waypoint != state.waypoint
         assert 0.0 <= out.velocity <= 20.0
         # walked past the first waypoint and onward along the new leg
-        assert (out.position.x, out.position.y) != (3.0, 4.0)
+        assert out.position != (3.0, 4.0)
 
     def test_bad_dt(self):
-        state = MobilityState(Position(0, 0), Position(1, 1), 1.0)
+        state = MobilityState((0.0, 0.0), (1.0, 1.0), 1.0)
         with pytest.raises(ValueError):
             mobility_step(state, 0.0, self.arena, 1.0, np.random.default_rng(0))
 
@@ -102,6 +146,23 @@ class TestMobilityField:
         d1 = f1.positions_at(0.05) - xy
         d2 = f2.positions_at(0.05) - xy
         assert np.allclose(d2, 2.0 * d1, rtol=1e-9)
+
+    def test_walk_matches_oracle_bit_for_bit(self):
+        # steps of tens of seconds at up to 20 m/s: most nodes finish one or more legs per step
+        arena, v_max = (400.0, 400.0), 20.0
+        field = MobilityField(derive_rng(5, 0).uniform(0.0, 400.0, size=(200, 2)), arena, v_max, derive_rng(5, 1))
+        walk = (field.xy.copy(), field.waypoints.copy(), field.speeds.copy())
+        rng = copy.deepcopy(field.rng)
+        arrivals, prev = 0, 0.0
+        for t in (0.5, 7.5, 37.5, 67.5, 162.5, 162.501, 412.501, 425.0):
+            xy = field.positions_at(t)
+            arrivals += oracle_positions_at(walk, t - prev, arena, v_max, rng)
+            prev = t
+            assert xy.tobytes() == walk[0].tobytes()
+            assert field.waypoints.tobytes() == walk[1].tobytes()
+            assert field.speeds.tobytes() == walk[2].tobytes()
+        assert arrivals > 500
+        assert field.rng.bit_generator.state == rng.bit_generator.state
 
     def test_clock_cannot_rewind(self):
         field = MobilityField(np.array([[0.0, 0.0]]), (400.0, 400.0), 5.0, derive_rng(3, 1))

@@ -24,7 +24,7 @@ from risroute.router import (
     select_entry,
 )
 from risroute.experiments import MobilityField
-from risroute.topology import DEST_ID, Position, generate_topology
+from risroute.topology import DEST_ID, generate_topology
 
 
 LINE_ENDS = {"source_xy": (20.0, 200.0), "dest_xy": (380.0, 200.0)}
@@ -251,7 +251,7 @@ class TestDoubleStageDeadEnd:
     """The double stage ends before drawing anything when no endpoint behind the
     second surface could make forward progress."""
 
-    origin = Position(200.0, 200.0)  # 200 m from D at (400, 200)
+    origin = (200.0, 200.0)  # 200 m from D at (400, 200)
     riss = [(205.0, 255.0), (225.0, 310.0)]  # the first surface, then the one adjacent to it
     # behind the second surface; math.hypot puts it exactly 200 m from D (no progress),
     # np.hypot, the scan's distance, 1 ulp closer
@@ -263,13 +263,13 @@ class TestDoubleStageDeadEnd:
         topo = build_topology([iu], self.riss)
         policy = BASELINE_POLICIES["double_ris"]
         r = Router(topo, idle_profiles(1), line_config(), rng_for(120), policy=policy)
-        assert r._scan(Position(*self.riss[1])) == [2]  # the IU is in the second surface's half-disc
+        assert r._scan(self.riss[1]) == [2]  # the IU is in the second surface's half-disc
         return r
 
     def test_boundary_distances(self):
-        dest = Position(400.0, 200.0)
-        assert Position(*self.on_boundary).distance_to(dest) == self.origin.distance_to(dest) == 200.0
-        assert Position(*self.inside_boundary).distance_to(dest) < 200.0
+        dest = (400.0, 200.0)
+        assert math.dist(self.on_boundary, dest) == math.dist(self.origin, dest) == 200.0
+        assert math.dist(self.inside_boundary, dest) < 200.0
 
     def test_no_forward_endpoint_draws_nothing(self, monkeypatch):
         r = self.router(self.on_boundary)
@@ -381,6 +381,23 @@ class TestMobilityOutage:
         assert static.to_rows() == moving.to_rows()
 
 
+class TestNodeTable:
+    def test_static_router_reads_the_topology_table(self):
+        topo = build_topology([(50.0, 200.0)], [(30.0, 200.0)])
+        r = Router(topo, idle_profiles(1), line_config(), rng_for(119))
+        assert r.xy is topo.xy
+
+    def test_walk_moves_only_the_routers_iu_rows(self):
+        topo = build_topology([(50.0, 200.0), (120.0, 210.0)], [(30.0, 200.0)])
+        walk = MobilityField(topo.iu_xy, (400.0, 400.0), 20.0, rng_for(121))
+        r = Router(topo, idle_profiles(2), line_config(), rng_for(119), mobility=walk)
+        before = topo.xy.copy()
+        r._tick(500)
+        assert np.array_equal(topo.xy, before)  # the topology never moves
+        assert np.array_equal(r.xy[2:4], walk.xy) and not np.array_equal(r.xy[2:4], before[2:4])
+        assert np.array_equal(r.xy[[0, 1, 4]], before[[0, 1, 4]])  # S, D and the RIS stay
+
+
 class TestLedgerOutput:
     def sample(self):
         led = RouteLedger(total_delay_s=0.05, slot_s=1e-4, psi=7)
@@ -422,7 +439,7 @@ class TestCommitProgress:
     def check(self):
         topo = build_topology([(50.0, 200.0)], [(30.0, 200.0), (40.0, 200.0)])  # U1 is id 2, R1 3, R2 4
         r = Router(topo, idle_profiles(1), line_config(), rng_for(118))
-        origin = Position(100.0, 200.0)  # 300 m from D
+        origin = (100.0, 200.0)  # 300 m from D
         stuck = make_link(2, 25.0, 300.0, 1e9)
         closer = make_link(2, 25.0, 350.0, 1e9)
         overrun = r.cfg.total_delay_s / r.cfg.slot_s + 1
@@ -432,13 +449,13 @@ class TestCommitProgress:
             with pytest.raises(ValueError, match="no closer"):
                 r._commit(origin, surfaces, Entry(stuck, 3, 8.0, constellation), led)
             assert led.hops == [] and r.clock == 0
-            far = Position(10.0, 200.0)
+            far = (10.0, 200.0)
             reason = r._commit(far, surfaces, Entry(closer, int(overrun), 8.0, constellation), led)
             assert reason is FailureReason.DELAY_EXCEEDED
             assert led.hops == [] and r.clock == 0
             # the same hop from farther out commits: clock, ledger and endpoint
             end = r._commit(far, surfaces, Entry(closer, 3, 8.0, constellation), led)
-            assert end == Position(50.0, 200.0) and r.clock == 3
+            assert end == (50.0, 200.0) and r.clock == 3
             hop = led.hops[-1]
             assert (hop.kind, hop.via) == (kind, (*surfaces, 2))
             assert (hop.slots_used, hop.rate, hop.constellation) == (3, 8.0, constellation)

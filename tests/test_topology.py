@@ -4,12 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risroute.config import SimConfig
 from risroute.experiments import _profiles_for
 from risroute.topology import (
-    NodeKind,
-    Position,
+    DEST_ID,
+    FIRST_IU_ID,
+    SOURCE_ID,
     Topology,
     generate_topology,
     half_circle_scan,
@@ -21,46 +24,55 @@ from risroute.traffic import TrafficField
 
 
 def make_topo(iu_positions, r=60.0, arena=(400.0, 400.0), src=(0.0, 0.0), dst=(400.0, 0.0), ris=()):
-    return Topology(Position(*src), Position(*dst), np.array(iu_positions, dtype=float),
-                    np.array(ris, dtype=float), 250, r, arena)
+    return Topology(src, dst, np.array(iu_positions, dtype=float), np.array(ris, dtype=float), 250, r, arena)
+
+
+def point(topo, node_id):
+    return tuple(topo.xy[node_id].tolist())
+
+
+def scan_ius(topo):
+    """The IUs in the source's half-disc facing the destination."""
+    ius = range(FIRST_IU_ID, topo.first_ris_id)
+    return half_circle_scan(topo.xy, ius, point(topo, SOURCE_ID), point(topo, DEST_ID), topo.coverage_radius)
 
 
 class TestHalfCircleScan:
     def test_forward_node_included(self):
         topo = make_topo([(30.0, 10.0)])
-        hits = half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU)
+        hits = scan_ius(topo)
         assert [topo.label(i) for i in hits] == ["U1"]
 
     def test_node_behind_excluded(self):
         # center at (50,0): the IU at (40,0) has negative projection toward (400,0)
         topo = make_topo([(40.0, 0.0)], src=(50.0, 0.0))
-        hits = half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU)
+        hits = scan_ius(topo)
         assert hits == []
 
     def test_lrd_ordering(self):
         # brute-force distances to (400,0): 350.0, 360.555, 380.033
         topo = make_topo([(20.0, 5.0), (50.0, 0.0), (40.0, 20.0)])
-        hits = half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU)
-        assert [topo.position(i).x for i in hits] == [50.0, 40.0, 20.0]
-        dists = [topo.position(i).distance_to(topo.dest) for i in hits]
+        hits = scan_ius(topo)
+        assert [topo.xy[i, 0] for i in hits] == [50.0, 40.0, 20.0]
+        dists = [math.dist(point(topo, i), point(topo, DEST_ID)) for i in hits]
         assert dists == sorted(dists)
 
     def test_zero_projection_excluded(self):
         # nodes on the perpendicular through the center: zero progress, out
         topo = make_topo([(50.0, 30.0), (50.0, 10.0)], src=(50.0, 5.0), dst=(400.0, 5.0))
-        hits = half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU)
+        hits = scan_ius(topo)
         assert hits == []
 
     def test_tie_break_lower_id(self):
         # two IUs mirrored about the axis: equal remaining distance
         topo = make_topo([(30.0, 110.0), (30.0, 90.0)], src=(0.0, 100.0), dst=(400.0, 100.0))
-        hits = half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU)
+        hits = scan_ius(topo)
         assert hits == [2, 3]
 
     def test_center_equals_target_rejected(self):
         topo = make_topo([(30.0, 10.0)])
         with pytest.raises(ValueError):
-            half_circle_scan(topo, topo.source, topo.source, NodeKind.IU)
+            half_circle_scan(topo.xy, range(2, 3), point(topo, SOURCE_ID), point(topo, SOURCE_ID), 60.0)
 
     def test_subset_of_coverage_disc_random(self):
         # scan hits must be exactly the forward in-range nodes (brute force)
@@ -69,15 +81,52 @@ class TestHalfCircleScan:
             pts = rng.uniform(0.0, 500.0, size=(40, 2))
             topo = make_topo([tuple(p) for p in pts], arena=(500.0, 500.0), src=(100.0, 100.0),
                              dst=(400.0, 100.0))
-            hits = set(half_circle_scan(topo, topo.source, topo.dest, NodeKind.IU))
+            hits = set(scan_ius(topo))
             expected = set()
-            c, t = topo.source, topo.dest
+            (cx, cy), (tx, ty) = point(topo, SOURCE_ID), point(topo, DEST_ID)
             for j, (x, y) in enumerate(pts):
-                d = c.distance_to(Position(x, y))
-                proj = (x - c.x) * (t.x - c.x) + (y - c.y) * (t.y - c.y)
+                d = math.dist((cx, cy), (x, y))
+                proj = (x - cx) * (tx - cx) + (y - cy) * (ty - cy)
                 if d <= topo.coverage_radius and proj > 0:
                     expected.add(2 + j)
             assert hits == expected
+
+
+# whole metres give exact ties and exact zero projections; any float gives the rest
+COORD = st.one_of(st.integers(0, 400).map(float), st.floats(0.0, 400.0))
+POINT = st.tuples(COORD, COORD)
+
+
+class TestScanProperty:
+    """``half_circle_scan`` against a brute-force oracle on random tables, id ranges, centers and radii."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_brute_force(self, data):
+        xy = np.array(data.draw(st.lists(POINT, min_size=1, max_size=25)))
+        start = data.draw(st.integers(0, len(xy)))
+        ids = range(start, data.draw(st.integers(start, len(xy))))
+        center = data.draw(st.one_of(st.sampled_from(xy.tolist()).map(tuple), POINT))  # often a node's own row
+        target = data.draw(POINT.filter(lambda t: t != center))
+        # any radius, or one 10 nm either side of some node's distance from the center
+        near_node = st.builds(lambda row, eps: math.dist(center, row) + eps,
+                              st.sampled_from(xy.tolist()), st.sampled_from((-1e-8, 1e-8)))
+        r = data.draw(st.one_of(st.floats(0.5, 600.0), near_node))
+        found = half_circle_scan(xy, ids, center, target, r)
+
+        assert len(set(found)) == len(found) and set(found) <= set(ids)
+        assert all(tuple(xy[i].tolist()) != center for i in found)  # the center is never a hit
+        axis_len = math.dist(center, target)
+        for i in ids:
+            x, y = xy[i].tolist()
+            proj = ((x - center[0]) * (target[0] - center[0]) + (y - center[1]) * (target[1] - center[1])) / axis_len
+            margin = min(proj, r - math.dist(center, (x, y)))  # > 0 inside, < 0 outside
+            if abs(margin) > 1e-9:
+                assert (i in found) == (margin > 0), (i, margin)
+        # ordered by the scan's remaining distance, ties by lower id
+        remaining = np.hypot(xy[found, 0] - target[0], xy[found, 1] - target[1]).tolist()
+        keys = list(zip(remaining, found))
+        assert keys == sorted(keys)
 
 
 class TestHopArithmetic:
@@ -102,30 +151,30 @@ class TestHopArithmetic:
 
     @pytest.mark.parametrize("dist,r,expected", [(120, 60, 2), (59, 60, 0), (125, 60, 2)])
     def test_hops_consumed(self, dist, r, expected):
-        assert hops_consumed(Position(0, 0), Position(dist, 0), r) == expected
+        assert hops_consumed((0, 0), (dist, 0), r) == expected
 
     def test_hops_consumed_bounded_by_min_hops_on_segment(self):
         rng = np.random.default_rng(11)
-        s, d = Position(0, 0), Position(373.0, 0.0)
+        s, d = (0.0, 0.0), (373.0, 0.0)
         r = 60.0
-        psi = min_hops(s.distance_to(d), r)
+        psi = min_hops(math.dist(s, d), r)
         for _ in range(100):
             x = float(rng.uniform(0, 373))
-            assert hops_consumed(s, Position(x, 0), r) <= psi
+            assert hops_consumed(s, (x, 0.0), r) <= psi
 
 
 class TestTopologyConstruction:
     def test_exactly_one_source_and_dest(self):
-        # ids 0 and 1 are S and D; every other id is an IU or a RIS, in that order
+        # ids 0 and 1 are S and D; every other id is an IU or a RIS, in that order; an id is its row
         topo = make_topo([(30.0, 10.0), (60.0, 10.0)], ris=[(15.0, 15.0)])
-        kinds = [topo.kind(i) for i in range(5)]
-        assert kinds == [NodeKind.SOURCE, NodeKind.DEST, NodeKind.IU, NodeKind.IU, NodeKind.RIS]
+        assert topo.xy.tolist() == [[0.0, 0.0], [400.0, 0.0], [30.0, 10.0], [60.0, 10.0], [15.0, 15.0]]
+        assert topo.first_ris_id == 4 and topo.iu_xy.tolist() == [[30.0, 10.0], [60.0, 10.0]]
         assert [topo.label(i) for i in range(5)] == ["S", "D", "U1", "U2", "R1"]
-        assert topo.position(0) == topo.source and topo.position(1) == topo.dest
-        assert topo.position(3) == Position(60.0, 10.0) and topo.position(4) == Position(15.0, 15.0)
         for bad in (-1, 5):
             with pytest.raises(ValueError):
-                topo.kind(bad)
+                topo.label(bad)
+        with pytest.raises(ValueError):
+            topo.xy[2] = (0.0, 0.0)  # the table is read-only
 
     def test_positions_inside_arena_enforced(self):
         with pytest.raises(ValueError, match="node 1 "):
@@ -135,8 +184,7 @@ class TestTopologyConstruction:
 
     def test_ris_needs_elements(self):
         with pytest.raises(ValueError):
-            Topology(Position(0, 0), Position(9, 9), np.empty((0, 2)), np.array([[1.0, 1.0]]), 0,
-                     60.0, (400.0, 400.0))
+            Topology((0, 0), (9, 9), np.empty((0, 2)), np.array([[1.0, 1.0]]), 0, 60.0, (400.0, 400.0))
 
     def test_grid_spacing_and_bounds(self):
         pts = ris_grid_positions((400.0, 400.0), 30.0)
@@ -152,9 +200,9 @@ class TestTopologyConstruction:
         rng2 = np.random.default_rng(np.random.SeedSequence([9, 0]))
         t1 = generate_topology(cfg, rng1)
         t2 = generate_topology(cfg, rng2)
-        assert (t1.source, t1.dest) == (Position(20, 200), Position(380, 200))
+        assert (point(t1, SOURCE_ID), point(t1, DEST_ID)) == ((20, 200), (380, 200))
         assert t1.iu_xy.shape == (50, 2)
-        assert np.array_equal(t1.ris_xy, ris_grid_positions(t1.arena, cfg.ris_spacing))
+        assert np.array_equal(t1.xy[t1.first_ris_id:], ris_grid_positions(t1.arena, cfg.ris_spacing))
         assert np.array_equal(t1.iu_xy, t2.iu_xy)
 
 
