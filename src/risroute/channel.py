@@ -18,6 +18,10 @@ aligned alternately, one surface at a time, and the cascade is evaluated.
 A fading draw advances the generator when it is made, but its arrays
 are built on first read, so a draw no link reads costs only the draw.
 
+The link-budget constants P, rho_L, alpha and sigma^2 live only in
+``SimConfig``: every SNR here reads them from the config it is handed,
+and the caller passes the config's K to ``sample_fading``.
+
 The short-packet achievable rate is the normal approximation
 
     R(g) = log2(1+g) - Qinv(eps)/ln2 * sqrt((g^2+2g) / (M_b (1+g)^2)),
@@ -28,7 +32,6 @@ clamped at zero (a negative value means no transmission).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcinv
@@ -86,31 +89,6 @@ class FadingVector:
         return self.amplitudes.shape[0]
 
 
-@dataclass(frozen=True)
-class LinkBudgetParams:
-    rho_l: float  # linear path loss at 1 m
-    alpha_d2d: float  # exponent on direct device-device links
-    alpha_other: float  # exponent on reflected segments
-    noise_power: float  # sigma^2, watts
-    tx_power: float  # P, watts
-    rician_k_db: float
-
-    def __post_init__(self):
-        if self.noise_power <= 0 or self.tx_power <= 0 or self.rho_l <= 0:
-            raise ValueError("powers and path loss must be positive")
-
-    @classmethod
-    def from_config(cls, cfg: SimConfig) -> "LinkBudgetParams":
-        return cls(
-            rho_l=cfg.rho_l,
-            alpha_d2d=cfg.alpha_d2d,
-            alpha_other=cfg.alpha_other,
-            noise_power=cfg.noise_w,
-            tx_power=cfg.tx_power_w,
-            rician_k_db=cfg.rician_k_db,
-        )
-
-
 def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.Generator) -> FadingVector:
     """Independent Rician draws with unit mean power and uniform phases.
 
@@ -134,17 +112,15 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
     return FadingVector(arrays)
 
 
-def direct_snr(params: LinkBudgetParams, h: complex, d: float) -> float:
+def direct_snr(cfg: SimConfig, h: complex, d: float) -> float:
     """P rho_L d^-alpha |h|^2 / sigma^2 on a direct device-device link."""
     if d <= 0:
         raise ValueError("distance must be positive")
-    return (
-        params.tx_power * params.rho_l * d ** (-params.alpha_d2d) * abs(h) ** 2 / params.noise_power
-    )
+    return cfg.tx_power_w * cfg.rho_l * d ** (-cfg.alpha_d2d) * abs(h) ** 2 / cfg.noise_w
 
 
 def optimal_single_reflection_snr(
-    params: LinkBudgetParams,
+    cfg: SimConfig,
     h_in: FadingVector,
     h_out: FadingVector,
     d_in: float,
@@ -155,17 +131,17 @@ def optimal_single_reflection_snr(
         raise ValueError("element counts of h_in and h_out must agree")
     coherent = float(np.sum(h_in.amplitudes * h_out.amplitudes))
     return (
-        params.tx_power
+        cfg.tx_power_w
         * coherent**2
-        * params.rho_l**2
-        * d_in ** (-params.alpha_other)
-        * d_out ** (-params.alpha_other)
-        / params.noise_power
+        * cfg.rho_l**2
+        * d_in ** (-cfg.alpha_other)
+        * d_out ** (-cfg.alpha_other)
+        / cfg.noise_w
     )
 
 
 def double_reflection_sinr(
-    params: LinkBudgetParams,
+    cfg: SimConfig,
     h_in: FadingVector,
     phase_i: np.ndarray,
     h_mid: FadingVector,
@@ -188,13 +164,13 @@ def double_reflection_sinr(
     inner = mid @ (np.exp(1j * phase_i) * h_in.values)
     gain = complex(np.sum(h_out.values * np.exp(1j * phase_j) * inner))
     return (
-        params.tx_power
+        cfg.tx_power_w
         * abs(gain) ** 2
-        * params.rho_l**3
-        * d_in ** (-params.alpha_other)
-        * d_mid ** (-params.alpha_other)
-        * d_out ** (-params.alpha_other)
-        / params.noise_power
+        * cfg.rho_l**3
+        * d_in ** (-cfg.alpha_other)
+        * d_mid ** (-cfg.alpha_other)
+        * d_out ** (-cfg.alpha_other)
+        / cfg.noise_w
     )
 
 

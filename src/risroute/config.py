@@ -6,6 +6,15 @@ slot 100 us, transmit power 30 dBm, processing power 10 dBm, path loss
 reflected segments, N=250 reflecting elements, Rician K=10 dB, total
 delay budget 50 ms, harvester (24 mW, a=150, b=0.014), BER target 1e-6,
 blocklength 1000 at error probability 1e-4.
+
+``SimConfig`` is the only home of these constants: the channel, link
+budget, router and metrics read its fields and its derived SI quantities
+directly, and no module keeps a copy under another name. The derived
+quantities are computed once per config, on first read. A transmission
+mode is its bit count b (constellation 2**b): ``target_ber`` and
+``threshold_rule`` set the SNR threshold of each b (see ``linkbudget``),
+and ``fixed_rate_bits`` pins one b for the fixed-modulation baseline.
+Fixed endpoints, when set, must differ and lie inside the arena.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 
@@ -109,36 +119,47 @@ class SimConfig:
                 raise ConfigError(f"{name} values must be positive")
             if isinstance(val, tuple) and len(val) != self.iu_count:
                 raise ConfigError(f"{name} has {len(val)} per-IU values but iu_count is {self.iu_count}")
+        for name in ("source_xy", "dest_xy"):
+            xy = getattr(self, name)
+            if xy is not None and not all(0.0 <= v <= self.arena_m for v in xy):
+                raise ConfigError(f"{name} {xy} lies outside the arena (arena_m = {self.arena_m:g})")
+        if self.source_xy is not None and self.source_xy == self.dest_xy:
+            raise ConfigError(f"source_xy and dest_xy must differ, both are {self.source_xy}")
 
-    # Derived quantities, SI units.
+    # Derived quantities, SI units, each computed on first read.
 
-    @property
+    @cached_property
     def slot_s(self) -> float:
         return self.slot_us * 1e-6
 
-    @property
+    @cached_property
     def total_delay_s(self) -> float:
         return self.total_delay_ms * 1e-3
 
-    @property
+    @cached_property
     def tx_power_w(self) -> float:
         return dbm_to_watts(self.tx_power_dbm)
 
-    @property
+    @cached_property
     def proc_power_w(self) -> float:
         return dbm_to_watts(self.proc_power_dbm)
 
-    @property
+    @cached_property
     def noise_w(self) -> float:
         return dbm_to_watts(self.noise_dbm)
 
-    @property
+    @cached_property
     def rho_l(self) -> float:
         return db_to_linear(self.rho_l_db)
 
     @property
     def ris_spacing(self) -> float:
         return self.coverage_m / 2.0 if self.ris_spacing_m is None else self.ris_spacing_m
+
+    @property
+    def total_bits(self) -> int:
+        """alpha_k phi, the bits one transfer carries."""
+        return self.packets * self.bits_per_packet
 
     def with_overrides(self, **kwargs) -> "SimConfig":
         return replace(self, **kwargs)
@@ -180,6 +201,8 @@ def _coerce(key: str, raw) -> object:
                 raise ConfigError(f"config key '{key}' needs exactly two values")
             return (float(raw[0]), float(raw[1]))
         raise ConfigError(f"config key '{key}' does not accept a list")
+    if key in _PAIR_KEYS:
+        raise ConfigError(f"config key '{key}' needs exactly two values, got {raw!r}")
     try:
         if key in _INT_KEYS:
             return int(str(raw).strip())
@@ -208,9 +231,17 @@ def load_config(path: str | Path, base: SimConfig | None = None) -> SimConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if path.suffix.lower() == ".json":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
         if "config" in data and isinstance(data["config"], dict):
             data = data["config"]
         return config_from_mapping(data, base)

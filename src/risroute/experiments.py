@@ -240,7 +240,7 @@ def run_one_route(
     means = _profiles_for(cfg)
     mobility = None
     if mobility_rng is not None and v_max > 0:
-        mobility = MobilityField(topo.iu_xy, topo.arena, v_max, mobility_rng)
+        mobility = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), v_max, mobility_rng)
     return router.route(topo, means, cfg, rng, variant=variant, mobility=mobility)
 
 
@@ -458,7 +458,8 @@ def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: Experimen
     cells = _grid_cells(plan, cfg)
     run_cell = partial(_run_cell, seed=plan.seed, replications=plan.replications)
     if plan.threads > 1 and plan.kind in ("coverage_sweep", "density_sweep"):
-        with ProcessPoolExecutor(max_workers=plan.threads) as pool:
+        # never more workers than cells: a fork-started pool forks every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(plan.threads, len(cells))) as pool:
             outcomes = list(pool.map(run_cell, cells))
     else:
         outcomes = list(map(run_cell, cells))

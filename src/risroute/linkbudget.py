@@ -12,18 +12,24 @@ supported, because the evaluation text and its mode table disagree:
 
 The default is "table3" since all experiments cite the table.
 
+A mode is its bit count b in 0..8: constellation m = 2**b, and b = 0
+(no transmission) below the BPSK threshold. ``build_mode_table`` returns
+the eight lower thresholds in dB, BPSK first, and ``mode_bits`` the b of
+the fastest mode an SNR reaches, each threshold inclusive.
+
 Transfer of alpha packets of phi bits at D bits/symbol needs
 tau = ceil(alpha phi / D) slots and E = (P + P_proc) tau T_s joules
 (spent energy is summed over a route's hops in ``metrics``).
 Harvested power follows the saturating nonlinearity
 P_harv = M_h (1 - exp(-a x)) / (1 + exp(-a (x - b))), zero at x = 0 and
-approaching M_h as the received power x grows.
+approaching M_h as the received power x grows. Every constant here is
+read from ``SimConfig``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
 
 from .config import SimConfig
 
@@ -31,52 +37,8 @@ BER_CONSTANTS = (2.0, 1.5, 1.0, 1.0)  # (c1, c2, c3, c4) of the BER model
 MAX_RATE = 8  # bits/symbol of the largest constellation, 256-QAM
 
 
-class UntransmittableError(Exception):
-    """A zero-rate mode cannot carry a transfer."""
-
-
-@dataclass(frozen=True)
-class TransmissionMode:
-    constellation: int  # m_q; 1 encodes "no transmission"
-    rate: int  # D_q = log2(m_q), bits per symbol
-    snr_lower_db: float
-    snr_upper_db: float
-
-
-class ModeTable:
-    """Ordered transmission modes whose half-open dB intervals tile the line."""
-
-    def __init__(self, modes: list[TransmissionMode]):
-        if not modes or modes[0].rate != 0:
-            raise ValueError("mode table must start with the no-transmission mode")
-        for a, b in zip(modes, modes[1:]):
-            if not (a.snr_upper_db == b.snr_lower_db and a.snr_lower_db < a.snr_upper_db):
-                raise ValueError("mode intervals must be contiguous and increasing")
-        if not math.isinf(modes[-1].snr_upper_db):
-            raise ValueError("last mode must extend to +inf")
-        self.modes = tuple(modes)
-        self._lower_bounds = [m.snr_lower_db for m in modes]
-
-    def __iter__(self):
-        return iter(self.modes)
-
-    def __len__(self):
-        return len(self.modes)
-
-    def select(self, snr_db: float) -> TransmissionMode:
-        """The unique mode whose [lower, upper) interval contains snr_db."""
-        lo, hi = 0, len(self.modes) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if snr_db >= self._lower_bounds[mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.modes[lo]
-
-
-def build_mode_table(target_ber: float, rule: str = "table3") -> ModeTable:
-    """SNR-threshold table for M-QAM constellations 2..2^MAX_RATE."""
+def build_mode_table(target_ber: float, rule: str = "table3") -> tuple[float, ...]:
+    """Lower SNR thresholds in dB of the M-QAM modes b = 1..MAX_RATE, BPSK first."""
     if not 0.0 < target_ber < 1.0:
         raise ValueError("target_ber must lie in (0, 1)")
     if rule not in ("table3", "eqtext"):
@@ -88,76 +50,35 @@ def build_mode_table(target_ber: float, rule: str = "table3") -> ModeTable:
         m = 2**bits
         linear = multiplier * (bits if rule == "table3" else (m**c3 - c4))
         thresholds_db.append(10.0 * math.log10(linear))
-    modes = [TransmissionMode(1, 0, -math.inf, thresholds_db[0])]
-    for bits in range(1, MAX_RATE + 1):
-        upper = thresholds_db[bits] if bits < MAX_RATE else math.inf
-        modes.append(TransmissionMode(2**bits, bits, thresholds_db[bits - 1], upper))
-    return ModeTable(modes)
+    return tuple(thresholds_db)
 
 
-@dataclass(frozen=True)
-class TransferDemand:
-    packets: int  # alpha_k
-    bits_per_packet: int  # phi
-    proc_power: float  # P_proc, watts
-
-    def __post_init__(self):
-        if self.packets < 1 or self.bits_per_packet < 1:
-            raise ValueError("packets and bits_per_packet must be >= 1")
-
-    @property
-    def total_bits(self) -> int:
-        return self.packets * self.bits_per_packet
-
-    @classmethod
-    def from_config(cls, cfg: SimConfig) -> "TransferDemand":
-        return cls(packets=cfg.packets, bits_per_packet=cfg.bits_per_packet, proc_power=cfg.proc_power_w)
+def mode_bits(thresholds_db: tuple[float, ...], snr_db: float) -> int:
+    """Bits per symbol of the fastest mode whose threshold ``snr_db`` reaches; 0 below BPSK's (and for NaN)."""
+    return bisect.bisect_right(thresholds_db, snr_db) if snr_db >= thresholds_db[0] else 0
 
 
-def transfer_slots_at_rate(demand: TransferDemand, rate: float) -> int:
+def transfer_slots(total_bits: int, rate: float) -> int:
     """ceil(alpha phi / rate) slots; rate is bits/symbol or bits/use."""
     if rate <= 0:
-        raise UntransmittableError("zero-rate link cannot carry the transfer")
-    return int(math.ceil(demand.total_bits / rate))
+        raise ValueError("zero-rate link cannot carry the transfer")
+    return int(math.ceil(total_bits / rate))
 
 
-def transfer_slots(demand: TransferDemand, mode: TransmissionMode) -> int:
-    if mode.rate == 0:
-        raise UntransmittableError("no-transmission mode selected")
-    return transfer_slots_at_rate(demand, mode.rate)
-
-
-@dataclass(frozen=True)
-class HarvesterParams:
-    max_power: float  # M_h, watts
-    slope: float  # a
-    threshold: float  # b, watts
-
-    def __post_init__(self):
-        if self.max_power <= 0 or self.slope <= 0 or self.threshold <= 0:
-            raise ValueError("harvester parameters must be positive")
-
-    @classmethod
-    def from_config(cls, cfg: SimConfig) -> "HarvesterParams":
-        return cls(max_power=cfg.mh_mw * 1e-3, slope=cfg.eh_slope, threshold=cfg.eh_threshold_w)
-
-
-def harvested_power(params: HarvesterParams, received_power: float) -> float:
+def harvested_power(cfg: SimConfig, received_power: float) -> float:
     """Saturating harvest curve; exactly 0 at zero input, < M_h always."""
     if received_power < 0:
         raise ValueError("received power must be nonnegative")
     x = received_power
     return (
-        params.max_power
-        * (1.0 - math.exp(-params.slope * x))
-        / (1.0 + math.exp(-params.slope * (x - params.threshold)))
+        cfg.mh_mw * 1e-3
+        * (1.0 - math.exp(-cfg.eh_slope * x))
+        / (1.0 + math.exp(-cfg.eh_slope * (x - cfg.eh_threshold_w)))
     )
 
 
-def harvested_energy_for_transfer(
-    params: HarvesterParams, received_power: float, slots: int, slot: float
-) -> float:
+def harvested_energy_for_transfer(cfg: SimConfig, received_power: float, slots: int) -> float:
     """Harvest accumulated over the transfer, converted to joules via T_s."""
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    return harvested_power(params, received_power) * slots * slot
+    return harvested_power(cfg, received_power) * slots * cfg.slot_s

@@ -23,7 +23,6 @@ import logging
 from dataclasses import dataclass
 
 from .config import SimConfig
-from .linkbudget import TransferDemand
 from .router import HopKind, RouteLedger
 
 log = logging.getLogger(__name__)
@@ -64,33 +63,27 @@ def data_throughput(ledger: RouteLedger, target_ber: float, constellation_term: 
     return 1.0 / denom
 
 
-def energy_efficiency(
-    ledger: RouteLedger,
-    demand: TransferDemand,
-    tx_power: float,
-    slot: float,
-) -> float:
+def energy_efficiency(ledger: RouteLedger, cfg: SimConfig) -> float:
     """Delivered bits per joule of net (spent minus harvested) energy."""
     if not ledger.success:
         raise ValueError("energy efficiency is defined for successful routes only")
     hops = ledger.transmission_hops
-    spent = (tx_power + demand.proc_power) * slot * sum(h.slots_used for h in hops)
+    spent = (cfg.tx_power_w + cfg.proc_power_w) * cfg.slot_s * sum(h.slots_used for h in hops)
     harvested = sum(h.harvested_j for h in hops)
     net = spent - harvested
     if net <= 0.0:
         raise NetNegativeEnergyError(
             f"harvested {harvested:.3e} J >= spent {spent:.3e} J on this route"
         )
-    return demand.total_bits / net
+    return cfg.total_bits / net
 
 
 def compute_route_metrics(ledger: RouteLedger, cfg: SimConfig) -> RouteMetrics:
     """Both throughput variants plus efficiency, straight from a ledger."""
-    demand = TransferDemand.from_config(cfg)
     return RouteMetrics(
         throughput=data_throughput(ledger, cfg.target_ber, "size"),
         throughput_normalized=data_throughput(ledger, cfg.target_ber, "bits"),
-        energy_efficiency=energy_efficiency(ledger, demand, cfg.tx_power_w, cfg.slot_s),
+        energy_efficiency=energy_efficiency(ledger, cfg),
         hop_count=ledger.hop_count,
         ris_count=ledger.ris_count,
     )

@@ -45,7 +45,6 @@ import numpy as np
 
 from . import channel, delaymodel, linkbudget, topology, traffic
 from .config import SimConfig
-from .linkbudget import ModeTable, TransferDemand, TransmissionMode
 from .topology import DEST_ID, FIRST_IU_ID, SOURCE_ID, Point, Topology
 
 LEDGER_SCHEMA_VERSION = 1
@@ -189,24 +188,20 @@ class Entry(NamedTuple):
     constellation: int  # m_q on direct hops, 0 on reflected hops
 
 
-def usable_modes(table: ModeTable, snr_db: float, fixed_rate_bits: int | None) -> list[TransmissionMode]:
-    """Constellations a direct link at ``snr_db`` may carry, in ascending rate.
+def usable_modes(thresholds_db: tuple[float, ...], snr_db: float, fixed_rate_bits: int | None) -> list[int]:
+    """Bit counts of the modes a direct link at ``snr_db`` may carry, ascending.
 
     Every transmitting mode up to the channel's best one; with a pinned
     ``fixed_rate_bits`` only that mode, and only if the channel supports it.
     """
-    best = table.select(snr_db)
-    if best.rate == 0:
-        return []
-    if fixed_rate_bits is None:
-        return [m for m in table.modes[1:] if m.rate <= best.rate]
-    return [m for m in table.modes[1:] if m.rate == fixed_rate_bits and m.rate <= best.rate]
+    best = linkbudget.mode_bits(thresholds_db, snr_db)
+    return [bits for bits in range(1, best + 1) if fixed_rate_bits in (None, bits)]
 
 
 def availability_set(
     links: list[CandidateLink],
-    table: ModeTable,
-    demand: TransferDemand,
+    thresholds_db: tuple[float, ...],
+    total_bits: int,
     fixed_rate_bits: int | None = None,
 ) -> list[Entry]:
     """The entry of every (relay, constellation) pair passing the
@@ -216,12 +211,12 @@ def availability_set(
     (cost |idle| x |modes|); with a pinned ``fixed_rate_bits`` at most one.
     A constellation's slot count is worked out once per call.
     """
-    tau_of = {mode.rate: linkbudget.transfer_slots(demand, mode) for mode in table.modes[1:]}
+    tau_of = {bits: linkbudget.transfer_slots(total_bits, bits) for bits in range(1, linkbudget.MAX_RATE + 1)}
     return [
-        Entry(link, tau_of[mode.rate], mode.rate, mode.constellation)
+        Entry(link, tau_of[bits], bits, 2**bits)
         for link in links
-        for mode in usable_modes(table, link.snr_db, fixed_rate_bits)
-        if tau_of[mode.rate] <= link.nu_idle_slots
+        for bits in usable_modes(thresholds_db, link.snr_db, fixed_rate_bits)
+        if tau_of[bits] <= link.nu_idle_slots
     ]
 
 
@@ -260,10 +255,7 @@ class Router:
         self.rng = rng
         self.policy = policy or RoutePolicy()
         self.mobility = mobility
-        self.params = channel.LinkBudgetParams.from_config(cfg)
-        self.table = linkbudget.build_mode_table(cfg.target_ber, rule=cfg.threshold_rule)
-        self.demand = TransferDemand.from_config(cfg)
-        self.harvester = linkbudget.HarvesterParams.from_config(cfg)
+        self.thresholds_db = linkbudget.build_mode_table(cfg.target_ber, rule=cfg.threshold_rule)
         self.fixed_rate_bits = None if self.policy.adaptive else cfg.fixed_rate_bits
         self.field = traffic.TrafficField(lambda_s, mu_s, cfg.slot_s, cfg.delta, cfg.p_th, rng)
         self.clock = 0  # slots elapsed
@@ -295,7 +287,7 @@ class Router:
         """Ids in ``ids`` (default: the destination and the IUs) in the half-disc
         of ``center`` facing the destination."""
         ids = self.relay_ids if ids is None else ids
-        return topology.half_circle_scan(self.xy, ids, center, self.dest, self.topo.coverage_radius)
+        return topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m)
 
     def _link(self, node_id: int, pos: Point, snr: float) -> CandidateLink:
         """The link to ``node_id`` at ``pos`` with linear SNR ``snr``; the destination is never busy."""
@@ -307,11 +299,11 @@ class Router:
         """Fresh fading and SNR for each node on a direct device-device link."""
         if not ids:
             return []
-        fading = channel.sample_fading(len(ids), self.params.rician_k_db, self.rng)
+        fading = channel.sample_fading(len(ids), self.cfg.rician_k_db, self.rng)
         links = []
         for node_id, amp in zip(ids, fading.amplitudes):
             pos = self._point(node_id)
-            snr = channel.direct_snr(self.params, complex(amp), math.dist(origin, pos))
+            snr = channel.direct_snr(self.cfg, complex(amp), math.dist(origin, pos))
             links.append(self._link(node_id, pos, snr))
         return links
 
@@ -344,17 +336,16 @@ class Router:
         found = self._scan(origin)
         if DEST_ID in found:
             link = self._direct_links(origin, [DEST_ID])[0]
-            modes = usable_modes(self.table, link.snr_db, self.fixed_rate_bits)
+            modes = usable_modes(self.thresholds_db, link.snr_db, self.fixed_rate_bits)
             if modes:
-                mode = modes[-1]  # the fastest usable mode
-                tau = linkbudget.transfer_slots(self.demand, mode)
-                return Entry(link, tau, mode.rate, mode.constellation), []
+                bits = modes[-1]  # the fastest usable mode
+                return Entry(link, linkbudget.transfer_slots(self.cfg.total_bits, bits), bits, 2**bits), []
         origin_remaining = math.dist(origin, self.dest)
         idle, busy = self._split_idle_busy([i for i in found if i != DEST_ID])
         # forward progress is required of a hop, not just half-disc membership
         links = [ln for ln in self._direct_links(origin, idle) if ln.remaining_m < origin_remaining]
         busy = [i for i, _ in self._forward(busy, origin)]
-        aset = availability_set(links, self.table, self.demand, self.fixed_rate_bits)
+        aset = availability_set(links, self.thresholds_db, self.cfg.total_bits, self.fixed_rate_bits)
         return (select_entry(aset) if aset else None), busy
 
     def _reflector_entries(self, found: list[int], origin: Point, gamma_of) -> list[Entry]:
@@ -367,7 +358,7 @@ class Router:
             rate = self._reflected_rate(link.snr_linear)
             if rate <= 0.0:
                 continue
-            tau = linkbudget.transfer_slots_at_rate(self.demand, rate)
+            tau = linkbudget.transfer_slots(self.cfg.total_bits, rate)
             if tau <= link.nu_idle_slots:
                 out.append(Entry(link, tau, rate, 0))
         return out
@@ -390,7 +381,7 @@ class Router:
         destination nor an IU strictly closer to it than ``origin``
         (``_forward``); a dead end ends the route, so nothing reads them.
         """
-        n_elements = self.topo.ris_elements
+        n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
         candidates = self._scan(origin, self.ris_ids)
         if not candidates:
             return FailureReason.NO_IU_NO_RIS
@@ -399,15 +390,15 @@ class Router:
         if self.policy.ris_mode in ("both", "single_only"):
             best = None  # ((progress, ris_id), surfaces, entry)
             for ris_id in candidates:
-                h_in = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
+                h_in = channel.sample_fading(n_elements, k_db, self.rng)
                 incoming[ris_id] = h_in
                 ris_pos = self._point(ris_id)
                 d_in = math.dist(origin, ris_pos)
 
                 def gamma_of(pos, _ris_pos=ris_pos, _h_in=h_in, _d_in=d_in):
-                    h_out = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
+                    h_out = channel.sample_fading(n_elements, k_db, self.rng)
                     return channel.optimal_single_reflection_snr(
-                        self.params, _h_in, h_out, _d_in, math.dist(_ris_pos, pos)
+                        self.cfg, _h_in, h_out, _d_in, math.dist(_ris_pos, pos)
                     )
 
                 entries = self._reflector_entries(self._scan(ris_pos), origin, gamma_of)
@@ -433,16 +424,16 @@ class Router:
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # nothing h_mid could reach
             h_in = incoming.get(first)
             if h_in is None:
-                h_in = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
-            h_mid = channel.sample_fading((n_elements, n_elements), self.params.rician_k_db, self.rng)
+                h_in = channel.sample_fading(n_elements, k_db, self.rng)
+            h_mid = channel.sample_fading((n_elements, n_elements), k_db, self.rng)
             d_in = math.dist(origin, first_pos)
             d_mid = math.dist(first_pos, second_pos)
 
             def gamma_of(pos):
-                h_out = channel.sample_fading(n_elements, self.params.rician_k_db, self.rng)
+                h_out = channel.sample_fading(n_elements, k_db, self.rng)
                 phase_i, phase_j = channel.alternating_double_phases(h_in, h_mid, h_out)
                 return channel.double_reflection_sinr(
-                    self.params, h_in, phase_i, h_mid, phase_j, h_out,
+                    self.cfg, h_in, phase_i, h_mid, phase_j, h_out,
                     d_in, d_mid, math.dist(second_pos, pos),
                 )
 
@@ -461,7 +452,7 @@ class Router:
         route with its reason. The ledger's slot total is the clock at the end.
         """
         cfg = self.cfg
-        psi = topology.min_hops(math.dist(self._point(SOURCE_ID), self.dest), self.topo.coverage_radius)
+        psi = topology.min_hops(math.dist(self._point(SOURCE_ID), self.dest), cfg.coverage_m)
         ledger = RouteLedger(total_delay_s=cfg.total_delay_s, slot_s=cfg.slot_s, psi=psi)
         ledger.failure_reason = self._route(ledger)
         ledger.success = ledger.failure_reason is None
@@ -500,7 +491,7 @@ class Router:
             if entry.link.node_id == DEST_ID:
                 return None
             # budget the next position, carrying this position's wait forward
-            psi_next = topology.hops_consumed(src, endpoint, self.topo.coverage_radius)
+            psi_next = topology.hops_consumed(src, endpoint, self.cfg.coverage_m)
             wait_s = wait_slots * self.cfg.slot_s
             try:
                 budget.advance(wait_s, psi_next)
@@ -544,12 +535,10 @@ class Router:
         harvested = 0.0
         if link.node_id != DEST_ID:
             anchor = self._point(surfaces[-1]) if surfaces else origin
-            if self.mobility is not None and math.dist(anchor, endpoint) > self.topo.coverage_radius:
+            if self.mobility is not None and math.dist(anchor, endpoint) > self.cfg.coverage_m:
                 return FailureReason.OUTAGE
-            received = link.snr_linear * self.params.noise_power
-            harvested = linkbudget.harvested_energy_for_transfer(
-                self.harvester, received, tau, self.cfg.slot_s
-            )
+            received = link.snr_linear * self.cfg.noise_w
+            harvested = linkbudget.harvested_energy_for_transfer(self.cfg, received, tau)
         via = (*surfaces, link.node_id)
         ledger.hops.append(
             HopChoice(

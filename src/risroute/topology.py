@@ -6,7 +6,7 @@ is the node's id, in one layout:
     0                  S
     1                  D
     2 .. m+1           IUs, labels U1..Um
-    m+2 .. m+k+1       RISs, labels R1..Rk, every one with the same element count
+    m+2 .. m+k+1       RISs, labels R1..Rk
 
 so an IU's id minus ``FIRST_IU_ID`` is its row in the run's traffic arrays,
 the destination and the IUs are the id range ``range(DEST_ID, first_ris_id)``
@@ -22,6 +22,10 @@ excluded. The scan measures with ``np.hypot``, which disagrees with
 ``math.dist`` in the last bit for about 0.6 % of point pairs (5,607 of 10^6
 uniform pairs in a 400 m square), so the router recomputes every distance
 it compares or writes instead of reusing the scan's.
+
+A topology holds positions only. The coverage radius, the arena and the
+surfaces' element count are ``SimConfig`` fields (``coverage_m``,
+``arena_m``, ``ris_elements``), read from the config by whoever needs them.
 """
 
 from __future__ import annotations
@@ -40,24 +44,11 @@ Point = tuple[float, float]  # (x, y) in metres
 
 
 class Topology:
-    """Immutable scenario: the node table plus the coverage radius and arena."""
+    """Immutable scenario: the node table, every row checked to lie inside ``arena``."""
 
-    def __init__(
-        self,
-        source: Point,
-        dest: Point,
-        iu_xy: np.ndarray,
-        ris_xy: np.ndarray,
-        ris_elements: int,
-        coverage_radius: float,
-        arena: tuple[float, float],
-    ):
-        if coverage_radius <= 0:
-            raise ValueError("coverage_radius must be positive")
+    def __init__(self, source: Point, dest: Point, iu_xy: np.ndarray, ris_xy: np.ndarray, arena: tuple[float, float]):
         iu_xy = np.asarray(iu_xy, dtype=float).reshape(-1, 2)
         ris_xy = np.asarray(ris_xy, dtype=float).reshape(-1, 2)
-        if len(ris_xy) and ris_elements < 1:
-            raise ValueError("RIS nodes need ris_elements >= 1")
         w, h = arena
         xy = np.vstack([source, dest, iu_xy, ris_xy])
         outside = np.nonzero(~((xy[:, 0] >= 0.0) & (xy[:, 0] <= w) & (xy[:, 1] >= 0.0) & (xy[:, 1] <= h)))[0]
@@ -66,9 +57,6 @@ class Topology:
             raise ValueError(f"node {i} at ({xy[i, 0]}, {xy[i, 1]}) lies outside the arena")
         xy.flags.writeable = False
         self.xy = xy
-        self.ris_elements = int(ris_elements)
-        self.coverage_radius = float(coverage_radius)
-        self.arena = (float(w), float(h))
         self.first_ris_id = FIRST_IU_ID + len(iu_xy)
 
     @property
@@ -162,4 +150,4 @@ def generate_topology(cfg: SimConfig, rng: np.random.Generator) -> Topology:
                 break
     iu_xy = rng.uniform(0.0, cfg.arena_m, size=(cfg.iu_count, 2))
     ris_xy = ris_grid_positions(arena, cfg.ris_spacing)
-    return Topology(source, dest, iu_xy, ris_xy, cfg.ris_elements, cfg.coverage_m, arena)
+    return Topology(source, dest, iu_xy, ris_xy, arena)

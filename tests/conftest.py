@@ -6,10 +6,9 @@ from risroute.config import SimConfig
 from risroute.topology import Topology
 
 
-def build_topology(iu_xy, ris_xy=(), src=(0.0, 200.0), dst=(400.0, 200.0),
-                   r=60.0, arena=(400.0, 400.0), ris_elements=250):
-    return Topology(src, dst, np.array(iu_xy, dtype=float),
-                    np.array(ris_xy, dtype=float), ris_elements, r, arena)
+def build_topology(iu_xy, ris_xy=(), src=(0.0, 200.0), dst=(400.0, 200.0), arena=(400.0, 400.0)):
+    """The coverage radius and element count are the config's (60 m and 250 by default)."""
+    return Topology(src, dst, np.array(iu_xy, dtype=float), np.array(ris_xy, dtype=float), arena)
 
 
 def idle_profiles(count):

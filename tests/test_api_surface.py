@@ -1,5 +1,6 @@
 """Every function, class and method of ``risroute`` is reached by the program,
-and every name a ``risroute`` module imports is used in that module.
+every name a ``risroute`` module imports is used in that module, and every
+``SimConfig`` field is read by the program.
 
 A name counts as reached when an identifier, attribute or string constant
 in ``src/risroute`` or ``bench/`` outside the name's own definition spells
@@ -8,12 +9,17 @@ only the tests call belong in the tests, as oracles next to the checks
 that use them. Dunders are exempt, and so is ``cli.main``, the console
 entry point declared in ``pyproject.toml``. An import counts as used when
 an identifier of its module spells the bound name; ``from __future__``
-imports are exempt.
+imports are exempt. A config field counts as read when an attribute in
+``src/risroute`` outside ``SimConfig.__post_init__`` (which only checks
+values) spells it.
 """
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+
+from risroute.config import SimConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 EXEMPT = {"cli.main"}
@@ -81,3 +87,24 @@ def unused_imports() -> list[str]:
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def attribute_names(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def unread_config_fields() -> list[str]:
+    """``SimConfig`` fields no attribute of ``src/risroute`` spells, ``SimConfig.__post_init__`` aside."""
+    read = Counter()
+    for path in sorted((ROOT / "src" / "risroute").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read += attribute_names(tree)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "SimConfig":
+                read -= sum((attribute_names(f) for f in cls.body
+                             if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"), Counter())
+    return [f.name for f in fields(SimConfig) if read[f.name] <= 0]
+
+
+def test_every_config_field_is_read():
+    assert unread_config_fields() == []

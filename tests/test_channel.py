@@ -8,7 +8,6 @@ from scipy.stats import kstest
 from risroute.channel import (
     TWO_PI,
     FadingVector,
-    LinkBudgetParams,
     alternating_double_phases,
     direct_snr,
     double_reflection_sinr,
@@ -20,9 +19,9 @@ from risroute.channel import (
 )
 from risroute.config import SimConfig
 
-PARAMS = LinkBudgetParams.from_config(SimConfig())
-UNIT = LinkBudgetParams(rho_l=1.0, alpha_d2d=2.0, alpha_other=2.0, noise_power=1.0,
-                        tx_power=1.0, rician_k_db=10.0)
+PARAMS = SimConfig()
+# rho_L = 1, P = 1 W, sigma^2 = 1 W, every exponent 2
+UNIT = SimConfig(rho_l_db=0.0, alpha_d2d=2.0, alpha_other=2.0, noise_dbm=30.0, tx_power_dbm=30.0)
 
 
 def q_integral(x: float) -> float:
@@ -52,8 +51,8 @@ def ones_vector(n):
 def single_reflection_sinr(params, h_in, phases, h_out, d_in, d_out):
     """P |h_out diag(exp(j phases)) h_in|^2 rho_L^2 (d_in d_out)^-alpha / sigma^2."""
     gain = np.sum(h_out.values * np.exp(1j * np.asarray(phases)) * h_in.values)
-    return (params.tx_power * abs(gain) ** 2 * params.rho_l**2
-            * (d_in * d_out) ** (-params.alpha_other) / params.noise_power)
+    return (params.tx_power_w * abs(gain) ** 2 * params.rho_l**2
+            * (d_in * d_out) ** (-params.alpha_other) / params.noise_w)
 
 
 def aligned_phases(h_in, h_out):

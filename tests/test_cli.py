@@ -78,12 +78,29 @@ class TestRejectedBeforeAnyRoute:
         (["sweep-coverage", "--replications", "1"], "blocklength = 0"),
         (["sweep-coverage", "--replications", "1"], "mh_mw = 0"),
         (["route"], "ris_spacing_m = -1"),
+        (["route"], "source_xy = 100, 100\ndest_xy = 100, 100"),
+        (["route"], "source_xy = 500, 100"),
+        (["route"], "source_xy = 5"),
+        # the sweeps' fixed endpoint (380, 200) falls outside
+        (["sweep-coverage", "--replications", "1"], "arena_m = 300"),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, args, text):
         cfg = write_cfg(tmp_path / "bad.cfg", text + "\n")
         assert main(args + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and text.split()[0] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,data,message", [
+        ("broken.json", b'{"iu_count": ', "broken.json: not valid JSON"),
+        ("array.json", b"[1, 2]", "array.json: expected a JSON object, got list"),
+        ("latin1.cfg", b"\xff\xfeiu_count = 5\n", "latin1.cfg: not UTF-8 text"),
+    ], ids=["bad-json", "json-array", "not-utf8"])
+    def test_bad_config_file_is_config_error(self, tmp_path, capsys, name, data, message):
+        # each used to raise out of main
+        (tmp_path / name).write_bytes(data)
+        assert main(["route", "--config", str(tmp_path / name), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
         ["route", "--threads", "0"],

@@ -53,6 +53,7 @@ OUT_OF_RANGE = [
     ("mh_mw", 0.0),
     ("eh_slope", -150.0),
     ("eh_threshold_w", 0.0),
+    ("ris_elements", 0),
 ]
 
 

@@ -221,6 +221,30 @@ class TestSweeps:
         for name in names:
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pooled" / name).read_bytes()
 
+    @pytest.mark.parametrize("threads", [3, 10_000])
+    def test_pool_never_outnumbers_cells(self, tmp_path, monkeypatch, threads):
+        # a fork-started pool forks every worker at its first submit, so no real pool this large is started
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        plan = ExperimentPlan(kind="coverage_sweep", seed=3, replications=1, threads=threads,
+                              coverage_grid=(50.0, 70.0), density_grid=(20, 40))  # 4 cells
+        run(plan, SimConfig(), tmp_path)
+        assert seen == [min(threads, 4)]
+
     def test_standard_error_shrinks_with_replications(self, tmp_path):
         plan_small = ExperimentPlan(kind="coverage_sweep", seed=5, replications=60,
                                     coverage_grid=(60.0,), density_grid=(400,))

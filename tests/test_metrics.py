@@ -5,7 +5,6 @@ import pytest
 from conftest import build_topology, idle_profiles, line_config, rng_for
 
 from risroute.config import SimConfig
-from risroute.linkbudget import TransferDemand
 from risroute.metrics import (
     NetNegativeEnergyError,
     compute_route_metrics,
@@ -86,26 +85,27 @@ class TestThroughput:
 
 
 class TestEnergyEfficiency:
-    demand = TransferDemand(packets=4, bits_per_packet=8, proc_power=0.01)
+    # 32 bits per transfer, P = 1 W, P_proc = 0.01 W, T_s = 1e-4 s
+    cfg = SimConfig(packets=4, bits_per_packet=8, tx_power_dbm=30.0, proc_power_dbm=10.0, slot_us=100.0)
 
     def test_zero_harvest_formula_collapse(self):
         led = ledger_from([direct_hop(slots=10)])
-        got = energy_efficiency(led, self.demand, tx_power=1.0, slot=1e-4)
+        got = energy_efficiency(led, self.cfg)
         assert got == pytest.approx(32 / (1.01 * 1e-4 * 10), rel=1e-12)
 
     def test_harvest_half_spend_doubles_efficiency(self):
         spend = 1.01 * 1e-4 * 10
         led0 = ledger_from([direct_hop(slots=10, harvested=0.0)])
         led1 = ledger_from([direct_hop(slots=10, harvested=spend / 2)])
-        e0 = energy_efficiency(led0, self.demand, 1.0, 1e-4)
-        e1 = energy_efficiency(led1, self.demand, 1.0, 1e-4)
+        e0 = energy_efficiency(led0, self.cfg)
+        e1 = energy_efficiency(led1, self.cfg)
         assert e1 == pytest.approx(2 * e0, rel=1e-12)
 
     def test_net_negative_energy_rejected(self):
         spend = 1.01 * 1e-4 * 10
         led = ledger_from([direct_hop(slots=10, harvested=2 * spend)])
         with pytest.raises(NetNegativeEnergyError):
-            energy_efficiency(led, self.demand, 1.0, 1e-4)
+            energy_efficiency(led, self.cfg)
 
     def test_full_ledger_bookkeeping_oracle(self):
         # run a real mixed route and audit the energy terms independently
@@ -116,18 +116,17 @@ class TestEnergyEfficiency:
         cfg = line_config()
         led = route(topo, idle_profiles(7), cfg, rng_for(200))
         assert led.success and led.ris_count >= 1
-        demand = TransferDemand.from_config(cfg)
-        got = energy_efficiency(led, demand, cfg.tx_power_w, cfg.slot_s)
+        got = energy_efficiency(led, cfg)
         tx_hops = [h for h in led.hops if h.kind is not HopKind.WAIT]
         audit_spend = sum((cfg.tx_power_w + cfg.proc_power_w) * h.slots_used * cfg.slot_s
                           for h in tx_hops)
         audit_harvest = sum(h.harvested_j for h in tx_hops)
-        assert got == pytest.approx(demand.total_bits / (audit_spend - audit_harvest), rel=1e-12)
+        assert got == pytest.approx(cfg.packets * cfg.bits_per_packet / (audit_spend - audit_harvest), rel=1e-12)
 
     def test_failed_ledger_rejected(self):
         led = ledger_from([direct_hop()], success=False)
         with pytest.raises(ValueError):
-            energy_efficiency(led, self.demand, 1.0, 1e-4)
+            energy_efficiency(led, self.cfg)
 
 
 class TestRouteMetricsBundle:

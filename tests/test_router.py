@@ -9,7 +9,7 @@ from conftest import build_topology, idle_profiles, line_config, rng_for
 
 from risroute import channel, linkbudget, traffic
 from risroute.config import SimConfig
-from risroute.linkbudget import TransferDemand, build_mode_table
+from risroute.linkbudget import build_mode_table
 from risroute.router import (
     BASELINE_POLICIES,
     CandidateLink,
@@ -37,48 +37,48 @@ def make_link(node_id, snr_db, remaining, nu):
 
 class TestAvailabilitySet:
     table = build_mode_table(1e-6)
-    demand = TransferDemand(packets=3, bits_per_packet=8, proc_power=0.01)  # 24 bits
+    bits = 24  # per transfer
 
     def test_fitting_transfer_included(self):
         # 24 bits at 8 bits/symbol -> 3 slots <= nu=4.21
         links = [make_link(2, 25.0, 300.0, 4.21)]
-        aset = availability_set(links, self.table, self.demand)
+        aset = availability_set(links, self.table, self.bits)
         assert any((e.tau, e.rate, e.constellation) == (3, 8, 256) for e in aset)
         assert all(e.link is links[0] for e in aset)
 
     def test_oversized_transfer_excluded(self):
         # best is 6 bits/symbol at 18 dB -> 4 slots > nu=3.9; lower rates worse
         links = [make_link(2, 18.0, 300.0, 3.9)]
-        aset = availability_set(links, self.table, self.demand)
+        aset = availability_set(links, self.table, self.bits)
         assert aset == []
 
     def test_no_idle_no_entries(self):
-        assert availability_set([], self.table, self.demand) == []
+        assert availability_set([], self.table, self.bits) == []
 
     def test_enumerates_all_feasible_modes(self):
         # nu huge: every channel-usable constellation appears
         links = [make_link(2, 25.0, 300.0, 1e9)]
-        aset = availability_set(links, self.table, self.demand)
+        aset = availability_set(links, self.table, self.bits)
         assert len(aset) == 8  # rates 1..8 all usable at 25 dB
         assert [e.rate for e in aset] == list(range(1, 9))  # ascending rate
         assert [e.tau for e in aset] == [24, 12, 8, 6, 5, 4, 4, 3]
 
     def test_non_adaptive_keeps_only_pinned_mode(self):
         links = [make_link(2, 25.0, 300.0, 1e9)]
-        aset = availability_set(links, self.table, self.demand, fixed_rate_bits=2)
+        aset = availability_set(links, self.table, self.bits, fixed_rate_bits=2)
         assert len(aset) == 1
         assert (aset[0].rate, aset[0].constellation, aset[0].tau) == (2, 4, 12)
 
     def test_non_adaptive_needs_channel_support(self):
         links = [make_link(2, 10.0, 300.0, 1e9)]  # only BPSK feasible
-        aset = availability_set(links, self.table, self.demand, fixed_rate_bits=2)
+        aset = availability_set(links, self.table, self.bits, fixed_rate_bits=2)
         assert aset == []
 
     def test_slot_count_once_per_constellation(self, monkeypatch):
         real, calls = linkbudget.transfer_slots, []
-        monkeypatch.setattr(linkbudget, "transfer_slots", lambda d, m: calls.append(m) or real(d, m))
+        monkeypatch.setattr(linkbudget, "transfer_slots", lambda n, rate: calls.append(rate) or real(n, rate))
         links = [make_link(2 + i, 25.0, 300.0, 1e9) for i in range(200)]
-        aset = availability_set(links, self.table, self.demand)
+        aset = availability_set(links, self.table, self.bits)
         assert len(aset) == 200 * 8
         assert len(calls) <= 8
 
@@ -117,8 +117,7 @@ class TestSelectIu:
 
     def test_equal_slot_modes_lowest_rate_wins(self):
         # 24 bits at 18.5 dB: rates 6 and 7 both need 4 slots, rate 8 is unusable
-        aset = availability_set([make_link(2, 18.5, 300.0, 1e9)], build_mode_table(1e-6),
-                                TransferDemand(packets=3, bits_per_packet=8, proc_power=0.01))
+        aset = availability_set([make_link(2, 18.5, 300.0, 1e9)], build_mode_table(1e-6), 24)
         chosen = select_entry(aset)
         assert (chosen.tau, chosen.rate) == (4, 6)
 

@@ -23,8 +23,11 @@ from risroute.topology import (
 from risroute.traffic import TrafficField
 
 
-def make_topo(iu_positions, r=60.0, arena=(400.0, 400.0), src=(0.0, 0.0), dst=(400.0, 0.0), ris=()):
-    return Topology(src, dst, np.array(iu_positions, dtype=float), np.array(ris, dtype=float), 250, r, arena)
+R = 60.0  # scan radius, m
+
+
+def make_topo(iu_positions, arena=(400.0, 400.0), src=(0.0, 0.0), dst=(400.0, 0.0), ris=()):
+    return Topology(src, dst, np.array(iu_positions, dtype=float), np.array(ris, dtype=float), arena)
 
 
 def point(topo, node_id):
@@ -34,7 +37,7 @@ def point(topo, node_id):
 def scan_ius(topo):
     """The IUs in the source's half-disc facing the destination."""
     ius = range(FIRST_IU_ID, topo.first_ris_id)
-    return half_circle_scan(topo.xy, ius, point(topo, SOURCE_ID), point(topo, DEST_ID), topo.coverage_radius)
+    return half_circle_scan(topo.xy, ius, point(topo, SOURCE_ID), point(topo, DEST_ID), R)
 
 
 class TestHalfCircleScan:
@@ -87,7 +90,7 @@ class TestHalfCircleScan:
             for j, (x, y) in enumerate(pts):
                 d = math.dist((cx, cy), (x, y))
                 proj = (x - cx) * (tx - cx) + (y - cy) * (ty - cy)
-                if d <= topo.coverage_radius and proj > 0:
+                if d <= R and proj > 0:
                     expected.add(2 + j)
             assert hits == expected
 
@@ -182,10 +185,6 @@ class TestTopologyConstruction:
         with pytest.raises(ValueError, match="node 3 "):
             make_topo([(30.0, 10.0), (30.0, -1.0)])
 
-    def test_ris_needs_elements(self):
-        with pytest.raises(ValueError):
-            Topology((0, 0), (9, 9), np.empty((0, 2)), np.array([[1.0, 1.0]]), 0, 60.0, (400.0, 400.0))
-
     def test_grid_spacing_and_bounds(self):
         pts = ris_grid_positions((400.0, 400.0), 30.0)
         assert pts.shape == (169, 2)  # 13 x 13
@@ -202,7 +201,7 @@ class TestTopologyConstruction:
         t2 = generate_topology(cfg, rng2)
         assert (point(t1, SOURCE_ID), point(t1, DEST_ID)) == ((20, 200), (380, 200))
         assert t1.iu_xy.shape == (50, 2)
-        assert np.array_equal(t1.xy[t1.first_ris_id:], ris_grid_positions(t1.arena, cfg.ris_spacing))
+        assert np.array_equal(t1.xy[t1.first_ris_id:], ris_grid_positions((400.0, 400.0), cfg.ris_spacing))
         assert np.array_equal(t1.iu_xy, t2.iu_xy)
 
 
