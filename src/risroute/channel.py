@@ -16,7 +16,9 @@ checked against. Two surfaces have no closed form: their phases are
 aligned alternately, one surface at a time, and the cascade is evaluated.
 
 A fading draw advances the generator when it is made, but its arrays
-are built on first read, so a draw no link reads costs only the draw.
+are built on first read, so a draw no link reads costs only the draw, and
+direct and single-reflection links, which read only the amplitudes, never
+build the phases.
 
 The link-budget constants P, rho_L, alpha and sigma^2 live only in
 ``SimConfig``: every SNR here reads them from the config it is handed,
@@ -26,15 +28,21 @@ The short-packet achievable rate is the normal approximation
 
     R(g) = log2(1+g) - Qinv(eps)/ln2 * sqrt((g^2+2g) / (M_b (1+g)^2)),
 
-clamped at zero (a negative value means no transmission).
+clamped at zero (a negative value means no transmission). Qinv is
+sqrt(2) erfc^-1(2 eps), and erfc^-1(y) = -ndtri(y/2) / sqrt(2), so ``ndtri``
+here is a port of S. Moshier's Cephes ``ndtri``, the routine SciPy runs for
+both: the same coefficient tables and the same operation order, in plain
+``math``. It gives SciPy's bits exactly (``tests/test_channel.py`` checks
+``q_inv`` against ``scipy.special.erfcinv`` and ``ndtri`` against
+``scipy.special.ndtri`` with ``==``), so the simulator does not import SciPy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import erfcinv
 
 from .config import SimConfig
 
@@ -46,37 +54,36 @@ class FadingVector:
 
     1-D for device-surface segments, 2-D (out x in) for the surface-to-
     surface segment; rectangular shapes are allowed when element counts
-    differ. ``source`` returns (amplitudes, phases); it runs on the first
-    read of either and is then dropped. ``values`` is built once, on its
-    first read.
+    differ. ``amplitudes`` and ``phases`` are zero-argument functions that
+    return the arrays: each runs on the first read of its array and is then
+    dropped, so a link that reads only the amplitudes never builds the
+    phases. A phase read builds the amplitudes first. ``values`` is built
+    once, on its first read.
     """
 
-    __slots__ = ("_source", "_amplitudes", "_phases", "_values")
+    __slots__ = ("_amplitude_source", "_phase_source", "_amplitudes", "_phases", "_values")
 
-    def __init__(self, source):
-        self._source = source
+    def __init__(self, amplitudes, phases):
+        self._amplitude_source, self._phase_source = amplitudes, phases
         self._values = None
-
-    def _build(self) -> None:
-        amp, ph = self._source()
-        amp = np.asarray(amp, dtype=float)
-        ph = np.mod(np.asarray(ph, dtype=float), TWO_PI)
-        if amp.shape != ph.shape:
-            raise ValueError("amplitudes and phases must share a shape")
-        if not np.isfinite(amp).all() or (amp < 0).any():
-            raise ValueError("amplitudes must be finite and nonnegative")
-        self._amplitudes, self._phases, self._source = amp, ph, None
 
     @property
     def amplitudes(self) -> np.ndarray:
-        if self._source is not None:
-            self._build()
+        if self._amplitude_source is not None:
+            amp = np.asarray(self._amplitude_source(), dtype=float)
+            if not np.isfinite(amp).all() or (amp < 0).any():
+                raise ValueError("amplitudes must be finite and nonnegative")
+            self._amplitudes, self._amplitude_source = amp, None
         return self._amplitudes
 
     @property
     def phases(self) -> np.ndarray:
-        if self._source is not None:
-            self._build()
+        if self._phase_source is not None:
+            amp = self.amplitudes
+            ph = np.mod(np.asarray(self._phase_source(), dtype=float), TWO_PI)
+            if ph.shape != amp.shape:
+                raise ValueError("amplitudes and phases must share a shape")
+            self._phases, self._phase_source = ph, None
         return self._phases
 
     @property
@@ -95,7 +102,8 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
     The line-of-sight part carries K/(K+1) of the power at a uniformly
     drawn phase; the scattered part is circularly symmetric Gaussian with
     the remaining 1/(K+1). ``rng`` is advanced here, by the phases and then
-    the real and imaginary normals; the arrays are built on first read.
+    the real and imaginary normals. The complex gains are built on the
+    first read of either array, the amplitudes and phases on their own.
     """
     shape = (n,) if isinstance(n, int) else tuple(n)
     if any(s < 1 for s in shape):
@@ -105,11 +113,11 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
     phase = rng.uniform(0.0, TWO_PI, size=shape)
     re, im = rng.standard_normal(shape), rng.standard_normal(shape)
 
-    def arrays():
-        h = los_amp * np.exp(1j * phase) + scatter_amp * (re + 1j * im) / math.sqrt(2.0)
-        return np.abs(h), np.mod(-np.angle(h), TWO_PI)
+    @functools.cache
+    def gains():
+        return los_amp * np.exp(1j * phase) + scatter_amp * (re + 1j * im) / math.sqrt(2.0)
 
-    return FadingVector(arrays)
+    return FadingVector(lambda: np.abs(gains()), lambda: np.mod(-np.angle(gains()), TWO_PI))
 
 
 def direct_snr(cfg: SimConfig, h: complex, d: float) -> float:
@@ -200,11 +208,84 @@ def alternating_double_phases(
     return np.mod(np.angle(diag_i), TWO_PI), np.mod(np.angle(diag_j), TWO_PI)
 
 
+# Cephes ndtri (S. Moshier), as SciPy 1.17 runs it: sqrt(2 pi), exp(-2), and
+# the rational approximations P/Q for |y - 1/2| <= 1/2 - exp(-2) (0), then in
+# 1/x with x = sqrt(-2 ln y) for x < 8 (1) and x >= 8 (2); Q's leading 1 is
+# implicit.
+S2PI = 2.50662827463100050242e0
+EXP_M2 = 0.13533528323661269189
+P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+      1.39312609387279679503e1, -1.23916583867381258016e0)
+Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+      -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+      1.59056225126211695515e1, -1.18331621121330003142e0)
+P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+      4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+      -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+      1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+      -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+      1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+      3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+      2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+      2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner's rule, highest degree first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def p1evl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner's rule for a monic polynomial whose leading 1 is left out of ``coef``."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def ndtri(y0: float) -> float:
+    """Inverse of the standard normal CDF for 0 < y0 < 1, SciPy's bits exactly.
+
+    Cephes ``ndtri`` line for line; ``math.log`` raises on 0, 1 and values
+    outside [0, 1].
+    """
+    y, negate = y0, True
+    if y > 1.0 - EXP_M2:
+        y, negate = 1.0 - y, False
+    if y > EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * polevl(y2, P0) / p1evl(y2, Q0))
+        return x * S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * polevl(z, P1) / p1evl(z, Q1)
+    else:
+        x1 = z * polevl(z, P2) / p1evl(z, Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
+@functools.cache
 def q_inv(epsilon: float) -> float:
-    """Inverse Gaussian Q function via erfc^-1 (relative error well under 1e-10)."""
+    """Inverse Gaussian Q function, sqrt(2) erfc^-1(2 eps).
+
+    SciPy's ``erfcinv(y)`` is ``-ndtri(y/2) * sqrt(1/2)`` with Cephes
+    ``ndtri``, ported above, so this is ``math.sqrt(2.0) *
+    float(scipy.special.erfcinv(2 * epsilon))`` bit for bit (the oracle
+    test in ``tests/test_channel.py``), without SciPy.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    return math.sqrt(2.0) * float(erfcinv(2.0 * epsilon))
+    return math.sqrt(2.0) * (-ndtri(epsilon) * math.sqrt(0.5))
 
 
 def finite_blocklength_rate(gamma, blocklength: int, epsilon: float):

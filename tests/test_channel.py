@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy.stats import kstest
 
 from risroute.channel import (
+    EXP_M2,
     TWO_PI,
     FadingVector,
     alternating_double_phases,
     direct_snr,
     double_reflection_sinr,
     finite_blocklength_rate,
+    ndtri,
     optimal_single_reflection_snr,
     q_inv,
     sample_fading,
@@ -41,7 +43,7 @@ def q_inv_bisection(eps: float) -> float:
 
 
 def ones_vector(n):
-    return FadingVector(lambda: (np.ones(n), np.zeros(n)))
+    return FadingVector(lambda: np.ones(n), lambda: np.zeros(n))
 
 
 # -- the arbitrary-phase single-reflection cascade, kept here as the oracle for
@@ -100,7 +102,7 @@ class TestFadingSampler:
         assert np.all((fv.phases >= 0) & (fv.phases < 2 * math.pi))
 
     def test_value_convention(self):
-        fv = FadingVector(lambda: (np.array([2.0]), np.array([math.pi / 3])))
+        fv = FadingVector(lambda: np.array([2.0]), lambda: np.array([math.pi / 3]))
         assert fv.values[0] == pytest.approx(2.0 * np.exp(-1j * math.pi / 3), rel=1e-12)
 
 
@@ -125,7 +127,7 @@ class TestLazyDraw:
     def test_raw_draws_released_once_built(self):
         fv = sample_fading((4, 4), 10.0, np.random.default_rng(23))
         fv.values
-        assert fv._source is None
+        assert fv._amplitude_source is None and fv._phase_source is None
 
     @pytest.mark.parametrize("read", ["values", "amplitudes", "phases"])
     def test_non_finite_draw_raises_on_first_read(self, read):
@@ -138,8 +140,27 @@ class TestLazyDraw:
         with pytest.raises(ValueError, match="finite"):
             fv.values  # still refused on a second read, never a nan value
 
+    def test_amplitude_read_builds_no_phases(self):
+        fv = sample_fading(250, 10.0, np.random.default_rng(25))
+        amplitudes, phases, _ = eager_fading(250, 10.0, np.random.default_rng(25))
+        assert np.array_equal(fv.amplitudes, amplitudes)
+        assert fv._amplitude_source is None and fv._phase_source is not None
+        assert np.array_equal(fv.phases, phases) and fv._phase_source is None
+
+    def test_phases_wrapped_twice(self):
+        # a tiny negative phase wraps to 2 pi itself; the second wrap maps that to 0
+        once = np.mod(np.array([-1e-300]), TWO_PI)
+        assert once[0] == TWO_PI
+        fv = FadingVector(lambda: np.ones(1), lambda: once)
+        assert fv.phases[0] == 0.0
+
+    def test_shape_mismatch_raises_on_phase_read(self):
+        fv = FadingVector(lambda: np.ones(3), lambda: np.zeros(2))
+        with pytest.raises(ValueError, match="share a shape"):
+            fv.values
+
     def test_negative_amplitudes_raise_on_first_read(self):
-        fv = FadingVector(lambda: (np.array([1.0, -0.5]), np.zeros(2)))
+        fv = FadingVector(lambda: np.array([1.0, -0.5]), lambda: np.zeros(2))
         with pytest.raises(ValueError, match="nonnegative"):
             fv.values
 
@@ -239,7 +260,7 @@ class TestDoubleReflection:
         h_in = sample_fading(n, 10.0, rng)
         h_out = sample_fading(n, 10.0, rng)
         phase_i = aligned_phases(h_in, h_out)
-        identity = FadingVector(lambda: (np.eye(n), np.zeros((n, n))))
+        identity = FadingVector(lambda: np.eye(n), lambda: np.zeros((n, n)))
         double = double_reflection_sinr(PARAMS, h_in, phase_i, identity, np.zeros(n), h_out, 25.0, 1.0, 35.0)
         single = single_reflection_sinr(PARAMS, h_in, phase_i, h_out, 25.0, 35.0)
         assert double == pytest.approx(single * PARAMS.rho_l, rel=1e-12)
@@ -327,10 +348,61 @@ class TestFiniteBlocklengthRate:
         assert finite_blocklength_rate(1e-4, 10, 1e-6) == 0.0
 
     def test_invalid_epsilon(self):
-        with pytest.raises(ValueError):
-            finite_blocklength_rate(1.0, 1000, 0.0)
-        with pytest.raises(ValueError):
-            finite_blocklength_rate(1.0, 1000, 1.0)
+        for eps in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                finite_blocklength_rate(1.0, 1000, eps)
+            with pytest.raises(ValueError, match="epsilon"):
+                q_inv(eps)
 
     def test_shannon_rate(self):
         assert shannon_rate(3.0) == pytest.approx(2.0, rel=1e-12)
+
+
+def branch_edges():
+    """exp(-2), 1 - exp(-2) and exp(-32), the edges of ndtri's branches, and the float either side;
+    then the two floats either side of x = sqrt(-2 ln y) = 8, since x rounds to 8 on all three of
+    exp(-32) and its neighbours."""
+    edges = []
+    for y in (math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)):
+        edges += [math.nextafter(y, 0.0), y, math.nextafter(y, 1.0)]
+    y = edges[-1]
+    while math.sqrt(-2.0 * math.log(y)) >= 8.0:
+        y = math.nextafter(y, 1.0)
+    return edges + [math.nextafter(y, 0.0), y]
+
+
+class TestQinvBitExact:
+    """The pure-math Q^-1 against SciPy as a test-only oracle, compared with ==."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        yield
+        q_inv.cache_clear()
+
+    def test_q_inv_equals_erfcinv(self):
+        rng = np.random.default_rng(91)
+        eps = np.concatenate([10.0 ** rng.uniform(-300.0, math.log10(0.5), 100_000), branch_edges()])
+        eps = eps[(eps > 1e-300) & (eps < 1.0)]
+        oracle = math.sqrt(2.0) * special.erfcinv(2.0 * eps)
+        got = np.array([q_inv(e) for e in eps.tolist()])
+        assert np.array_equal(got, oracle), eps[got != oracle][:5]
+
+    def test_ndtri_equals_scipy(self):
+        rng = np.random.default_rng(92)
+        tail = 10.0 ** rng.uniform(-300.0, 0.0, 50_000)
+        y = np.concatenate([rng.uniform(0.0, 1.0, 50_000), tail, 1.0 - tail, branch_edges(), [0.5]])
+        y = y[(y > 0.0) & (y < 1.0)]
+        got = np.array([ndtri(v) for v in y.tolist()])
+        assert np.array_equal(got, special.ndtri(y)), y[got != special.ndtri(y)][:5]
+
+    def test_edges_straddle_every_branch(self):
+        edges = branch_edges()
+        assert edges[0] < EXP_M2 == edges[1] < edges[2]  # tail rational up to exp(-2), central above
+        assert edges[3] < 1.0 - EXP_M2 == edges[4] < edges[5]  # central up to 1 - exp(-2), upper tail above
+        assert math.sqrt(-2.0 * math.log(edges[-2])) >= 8.0 > math.sqrt(-2.0 * math.log(edges[-1]))
+
+    def test_cached(self):
+        q_inv.cache_clear()
+        finite_blocklength_rate(10.0, 1000, 1e-4)
+        finite_blocklength_rate(np.array([1.0, 2.0]), 1000, 1e-4)
+        assert q_inv.cache_info().misses == 1 and q_inv.cache_info().hits == 1

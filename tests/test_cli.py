@@ -151,3 +151,19 @@ class TestBlasPinned:
             subprocess.run(cmd, env={**os.environ, **blas, "PYTHONPATH": str(src)}, check=True, timeout=300)
             written.append((out / "comparison_detail.csv").read_bytes())
         assert written[0] == written[1]
+
+
+class TestNoScipy:
+    def test_cli_and_experiments_never_load_scipy(self, tmp_path):
+        # the simulator's only special function, Q^-1, is a pure-math port (channel.ndtri)
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import sys\n"
+            "import risroute.cli, risroute.experiments\n"
+            f"assert risroute.cli.main(['route', '--replications', '2', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True, check=True, timeout=300)
+        assert run.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "route_0002.csv").exists()
