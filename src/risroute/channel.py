@@ -57,8 +57,9 @@ class FadingVector:
     differ. ``amplitudes`` and ``phases`` are zero-argument functions that
     return the arrays: each runs on the first read of its array and is then
     dropped, so a link that reads only the amplitudes never builds the
-    phases. A phase read builds the amplitudes first. ``values`` is built
-    once, on its first read.
+    phases. A phase read builds the amplitudes first. Phases are given in
+    [-pi, 2 pi] and kept in [0, 2 pi), bit for bit as two ``np.mod(., 2 pi)``
+    passes would leave them. ``values`` is built once, on its first read.
     """
 
     __slots__ = ("_amplitude_source", "_phase_source", "_amplitudes", "_phases", "_values")
@@ -80,16 +81,22 @@ class FadingVector:
     def phases(self) -> np.ndarray:
         if self._phase_source is not None:
             amp = self.amplitudes
-            ph = np.mod(np.asarray(self._phase_source(), dtype=float), TWO_PI)
+            # + 0.0 turns -0.0 into 0.0; a tiny negative phase plus 2 pi rounds to 2 pi, which means 0
+            ph = np.asarray(self._phase_source(), dtype=float) + 0.0
             if ph.shape != amp.shape:
                 raise ValueError("amplitudes and phases must share a shape")
+            np.add(ph, TWO_PI, out=ph, where=ph < 0.0)
+            ph[ph == TWO_PI] = 0.0
             self._phases, self._phase_source = ph, None
         return self._phases
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = self.amplitudes * np.exp(-1j * self.phases)
+            values = np.exp(-1j * self.phases)
+            values.real *= self.amplitudes
+            values.imag *= self.amplitudes
+            self._values = values
         return self._values
 
     def __len__(self) -> int:
@@ -112,16 +119,27 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
     los_amp, scatter_amp = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
     phase = rng.uniform(0.0, TWO_PI, size=shape)
     re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    built = []
 
-    @functools.cache
-    def gains():
-        return los_amp * np.exp(1j * phase) + scatter_amp * (re + 1j * im) / math.sqrt(2.0)
+    def gains() -> np.ndarray:
+        # los_amp exp(j phase) + scatter_amp (re + j im) / sqrt 2 in place, with numpy's roundings:
+        # it divides a complex array by a real scalar through the reciprocal
+        if not built:
+            g = np.exp(1j * phase)
+            g *= los_amp
+            scatter = np.empty(shape, dtype=complex)
+            np.multiply(re, scatter_amp, out=scatter.real)
+            np.multiply(im, scatter_amp, out=scatter.imag)
+            scatter *= 1.0 / math.sqrt(2.0)
+            g += scatter
+            built.append(g)
+        return built[0]
 
-    return FadingVector(lambda: np.abs(gains()), lambda: np.mod(-np.angle(gains()), TWO_PI))
+    return FadingVector(lambda: np.abs(gains()), lambda: -np.angle(gains()))
 
 
-def direct_snr(cfg: SimConfig, h: complex, d: float) -> float:
-    """P rho_L d^-alpha |h|^2 / sigma^2 on a direct device-device link."""
+def direct_snr(cfg: SimConfig, h: complex | float, d: float) -> float:
+    """P rho_L d^-alpha |h|^2 / sigma^2 on a direct device-device link; ``h`` may be the amplitude |h|."""
     if d <= 0:
         raise ValueError("distance must be positive")
     return cfg.tx_power_w * cfg.rho_l * d ** (-cfg.alpha_d2d) * abs(h) ** 2 / cfg.noise_w

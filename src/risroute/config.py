@@ -109,6 +109,16 @@ class SimConfig:
             raise ConfigError(f"blocklength must be >= 1, got {self.blocklength}")
         if self.ris_spacing_m is not None and self.ris_spacing_m <= 0:
             raise ConfigError(f"ris_spacing_m must be positive when set, got {self.ris_spacing_m}")
+        for name, to_linear in (("rician_k_db", db_to_linear), ("rho_l_db", db_to_linear),
+                                ("tx_power_dbm", dbm_to_watts), ("proc_power_dbm", dbm_to_watts),
+                                ("noise_dbm", dbm_to_watts)):
+            try:
+                linear = to_linear(getattr(self, name))
+            except OverflowError:
+                linear = math.inf
+            # K = 0 is Rayleigh fading; every other linear value scales or divides a power
+            if not math.isfinite(linear) or (linear <= 0.0 and name != "rician_k_db"):
+                raise ConfigError(f"{name} = {getattr(self, name)!r} is out of range: its linear value is {linear!r}")
         for name in ("mh_mw", "eh_slope", "eh_threshold_w"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

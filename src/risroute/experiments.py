@@ -20,6 +20,11 @@ vectorised step, and each node that reaches its waypoint walks on in IU
 order with scalar float arithmetic (``math.dist``), drawing its next
 waypoint and speed from the walk's own stream.
 
+Each replication does only per-route work. What depends on the config
+alone is computed once per distinct key and shared read-only: the traffic
+chain law (``_profiles_for``), the RIS grid (``topology.ris_grid_positions``)
+and the mode table (``linkbudget.build_mode_table``).
+
 Replication streams derive deterministically from (seed, indices) via
 SeedSequence, so outputs are byte-identical across runs and thread
 counts; comparison variants and mobility grid points reuse the same
@@ -34,7 +39,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -220,12 +225,18 @@ class MobilityField:
 # --------------------------------------------------------------------------
 
 
-def _profiles_for(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-IU mean OFF and ON lengths (lambda_s, mu_s) in seconds; scalars are broadcast."""
-    return tuple(
-        np.broadcast_to(np.asarray(value, dtype=float) * 1e-3, (cfg.iu_count,))
-        for value in (cfg.lambda_off_ms, cfg.mu_on_ms)
+def _profiles_for(cfg: SimConfig) -> traffic.ChainLaw:
+    """The traffic chain law of ``cfg``, computed once per distinct traffic config and shared read-only."""
+    return _chain_law(cfg.lambda_off_ms, cfg.mu_on_ms, cfg.iu_count, cfg.slot_s, cfg.delta, cfg.p_th)
+
+
+@lru_cache(maxsize=16)
+def _chain_law(lambda_off_ms, mu_on_ms, iu_count: int, slot: float, delta: float, p_th: float) -> traffic.ChainLaw:
+    """The chain law of per-IU mean OFF and ON lengths in ms (scalars are broadcast to every IU)."""
+    lambda_s, mu_s = (
+        np.broadcast_to(np.asarray(value, dtype=float) * 1e-3, (iu_count,)) for value in (lambda_off_ms, mu_on_ms)
     )
+    return traffic.chain_law(lambda_s, mu_s, slot, delta, p_th)
 
 
 def run_one_route(
@@ -237,11 +248,11 @@ def run_one_route(
 ) -> router.RouteLedger:
     """One replication: topology draw, traffic, route under the variant policy."""
     topo = topology.generate_topology(cfg, rng)
-    means = _profiles_for(cfg)
+    law = _profiles_for(cfg)
     mobility = None
     if mobility_rng is not None and v_max > 0:
         mobility = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), v_max, mobility_rng)
-    return router.route(topo, means, cfg, rng, variant=variant, mobility=mobility)
+    return router.route(topo, law, cfg, rng, variant=variant, mobility=mobility)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import lru_cache
 
 from .config import SimConfig
 
@@ -37,8 +38,9 @@ BER_CONSTANTS = (2.0, 1.5, 1.0, 1.0)  # (c1, c2, c3, c4) of the BER model
 MAX_RATE = 8  # bits/symbol of the largest constellation, 256-QAM
 
 
+@lru_cache(maxsize=16)
 def build_mode_table(target_ber: float, rule: str = "table3") -> tuple[float, ...]:
-    """Lower SNR thresholds in dB of the M-QAM modes b = 1..MAX_RATE, BPSK first."""
+    """Lower SNR thresholds in dB of the M-QAM modes b = 1..MAX_RATE, BPSK first; computed once per key."""
     if not 0.0 < target_ber < 1.0:
         raise ValueError("target_ber must lie in (0, 1)")
     if rule not in ("table3", "eqtext"):

@@ -10,7 +10,10 @@ entries ``(link, tau, rate, constellation)``:
   the relay's estimated idle window (the availability constraint); with
   none, the transmitter defers once — waiting the minimum estimated
   turn-idle time of the busy relays in sight, budget permitting — and
-  rescans;
+  rescans. One fading draw covers every idle relay in sight, in scan
+  order, but a link (SNR and all) is built only for the relays strictly
+  closer to the destination than the transmitter, the only ones a hop
+  may take;
 * one reflector: the surface whose best qualifying endpoint makes the
   most forward progress;
 * two reflectors: the surface nearest the destination extended to exactly
@@ -28,10 +31,11 @@ reflected rate for its infinite-blocklength limit.
 Node positions are rows of the node table ``Router.xy`` (a node's id is its
 row; see ``topology``): the topology's own table in static runs, a copy
 whose IU rows follow the walk in mobile runs. A point is an ``(x, y)``
-pair of floats read from a row, and every distance compared or written is
-``math.dist`` of two points. The scan's ``np.hypot`` distances are never
-reused: they differ from ``math.dist`` in the last bit for some pairs, and
-a hop must make forward progress by the same distance the ledger records.
+pair of floats read from a row (one ``xy[ids]`` read per scan), and every
+distance compared or written is ``math.dist`` of two points. The scan's
+``np.hypot`` distances are never reused: they differ from ``math.dist`` in
+the last bit for some pairs, and a hop must make forward progress by the
+same distance the ledger records.
 """
 
 from __future__ import annotations
@@ -170,13 +174,20 @@ BASELINE_POLICIES = {
 }
 
 
-@dataclass(frozen=True)
-class CandidateLink:
+class CandidateLink(NamedTuple):
+    """A node reachable from the transmitter, with what a hop to it needs."""
+
     node_id: int
     snr_db: float
     snr_linear: float
     remaining_m: float
-    nu_idle_slots: float
+    nu_idle_slots: float  # inf for the destination, which is never busy
+
+
+def _link(node_id: int, snr: float, remaining_m: float, nu_idle_slots: float) -> CandidateLink:
+    """The link to ``node_id`` at linear SNR ``snr``."""
+    snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
+    return CandidateLink(node_id, snr_db, snr, remaining_m, nu_idle_slots)
 
 
 class Entry(NamedTuple):
@@ -188,14 +199,9 @@ class Entry(NamedTuple):
     constellation: int  # m_q on direct hops, 0 on reflected hops
 
 
-def usable_modes(thresholds_db: tuple[float, ...], snr_db: float, fixed_rate_bits: int | None) -> list[int]:
-    """Bit counts of the modes a direct link at ``snr_db`` may carry, ascending.
-
-    Every transmitting mode up to the channel's best one; with a pinned
-    ``fixed_rate_bits`` only that mode, and only if the channel supports it.
-    """
-    best = linkbudget.mode_bits(thresholds_db, snr_db)
-    return [bits for bits in range(1, best + 1) if fixed_rate_bits in (None, bits)]
+def _mode_range(fixed_rate_bits: int | None) -> tuple[int, int]:
+    """(lowest, highest) bit count a direct link may carry: every mode, or only the pinned one."""
+    return (1, linkbudget.MAX_RATE) if fixed_rate_bits is None else (fixed_rate_bits, fixed_rate_bits)
 
 
 def availability_set(
@@ -207,17 +213,21 @@ def availability_set(
     """The entry of every (relay, constellation) pair passing the
     availability constraint tau_req <= nu_I for the relay.
 
-    Every usable constellation of a relay is enumerated in ascending rate
-    (cost |idle| x |modes|); with a pinned ``fixed_rate_bits`` at most one.
-    A constellation's slot count is worked out once per call.
+    A relay's usable constellations are every mode up to the best its SNR
+    reaches, or with a pinned ``fixed_rate_bits`` only that one if reached;
+    they are listed in ascending rate, relay by relay. A constellation's
+    slot count is worked out once per call.
     """
-    tau_of = {bits: linkbudget.transfer_slots(total_bits, bits) for bits in range(1, linkbudget.MAX_RATE + 1)}
-    return [
-        Entry(link, tau_of[bits], bits, 2**bits)
-        for link in links
-        for bits in usable_modes(thresholds_db, link.snr_db, fixed_rate_bits)
-        if tau_of[bits] <= link.nu_idle_slots
-    ]
+    tau_of = [linkbudget.transfer_slots(total_bits, bits) for bits in range(1, linkbudget.MAX_RATE + 1)]
+    lowest, highest = _mode_range(fixed_rate_bits)
+    entries = []
+    for link in links:
+        best = min(linkbudget.mode_bits(thresholds_db, link.snr_db), highest)
+        for bits in range(lowest, best + 1):
+            tau = tau_of[bits - 1]
+            if tau <= link.nu_idle_slots:
+                entries.append(Entry(link, tau, bits, 2**bits))
+    return entries
 
 
 def select_entry(entries: list[Entry]) -> Entry:
@@ -234,22 +244,21 @@ def select_entry(entries: list[Entry]) -> Entry:
 class Router:
     """Single-route state machine: one topology, one traffic field, one clock.
 
-    ``means`` is the per-IU ``(lambda_s, mu_s)`` pair of arrays that
-    ``experiments._profiles_for`` returns, in IU row order.
+    ``law`` is the traffic chain law of the run's IUs in IU row order
+    (``experiments._profiles_for`` returns the config's), shared read-only.
     """
 
     def __init__(
         self,
         topo: Topology,
-        means: tuple[np.ndarray, np.ndarray],
+        law: traffic.ChainLaw,
         cfg: SimConfig,
         rng: np.random.Generator,
         policy: RoutePolicy | None = None,
         mobility=None,
     ):
-        lambda_s, mu_s = means
-        if len(lambda_s) != len(topo.iu_xy) or len(mu_s) != len(topo.iu_xy):
-            raise ValueError("need one (lambda_s, mu_s) pair per IU")
+        if len(law.pi) != len(topo.iu_xy):
+            raise ValueError("need one traffic chain per IU")
         self.topo = topo
         self.cfg = cfg
         self.rng = rng
@@ -257,7 +266,7 @@ class Router:
         self.mobility = mobility
         self.thresholds_db = linkbudget.build_mode_table(cfg.target_ber, rule=cfg.threshold_rule)
         self.fixed_rate_bits = None if self.policy.adaptive else cfg.fixed_rate_bits
-        self.field = traffic.TrafficField(lambda_s, mu_s, cfg.slot_s, cfg.delta, cfg.p_th, rng)
+        self.field = traffic.TrafficField(law, rng)
         self.clock = 0  # slots elapsed
         self.xy = topo.xy if mobility is None else topo.xy.copy()  # node positions at the clock
         self.relay_ids = range(DEST_ID, topo.first_ris_id)  # the destination and the IUs
@@ -289,22 +298,18 @@ class Router:
         ids = self.relay_ids if ids is None else ids
         return topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m)
 
-    def _link(self, node_id: int, pos: Point, snr: float) -> CandidateLink:
-        """The link to ``node_id`` at ``pos`` with linear SNR ``snr``; the destination is never busy."""
-        snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
-        nu = math.inf if node_id == DEST_ID else float(self.field.nu_idle[node_id - FIRST_IU_ID])
-        return CandidateLink(node_id, snr_db, snr, math.dist(pos, self.dest), nu)
-
-    def _direct_links(self, origin: Point, ids: list[int]) -> list[CandidateLink]:
-        """Fresh fading and SNR for each node on a direct device-device link."""
+    def _direct_links(self, origin: Point, ids: list[int], nus: list[float], limit: float) -> list[CandidateLink]:
+        """Direct links from ``origin`` to those of ``ids`` (idle windows ``nus``) that end strictly
+        closer to the destination than ``limit``; one fading draw covers every id, in order."""
         if not ids:
             return []
-        fading = channel.sample_fading(len(ids), self.cfg.rician_k_db, self.rng)
-        links = []
-        for node_id, amp in zip(ids, fading.amplitudes):
-            pos = self._point(node_id)
-            snr = channel.direct_snr(self.cfg, complex(amp), math.dist(origin, pos))
-            links.append(self._link(node_id, pos, snr))
+        amplitudes = channel.sample_fading(len(ids), self.cfg.rician_k_db, self.rng).amplitudes.tolist()
+        dest, links = self.dest, []
+        for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
+            remaining = math.dist(pos, dest)
+            if remaining < limit:
+                snr = channel.direct_snr(self.cfg, amp, math.dist(origin, pos))
+                links.append(_link(node_id, snr, remaining, nu))
         return links
 
     def _reflected_rate(self, gamma: float) -> float:
@@ -312,18 +317,19 @@ class Router:
             return channel.shannon_rate(gamma)
         return channel.finite_blocklength_rate(gamma, self.cfg.blocklength, self.cfg.epsilon)
 
-    def _forward(self, node_ids: list[int], origin: Point) -> list[tuple[int, Point]]:
-        """(id, position) of each node strictly closer to the destination than ``origin``."""
+    def _forward(self, node_ids: list[int], origin: Point) -> list[tuple[int, Point, float]]:
+        """(id, position, remaining distance) of each node strictly closer to the
+        destination than ``origin``."""
         dest = self.dest
         origin_remaining = math.dist(origin, dest)
-        return [(i, pos) for i in node_ids if math.dist(pos := self._point(i), dest) < origin_remaining]
+        rows = zip(node_ids, self.xy[node_ids].tolist())
+        return [(i, pos, r) for i, pos in rows if (r := math.dist(pos, dest)) < origin_remaining]
 
-    def _split_idle_busy(self, ius: list[int]) -> tuple[list[int], list[int]]:
-        rows = np.array(ius, dtype=np.intp) - FIRST_IU_ID
-        states = self.field.states_at(self.clock, rows, self.rng)
-        idle = [i for i, s in zip(ius, states) if s == traffic.IDLE]
-        busy = [i for i, s in zip(ius, states) if s == traffic.BUSY]
-        return idle, busy
+    def _split_idle_busy(self, ius: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of ``ius`` idle and busy at the clock, as arrays in the given order."""
+        ids = np.array(ius, dtype=np.intp)
+        idle = self.field.states_at(self.clock, ids - FIRST_IU_ID, self.rng) == traffic.IDLE
+        return ids[idle], ids[~idle]
 
     # -- route steps -----------------------------------------------------------
 
@@ -335,26 +341,28 @@ class Router:
         """
         found = self._scan(origin)
         if DEST_ID in found:
-            link = self._direct_links(origin, [DEST_ID])[0]
-            modes = usable_modes(self.thresholds_db, link.snr_db, self.fixed_rate_bits)
-            if modes:
-                bits = modes[-1]  # the fastest usable mode
+            link = self._direct_links(origin, [DEST_ID], [math.inf], math.inf)[0]
+            lowest, highest = _mode_range(self.fixed_rate_bits)
+            bits = min(linkbudget.mode_bits(self.thresholds_db, link.snr_db), highest)  # the fastest usable mode
+            if bits >= lowest:
                 return Entry(link, linkbudget.transfer_slots(self.cfg.total_bits, bits), bits, 2**bits), []
-        origin_remaining = math.dist(origin, self.dest)
         idle, busy = self._split_idle_busy([i for i in found if i != DEST_ID])
         # forward progress is required of a hop, not just half-disc membership
-        links = [ln for ln in self._direct_links(origin, idle) if ln.remaining_m < origin_remaining]
-        busy = [i for i, _ in self._forward(busy, origin)]
+        nu_idle = self.field.law.nu_idle[idle - FIRST_IU_ID].tolist()
+        links = self._direct_links(origin, idle.tolist(), nu_idle, math.dist(origin, self.dest))
+        busy = [i for i, _, _ in self._forward(busy.tolist(), origin)]
         aset = availability_set(links, self.thresholds_db, self.cfg.total_bits, self.fixed_rate_bits)
         return (select_entry(aset) if aset else None), busy
 
     def _reflector_entries(self, found: list[int], origin: Point, gamma_of) -> list[Entry]:
         """Qualifying entries among ``found``, a reflector's scan, the destination first."""
         idle, _ = self._split_idle_busy([i for i in found if i != DEST_ID])
+        nu_idle = self.field.law.nu_idle
         out = []
         # a reflector hop must still make forward progress
-        for node_id, pos in self._forward(([DEST_ID] if DEST_ID in found else []) + idle, origin):
-            link = self._link(node_id, pos, gamma_of(pos))
+        for node_id, pos, remaining in self._forward(([DEST_ID] if DEST_ID in found else []) + idle.tolist(), origin):
+            nu = math.inf if node_id == DEST_ID else float(nu_idle[node_id - FIRST_IU_ID])
+            link = _link(node_id, gamma_of(pos), remaining, nu)
             rate = self._reflected_rate(link.snr_linear)
             if rate <= 0.0:
                 continue
@@ -505,7 +513,7 @@ class Router:
         """Slots to wait at this position, honoring the wait caps; 0 = skip."""
         if not busy:
             return 0
-        eta = traffic.deferral_window(self.field.eta_idle[np.array(busy, dtype=np.intp) - FIRST_IU_ID])
+        eta = traffic.deferral_window(self.field.law.eta_idle[np.array(busy, dtype=np.intp) - FIRST_IU_ID])
         cap = min(budget.current_limit, self._remaining_s())
         if eta * self.cfg.slot_s > cap:
             return 0
@@ -557,7 +565,7 @@ class Router:
 
 def route(
     topo: Topology,
-    means: tuple[np.ndarray, np.ndarray],
+    law: traffic.ChainLaw,
     cfg: SimConfig,
     rng: np.random.Generator,
     variant: str = "full",
@@ -566,4 +574,4 @@ def route(
     """Run the decision procedure once under a named policy (see BASELINE_POLICIES)."""
     if variant not in BASELINE_POLICIES:
         raise ValueError(f"unknown variant {variant!r}; choose from {sorted(BASELINE_POLICIES)}")
-    return Router(topo, means, cfg, rng, policy=BASELINE_POLICIES[variant], mobility=mobility).run()
+    return Router(topo, law, cfg, rng, policy=BASELINE_POLICIES[variant], mobility=mobility).run()

@@ -31,6 +31,7 @@ surfaces' element count are ``SimConfig`` fields (``coverage_m``,
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,13 +122,19 @@ def hops_consumed(s_pos: Point, u_pos: Point, r: float) -> int:
     return int(math.floor(math.dist(s_pos, u_pos) / r))
 
 
+@lru_cache(maxsize=16)
 def ris_grid_positions(arena: tuple[float, float], spacing: float) -> np.ndarray:
-    """(k, 2) grid covering the arena row by row, first row/column offset by spacing/2."""
+    """(k, 2) grid covering the arena row by row, first row/column offset by spacing/2.
+
+    Computed once per (arena, spacing) and shared, so the array is read-only.
+    """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     w, h = arena
     xs, ys = np.meshgrid(np.arange(spacing / 2.0, w, spacing), np.arange(spacing / 2.0, h, spacing))
-    return np.column_stack([xs.ravel(), ys.ravel()])
+    grid = np.column_stack([xs.ravel(), ys.ravel()])
+    grid.flags.writeable = False
+    return grid
 
 
 def generate_topology(cfg: SimConfig, rng: np.random.Generator) -> Topology:

@@ -19,16 +19,21 @@ the geometric first-success wait until a busy user turns idle,
 and the transmission deferral window eta_w = min over busy users of eta_I.
 
 A run's traffic is held as arrays indexed by IU row (the IU's node id
-minus ``topology.FIRST_IU_ID``): per-IU means ``lambda_s`` and ``mu_s`` in
-seconds, and in ``TrafficField`` the per-IU stationary busy probability
-``pi``, chain eigenvalue ``rho``, ``nu_idle``, ``eta_idle`` and the
-current state. The estimators accept a scalar or such an array.
+minus ``topology.FIRST_IU_ID``). ``chain_law`` turns the per-IU means
+``lambda_s`` and ``mu_s`` (seconds) into a ``ChainLaw``: the switch
+probabilities, the stationary busy probability ``pi``, the chain eigenvalue
+``rho``, ``nu_idle`` and ``eta_idle``. The law depends on the traffic config
+alone, so one law is computed per config and shared read-only (every array
+has ``flags.writeable = False``) by the ``TrafficField`` of each route,
+which holds only that route's chain states. The estimators accept a scalar
+or such an array.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +99,41 @@ def deferral_window(busy_eta: np.ndarray) -> int:
     return int(math.ceil(busy_eta.min()))
 
 
+class ChainLaw(NamedTuple):
+    """Per-IU chain law and estimators of one traffic config, every array read-only."""
+
+    p01: np.ndarray
+    p10: np.ndarray
+    pi: np.ndarray  # stationary busy probability
+    rho: np.ndarray  # chain eigenvalue 1 - p01 - p10
+    nu_idle: np.ndarray
+    eta_idle: np.ndarray
+    slot_is_long: bool  # the slot is not small against some ON/OFF mean
+
+
+def chain_law(lambda_s, mu_s, slot: float, delta: float, p_th: float) -> ChainLaw:
+    """The law of the chains with per-IU means ``lambda_s`` and ``mu_s`` (seconds)."""
+    lam, mu = np.broadcast_arrays(np.asarray(lambda_s, dtype=float), np.asarray(mu_s, dtype=float))
+    if lam.ndim != 1:
+        raise ValueError("lambda_s and mu_s must be one value per IU")
+    if not (slot > 0 and np.all(lam > 0) and np.all(mu > 0)):
+        raise ValueError("lambda_off, mu_on, and slot must be positive")
+    p01 = switch_probability(lam, slot)
+    p10 = switch_probability(mu, slot)
+    law = ChainLaw(
+        p01=p01,
+        p10=p10,
+        pi=p01 / (p01 + p10),
+        rho=1.0 - p01 - p10,
+        nu_idle=duration_of_idleness(lam, slot, delta),
+        eta_idle=idle_wait_estimate(mu, slot, p_th),
+        slot_is_long=bool(lam.size and slot > 0.2 * min(lam.min(), mu.min())),
+    )
+    for array in law[:-1]:
+        array.flags.writeable = False
+    return law
+
+
 class TrafficField:
     """Synchronous chain states for all IUs of one run, advanced lazily.
 
@@ -101,28 +141,20 @@ class TrafficField:
     when observed (a scan); between observations each chain advances by
     the exact n-step law, one uniform draw per observed user per epoch.
     Initial states are drawn from the chain's stationary distribution.
+    ``law`` is shared read-only; ``state`` and ``updated_at`` are this
+    field's own.
     """
 
-    def __init__(self, lambda_s, mu_s, slot: float, delta: float, p_th: float, rng: np.random.Generator):
-        lam, mu = np.broadcast_arrays(np.asarray(lambda_s, dtype=float), np.asarray(mu_s, dtype=float))
-        if lam.ndim != 1:
-            raise ValueError("lambda_s and mu_s must be one value per IU")
-        if not (slot > 0 and np.all(lam > 0) and np.all(mu > 0)):
-            raise ValueError("lambda_off, mu_on, and slot must be positive")
-        if lam.size and slot > 0.2 * min(lam.min(), mu.min()):
+    def __init__(self, law: ChainLaw, rng: np.random.Generator):
+        if law.slot_is_long:
             warnings.warn(
                 "slot duration is not small against the ON/OFF means; "
                 "multiple state changes per slot become likely",
                 stacklevel=2,
             )
-        self.p01 = switch_probability(lam, slot)
-        self.p10 = switch_probability(mu, slot)
-        self.pi = self.p01 / (self.p01 + self.p10)
-        self.rho = 1.0 - self.p01 - self.p10
-        self.nu_idle = duration_of_idleness(lam, slot, delta)
-        self.eta_idle = idle_wait_estimate(mu, slot, p_th)
-        self.state = (rng.random(lam.size) < self.pi).astype(np.int8)
-        self.updated_at = np.zeros(lam.size, dtype=np.int64)
+        self.law = law
+        self.state = (rng.random(law.pi.size) < law.pi).astype(np.int8)
+        self.updated_at = np.zeros(law.pi.size, dtype=np.int64)
 
     def states_at(self, slot: int, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Observe the given users at ``slot`` (monotone per user)."""
@@ -135,8 +167,8 @@ class TrafficField:
         stale = indices[lag > 0]
         if stale.size:
             n = (slot - self.updated_at[stale]).astype(np.float64)
-            pi = self.pi[stale]
-            p_busy = pi + (self.rho[stale] ** n) * (self.state[stale] - pi)
+            pi = self.law.pi[stale]
+            p_busy = pi + (self.law.rho[stale] ** n) * (self.state[stale] - pi)
             self.state[stale] = (rng.random(stale.size) < p_busy).astype(np.int8)
             self.updated_at[stale] = slot
         return self.state[indices]

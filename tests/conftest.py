@@ -4,6 +4,7 @@ import numpy as np
 
 from risroute.config import SimConfig
 from risroute.topology import Topology
+from risroute.traffic import chain_law
 
 
 def build_topology(iu_xy, ris_xy=(), src=(0.0, 200.0), dst=(400.0, 200.0), arena=(400.0, 400.0)):
@@ -11,9 +12,14 @@ def build_topology(iu_xy, ris_xy=(), src=(0.0, 200.0), dst=(400.0, 200.0), arena
     return Topology(src, dst, np.array(iu_xy, dtype=float), np.array(ris_xy, dtype=float), arena)
 
 
-def idle_profiles(count):
-    """Per-IU (lambda_s, mu_s) whose stationary law is essentially always idle."""
-    return np.full(count, 1e6), np.full(count, 4e-3)
+def traffic_law(lambda_s, mu_s, cfg):
+    """The chain law of per-IU mean OFF and ON lengths (seconds) at ``cfg``'s slot, delta and p_th."""
+    return chain_law(lambda_s, mu_s, cfg.slot_s, cfg.delta, cfg.p_th)
+
+
+def idle_law(count, cfg):
+    """The chain law of ``count`` IUs whose stationary law is essentially always idle."""
+    return traffic_law(np.full(count, 1e6), np.full(count, 4e-3), cfg)
 
 
 def line_config(**overrides):

@@ -83,6 +83,13 @@ class TestRejectedBeforeAnyRoute:
         (["route"], "source_xy = 5"),
         # the sweeps' fixed endpoint (380, 200) falls outside
         (["sweep-coverage", "--replications", "1"], "arena_m = 300"),
+        # linear values that overflow or reach 0 (OverflowError or ZeroDivisionError mid-run)
+        (["route"], "rician_k_db = 4000"),
+        (["route"], "tx_power_dbm = 4000"),
+        (["route"], "rho_l_db = 4000"),
+        (["route"], "noise_dbm = -4000"),
+        # raised in the metrics, after the sweep's routes had run
+        (["sweep-coverage", "--replications", "1"], "proc_power_dbm = 4000"),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, args, text):
         cfg = write_cfg(tmp_path / "bad.cfg", text + "\n")

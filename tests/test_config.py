@@ -57,6 +57,17 @@ OUT_OF_RANGE = [
 ]
 
 
+# dB values whose linear value overflows to inf or underflows to 0 (K may be 0: Rayleigh)
+UNREPRESENTABLE_DB = [
+    ("rician_k_db", 4000.0),
+    ("tx_power_dbm", 4000.0),
+    ("rho_l_db", 4000.0),
+    ("noise_dbm", -4000.0),
+    ("proc_power_dbm", 4000.0),
+    ("tx_power_dbm", -4000.0),
+]
+
+
 class TestRejectsOutOfRange:
     @pytest.mark.parametrize("key,value", OUT_OF_RANGE)
     def test_rejected_by_constructor_and_from_file(self, key, value, tmp_path):
@@ -66,6 +77,19 @@ class TestRejectsOutOfRange:
         path.write_text(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             load_config(path)
+
+
+    @pytest.mark.parametrize("key,value", UNREPRESENTABLE_DB)
+    def test_db_value_without_finite_linear_value_rejected(self, key, value, tmp_path):
+        with pytest.raises(ConfigError, match=key):
+            SimConfig(**{key: value})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_rayleigh_k_accepted(self):
+        assert SimConfig(rician_k_db=-4000.0).rician_k_db == -4000.0
 
 
 class TestDeadKeys:

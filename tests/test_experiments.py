@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risroute import experiments, traffic
+from risroute import experiments, linkbudget, topology, traffic
 from risroute.config import ConfigError, SimConfig, load_config
 from risroute.experiments import (
     ExperimentPlan,
@@ -354,3 +354,56 @@ class TestRunOneRoute:
         cfg = SimConfig(iu_count=10)
         with pytest.raises(ValueError):
             run_one_route(cfg, derive_rng(9, 1), variant="bogus")
+
+
+class TestPerConfigConstants:
+    """The chain law, the RIS grid and the mode table are computed once per config
+    and shared read-only; each route keeps only its own chain states."""
+
+    def test_shared_arrays_are_read_only(self):
+        cfg = SimConfig(iu_count=30)
+        law = experiments._profiles_for(cfg)
+        assert experiments._profiles_for(cfg.with_overrides(coverage_m=90.0)) is law  # not a traffic key
+        for name, array in law._asdict().items():
+            if isinstance(array, np.ndarray):
+                assert not array.flags.writeable, name
+        grid = topology.ris_grid_positions((400.0, 400.0), 30.0)
+        assert topology.ris_grid_positions((400.0, 400.0), 30.0) is grid and not grid.flags.writeable
+        with pytest.raises(ValueError):
+            law.nu_idle[0] = 0.0
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
+        assert linkbudget.build_mode_table(1e-6, "eqtext") is linkbudget.build_mode_table(1e-6, "eqtext")
+
+    def test_per_iu_lists_key_the_law(self):
+        cfg = SimConfig(iu_count=3, lambda_off_ms=(1.0, 2.0, 3.0))
+        law = experiments._profiles_for(cfg)
+        assert experiments._profiles_for(SimConfig(iu_count=3, lambda_off_ms=(1.0, 2.0, 3.0))) is law
+        other = experiments._profiles_for(cfg.with_overrides(lambda_off_ms=(1.0, 2.0, 4.0)))
+        assert law.p01[:2].tolist() == other.p01[:2].tolist() and law.p01[2] != other.p01[2]
+
+    def test_fields_of_one_law_evolve_independently(self):
+        law = experiments._profiles_for(SimConfig(iu_count=200))
+        before = law.pi.copy()
+        a = traffic.TrafficField(law, np.random.default_rng(1))
+        b = traffic.TrafficField(law, np.random.default_rng(1))
+        assert np.array_equal(a.state, b.state)
+        b_state, b_updated = b.state.copy(), b.updated_at.copy()
+        a.states_at(50, np.arange(200), np.random.default_rng(2))
+        assert np.array_equal(b.state, b_state) and np.array_equal(b.updated_at, b_updated)
+        assert (a.updated_at == 50).all() and not np.array_equal(a.state, b.state)
+        assert np.array_equal(law.pi, before)
+
+    def test_cell_computes_the_law_once(self, monkeypatch):
+        real, calls = traffic.switch_probability, []
+        monkeypatch.setattr(traffic, "switch_probability", lambda *a: calls.append(a) or real(*a))
+        cfg = SimConfig(iu_count=50, lambda_off_ms=3.25)  # a traffic key no other test uses
+        experiments._chain_law.cache_clear()
+        experiments._profiles_for(cfg)
+        per_law = len(calls)
+        assert per_law > 0
+        experiments._chain_law.cache_clear()
+        calls.clear()
+        cell = experiments.Cell("c", "full", "full", cfg, 0)
+        rows = experiments._run_cell(cell, seed=3, replications=3)
+        assert len(rows) == 3 and len(calls) == per_law

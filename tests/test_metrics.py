@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from conftest import build_topology, idle_profiles, line_config, rng_for
+from conftest import build_topology, idle_law, line_config, rng_for
 
 from risroute.config import SimConfig
 from risroute.metrics import (
@@ -114,7 +114,7 @@ class TestEnergyEfficiency:
         riss = [(50.0, 200.0)]
         topo = build_topology(ius, riss)
         cfg = line_config()
-        led = route(topo, idle_profiles(7), cfg, rng_for(200))
+        led = route(topo, idle_law(7, cfg), cfg, rng_for(200))
         assert led.success and led.ris_count >= 1
         got = energy_efficiency(led, cfg)
         tx_hops = [h for h in led.hops if h.kind is not HopKind.WAIT]

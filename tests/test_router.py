@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import build_topology, idle_profiles, line_config, rng_for
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import build_topology, idle_law, line_config, rng_for, traffic_law
 
 from risroute import channel, linkbudget, traffic
 from risroute.config import SimConfig
@@ -83,6 +85,53 @@ class TestAvailabilitySet:
         assert len(calls) <= 8
 
 
+def usable_modes(thresholds_db, snr_db, fixed_rate_bits):
+    """Bit counts of the modes a direct link at ``snr_db`` may carry, ascending: every
+    transmitting mode up to the channel's best one, or only a pinned ``fixed_rate_bits``
+    that the channel supports. The per-link enumeration ``availability_set`` made."""
+    best = linkbudget.mode_bits(thresholds_db, snr_db)
+    return [bits for bits in range(1, best + 1) if fixed_rate_bits in (None, bits)]
+
+
+def availability_set_by_enumeration(links, thresholds_db, total_bits, fixed_rate_bits=None):
+    """The oracle of ``availability_set``: every (link, usable mode) pair whose transfer fits."""
+    tau_of = {bits: linkbudget.transfer_slots(total_bits, bits) for bits in range(1, linkbudget.MAX_RATE + 1)}
+    return [
+        Entry(link, tau_of[bits], bits, 2**bits)
+        for link in links
+        for bits in usable_modes(thresholds_db, link.snr_db, fixed_rate_bits)
+        if tau_of[bits] <= link.nu_idle_slots
+    ]
+
+
+class TestAvailabilitySetOracle:
+    """``availability_set`` lists the entries of the per-link enumeration, in its order."""
+
+    @staticmethod
+    def edges(values):
+        """Each value and the floats 1 ulp either side of it."""
+        return sorted({w for v in values for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))})
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_same_entries_in_the_same_order(self, data):
+        thresholds = build_mode_table(1e-6, data.draw(st.sampled_from(["table3", "eqtext"])))
+        total_bits = data.draw(st.integers(1, 64))
+        taus = [linkbudget.transfer_slots(total_bits, bits) for bits in range(1, linkbudget.MAX_RATE + 1)]
+        snr_db = st.one_of(
+            st.sampled_from(self.edges(thresholds) + [-math.inf, math.nan]),
+            st.floats(-20.0, 60.0),
+        )
+        nu = st.one_of(st.sampled_from(self.edges(taus) + [math.inf]), st.floats(0.0, 100.0))
+        links = [make_link(2 + i, data.draw(snr_db), 100.0, data.draw(nu)) for i in range(data.draw(st.integers(0, 6)))]
+        fixed = data.draw(st.one_of(st.none(), st.integers(1, linkbudget.MAX_RATE)))
+        got = availability_set(links, thresholds, total_bits, fixed)
+        want = availability_set_by_enumeration(links, thresholds, total_bits, fixed)
+        assert [(e.link.node_id, e.tau, e.rate, e.constellation) for e in got] == \
+               [(e.link.node_id, e.tau, e.rate, e.constellation) for e in want]
+        assert all(a.link is b.link for a, b in zip(got, want))
+
+
 class TestSelectIu:
     """``select_entry`` picking among relay (IU) entries, and the destination over any of them."""
 
@@ -127,7 +176,7 @@ class TestDirectRouting:
         xs = [(50.0 * k, 200.0) for k in range(1, 8)]  # 50..350
         topo = build_topology(xs)
         cfg = line_config()
-        led = route(topo, idle_profiles(len(xs)), cfg, rng_for(100))
+        led = route(topo, idle_law(len(xs), cfg), cfg, rng_for(100))
         assert led.success
         assert led.ris_count == 0
         assert all(h.kind is HopKind.DIRECT_IU for h in led.hops)
@@ -136,7 +185,7 @@ class TestDirectRouting:
     def test_budget_below_one_slot_fails_immediately(self):
         topo = build_topology([(50.0, 200.0)])
         cfg = line_config(total_delay_ms=0.05)  # half a slot
-        led = route(topo, idle_profiles(1), cfg, rng_for(101))
+        led = route(topo, idle_law(1, cfg), cfg, rng_for(101))
         assert not led.success
         assert led.failure_reason is FailureReason.DELAY_EXCEEDED
         assert led.hops == []
@@ -144,13 +193,13 @@ class TestDirectRouting:
     def test_no_iu_no_ris_failure(self):
         topo = build_topology([])
         cfg = line_config()
-        led = route(topo, idle_profiles(0), cfg, rng_for(102))
+        led = route(topo, idle_law(0, cfg), cfg, rng_for(102))
         assert led.failure_reason is FailureReason.NO_IU_NO_RIS
 
     def test_direct_termination_at_destination(self):
         topo = build_topology([], src=(350.0, 200.0))
         cfg = line_config()
-        led = route(topo, idle_profiles(0), cfg, rng_for(103))
+        led = route(topo, idle_law(0, cfg), cfg, rng_for(103))
         assert led.success
         assert led.hop_count == 1
         assert led.hops[0].labels == ("D",)
@@ -158,15 +207,15 @@ class TestDirectRouting:
     def test_fixed_modulation_needs_more_slots(self):
         topo = build_topology([], src=(360.0, 200.0))
         cfg = line_config(packets=4)  # 32 bits
-        full = route(topo, idle_profiles(0), cfg, rng_for(104), variant="full")
-        fixed = route(topo, idle_profiles(0), cfg, rng_for(104), variant="fixed_mod")
+        full = route(topo, idle_law(0, cfg), cfg, rng_for(104), variant="full")
+        fixed = route(topo, idle_law(0, cfg), cfg, rng_for(104), variant="fixed_mod")
         assert full.success and fixed.success
         assert full.hops[0].slots_used == 4  # 256-QAM
         assert fixed.hops[0].slots_used == 16  # pinned QPSK
         assert fixed.hops[0].rate == 2.0
         # the pinned constellation is the config's
         cfg16 = line_config(packets=4, fixed_rate_bits=4)
-        pinned16 = route(topo, idle_profiles(0), cfg16, rng_for(104), variant="fixed_mod")
+        pinned16 = route(topo, idle_law(0, cfg16), cfg16, rng_for(104), variant="fixed_mod")
         assert (pinned16.hops[0].slots_used, pinned16.hops[0].constellation) == (8, 16)
 
 
@@ -181,7 +230,7 @@ class TestReflectorFallback:
     def test_single_reflection_chooses_lrd_endpoint(self):
         topo = self.setup_single()
         cfg = line_config()
-        led = route(topo, idle_profiles(7), cfg, rng_for(105))
+        led = route(topo, idle_law(7, cfg), cfg, rng_for(105))
         assert led.success
         first = led.hops[0]
         assert first.kind is HopKind.SINGLE_RIS
@@ -195,7 +244,7 @@ class TestReflectorFallback:
         riss = [(50.0, 200.0), (100.0, 200.0)]
         topo = build_topology(ius, riss)
         cfg = line_config()
-        led = route(topo, idle_profiles(5), cfg, rng_for(106))
+        led = route(topo, idle_law(5, cfg), cfg, rng_for(106))
         assert led.success
         first = led.hops[0]
         assert first.kind is HopKind.DOUBLE_RIS
@@ -208,10 +257,10 @@ class TestReflectorFallback:
         riss = [(50.0, 200.0), (100.0, 200.0)]
         topo = build_topology(ius, riss)
         cfg = line_config()
-        led = route(topo, idle_profiles(5), cfg, rng_for(107), variant="single_ris")
+        led = route(topo, idle_law(5, cfg), cfg, rng_for(107), variant="single_ris")
         assert not led.success
         assert led.failure_reason is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
-        full = route(topo, idle_profiles(5), cfg, rng_for(107), variant="full")
+        full = route(topo, idle_law(5, cfg), cfg, rng_for(107), variant="full")
         assert full.success
 
     def test_double_only_fails_without_adjacent_reflector(self):
@@ -220,10 +269,10 @@ class TestReflectorFallback:
         riss = [(50.0, 200.0)]
         topo = build_topology(ius, riss)
         cfg = line_config()
-        led = route(topo, idle_profiles(6), cfg, rng_for(108), variant="double_ris")
+        led = route(topo, idle_law(6, cfg), cfg, rng_for(108), variant="double_ris")
         assert not led.success
         assert led.failure_reason is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
-        full = route(topo, idle_profiles(6), cfg, rng_for(108), variant="full")
+        full = route(topo, idle_law(6, cfg), cfg, rng_for(108), variant="full")
         assert full.success
         assert full.hops[0].kind is HopKind.SINGLE_RIS
 
@@ -233,7 +282,7 @@ class TestReflectorFallback:
         cfg = line_config(packets=1)  # 8 bits: QPSK transfer fits the idle window
         traces = set()
         for variant in ("full", "shannon", "single_ris", "double_ris", "fixed_mod"):
-            led = route(topo, idle_profiles(7), cfg, rng_for(109), variant=variant)
+            led = route(topo, idle_law(7, cfg), cfg, rng_for(109), variant=variant)
             assert led.success
             traces.add(led.trace())
         assert len(traces) == 1
@@ -261,7 +310,8 @@ class TestDoubleStageDeadEnd:
     def router(self, iu):
         topo = build_topology([iu], self.riss)
         policy = BASELINE_POLICIES["double_ris"]
-        r = Router(topo, idle_profiles(1), line_config(), rng_for(120), policy=policy)
+        cfg = line_config()
+        r = Router(topo, idle_law(1, cfg), cfg, rng_for(120), policy=policy)
         assert r._scan(self.riss[1]) == [2]  # the IU is in the second surface's half-disc
         return r
 
@@ -292,9 +342,9 @@ class TestDeferral:
         ius = [(50.0, 200.0)] + [(50.0 * k, 200.0) for k in range(2, 8)]
         topo = build_topology(ius)
         cfg = line_config()
-        lam, mu = idle_profiles(7)
+        lam, mu = np.full(7, 1e6), np.full(7, 4e-3)
         lam[0], mu[0] = 4e-3, 0.6e-3
-        r = Router(topo, (lam, mu), cfg, rng_for(110))
+        r = Router(topo, traffic_law(lam, mu, cfg), cfg, rng_for(110))
         r.field.state[:] = 0
         r.field.state[0] = 1  # force the gatekeeper busy
         led = r.run()
@@ -312,7 +362,7 @@ class TestDeferral:
         for seed in range(6):
             rng = rng_for(111, seed)
             topo = generate_topology(cfg, rng)
-            led = route(topo, (np.full(60, 4e-3), np.full(60, 4e-3)), cfg, rng)
+            led = route(topo, traffic_law(np.full(60, 4e-3), np.full(60, 4e-3), cfg), cfg, rng)
             kinds = [h.kind for h in led.hops]
             assert not any(a is HopKind.WAIT and b is HopKind.WAIT for a, b in zip(kinds, kinds[1:]))
 
@@ -324,7 +374,7 @@ class TestSafetyInvariants:
         for seed in range(25):
             rng = rng_for(112, seed)
             topo = generate_topology(cfg, rng)
-            out.append((cfg, route(topo, (np.full(150, 4e-3), np.full(150, 4e-3)), cfg, rng)))
+            out.append((cfg, route(topo, traffic_law(np.full(150, 4e-3), np.full(150, 4e-3), cfg), cfg, rng)))
         return out
 
     def test_monotone_progress_and_delay_safety(self):
@@ -351,7 +401,7 @@ class TestSafetyInvariants:
         for _ in range(2):
             rng = rng_for(113)
             topo = generate_topology(cfg, rng)
-            rows.append(route(topo, (np.full(150, 4e-3), np.full(150, 4e-3)), cfg, rng).to_rows())
+            rows.append(route(topo, traffic_law(np.full(150, 4e-3), np.full(150, 4e-3), cfg), cfg, rng).to_rows())
         assert rows[0] == rows[1]
 
 
@@ -361,7 +411,7 @@ class TestMobilityOutage:
         cfg = line_config()
         found = False
         for seed in range(12):
-            r = Router(topo, idle_profiles(1), cfg, rng_for(114, seed),
+            r = Router(topo, idle_law(1, cfg), cfg, rng_for(114, seed),
                        mobility=MobilityField(np.array([[59.5, 200.0]]), (400.0, 400.0),
                                               20000.0, rng_for(115, seed)))
             led = r.run()
@@ -374,22 +424,22 @@ class TestMobilityOutage:
         topo = build_topology([(50.0, 200.0), (100.0, 200.0), (150.0, 200.0),
                                (200.0, 200.0), (250.0, 200.0), (300.0, 200.0), (350.0, 200.0)])
         cfg = line_config()
-        static = route(topo, idle_profiles(7), cfg, rng_for(116))
+        static = route(topo, idle_law(7, cfg), cfg, rng_for(116))
         mob = MobilityField(topo.iu_xy, (400.0, 400.0), 0.0, rng_for(117))
-        moving = route(topo, idle_profiles(7), cfg, rng_for(116), mobility=mob)
+        moving = route(topo, idle_law(7, cfg), cfg, rng_for(116), mobility=mob)
         assert static.to_rows() == moving.to_rows()
 
 
 class TestNodeTable:
     def test_static_router_reads_the_topology_table(self):
         topo = build_topology([(50.0, 200.0)], [(30.0, 200.0)])
-        r = Router(topo, idle_profiles(1), line_config(), rng_for(119))
+        r = Router(topo, idle_law(1, line_config()), line_config(), rng_for(119))
         assert r.xy is topo.xy
 
     def test_walk_moves_only_the_routers_iu_rows(self):
         topo = build_topology([(50.0, 200.0), (120.0, 210.0)], [(30.0, 200.0)])
         walk = MobilityField(topo.iu_xy, (400.0, 400.0), 20.0, rng_for(121))
-        r = Router(topo, idle_profiles(2), line_config(), rng_for(119), mobility=walk)
+        r = Router(topo, idle_law(2, line_config()), line_config(), rng_for(119), mobility=walk)
         before = topo.xy.copy()
         r._tick(500)
         assert np.array_equal(topo.xy, before)  # the topology never moves
@@ -437,7 +487,7 @@ class TestCommitProgress:
 
     def check(self):
         topo = build_topology([(50.0, 200.0)], [(30.0, 200.0), (40.0, 200.0)])  # U1 is id 2, R1 3, R2 4
-        r = Router(topo, idle_profiles(1), line_config(), rng_for(118))
+        r = Router(topo, idle_law(1, line_config()), line_config(), rng_for(118))
         origin = (100.0, 200.0)  # 300 m from D
         stuck = make_link(2, 25.0, 300.0, 1e9)
         closer = make_link(2, 25.0, 350.0, 1e9)

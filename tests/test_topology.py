@@ -213,7 +213,7 @@ class TestScenarioIsArrays:
         rng = np.random.default_rng(1)
 
         def setup():
-            field = TrafficField(*_profiles_for(cfg), cfg.slot_s, cfg.delta, cfg.p_th, rng)
+            field = TrafficField(_profiles_for(cfg), rng)
             return generate_topology(cfg, rng), field
 
         setup()  # first-call caches

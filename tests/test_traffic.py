@@ -9,6 +9,7 @@ from risroute.traffic import (
     IDLE,
     NoBusyIuError,
     TrafficField,
+    chain_law,
     deferral_window,
     duration_of_busyness,
     duration_of_idleness,
@@ -25,7 +26,7 @@ SLOT = 0.1 * MS
 def make_field(lam=LAM, mu=MU, count=1, slot=SLOT, delta=0.1, p_th=0.01, seed=0):
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (count,))
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (count,))
-    return TrafficField(lam, mu, slot, delta, p_th, np.random.default_rng(np.random.SeedSequence([seed])))
+    return TrafficField(chain_law(lam, mu, slot, delta, p_th), np.random.default_rng(np.random.SeedSequence([seed])))
 
 
 def oracle_matrix(lam, mu, slot=SLOT):
@@ -53,16 +54,16 @@ class Draws:
 class TestTransitionMatrix:
     def test_off_switch_probability_exact(self):
         field = make_field()
-        assert field.p01[0] == pytest.approx(1 - math.exp(-0.025), rel=1e-15)
-        assert field.p01[0] == pytest.approx(0.024690087971667385, rel=1e-12)
-        assert field.p10[0] == pytest.approx(0.024690087971667385, rel=1e-12)
+        assert field.law.p01[0] == pytest.approx(1 - math.exp(-0.025), rel=1e-15)
+        assert field.law.p01[0] == pytest.approx(0.024690087971667385, rel=1e-12)
+        assert field.law.p10[0] == pytest.approx(0.024690087971667385, rel=1e-12)
 
     def test_off_switch_probability_monte_carlo_oracle(self):
         # fraction of exponential OFF periods ending within one slot
         rng = np.random.default_rng(2024)
         draws = rng.exponential(LAM, size=1_000_000)
         frac = float(np.mean(draws < SLOT))
-        p01 = make_field().p01[0]
+        p01 = make_field().law.p01[0]
         sigma = math.sqrt(p01 * (1 - p01) / 1_000_000)
         assert abs(frac - p01) < 4 * sigma
 
@@ -75,14 +76,14 @@ class TestTransitionMatrix:
                 field = make_field(lam * MS, mu * MS, slot=ts * MS)
             p = oracle_matrix(lam * MS, mu * MS, ts * MS)
             assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-            assert abs(field.p01[0] - p[0, 1]) < 1e-15 and abs(field.p10[0] - p[1, 0]) < 1e-15
-            assert 0 <= field.pi[0] <= 1 and abs(field.rho[0]) <= 1
+            assert abs(field.law.p01[0] - p[0, 1]) < 1e-15 and abs(field.law.p10[0] - p[1, 0]) < 1e-15
+            assert 0 <= field.law.pi[0] <= 1 and abs(field.law.rho[0]) <= 1
 
     def test_infinite_off_mean_limit(self):
         field = make_field(lam=1e9)
-        assert field.p01[0] < 1e-9 and field.pi[0] < 1e-9
+        assert field.law.p01[0] < 1e-9 and field.law.pi[0] < 1e-9
         never = make_field(lam=math.inf)
-        assert never.p01[0] == 0.0 and never.pi[0] == 0.0
+        assert never.law.p01[0] == 0.0 and never.law.pi[0] == 0.0
 
     def test_invalid_rows_rejected(self):
         # means that cannot give a stochastic matrix are refused
@@ -116,7 +117,7 @@ class TestChainStep:
         idx = np.arange(chains)
         busy = sum(int(field.states_at(slot, idx, rng).sum()) for slot in range(1, slots + 1))
         frac = busy / (chains * slots)
-        rho = field.rho[0]
+        rho = field.law.rho[0]
         sigma = math.sqrt(0.25 * (1 + rho) / (1 - rho) / (chains * slots))
         assert abs(frac - 0.5) < 3 * sigma
 
@@ -244,15 +245,15 @@ class TestDeferralWindow:
     def test_min_over_two_profiles(self):
         field = make_field(mu=np.array([8 * MS, 2 * MS]), count=2, p_th=0.01)
         slow, fast = (idle_wait_estimate(mu, SLOT, 0.01) for mu in (8 * MS, 2 * MS))
-        assert field.eta_idle.tolist() == [slow, fast]
+        assert field.law.eta_idle.tolist() == [slow, fast]
         expected = math.ceil(min(slow, fast))
-        assert deferral_window(field.eta_idle) == expected
+        assert deferral_window(field.law.eta_idle) == expected
         # evaluated both: the 8 ms profile wins here (see regime note above)
         assert expected == math.ceil(slow)
 
     def test_identical_profiles(self):
         field = make_field(count=5, p_th=0.01)
-        assert deferral_window(field.eta_idle) == math.ceil(idle_wait_estimate(MU, SLOT, 0.01))
+        assert deferral_window(field.law.eta_idle) == math.ceil(idle_wait_estimate(MU, SLOT, 0.01))
 
     def test_empty_raises(self):
         with pytest.raises(NoBusyIuError):
@@ -305,10 +306,10 @@ class TestTrafficField:
         for j in range(4):
             p01 = 1.0 - math.exp(-SLOT / lam[j])
             p10 = 1.0 - math.exp(-SLOT / mu[j])
-            assert field.p01[j] == p01 and field.p10[j] == p10
-            assert field.pi[j] == p01 / (p01 + p10) and field.rho[j] == 1.0 - p01 - p10
-            assert field.nu_idle[j] == (lam[j] / SLOT) * math.log(1.0 / (1.0 - delta))
-            assert field.eta_idle[j] == (mu[j] / SLOT) * math.log(max(p10 / p_th, 1.0)) + 1.0
+            assert field.law.p01[j] == p01 and field.law.p10[j] == p10
+            assert field.law.pi[j] == p01 / (p01 + p10) and field.law.rho[j] == 1.0 - p01 - p10
+            assert field.law.nu_idle[j] == (lam[j] / SLOT) * math.log(1.0 / (1.0 - delta))
+            assert field.law.eta_idle[j] == (mu[j] / SLOT) * math.log(max(p10 / p_th, 1.0)) + 1.0
 
 
 class TestProfileValidation:
