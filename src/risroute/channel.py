@@ -211,7 +211,11 @@ def alternating_double_phases(
 
     Each half-step aligns one surface for its effective incident/outgoing
     vectors with the other held fixed, which cannot decrease the cascade
-    magnitude; 20 rounds is plenty for the magnitudes involved here.
+    magnitude. 20 rounds stop short of convergence: on 8 draws (K = 10 dB,
+    250 elements; ``h_in``, ``h_mid``, ``h_out`` drawn in that order from
+    ``np.random.default_rng(seed)``, seeds 0-7) the cascade power |h_out
+    Phi_j H Phi_i h_in|^2 after 20 rounds was 0.14-0.41 dB below that after
+    200 rounds.
     """
     mid = h_mid.values
     v_in = h_in.values

@@ -14,7 +14,11 @@ quantities are computed once per config, on first read. A transmission
 mode is its bit count b (constellation 2**b): ``target_ber`` and
 ``threshold_rule`` set the SNR threshold of each b (see ``linkbudget``),
 and ``fixed_rate_bits`` pins one b for the fixed-modulation baseline.
-Fixed endpoints, when set, must differ and lie inside the arena.
+Fixed endpoints, when set, must differ and lie inside the arena, and the
+destination off the reflector grid. Link-budget keys outside their physical
+ranges are refused, never clamped: ``rho_l_db <= 0`` (a loss),
+``noise_dbm >= -200``, ``tx_power_dbm <= 60``, and path-loss exponents
+``alpha_d2d`` and ``alpha_other`` > 0 (a gain that falls with distance).
 """
 
 from __future__ import annotations
@@ -119,6 +123,13 @@ class SimConfig:
             # K = 0 is Rayleigh fading; every other linear value scales or divides a power
             if not math.isfinite(linear) or (linear <= 0.0 and name != "rician_k_db"):
                 raise ConfigError(f"{name} = {getattr(self, name)!r} is out of range: its linear value is {linear!r}")
+        for name, ok, rule in (("rho_l_db", self.rho_l_db <= 0.0, "<= 0"),
+                               ("noise_dbm", self.noise_dbm >= -200.0, ">= -200"),
+                               ("tx_power_dbm", self.tx_power_dbm <= 60.0, "<= 60"),
+                               ("alpha_d2d", self.alpha_d2d > 0.0, "> 0"),
+                               ("alpha_other", self.alpha_other > 0.0, "> 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         for name in ("mh_mw", "eh_slope", "eh_threshold_w"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -135,6 +146,10 @@ class SimConfig:
                 raise ConfigError(f"{name} {xy} lies outside the arena (arena_m = {self.arena_m:g})")
         if self.source_xy is not None and self.source_xy == self.dest_xy:
             raise ConfigError(f"source_xy and dest_xy must differ, both are {self.source_xy}")
+        if self.dest_xy is not None:  # a scan centred on the destination would face no direction
+            from .topology import ris_grid_positions  # deferred: topology imports this module
+            if (ris_grid_positions((self.arena_m, self.arena_m), self.ris_spacing) == self.dest_xy).all(axis=1).any():
+                raise ConfigError(f"dest_xy {self.dest_xy} sits on a reflector of the {self.ris_spacing:g} m grid")
 
     # Derived quantities, SI units, each computed on first read.
 

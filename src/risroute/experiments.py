@@ -98,8 +98,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.replications < 1 or self.chains < 1 or self.batches < 2:
-            raise ConfigError("replications and chains must be >= 1, batches >= 2")
+        if self.replications < 1 or self.batches < 2 or self.chains < self.batches:  # a batch needs a chain
+            raise ConfigError("replications must be >= 1, batches >= 2 and chains >= batches")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not all((self.resolved_coverage_grid(), self.resolved_density_grid(), self.vmax_grid, self.variants)):

@@ -19,13 +19,10 @@ the second sum being the energy harvested by the relays along the way.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .config import SimConfig
 from .router import HopKind, RouteLedger
-
-log = logging.getLogger(__name__)
 
 
 class NetNegativeEnergyError(ValueError):
@@ -49,17 +46,11 @@ def data_throughput(ledger: RouteLedger, target_ber: float, constellation_term: 
         raise ValueError(f"constellation_term must be 'size' or 'bits', got {constellation_term!r}")
     denom = 0.0
     for hop in ledger.transmission_hops:
-        if hop.kind is HopKind.DIRECT_IU:
-            term = hop.constellation if constellation_term == "size" else hop.rate
-            if term <= 0:
-                log.warning("zero-rate direct hop in ledger; throughput collapses to 0")
-                return 0.0
-            denom += 1.0 / ((1.0 - target_ber) * term)
-        else:
-            if hop.rate <= 0:
-                log.warning("zero-rate reflected hop in ledger; throughput collapses to 0")
-                return 0.0
-            denom += 1.0 / hop.rate
+        direct = hop.kind is HopKind.DIRECT_IU
+        term = hop.constellation if direct and constellation_term == "size" else hop.rate
+        if term <= 0:
+            raise ValueError(f"{hop.kind.value} hop with rate term {term} in a successful route")
+        denom += 1.0 / ((1.0 - target_ber) * term) if direct else 1.0 / term
     return 1.0 / denom
 
 

@@ -6,14 +6,15 @@ that needs the fewest slots, ties broken by least remaining distance then
 lower id. Endpoints are sought in three stages, each yielding commit-ready
 entries ``(link, tau, rate, constellation)``:
 
-* idle relays, each with every constellation whose transfer fits inside
-  the relay's estimated idle window (the availability constraint); with
-  none, the transmitter defers once — waiting the minimum estimated
-  turn-idle time of the busy relays in sight, budget permitting — and
-  rescans. One fading draw covers every idle relay in sight, in scan
-  order, but a link (SNR and all) is built only for the relays strictly
-  closer to the destination than the transmitter, the only ones a hop
-  may take;
+* the destination at its fastest usable constellation, else idle relays,
+  each yielding one entry: its constellation needing the fewest slots (the
+  lowest rate among equal-slot ones), kept only if the transfer fits the
+  relay's estimated idle window (the availability constraint). With none,
+  the transmitter defers once — waiting the minimum estimated turn-idle
+  time of the busy relays in sight, budget permitting — and rescans. One
+  fading draw covers every idle relay in sight, in scan order, but a link
+  is built only for those strictly closer to the destination than the
+  transmitter, the only ones a hop may take;
 * one reflector: the surface whose best qualifying endpoint makes the
   most forward progress;
 * two reflectors: the surface nearest the destination extended to exactly
@@ -74,8 +75,7 @@ class FailureReason(Enum):
 @dataclass(frozen=True)
 class HopChoice:
     kind: HopKind
-    via: tuple[int, ...]  # node ids: (iu,) | (ris, endpoint) | (ris_i, ris_j, endpoint)
-    labels: tuple[str, ...]
+    via: tuple[int, ...]  # node ids: (iu,) | (ris, endpoint) | (ris_i, ris_j, endpoint); () on waits
     slots_used: int
     rate: float  # bits/symbol on direct hops, bits/use on reflected hops
     constellation: int  # m_q on direct hops, 0 on reflected hops and waits
@@ -92,6 +92,7 @@ class RouteLedger:
     total_delay_s: float = 0.0
     slot_s: float = 0.0
     psi: int = 0
+    topo: Topology | None = field(default=None, compare=False, repr=False)  # names the hops' node ids
 
     @property
     def transmission_hops(self) -> list[HopChoice]:
@@ -104,25 +105,16 @@ class RouteLedger:
     @property
     def ris_count(self) -> int:
         """Reflectors engaged along the route (a double reflection uses two)."""
-        total = 0
-        for h in self.hops:
-            if h.kind is HopKind.SINGLE_RIS:
-                total += 1
-            elif h.kind is HopKind.DOUBLE_RIS:
-                total += 2
-        return total
+        return sum(len(h.via) - 1 for h in self.transmission_hops)
 
     def trace(self) -> str:
         """Route in hop notation, e.g. ``S → R1 → U3 → R3+R4 → U5 → D``."""
         parts = ["S"]
         for h in self.transmission_hops:
-            if h.kind is HopKind.DIRECT_IU:
-                parts.append(h.labels[-1])
-            elif h.kind is HopKind.SINGLE_RIS:
-                parts.extend([h.labels[0], h.labels[-1]])
-            else:
-                parts.append("+".join(h.labels[:-1]))
-                parts.append(h.labels[-1])
+            *surfaces, endpoint = map(self.topo.label, h.via)
+            if surfaces:
+                parts.append("+".join(surfaces))
+            parts.append(endpoint)
         return " → ".join(parts)
 
     def to_rows(self) -> list[dict]:
@@ -133,7 +125,7 @@ class RouteLedger:
                 {
                     "index": i,
                     "kind": h.kind.value,
-                    "ids": "+".join(h.labels) if h.labels else "",
+                    "ids": "+".join(map(self.topo.label, h.via)),
                     "slots": h.slots_used,
                     "rate": h.rate,
                     "harvested_J": h.harvested_j,
@@ -210,23 +202,25 @@ def availability_set(
     total_bits: int,
     fixed_rate_bits: int | None = None,
 ) -> list[Entry]:
-    """The entry of every (relay, constellation) pair passing the
-    availability constraint tau_req <= nu_I for the relay.
+    """At most one entry per relay, in link order: its usable constellation
+    needing the fewest slots, the lowest rate among equal-slot ones, kept
+    only if it passes the availability constraint tau_req <= nu_I.
 
     A relay's usable constellations are every mode up to the best its SNR
-    reaches, or with a pinned ``fixed_rate_bits`` only that one if reached;
-    they are listed in ascending rate, relay by relay. A constellation's
-    slot count is worked out once per call.
+    reaches, or with a pinned ``fixed_rate_bits`` only that one if reached.
+    Slot counts never rise with the rate, so this is the only mode of the
+    relay that ``select_entry`` could take, and if it overruns the idle
+    window every mode does. Each slot count is worked out once per call.
     """
-    tau_of = [linkbudget.transfer_slots(total_bits, bits) for bits in range(1, linkbudget.MAX_RATE + 1)]
     lowest, highest = _mode_range(fixed_rate_bits)
+    tau_of = {bits: linkbudget.transfer_slots(total_bits, bits) for bits in range(lowest, highest + 1)}
+    first_of = {b: min(c for c in tau_of if tau_of[c] == tau) for b, tau in tau_of.items()}  # lowest equal-slot rate
     entries = []
     for link in links:
         best = min(linkbudget.mode_bits(thresholds_db, link.snr_db), highest)
-        for bits in range(lowest, best + 1):
-            tau = tau_of[bits - 1]
-            if tau <= link.nu_idle_slots:
-                entries.append(Entry(link, tau, bits, 2**bits))
+        if best >= lowest and tau_of[best] <= link.nu_idle_slots:
+            bits = first_of[best]
+            entries.append(Entry(link, tau_of[bits], bits, 2**bits))
     return entries
 
 
@@ -337,7 +331,8 @@ class Router:
         """One scan at the current epoch: (entry | None, forward busy ids).
 
         The destination, when in sight with a usable mode, is taken at its
-        fastest mode before any IU traffic is observed.
+        fastest mode before any IU traffic is observed; a relay at its
+        ``availability_set`` entry.
         """
         found = self._scan(origin)
         if DEST_ID in found:
@@ -461,7 +456,7 @@ class Router:
         """
         cfg = self.cfg
         psi = topology.min_hops(math.dist(self._point(SOURCE_ID), self.dest), cfg.coverage_m)
-        ledger = RouteLedger(total_delay_s=cfg.total_delay_s, slot_s=cfg.slot_s, psi=psi)
+        ledger = RouteLedger(total_delay_s=cfg.total_delay_s, slot_s=cfg.slot_s, psi=psi, topo=self.topo)
         ledger.failure_reason = self._route(ledger)
         ledger.success = ledger.failure_reason is None
         ledger.total_slots = self.clock
@@ -481,7 +476,7 @@ class Router:
                 if wait_slots > 0:
                     self._tick(wait_slots)
                     remaining = math.dist(origin, self.dest)
-                    ledger.hops.append(HopChoice(HopKind.WAIT, (), (), wait_slots, 0.0, 0, 0.0, remaining))
+                    ledger.hops.append(HopChoice(HopKind.WAIT, (), wait_slots, 0.0, 0, 0.0, remaining))
                     entry, _ = self._relay_stage(origin)
             surfaces = ()
             if entry is None:
@@ -547,12 +542,10 @@ class Router:
                 return FailureReason.OUTAGE
             received = link.snr_linear * self.cfg.noise_w
             harvested = linkbudget.harvested_energy_for_transfer(self.cfg, received, tau)
-        via = (*surfaces, link.node_id)
         ledger.hops.append(
             HopChoice(
                 kind=HOP_KINDS[len(surfaces)],
-                via=via,
-                labels=tuple(self.topo.label(i) for i in via),
+                via=(*surfaces, link.node_id),
                 slots_used=tau,
                 rate=float(entry.rate),
                 constellation=entry.constellation,

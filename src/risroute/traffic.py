@@ -41,10 +41,6 @@ IDLE = 0
 BUSY = 1
 
 
-class NoBusyIuError(Exception):
-    """Deferral requested with no busy IU in sight; fall back to a RIS."""
-
-
 def _per_value(fn, x) -> np.ndarray:
     """``fn`` (a ``math`` function) of each element of ``x``, called once per distinct value.
 
@@ -91,11 +87,9 @@ def idle_wait_estimate(mu_s, slot: float, p_th: float) -> np.ndarray:
 def deferral_window(busy_eta: np.ndarray) -> int:
     """Whole slots to defer transmission: ceil of the busy users' smallest eta_I.
 
-    Rounding up keeps the waited time no shorter than the estimate. Raises
-    NoBusyIuError when there is nobody to wait for.
+    Rounding up keeps the waited time no shorter than the estimate. An
+    empty array (nobody to wait for) raises ValueError.
     """
-    if not busy_eta.size:
-        raise NoBusyIuError("no busy IU to wait for")
     return int(math.ceil(busy_eta.min()))
 
 

@@ -90,6 +90,13 @@ class TestRejectedBeforeAnyRoute:
         (["route"], "noise_dbm = -4000"),
         # raised in the metrics, after the sweep's routes had run
         (["sweep-coverage", "--replications", "1"], "proc_power_dbm = 4000"),
+        # a destination on a reflector: the scan centred on it raised ValueError
+        (["route", "--replications", "2", "--seed", "3"],
+         "dest_xy = 382.5, 382.5\nsource_xy = 360, 382.5\ncoverage_m = 30\niu_count = 0\nnoise_dbm = -60"),
+        # outside the physical link-budget ranges: OverflowError, a NaN rate, or a gain growing with distance
+        *((["route", "--replications", "2", "--seed", "3"], f"{value}\ncoverage_m = 30\niu_count = 100")
+          for value in ("rho_l_db = 3000", "noise_dbm = -3000", "tx_power_dbm = 3000",
+                        "alpha_d2d = -50", "alpha_other = -5")),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, args, text):
         cfg = write_cfg(tmp_path / "bad.cfg", text + "\n")

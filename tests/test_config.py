@@ -54,6 +54,12 @@ OUT_OF_RANGE = [
     ("eh_slope", -150.0),
     ("eh_threshold_w", 0.0),
     ("ris_elements", 0),
+    # outside the link-budget keys' physical ranges
+    ("rho_l_db", 3000.0),
+    ("noise_dbm", -3000.0),
+    ("tx_power_dbm", 3000.0),
+    ("alpha_d2d", -50.0),
+    ("alpha_other", -5.0),
 ]
 
 

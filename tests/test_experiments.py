@@ -50,6 +50,8 @@ class TestPlanValidation:
         {"kind": "mobility", "chains": 10}, {"kind": "trajectory", "deltas": (0.2,)},
         # a plan field the kind ignores: traffic validation reads chains and batches instead
         {"kind": "traffic_validation", "replications": 3},
+        # fewer chains than batches leaves every batch empty
+        {"kind": "traffic_validation", "chains": 3, "batches": 4},
     ])
     def test_rejected_as_config_error(self, bad):
         with pytest.raises(ConfigError):

@@ -23,11 +23,11 @@ def ledger_from(hops, success=True):
 
 
 def direct_hop(constellation=256, rate=8.0, slots=4, harvested=0.0, remaining=0.0):
-    return HopChoice(HopKind.DIRECT_IU, (2,), ("U1",), slots, rate, constellation, harvested, remaining)
+    return HopChoice(HopKind.DIRECT_IU, (2,), slots, rate, constellation, harvested, remaining)
 
 
 def ris_hop(rate=3.29, slots=10, harvested=0.0, remaining=100.0):
-    return HopChoice(HopKind.SINGLE_RIS, (9, 2), ("R1", "U1"), slots, rate, 0, harvested, remaining)
+    return HopChoice(HopKind.SINGLE_RIS, (9, 2), slots, rate, 0, harvested, remaining)
 
 
 class TestThroughput:
@@ -64,7 +64,7 @@ class TestThroughput:
             prev = cur
 
     def test_wait_hops_do_not_contribute(self):
-        wait = HopChoice(HopKind.WAIT, (), (), 14, 0.0, 0, 0.0, 300.0)
+        wait = HopChoice(HopKind.WAIT, (), 14, 0.0, 0, 0.0, 300.0)
         with_wait = ledger_from([direct_hop(), wait, direct_hop()])
         without = ledger_from([direct_hop(), direct_hop()])
         assert data_throughput(with_wait, 1e-6) == data_throughput(without, 1e-6)
@@ -78,10 +78,11 @@ class TestThroughput:
         with pytest.raises(ValueError):
             data_throughput(led, 1e-6)
 
-    def test_zero_rate_hop_collapses(self):
-        bad = HopChoice(HopKind.SINGLE_RIS, (9, 2), ("R1", "U1"), 4, 0.0, 0, 0.0, 10.0)
-        led = ledger_from([direct_hop(), bad])
-        assert data_throughput(led, 1e-6) == 0.0
+    def test_zero_rate_hop_raises(self):
+        for bad in (ris_hop(rate=0.0), direct_hop(constellation=0, rate=0.0)):
+            for term in ("size", "bits"):
+                with pytest.raises(ValueError, match="hop with rate term 0"):
+                    data_throughput(ledger_from([direct_hop(), bad]), 1e-6, term)
 
 
 class TestEnergyEfficiency:

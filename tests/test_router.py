@@ -57,13 +57,13 @@ class TestAvailabilitySet:
     def test_no_idle_no_entries(self):
         assert availability_set([], self.table, self.bits) == []
 
-    def test_enumerates_all_feasible_modes(self):
-        # nu huge: every channel-usable constellation appears
-        links = [make_link(2, 25.0, 300.0, 1e9)]
+    def test_one_entry_per_link(self):
+        # rates 1..8 are all usable at 25 dB (slots 24, 12, 8, 6, 5, 4, 4, 3): only 256-QAM is listed;
+        # at 18.5 dB rates 6 and 7 both need 4 slots and the lower one is listed
+        links = [make_link(2, 25.0, 300.0, 1e9), make_link(3, 18.5, 200.0, 1e9), make_link(4, 0.0, 100.0, 1e9)]
         aset = availability_set(links, self.table, self.bits)
-        assert len(aset) == 8  # rates 1..8 all usable at 25 dB
-        assert [e.rate for e in aset] == list(range(1, 9))  # ascending rate
-        assert [e.tau for e in aset] == [24, 12, 8, 6, 5, 4, 4, 3]
+        assert [(e.link, e.tau, e.rate, e.constellation) for e in aset] == \
+               [(links[0], 3, 8, 256), (links[1], 4, 6, 64)]
 
     def test_non_adaptive_keeps_only_pinned_mode(self):
         links = [make_link(2, 25.0, 300.0, 1e9)]
@@ -81,7 +81,7 @@ class TestAvailabilitySet:
         monkeypatch.setattr(linkbudget, "transfer_slots", lambda n, rate: calls.append(rate) or real(n, rate))
         links = [make_link(2 + i, 25.0, 300.0, 1e9) for i in range(200)]
         aset = availability_set(links, self.table, self.bits)
-        assert len(aset) == 200 * 8
+        assert len(aset) == 200
         assert len(calls) <= 8
 
 
@@ -94,7 +94,8 @@ def usable_modes(thresholds_db, snr_db, fixed_rate_bits):
 
 
 def availability_set_by_enumeration(links, thresholds_db, total_bits, fixed_rate_bits=None):
-    """The oracle of ``availability_set``: every (link, usable mode) pair whose transfer fits."""
+    """Every (link, usable mode) pair whose transfer fits, link by link in ascending rate: the
+    set ``availability_set`` picks each link's one entry from."""
     tau_of = {bits: linkbudget.transfer_slots(total_bits, bits) for bits in range(1, linkbudget.MAX_RATE + 1)}
     return [
         Entry(link, tau_of[bits], bits, 2**bits)
@@ -105,16 +106,17 @@ def availability_set_by_enumeration(links, thresholds_db, total_bits, fixed_rate
 
 
 class TestAvailabilitySetOracle:
-    """``availability_set`` lists the entries of the per-link enumeration, in its order."""
+    """``availability_set`` gives each link the entry ``select_entry`` takes among that
+    link's enumerated entries, so a hop picked from it is the hop picked from the enumeration."""
 
     @staticmethod
     def edges(values):
         """Each value and the floats 1 ulp either side of it."""
         return sorted({w for v in values for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))})
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_same_entries_in_the_same_order(self, data):
+    def draw_case(self, data):
+        """(links, thresholds, total_bits, fixed_rate_bits) at ulp edges of the thresholds and
+        slot counts, with NaN and -inf SNRs and a pinned mode or none."""
         thresholds = build_mode_table(1e-6, data.draw(st.sampled_from(["table3", "eqtext"])))
         total_bits = data.draw(st.integers(1, 64))
         taus = [linkbudget.transfer_slots(total_bits, bits) for bits in range(1, linkbudget.MAX_RATE + 1)]
@@ -125,11 +127,31 @@ class TestAvailabilitySetOracle:
         nu = st.one_of(st.sampled_from(self.edges(taus) + [math.inf]), st.floats(0.0, 100.0))
         links = [make_link(2 + i, data.draw(snr_db), 100.0, data.draw(nu)) for i in range(data.draw(st.integers(0, 6)))]
         fixed = data.draw(st.one_of(st.none(), st.integers(1, linkbudget.MAX_RATE)))
+        return links, thresholds, total_bits, fixed
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_each_link_gets_its_selected_entry(self, data):
+        links, thresholds, total_bits, fixed = self.draw_case(data)
+        got = availability_set(links, thresholds, total_bits, fixed)
+        want = []
+        for link in links:
+            own = availability_set_by_enumeration([link], thresholds, total_bits, fixed)
+            if own:
+                want.append(select_entry(own))
+        assert len(got) == len(want)
+        assert all(a.link is b.link and a[1:] == b[1:] for a, b in zip(got, want))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_same_hop_as_over_the_enumeration(self, data):
+        links, thresholds, total_bits, fixed = self.draw_case(data)
         got = availability_set(links, thresholds, total_bits, fixed)
         want = availability_set_by_enumeration(links, thresholds, total_bits, fixed)
-        assert [(e.link.node_id, e.tau, e.rate, e.constellation) for e in got] == \
-               [(e.link.node_id, e.tau, e.rate, e.constellation) for e in want]
-        assert all(a.link is b.link for a, b in zip(got, want))
+        assert bool(got) == bool(want)
+        if want:
+            a, b = select_entry(got), select_entry(want)
+            assert a.link is b.link and (a.tau, a.rate, a.constellation) == (b.tau, b.rate, b.constellation)
 
 
 class TestSelectIu:
@@ -166,7 +188,7 @@ class TestSelectIu:
 
     def test_equal_slot_modes_lowest_rate_wins(self):
         # 24 bits at 18.5 dB: rates 6 and 7 both need 4 slots, rate 8 is unusable
-        aset = availability_set([make_link(2, 18.5, 300.0, 1e9)], build_mode_table(1e-6), 24)
+        aset = availability_set_by_enumeration([make_link(2, 18.5, 300.0, 1e9)], build_mode_table(1e-6), 24)
         chosen = select_entry(aset)
         assert (chosen.tau, chosen.rate) == (4, 6)
 
@@ -202,7 +224,8 @@ class TestDirectRouting:
         led = route(topo, idle_law(0, cfg), cfg, rng_for(103))
         assert led.success
         assert led.hop_count == 1
-        assert led.hops[0].labels == ("D",)
+        assert led.hops[0].via == (DEST_ID,)
+        assert led.trace() == "S → D"
 
     def test_fixed_modulation_needs_more_slots(self):
         topo = build_topology([], src=(360.0, 200.0))
@@ -234,9 +257,9 @@ class TestReflectorFallback:
         assert led.success
         first = led.hops[0]
         assert first.kind is HopKind.SINGLE_RIS
-        assert first.labels[0] == "R1"
         # equal slot counts: least remaining distance wins -> the 100 m IU
-        assert first.labels[1] == "U2"
+        assert first.via == (topo.first_ris_id, 3)
+        assert led.trace().startswith("S → R1 → U2 → ")
         assert first.rate > 0 and first.constellation == 0
 
     def test_double_reflection_bridges_gap(self):
@@ -248,8 +271,7 @@ class TestReflectorFallback:
         assert led.success
         first = led.hops[0]
         assert first.kind is HopKind.DOUBLE_RIS
-        assert first.labels[:2] == ("R1", "R2")
-        assert first.labels[2] == "U1"
+        assert first.via == (topo.first_ris_id, topo.first_ris_id + 1, 2)
         assert led.trace().startswith("S → R1+R2 → U1")
 
     def test_single_only_fails_on_double_gap(self):
@@ -352,7 +374,7 @@ class TestDeferral:
         eta = math.ceil(traffic.idle_wait_estimate(0.6e-3, cfg.slot_s, cfg.p_th))
         assert led.hops[0].slots_used == eta
         assert led.hops[1].kind is HopKind.DIRECT_IU
-        assert led.hops[1].labels == ("U1",)
+        assert led.hops[1].via == (2,)
         assert led.success
 
     def test_no_second_wait_at_same_position(self):
@@ -449,14 +471,16 @@ class TestNodeTable:
 
 class TestLedgerOutput:
     def sample(self):
-        led = RouteLedger(total_delay_s=0.05, slot_s=1e-4, psi=7)
+        # U1..U9 are ids 2..10, R1..R4 ids 11..14
+        topo = build_topology([(40.0 * k, 100.0) for k in range(1, 10)], [(40.0 * k, 300.0) for k in range(1, 5)])
+        led = RouteLedger(total_delay_s=0.05, slot_s=1e-4, psi=7, topo=topo)
         led.hops = [
-            HopChoice(HopKind.SINGLE_RIS, (9, 4), ("R1", "U3"), 3, 11.2, 0, 1e-9, 300.0),
-            HopChoice(HopKind.WAIT, (), (), 14, 0.0, 0, 0.0, 300.0),
-            HopChoice(HopKind.DOUBLE_RIS, (10, 11, 6), ("R3", "R4", "U5"), 3, 9.8, 0, 1e-9, 200.0),
-            HopChoice(HopKind.DIRECT_IU, (7,), ("U7",), 4, 8.0, 256, 2e-9, 100.0),
-            HopChoice(HopKind.DIRECT_IU, (8,), ("U9",), 4, 8.0, 256, 2e-9, 50.0),
-            HopChoice(HopKind.DIRECT_IU, (1,), ("D",), 4, 8.0, 256, 0.0, 0.0),
+            HopChoice(HopKind.SINGLE_RIS, (11, 4), 3, 11.2, 0, 1e-9, 300.0),
+            HopChoice(HopKind.WAIT, (), 14, 0.0, 0, 0.0, 300.0),
+            HopChoice(HopKind.DOUBLE_RIS, (13, 14, 6), 3, 9.8, 0, 1e-9, 200.0),
+            HopChoice(HopKind.DIRECT_IU, (8,), 4, 8.0, 256, 2e-9, 100.0),
+            HopChoice(HopKind.DIRECT_IU, (10,), 4, 8.0, 256, 2e-9, 50.0),
+            HopChoice(HopKind.DIRECT_IU, (1,), 4, 8.0, 256, 0.0, 0.0),
         ]
         led.success = True
         led.total_slots = 32
@@ -476,6 +500,8 @@ class TestLedgerOutput:
         assert rows[-1]["index"] == "summary"
         assert rows[-1]["kind"] == "success"
         assert rows[-1]["slots"] == 32
+        assert [row["ids"] for row in rows] == ["R1+U3", "", "R3+R4+U5", "U7", "U9", "D",
+                                                "S → R1 → U3 → R3+R4 → U5 → U7 → U9 → D"]
         for row in rows:
             assert set(row) == {"index", "kind", "ids", "slots", "rate",
                                 "harvested_J", "remaining_distance_m"}
