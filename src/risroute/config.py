@@ -18,7 +18,10 @@ Fixed endpoints, when set, must differ and lie inside the arena, and the
 destination off the reflector grid. Link-budget keys outside their physical
 ranges are refused, never clamped: ``rho_l_db <= 0`` (a loss),
 ``noise_dbm >= -200``, ``tx_power_dbm <= 60``, and path-loss exponents
-``alpha_d2d`` and ``alpha_other`` > 0 (a gain that falls with distance).
+``alpha_d2d`` and ``alpha_other`` in (0, 10]: a gain that falls with
+distance, no faster than the steepest measured exponents (about 6 in
+obstructed buildings), which keeps ``d ** -alpha`` finite for any
+d > 1e-30 m.
 """
 
 from __future__ import annotations
@@ -126,8 +129,8 @@ class SimConfig:
         for name, ok, rule in (("rho_l_db", self.rho_l_db <= 0.0, "<= 0"),
                                ("noise_dbm", self.noise_dbm >= -200.0, ">= -200"),
                                ("tx_power_dbm", self.tx_power_dbm <= 60.0, "<= 60"),
-                               ("alpha_d2d", self.alpha_d2d > 0.0, "> 0"),
-                               ("alpha_other", self.alpha_other > 0.0, "> 0")):
+                               ("alpha_d2d", 0.0 < self.alpha_d2d <= 10.0, "in (0, 10]"),
+                               ("alpha_other", 0.0 < self.alpha_other <= 10.0, "in (0, 10]")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         for name in ("mh_mw", "eh_slope", "eh_threshold_w"):

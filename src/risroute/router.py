@@ -11,10 +11,11 @@ entries ``(link, tau, rate, constellation)``:
   lowest rate among equal-slot ones), kept only if the transfer fits the
   relay's estimated idle window (the availability constraint). With none,
   the transmitter defers once — waiting the minimum estimated turn-idle
-  time of the busy relays in sight, budget permitting — and rescans. One
-  fading draw covers every idle relay in sight, in scan order, but a link
-  is built only for those strictly closer to the destination than the
-  transmitter, the only ones a hop may take;
+  time of the busy relays in sight that would make forward progress,
+  budget permitting — and rescans. One fading draw covers every idle relay
+  in sight, in scan order, but a link is built only for those strictly
+  closer to the destination than the transmitter, the only ones a hop may
+  take;
 * one reflector: the surface whose best qualifying endpoint makes the
   most forward progress;
 * two reflectors: the surface nearest the destination extended to exactly
@@ -37,13 +38,44 @@ distance compared or written is ``math.dist`` of two points. The scan's
 ``np.hypot`` distances are never reused: they differ from ``math.dist`` in
 the last bit for some pairs, and a hop must make forward progress by the
 same distance the ledger records.
+
+Stopping early. Candidates come in scan order, least remaining distance
+first, so the relay and single-reflection stages stop evaluating links once
+no later candidate can win; every draw and traffic observation still
+happens, in the same order, so only SNR, rate and slot arithmetic is
+skipped and every hop is the one the exhaustive stage picks (the oracles in
+``tests/test_router.py``):
+
+* relays: once a link's entry needs the floor, the fewest slots any allowed
+  mode needs (``SlotTable.floor``), only a later link at most as far from
+  the destination can beat it, so evaluation ends at the first later link
+  farther than that entry's remaining distance times ``STOP_MARGIN``;
+* single reflection: a surface's key is the least remaining distance of its
+  qualifying endpoints, then its id. Its endpoints are evaluated in scan
+  order only while one could still lower that key or beat the best key so
+  far (a tie on remaining distance goes to the lower id, so an equal
+  distance is still evaluated); the winning surface is then evaluated in
+  full for ``select_entry``. Every ``h_in`` and ``h_out`` is drawn when
+  today's order draws it, and a draw nothing reads is never built
+  (``channel.FadingVector``).
+
+The scan orders by ``np.hypot`` and the router keys on ``math.dist``; both
+are faithfully rounded norms of the same coordinate differences, within
+1 ulp (at most 2^-52 relative) of one value. So a node later in scan order
+is at least the earlier one's ``math.dist`` times 1 - 2^-50 from the
+destination, and once a link is farther than R (1 + 2^-48) every later one
+is farther than R. The destination shortcut, the traffic observations, the
+fading draws and the double-reflection stage stay eager.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +85,7 @@ from .config import SimConfig
 from .topology import DEST_ID, FIRST_IU_ID, SOURCE_ID, Point, Topology
 
 LEDGER_SCHEMA_VERSION = 1
+STOP_MARGIN = 1.0 + 2.0**-48  # covers np.hypot scan order against math.dist keys (module docstring)
 
 
 class HopKind(Enum):
@@ -191,9 +224,25 @@ class Entry(NamedTuple):
     constellation: int  # m_q on direct hops, 0 on reflected hops
 
 
-def _mode_range(fixed_rate_bits: int | None) -> tuple[int, int]:
-    """(lowest, highest) bit count a direct link may carry: every mode, or only the pinned one."""
-    return (1, linkbudget.MAX_RATE) if fixed_rate_bits is None else (fixed_rate_bits, fixed_rate_bits)
+class SlotTable(NamedTuple):
+    """The direct modes a policy allows for one transfer size, and their slot counts."""
+
+    lowest: int  # lowest allowed bit count
+    highest: int  # highest allowed bit count
+    tau_of: Mapping[int, int]  # allowed bit count -> slots
+    first_of: Mapping[int, int]  # allowed bit count -> lowest allowed bit count needing as few slots
+    floor_bits: int  # lowest allowed bit count needing the fewest slots
+    floor: int  # the fewest slots any allowed mode needs
+
+
+@functools.lru_cache(maxsize=16)
+def slot_table(total_bits: int, fixed_rate_bits: int | None) -> SlotTable:
+    """Every mode up to ``MAX_RATE``, or only a pinned ``fixed_rate_bits``; computed once per key, read-only."""
+    lowest, highest = (1, linkbudget.MAX_RATE) if fixed_rate_bits is None else (fixed_rate_bits, fixed_rate_bits)
+    tau_of = {bits: linkbudget.transfer_slots(total_bits, bits) for bits in range(lowest, highest + 1)}
+    first_of = {b: min(c for c in tau_of if tau_of[c] == tau) for b, tau in tau_of.items()}
+    return SlotTable(lowest, highest, MappingProxyType(tau_of), MappingProxyType(first_of),
+                     first_of[highest], tau_of[highest])
 
 
 def availability_set(
@@ -210,15 +259,14 @@ def availability_set(
     reaches, or with a pinned ``fixed_rate_bits`` only that one if reached.
     Slot counts never rise with the rate, so this is the only mode of the
     relay that ``select_entry`` could take, and if it overruns the idle
-    window every mode does. Each slot count is worked out once per call.
+    window every mode does. The slot counts come from ``slot_table``.
     """
-    lowest, highest = _mode_range(fixed_rate_bits)
-    tau_of = {bits: linkbudget.transfer_slots(total_bits, bits) for bits in range(lowest, highest + 1)}
-    first_of = {b: min(c for c in tau_of if tau_of[c] == tau) for b, tau in tau_of.items()}  # lowest equal-slot rate
+    table = slot_table(total_bits, fixed_rate_bits)
+    tau_of, first_of, highest = table.tau_of, table.first_of, table.highest
     entries = []
     for link in links:
         best = min(linkbudget.mode_bits(thresholds_db, link.snr_db), highest)
-        if best >= lowest and tau_of[best] <= link.nu_idle_slots:
+        if best >= table.lowest and tau_of[best] <= link.nu_idle_slots:
             bits = first_of[best]
             entries.append(Entry(link, tau_of[bits], bits, 2**bits))
     return entries
@@ -260,6 +308,8 @@ class Router:
         self.mobility = mobility
         self.thresholds_db = linkbudget.build_mode_table(cfg.target_ber, rule=cfg.threshold_rule)
         self.fixed_rate_bits = None if self.policy.adaptive else cfg.fixed_rate_bits
+        self.slots = slot_table(cfg.total_bits, self.fixed_rate_bits)
+        self.floor_db = self.thresholds_db[self.slots.floor_bits - 1]  # the SNR a link needs to reach the floor
         self.field = traffic.TrafficField(law, rng)
         self.clock = 0  # slots elapsed
         self.xy = topo.xy if mobility is None else topo.xy.copy()  # node positions at the clock
@@ -293,17 +343,27 @@ class Router:
         return topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m)
 
     def _direct_links(self, origin: Point, ids: list[int], nus: list[float], limit: float) -> list[CandidateLink]:
-        """Direct links from ``origin`` to those of ``ids`` (idle windows ``nus``) that end strictly
-        closer to the destination than ``limit``; one fading draw covers every id, in order."""
+        """Direct links from ``origin`` to those of ``ids`` (scan order; idle windows ``nus``) that end
+        strictly closer to the destination than ``limit``, up to the last one that could still be the
+        hop; one fading draw covers every id, in order.
+
+        Once a link's entry needs the floor slot count, a later link farther from the destination
+        than its remaining distance times ``STOP_MARGIN`` ends the list (module docstring).
+        """
         if not ids:
             return []
         amplitudes = channel.sample_fading(len(ids), self.cfg.rician_k_db, self.rng).amplitudes.tolist()
-        dest, links = self.dest, []
+        dest, links, stop = self.dest, [], math.inf
+        floor, floor_db = self.slots.floor, self.floor_db
         for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
             remaining = math.dist(pos, dest)
+            if remaining > stop:
+                break
             if remaining < limit:
-                snr = channel.direct_snr(self.cfg, amp, math.dist(origin, pos))
-                links.append(_link(node_id, snr, remaining, nu))
+                link = _link(node_id, channel.direct_snr(self.cfg, amp, math.dist(origin, pos)), remaining, nu)
+                links.append(link)
+                if stop == math.inf and nu >= floor and link.snr_db >= floor_db:
+                    stop = remaining * STOP_MARGIN
         return links
 
     def _reflected_rate(self, gamma: float) -> float:
@@ -328,7 +388,7 @@ class Router:
     # -- route steps -----------------------------------------------------------
 
     def _relay_stage(self, origin: Point) -> tuple[Entry | None, list[int]]:
-        """One scan at the current epoch: (entry | None, forward busy ids).
+        """One scan at the current epoch: (entry | None, busy IU ids in sight).
 
         The destination, when in sight with a usable mode, is taken at its
         fastest mode before any IU traffic is observed; a relay at its
@@ -337,34 +397,81 @@ class Router:
         found = self._scan(origin)
         if DEST_ID in found:
             link = self._direct_links(origin, [DEST_ID], [math.inf], math.inf)[0]
-            lowest, highest = _mode_range(self.fixed_rate_bits)
-            bits = min(linkbudget.mode_bits(self.thresholds_db, link.snr_db), highest)  # the fastest usable mode
-            if bits >= lowest:
-                return Entry(link, linkbudget.transfer_slots(self.cfg.total_bits, bits), bits, 2**bits), []
+            bits = min(linkbudget.mode_bits(self.thresholds_db, link.snr_db), self.slots.highest)  # the fastest
+            if bits >= self.slots.lowest:
+                return Entry(link, self.slots.tau_of[bits], bits, 2**bits), []
         idle, busy = self._split_idle_busy([i for i in found if i != DEST_ID])
         # forward progress is required of a hop, not just half-disc membership
         nu_idle = self.field.law.nu_idle[idle - FIRST_IU_ID].tolist()
         links = self._direct_links(origin, idle.tolist(), nu_idle, math.dist(origin, self.dest))
-        busy = [i for i, _, _ in self._forward(busy.tolist(), origin)]
         aset = availability_set(links, self.thresholds_db, self.cfg.total_bits, self.fixed_rate_bits)
-        return (select_entry(aset) if aset else None), busy
+        return (select_entry(aset) if aset else None), busy.tolist()
 
-    def _reflector_entries(self, found: list[int], origin: Point, gamma_of) -> list[Entry]:
-        """Qualifying entries among ``found``, a reflector's scan, the destination first."""
+    def _reflector_endpoints(self, found: list[int], origin: Point) -> list[tuple[int, Point, float, float]]:
+        """(id, position, remaining distance, idle window) of the destination, then of each idle IU in
+        ``found``, a reflector's scan, in scan order, that ends strictly closer to the destination than
+        ``origin`` (a reflector hop must still make forward progress); observes every IU in ``found``."""
         idle, _ = self._split_idle_busy([i for i in found if i != DEST_ID])
         nu_idle = self.field.law.nu_idle
-        out = []
-        # a reflector hop must still make forward progress
-        for node_id, pos, remaining in self._forward(([DEST_ID] if DEST_ID in found else []) + idle.tolist(), origin):
-            nu = math.inf if node_id == DEST_ID else float(nu_idle[node_id - FIRST_IU_ID])
-            link = _link(node_id, gamma_of(pos), remaining, nu)
-            rate = self._reflected_rate(link.snr_linear)
-            if rate <= 0.0:
-                continue
-            tau = linkbudget.transfer_slots(self.cfg.total_bits, rate)
-            if tau <= link.nu_idle_slots:
-                out.append(Entry(link, tau, rate, 0))
-        return out
+        return [
+            (node_id, pos, remaining, math.inf if node_id == DEST_ID else float(nu_idle[node_id - FIRST_IU_ID]))
+            for node_id, pos, remaining in self._forward(([DEST_ID] if DEST_ID in found else []) + idle.tolist(), origin)
+        ]
+
+    def _reflected_entry(self, endpoint: tuple[int, Point, float, float], gamma: float) -> Entry | None:
+        """The entry of ``endpoint`` (see ``_reflector_endpoints``) reached at SNR ``gamma``, or None
+        when its rate is zero or its transfer overruns its idle window."""
+        node_id, _, remaining, nu = endpoint
+        link = _link(node_id, gamma, remaining, nu)
+        rate = self._reflected_rate(link.snr_linear)
+        if rate <= 0.0:
+            return None
+        tau = linkbudget.transfer_slots(self.cfg.total_bits, rate)
+        return Entry(link, tau, rate, 0) if tau <= nu else None
+
+    def _single_surface(self, origin: Point, ris_id: int, h_in: channel.FadingVector):
+        """The endpoints behind ``ris_id`` (``_reflector_endpoints``) and a function giving the entry
+        of the i-th one over ``h_in``, worked out on first call. Each endpoint's ``h_out`` is drawn
+        here, in order, whether or not its entry is ever asked for."""
+        n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
+        ris_pos = self._point(ris_id)
+        endpoints = self._reflector_endpoints(self._scan(ris_pos), origin)
+        h_outs = [channel.sample_fading(n_elements, k_db, self.rng) for _ in endpoints]
+        d_in = math.dist(origin, ris_pos)
+
+        @functools.cache
+        def entry_at(i: int) -> Entry | None:
+            d_out = math.dist(ris_pos, endpoints[i][1])
+            gamma = channel.optimal_single_reflection_snr(self.cfg, h_in, h_outs[i], d_in, d_out)
+            return self._reflected_entry(endpoints[i], gamma)
+
+        return endpoints, entry_at
+
+    def _single_stage(self, origin: Point, candidates: list[int], incoming: dict):
+        """One reflector among ``candidates``: ((ris_id,), entry), or None when no surface has a
+        qualifying endpoint. Every surface's ``h_in`` is drawn, in order, and kept in ``incoming``.
+
+        The surface with the least key (least remaining distance of a qualifying endpoint, id)
+        wins; a surface's endpoints are evaluated only while one could still lower its key or beat
+        the best key so far (module docstring), then the winner's in full.
+        """
+        best = None  # ((remaining, ris_id), endpoints, entry_at)
+        for ris_id in candidates:
+            h_in = incoming[ris_id] = channel.sample_fading(self.cfg.ris_elements, self.cfg.rician_k_db, self.rng)
+            endpoints, entry_at = self._single_surface(origin, ris_id, h_in)
+            least = math.inf  # remaining distance of this surface's nearest qualifying endpoint so far
+            bound = math.inf if best is None else best[0][0]
+            for i, (_, _, remaining, _) in enumerate(endpoints):
+                if remaining > min(least, bound) * STOP_MARGIN:
+                    break
+                if remaining < least and entry_at(i) is not None:
+                    least = remaining
+            if least < math.inf and (best is None or (least, ris_id) < best[0]):
+                best = ((least, ris_id), endpoints, entry_at)
+        if best is None:
+            return None
+        (_, ris_id), endpoints, entry_at = best
+        return (ris_id,), select_entry([e for i in range(len(endpoints)) if (e := entry_at(i)) is not None])
 
     def ris_fallback(self, origin: Point):
         """Reflector stage; returns (surfaces, entry) or a FailureReason.
@@ -391,27 +498,9 @@ class Router:
         incoming: dict[int, channel.FadingVector] = {}
 
         if self.policy.ris_mode in ("both", "single_only"):
-            best = None  # ((progress, ris_id), surfaces, entry)
-            for ris_id in candidates:
-                h_in = channel.sample_fading(n_elements, k_db, self.rng)
-                incoming[ris_id] = h_in
-                ris_pos = self._point(ris_id)
-                d_in = math.dist(origin, ris_pos)
-
-                def gamma_of(pos, _ris_pos=ris_pos, _h_in=h_in, _d_in=d_in):
-                    h_out = channel.sample_fading(n_elements, k_db, self.rng)
-                    return channel.optimal_single_reflection_snr(
-                        self.cfg, _h_in, h_out, _d_in, math.dist(_ris_pos, pos)
-                    )
-
-                entries = self._reflector_entries(self._scan(ris_pos), origin, gamma_of)
-                if not entries:
-                    continue
-                key = (min(e.link.remaining_m for e in entries), ris_id)
-                if best is None or key < best[0]:
-                    best = (key, (ris_id,), select_entry(entries))
-            if best is not None:
-                return best[1:]
+            outcome = self._single_stage(origin, candidates, incoming)
+            if outcome is not None:
+                return outcome
 
         if self.policy.ris_mode in ("both", "double_only"):
             first = candidates[0]  # nearest the destination (LRD scan order)
@@ -431,16 +520,16 @@ class Router:
             h_mid = channel.sample_fading((n_elements, n_elements), k_db, self.rng)
             d_in = math.dist(origin, first_pos)
             d_mid = math.dist(first_pos, second_pos)
-
-            def gamma_of(pos):
+            entries = []
+            for endpoint in self._reflector_endpoints(found, origin):
                 h_out = channel.sample_fading(n_elements, k_db, self.rng)
                 phase_i, phase_j = channel.alternating_double_phases(h_in, h_mid, h_out)
-                return channel.double_reflection_sinr(
+                gamma = channel.double_reflection_sinr(
                     self.cfg, h_in, phase_i, h_mid, phase_j, h_out,
-                    d_in, d_mid, math.dist(second_pos, pos),
+                    d_in, d_mid, math.dist(second_pos, endpoint[1]),
                 )
-
-            entries = self._reflector_entries(found, origin, gamma_of)
+                if (entry := self._reflected_entry(endpoint, gamma)) is not None:
+                    entries.append(entry)
             if entries:
                 return (first, second), select_entry(entries)
         return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
@@ -472,7 +561,7 @@ class Router:
             wait_slots = 0
             entry, busy = self._relay_stage(origin)
             if entry is None:
-                wait_slots = self._deferral(busy, budget)
+                wait_slots = self._deferral(origin, busy, budget)
                 if wait_slots > 0:
                     self._tick(wait_slots)
                     remaining = math.dist(origin, self.dest)
@@ -504,11 +593,13 @@ class Router:
 
     # -- commit helpers ----------------------------------------------------------
 
-    def _deferral(self, busy: list[int], budget: delaymodel.DelayBudget) -> int:
-        """Slots to wait at this position, honoring the wait caps; 0 = skip."""
-        if not busy:
+    def _deferral(self, origin: Point, busy: list[int], budget: delaymodel.DelayBudget) -> int:
+        """Slots to wait at this position for the busy IUs ``busy`` in sight that would make forward
+        progress, honoring the wait caps; 0 = skip."""
+        forward = [i for i, _, _ in self._forward(busy, origin)]
+        if not forward:
             return 0
-        eta = traffic.deferral_window(self.field.law.eta_idle[np.array(busy, dtype=np.intp) - FIRST_IU_ID])
+        eta = traffic.deferral_window(self.field.law.eta_idle[np.array(forward, dtype=np.intp) - FIRST_IU_ID])
         cap = min(budget.current_limit, self._remaining_s())
         if eta * self.cfg.slot_s > cap:
             return 0

@@ -97,6 +97,8 @@ class TestRejectedBeforeAnyRoute:
         *((["route", "--replications", "2", "--seed", "3"], f"{value}\ncoverage_m = 30\niu_count = 100")
           for value in ("rho_l_db = 3000", "noise_dbm = -3000", "tx_power_dbm = 3000",
                         "alpha_d2d = -50", "alpha_other = -5")),
+        # an exponent above 10: d ** -alpha overflowed for a link shorter than 1 m
+        (["sweep-density", "--replications", "10", "--seed", "3"], "alpha_d2d = 2000"),
     ])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, args, text):
         cfg = write_cfg(tmp_path / "bad.cfg", text + "\n")

@@ -60,6 +60,8 @@ OUT_OF_RANGE = [
     ("tx_power_dbm", 3000.0),
     ("alpha_d2d", -50.0),
     ("alpha_other", -5.0),
+    ("alpha_d2d", 2000.0),
+    ("alpha_other", 10.5),
 ]
 
 

@@ -21,12 +21,14 @@ from risroute.router import (
     HopKind,
     RouteLedger,
     Router,
+    _link,
     availability_set,
     route,
     select_entry,
+    slot_table,
 )
-from risroute.experiments import MobilityField
-from risroute.topology import DEST_ID, generate_topology
+from risroute.experiments import MobilityField, _profiles_for
+from risroute.topology import DEST_ID, SOURCE_ID, generate_topology
 
 
 LINE_ENDS = {"source_xy": (20.0, 200.0), "dest_xy": (380.0, 200.0)}
@@ -79,10 +81,11 @@ class TestAvailabilitySet:
     def test_slot_count_once_per_constellation(self, monkeypatch):
         real, calls = linkbudget.transfer_slots, []
         monkeypatch.setattr(linkbudget, "transfer_slots", lambda n, rate: calls.append(rate) or real(n, rate))
+        slot_table.cache_clear()
         links = [make_link(2 + i, 25.0, 300.0, 1e9) for i in range(200)]
-        aset = availability_set(links, self.table, self.bits)
-        assert len(aset) == 200
-        assert len(calls) <= 8
+        for _ in range(3):
+            assert len(availability_set(links, self.table, self.bits)) == 200
+        assert sorted(calls) == list(range(1, linkbudget.MAX_RATE + 1))
 
 
 def usable_modes(thresholds_db, snr_db, fixed_rate_bits):
@@ -546,3 +549,223 @@ class TestCommitProgress:
                 "test_router.TestCommitProgress().check()")
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class ExhaustiveRouter(Router):
+    """The router whose relay and single-reflection stages evaluate every candidate: the oracle
+    the stopping stages must match, draw for draw and hop for hop."""
+
+    def _direct_links(self, origin, ids, nus, limit):
+        if not ids:
+            return []
+        amplitudes = channel.sample_fading(len(ids), self.cfg.rician_k_db, self.rng).amplitudes.tolist()
+        links = []
+        for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
+            remaining = math.dist(pos, self.dest)
+            if remaining < limit:
+                links.append(_link(node_id, channel.direct_snr(self.cfg, amp, math.dist(origin, pos)), remaining, nu))
+        return links
+
+    def _single_stage(self, origin, candidates, incoming):
+        n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
+        best = None  # ((progress, ris_id), surfaces, entry)
+        for ris_id in candidates:
+            h_in = incoming[ris_id] = channel.sample_fading(n_elements, k_db, self.rng)
+            ris_pos = self._point(ris_id)
+            entries = []
+            for endpoint in self._reflector_endpoints(self._scan(ris_pos), origin):
+                h_out = channel.sample_fading(n_elements, k_db, self.rng)
+                gamma = channel.optimal_single_reflection_snr(
+                    self.cfg, h_in, h_out, math.dist(origin, ris_pos), math.dist(ris_pos, endpoint[1]))
+                if (entry := self._reflected_entry(endpoint, gamma)) is not None:
+                    entries.append(entry)
+            if entries:
+                key = (min(e.link.remaining_m for e in entries), ris_id)
+                if best is None or key < best[0]:
+                    best = (key, (ris_id,), select_entry(entries))
+        return None if best is None else best[1:]
+
+
+def staged_run(router):
+    """Run ``router``, logging after each relay and reflector stage its result, the generator's
+    state and the traffic field's ``state`` and ``updated_at``; returns (ledger, log)."""
+    log = []
+    for name in ("_relay_stage", "ris_fallback"):
+        def record(*args, _stage=getattr(router, name), _name=name):
+            out = _stage(*args)
+            log.append((_name, out, router.rng.bit_generator.state,
+                        router.field.state.tolist(), router.field.updated_at.tolist()))
+            return out
+        setattr(router, name, record)
+    return router.run(), log
+
+
+def evaluation_count(monkeypatch, name) -> list:
+    """A one-item list counting the calls of ``channel.<name>`` from now on."""
+    real, count = getattr(channel, name), [0]
+
+    def counted(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(channel, name, counted)
+    return count
+
+
+class TestStopRulesMatchExhaustiveStages:
+    """The relay and single-reflection stages stop evaluating once no later candidate can win, and
+    give the hop, the draws and the traffic observations of the stages that evaluate everything."""
+
+    GRID = {30.0: 100, 60.0: 400, 90.0: 900}  # coverage radius -> IUs, the benchmark's grid points
+
+    def pair(self, cfg, topo, seed, policy, mobile=False):
+        runs = []
+        for cls in (Router, ExhaustiveRouter):
+            walk = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), 20.0, rng_for(141, seed)) if mobile else None
+            runs.append(staged_run(cls(topo, _profiles_for(cfg), cfg, rng_for(140, seed), policy=policy,
+                                       mobility=walk)))
+        return runs
+
+    @pytest.mark.parametrize("coverage", sorted(GRID))
+    @pytest.mark.parametrize("variant", sorted(BASELINE_POLICIES))
+    def test_same_stages_on_seeded_topologies(self, coverage, variant):
+        cfg = SimConfig(coverage_m=coverage, iu_count=self.GRID[coverage], **LINE_ENDS)
+        stages = 0
+        for seed in range(4):
+            topo = generate_topology(cfg, rng_for(139, coverage, seed))
+            (ledger, log), (want_ledger, want_log) = self.pair(cfg, topo, seed, BASELINE_POLICIES[variant])
+            assert len(log) == len(want_log)
+            for got, want in zip(log, want_log):
+                assert got == want
+            assert ledger.to_rows() == want_ledger.to_rows()
+            stages += len(log)
+        assert stages >= 8
+
+    def test_same_stages_with_moving_ius(self):
+        cfg = SimConfig(coverage_m=50.0, iu_count=400, **LINE_ENDS)
+        for seed in range(4):
+            topo = generate_topology(cfg, rng_for(142, seed))
+            (ledger, log), (want_ledger, want_log) = self.pair(cfg, topo, seed, BASELINE_POLICIES["full"], True)
+            assert log == want_log and ledger.to_rows() == want_ledger.to_rows()
+
+    def direct_evaluations(self, monkeypatch, cls, variant):
+        cfg = SimConfig(coverage_m=90.0, iu_count=900, **LINE_ENDS)
+        count = evaluation_count(monkeypatch, "direct_snr")
+        for seed in range(3):
+            topo = generate_topology(cfg, rng_for(143, seed))
+            cls(topo, _profiles_for(cfg), cfg, rng_for(144, seed), policy=BASELINE_POLICIES[variant]).run()
+        return count[0]
+
+    def test_dense_relay_stage_evaluates_fewer_links(self, monkeypatch):
+        assert self.direct_evaluations(monkeypatch, Router, "full") * 2 < \
+            self.direct_evaluations(monkeypatch, ExhaustiveRouter, "full")
+
+    def test_fixed_mod_never_reaches_the_floor(self, monkeypatch):
+        # the pinned QPSK needs 16 slots, more than any default idle window, so no relay
+        # qualifies, the stop never fires and every link is evaluated
+        cfg = SimConfig()
+        assert slot_table(cfg.total_bits, cfg.fixed_rate_bits).floor == 16 > _profiles_for(cfg).nu_idle.max()
+        assert self.direct_evaluations(monkeypatch, Router, "fixed_mod") == \
+            self.direct_evaluations(monkeypatch, ExhaustiveRouter, "fixed_mod") > 0
+
+
+def relay_pick(iu_xy, seed=150):
+    """The relay stage's entry from S at (330, 200), D at (400, 200), 70 m away and out of sight,
+    by ``Router`` and by ``ExhaustiveRouter`` over the same draws."""
+    cfg = line_config()
+    topo = build_topology(iu_xy, src=(330.0, 200.0))
+    picks = []
+    for cls in (Router, ExhaustiveRouter):
+        r = cls(topo, idle_law(len(iu_xy), cfg), cfg, rng_for(seed))
+        picks.append((r._relay_stage(r._point(SOURCE_ID)), r.rng.bit_generator.state))
+    return picks
+
+
+class TestRelayScanOrderAgainstDistance:
+    """IUs 40 m from D whose ``math.dist`` order reverses their ``np.hypot`` (scan) order: ``np.hypot``
+    puts each exactly at 40 m, so the scan lists them by id, while ``math.dist`` puts them 1 ulp
+    either side of 40 m or on it. Every one reaches the floor (256-QAM, 2 slots)."""
+
+    dest = (400.0, 200.0)
+    on = (360.01047491165775, 200.91535960630026)  # math.dist: exactly 40 m
+    above = (361.50217790675873, 189.14100860682058)  # math.dist: 1 ulp above 40 m
+    below = (360.6095895877299, 206.95669228534092)  # math.dist: 1 ulp below 40 m
+
+    def test_the_two_distances_disagree(self):
+        for point, dist in ((self.on, 40.0), (self.above, math.nextafter(40.0, 50.0)),
+                            (self.below, math.nextafter(40.0, 0.0))):
+            assert math.dist(point, self.dest) == dist
+            assert np.hypot(point[0] - self.dest[0], point[1] - self.dest[1]) == 40.0
+        r = Router(build_topology([self.above, self.below, self.on], src=(330.0, 200.0)),
+                   idle_law(3, line_config()), line_config(), rng_for(150))
+        assert r._scan(r._point(SOURCE_ID)) == [2, 3, 4]  # equal np.hypot distances, by id
+
+    def test_nearer_later_relay_wins(self):
+        # scan order: 1 ulp above, then 1 ulp below; the second is the hop
+        (got, state), want = relay_pick([self.above, self.below])
+        assert (got, state) == want
+        assert got[0].link.node_id == 3 and got[0].tau == 2
+
+    def test_stop_looks_past_a_link_just_beyond_the_floor_entry(self):
+        # the first floor entry is at 40 m, the next link 1 ulp beyond it and the last 1 ulp
+        # inside it: only the margin keeps the scan going to the last, the hop
+        (got, state), want = relay_pick([self.on, self.above, self.below])
+        assert (got, state) == want
+        assert got[0].link.node_id == 4 and got[0].tau == 2
+
+
+class TestSingleStageAgainstExhaustive:
+    """Constructed reflector stages: the stopping stage picks the exhaustive stage's surface and
+    entry and leaves the generator where the exhaustive stage does."""
+
+    @staticmethod
+    def picks(topo, cfg, n_ius, seed=151):
+        out = []
+        for cls in (Router, ExhaustiveRouter):
+            r = cls(topo, idle_law(n_ius, cfg), cfg, rng_for(seed))
+            origin = r._point(SOURCE_ID)
+            assert r._relay_stage(origin)[0] is None
+            out.append((r.ris_fallback(origin), r.rng.bit_generator.state, r.field.state.tolist()))
+        return out
+
+    @pytest.mark.parametrize("near_first", [True, False], ids=["ids-in-lrd-order", "ids-out-of-lrd-order"])
+    def test_one_endpoint_seen_from_two_surfaces(self, near_first):
+        # U1 lies behind both surfaces, so both keys share its remaining distance: the lower id wins,
+        # whether the scan reaches it first (ids in LRD order) or second
+        near, far = (150.0, 210.0), (130.0, 180.0)
+        topo = build_topology([(180.0, 195.0)], [near, far] if near_first else [far, near], src=(100.0, 200.0))
+        r = Router(topo, idle_law(1, line_config()), line_config(), rng_for(151))
+        scan = r._scan(r._point(SOURCE_ID), r.ris_ids)
+        assert [r.xy[i].tolist() for i in scan] == [list(near), list(far)]
+        assert all(2 in r._scan(tuple(r.xy[i].tolist())) for i in scan)
+        got, want = self.picks(topo, line_config(), 1)
+        assert got == want
+        surfaces, entry = got[0]
+        assert surfaces == (topo.first_ris_id,) and entry.link.node_id == 2
+
+    def test_destination_behind_a_later_surface(self):
+        # at -40 dBm noise the destination is in sight of both surfaces but only the one scanned
+        # second, nearer the source, reaches it at a positive rate; the first reaches U1
+        cfg = line_config(noise_dbm=-40.0)
+        topo = build_topology([(390.0, 215.0)], [(380.0, 225.0), (342.0, 200.0)], src=(330.0, 200.0))
+        got, want = self.picks(topo, cfg, 1)
+        assert got == want
+        surfaces, entry = got[0]
+        assert surfaces == (topo.first_ris_id + 1,) and entry.link.node_id == DEST_ID
+        r = Router(topo, idle_law(1, cfg), cfg, rng_for(151))
+        first = r._scan(r._point(SOURCE_ID), r.ris_ids)[0]
+        assert first == topo.first_ris_id and DEST_ID in r._scan(r._point(first))
+
+    def test_surface_key_looks_past_an_endpoint_just_beyond_its_nearest(self):
+        # R1, scanned first, sees the three IUs 40 m from D of TestRelayScanOrderAgainstDistance in
+        # the order on, 1 ulp above, 1 ulp below; R2 sees only the last. Both keys are 1 ulp below
+        # 40 m, and R1 holds the lower id, but only the margin lets R1's evaluation reach that IU
+        ius = TestRelayScanOrderAgainstDistance
+        topo = build_topology([ius.on, ius.above, ius.below], [(320.0, 195.0), (340.0, 262.0)], src=(300.0, 230.0))
+        r = Router(topo, idle_law(3, line_config()), line_config(), rng_for(151))
+        assert r._scan(r._point(SOURCE_ID), r.ris_ids) == [5, 6]
+        assert r._scan((320.0, 195.0)) == [2, 3, 4] and r._scan((340.0, 262.0)) == [4]
+        got, want = self.picks(topo, line_config(), 3)
+        assert got == want
+        surfaces, entry = got[0]
+        assert surfaces == (5,) and entry.link.remaining_m == math.nextafter(40.0, 0.0)
