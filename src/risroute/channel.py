@@ -15,10 +15,10 @@ arbitrary Phi lives in ``tests/test_channel.py`` as the oracle it is
 checked against. Two surfaces have no closed form: their phases are
 aligned alternately, one surface at a time, and the cascade is evaluated.
 
-A fading draw advances the generator when it is made, but its arrays
-are built on first read, so a draw no link reads costs only the draw, and
-direct and single-reflection links, which read only the amplitudes, never
-build the phases.
+A fading draw advances the generator when it is made and is held as its
+complex gains, built on first read: a draw no link reads costs only the
+draw, and direct and single-reflection links, which read only the
+amplitudes, never build the values.
 
 The link-budget constants P, rho_L, alpha and sigma^2 live only in
 ``SimConfig``: every SNR here reads them from the config it is handed,
@@ -50,50 +50,44 @@ TWO_PI = 2.0 * math.pi
 
 
 class FadingVector:
-    """Element-wise fading, value = amplitudes * exp(-1j * phases).
+    """Element-wise fading held as its complex gains g, value = a exp(-j t).
 
     1-D for device-surface segments, 2-D (out x in) for the surface-to-
     surface segment; rectangular shapes are allowed when element counts
-    differ. ``amplitudes`` and ``phases`` are zero-argument functions that
-    return the arrays: each runs on the first read of its array and is then
-    dropped, so a link that reads only the amplitudes never builds the
-    phases. A phase read builds the amplitudes first. Phases are given in
-    [-pi, 2 pi] and kept in [0, 2 pi), bit for bit as two ``np.mod(., 2 pi)``
-    passes would leave them. ``values`` is built once, on its first read.
+    differ. ``gains`` is a zero-argument function returning g. It runs on
+    the first read of either array and is then replaced by g, which frees
+    the raw draws it closes over. ``amplitudes`` (|g|) and ``values`` are
+    each built once, on first read, so a link that reads only the
+    amplitudes never builds the values. ``values`` keeps the amplitude/phase
+    round trip: t = -angle(g) is wrapped into [0, 2 pi), bit for bit as two
+    ``np.mod(., 2 pi)`` passes would leave it, and the value is a exp(-j t).
     """
 
-    __slots__ = ("_amplitude_source", "_phase_source", "_amplitudes", "_phases", "_values")
+    __slots__ = ("_gains", "_amplitudes", "_values")
 
-    def __init__(self, amplitudes, phases):
-        self._amplitude_source, self._phase_source = amplitudes, phases
-        self._values = None
+    def __init__(self, gains):
+        self._gains = gains
+        self._amplitudes = self._values = None
+
+    def _complex_gains(self) -> np.ndarray:
+        if callable(self._gains):
+            self._gains = self._gains()
+        return self._gains
 
     @property
     def amplitudes(self) -> np.ndarray:
-        if self._amplitude_source is not None:
-            amp = np.asarray(self._amplitude_source(), dtype=float)
-            if not np.isfinite(amp).all() or (amp < 0).any():
-                raise ValueError("amplitudes must be finite and nonnegative")
-            self._amplitudes, self._amplitude_source = amp, None
+        if self._amplitudes is None:
+            self._amplitudes = np.abs(self._complex_gains())
         return self._amplitudes
-
-    @property
-    def phases(self) -> np.ndarray:
-        if self._phase_source is not None:
-            amp = self.amplitudes
-            # + 0.0 turns -0.0 into 0.0; a tiny negative phase plus 2 pi rounds to 2 pi, which means 0
-            ph = np.asarray(self._phase_source(), dtype=float) + 0.0
-            if ph.shape != amp.shape:
-                raise ValueError("amplitudes and phases must share a shape")
-            np.add(ph, TWO_PI, out=ph, where=ph < 0.0)
-            ph[ph == TWO_PI] = 0.0
-            self._phases, self._phase_source = ph, None
-        return self._phases
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            values = np.exp(-1j * self.phases)
+            # + 0.0 turns -0.0 into 0.0; a tiny negative phase plus 2 pi rounds to 2 pi, which means 0
+            phases = -np.angle(self._complex_gains()) + 0.0
+            np.add(phases, TWO_PI, out=phases, where=phases < 0.0)
+            phases[phases == TWO_PI] = 0.0
+            values = np.exp(-1j * phases)
             values.real *= self.amplitudes
             values.imag *= self.amplitudes
             self._values = values
@@ -109,8 +103,7 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
     The line-of-sight part carries K/(K+1) of the power at a uniformly
     drawn phase; the scattered part is circularly symmetric Gaussian with
     the remaining 1/(K+1). ``rng`` is advanced here, by the phases and then
-    the real and imaginary normals. The complex gains are built on the
-    first read of either array, the amplitudes and phases on their own.
+    the real and imaginary normals; ``FadingVector`` builds the gains.
     """
     shape = (n,) if isinstance(n, int) else tuple(n)
     if any(s < 1 for s in shape):
@@ -119,23 +112,20 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
     los_amp, scatter_amp = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
     phase = rng.uniform(0.0, TWO_PI, size=shape)
     re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-    built = []
 
     def gains() -> np.ndarray:
         # los_amp exp(j phase) + scatter_amp (re + j im) / sqrt 2 in place, with numpy's roundings:
         # it divides a complex array by a real scalar through the reciprocal
-        if not built:
-            g = np.exp(1j * phase)
-            g *= los_amp
-            scatter = np.empty(shape, dtype=complex)
-            np.multiply(re, scatter_amp, out=scatter.real)
-            np.multiply(im, scatter_amp, out=scatter.imag)
-            scatter *= 1.0 / math.sqrt(2.0)
-            g += scatter
-            built.append(g)
-        return built[0]
+        g = np.exp(1j * phase)
+        g *= los_amp
+        scatter = np.empty(shape, dtype=complex)
+        np.multiply(re, scatter_amp, out=scatter.real)
+        np.multiply(im, scatter_amp, out=scatter.imag)
+        scatter *= 1.0 / math.sqrt(2.0)
+        g += scatter
+        return g
 
-    return FadingVector(lambda: np.abs(gains()), lambda: -np.angle(gains()))
+    return FadingVector(gains)
 
 
 def direct_snr(cfg: SimConfig, h: complex | float, d: float) -> float:

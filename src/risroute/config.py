@@ -15,13 +15,20 @@ mode is its bit count b (constellation 2**b): ``target_ber`` and
 ``threshold_rule`` set the SNR threshold of each b (see ``linkbudget``),
 and ``fixed_rate_bits`` pins one b for the fixed-modulation baseline.
 Fixed endpoints, when set, must differ and lie inside the arena, and the
-destination off the reflector grid. Link-budget keys outside their physical
-ranges are refused, never clamped: ``rho_l_db <= 0`` (a loss),
+destination off the reflector grid. The reflector grid holds at most
+``MAX_RIS_PER_SIDE`` surfaces a side (10,000 in all; the densest workload
+grid, at r = 30 m, is 27 x 27), counted before any grid is built.
+Link-budget keys outside their physical ranges are refused, never clamped:
+``rho_l_db <= 0`` (a loss),
 ``noise_dbm >= -200``, ``tx_power_dbm <= 60``, and path-loss exponents
 ``alpha_d2d`` and ``alpha_other`` in (0, 10]: a gain that falls with
 distance, no faster than the steepest measured exponents (about 6 in
 obstructed buildings), which keeps ``d ** -alpha`` finite for any
-d > 1e-30 m.
+d > 1e-30 m. The harvester's ``eh_slope * eh_threshold_w`` is at most 700
+(2.1 by default), so its curve never overflows, and its saturation power
+``mh_mw`` is at most the transmit power: a relay harvests less than a hop
+spends, and the last hop, into the destination, harvests nothing, so a
+route's net energy is positive.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ from pathlib import Path
 
 class ConfigError(ValueError):
     """Bad key, bad value, or unreadable config file."""
+
+
+MAX_RIS_PER_SIDE = 100
 
 
 def db_to_linear(db: float) -> float:
@@ -136,6 +146,10 @@ class SimConfig:
         for name in ("mh_mw", "eh_slope", "eh_threshold_w"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.eh_slope * self.eh_threshold_w > 700.0:  # exp(a b), the harvest curve's largest term, stays finite
+            raise ConfigError(f"eh_slope * eh_threshold_w must be <= 700, got {self.eh_slope * self.eh_threshold_w!r}")
+        if self.mh_mw * 1e-3 > self.tx_power_w:
+            raise ConfigError(f"mh_mw = {self.mh_mw!r} exceeds the transmit power of {self.tx_power_w * 1e3!r} mW")
         for name in ("lambda_off_ms", "mu_on_ms"):
             val = getattr(self, name)
             vals = val if isinstance(val, tuple) else (val,)
@@ -149,6 +163,10 @@ class SimConfig:
                 raise ConfigError(f"{name} {xy} lies outside the arena (arena_m = {self.arena_m:g})")
         if self.source_xy is not None and self.source_xy == self.dest_xy:
             raise ConfigError(f"source_xy and dest_xy must differ, both are {self.source_xy}")
+        # np.arange(spacing/2, arena, spacing) holds ceil of this many surfaces a row, and the grid is square
+        if (self.arena_m - self.ris_spacing / 2.0) / self.ris_spacing > MAX_RIS_PER_SIDE:
+            raise ConfigError(f"a {self.ris_spacing:g} m reflector grid over a {self.arena_m:g} m arena has more "
+                              f"than {MAX_RIS_PER_SIDE} surfaces a side; raise coverage_m or ris_spacing_m")
         if self.dest_xy is not None:  # a scan centred on the destination would face no direction
             from .topology import ris_grid_positions  # deferred: topology imports this module
             if (ris_grid_positions((self.arena_m, self.arena_m), self.ris_spacing) == self.dest_xy).all(axis=1).any():

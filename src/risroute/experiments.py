@@ -109,6 +109,13 @@ class ExperimentPlan:
             raise ConfigError(f"{self.kind} takes no density_grid (only the two sweeps run one)")
         if self.coverage_grid is not None and self.kind in ("trajectory", "traffic_validation"):
             raise ConfigError(f"{self.kind} takes no coverage_grid")
+        # refused here, before any route runs: the router would raise mid-run on an unknown
+        # variant, and a negative or NaN speed would run static routes
+        unknown = [v for v in self.variants if v not in router.BASELINE_POLICIES]
+        if unknown:
+            raise ConfigError(f"unknown variants {unknown}; choose from {sorted(router.BASELINE_POLICIES)}")
+        if not all(0.0 <= v < math.inf for v in self.vmax_grid):
+            raise ConfigError(f"vmax_grid speeds must be finite and >= 0, got {self.vmax_grid}")
         if self.kind == "mobility" and len(self.resolved_coverage_grid()) > 1:
             raise ConfigError("mobility runs at one coverage radius; give coverage_grid a single value")
         for name, readers in _OWNED_FIELDS:
@@ -188,6 +195,8 @@ class MobilityField:
         self.t = 0.0
 
     def positions_at(self, t: float) -> np.ndarray:
+        """The IU positions at time ``t``: the walk's own ``xy`` array, not a copy, which the next
+        call moves in place."""
         if t < self.t - 1e-12:
             raise ValueError("mobility clock moved backwards")
         dt = t - self.t
@@ -217,7 +226,7 @@ class MobilityField:
                     v = self.rng.uniform(0.0, 1.0) * self.v_max
                 self.xy[i], self.waypoints[i], self.speeds[i] = (x, y), (wx, wy), v
         self.t = t
-        return self.xy.copy()
+        return self.xy
 
 
 # --------------------------------------------------------------------------
@@ -323,9 +332,7 @@ def _detail_row(cell: Cell, seed: int, ledger: router.RouteLedger) -> dict:
         "success": 0,
     }
     if ledger.success:
-        m = metrics.compute_route_metrics(ledger, cell.cfg)
-        row.update(D_T=m.throughput, D_T_normalized=m.throughput_normalized,
-                   E_eff=m.energy_efficiency, ris_count=m.ris_count, hops=m.hop_count, success=1)
+        row.update(metrics.compute_route_metrics(ledger, cell.cfg), success=1)
     return row
 
 
@@ -372,8 +379,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, columns: list[str], rows: list[dict]) -> Path:
+def write_csv(path: Path, columns: list[str], rows: list[dict], preamble: str = "") -> Path:
+    """``preamble``, then the header row and one row per dict (a missing column is empty)."""
     with open(path, "w", newline="") as fh:
+        fh.write(preamble)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -403,15 +412,9 @@ def _run_trajectory(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: Exp
         result.attempted += 1
         result.succeeded += ledger.success
         result.traces.append(ledger.trace())
-        path = out / f"route_{rep + 1:04d}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# ledger-schema v{router.LEDGER_SCHEMA_VERSION}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            cols = ["index", "kind", "ids", "slots", "rate", "harvested_J", "remaining_distance_m"]
-            writer.writerow(cols)
-            for row in ledger.to_rows():
-                writer.writerow([_fmt(row[c]) for c in cols])
-        result.files.append(path)
+        rows = ledger.to_rows()
+        schema = f"# ledger-schema v{router.LEDGER_SCHEMA_VERSION}\n"
+        result.files.append(write_csv(out / f"route_{rep + 1:04d}.csv", list(rows[0]), rows, schema))
 
 
 def estimate_duration_quantiles(

@@ -4,11 +4,11 @@ Every hop is picked by one rule from the forward half-disc of the current
 transmitter: the destination when it qualifies, otherwise the endpoint
 that needs the fewest slots, ties broken by least remaining distance then
 lower id. Endpoints are sought in three stages, each yielding commit-ready
-entries ``(link, tau, rate, constellation)``:
+entries ``(link, tau, rate)``:
 
-* the destination at its fastest usable constellation, else idle relays,
-  each yielding one entry: its constellation needing the fewest slots (the
-  lowest rate among equal-slot ones), kept only if the transfer fits the
+* the destination at its fastest usable mode, else idle relays, each
+  yielding one entry: its mode needing the fewest slots (the lowest bit
+  count b among equal-slot ones), kept only if the transfer fits the
   relay's estimated idle window (the availability constraint). With none,
   the transmitter defers once — waiting the minimum estimated turn-idle
   time of the busy relays in sight that would make forward progress,
@@ -21,8 +21,9 @@ entries ``(link, tau, rate, constellation)``:
 * two reflectors: the surface nearest the destination extended to exactly
   one adjacent surface, after which the attempt stops.
 
-Reflected hops carry the short-packet achievable rate instead of a
-constellation (no rate adaptation through a surface), and the relay
+A direct hop's rate is its mode's bit count b (constellation 2**b);
+reflected hops carry the short-packet achievable rate instead (no rate
+adaptation through a surface), and the relay
 reached harvests energy from the received signal on every hop. One clock
 counts the slots spent, and moving IUs (mobility runs) move with it.
 
@@ -110,8 +111,7 @@ class HopChoice:
     kind: HopKind
     via: tuple[int, ...]  # node ids: (iu,) | (ris, endpoint) | (ris_i, ris_j, endpoint); () on waits
     slots_used: int
-    rate: float  # bits/symbol on direct hops, bits/use on reflected hops
-    constellation: int  # m_q on direct hops, 0 on reflected hops and waits
+    rate: float  # bit count b (constellation 2**b) on direct hops, bits/use on reflected hops
     harvested_j: float
     remaining_m: float  # distance endpoint -> destination after the hop
 
@@ -220,8 +220,7 @@ class Entry(NamedTuple):
 
     link: CandidateLink
     tau: int
-    rate: float  # bits/symbol on direct hops, bits/use on reflected hops
-    constellation: int  # m_q on direct hops, 0 on reflected hops
+    rate: float  # bit count b on direct hops, bits/use on reflected hops
 
 
 class SlotTable(NamedTuple):
@@ -251,11 +250,11 @@ def availability_set(
     total_bits: int,
     fixed_rate_bits: int | None = None,
 ) -> list[Entry]:
-    """At most one entry per relay, in link order: its usable constellation
-    needing the fewest slots, the lowest rate among equal-slot ones, kept
+    """At most one entry per relay, in link order: its usable mode needing
+    the fewest slots, the lowest bit count among equal-slot ones, kept
     only if it passes the availability constraint tau_req <= nu_I.
 
-    A relay's usable constellations are every mode up to the best its SNR
+    A relay's usable modes are every mode up to the best its SNR
     reaches, or with a pinned ``fixed_rate_bits`` only that one if reached.
     Slot counts never rise with the rate, so this is the only mode of the
     relay that ``select_entry`` could take, and if it overruns the idle
@@ -268,7 +267,7 @@ def availability_set(
         best = min(linkbudget.mode_bits(thresholds_db, link.snr_db), highest)
         if best >= table.lowest and tau_of[best] <= link.nu_idle_slots:
             bits = first_of[best]
-            entries.append(Entry(link, tau_of[bits], bits, 2**bits))
+            entries.append(Entry(link, tau_of[bits], bits))
     return entries
 
 
@@ -399,7 +398,7 @@ class Router:
             link = self._direct_links(origin, [DEST_ID], [math.inf], math.inf)[0]
             bits = min(linkbudget.mode_bits(self.thresholds_db, link.snr_db), self.slots.highest)  # the fastest
             if bits >= self.slots.lowest:
-                return Entry(link, self.slots.tau_of[bits], bits, 2**bits), []
+                return Entry(link, self.slots.tau_of[bits], bits), []
         idle, busy = self._split_idle_busy([i for i in found if i != DEST_ID])
         # forward progress is required of a hop, not just half-disc membership
         nu_idle = self.field.law.nu_idle[idle - FIRST_IU_ID].tolist()
@@ -427,7 +426,7 @@ class Router:
         if rate <= 0.0:
             return None
         tau = linkbudget.transfer_slots(self.cfg.total_bits, rate)
-        return Entry(link, tau, rate, 0) if tau <= nu else None
+        return Entry(link, tau, rate) if tau <= nu else None
 
     def _single_surface(self, origin: Point, ris_id: int, h_in: channel.FadingVector):
         """The endpoints behind ``ris_id`` (``_reflector_endpoints``) and a function giving the entry
@@ -565,7 +564,7 @@ class Router:
                 if wait_slots > 0:
                     self._tick(wait_slots)
                     remaining = math.dist(origin, self.dest)
-                    ledger.hops.append(HopChoice(HopKind.WAIT, (), wait_slots, 0.0, 0, 0.0, remaining))
+                    ledger.hops.append(HopChoice(HopKind.WAIT, (), wait_slots, 0.0, 0.0, remaining))
                     entry, _ = self._relay_stage(origin)
             surfaces = ()
             if entry is None:
@@ -639,7 +638,6 @@ class Router:
                 via=(*surfaces, link.node_id),
                 slots_used=tau,
                 rate=float(entry.rate),
-                constellation=entry.constellation,
                 harvested_j=harvested,
                 remaining_m=link.remaining_m,
             )

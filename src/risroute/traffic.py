@@ -84,13 +84,16 @@ def idle_wait_estimate(mu_s, slot: float, p_th: float) -> np.ndarray:
     return (np.asarray(mu_s, dtype=float) / slot) * _per_value(math.log, np.maximum(p10 / p_th, 1.0)) + 1.0
 
 
-def deferral_window(busy_eta: np.ndarray) -> int:
+def deferral_window(busy_eta: np.ndarray) -> int | float:
     """Whole slots to defer transmission: ceil of the busy users' smallest eta_I.
 
     Rounding up keeps the waited time no shorter than the estimate. An
-    empty array (nobody to wait for) raises ValueError.
+    infinite estimate (a p_th so small that p10/p_th overflows) stays inf,
+    a wait no delay budget fits. An empty array (nobody to wait for) raises
+    ValueError.
     """
-    return int(math.ceil(busy_eta.min()))
+    eta = float(busy_eta.min())
+    return int(math.ceil(eta)) if eta < math.inf else eta
 
 
 class ChainLaw(NamedTuple):

@@ -43,7 +43,12 @@ def q_inv_bisection(eps: float) -> float:
 
 
 def ones_vector(n):
-    return FadingVector(lambda: np.ones(n), lambda: np.zeros(n))
+    return FadingVector(lambda: np.ones(n, dtype=complex))
+
+
+def phases_of(h):
+    """The phases t of value = a exp(-j t), in [0, 2 pi)."""
+    return np.mod(-np.angle(h.values), TWO_PI)
 
 
 # -- the arbitrary-phase single-reflection cascade, kept here as the oracle for
@@ -59,12 +64,12 @@ def single_reflection_sinr(params, h_in, phases, h_out, d_in, d_out):
 
 def aligned_phases(h_in, h_out):
     """Per-element alignment theta_n = t_in,n + t_out,n (single served user)."""
-    return h_in.phases + h_out.phases
+    return phases_of(h_in) + phases_of(h_out)
 
 
 def eager_fading(n, rician_k_db, rng):
     """The eager sampler, arrays built at call time, as the oracle of the lazy one:
-    (amplitudes, phases, values), the phases wrapped twice as FadingVector wrapped them."""
+    (amplitudes, phases, values), the phases wrapped twice as FadingVector wraps them."""
     shape = (n,) if isinstance(n, int) else tuple(n)
     k = 10.0 ** (rician_k_db / 10.0)
     los = math.sqrt(k / (k + 1.0)) * np.exp(1j * rng.uniform(0.0, TWO_PI, size=shape))
@@ -99,10 +104,10 @@ class TestFadingSampler:
         rng = np.random.default_rng(4)
         fv = sample_fading((8, 5), rician_k_db=10.0, rng=rng)
         assert fv.amplitudes.shape == (8, 5)
-        assert np.all((fv.phases >= 0) & (fv.phases < 2 * math.pi))
+        assert np.all((phases_of(fv) >= 0) & (phases_of(fv) < 2 * math.pi))
 
     def test_value_convention(self):
-        fv = FadingVector(lambda: np.array([2.0]), lambda: np.array([math.pi / 3]))
+        fv = FadingVector(lambda: np.array([2.0 * np.exp(-1j * math.pi / 3)]))
         assert fv.values[0] == pytest.approx(2.0 * np.exp(-1j * math.pi / 3), rel=1e-12)
 
 
@@ -111,58 +116,43 @@ class TestLazyDraw:
     def test_same_stream_and_arrays_as_eager(self, shape):
         rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(21)
         fv = sample_fading(shape, 10.0, rng)
-        amplitudes, phases, values = eager_fading(shape, 10.0, oracle_rng)
+        amplitudes, _, values = eager_fading(shape, 10.0, oracle_rng)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state  # advanced at call time
-        assert np.array_equal(fv.values, values)
-        assert np.array_equal(fv.amplitudes, amplitudes) and np.array_equal(fv.phases, phases)
+        assert np.array_equal(fv.values, values) and np.array_equal(fv.amplitudes, amplitudes)
         assert fv.values is fv.values and fv.amplitudes is fv.amplitudes  # each built once
 
     def test_amplitudes_first_then_values(self):
         fv = sample_fading(250, 10.0, np.random.default_rng(22))
-        amplitudes, phases, values = eager_fading(250, 10.0, np.random.default_rng(22))
+        amplitudes, _, values = eager_fading(250, 10.0, np.random.default_rng(22))
         assert np.array_equal(fv.amplitudes, amplitudes)
-        assert np.array_equal(fv.values, values) and np.array_equal(fv.phases, phases)
+        assert np.array_equal(fv.values, values)
         assert len(fv) == 250
 
-    def test_raw_draws_released_once_built(self):
+    def test_gains_built_once_on_first_read(self, monkeypatch):
+        calls = []
+        real_exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x, *a, **k: calls.append(x.shape) or real_exp(x, *a, **k))
         fv = sample_fading((4, 4), 10.0, np.random.default_rng(23))
+        assert calls == []  # drawn, not built
+        fv.amplitudes
+        assert calls == [(4, 4)]  # the gains
+        assert isinstance(fv._gains, np.ndarray)  # the function and the raw draws it held are dropped
         fv.values
-        assert fv._amplitude_source is None and fv._phase_source is None
+        fv.values, fv.amplitudes
+        assert calls == [(4, 4), (4, 4)]  # then the values, once
 
-    @pytest.mark.parametrize("read", ["values", "amplitudes", "phases"])
-    def test_non_finite_draw_raises_on_first_read(self, read):
-        rng, oracle_rng = np.random.default_rng(24), np.random.default_rng(24)
-        fv = sample_fading(4, math.nan, rng)  # K = nan: every amplitude is nan
-        eager_fading(4, math.nan, oracle_rng)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state  # drawn all the same
-        with pytest.raises(ValueError, match="finite"):
-            getattr(fv, read)
-        with pytest.raises(ValueError, match="finite"):
-            fv.values  # still refused on a second read, never a nan value
-
-    def test_amplitude_read_builds_no_phases(self):
+    def test_amplitude_read_builds_no_values(self):
         fv = sample_fading(250, 10.0, np.random.default_rng(25))
-        amplitudes, phases, _ = eager_fading(250, 10.0, np.random.default_rng(25))
+        amplitudes, _, values = eager_fading(250, 10.0, np.random.default_rng(25))
         assert np.array_equal(fv.amplitudes, amplitudes)
-        assert fv._amplitude_source is None and fv._phase_source is not None
-        assert np.array_equal(fv.phases, phases) and fv._phase_source is None
+        assert fv._values is None
+        assert np.array_equal(fv.values, values)
 
     def test_phases_wrapped_twice(self):
-        # a tiny negative phase wraps to 2 pi itself; the second wrap maps that to 0
-        once = np.mod(np.array([-1e-300]), TWO_PI)
-        assert once[0] == TWO_PI
-        fv = FadingVector(lambda: np.ones(1), lambda: once)
-        assert fv.phases[0] == 0.0
-
-    def test_shape_mismatch_raises_on_phase_read(self):
-        fv = FadingVector(lambda: np.ones(3), lambda: np.zeros(2))
-        with pytest.raises(ValueError, match="share a shape"):
-            fv.values
-
-    def test_negative_amplitudes_raise_on_first_read(self):
-        fv = FadingVector(lambda: np.array([1.0, -0.5]), lambda: np.zeros(2))
-        with pytest.raises(ValueError, match="nonnegative"):
-            fv.values
+        # a tiny negative angle wraps to 2 pi itself under one np.mod; values read it as 0
+        assert np.mod(np.array([-1e-300]), TWO_PI)[0] == TWO_PI
+        gain = np.array([complex(1.0, 1e-300)])  # angle 1e-300, so t = -1e-300
+        assert FadingVector(lambda: gain).values[0] == 1.0 + 0.0j
 
 
 class TestDirectSnr:
@@ -260,7 +250,7 @@ class TestDoubleReflection:
         h_in = sample_fading(n, 10.0, rng)
         h_out = sample_fading(n, 10.0, rng)
         phase_i = aligned_phases(h_in, h_out)
-        identity = FadingVector(lambda: np.eye(n), lambda: np.zeros((n, n)))
+        identity = FadingVector(lambda: np.eye(n, dtype=complex))
         double = double_reflection_sinr(PARAMS, h_in, phase_i, identity, np.zeros(n), h_out, 25.0, 1.0, 35.0)
         single = single_reflection_sinr(PARAMS, h_in, phase_i, h_out, 25.0, 35.0)
         assert double == pytest.approx(single * PARAMS.rho_l, rel=1e-12)

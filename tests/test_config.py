@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from risroute.config import ConfigError, SimConfig, load_config
@@ -62,6 +63,9 @@ OUT_OF_RANGE = [
     ("alpha_other", -5.0),
     ("alpha_d2d", 2000.0),
     ("alpha_other", 10.5),
+    # the harvester: an overflowing curve, a saturation above the transmit power (1000 mW)
+    ("eh_slope", 60000.0),
+    ("mh_mw", 1000.5),
 ]
 
 
@@ -117,3 +121,36 @@ class TestPerIuLists:
         with pytest.raises(ConfigError, match=f"{key} has 3 per-IU values but iu_count is 4"):
             SimConfig(iu_count=4, **{key: (1.0, 2.0, 3.0)})
         assert SimConfig(iu_count=3, **{key: (1.0, 2.0, 3.0)}).iu_count == 3
+
+
+class TestReflectorGridCap:
+    def test_refused_before_any_grid_is_built(self, monkeypatch):
+        # coverage 0.1 m would lay an 8000 x 8000 grid, and with dest_xy set the config builds the grid
+        from risroute import topology
+
+        def build(*args):
+            raise AssertionError("built a grid")
+
+        monkeypatch.setattr(topology, "ris_grid_positions", build)
+        for kwargs in ({"coverage_m": 0.1}, {"coverage_m": 0.1, "dest_xy": (380.0, 200.0)},
+                       {"ris_spacing_m": 3.9}, {"arena_m": 1e300}):
+            with pytest.raises(ConfigError, match="more than 100 surfaces a side"):
+                SimConfig(**kwargs)
+
+    def test_cap_counts_surfaces_as_the_grid_does(self):
+        from risroute.config import MAX_RIS_PER_SIDE
+        from risroute.topology import ris_grid_positions
+
+        edge = 400.0 / (MAX_RIS_PER_SIDE + 0.5)  # (400 - s/2) / s == 100 surfaces a row
+        spacings = [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf), 3.9, 4.0, 15.0]
+        for spacing in spacings:
+            row = np.arange(spacing / 2.0, 400.0, spacing).size  # one row, as the grid lays it
+            try:
+                SimConfig(ris_spacing_m=spacing)
+            except ConfigError:
+                assert row > MAX_RIS_PER_SIDE
+            else:
+                assert row <= MAX_RIS_PER_SIDE
+                assert ris_grid_positions((400.0, 400.0), spacing).shape == (row * row, 2)
+        assert SimConfig(ris_spacing_m=4.0).ris_spacing == 4.0  # 100 x 100 surfaces is the largest grid
+        assert SimConfig(coverage_m=30.0).coverage_m == 30.0  # the densest workload grid, 27 x 27

@@ -57,6 +57,21 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             ExperimentPlan(**{"kind": "comparison", **bad})
 
+    @pytest.mark.parametrize("bad", [
+        {"kind": "comparison", "variants": ("full", "fixed-mod"), "coverage_grid": (60.0,)},
+        {"kind": "mobility", "vmax_grid": (0.0, -5.0)},
+        {"kind": "mobility", "vmax_grid": (math.nan,)},
+        {"kind": "mobility", "vmax_grid": (5.0, math.inf)},
+    ])
+    def test_refused_before_any_route_runs(self, bad, tmp_path, monkeypatch):
+        # unchecked, an unknown variant fails in the router after the cells before it have run,
+        # and a negative or NaN speed runs static routes
+        routed = []
+        monkeypatch.setattr(experiments, "run_one_route", lambda *args, **kwargs: routed.append(args))
+        with pytest.raises(ConfigError):
+            run(ExperimentPlan(seed=1, replications=1, **bad), SimConfig(), tmp_path)
+        assert routed == [] and list(tmp_path.iterdir()) == []
+
 
 @dataclass(frozen=True)
 class MobilityState:
@@ -165,6 +180,13 @@ class TestMobilityField:
             assert field.speeds.tobytes() == walk[2].tobytes()
         assert arrivals > 500
         assert field.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_returns_the_walks_own_array(self):
+        field = MobilityField(np.array([[10.0, 10.0], [20.0, 20.0]]), (400.0, 400.0), 20.0, derive_rng(4, 1))
+        xy = field.positions_at(1.0)
+        assert xy is field.xy
+        before = xy.copy()
+        assert field.positions_at(2.0) is xy and not np.array_equal(xy, before)  # moved in place
 
     def test_clock_cannot_rewind(self):
         field = MobilityField(np.array([[0.0, 0.0]]), (400.0, 400.0), 5.0, derive_rng(3, 1))
@@ -340,8 +362,7 @@ class TestMobilityExperiment:
             rng = derive_rng(6, rep, 0)
             led = run_one_route(cfg, rng)
             if led.success:
-                m = compute_route_metrics(led, cfg)
-                assert float(row["D_T"]) == m.throughput
+                assert float(row["D_T"]) == compute_route_metrics(led, cfg)["D_T"]
             else:
                 assert float(row["D_T"]) == 0.0
 

@@ -15,7 +15,7 @@ from risroute.linkbudget import (
     mode_bits,
     transfer_slots,
 )
-from risroute.metrics import energy_efficiency
+from risroute.metrics import compute_route_metrics
 from risroute.router import HopChoice, HopKind, RouteLedger
 
 # published thresholds for P_b = 1e-6, dB
@@ -57,9 +57,9 @@ def oracle_select(modes, snr_db):
 
 def spent_energy(cfg, slots):
     """(P + P_proc) tau T_s of one unharvested hop, read back through the route efficiency."""
-    ledger = RouteLedger(hops=[HopChoice(HopKind.DIRECT_IU, (1,), slots, 8.0, 256, 0.0, 0.0)],
+    ledger = RouteLedger(hops=[HopChoice(HopKind.DIRECT_IU, (1,), slots, 8.0, 0.0, 0.0)],
                          total_slots=slots, success=True)
-    return cfg.total_bits / energy_efficiency(ledger, cfg)
+    return cfg.total_bits / compute_route_metrics(ledger, cfg)["E_eff"]
 
 
 class TestModeTable:

@@ -47,7 +47,7 @@ class TestAvailabilitySet:
         # 24 bits at 8 bits/symbol -> 3 slots <= nu=4.21
         links = [make_link(2, 25.0, 300.0, 4.21)]
         aset = availability_set(links, self.table, self.bits)
-        assert any((e.tau, e.rate, e.constellation) == (3, 8, 256) for e in aset)
+        assert any((e.tau, e.rate) == (3, 8) for e in aset)
         assert all(e.link is links[0] for e in aset)
 
     def test_oversized_transfer_excluded(self):
@@ -64,14 +64,13 @@ class TestAvailabilitySet:
         # at 18.5 dB rates 6 and 7 both need 4 slots and the lower one is listed
         links = [make_link(2, 25.0, 300.0, 1e9), make_link(3, 18.5, 200.0, 1e9), make_link(4, 0.0, 100.0, 1e9)]
         aset = availability_set(links, self.table, self.bits)
-        assert [(e.link, e.tau, e.rate, e.constellation) for e in aset] == \
-               [(links[0], 3, 8, 256), (links[1], 4, 6, 64)]
+        assert [(e.link, e.tau, e.rate) for e in aset] == [(links[0], 3, 8), (links[1], 4, 6)]
 
     def test_non_adaptive_keeps_only_pinned_mode(self):
         links = [make_link(2, 25.0, 300.0, 1e9)]
         aset = availability_set(links, self.table, self.bits, fixed_rate_bits=2)
         assert len(aset) == 1
-        assert (aset[0].rate, aset[0].constellation, aset[0].tau) == (2, 4, 12)
+        assert (aset[0].rate, aset[0].tau) == (2, 12)
 
     def test_non_adaptive_needs_channel_support(self):
         links = [make_link(2, 10.0, 300.0, 1e9)]  # only BPSK feasible
@@ -101,7 +100,7 @@ def availability_set_by_enumeration(links, thresholds_db, total_bits, fixed_rate
     set ``availability_set`` picks each link's one entry from."""
     tau_of = {bits: linkbudget.transfer_slots(total_bits, bits) for bits in range(1, linkbudget.MAX_RATE + 1)}
     return [
-        Entry(link, tau_of[bits], bits, 2**bits)
+        Entry(link, tau_of[bits], bits)
         for link in links
         for bits in usable_modes(thresholds_db, link.snr_db, fixed_rate_bits)
         if tau_of[bits] <= link.nu_idle_slots
@@ -154,14 +153,14 @@ class TestAvailabilitySetOracle:
         assert bool(got) == bool(want)
         if want:
             a, b = select_entry(got), select_entry(want)
-            assert a.link is b.link and (a.tau, a.rate, a.constellation) == (b.tau, b.rate, b.constellation)
+            assert a.link is b.link and (a.tau, a.rate) == (b.tau, b.rate)
 
 
 class TestSelectIu:
     """``select_entry`` picking among relay (IU) entries, and the destination over any of them."""
 
     def entries(self, taus_remainings):
-        return [Entry(make_link(2 + i, 25.0, rem, 100.0), tau, 8, 256)
+        return [Entry(make_link(2 + i, 25.0, rem, 100.0), tau, 8)
                 for i, (tau, rem) in enumerate(taus_remainings)]
 
     def test_argmin_slots(self):
@@ -185,7 +184,7 @@ class TestSelectIu:
             select_entry([])
 
     def test_destination_beats_faster_iu(self):
-        dest = Entry(make_link(DEST_ID, 12.0, 0.0, math.inf), 6, 4.0, 0)
+        dest = Entry(make_link(DEST_ID, 12.0, 0.0, math.inf), 6, 4)
         aset = self.entries([(2, 50.0)]) + [dest]
         assert select_entry(aset) is dest
 
@@ -239,10 +238,10 @@ class TestDirectRouting:
         assert full.hops[0].slots_used == 4  # 256-QAM
         assert fixed.hops[0].slots_used == 16  # pinned QPSK
         assert fixed.hops[0].rate == 2.0
-        # the pinned constellation is the config's
+        # the pinned mode is the config's
         cfg16 = line_config(packets=4, fixed_rate_bits=4)
         pinned16 = route(topo, idle_law(0, cfg16), cfg16, rng_for(104), variant="fixed_mod")
-        assert (pinned16.hops[0].slots_used, pinned16.hops[0].constellation) == (8, 16)
+        assert (pinned16.hops[0].slots_used, pinned16.hops[0].rate) == (8, 4.0)
 
 
 class TestReflectorFallback:
@@ -263,7 +262,7 @@ class TestReflectorFallback:
         # equal slot counts: least remaining distance wins -> the 100 m IU
         assert first.via == (topo.first_ris_id, 3)
         assert led.trace().startswith("S → R1 → U2 → ")
-        assert first.rate > 0 and first.constellation == 0
+        assert first.rate > 0
 
     def test_double_reflection_bridges_gap(self):
         ius = [(150.0, 200.0), (200.0, 200.0), (250.0, 200.0), (300.0, 200.0), (350.0, 200.0)]
@@ -478,12 +477,12 @@ class TestLedgerOutput:
         topo = build_topology([(40.0 * k, 100.0) for k in range(1, 10)], [(40.0 * k, 300.0) for k in range(1, 5)])
         led = RouteLedger(total_delay_s=0.05, slot_s=1e-4, psi=7, topo=topo)
         led.hops = [
-            HopChoice(HopKind.SINGLE_RIS, (11, 4), 3, 11.2, 0, 1e-9, 300.0),
-            HopChoice(HopKind.WAIT, (), 14, 0.0, 0, 0.0, 300.0),
-            HopChoice(HopKind.DOUBLE_RIS, (13, 14, 6), 3, 9.8, 0, 1e-9, 200.0),
-            HopChoice(HopKind.DIRECT_IU, (8,), 4, 8.0, 256, 2e-9, 100.0),
-            HopChoice(HopKind.DIRECT_IU, (10,), 4, 8.0, 256, 2e-9, 50.0),
-            HopChoice(HopKind.DIRECT_IU, (1,), 4, 8.0, 256, 0.0, 0.0),
+            HopChoice(HopKind.SINGLE_RIS, (11, 4), 3, 11.2, 1e-9, 300.0),
+            HopChoice(HopKind.WAIT, (), 14, 0.0, 0.0, 300.0),
+            HopChoice(HopKind.DOUBLE_RIS, (13, 14, 6), 3, 9.8, 1e-9, 200.0),
+            HopChoice(HopKind.DIRECT_IU, (8,), 4, 8.0, 2e-9, 100.0),
+            HopChoice(HopKind.DIRECT_IU, (10,), 4, 8.0, 2e-9, 50.0),
+            HopChoice(HopKind.DIRECT_IU, (1,), 4, 8.0, 0.0, 0.0),
         ]
         led.success = True
         led.total_slots = 32
@@ -521,22 +520,21 @@ class TestCommitProgress:
         stuck = make_link(2, 25.0, 300.0, 1e9)
         closer = make_link(2, 25.0, 350.0, 1e9)
         overrun = r.cfg.total_delay_s / r.cfg.slot_s + 1
-        for surfaces, kind, constellation in (((), HopKind.DIRECT_IU, 256), ((3,), HopKind.SINGLE_RIS, 0),
-                                              ((3, 4), HopKind.DOUBLE_RIS, 0)):
+        for surfaces, kind in (((), HopKind.DIRECT_IU), ((3,), HopKind.SINGLE_RIS), ((3, 4), HopKind.DOUBLE_RIS)):
             led = RouteLedger()
             with pytest.raises(ValueError, match="no closer"):
-                r._commit(origin, surfaces, Entry(stuck, 3, 8.0, constellation), led)
+                r._commit(origin, surfaces, Entry(stuck, 3, 8.0), led)
             assert led.hops == [] and r.clock == 0
             far = (10.0, 200.0)
-            reason = r._commit(far, surfaces, Entry(closer, int(overrun), 8.0, constellation), led)
+            reason = r._commit(far, surfaces, Entry(closer, int(overrun), 8.0), led)
             assert reason is FailureReason.DELAY_EXCEEDED
             assert led.hops == [] and r.clock == 0
             # the same hop from farther out commits: clock, ledger and endpoint
-            end = r._commit(far, surfaces, Entry(closer, 3, 8.0, constellation), led)
+            end = r._commit(far, surfaces, Entry(closer, 3, 8.0), led)
             assert end == (50.0, 200.0) and r.clock == 3
             hop = led.hops[-1]
             assert (hop.kind, hop.via) == (kind, (*surfaces, 2))
-            assert (hop.slots_used, hop.rate, hop.constellation) == (3, 8.0, constellation)
+            assert (hop.slots_used, hop.rate) == (3, 8.0)
             assert hop.harvested_j > 0.0
             r.clock = 0
 

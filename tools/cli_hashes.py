@@ -11,14 +11,21 @@ core count. From the root of a checkout:
 Each output line is ``<seed> <command> <csv name> <first 12 hex of sha256>``;
 two checkouts produce the same output exactly when every CSV is
 byte-identical. The list covers every subcommand, both sweeps at
-``--threads 1`` and ``2``, and seeds 5 and 9 (23 CSVs, 7 to 12 s on a
-2-vCPU host).
+``--threads 1`` and ``2``, and seeds 5 and 9 at the default config. Then
+``route``, ``compare`` and ``mobility`` run at seed 7 with ``--config`` set
+to ``CONFIG``, written to a JSON file: per-IU OFF means, fixed endpoints
+(read by ``route``; the grid kinds pin their own) and 2-packet transfers. 16 bits make equal-slot modes (4 slots for b = 4
+and 5, 3 for b = 6 and 7), so these lines also cover the relay's choice
+among them and the throughput's 2**b term. The sweeps set ``iu_count``
+per grid point and refuse per-IU lists, so they run at the default only.
+31 CSVs, 11 to 15 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -43,14 +50,33 @@ COMMANDS = (
     (9, ["sweep-coverage", "--replications", "6", "--threads", "2"]),
 )
 
+CONFIG = {
+    "iu_count": 150,
+    "lambda_off_ms": [2.0 + i % 7 for i in range(150)],  # 2 to 8 ms, one mean per IU
+    "source_xy": [30.0, 70.0],
+    "dest_xy": [370.0, 340.0],
+    "packets": 2,
+}
+CONFIG_COMMANDS = (
+    (7, ["route", "--replications", "4"]),
+    (7, ["compare", "--replications", "2"]),
+    (7, ["mobility", "--replications", "6"]),
+)
 
-def csv_hashes(root: Path, seed: int, args: list[str]) -> list[tuple[str, str]]:
-    """(csv name, 12-hex sha256) of every CSV one command writes, by name."""
+
+def csv_hashes(root: Path, seed: int, args: list[str], config: dict | None = None) -> list[tuple[str, str]]:
+    """(csv name, 12-hex sha256) of every CSV one command writes, by name; ``config``, when
+    given, is written to a JSON file passed as ``--config``."""
     env = {**os.environ, **{var: "1" for var in BLAS_VARS}, "PYTHONPATH": str(root / "src")}
-    with tempfile.TemporaryDirectory() as out:
-        cmd = [sys.executable, "-m", "risroute.cli", *args, "--seed", str(seed), "--out", out, "--quiet"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cmd = [sys.executable, "-m", "risroute.cli", *args, "--seed", str(seed), "--out", str(out), "--quiet"]
+        if config is not None:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            cmd += ["--config", str(path)]
         subprocess.run(cmd, env=env, check=True)
-        return [(p.name, hashlib.sha256(p.read_bytes()).hexdigest()[:12]) for p in sorted(Path(out).glob("*.csv"))]
+        return [(p.name, hashlib.sha256(p.read_bytes()).hexdigest()[:12]) for p in sorted(out.glob("*.csv"))]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -60,9 +86,12 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.root / "src" / "risroute" / "cli.py").is_file():
         print(f"cli_hashes: no risroute sources under {args.root / 'src'}", file=sys.stderr)
         return 1
-    for seed, cli_args in COMMANDS:
-        for name, digest in csv_hashes(args.root.resolve(), seed, cli_args):
-            print(f"{seed} {' '.join(cli_args):<45} {name:<24} {digest}", flush=True)
+    runs = [(seed, cli_args, None) for seed, cli_args in COMMANDS]
+    runs += [(seed, cli_args, CONFIG) for seed, cli_args in CONFIG_COMMANDS]
+    for seed, cli_args, config in runs:
+        command = " ".join(cli_args) + (" --config" if config else "")
+        for name, digest in csv_hashes(args.root.resolve(), seed, cli_args, config):
+            print(f"{seed} {command:<45} {name:<24} {digest}", flush=True)
     return 0
 
 
