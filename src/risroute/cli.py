@@ -11,9 +11,11 @@ Subcommands map onto the experiment kinds:
 
 Exit status: 0 success, 1 configuration error, 2 experiment failure.
 Every run writes a manifest JSON capturing the resolved configuration
-and the plan. Feeding that manifest back through --config restores only
-the configuration: the outputs are reproduced byte for byte when --seed
-and --replications are passed again with their original values.
+(for the grid kinds, with the endpoints they pin), the plan and the
+random stream version. Feeding that manifest back through --config
+restores only the configuration: the outputs are reproduced byte for
+byte when --seed and --replications are passed again with their
+original values.
 
 ``main`` pins BLAS and OpenMP to one thread before numpy loads: a
 250x250 mat-vec of the double-reflection alignment rounds differently

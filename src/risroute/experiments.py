@@ -30,6 +30,10 @@ SeedSequence, so outputs are byte-identical across runs and thread
 counts; comparison variants and mobility grid points reuse the same
 replication streams (common random numbers) so differences between
 curves are driven by the policies, not by sampling noise.
+
+``STREAM_VERSION`` names the order in which a route consumes its stream.
+A change that moves any draw bumps it, and every manifest records it.
+Version 2 draws fading only where it is read (see ``router``).
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ DETAIL_COLUMNS = [
     "success",
 ]
 
-# Sweeps pin one endpoint pair so grid points differ only in the topology draw.
+STREAM_VERSION = 2
+
+# The grid kinds pin one endpoint pair so grid points differ only in the topology draw.
 SWEEP_SOURCE = (20.0, 200.0)
 SWEEP_DEST = (380.0, 200.0)
 
@@ -277,9 +283,9 @@ class Cell:
     extra: dict = field(default_factory=dict)  # summary columns between density and the stats
 
 
-def _grid_cells(plan: ExperimentPlan, cfg: SimConfig) -> list[Cell]:
-    """A grid plan's cells in output order; every config is built (and checked) before any route runs."""
-    base = cfg.with_overrides(source_xy=SWEEP_SOURCE, dest_xy=SWEEP_DEST)
+def _grid_cells(plan: ExperimentPlan, base: SimConfig) -> list[Cell]:
+    """A grid plan's cells in output order, each a variation of ``base``; every config is built (and
+    checked) before any route runs."""
     coverages = plan.resolved_coverage_grid()
     if plan.kind == "comparison":
         return [
@@ -393,6 +399,7 @@ def write_csv(path: Path, columns: list[str], rows: list[dict], preamble: str = 
 def write_manifest(path: Path, plan: ExperimentPlan, cfg: SimConfig) -> Path:
     payload = {
         "schema": 1,
+        "stream_version": STREAM_VERSION,
         "plan": asdict(plan),
         "config": cfg.to_dict(),
     }
@@ -494,6 +501,8 @@ def run(plan: ExperimentPlan, cfg: SimConfig, out_dir: str | Path) -> Experiment
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = ExperimentResult(kind=plan.kind)
+    if plan.kind not in ("trajectory", "traffic_validation"):  # the grid kinds run at the pinned endpoints
+        cfg = cfg.with_overrides(source_xy=SWEEP_SOURCE, dest_xy=SWEEP_DEST)
     result.files.append(write_manifest(out / f"manifest_{plan.kind}.json", plan, cfg))
     if plan.kind == "trajectory":
         _run_trajectory(plan, cfg, out, result)

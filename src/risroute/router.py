@@ -42,31 +42,32 @@ same distance the ledger records.
 
 Stopping early. Candidates come in scan order, least remaining distance
 first, so the relay and single-reflection stages stop evaluating links once
-no later candidate can win; every draw and traffic observation still
-happens, in the same order, so only SNR, rate and slot arithmetic is
-skipped and every hop is the one the exhaustive stage picks (the oracles in
+no later candidate can win. Every traffic observation still happens, and a
+surface's endpoints are observed before any of its draws, so each hop is
+the one the exhaustive stage picks over the same draws (the oracles in
 ``tests/test_router.py``):
 
 * relays: once a link's entry needs the floor, the fewest slots any allowed
   mode needs (``SlotTable.floor``), only a later link at most as far from
   the destination can beat it, so evaluation ends at the first later link
-  farther than that entry's remaining distance times ``STOP_MARGIN``;
+  farther than that entry's remaining distance times ``STOP_MARGIN``. The
+  relay fading is one draw over every idle relay in sight;
 * single reflection: a surface's key is the least remaining distance of its
   qualifying endpoints, then its id. Its endpoints are evaluated in scan
   order only while one could still lower that key or beat the best key so
   far (a tie on remaining distance goes to the lower id, so an equal
   distance is still evaluated); the winning surface is then evaluated in
-  full for ``select_entry``. Every ``h_in`` and ``h_out`` is drawn when
-  today's order draws it, and a draw nothing reads is never built
-  (``channel.FadingVector``).
+  full for ``select_entry``. An endpoint's ``h_out`` is drawn when it is
+  first evaluated, and the surface's ``h_in`` just before the first of
+  them, so a surface or endpoint that is never evaluated draws nothing.
 
 The scan orders by ``np.hypot`` and the router keys on ``math.dist``; both
 are faithfully rounded norms of the same coordinate differences, within
 1 ulp (at most 2^-52 relative) of one value. So a node later in scan order
 is at least the earlier one's ``math.dist`` times 1 - 2^-50 from the
 destination, and once a link is farther than R (1 + 2^-48) every later one
-is farther than R. The destination shortcut, the traffic observations, the
-fading draws and the double-reflection stage stay eager.
+is farther than R. The destination shortcut, the traffic observations and
+the double-reflection stage stay eager.
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ class Router:
         """
         if not ids:
             return []
-        amplitudes = channel.sample_fading(len(ids), self.cfg.rician_k_db, self.rng).amplitudes.tolist()
+        amplitudes = np.abs(channel.sample_fading(len(ids), self.cfg.rician_k_db, self.rng)).tolist()
         dest, links, stop = self.dest, [], math.inf
         floor, floor_db = self.slots.floor, self.floor_db
         for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
@@ -428,27 +429,30 @@ class Router:
         tau = linkbudget.transfer_slots(self.cfg.total_bits, rate)
         return Entry(link, tau, rate) if tau <= nu else None
 
-    def _single_surface(self, origin: Point, ris_id: int, h_in: channel.FadingVector):
-        """The endpoints behind ``ris_id`` (``_reflector_endpoints``) and a function giving the entry
-        of the i-th one over ``h_in``, worked out on first call. Each endpoint's ``h_out`` is drawn
-        here, in order, whether or not its entry is ever asked for."""
+    def _single_surface(self, origin: Point, ris_id: int, incoming: dict[int, np.ndarray]):
+        """The endpoints behind ``ris_id`` (``_reflector_endpoints``, which observes them) and a function
+        giving the entry of the i-th one, worked out on first call. That first call draws the surface's
+        ``h_in``, kept in ``incoming``, unless it is there already, then the endpoint's ``h_out``."""
         n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
         ris_pos = self._point(ris_id)
         endpoints = self._reflector_endpoints(self._scan(ris_pos), origin)
-        h_outs = [channel.sample_fading(n_elements, k_db, self.rng) for _ in endpoints]
         d_in = math.dist(origin, ris_pos)
 
         @functools.cache
         def entry_at(i: int) -> Entry | None:
+            if ris_id not in incoming:
+                incoming[ris_id] = channel.sample_fading(n_elements, k_db, self.rng)
+            h_out = channel.sample_fading(n_elements, k_db, self.rng)
             d_out = math.dist(ris_pos, endpoints[i][1])
-            gamma = channel.optimal_single_reflection_snr(self.cfg, h_in, h_outs[i], d_in, d_out)
+            gamma = channel.optimal_single_reflection_snr(self.cfg, incoming[ris_id], h_out, d_in, d_out)
             return self._reflected_entry(endpoints[i], gamma)
 
         return endpoints, entry_at
 
-    def _single_stage(self, origin: Point, candidates: list[int], incoming: dict):
+    def _single_stage(self, origin: Point, candidates: list[int], incoming: dict[int, np.ndarray]):
         """One reflector among ``candidates``: ((ris_id,), entry), or None when no surface has a
-        qualifying endpoint. Every surface's ``h_in`` is drawn, in order, and kept in ``incoming``.
+        qualifying endpoint. The ``h_in`` of each surface whose endpoints are evaluated is kept in
+        ``incoming``.
 
         The surface with the least key (least remaining distance of a qualifying endpoint, id)
         wins; a surface's endpoints are evaluated only while one could still lower its key or beat
@@ -456,8 +460,7 @@ class Router:
         """
         best = None  # ((remaining, ris_id), endpoints, entry_at)
         for ris_id in candidates:
-            h_in = incoming[ris_id] = channel.sample_fading(self.cfg.ris_elements, self.cfg.rician_k_db, self.rng)
-            endpoints, entry_at = self._single_surface(origin, ris_id, h_in)
+            endpoints, entry_at = self._single_surface(origin, ris_id, incoming)
             least = math.inf  # remaining distance of this surface's nearest qualifying endpoint so far
             bound = math.inf if best is None else best[0][0]
             for i, (_, _, remaining, _) in enumerate(endpoints):
@@ -488,13 +491,16 @@ class Router:
         The double stage is a dead end before any draw or traffic
         observation when the second surface's half-disc holds neither the
         destination nor an IU strictly closer to it than ``origin``
-        (``_forward``); a dead end ends the route, so nothing reads them.
+        (``_forward``), and before any draw when the observation finds every
+        such IU busy. Otherwise it draws the first surface's ``h_in`` (unless
+        the single stage did), ``h_mid``, then each endpoint's ``h_out`` in
+        scan order, and evaluates every endpoint.
         """
         n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
         candidates = self._scan(origin, self.ris_ids)
         if not candidates:
             return FailureReason.NO_IU_NO_RIS
-        incoming: dict[int, channel.FadingVector] = {}
+        incoming: dict[int, np.ndarray] = {}
 
         if self.policy.ris_mode in ("both", "single_only"):
             outcome = self._single_stage(origin, candidates, incoming)
@@ -513,14 +519,15 @@ class Router:
             found = self._scan(second_pos)
             if not self._forward(found, origin):
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # nothing h_mid could reach
-            h_in = incoming.get(first)
-            if h_in is None:
-                h_in = channel.sample_fading(n_elements, k_db, self.rng)
+            endpoints = self._reflector_endpoints(found, origin)
+            if not endpoints:
+                return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # every forward IU busy: nothing to draw for
+            h_in = incoming[first] if first in incoming else channel.sample_fading(n_elements, k_db, self.rng)
             h_mid = channel.sample_fading((n_elements, n_elements), k_db, self.rng)
             d_in = math.dist(origin, first_pos)
             d_mid = math.dist(first_pos, second_pos)
             entries = []
-            for endpoint in self._reflector_endpoints(found, origin):
+            for endpoint in endpoints:
                 h_out = channel.sample_fading(n_elements, k_db, self.rng)
                 phase_i, phase_j = channel.alternating_double_phases(h_in, h_mid, h_out)
                 gamma = channel.double_reflection_sinr(

@@ -76,12 +76,14 @@ def idle_wait_estimate(mu_s, slot: float, p_th: float) -> np.ndarray:
     """Slots until a busy user's first idle slot has probability >= p_th.
 
     Geometric first-success argument; the max(x, 1) clamp keeps the
-    logarithm nonnegative, so the estimate is always >= 1 slot.
+    logarithm nonnegative, so the estimate is always >= 1 slot. The ratio
+    is a Python float division, which a subnormal p_th overflows to inf
+    without a warning, and so to an infinite estimate.
     """
     if not 0.0 < p_th < 1.0:
         raise ValueError("p_th must lie in (0, 1)")
     p10 = switch_probability(mu_s, slot)
-    return (np.asarray(mu_s, dtype=float) / slot) * _per_value(math.log, np.maximum(p10 / p_th, 1.0)) + 1.0
+    return (np.asarray(mu_s, dtype=float) / slot) * _per_value(lambda p: math.log(max(p / p_th, 1.0)), p10) + 1.0
 
 
 def deferral_window(busy_eta: np.ndarray) -> int | float:

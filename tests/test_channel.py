@@ -8,7 +8,6 @@ from scipy.stats import kstest
 from risroute.channel import (
     EXP_M2,
     TWO_PI,
-    FadingVector,
     alternating_double_phases,
     direct_snr,
     double_reflection_sinr,
@@ -43,12 +42,12 @@ def q_inv_bisection(eps: float) -> float:
 
 
 def ones_vector(n):
-    return FadingVector(lambda: np.ones(n, dtype=complex))
+    return np.ones(n, dtype=complex)
 
 
 def phases_of(h):
-    """The phases t of value = a exp(-j t), in [0, 2 pi)."""
-    return np.mod(-np.angle(h.values), TWO_PI)
+    """The phases t of the gains h = a exp(-j t), in [0, 2 pi)."""
+    return np.mod(-np.angle(h), TWO_PI)
 
 
 # -- the arbitrary-phase single-reflection cascade, kept here as the oracle for
@@ -57,7 +56,7 @@ def phases_of(h):
 
 def single_reflection_sinr(params, h_in, phases, h_out, d_in, d_out):
     """P |h_out diag(exp(j phases)) h_in|^2 rho_L^2 (d_in d_out)^-alpha / sigma^2."""
-    gain = np.sum(h_out.values * np.exp(1j * np.asarray(phases)) * h_in.values)
+    gain = np.sum(h_out * np.exp(1j * np.asarray(phases)) * h_in)
     return (params.tx_power_w * abs(gain) ** 2 * params.rho_l**2
             * (d_in * d_out) ** (-params.alpha_other) / params.noise_w)
 
@@ -67,92 +66,53 @@ def aligned_phases(h_in, h_out):
     return phases_of(h_in) + phases_of(h_out)
 
 
-def eager_fading(n, rician_k_db, rng):
-    """The eager sampler, arrays built at call time, as the oracle of the lazy one:
-    (amplitudes, phases, values), the phases wrapped twice as FadingVector wraps them."""
+def written_out_fading(n, rician_k_db, rng):
+    """The Rician draw written out as the oracle of ``sample_fading``: the phases, then the real and
+    imaginary normals, from ``rng``, and the gains los exp(j phase) + scatter (re + j im) / sqrt 2."""
     shape = (n,) if isinstance(n, int) else tuple(n)
     k = 10.0 ** (rician_k_db / 10.0)
     los = math.sqrt(k / (k + 1.0)) * np.exp(1j * rng.uniform(0.0, TWO_PI, size=shape))
-    scatter = math.sqrt(1.0 / (k + 1.0)) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ) / math.sqrt(2.0)
-    h = los + scatter
-    amplitudes, phases = np.abs(h), np.mod(np.mod(-np.angle(h), TWO_PI), TWO_PI)
-    return amplitudes, phases, amplitudes * np.exp(-1j * phases)
+    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    return los + math.sqrt(1.0 / (k + 1.0)) * (re + 1j * im) / math.sqrt(2.0)
 
 
 class TestFadingSampler:
     def test_pure_los_limit(self):
         rng = np.random.default_rng(1)
-        fv = sample_fading(1000, rician_k_db=90.0, rng=rng)
-        assert np.all(np.abs(fv.amplitudes - 1.0) < 1e-3)
+        h = sample_fading(1000, rician_k_db=90.0, rng=rng)
+        assert np.all(np.abs(np.abs(h) - 1.0) < 1e-3)
 
     def test_unit_mean_power(self):
         rng = np.random.default_rng(2)
-        fv = sample_fading(1_000_000, rician_k_db=10.0, rng=rng)
-        msq = float(np.mean(fv.amplitudes**2))
+        h = sample_fading(1_000_000, rician_k_db=10.0, rng=rng)
+        msq = float(np.mean(np.abs(h) ** 2))
         # var of |h|^2 for K=10 linear Rician is (1+2K)/(1+K)^2 ~ 0.174
         assert abs(msq - 1.0) < 4 * math.sqrt(0.174 / 1e6)
 
     def test_rayleigh_limit_ks(self):
         rng = np.random.default_rng(3)
-        fv = sample_fading(100_000, rician_k_db=-300.0, rng=rng)
-        stat = kstest(fv.amplitudes, "rayleigh", args=(0.0, math.sqrt(0.5)))
+        h = sample_fading(100_000, rician_k_db=-300.0, rng=rng)
+        stat = kstest(np.abs(h), "rayleigh", args=(0.0, math.sqrt(0.5)))
         assert stat.pvalue > 1e-3
 
     def test_phase_range_and_shape(self):
         rng = np.random.default_rng(4)
-        fv = sample_fading((8, 5), rician_k_db=10.0, rng=rng)
-        assert fv.amplitudes.shape == (8, 5)
-        assert np.all((phases_of(fv) >= 0) & (phases_of(fv) < 2 * math.pi))
+        h = sample_fading((8, 5), rician_k_db=10.0, rng=rng)
+        assert h.shape == (8, 5) and h.dtype == complex
+        assert np.all((phases_of(h) >= 0) & (phases_of(h) < 2 * math.pi))
 
-    def test_value_convention(self):
-        fv = FadingVector(lambda: np.array([2.0 * np.exp(-1j * math.pi / 3)]))
-        assert fv.values[0] == pytest.approx(2.0 * np.exp(-1j * math.pi / 3), rel=1e-12)
-
-
-class TestLazyDraw:
     @pytest.mark.parametrize("shape", [1, 250, (8, 5), (250, 250)])
-    def test_same_stream_and_arrays_as_eager(self, shape):
+    def test_same_stream_and_gains_as_written_out(self, shape):
         rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(21)
-        fv = sample_fading(shape, 10.0, rng)
-        amplitudes, _, values = eager_fading(shape, 10.0, oracle_rng)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state  # advanced at call time
-        assert np.array_equal(fv.values, values) and np.array_equal(fv.amplitudes, amplitudes)
-        assert fv.values is fv.values and fv.amplitudes is fv.amplitudes  # each built once
+        h = sample_fading(shape, 10.0, rng)
+        want = written_out_fading(shape, 10.0, oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        # cos/sin against np.exp, and the scatter scale applied in another order: within an ulp or two
+        np.testing.assert_allclose(h, want, rtol=0.0, atol=1e-15)
 
-    def test_amplitudes_first_then_values(self):
-        fv = sample_fading(250, 10.0, np.random.default_rng(22))
-        amplitudes, _, values = eager_fading(250, 10.0, np.random.default_rng(22))
-        assert np.array_equal(fv.amplitudes, amplitudes)
-        assert np.array_equal(fv.values, values)
-        assert len(fv) == 250
-
-    def test_gains_built_once_on_first_read(self, monkeypatch):
-        calls = []
-        real_exp = np.exp
-        monkeypatch.setattr(np, "exp", lambda x, *a, **k: calls.append(x.shape) or real_exp(x, *a, **k))
-        fv = sample_fading((4, 4), 10.0, np.random.default_rng(23))
-        assert calls == []  # drawn, not built
-        fv.amplitudes
-        assert calls == [(4, 4)]  # the gains
-        assert isinstance(fv._gains, np.ndarray)  # the function and the raw draws it held are dropped
-        fv.values
-        fv.values, fv.amplitudes
-        assert calls == [(4, 4), (4, 4)]  # then the values, once
-
-    def test_amplitude_read_builds_no_values(self):
-        fv = sample_fading(250, 10.0, np.random.default_rng(25))
-        amplitudes, _, values = eager_fading(250, 10.0, np.random.default_rng(25))
-        assert np.array_equal(fv.amplitudes, amplitudes)
-        assert fv._values is None
-        assert np.array_equal(fv.values, values)
-
-    def test_phases_wrapped_twice(self):
-        # a tiny negative angle wraps to 2 pi itself under one np.mod; values read it as 0
-        assert np.mod(np.array([-1e-300]), TWO_PI)[0] == TWO_PI
-        gain = np.array([complex(1.0, 1e-300)])  # angle 1e-300, so t = -1e-300
-        assert FadingVector(lambda: gain).values[0] == 1.0 + 0.0j
+    def test_rejects_an_empty_shape(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            sample_fading((3, 0), 10.0, np.random.default_rng(5))
 
 
 class TestDirectSnr:
@@ -211,7 +171,7 @@ class TestSingleReflection:
         h_in = sample_fading(250, 10.0, rng)
         h_out = sample_fading(250, 10.0, rng)
         best = optimal_single_reflection_snr(UNIT, h_in, h_out, 1.0, 1.0)
-        v = h_out.values * h_in.values
+        v = h_out * h_in
         random_phases = rng.uniform(0, 2 * math.pi, size=(10_000, 250))
         gains = np.abs(np.exp(1j * random_phases) @ v) ** 2
         assert best >= gains.max()
@@ -226,7 +186,7 @@ class TestSingleReflection:
                 h_in = sample_fading(n, 10.0, rng)
                 h_out = sample_fading(n, 10.0, rng)
                 opt = optimal_single_reflection_snr(UNIT, h_in, h_out, 1.0, 1.0)
-                v = h_out.values * h_in.values
+                v = h_out * h_in
                 term_phase = np.angle(v)  # phase of each cascaded term pre-shift
                 best_grid = 0.0
                 for psi in levels:
@@ -250,7 +210,7 @@ class TestDoubleReflection:
         h_in = sample_fading(n, 10.0, rng)
         h_out = sample_fading(n, 10.0, rng)
         phase_i = aligned_phases(h_in, h_out)
-        identity = FadingVector(lambda: np.eye(n, dtype=complex))
+        identity = np.eye(n, dtype=complex)
         double = double_reflection_sinr(PARAMS, h_in, phase_i, identity, np.zeros(n), h_out, 25.0, 1.0, 35.0)
         single = single_reflection_sinr(PARAMS, h_in, phase_i, h_out, 25.0, 35.0)
         assert double == pytest.approx(single * PARAMS.rho_l, rel=1e-12)
@@ -275,12 +235,9 @@ class TestDoubleReflection:
         pi, pj = alternating_double_phases(h_in, h_mid, h_out, rounds=20)
         assert np.all((pi >= 0) & (pi < 2 * math.pi)) and np.all((pj >= 0) & (pj < 2 * math.pi))
         best = unit_gain(h_in, pi, h_mid, pj, h_out)
-        mid = h_mid.values
-        vin = h_in.values
-        vout = h_out.values
         draws = rng.uniform(0, 2 * math.pi, size=(10_000, 2, n))
         for k in range(10_000):
-            g = (vout * np.exp(1j * draws[k, 1])) @ mid @ (np.exp(1j * draws[k, 0]) * vin)
+            g = (h_out * np.exp(1j * draws[k, 1])) @ h_mid @ (np.exp(1j * draws[k, 0]) * h_in)
             assert abs(g) ** 2 <= best * (1 + 1e-9)
 
     def test_alternating_monotone_in_rounds(self):

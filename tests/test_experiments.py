@@ -285,10 +285,40 @@ class TestSweeps:
         cfg = SimConfig(delta=0.2, packets=3)
         run(self.small_plan(), cfg, tmp_path / "first")
         cfg2 = load_config(tmp_path / "first" / "manifest_coverage_sweep.json")
-        assert cfg2 == cfg
+        assert cfg2 == cfg.with_overrides(source_xy=experiments.SWEEP_SOURCE, dest_xy=experiments.SWEEP_DEST)
         run(self.small_plan(), cfg2, tmp_path / "second")
         assert (tmp_path / "first" / "coverage_detail.csv").read_bytes() == \
                (tmp_path / "second" / "coverage_detail.csv").read_bytes()
+
+
+class TestManifest:
+    @pytest.mark.parametrize("kind", ["trajectory", "coverage_sweep", "traffic_validation"])
+    def test_records_the_stream_version(self, kind, tmp_path):
+        sizes = {"coverage_sweep": {"replications": 1, "coverage_grid": (60.0,), "density_grid": (50,)},
+                 "trajectory": {"replications": 1}, "traffic_validation": {"chains": 200, "batches": 2}}[kind]
+        plan = ExperimentPlan(kind=kind, seed=3, **sizes)
+        run(plan, SimConfig(iu_count=50), tmp_path)
+        payload = json.loads((tmp_path / f"manifest_{kind}.json").read_text())
+        assert payload["stream_version"] == experiments.STREAM_VERSION == 2
+
+    @pytest.mark.parametrize("kind", ["comparison", "mobility"])
+    def test_grid_kinds_record_the_endpoints_they_ran(self, kind, tmp_path):
+        # the grid kinds pin SWEEP_SOURCE and SWEEP_DEST whatever the config says; so does the manifest
+        cfg = SimConfig(iu_count=50, source_xy=(50.0, 350.0), dest_xy=(350.0, 50.0))
+        plan = ExperimentPlan(kind=kind, seed=3, replications=1, coverage_grid=(60.0,),
+                              **({"variants": ("full",)} if kind == "comparison" else {"vmax_grid": (0.0,)}))
+        run(plan, cfg, tmp_path)
+        recorded = json.loads((tmp_path / f"manifest_{kind}.json").read_text())["config"]
+        assert (tuple(recorded["source_xy"]), tuple(recorded["dest_xy"])) == \
+            (experiments.SWEEP_SOURCE, experiments.SWEEP_DEST)
+        run(plan, SimConfig(iu_count=50), tmp_path / "default")
+        detail = f"{kind}_detail.csv"
+        assert (tmp_path / detail).read_bytes() == (tmp_path / "default" / detail).read_bytes()
+
+    def test_trajectory_records_its_own_endpoints(self, tmp_path):
+        cfg = SimConfig(iu_count=50, source_xy=(50.0, 350.0), dest_xy=(350.0, 50.0))
+        run(ExperimentPlan(kind="trajectory", seed=3, replications=1), cfg, tmp_path)
+        assert load_config(tmp_path / "manifest_trajectory.json") == cfg
 
 
 class TestTrafficValidation:

@@ -3,11 +3,13 @@
 Each case runs ``experiments.run`` at a small size and compares every CSV
 it writes against the rows stored in ``golden.json`` next to this file:
 integers and strings must match exactly, floats to a relative 1e-9.
-A change that is meant to move results regenerates the file with
+The file also records the ``experiments.STREAM_VERSION`` it was written at
+(a file without one is version 1). Rows may move only with that version:
+a change that moves a random draw bumps it and regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+and says why in CHANGES.md; any other change must keep the rows.
 """
 
 import csv
@@ -18,9 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from risroute import channel, router
+from risroute import router
 from risroute.config import SimConfig
-from risroute.experiments import ExperimentPlan, run
+from risroute.experiments import STREAM_VERSION, ExperimentPlan, run
 
 GOLDEN = Path(__file__).with_name("golden.json")
 PER_IU = 40  # IUs of the per-IU traffic case
@@ -98,39 +100,73 @@ def cells_match(got: str, want: str) -> bool:
     return got == want
 
 
+def first_difference(got: dict, expected: dict) -> str | None:
+    """Where the CSVs ``got`` first differ from the ``expected`` rows, or None."""
+    if sorted(got) != sorted(expected):
+        return f"CSVs {sorted(got)}, expected {sorted(expected)}"
+    for filename, rows in expected.items():
+        if len(got[filename]) != len(rows):
+            return f"{filename}: {len(got[filename])} rows, expected {len(rows)}"
+        for i, (g_row, w_row) in enumerate(zip(got[filename], rows)):
+            if len(g_row) != len(w_row) or not all(map(cells_match, g_row, w_row)):
+                return f"{filename} row {i}: {g_row}, expected {w_row}"
+    return None
+
+
+def written_version(golden: dict) -> int:
+    """The stream version ``golden`` was written at; a file from before the versions is 1."""
+    return golden.get("stream_version", 1)
+
+
+def why_moved(written: int) -> str:
+    if written != STREAM_VERSION:
+        return f"golden.json was written at stream version {written}, the code is at {STREAM_VERSION}"
+    return (f"the rows moved but experiments.STREAM_VERSION did not (both {written}): a change that "
+            "moves a draw bumps it and regenerates golden.json, any other change keeps the rows")
+
+
+def test_golden_written_at_the_code_stream_version():
+    written = written_version(json.loads(GOLDEN.read_text()))
+    assert written == STREAM_VERSION, why_moved(written) + "; regenerate it (module docstring)"
+
+
+def test_move_explained_by_the_version():
+    assert "rows moved but" in why_moved(STREAM_VERSION)
+    assert f"written at stream version {STREAM_VERSION - 1}," in why_moved(STREAM_VERSION - 1)
+    assert written_version({}) == 1 and written_version({"stream_version": 7}) == 7
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_outputs_match_golden(name, tmp_path):
-    expected = json.loads(GOLDEN.read_text())[name]
-    got = outputs(name, tmp_path)
-    assert sorted(got) == sorted(expected)
-    for filename, rows in expected.items():
-        assert len(got[filename]) == len(rows), filename
-        for i, (g_row, w_row) in enumerate(zip(got[filename], rows)):
-            assert len(g_row) == len(w_row), (filename, i)
-            for g, w in zip(g_row, w_row):
-                assert cells_match(g, w), (filename, i, g, w)
+    golden = json.loads(GOLDEN.read_text())
+    moved = first_difference(outputs(name, tmp_path), golden[name])
+    if moved is not None:
+        pytest.fail(f"{moved}; {why_moved(written_version(golden))}")
 
 
 def test_sparse_case_reaches_dead_end_check(tmp_path, monkeypatch):
     """Some route of the sparse case ends at the double stage's geometric check.
 
-    The RIS grid (spacing r/2) gives every first surface here an adjacent
-    one, so a dead end that drew no h_mid is one the check ended.
+    A reflector stage observes each surface the single stage scans once
+    (``_reflector_endpoints``), and the double stage's second surface once
+    more after the check. The RIS grid (spacing r/2) gives every first
+    surface here an adjacent one, so a dead end with no further observation
+    is one the check ended, before any observation or draw of its own.
     """
-    real_fading, real_fallback = channel.sample_fading, router.Router.ris_fallback
-    hmid_draws, checked = [0], [0]
+    real_observe, real_fallback = router.Router._reflector_endpoints, router.Router.ris_fallback
+    observed, checked = [0], [0]
 
-    def fading(n, k, rng):
-        hmid_draws[0] += not isinstance(n, int)
-        return real_fading(n, k, rng)
+    def observe(self, found, origin):
+        observed[0] += 1
+        return real_observe(self, found, origin)
 
     def fallback(self, origin):
-        before = hmid_draws[0]
+        before, surfaces = observed[0], len(self._scan(origin, self.ris_ids))
         outcome = real_fallback(self, origin)
-        checked[0] += outcome is router.FailureReason.DEAD_END_AFTER_DOUBLE_RIS and hmid_draws[0] == before
+        checked[0] += outcome is router.FailureReason.DEAD_END_AFTER_DOUBLE_RIS and observed[0] - before == surfaces
         return outcome
 
-    monkeypatch.setattr(channel, "sample_fading", fading)
+    monkeypatch.setattr(router.Router, "_reflector_endpoints", observe)
     monkeypatch.setattr(router.Router, "ris_fallback", fallback)
     outputs("coverage_sweep_sparse", tmp_path)
     assert checked[0] >= 1
@@ -147,6 +183,6 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        golden = {name: outputs(name, Path(tmp) / name) for name in CASES}
+        golden = {"stream_version": STREAM_VERSION, **{name: outputs(name, Path(tmp) / name) for name in CASES}}
     GOLDEN.write_text(json.dumps(golden, indent=1, ensure_ascii=False) + "\n")
-    print(f"wrote {GOLDEN} ({sum(len(v) for v in golden.values())} CSVs)", file=sys.stderr)
+    print(f"wrote {GOLDEN} ({sum(len(golden[name]) for name in CASES)} CSVs)", file=sys.stderr)

@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import math
 import subprocess
 import sys
@@ -352,12 +354,48 @@ class TestDoubleStageDeadEnd:
         assert [n for n in shapes if not isinstance(n, int)] == []
         assert r.rng.bit_generator.state == before
 
-    def test_busy_forward_endpoint_still_draws_h_mid(self, monkeypatch):
+    def test_busy_forward_endpoint_draws_no_h_mid(self, monkeypatch):
         r = self.router(self.inside_boundary)
         r.field.state[:] = traffic.BUSY  # observed at slot 0, so read without a draw
         shapes = fading_shapes(monkeypatch)
+        before = r.rng.bit_generator.state
         assert r.ris_fallback(self.origin) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
-        assert [n for n in shapes if not isinstance(n, int)] == [(250, 250)]
+        assert shapes == []
+        assert r.rng.bit_generator.state == before
+
+    def test_idle_forward_endpoint_draws_h_in_h_mid_then_h_out(self, monkeypatch):
+        r = self.router(self.inside_boundary)
+        r.field.state[:] = traffic.IDLE
+        shapes = fading_shapes(monkeypatch)
+        r.ris_fallback(self.origin)
+        assert shapes == [250, (250, 250), 250]
+
+
+class TestSingleStageDraws:
+    """A surface draws its ``h_in`` only once one of its endpoints is evaluated."""
+
+    def router(self, iu_state):
+        # S at (100, 200) sees no relay; R1 at (150, 200) sees U1 at (180, 200), 80 m closer to D
+        topo = build_topology([(180.0, 200.0)], [(150.0, 200.0)], src=(100.0, 200.0))
+        cfg = line_config()
+        r = Router(topo, idle_law(1, cfg), cfg, rng_for(122), policy=BASELINE_POLICIES["single_ris"])
+        r.field.state[:] = iu_state  # observed at slot 0, so read without a draw
+        return r
+
+    def test_no_idle_forward_endpoint_draws_no_h_in(self, monkeypatch):
+        r = self.router(traffic.BUSY)
+        shapes = fading_shapes(monkeypatch)
+        before = r.rng.bit_generator.state
+        assert r.ris_fallback(r._point(SOURCE_ID)) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
+        assert shapes == []
+        assert r.rng.bit_generator.state == before
+
+    def test_idle_forward_endpoint_draws_h_in_then_h_out(self, monkeypatch):
+        r = self.router(traffic.IDLE)
+        shapes = fading_shapes(monkeypatch)
+        surfaces, entry = r.ris_fallback(r._point(SOURCE_ID))
+        assert (surfaces, entry.link.node_id) == ((r.topo.first_ris_id,), 2)
+        assert shapes == [250, 250]
 
 
 class TestDeferral:
@@ -549,14 +587,23 @@ class TestCommitProgress:
         assert proc.returncode == 0, proc.stderr
 
 
+MAX_GAIN = 1e6  # a fading amplitude far beyond any draw: an endpoint reached through it qualifies
+
+
 class ExhaustiveRouter(Router):
-    """The router whose relay and single-reflection stages evaluate every candidate: the oracle
-    the stopping stages must match, draw for draw and hop for hop."""
+    """The router whose relay and single-reflection stages evaluate every candidate: the oracle the
+    stopping stages must match. Its relay stage draws as the router's does. Its single stage draws
+    nothing: it reads ``draws``, a lazy stage's ``h_in`` by surface id and ``h_out`` by (surface id,
+    endpoint id), and reaches a surface or endpoint missing there at ``MAX_GAIN`` (``skipped``
+    counts those reads)."""
+
+    draws: dict = {}
+    skipped = 0
 
     def _direct_links(self, origin, ids, nus, limit):
         if not ids:
             return []
-        amplitudes = channel.sample_fading(len(ids), self.cfg.rician_k_db, self.rng).amplitudes.tolist()
+        amplitudes = np.abs(channel.sample_fading(len(ids), self.cfg.rician_k_db, self.rng)).tolist()
         links = []
         for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
             remaining = math.dist(pos, self.dest)
@@ -564,17 +611,21 @@ class ExhaustiveRouter(Router):
                 links.append(_link(node_id, channel.direct_snr(self.cfg, amp, math.dist(origin, pos)), remaining, nu))
         return links
 
+    def _gains(self, key):
+        if key in self.draws:
+            return self.draws[key]
+        self.skipped += 1
+        return np.full(self.cfg.ris_elements, MAX_GAIN, dtype=complex)
+
     def _single_stage(self, origin, candidates, incoming):
-        n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
         best = None  # ((progress, ris_id), surfaces, entry)
         for ris_id in candidates:
-            h_in = incoming[ris_id] = channel.sample_fading(n_elements, k_db, self.rng)
             ris_pos = self._point(ris_id)
             entries = []
             for endpoint in self._reflector_endpoints(self._scan(ris_pos), origin):
-                h_out = channel.sample_fading(n_elements, k_db, self.rng)
                 gamma = channel.optimal_single_reflection_snr(
-                    self.cfg, h_in, h_out, math.dist(origin, ris_pos), math.dist(ris_pos, endpoint[1]))
+                    self.cfg, self._gains(ris_id), self._gains((ris_id, endpoint[0])),
+                    math.dist(origin, ris_pos), math.dist(ris_pos, endpoint[1]))
                 if (entry := self._reflected_entry(endpoint, gamma)) is not None:
                     entries.append(entry)
             if entries:
@@ -584,87 +635,176 @@ class ExhaustiveRouter(Router):
         return None if best is None else best[1:]
 
 
-def staged_run(router):
-    """Run ``router``, logging after each relay and reflector stage its result, the generator's
-    state and the traffic field's ``state`` and ``updated_at``; returns (ledger, log)."""
-    log = []
-    for name in ("_relay_stage", "ris_fallback"):
-        def record(*args, _stage=getattr(router, name), _name=name):
-            out = _stage(*args)
-            log.append((_name, out, router.rng.bit_generator.state,
-                        router.field.state.tolist(), router.field.updated_at.tolist()))
-            return out
-        setattr(router, name, record)
-    return router.run(), log
-
-
-def evaluation_count(monkeypatch, name) -> list:
-    """A one-item list counting the calls of ``channel.<name>`` from now on."""
+@contextlib.contextmanager
+def counted(name):
+    """A one-item list counting the calls of ``channel.<name>`` within the block."""
     real, count = getattr(channel, name), [0]
 
-    def counted(*args):
+    def wrapper(*args):
         count[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(channel, name, counted)
-    return count
+    setattr(channel, name, wrapper)
+    try:
+        yield count
+    finally:
+        setattr(channel, name, real)
+
+
+def same_field(a, b) -> bool:
+    return np.array_equal(a.state, b.state) and np.array_equal(a.updated_at, b.updated_at)
+
+
+class StageOracle:
+    """Checks every relay and single-reflection stage ``router`` runs against an ``ExhaustiveRouter``
+    set to the router's state.
+
+    A relay stage must give the oracle's entry, draws and traffic observations. A single stage is
+    evaluated by the oracle over the lazy stage's draws and over the traffic field as the stage left
+    it (so the oracle's observations read the same states and draw nothing), with ``MAX_GAIN`` for
+    every surface and endpoint the lazy stage skipped. Both must pick the same hop, and the oracle
+    must leave its generator untouched. Every fading draw of the lazy stage must be read, and
+    replaying its observations and draws, in order, from where the stage began must leave the
+    generator and the field where the stage left them: nothing else advanced them.
+    """
+
+    def __init__(self, router):
+        self.router = router
+        self.oracle = ExhaustiveRouter(router.topo, router.field.law, router.cfg, rng_for(0), policy=router.policy)
+        self.oracle.xy = router.xy  # a walk moves both
+        self.relay_stages = self.single_stages = 0
+        self.links = np.zeros(2, dtype=int)  # direct links evaluated: by the router, by the oracle
+        self.relay, self.single = router._relay_stage, router._single_stage
+        router._relay_stage, router._single_stage = self.relay_stage, self.single_stage
+
+    def sync(self, field, rng):
+        self.oracle.clock = self.router.clock
+        self.oracle.field, self.oracle.rng = copy.deepcopy(field), copy.deepcopy(rng)
+
+    def relay_stage(self, origin):
+        r = self.router
+        self.sync(r.field, r.rng)
+        with counted("direct_snr") as oracle_links:
+            want = self.oracle._relay_stage(origin)
+        with counted("direct_snr") as links:
+            got = self.relay(origin)
+        assert got == want
+        assert r.rng.bit_generator.state == self.oracle.rng.bit_generator.state
+        assert same_field(r.field, self.oracle.field)
+        self.relay_stages += 1
+        self.links += (links[0], oracle_links[0])
+        return got
+
+    def single_stage(self, origin, candidates, incoming):
+        r = self.router
+        field_before, rng_before = copy.deepcopy(r.field), copy.deepcopy(r.rng)
+        events, draws = [], {}  # events: (kind, arguments but the generator, result)
+        real_fading, real_observe, real_surface = channel.sample_fading, r.field.states_at, r._single_surface
+
+        def fading(n, k, rng):
+            events.append(("draw", (n, k), real_fading(n, k, rng)))
+            return events[-1][2]
+
+        def observe(slot, indices, rng):
+            events.append(("observe", (slot, np.array(indices)), None))
+            return real_observe(slot, indices, rng)
+
+        def surface(origin, ris_id, incoming):
+            endpoints, entry_at = real_surface(origin, ris_id, incoming)
+
+            def recorded(i):
+                before = len(events)
+                entry = entry_at(i)
+                made = [value for kind, _, value in events[before:] if kind == "draw"]
+                if made:  # a first evaluation: the surface's h_in unless drawn already, then the endpoint's h_out
+                    *h_in, draws[ris_id, endpoints[i][0]] = made
+                    if h_in:
+                        (draws[ris_id],) = h_in
+                return entry
+
+            return endpoints, recorded
+
+        channel.sample_fading, r.field.states_at, r._single_surface = fading, observe, surface
+        try:
+            got = self.single(origin, candidates, incoming)
+        finally:
+            channel.sample_fading = real_fading
+            del r.field.states_at, r._single_surface
+        self.sync(r.field, rng_before)
+        self.oracle.draws = draws
+        assert got == self.oracle._single_stage(origin, candidates, {})
+        assert self.oracle.rng.bit_generator.state == rng_before.bit_generator.state
+        made = [value for kind, _, value in events if kind == "draw"]
+        assert sorted(map(id, made)) == sorted(map(id, draws.values()))  # every draw is read
+        for kind, args, value in events:
+            if kind == "draw":
+                assert np.array_equal(channel.sample_fading(*args, rng_before), value)
+            else:
+                field_before.states_at(*args, rng_before)
+        assert rng_before.bit_generator.state == r.rng.bit_generator.state
+        assert same_field(field_before, r.field)
+        self.single_stages += 1
+        return got
 
 
 class TestStopRulesMatchExhaustiveStages:
     """The relay and single-reflection stages stop evaluating once no later candidate can win, and
-    give the hop, the draws and the traffic observations of the stages that evaluate everything."""
+    pick the hop of the stages that evaluate everything (``StageOracle``)."""
 
     GRID = {30.0: 100, 60.0: 400, 90.0: 900}  # coverage radius -> IUs, the benchmark's grid points
 
-    def pair(self, cfg, topo, seed, policy, mobile=False):
-        runs = []
-        for cls in (Router, ExhaustiveRouter):
+    @staticmethod
+    def checked_runs(cfg, topos, policy, mobile=False):
+        """Route once on each topology under ``StageOracle``: (relay stages, single stages, oracle
+        reads at ``MAX_GAIN``), summed."""
+        counts = np.zeros(3, dtype=int)
+        for seed, topo in enumerate(topos):
             walk = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), 20.0, rng_for(141, seed)) if mobile else None
-            runs.append(staged_run(cls(topo, _profiles_for(cfg), cfg, rng_for(140, seed), policy=policy,
-                                       mobility=walk)))
-        return runs
+            r = Router(topo, _profiles_for(cfg), cfg, rng_for(140, seed), policy=policy, mobility=walk)
+            check = StageOracle(r)
+            r.run()
+            counts += (check.relay_stages, check.single_stages, check.oracle.skipped)
+        return counts
 
     @pytest.mark.parametrize("coverage", sorted(GRID))
     @pytest.mark.parametrize("variant", sorted(BASELINE_POLICIES))
     def test_same_stages_on_seeded_topologies(self, coverage, variant):
         cfg = SimConfig(coverage_m=coverage, iu_count=self.GRID[coverage], **LINE_ENDS)
-        stages = 0
-        for seed in range(4):
-            topo = generate_topology(cfg, rng_for(139, coverage, seed))
-            (ledger, log), (want_ledger, want_log) = self.pair(cfg, topo, seed, BASELINE_POLICIES[variant])
-            assert len(log) == len(want_log)
-            for got, want in zip(log, want_log):
-                assert got == want
-            assert ledger.to_rows() == want_ledger.to_rows()
-            stages += len(log)
-        assert stages >= 8
+        topos = [generate_topology(cfg, rng_for(139, coverage, seed)) for seed in range(4)]
+        relay, single, skipped = self.checked_runs(cfg, topos, BASELINE_POLICIES[variant])
+        assert relay >= len(topos)
+        if coverage == 30.0 and variant != "double_ris":  # sparse: most positions reach the single stage
+            assert single >= 4 and skipped >= 1
 
     def test_same_stages_with_moving_ius(self):
         cfg = SimConfig(coverage_m=50.0, iu_count=400, **LINE_ENDS)
-        for seed in range(4):
-            topo = generate_topology(cfg, rng_for(142, seed))
-            (ledger, log), (want_ledger, want_log) = self.pair(cfg, topo, seed, BASELINE_POLICIES["full"], True)
-            assert log == want_log and ledger.to_rows() == want_ledger.to_rows()
+        topos = [generate_topology(cfg, rng_for(142, seed)) for seed in range(4)]
+        relay, _, _ = self.checked_runs(cfg, topos, BASELINE_POLICIES["full"], mobile=True)
+        assert relay >= 8
 
-    def direct_evaluations(self, monkeypatch, cls, variant):
+    def direct_evaluations(self, variant):
+        """Direct links the relay stages of three dense routes evaluate: (router, oracle)."""
         cfg = SimConfig(coverage_m=90.0, iu_count=900, **LINE_ENDS)
-        count = evaluation_count(monkeypatch, "direct_snr")
+        links = np.zeros(2, dtype=int)
         for seed in range(3):
             topo = generate_topology(cfg, rng_for(143, seed))
-            cls(topo, _profiles_for(cfg), cfg, rng_for(144, seed), policy=BASELINE_POLICIES[variant]).run()
-        return count[0]
+            r = Router(topo, _profiles_for(cfg), cfg, rng_for(144, seed), policy=BASELINE_POLICIES[variant])
+            check = StageOracle(r)
+            r.run()
+            links += check.links
+        return links
 
-    def test_dense_relay_stage_evaluates_fewer_links(self, monkeypatch):
-        assert self.direct_evaluations(monkeypatch, Router, "full") * 2 < \
-            self.direct_evaluations(monkeypatch, ExhaustiveRouter, "full")
+    def test_dense_relay_stage_evaluates_fewer_links(self):
+        lazy, exhaustive = self.direct_evaluations("full")
+        assert lazy * 2 < exhaustive
 
-    def test_fixed_mod_never_reaches_the_floor(self, monkeypatch):
+    def test_fixed_mod_never_reaches_the_floor(self):
         # the pinned QPSK needs 16 slots, more than any default idle window, so no relay
         # qualifies, the stop never fires and every link is evaluated
         cfg = SimConfig()
         assert slot_table(cfg.total_bits, cfg.fixed_rate_bits).floor == 16 > _profiles_for(cfg).nu_idle.max()
-        assert self.direct_evaluations(monkeypatch, Router, "fixed_mod") == \
-            self.direct_evaluations(monkeypatch, ExhaustiveRouter, "fixed_mod") > 0
+        lazy, exhaustive = self.direct_evaluations("fixed_mod")
+        assert lazy == exhaustive > 0
 
 
 def relay_pick(iu_xy, seed=150):
@@ -714,17 +854,17 @@ class TestRelayScanOrderAgainstDistance:
 
 class TestSingleStageAgainstExhaustive:
     """Constructed reflector stages: the stopping stage picks the exhaustive stage's surface and
-    entry and leaves the generator where the exhaustive stage does."""
+    entry (``StageOracle``)."""
 
     @staticmethod
-    def picks(topo, cfg, n_ius, seed=151):
-        out = []
-        for cls in (Router, ExhaustiveRouter):
-            r = cls(topo, idle_law(n_ius, cfg), cfg, rng_for(seed))
-            origin = r._point(SOURCE_ID)
-            assert r._relay_stage(origin)[0] is None
-            out.append((r.ris_fallback(origin), r.rng.bit_generator.state, r.field.state.tolist()))
-        return out
+    def pick(topo, cfg, n_ius, seed=151):
+        r = Router(topo, idle_law(n_ius, cfg), cfg, rng_for(seed))
+        origin = r._point(SOURCE_ID)
+        assert r._relay_stage(origin)[0] is None
+        check = StageOracle(r)
+        outcome = r.ris_fallback(origin)
+        assert check.single_stages == 1
+        return outcome
 
     @pytest.mark.parametrize("near_first", [True, False], ids=["ids-in-lrd-order", "ids-out-of-lrd-order"])
     def test_one_endpoint_seen_from_two_surfaces(self, near_first):
@@ -736,9 +876,7 @@ class TestSingleStageAgainstExhaustive:
         scan = r._scan(r._point(SOURCE_ID), r.ris_ids)
         assert [r.xy[i].tolist() for i in scan] == [list(near), list(far)]
         assert all(2 in r._scan(tuple(r.xy[i].tolist())) for i in scan)
-        got, want = self.picks(topo, line_config(), 1)
-        assert got == want
-        surfaces, entry = got[0]
+        surfaces, entry = self.pick(topo, line_config(), 1)
         assert surfaces == (topo.first_ris_id,) and entry.link.node_id == 2
 
     def test_destination_behind_a_later_surface(self):
@@ -746,9 +884,7 @@ class TestSingleStageAgainstExhaustive:
         # second, nearer the source, reaches it at a positive rate; the first reaches U1
         cfg = line_config(noise_dbm=-40.0)
         topo = build_topology([(390.0, 215.0)], [(380.0, 225.0), (342.0, 200.0)], src=(330.0, 200.0))
-        got, want = self.picks(topo, cfg, 1)
-        assert got == want
-        surfaces, entry = got[0]
+        surfaces, entry = self.pick(topo, cfg, 1)
         assert surfaces == (topo.first_ris_id + 1,) and entry.link.node_id == DEST_ID
         r = Router(topo, idle_law(1, cfg), cfg, rng_for(151))
         first = r._scan(r._point(SOURCE_ID), r.ris_ids)[0]
@@ -763,7 +899,5 @@ class TestSingleStageAgainstExhaustive:
         r = Router(topo, idle_law(3, line_config()), line_config(), rng_for(151))
         assert r._scan(r._point(SOURCE_ID), r.ris_ids) == [5, 6]
         assert r._scan((320.0, 195.0)) == [2, 3, 4] and r._scan((340.0, 262.0)) == [4]
-        got, want = self.picks(topo, line_config(), 3)
-        assert got == want
-        surfaces, entry = got[0]
+        surfaces, entry = self.pick(topo, line_config(), 3)
         assert surfaces == (5,) and entry.link.remaining_m == math.nextafter(40.0, 0.0)

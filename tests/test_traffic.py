@@ -258,9 +258,9 @@ class TestDeferralWindow:
         with pytest.raises(ValueError):
             deferral_window(np.empty(0))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_estimate_is_an_infinite_wait(self):
-        # p10 / p_th overflows for a subnormal p_th: no budget fits the wait, and nothing raises
+        # p10 / p_th overflows for a subnormal p_th: no budget fits the wait, and nothing raises or warns
         eta = idle_wait_estimate(MU, SLOT, 5e-324)
         assert eta == math.inf
         assert deferral_window(np.array([eta])) == math.inf
