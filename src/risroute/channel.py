@@ -244,18 +244,32 @@ def q_inv(epsilon: float) -> float:
     return math.sqrt(2.0) * (-ndtri(epsilon) * math.sqrt(0.5))
 
 
+SCALAR_MAX = 1e150  # below this, (1 + gamma)**2 stays finite and the scalar paths apply
+
+
 def finite_blocklength_rate(gamma, blocklength: int, epsilon: float):
     """Short-packet achievable rate in bits per channel use, clamped at 0.
 
     Accepts scalars or arrays for gamma. blocklength is the channel-use
     count M_b; epsilon the tolerated block error probability.
+
+    A float gamma in [0, ``SCALAR_MAX``) takes a scalar path in Python
+    floats, free of numpy's per-call cost on 0-d arrays, with the bits numpy
+    gives a 0-d gamma: ``(1 + gamma)**2`` is ``pow``, as for a numpy scalar
+    (an array squares instead, which differs in the last bit for some
+    gammas), and ``log2`` is numpy's (``math.log2`` differs in the last bit
+    for some gammas).
     """
     if blocklength < 1:
         raise ValueError("blocklength must be >= 1")
+    qi = q_inv(epsilon)
+    if isinstance(gamma, float) and 0.0 <= gamma < SCALAR_MAX:
+        one = 1.0 + gamma
+        dispersion = math.sqrt((gamma * gamma + 2.0 * gamma) / (blocklength * one**2))
+        return max(float(np.log2(one)) - (qi / math.log(2.0)) * dispersion, 0.0)
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be nonnegative")
-    qi = q_inv(epsilon)
     dispersion = np.sqrt((g**2 + 2.0 * g) / (blocklength * (1.0 + g) ** 2))
     r = np.log2(1.0 + g) - (qi / math.log(2.0)) * dispersion
     r = np.maximum(r, 0.0)
@@ -263,7 +277,10 @@ def finite_blocklength_rate(gamma, blocklength: int, epsilon: float):
 
 
 def shannon_rate(gamma) -> float:
-    """Delay-unconstrained limit of the achievable rate (M_b -> infinity)."""
+    """Delay-unconstrained limit of the achievable rate (M_b -> infinity); a float gamma skips the
+    0-d array, with the same bits."""
+    if isinstance(gamma, float):
+        return float(np.log2(1.0 + gamma))
     g = np.asarray(gamma, dtype=float)
     r = np.log2(1.0 + g)
     return float(r) if np.isscalar(gamma) else r

@@ -10,8 +10,10 @@ Kinds:
 
 The sweep, comparison and mobility kinds are grids of cells, each cell one
 grid point under one policy and one summary row: ``_grid_cells`` lists them
-in output order, ``_run_cell`` runs one cell's replications and ``_run_grid``
-runs them all (the two sweeps on worker processes when asked) into CSVs.
+in output order, ``_run_cells`` runs the replications of the cells that
+share a stream (the comparison variants at one coverage; any other cell
+alone) and ``_run_grid`` runs them all (the two sweeps on worker processes
+when asked) into CSVs.
 
 Node positions are rows of the topology's node table (a node's id is its row;
 see ``topology``). The mobility walk keeps IU i's position, waypoint and
@@ -30,6 +32,15 @@ SeedSequence, so outputs are byte-identical across runs and thread
 counts; comparison variants and mobility grid points reuse the same
 replication streams (common random numbers) so differences between
 curves are driven by the policies, not by sampling noise.
+
+The variants of one comparison replication are routed together
+(``Replication``): the topology is drawn once and each variant's route
+starts from the generator state just after that draw, exactly where it
+would have started on its own; the variants share one scan memo; and a
+variant whose route would take the same draws and hops as one routed
+before it (``router.RoutePolicy.first_difference``) reuses that ledger
+instead of routing again. Every row keeps the bytes of routing each
+variant on its own stream.
 
 ``STREAM_VERSION`` names the order in which a route consumes its stream.
 A change that moves any draw bumps it, and every manifest records it.
@@ -254,20 +265,62 @@ def _chain_law(lambda_off_ms, mu_on_ms, iu_count: int, slot: float, delta: float
     return traffic.chain_law(lambda_s, mu_s, slot, delta, p_th)
 
 
+@dataclass
+class Replication:
+    """What the static routes of one replication under several policies share: the topology, the
+    generator state just after drawing it, one scan memo, and each route's (policy, ledger)."""
+
+    topo: topology.Topology | None = None  # drawn by the first route
+    after_topology: dict | None = None  # ``bit_generator.state`` just after the topology draw
+    scans: dict = field(default_factory=dict)
+    routed: list[tuple[router.RoutePolicy, router.RouteLedger]] = field(default_factory=list)
+
+    def ledger_for(self, policy: router.RoutePolicy) -> router.RouteLedger | None:
+        """The ledger of a route so far that never reached the first stage where its policy and
+        ``policy`` can differ: the route ``policy`` would take. None when there is no such route."""
+        for earlier, ledger in self.routed:
+            differs = earlier.first_difference(policy)
+            if differs is None or router.STAGES.index(ledger.stage_reached) < router.STAGES.index(differs):
+                return ledger
+        return None
+
+
 def run_one_route(
     cfg: SimConfig,
     rng: np.random.Generator,
     variant: str = "full",
     mobility_rng: np.random.Generator | None = None,
     v_max: float = 0.0,
+    shared: Replication | None = None,
 ) -> router.RouteLedger:
-    """One replication: topology draw, traffic, route under the variant policy."""
-    topo = topology.generate_topology(cfg, rng)
+    """One replication: topology draw, traffic, route under the variant policy.
+
+    A static route is one of the routes of ``shared`` (a fresh ``Replication`` when None), which
+    routes the policies given the same ``shared``, ``cfg`` and stream together: the first call
+    draws the topology from ``rng``, and each later call returns a reusable ledger
+    (``Replication.ledger_for``, the same object) or resets ``rng`` to the state after that draw
+    and routes on the shared topology and scan memo. A mobile route (``mobility_rng`` and
+    ``v_max > 0``) shares nothing.
+    """
     law = _profiles_for(cfg)
-    mobility = None
     if mobility_rng is not None and v_max > 0:
+        if shared is not None:
+            raise ValueError("a shared replication routes static IUs only")
+        topo = topology.generate_topology(cfg, rng)
         mobility = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), v_max, mobility_rng)
-    return router.route(topo, law, cfg, rng, variant=variant, mobility=mobility)
+        return router.route(topo, law, cfg, rng, variant=variant, mobility=mobility)
+    shared = Replication() if shared is None else shared
+    policy = router.policy_of(variant)
+    if shared.topo is None:
+        shared.topo = topology.generate_topology(cfg, rng)
+        shared.after_topology = rng.bit_generator.state
+    elif (ledger := shared.ledger_for(policy)) is not None:
+        return ledger
+    else:
+        rng.bit_generator.state = shared.after_topology
+    ledger = router.route(shared.topo, law, cfg, rng, variant=variant, scans=shared.scans)
+    shared.routed.append((policy, ledger))
+    return ledger
 
 
 @dataclass(frozen=True)
@@ -306,20 +359,26 @@ def _grid_cells(plan: ExperimentPlan, base: SimConfig) -> list[Cell]:
     ]
 
 
-def _run_cell(cell: Cell, seed: int, replications: int) -> list[dict]:
-    """A cell's detail rows; module-level for process pools, and the one place grid streams are derived.
+def _run_cells(cells: tuple[Cell, ...], seed: int, replications: int) -> list[list[dict]]:
+    """Each cell's detail rows, for cells that share one ``stream``; module-level for process pools,
+    and the one place grid streams are derived.
 
-    Comparison cells at one coverage share ``stream`` and mobility cells share
-    the per-replication streams, so their curves differ by policy or speed only.
+    Comparison cells at one coverage share ``stream``, so each replication
+    routes their policies together on one topology (``Replication``).
+    Mobility cells share the per-replication streams, and each runs alone. So
+    the curves differ by policy or speed only.
     """
-    rows = []
+    stream = cells[0].stream
+    rows: list[list[dict]] = [[] for _ in cells]
     for rep in range(replications):
-        if cell.stream is None:
-            rng, walk = derive_rng(seed, rep, 0), derive_rng(seed, rep, 1)
+        if stream is None:
+            rng, walk, shared = derive_rng(seed, rep, 0), derive_rng(seed, rep, 1), None
         else:
-            rng, walk = derive_rng(seed, cell.stream, rep), None
-        ledger = run_one_route(cell.cfg, rng, variant=cell.policy, mobility_rng=walk, v_max=cell.v_max)
-        rows.append(_detail_row(cell, seed, ledger))
+            rng, walk, shared = derive_rng(seed, stream, rep), None, Replication()
+        for cell, out in zip(cells, rows):
+            ledger = run_one_route(cell.cfg, rng, variant=cell.policy, mobility_rng=walk, v_max=cell.v_max,
+                                   shared=shared)
+            out.append(_detail_row(cell, seed, ledger))
     return rows
 
 
@@ -477,13 +536,17 @@ def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, res
 def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
     """Sweeps, comparison and mobility: one summary row per cell."""
     cells = _grid_cells(plan, cfg)
-    run_cell = partial(_run_cell, seed=plan.seed, replications=plan.replications)
+    if plan.kind == "comparison":  # the variants at one coverage share a stream: route them together
+        groups = [tuple(cells[i:i + len(plan.variants)]) for i in range(0, len(cells), len(plan.variants))]
+    else:
+        groups = [(cell,) for cell in cells]
+    run_cells = partial(_run_cells, seed=plan.seed, replications=plan.replications)
     if plan.threads > 1 and plan.kind in ("coverage_sweep", "density_sweep"):
         # never more workers than cells: a fork-started pool forks every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(plan.threads, len(cells))) as pool:
-            outcomes = list(pool.map(run_cell, cells))
+        with ProcessPoolExecutor(max_workers=min(plan.threads, len(groups))) as pool:
+            outcomes = [rows for group in pool.map(run_cells, groups) for rows in group]
     else:
-        outcomes = list(map(run_cell, cells))
+        outcomes = [rows for group in map(run_cells, groups) for rows in group]
     details, summaries = [], []
     for cell, rows in zip(cells, outcomes):
         details.extend(rows)

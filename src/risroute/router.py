@@ -68,13 +68,29 @@ is at least the earlier one's ``math.dist`` times 1 - 2^-50 from the
 destination, and once a link is farther than R (1 + 2^-48) every later one
 is farther than R. The destination shortcut, the traffic observations and
 the double-reflection stage stay eager.
+
+Scan memo. While IUs do not move, a scan depends only on the topology, the
+id range, the centre, the destination and r, so a static router keeps each
+scan, as a tuple, in a memo keyed by (id range, centre): a deferral's rescan
+and a surface scanned again cost one lookup. Routes on one topology and
+config may share the memo (``scans``); a mobile router keeps none.
+
+Stages reached. Each ledger records the deepest stage its route reached
+(``STAGES``): the relay stage, the reflector stage (``ris_fallback``
+entered) or the double stage (a reflector stage ended its single stage
+without a hop, or skipped it, whether the policy then runs the double stage
+or stops). Routes on one topology and stream under two policies consume the
+same draws and pick the same hops until the first stage whose outcome the
+policies can change (``RoutePolicy.first_difference``). So a route that
+never reached that stage is, ledger and all, the route the other policy
+takes: a comparison replication reuses it instead of routing again.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -87,6 +103,7 @@ from .config import SimConfig
 from .topology import DEST_ID, FIRST_IU_ID, SOURCE_ID, Point, Topology
 
 LEDGER_SCHEMA_VERSION = 1
+STAGES = ("relay", "reflector", "double")  # in the order a route reaches them (module docstring)
 STOP_MARGIN = 1.0 + 2.0**-48  # covers np.hypot scan order against math.dist keys (module docstring)
 
 
@@ -126,6 +143,7 @@ class RouteLedger:
     total_delay_s: float = 0.0
     slot_s: float = 0.0
     psi: int = 0
+    stage_reached: str = "relay"  # the deepest of STAGES the route reached
     topo: Topology | None = field(default=None, compare=False, repr=False)  # names the hops' node ids
 
     @property
@@ -189,6 +207,27 @@ class RoutePolicy:
     def __post_init__(self):
         if self.ris_mode not in ("both", "single_only", "double_only"):
             raise ValueError(f"unknown ris_mode {self.ris_mode!r}")
+
+    @property
+    def runs_single(self) -> bool:
+        return self.ris_mode != "double_only"
+
+    @property
+    def runs_double(self) -> bool:
+        return self.ris_mode != "single_only"
+
+    def first_difference(self, other: RoutePolicy) -> str | None:
+        """The first of ``STAGES`` whose outcome can differ between this policy and ``other`` over the
+        same draws, or None when none can: ``adaptive`` sets the relay stage's modes, ``shannon`` and
+        whether the single stage runs shape the reflector stage, whether the double stage runs only
+        the double stage."""
+        if self.adaptive != other.adaptive:
+            return "relay"
+        if self.shannon != other.shannon or self.runs_single != other.runs_single:
+            return "reflector"
+        if self.runs_double != other.runs_double:
+            return "double"
+        return None
 
 
 BASELINE_POLICIES = {
@@ -288,6 +327,9 @@ class Router:
 
     ``law`` is the traffic chain law of the run's IUs in IU row order
     (``experiments._profiles_for`` returns the config's), shared read-only.
+    ``scans`` is a scan memo (module docstring) to share with other static
+    routes on ``topo`` under ``cfg``; a static router without one starts its
+    own, and a mobile router refuses one.
     """
 
     def __init__(
@@ -298,9 +340,12 @@ class Router:
         rng: np.random.Generator,
         policy: RoutePolicy | None = None,
         mobility=None,
+        scans: dict | None = None,
     ):
         if len(law.pi) != len(topo.iu_xy):
             raise ValueError("need one traffic chain per IU")
+        if mobility is not None and scans is not None:
+            raise ValueError("moving IUs invalidate a scan memo")
         self.topo = topo
         self.cfg = cfg
         self.rng = rng
@@ -316,6 +361,8 @@ class Router:
         self.relay_ids = range(DEST_ID, topo.first_ris_id)  # the destination and the IUs
         self.ris_ids = range(topo.first_ris_id, len(topo.xy))
         self.dest = self._point(DEST_ID)
+        self.scans = ({} if scans is None else scans) if mobility is None else None
+        self.stage_reached = "relay"
 
     # -- clock -------------------------------------------------------------------
 
@@ -336,11 +383,18 @@ class Router:
         x, y = self.xy[node_id].tolist()
         return x, y
 
-    def _scan(self, center: Point, ids: range | None = None) -> list[int]:
+    def _scan(self, center: Point, ids: range | None = None) -> tuple[int, ...]:
         """Ids in ``ids`` (default: the destination and the IUs) in the half-disc
-        of ``center`` facing the destination."""
+        of ``center`` facing the destination; from the memo when there is one."""
         ids = self.relay_ids if ids is None else ids
-        return topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m)
+        if self.scans is None:
+            return tuple(topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m))
+        key = (ids, center)
+        found = self.scans.get(key)
+        if found is None:
+            found = self.scans[key] = tuple(
+                topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m))
+        return found
 
     def _direct_links(self, origin: Point, ids: list[int], nus: list[float], limit: float) -> list[CandidateLink]:
         """Direct links from ``origin`` to those of ``ids`` (scan order; idle windows ``nus``) that end
@@ -371,12 +425,12 @@ class Router:
             return channel.shannon_rate(gamma)
         return channel.finite_blocklength_rate(gamma, self.cfg.blocklength, self.cfg.epsilon)
 
-    def _forward(self, node_ids: list[int], origin: Point) -> list[tuple[int, Point, float]]:
+    def _forward(self, node_ids: Sequence[int], origin: Point) -> list[tuple[int, Point, float]]:
         """(id, position, remaining distance) of each node strictly closer to the
         destination than ``origin``."""
         dest = self.dest
         origin_remaining = math.dist(origin, dest)
-        rows = zip(node_ids, self.xy[node_ids].tolist())
+        rows = zip(node_ids, self.xy[list(node_ids)].tolist())
         return [(i, pos, r) for i, pos in rows if (r := math.dist(pos, dest)) < origin_remaining]
 
     def _split_idle_busy(self, ius: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -407,7 +461,7 @@ class Router:
         aset = availability_set(links, self.thresholds_db, self.cfg.total_bits, self.fixed_rate_bits)
         return (select_entry(aset) if aset else None), busy.tolist()
 
-    def _reflector_endpoints(self, found: list[int], origin: Point) -> list[tuple[int, Point, float, float]]:
+    def _reflector_endpoints(self, found: Sequence[int], origin: Point) -> list[tuple[int, Point, float, float]]:
         """(id, position, remaining distance, idle window) of the destination, then of each idle IU in
         ``found``, a reflector's scan, in scan order, that ends strictly closer to the destination than
         ``origin`` (a reflector hop must still make forward progress); observes every IU in ``found``."""
@@ -449,7 +503,7 @@ class Router:
 
         return endpoints, entry_at
 
-    def _single_stage(self, origin: Point, candidates: list[int], incoming: dict[int, np.ndarray]):
+    def _single_stage(self, origin: Point, candidates: Sequence[int], incoming: dict[int, np.ndarray]):
         """One reflector among ``candidates``: ((ris_id,), entry), or None when no surface has a
         qualifying endpoint. The ``h_in`` of each surface whose endpoints are evaluated is kept in
         ``incoming``.
@@ -495,19 +549,25 @@ class Router:
         such IU busy. Otherwise it draws the first surface's ``h_in`` (unless
         the single stage did), ``h_mid``, then each endpoint's ``h_out`` in
         scan order, and evaluates every endpoint.
+
+        Entering raises ``stage_reached`` to the reflector stage, and passing
+        the single stage without a hop to the double stage.
         """
         n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
+        if self.stage_reached == "relay":
+            self.stage_reached = "reflector"
         candidates = self._scan(origin, self.ris_ids)
         if not candidates:
             return FailureReason.NO_IU_NO_RIS
         incoming: dict[int, np.ndarray] = {}
 
-        if self.policy.ris_mode in ("both", "single_only"):
+        if self.policy.runs_single:
             outcome = self._single_stage(origin, candidates, incoming)
             if outcome is not None:
                 return outcome
 
-        if self.policy.ris_mode in ("both", "double_only"):
+        self.stage_reached = "double"
+        if self.policy.runs_double:
             first = candidates[0]  # nearest the destination (LRD scan order)
             first_pos = self._point(first)
             adjacent = self._scan(first_pos, self.ris_ids)
@@ -555,6 +615,7 @@ class Router:
         ledger.failure_reason = self._route(ledger)
         ledger.success = ledger.failure_reason is None
         ledger.total_slots = self.clock
+        ledger.stage_reached = self.stage_reached
         return ledger
 
     def _route(self, ledger: RouteLedger) -> FailureReason | None:
@@ -659,8 +720,14 @@ def route(
     rng: np.random.Generator,
     variant: str = "full",
     mobility=None,
+    scans: dict | None = None,
 ) -> RouteLedger:
     """Run the decision procedure once under a named policy (see BASELINE_POLICIES)."""
+    return Router(topo, law, cfg, rng, policy=policy_of(variant), mobility=mobility, scans=scans).run()
+
+
+def policy_of(variant: str) -> RoutePolicy:
+    """The policy a variant names (see BASELINE_POLICIES)."""
     if variant not in BASELINE_POLICIES:
         raise ValueError(f"unknown variant {variant!r}; choose from {sorted(BASELINE_POLICIES)}")
-    return Router(topo, law, cfg, rng, policy=BASELINE_POLICIES[variant], mobility=mobility).run()
+    return BASELINE_POLICIES[variant]

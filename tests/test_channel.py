@@ -7,6 +7,7 @@ from scipy.stats import kstest
 
 from risroute.channel import (
     EXP_M2,
+    SCALAR_MAX,
     TWO_PI,
     alternating_double_phases,
     direct_snr,
@@ -303,6 +304,34 @@ class TestFiniteBlocklengthRate:
 
     def test_shannon_rate(self):
         assert shannon_rate(3.0) == pytest.approx(2.0, rel=1e-12)
+
+
+class TestScalarRatePath:
+    """A float gamma takes the rates' Python-float path. It must give, bit for bit, what the numpy
+    path gives a 0-d gamma, which rated every reflected hop before the scalar path existed. (A 1-D
+    array is not the oracle: numpy squares ``1 + gamma`` in an array but calls ``pow`` on a 0-d
+    one, and the two differ in the last bit for some gammas.)"""
+
+    @staticmethod
+    def gammas() -> list[float]:
+        rng = np.random.default_rng(94)
+        edges = [0.0, 5e-324, 1e-300, 1.0, math.nextafter(SCALAR_MAX, 0.0)]
+        return edges + rng.exponential(1.0, 40_000).tolist() + (10.0 ** rng.uniform(-12.0, 12.0, 60_000)).tolist()
+
+    def test_finite_blocklength_rate_equals_the_0d_numpy_path(self):
+        gammas = self.gammas()
+        got = [finite_blocklength_rate(g, 200, 1e-5) for g in gammas]
+        want = [float(finite_blocklength_rate(np.array(g), 200, 1e-5)) for g in gammas]
+        assert len(gammas) > 100_000 and got[0] == 0.0
+        assert got == want, [g for g, a, b in zip(gammas, got, want) if a != b][:5]
+
+    def test_shannon_rate_equals_the_0d_numpy_path(self):
+        gammas = self.gammas()
+        assert [shannon_rate(g) for g in gammas] == [float(shannon_rate(np.array(g))) for g in gammas]
+
+    def test_floats_take_the_scalar_path(self, monkeypatch):
+        monkeypatch.setattr(np, "asarray", None)  # the array path would fail
+        assert finite_blocklength_rate(10.0, 1000, 1e-4) > 0.0 and shannon_rate(3.0) > 0.0
 
 
 def branch_edges():

@@ -2,13 +2,15 @@ import copy
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_cli_hashes import cli_hashes
 
-from risroute import experiments, linkbudget, topology, traffic
+from risroute import experiments, linkbudget, router, topology, traffic
 from risroute.config import ConfigError, SimConfig, load_config
 from risroute.experiments import (
     ExperimentPlan,
@@ -458,5 +460,99 @@ class TestPerConfigConstants:
         experiments._chain_law.cache_clear()
         calls.clear()
         cell = experiments.Cell("c", "full", "full", cfg, 0)
-        rows = experiments._run_cell(cell, seed=3, replications=3)
+        (rows,) = experiments._run_cells((cell,), seed=3, replications=3)
         assert len(rows) == 3 and len(calls) == per_law
+
+
+class TestSharedReplication:
+    """Comparison replications route their variants together (``experiments.Replication``). The
+    oracle routes each cell's replication alone on its own stream, ``run_one_route(cfg,
+    derive_rng(seed, ci, rep), variant=v)``, as every comparison did before: each ledger must equal
+    the oracle's, stage reached included, and the detail CSV must keep its bytes."""
+
+    def check(self, plan, cfg, out, monkeypatch):
+        """Run ``plan`` and compare it with the oracle; returns, per stage a pair of policies first
+        differs at, how often a later variant reused the earlier one's ledger (fired) and how often
+        the earlier route reached that stage (declined)."""
+        calls = []  # (shared replication, policy, ledger) of every comparison route, in routing order
+        real = experiments.run_one_route
+
+        def recorded(cfg, rng, variant="full", mobility_rng=None, v_max=0.0, shared=None):
+            ledger = real(cfg, rng, variant, mobility_rng, v_max, shared)
+            calls.append((shared, router.BASELINE_POLICIES[variant], ledger))
+            return ledger
+
+        monkeypatch.setattr(experiments, "run_one_route", recorded)
+        run(plan, cfg, out)
+        monkeypatch.setattr(experiments, "run_one_route", real)
+
+        cells = experiments._grid_cells(plan, cfg.with_overrides(source_xy=experiments.SWEEP_SOURCE,
+                                                                 dest_xy=experiments.SWEEP_DEST))
+        oracle = {(i, rep): run_one_route(cell.cfg, derive_rng(plan.seed, cell.stream, rep), variant=cell.policy)
+                  for i, cell in enumerate(cells) for rep in range(plan.replications)}
+        n = len(plan.variants)  # cells i*n to i*n + n - 1 share coverage i and route together, rep by rep
+        routing_order = [(ci * n + v, rep) for ci in range(len(cells) // n)
+                         for rep in range(plan.replications) for v in range(n)]
+        assert [ledger for _, _, ledger in calls] == [oracle[key] for key in routing_order]
+        rows = [experiments._detail_row(cell, plan.seed, oracle[i, rep])
+                for i, cell in enumerate(cells) for rep in range(plan.replications)]
+        experiments.write_csv(out / "oracle.csv", experiments.DETAIL_COLUMNS, rows)
+        assert (out / "comparison_detail.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+        fired, declined = Counter(), Counter()
+        for i, (shared, policy, ledger) in enumerate(calls):
+            earlier = [(p, led) for s, p, led in calls[:i] if s is shared]
+            reused = any(led is ledger for _, led in earlier)
+            for earlier_policy, earlier_ledger in earlier:
+                stage = earlier_policy.first_difference(policy)
+                if stage in (None, "relay"):
+                    continue
+                reached = router.STAGES.index(earlier_ledger.stage_reached) >= router.STAGES.index(stage)
+                if earlier_ledger is ledger:
+                    assert not reached
+                    fired[stage] += 1
+                elif reached:
+                    declined[stage] += 1
+                else:  # the rule allowed reuse: the first route it allowed was reused
+                    assert reused
+        return fired, declined
+
+    def test_rows_equal_per_variant_routes(self, tmp_path, monkeypatch):
+        default = ExperimentPlan(kind="comparison").variants
+        fired, declined = Counter(), Counter()
+        # the default order, then the reverse, in which full reuses what the baselines routed
+        for seed, variants in ((3, default), (4, default), (5, default[::-1])):
+            for density in (100, 400):
+                plan = ExperimentPlan(kind="comparison", seed=seed, replications=3, coverage_grid=(30.0, 60.0, 90.0),
+                                      variants=variants)
+                f, d = self.check(plan, SimConfig(iu_count=density), tmp_path / f"{seed}-{density}", monkeypatch)
+                fired += f
+                declined += d
+        # e.g. shannon and double_ris from full (reflector stage), single_ris from full (double stage)
+        assert min(fired["reflector"], declined["reflector"], fired["double"], declined["double"]) >= 1
+
+    def test_rows_equal_per_variant_routes_with_per_iu_traffic(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cli_hashes.CONFIG))
+        plan = ExperimentPlan(kind="comparison", seed=7, replications=2)
+        self.check(plan, load_config(path), tmp_path / "out", monkeypatch)
+
+    def test_each_variant_starts_after_the_one_topology_draw(self, monkeypatch):
+        draws = []
+        real = topology.generate_topology
+        monkeypatch.setattr(topology, "generate_topology", lambda cfg, rng: draws.append(1) or real(cfg, rng))
+        # none of the three can reuse another's ledger here: each routes on the one topology
+        cfg = SimConfig(coverage_m=30.0, iu_count=400, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
+        variants = ("full", "fixed_mod", "double_ris")
+        shared, rng = experiments.Replication(), derive_rng(1, 0, 0)
+        ledgers = [run_one_route(cfg, rng, variant=v, shared=shared) for v in variants]
+        assert len(draws) == 1 and len(shared.routed) == 3 and shared.scans
+        assert all(ledger.hop_count for ledger in ledgers)
+        for v, ledger in zip(variants, ledgers):
+            assert ledger == run_one_route(cfg, derive_rng(1, 0, 0), variant=v)
+
+    def test_moving_ius_refuse_a_shared_replication(self):
+        cfg = SimConfig(iu_count=50)
+        with pytest.raises(ValueError, match="static"):
+            run_one_route(cfg, derive_rng(1, 0), mobility_rng=derive_rng(1, 1), v_max=5.0,
+                          shared=experiments.Replication())

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import build_topology, idle_law, line_config, rng_for, traffic_law
 
-from risroute import channel, linkbudget, traffic
+from risroute import channel, linkbudget, topology, traffic
 from risroute.config import SimConfig
 from risroute.linkbudget import build_mode_table
 from risroute.router import (
@@ -21,6 +21,7 @@ from risroute.router import (
     FailureReason,
     HopChoice,
     HopKind,
+    STAGES,
     RouteLedger,
     Router,
     _link,
@@ -338,7 +339,7 @@ class TestDoubleStageDeadEnd:
         policy = BASELINE_POLICIES["double_ris"]
         cfg = line_config()
         r = Router(topo, idle_law(1, cfg), cfg, rng_for(120), policy=policy)
-        assert r._scan(self.riss[1]) == [2]  # the IU is in the second surface's half-disc
+        assert r._scan(self.riss[1]) == (2,)  # the IU is in the second surface's half-disc
         return r
 
     def test_boundary_distances(self):
@@ -672,6 +673,7 @@ class StageOracle:
         self.router = router
         self.oracle = ExhaustiveRouter(router.topo, router.field.law, router.cfg, rng_for(0), policy=router.policy)
         self.oracle.xy = router.xy  # a walk moves both
+        self.oracle.scans = None  # every oracle scan is fresh, so a memoized scan is checked too
         self.relay_stages = self.single_stages = 0
         self.links = np.zeros(2, dtype=int)  # direct links evaluated: by the router, by the oracle
         self.relay, self.single = router._relay_stage, router._single_stage
@@ -836,7 +838,7 @@ class TestRelayScanOrderAgainstDistance:
             assert np.hypot(point[0] - self.dest[0], point[1] - self.dest[1]) == 40.0
         r = Router(build_topology([self.above, self.below, self.on], src=(330.0, 200.0)),
                    idle_law(3, line_config()), line_config(), rng_for(150))
-        assert r._scan(r._point(SOURCE_ID)) == [2, 3, 4]  # equal np.hypot distances, by id
+        assert r._scan(r._point(SOURCE_ID)) == (2, 3, 4)  # equal np.hypot distances, by id
 
     def test_nearer_later_relay_wins(self):
         # scan order: 1 ulp above, then 1 ulp below; the second is the hop
@@ -897,7 +899,99 @@ class TestSingleStageAgainstExhaustive:
         ius = TestRelayScanOrderAgainstDistance
         topo = build_topology([ius.on, ius.above, ius.below], [(320.0, 195.0), (340.0, 262.0)], src=(300.0, 230.0))
         r = Router(topo, idle_law(3, line_config()), line_config(), rng_for(151))
-        assert r._scan(r._point(SOURCE_ID), r.ris_ids) == [5, 6]
-        assert r._scan((320.0, 195.0)) == [2, 3, 4] and r._scan((340.0, 262.0)) == [4]
+        assert r._scan(r._point(SOURCE_ID), r.ris_ids) == (5, 6)
+        assert r._scan((320.0, 195.0)) == (2, 3, 4) and r._scan((340.0, 262.0)) == (4,)
         surfaces, entry = self.pick(topo, line_config(), 3)
         assert surfaces == (5,) and entry.link.remaining_m == math.nextafter(40.0, 0.0)
+
+
+HOP_STAGE = {HopKind.DIRECT_IU: "relay", HopKind.SINGLE_RIS: "reflector", HopKind.DOUBLE_RIS: "double"}
+
+
+class TestStageReached:
+    """``RouteLedger.stage_reached`` is the deepest stage a route reached: no shallower than any of
+    its hops, exactly the deepest hop's on success, the reflector stage or deeper when no surface
+    was in sight, and the double stage on a dead end after it."""
+
+    def test_agrees_with_hops_and_failure(self):
+        seen = set()
+        for coverage, m in ((30.0, 100), (30.0, 400), (60.0, 400)):
+            cfg = SimConfig(coverage_m=coverage, iu_count=m, **LINE_ENDS)
+            for seed in range(4):
+                topo = generate_topology(cfg, rng_for(160, coverage, m, seed))
+                for variant in sorted(BASELINE_POLICIES):
+                    ledger = route(topo, _profiles_for(cfg), cfg, rng_for(161, seed), variant=variant)
+                    stage = STAGES.index(ledger.stage_reached)
+                    deepest = max((STAGES.index(HOP_STAGE[h.kind]) for h in ledger.transmission_hops), default=0)
+                    assert stage >= deepest
+                    if ledger.success:
+                        assert stage == deepest
+                    elif ledger.failure_reason is FailureReason.NO_IU_NO_RIS:
+                        assert stage >= 1
+                    elif ledger.failure_reason is FailureReason.DEAD_END_AFTER_DOUBLE_RIS:
+                        assert stage == 2
+                    seen.add((ledger.stage_reached, ledger.success))
+        assert {stage for stage, _ in seen} == set(STAGES) and {ok for _, ok in seen} == {True, False}
+
+    def test_first_difference_between_policies(self):
+        p = BASELINE_POLICIES
+        expected = {
+            ("full", "full"): None,
+            ("full", "fixed_mod"): "relay",
+            ("shannon", "fixed_mod"): "relay",
+            ("full", "shannon"): "reflector",
+            ("full", "double_ris"): "reflector",
+            ("single_ris", "double_ris"): "reflector",
+            ("shannon", "single_ris"): "reflector",
+            ("full", "single_ris"): "double",
+        }
+        for (a, b), stage in expected.items():
+            assert p[a].first_difference(p[b]) == stage == p[b].first_difference(p[a])
+
+
+class TestScanMemo:
+    """A static router keeps each scan once (``Router.scans``); a mobile one scans afresh every time."""
+
+    @staticmethod
+    def counted_route(monkeypatch, cfg, topo, walk=None, seed=0):
+        """(router, ``_scan`` calls, ``half_circle_scan`` calls) of one route."""
+        real_scan, real_half = Router._scan, topology.half_circle_scan
+        calls = [0, 0]
+
+        def scan(self, *args):
+            calls[0] += 1
+            return real_scan(self, *args)
+
+        def half(*args):
+            calls[1] += 1
+            return real_half(*args)
+
+        monkeypatch.setattr(Router, "_scan", scan)
+        monkeypatch.setattr(topology, "half_circle_scan", half)
+        r = Router(topo, _profiles_for(cfg), cfg, rng_for(170, seed), mobility=walk)
+        r.run()
+        monkeypatch.undo()
+        return r, *calls
+
+    def test_hits_equal_fresh_scans(self, monkeypatch):
+        cfg = SimConfig(coverage_m=30.0, iu_count=400, **LINE_ENDS)
+        hits = 0
+        for seed in range(3):
+            topo = generate_topology(cfg, rng_for(171, seed))
+            r, scans, computed = self.counted_route(monkeypatch, cfg, topo, seed=seed)
+            assert computed == len(r.scans) and scans >= computed
+            hits += scans - computed
+            for (ids, center), found in r.scans.items():
+                assert isinstance(found, tuple)  # a caller cannot change what later scans read
+                assert found == tuple(topology.half_circle_scan(topo.xy, ids, center, r.dest, cfg.coverage_m))
+        assert hits >= 1
+
+    def test_moving_ius_never_read_a_memo(self, monkeypatch):
+        cfg = SimConfig(coverage_m=50.0, iu_count=400, **LINE_ENDS)
+        for seed in range(3):
+            topo = generate_topology(cfg, rng_for(172, seed))
+            walk = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), 20.0, rng_for(173, seed))
+            r, scans, computed = self.counted_route(monkeypatch, cfg, topo, walk=walk, seed=seed)
+            assert r.scans is None and scans == computed > 0
+        with pytest.raises(ValueError, match="memo"):
+            Router(topo, _profiles_for(cfg), cfg, rng_for(174), mobility=walk, scans={})
