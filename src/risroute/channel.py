@@ -18,7 +18,9 @@ aligned alternately, one surface at a time, and the cascade is evaluated.
 A fading draw is the array of its complex gains, built when it is drawn;
 the router draws only what it reads. Direct and single-reflection SNRs
 read the amplitudes |h|; the alignment and the double cascade read the
-gains themselves.
+gains themselves. A draw is built in its own output array: one complex
+output and one real scratch array per call, whatever the shape, and the
+generator calls of the draw written out term by term.
 
 The link-budget constants P, rho_L, alpha and sigma^2 live only in
 ``SimConfig``: every SNR here reads them from the config it is handed,
@@ -57,21 +59,32 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
     the remaining 1/(K+1). ``rng`` is advanced by the phases and then the
     real and imaginary normals. 1-D for device-surface segments, 2-D
     (out x in) for the surface-to-surface segment.
+
+    A draw allocates its complex output and one real scratch array, no
+    more: the phases go into the scratch, their cosines and sines straight
+    into the output's real and imaginary parts, and each part's normals
+    refill the scratch before they are scaled and added in place. On a
+    250x250 draw that is 1.5 MB at the peak. The generator calls and
+    their order are those of the draw written out term by term, and so
+    are the bits.
     """
     shape = (n,) if isinstance(n, int) else tuple(n)
     if any(s < 1 for s in shape):
         raise ValueError("fading shape components must be >= 1")
     k = 10.0 ** (rician_k_db / 10.0)
     los_amp, scatter_amp = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
-    phase = rng.uniform(0.0, TWO_PI, size=shape)
-    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-    # los_amp exp(j phase) + scatter_amp (re + j im) by parts; cos and sin give np.exp(1j * phase) bit for bit
-    real, imag = np.cos(phase), np.sin(phase)
-    for part, normals in ((real, re), (imag, im)):
+    # los_amp exp(j phase) + scatter_amp (re + j im) by parts, built in the output; cos and sin give
+    # np.exp(1j * phase) bit for bit
+    gains = np.empty(shape, dtype=complex)
+    scratch = rng.uniform(0.0, TWO_PI, size=shape)
+    np.cos(scratch, out=gains.real)
+    np.sin(scratch, out=gains.imag)
+    for part in (gains.real, gains.imag):
         part *= los_amp
-        normals *= scatter_amp
-        part += normals
-    return real + 1j * imag
+        rng.standard_normal(out=scratch)
+        scratch *= scatter_amp
+        part += scratch
+    return gains
 
 
 def direct_snr(cfg: SimConfig, h: complex | float, d: float) -> float:
@@ -254,11 +267,11 @@ def finite_blocklength_rate(gamma, blocklength: int, epsilon: float):
     count M_b; epsilon the tolerated block error probability.
 
     A float gamma in [0, ``SCALAR_MAX``) takes a scalar path in Python
-    floats, free of numpy's per-call cost on 0-d arrays, with the bits numpy
-    gives a 0-d gamma: ``(1 + gamma)**2`` is ``pow``, as for a numpy scalar
-    (an array squares instead, which differs in the last bit for some
-    gammas), and ``log2`` is numpy's (``math.log2`` differs in the last bit
-    for some gammas).
+    floats, free of numpy's per-call cost on 0-d arrays. Every path rates a
+    gamma with the same bits, alone or in an array: ``(1 + gamma)**2`` is
+    libm's ``pow`` throughout (``np.float_power`` on arrays, where ``**2``
+    would square and differ in the last bit for some gammas), and ``log2``
+    is numpy's (``math.log2`` differs in the last bit for some gammas).
     """
     if blocklength < 1:
         raise ValueError("blocklength must be >= 1")
@@ -270,7 +283,7 @@ def finite_blocklength_rate(gamma, blocklength: int, epsilon: float):
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be nonnegative")
-    dispersion = np.sqrt((g**2 + 2.0 * g) / (blocklength * (1.0 + g) ** 2))
+    dispersion = np.sqrt((g**2 + 2.0 * g) / (blocklength * np.float_power(1.0 + g, 2.0)))
     r = np.log2(1.0 + g) - (qi / math.log(2.0)) * dispersion
     r = np.maximum(r, 0.0)
     return float(r) if np.isscalar(gamma) else r

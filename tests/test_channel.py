@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,13 +69,21 @@ def aligned_phases(h_in, h_out):
 
 
 def written_out_fading(n, rician_k_db, rng):
-    """The Rician draw written out as the oracle of ``sample_fading``: the phases, then the real and
-    imaginary normals, from ``rng``, and the gains los exp(j phase) + scatter (re + j im) / sqrt 2."""
+    """The Rician draw written out term by term, one temporary per term, as the byte oracle of
+    ``sample_fading``: the phases, then the real and imaginary normals, from ``rng``, and the gains
+    los exp(j phase) + scatter (re + j im), with scatter = sqrt(1/(K+1)) / sqrt 2."""
     shape = (n,) if isinstance(n, int) else tuple(n)
     k = 10.0 ** (rician_k_db / 10.0)
-    los = math.sqrt(k / (k + 1.0)) * np.exp(1j * rng.uniform(0.0, TWO_PI, size=shape))
+    los_amp, scatter_amp = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
+    phase = rng.uniform(0.0, TWO_PI, size=shape)
     re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-    return los + math.sqrt(1.0 / (k + 1.0)) * (re + 1j * im) / math.sqrt(2.0)
+    # cos and sin give np.exp(1j * phase) bit for bit
+    real, imag = np.cos(phase), np.sin(phase)
+    for part, normals in ((real, re), (imag, im)):
+        part *= los_amp
+        normals *= scatter_amp
+        part += normals
+    return real + 1j * imag
 
 
 class TestFadingSampler:
@@ -102,14 +111,34 @@ class TestFadingSampler:
         assert h.shape == (8, 5) and h.dtype == complex
         assert np.all((phases_of(h) >= 0) & (phases_of(h) < 2 * math.pi))
 
-    @pytest.mark.parametrize("shape", [1, 250, (8, 5), (250, 250)])
-    def test_same_stream_and_gains_as_written_out(self, shape):
-        rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(21)
-        h = sample_fading(shape, 10.0, rng)
-        want = written_out_fading(shape, 10.0, oracle_rng)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        # cos/sin against np.exp, and the scatter scale applied in another order: within an ulp or two
-        np.testing.assert_allclose(h, want, rtol=0.0, atol=1e-15)
+    @pytest.mark.parametrize("rician_k_db", [-400.0, -10.0, 0.0, 10.0, 400.0])
+    @pytest.mark.parametrize("shape", [1, 7, 250, (3, 5), (250, 250)])
+    def test_same_stream_and_gains_as_written_out(self, shape, rician_k_db):
+        for seed in range(6):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            h = sample_fading(shape, rician_k_db, rng)
+            want = written_out_fading(shape, rician_k_db, oracle_rng)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert h.dtype == want.dtype and h.shape == want.shape
+            assert h.tobytes() == want.tobytes(), seed
+
+    def test_a_draw_allocates_its_output_and_one_scratch_array(self):
+        # a 250x250 draw holds its complex output (250 * 250 * 16 B = 1.0 MB) and one real scratch
+        # array (250 * 250 * 8 B = 0.5 MB) at its peak; 1.5 MB plus 64 KiB for small objects is the
+        # bound. ``written_out_fading``, one temporary per term, peaks at 3.63 MB.
+        rng = np.random.default_rng(22)
+        sample_fading((250, 250), 10.0, rng)  # warm-up
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            sample_fading((250, 250), 10.0, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak - before <= 250 * 250 * (16 + 8) + 64 * 1024, peak - before
 
     def test_rejects_an_empty_shape(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -308,9 +337,10 @@ class TestFiniteBlocklengthRate:
 
 class TestScalarRatePath:
     """A float gamma takes the rates' Python-float path. It must give, bit for bit, what the numpy
-    path gives a 0-d gamma, which rated every reflected hop before the scalar path existed. (A 1-D
-    array is not the oracle: numpy squares ``1 + gamma`` in an array but calls ``pow`` on a 0-d
-    one, and the two differ in the last bit for some gammas.)"""
+    path gives a 0-d gamma, which rated every reflected hop before the scalar path existed, and what
+    it gives the same gamma inside a 1-D array. (Numpy's ``**2`` squares ``1 + gamma`` in an array
+    but calls ``pow`` on a 0-d one, and the two differ in the last bit for some gammas, so the array
+    path calls ``pow`` through ``np.float_power``.)"""
 
     @staticmethod
     def gammas() -> list[float]:
@@ -323,6 +353,12 @@ class TestScalarRatePath:
         got = [finite_blocklength_rate(g, 200, 1e-5) for g in gammas]
         want = [float(finite_blocklength_rate(np.array(g), 200, 1e-5)) for g in gammas]
         assert len(gammas) > 100_000 and got[0] == 0.0
+        assert got == want, [g for g, a, b in zip(gammas, got, want) if a != b][:5]
+
+    def test_array_elements_equal_their_scalar_calls(self):
+        gammas = self.gammas()
+        got = finite_blocklength_rate(np.array(gammas), 200, 1e-5).tolist()
+        want = [finite_blocklength_rate(g, 200, 1e-5) for g in gammas]
         assert got == want, [g for g, a, b in zip(gammas, got, want) if a != b][:5]
 
     def test_shannon_rate_equals_the_0d_numpy_path(self):
