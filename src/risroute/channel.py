@@ -257,7 +257,7 @@ def q_inv(epsilon: float) -> float:
     return math.sqrt(2.0) * (-ndtri(epsilon) * math.sqrt(0.5))
 
 
-SCALAR_MAX = 1e150  # below this, (1 + gamma)**2 stays finite and the scalar paths apply
+SCALAR_MAX = 1e150  # below this, M_b (1 + gamma)**2 stays finite and the scalar paths apply
 
 
 def finite_blocklength_rate(gamma, blocklength: int, epsilon: float):
@@ -272,6 +272,10 @@ def finite_blocklength_rate(gamma, blocklength: int, epsilon: float):
     libm's ``pow`` throughout (``np.float_power`` on arrays, where ``**2``
     would square and differ in the last bit for some gammas), and ``log2``
     is numpy's (``math.log2`` differs in the last bit for some gammas).
+
+    From ``SCALAR_MAX`` on, (gamma^2 + 2 gamma) / (1 + gamma)^2 is 1 to
+    within an ulp, and the squares overflow (gamma^2 from 1.34e154, M_b
+    (1 + gamma)^2 from 1.34e154 / sqrt(M_b)), so the ratio is taken as 1.
     """
     if blocklength < 1:
         raise ValueError("blocklength must be >= 1")
@@ -283,7 +287,10 @@ def finite_blocklength_rate(gamma, blocklength: int, epsilon: float):
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be nonnegative")
-    dispersion = np.sqrt((g**2 + 2.0 * g) / (blocklength * np.float_power(1.0 + g, 2.0)))
+    big = g >= SCALAR_MAX
+    g_small = np.where(big, 0.0, g)  # keeps the squares finite where the ratio is saturated
+    squared = (g_small**2 + 2.0 * g_small) / (blocklength * np.float_power(1.0 + g_small, 2.0))
+    dispersion = np.sqrt(np.where(big, 1.0 / blocklength, squared))
     r = np.log2(1.0 + g) - (qi / math.log(2.0)) * dispersion
     r = np.maximum(r, 0.0)
     return float(r) if np.isscalar(gamma) else r

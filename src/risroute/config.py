@@ -236,6 +236,8 @@ def _coerce(key: str, raw) -> object:
         raise ConfigError(f"config key '{key}' cannot be null")
     if key in _STR_KEYS:
         return str(raw).strip()
+    if any(isinstance(v, bool) for v in (raw if isinstance(raw, (list, tuple)) else (raw,))):
+        raise ConfigError(f"config key '{key}' takes numbers, not booleans, got {raw!r}")
     if isinstance(raw, str) and "," in raw:
         parts = [p for p in (s.strip() for s in raw.split(",")) if p]
         raw = [float(p) for p in parts]

@@ -10,9 +10,9 @@ Kinds:
 
 The sweep, comparison and mobility kinds are grids of cells, each cell one
 grid point under one policy and one summary row: ``_grid_cells`` lists them
-in output order, ``_run_cells`` runs the replications of the cells that
-share a stream (the comparison variants at one coverage; any other cell
-alone) and ``_run_grid`` runs them all (the two sweeps on worker processes
+in output order, grouped by shared stream (the comparison variants at one
+coverage; any other cell alone), ``_run_cells`` runs the replications of one
+group and ``_run_grid`` runs them all (the two sweeps on worker processes
 when asked) into CSVs.
 
 Node positions are rows of the topology's node table (a node's id is its row;
@@ -36,10 +36,11 @@ curves are driven by the policies, not by sampling noise.
 The variants of one comparison replication are routed together
 (``Replication``): the topology is drawn once and each variant's route
 starts from the generator state just after that draw, exactly where it
-would have started on its own; the variants share one scan memo; and a
-variant whose route would take the same draws and hops as one routed
-before it (``router.RoutePolicy.first_difference``) reuses that ledger
-instead of routing again. Every row keeps the bytes of routing each
+would have started on its own; the variants share the topology's scan
+memo (``topology.Topology.scan``); and a variant whose route would take
+the same draws and hops as one routed before it
+(``router.RoutePolicy.first_difference``) reuses that ledger instead of
+routing again. Every row keeps the bytes of routing each
 variant on its own stream.
 
 ``STREAM_VERSION`` names the order in which a route consumes its stream.
@@ -126,8 +127,8 @@ class ExperimentPlan:
             raise ConfigError(f"{self.kind} takes no density_grid (only the two sweeps run one)")
         if self.coverage_grid is not None and self.kind in ("trajectory", "traffic_validation"):
             raise ConfigError(f"{self.kind} takes no coverage_grid")
-        # refused here, before any route runs: the router would raise mid-run on an unknown
-        # variant, and a negative or NaN speed would run static routes
+        # refused here, before any file is written: an unknown variant would fail as a bare KeyError
+        # in ``_grid_cells``, and a negative or NaN speed would run static routes
         unknown = [v for v in self.variants if v not in router.BASELINE_POLICIES]
         if unknown:
             raise ConfigError(f"unknown variants {unknown}; choose from {sorted(router.BASELINE_POLICIES)}")
@@ -267,12 +268,11 @@ def _chain_law(lambda_off_ms, mu_on_ms, iu_count: int, slot: float, delta: float
 
 @dataclass
 class Replication:
-    """What the static routes of one replication under several policies share: the topology, the
-    generator state just after drawing it, one scan memo, and each route's (policy, ledger)."""
+    """What the static routes of one replication under several policies share: the topology (and so
+    its scan memo), the generator state just after drawing it, and each route's (policy, ledger)."""
 
     topo: topology.Topology | None = None  # drawn by the first route
     after_topology: dict | None = None  # ``bit_generator.state`` just after the topology draw
-    scans: dict = field(default_factory=dict)
     routed: list[tuple[router.RoutePolicy, router.RouteLedger]] = field(default_factory=list)
 
     def ledger_for(self, policy: router.RoutePolicy) -> router.RouteLedger | None:
@@ -288,18 +288,18 @@ class Replication:
 def run_one_route(
     cfg: SimConfig,
     rng: np.random.Generator,
-    variant: str = "full",
+    policy: router.RoutePolicy = router.RoutePolicy(),
     mobility_rng: np.random.Generator | None = None,
     v_max: float = 0.0,
     shared: Replication | None = None,
 ) -> router.RouteLedger:
-    """One replication: topology draw, traffic, route under the variant policy.
+    """One replication: topology draw, traffic, route under ``policy``.
 
     A static route is one of the routes of ``shared`` (a fresh ``Replication`` when None), which
     routes the policies given the same ``shared``, ``cfg`` and stream together: the first call
     draws the topology from ``rng``, and each later call returns a reusable ledger
     (``Replication.ledger_for``, the same object) or resets ``rng`` to the state after that draw
-    and routes on the shared topology and scan memo. A mobile route (``mobility_rng`` and
+    and routes on the shared topology. A mobile route (``mobility_rng`` and
     ``v_max > 0``) shares nothing.
     """
     law = _profiles_for(cfg)
@@ -308,9 +308,8 @@ def run_one_route(
             raise ValueError("a shared replication routes static IUs only")
         topo = topology.generate_topology(cfg, rng)
         mobility = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), v_max, mobility_rng)
-        return router.route(topo, law, cfg, rng, variant=variant, mobility=mobility)
+        return router.Router(topo, law, cfg, rng, policy, mobility).run()
     shared = Replication() if shared is None else shared
-    policy = router.policy_of(variant)
     if shared.topo is None:
         shared.topo = topology.generate_topology(cfg, rng)
         shared.after_topology = rng.bit_generator.state
@@ -318,7 +317,7 @@ def run_one_route(
         return ledger
     else:
         rng.bit_generator.state = shared.after_topology
-    ledger = router.route(shared.topo, law, cfg, rng, variant=variant, scans=shared.scans)
+    ledger = router.Router(shared.topo, law, cfg, rng, policy).run()
     shared.routed.append((policy, ledger))
     return ledger
 
@@ -329,32 +328,34 @@ class Cell:
 
     scenario_id: str
     variant: str  # label in the detail rows' variant column
-    policy: str  # router policy the routes run under
+    policy: router.RoutePolicy  # the policy the routes run under
     cfg: SimConfig  # the grid point's coverage and density are cfg.coverage_m and cfg.iu_count
     stream: int | None  # grid index keying the route streams; None keys them by replication only
     v_max: float = 0.0  # maximum waypoint speed of the IUs
     extra: dict = field(default_factory=dict)  # summary columns between density and the stats
 
 
-def _grid_cells(plan: ExperimentPlan, base: SimConfig) -> list[Cell]:
-    """A grid plan's cells in output order, each a variation of ``base``; every config is built (and
-    checked) before any route runs."""
+def _grid_cells(plan: ExperimentPlan, base: SimConfig) -> list[tuple[Cell, ...]]:
+    """A grid plan's cells in output order, grouped by shared stream, each a variation of ``base``;
+    every config is built (and checked) and every variant resolved to its policy before any route
+    runs."""
     coverages = plan.resolved_coverage_grid()
+    full = router.BASELINE_POLICIES["full"]
     if plan.kind == "comparison":
         return [
-            Cell(f"comparison-r{c:g}-{v}", v, v, base.with_overrides(coverage_m=c), ci, extra={"variant": v})
+            tuple(Cell(f"comparison-r{c:g}-{v}", v, router.BASELINE_POLICIES[v], base.with_overrides(coverage_m=c),
+                       ci, extra={"variant": v}) for v in plan.variants)
             for ci, c in enumerate(coverages)
-            for v in plan.variants
         ]
     if plan.kind == "mobility":
         point = base.with_overrides(coverage_m=coverages[0])
         return [
-            Cell(f"mobility-v{v:g}", f"v{v:g}", "full", point, None, v_max=v, extra={"v_max": v})
+            (Cell(f"mobility-v{v:g}", f"v{v:g}", full, point, None, v_max=v, extra={"v_max": v}),)
             for v in plan.vmax_grid
         ]
     points = [(c, d) for d in plan.resolved_density_grid() for c in coverages]
     return [
-        Cell(f"{plan.kind}-r{c:g}-m{d}", "full", "full", base.with_overrides(coverage_m=c, iu_count=d), gi)
+        (Cell(f"{plan.kind}-r{c:g}-m{d}", "full", full, base.with_overrides(coverage_m=c, iu_count=d), gi),)
         for gi, (c, d) in enumerate(points)
     ]
 
@@ -376,8 +377,7 @@ def _run_cells(cells: tuple[Cell, ...], seed: int, replications: int) -> list[li
         else:
             rng, walk, shared = derive_rng(seed, stream, rep), None, Replication()
         for cell, out in zip(cells, rows):
-            ledger = run_one_route(cell.cfg, rng, variant=cell.policy, mobility_rng=walk, v_max=cell.v_max,
-                                   shared=shared)
+            ledger = run_one_route(cell.cfg, rng, cell.policy, mobility_rng=walk, v_max=cell.v_max, shared=shared)
             out.append(_detail_row(cell, seed, ledger))
     return rows
 
@@ -513,10 +513,8 @@ def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, res
         fixed_s = fixed_ms * 1e-3
         if figure == "nu_b":  # lambda fixed, mu swept
             means = [xi * fixed_s / (1.0 - xi) for xi in plan.xi_grid]
-            estimator = traffic.duration_of_busyness
         else:  # mu fixed, lambda swept
             means = [fixed_s * (1.0 - xi) / xi for xi in plan.xi_grid]
-            estimator = traffic.duration_of_idleness
         quantiles = estimate_duration_quantiles(
             np.asarray(means) / slot, plan.deltas, plan.chains, plan.batches, rng
         )
@@ -525,7 +523,7 @@ def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, res
             for di, delta in enumerate(plan.deltas):
                 mc_mean, mc_se = quantiles[(si, di)]
                 rows.append(
-                    {"xi": xi, "delta": delta, "analytic": estimator(means[si], slot, delta),
+                    {"xi": xi, "delta": delta, "analytic": traffic.duration_estimate(means[si], slot, delta),
                      "mc_mean": mc_mean, "mc_se": mc_se}
                 )
         result.files.append(write_csv(out / f"{figure}.csv", ["xi", "delta", "analytic", "mc_mean", "mc_se"], rows))
@@ -535,11 +533,7 @@ def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, res
 
 def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
     """Sweeps, comparison and mobility: one summary row per cell."""
-    cells = _grid_cells(plan, cfg)
-    if plan.kind == "comparison":  # the variants at one coverage share a stream: route them together
-        groups = [tuple(cells[i:i + len(plan.variants)]) for i in range(0, len(cells), len(plan.variants))]
-    else:
-        groups = [(cell,) for cell in cells]
+    groups = _grid_cells(plan, cfg)
     run_cells = partial(_run_cells, seed=plan.seed, replications=plan.replications)
     if plan.threads > 1 and plan.kind in ("coverage_sweep", "density_sweep"):
         # never more workers than cells: a fork-started pool forks every worker at the first submit
@@ -548,7 +542,7 @@ def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: Experimen
     else:
         outcomes = [rows for group in map(run_cells, groups) for rows in group]
     details, summaries = [], []
-    for cell, rows in zip(cells, outcomes):
+    for cell, rows in zip((cell for group in groups for cell in group), outcomes):
         details.extend(rows)
         summaries.append({"scenario_id": cell.scenario_id, "coverage_m": cell.cfg.coverage_m,
                           "density": cell.cfg.iu_count, **cell.extra, **_aggregate(rows)})

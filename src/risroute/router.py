@@ -69,11 +69,8 @@ destination, and once a link is farther than R (1 + 2^-48) every later one
 is farther than R. The destination shortcut, the traffic observations and
 the double-reflection stage stay eager.
 
-Scan memo. While IUs do not move, a scan depends only on the topology, the
-id range, the centre, the destination and r, so a static router keeps each
-scan, as a tuple, in a memo keyed by (id range, centre): a deferral's rescan
-and a surface scanned again cost one lookup. Routes on one topology and
-config may share the memo (``scans``); a mobile router keeps none.
+A static router reads its scans from the topology's memo
+(``topology.Topology.scan``); a mobile one scans its moving table afresh.
 
 Stages reached. Each ledger records the deepest stage its route reached
 (``STAGES``): the relay stage, the reflector stage (``ris_fallback``
@@ -327,9 +324,6 @@ class Router:
 
     ``law`` is the traffic chain law of the run's IUs in IU row order
     (``experiments._profiles_for`` returns the config's), shared read-only.
-    ``scans`` is a scan memo (module docstring) to share with other static
-    routes on ``topo`` under ``cfg``; a static router without one starts its
-    own, and a mobile router refuses one.
     """
 
     def __init__(
@@ -338,18 +332,15 @@ class Router:
         law: traffic.ChainLaw,
         cfg: SimConfig,
         rng: np.random.Generator,
-        policy: RoutePolicy | None = None,
+        policy: RoutePolicy = RoutePolicy(),
         mobility=None,
-        scans: dict | None = None,
     ):
         if len(law.pi) != len(topo.iu_xy):
             raise ValueError("need one traffic chain per IU")
-        if mobility is not None and scans is not None:
-            raise ValueError("moving IUs invalidate a scan memo")
         self.topo = topo
         self.cfg = cfg
         self.rng = rng
-        self.policy = policy or RoutePolicy()
+        self.policy = policy
         self.mobility = mobility
         self.thresholds_db = linkbudget.build_mode_table(cfg.target_ber, rule=cfg.threshold_rule)
         self.fixed_rate_bits = None if self.policy.adaptive else cfg.fixed_rate_bits
@@ -361,7 +352,6 @@ class Router:
         self.relay_ids = range(DEST_ID, topo.first_ris_id)  # the destination and the IUs
         self.ris_ids = range(topo.first_ris_id, len(topo.xy))
         self.dest = self._point(DEST_ID)
-        self.scans = ({} if scans is None else scans) if mobility is None else None
         self.stage_reached = "relay"
 
     # -- clock -------------------------------------------------------------------
@@ -385,16 +375,11 @@ class Router:
 
     def _scan(self, center: Point, ids: range | None = None) -> tuple[int, ...]:
         """Ids in ``ids`` (default: the destination and the IUs) in the half-disc
-        of ``center`` facing the destination; from the memo when there is one."""
+        of ``center`` facing the destination; from the topology's memo while IUs do not move."""
         ids = self.relay_ids if ids is None else ids
-        if self.scans is None:
-            return tuple(topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m))
-        key = (ids, center)
-        found = self.scans.get(key)
-        if found is None:
-            found = self.scans[key] = tuple(
-                topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m))
-        return found
+        if self.mobility is None:
+            return self.topo.scan(ids, center, self.cfg.coverage_m)
+        return tuple(topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m))
 
     def _direct_links(self, origin: Point, ids: list[int], nus: list[float], limit: float) -> list[CandidateLink]:
         """Direct links from ``origin`` to those of ``ids`` (scan order; idle windows ``nus``) that end
@@ -712,22 +697,3 @@ class Router:
         )
         return endpoint
 
-
-def route(
-    topo: Topology,
-    law: traffic.ChainLaw,
-    cfg: SimConfig,
-    rng: np.random.Generator,
-    variant: str = "full",
-    mobility=None,
-    scans: dict | None = None,
-) -> RouteLedger:
-    """Run the decision procedure once under a named policy (see BASELINE_POLICIES)."""
-    return Router(topo, law, cfg, rng, policy=policy_of(variant), mobility=mobility, scans=scans).run()
-
-
-def policy_of(variant: str) -> RoutePolicy:
-    """The policy a variant names (see BASELINE_POLICIES)."""
-    if variant not in BASELINE_POLICIES:
-        raise ValueError(f"unknown variant {variant!r}; choose from {sorted(BASELINE_POLICIES)}")
-    return BASELINE_POLICIES[variant]

@@ -23,9 +23,17 @@ excluded. The scan measures with ``np.hypot``, which disagrees with
 uniform pairs in a 400 m square), so the router recomputes every distance
 it compares or writes instead of reusing the scan's.
 
-A topology holds positions only. The coverage radius, the arena and the
-surfaces' element count are ``SimConfig`` fields (``coverage_m``,
-``arena_m``, ``ris_elements``), read from the config by whoever needs them.
+Scan memo. A scan of the topology's own table depends only on the id range,
+the centre and r (the destination is row ``DEST_ID``), so ``Topology.scan``
+keeps each result, as a tuple, keyed by (id range, centre, r): a deferral's
+rescan, a surface scanned again and the routes of other policies on the same
+topology cost one lookup, and routes at another radius get their own
+entries. A mobile route moves a copy of the table and scans it afresh.
+
+A topology holds only positions and the memo of their scans. The coverage
+radius, the arena and the surfaces' element count are ``SimConfig`` fields
+(``coverage_m``, ``arena_m``, ``ris_elements``), read from the config by
+whoever needs them.
 """
 
 from __future__ import annotations
@@ -45,7 +53,8 @@ Point = tuple[float, float]  # (x, y) in metres
 
 
 class Topology:
-    """Immutable scenario: the node table, every row checked to lie inside ``arena``."""
+    """Immutable scenario: the node table, every row checked to lie inside ``arena``, and the memo
+    of its scans (module docstring)."""
 
     def __init__(self, source: Point, dest: Point, iu_xy: np.ndarray, ris_xy: np.ndarray, arena: tuple[float, float]):
         iu_xy = np.asarray(iu_xy, dtype=float).reshape(-1, 2)
@@ -59,6 +68,7 @@ class Topology:
         xy.flags.writeable = False
         self.xy = xy
         self.first_ris_id = FIRST_IU_ID + len(iu_xy)
+        self._scans: dict[tuple[range, Point, float], tuple[int, ...]] = {}
 
     @property
     def iu_xy(self) -> np.ndarray:
@@ -75,6 +85,15 @@ class Topology:
         if self.first_ris_id <= node_id < len(self.xy):
             return f"R{node_id - self.first_ris_id + 1}"
         raise ValueError(f"no node with id {node_id}")
+
+    def scan(self, ids: range, center: Point, r: float) -> tuple[int, ...]:
+        """``half_circle_scan`` of this table toward the destination, computed once per (ids, center, r)."""
+        key = (ids, center, r)
+        found = self._scans.get(key)
+        if found is None:
+            dest = tuple(self.xy[DEST_ID].tolist())
+            found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, dest, r))
+        return found
 
 
 def half_circle_scan(

@@ -8,7 +8,7 @@ duration T_s. Per-slot transition probabilities:
     p11 = exp(-T_s/mu)       p10 = 1 - p11
 
 On top of the chain sit the routing-side estimators: the duration of
-idleness/busyness for an error tolerance delta,
+idleness/busyness for an error tolerance delta (``duration_estimate``),
 
     nu_I = (lambda/T_s) ln(1/(1-delta)),   nu_B = (mu/T_s) ln(1/(1-delta)),
 
@@ -58,18 +58,12 @@ def switch_probability(mean_s, slot: float):
     return 1.0 - _per_value(math.exp, -slot / np.asarray(mean_s, dtype=float))
 
 
-def duration_of_idleness(lambda_s, slot: float, delta: float):
-    """Slots an idle user is trusted to stay idle, at error tolerance delta."""
+def duration_estimate(mean_s, slot: float, delta: float):
+    """Slots a user is trusted to stay in a state of mean sojourn ``mean_s``, at error tolerance
+    delta: nu_I of the OFF mean lambda, nu_B of the ON mean mu."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return (lambda_s / slot) * math.log(1.0 / (1.0 - delta))
-
-
-def duration_of_busyness(mu_s, slot: float, delta: float):
-    """Slots a busy user is expected to stay busy, at error tolerance delta."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    return (mu_s / slot) * math.log(1.0 / (1.0 - delta))
+    return (mean_s / slot) * math.log(1.0 / (1.0 - delta))
 
 
 def idle_wait_estimate(mu_s, slot: float, p_th: float) -> np.ndarray:
@@ -124,7 +118,7 @@ def chain_law(lambda_s, mu_s, slot: float, delta: float, p_th: float) -> ChainLa
         p10=p10,
         pi=p01 / (p01 + p10),
         rho=1.0 - p01 - p10,
-        nu_idle=duration_of_idleness(lam, slot, delta),
+        nu_idle=duration_estimate(lam, slot, delta),
         eta_idle=idle_wait_estimate(mu, slot, p_th),
         slot_is_long=bool(lam.size and slot > 0.2 * min(lam.min(), mu.min())),
     )

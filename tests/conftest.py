@@ -3,6 +3,7 @@
 import numpy as np
 
 from risroute.config import SimConfig
+from risroute.router import BASELINE_POLICIES, Router
 from risroute.topology import Topology
 from risroute.traffic import chain_law
 
@@ -30,3 +31,8 @@ def line_config(**overrides):
 
 def rng_for(*key):
     return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+
+
+def route(topo, law, cfg, rng, variant="full", mobility=None):
+    """One route under the policy ``variant`` names (see ``BASELINE_POLICIES``)."""
+    return Router(topo, law, cfg, rng, BASELINE_POLICIES[variant], mobility).run()

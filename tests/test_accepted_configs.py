@@ -85,7 +85,8 @@ def test_accepted_config_routes_to_an_end(kwargs, variant, v_max, seed):
         cfg = SimConfig(**kwargs)
     except ConfigError:
         assume(False)
-    ledger = run_one_route(cfg, derive_rng(seed, 0), variant=variant, mobility_rng=derive_rng(seed, 1), v_max=v_max)
+    ledger = run_one_route(cfg, derive_rng(seed, 0), router.BASELINE_POLICIES[variant],
+                           mobility_rng=derive_rng(seed, 1), v_max=v_max)
     assert ledger.success == (ledger.failure_reason is None)
     if ledger.success:
         row = compute_route_metrics(ledger, cfg)

@@ -324,6 +324,20 @@ class TestFiniteBlocklengthRate:
     def test_negative_clamped_to_zero(self):
         assert finite_blocklength_rate(1e-4, 10, 1e-6) == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_snr_saturates_the_dispersion(self):
+        """Where the squares overflow (gamma^2 from 1.34e154; M_b (1 + gamma)^2 from 4.2e152 at
+        M_b = 1000) the rate is log2(1 + gamma) less the dispersion term at (gamma^2 + 2 gamma) /
+        (1 + gamma)^2 = 1, alone or in an array, and it is continuous across ``SCALAR_MAX``."""
+        qi = q_inv(1e-4)
+        gammas = [5e152, 1.35e154, 1e200, 1e300]
+        want = [math.log2(1.0 + g) - qi / math.log(2.0) * math.sqrt(1.0 / 1000) for g in gammas]
+        assert [finite_blocklength_rate(g, 1000, 1e-4) for g in gammas] == pytest.approx(want, rel=1e-15)
+        assert finite_blocklength_rate(np.array(gammas), 1000, 1e-4).tolist() == pytest.approx(want, rel=1e-15)
+        edge = [math.nextafter(SCALAR_MAX, 0.0), SCALAR_MAX]
+        below, at = (finite_blocklength_rate(g, 1000, 1e-4) for g in edge)
+        assert below == pytest.approx(at, rel=1e-15)
+
     def test_invalid_epsilon(self):
         for eps in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match="epsilon"):

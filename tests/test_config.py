@@ -41,6 +41,14 @@ class TestRejectsBadNumbers:
         with pytest.raises(ConfigError, match="fixed_rate_bits"):
             load_config(path)
 
+    @pytest.mark.parametrize("key,value", [("lambda_off_ms", [True, 4.0]), ("source_xy", [True, 5]),
+                                           ("coverage_m", True), ("ris_spacing_m", False), ("iu_count", True)])
+    def test_json_booleans_rejected(self, key, value, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=f"config key '{key}' takes numbers, not booleans"):
+            load_config(path)
+
     def test_constellation_range_accepted(self):
         assert [SimConfig(fixed_rate_bits=b).fixed_rate_bits for b in (1, 8)] == [1, 8]
 

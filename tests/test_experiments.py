@@ -66,7 +66,7 @@ class TestPlanValidation:
         {"kind": "mobility", "vmax_grid": (5.0, math.inf)},
     ])
     def test_refused_before_any_route_runs(self, bad, tmp_path, monkeypatch):
-        # unchecked, an unknown variant fails in the router after the cells before it have run,
+        # unchecked, an unknown variant fails as a bare KeyError once the manifest is written,
         # and a negative or NaN speed runs static routes
         routed = []
         monkeypatch.setattr(experiments, "run_one_route", lambda *args, **kwargs: routed.append(args))
@@ -351,19 +351,18 @@ class TestTrafficValidation:
         plan = ExperimentPlan(kind="traffic_validation", seed=3, chains=2000, batches=4)
         cfg = SimConfig()
         run(plan, cfg, tmp_path / "a")
-        for name, estimator, mean in (
-            ("nu_b", traffic.duration_of_busyness, lambda xi: xi * cfg.lambda_off_ms * 1e-3 / (1.0 - xi)),
-            ("nu_i", traffic.duration_of_idleness, lambda xi: cfg.mu_on_ms * 1e-3 * (1.0 - xi) / xi),
+        for name, mean in (
+            ("nu_b", lambda xi: xi * cfg.lambda_off_ms * 1e-3 / (1.0 - xi)),
+            ("nu_i", lambda xi: cfg.mu_on_ms * 1e-3 * (1.0 - xi) / xi),
         ):
             for row in read_csv(tmp_path / "a" / f"{name}.csv"):
-                expected = estimator(mean(float(row["xi"])), cfg.slot_s, float(row["delta"]))
+                expected = traffic.duration_estimate(mean(float(row["xi"])), cfg.slot_s, float(row["delta"]))
                 assert float(row["analytic"]) == expected
-        # the column follows the estimators, not a copy of their formula
-        monkeypatch.setattr(traffic, "duration_of_busyness", lambda *args: -1.0)
-        monkeypatch.setattr(traffic, "duration_of_idleness", lambda *args: -2.0)
+        # the column follows the estimator, not a copy of its formula
+        monkeypatch.setattr(traffic, "duration_estimate", lambda *args: -1.0)
         run(plan, cfg, tmp_path / "b")
-        assert {r["analytic"] for r in read_csv(tmp_path / "b" / "nu_b.csv")} == {"-1.0"}
-        assert {r["analytic"] for r in read_csv(tmp_path / "b" / "nu_i.csv")} == {"-2.0"}
+        for name in ("nu_b", "nu_i"):
+            assert {r["analytic"] for r in read_csv(tmp_path / "b" / f"{name}.csv")} == {"-1.0"}
 
 
 class TestComparison:
@@ -402,13 +401,8 @@ class TestMobilityExperiment:
 class TestRunOneRoute:
     def test_variant_dispatch(self):
         cfg = SimConfig(iu_count=80).with_overrides(source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
-        led = run_one_route(cfg, derive_rng(9, 0), variant="full")
-        assert led.psi == 6
-
-    def test_unknown_variant_rejected(self):
-        cfg = SimConfig(iu_count=10)
-        with pytest.raises(ValueError):
-            run_one_route(cfg, derive_rng(9, 1), variant="bogus")
+        led = run_one_route(cfg, derive_rng(9, 0), router.BASELINE_POLICIES["full"])
+        assert led.psi == 6 and led == run_one_route(cfg, derive_rng(9, 0))
 
 
 class TestPerConfigConstants:
@@ -459,7 +453,7 @@ class TestPerConfigConstants:
         assert per_law > 0
         experiments._chain_law.cache_clear()
         calls.clear()
-        cell = experiments.Cell("c", "full", "full", cfg, 0)
+        cell = experiments.Cell("c", "full", router.RoutePolicy(), cfg, 0)
         (rows,) = experiments._run_cells((cell,), seed=3, replications=3)
         assert len(rows) == 3 and len(calls) == per_law
 
@@ -467,7 +461,7 @@ class TestPerConfigConstants:
 class TestSharedReplication:
     """Comparison replications route their variants together (``experiments.Replication``). The
     oracle routes each cell's replication alone on its own stream, ``run_one_route(cfg,
-    derive_rng(seed, ci, rep), variant=v)``, as every comparison did before: each ledger must equal
+    derive_rng(seed, ci, rep), policy)``, as every comparison did before: each ledger must equal
     the oracle's, stage reached included, and the detail CSV must keep its bytes."""
 
     def check(self, plan, cfg, out, monkeypatch):
@@ -477,21 +471,26 @@ class TestSharedReplication:
         calls = []  # (shared replication, policy, ledger) of every comparison route, in routing order
         real = experiments.run_one_route
 
-        def recorded(cfg, rng, variant="full", mobility_rng=None, v_max=0.0, shared=None):
-            ledger = real(cfg, rng, variant, mobility_rng, v_max, shared)
-            calls.append((shared, router.BASELINE_POLICIES[variant], ledger))
+        def recorded(cfg, rng, policy=router.RoutePolicy(), mobility_rng=None, v_max=0.0, shared=None):
+            ledger = real(cfg, rng, policy, mobility_rng, v_max, shared)
+            calls.append((shared, policy, ledger))
             return ledger
 
         monkeypatch.setattr(experiments, "run_one_route", recorded)
         run(plan, cfg, out)
         monkeypatch.setattr(experiments, "run_one_route", real)
 
-        cells = experiments._grid_cells(plan, cfg.with_overrides(source_xy=experiments.SWEEP_SOURCE,
-                                                                 dest_xy=experiments.SWEEP_DEST))
-        oracle = {(i, rep): run_one_route(cell.cfg, derive_rng(plan.seed, cell.stream, rep), variant=cell.policy)
+        groups = experiments._grid_cells(plan, cfg.with_overrides(source_xy=experiments.SWEEP_SOURCE,
+                                                                  dest_xy=experiments.SWEEP_DEST))
+        n = len(plan.variants)  # one group per coverage, its variants in plan order
+        assert [len(group) for group in groups] == [n] * len(plan.resolved_coverage_grid())
+        assert all(cell.policy == router.BASELINE_POLICIES[v] and cell.stream == ci
+                   for ci, group in enumerate(groups) for cell, v in zip(group, plan.variants))
+        cells = [cell for group in groups for cell in group]
+        oracle = {(i, rep): run_one_route(cell.cfg, derive_rng(plan.seed, cell.stream, rep), cell.policy)
                   for i, cell in enumerate(cells) for rep in range(plan.replications)}
-        n = len(plan.variants)  # cells i*n to i*n + n - 1 share coverage i and route together, rep by rep
-        routing_order = [(ci * n + v, rep) for ci in range(len(cells) // n)
+        # cells i*n to i*n + n - 1 share coverage i and route together, rep by rep
+        routing_order = [(ci * n + v, rep) for ci in range(len(groups))
                          for rep in range(plan.replications) for v in range(n)]
         assert [ledger for _, _, ledger in calls] == [oracle[key] for key in routing_order]
         rows = [experiments._detail_row(cell, plan.seed, oracle[i, rep])
@@ -543,13 +542,13 @@ class TestSharedReplication:
         monkeypatch.setattr(topology, "generate_topology", lambda cfg, rng: draws.append(1) or real(cfg, rng))
         # none of the three can reuse another's ledger here: each routes on the one topology
         cfg = SimConfig(coverage_m=30.0, iu_count=400, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
-        variants = ("full", "fixed_mod", "double_ris")
+        policies = [router.BASELINE_POLICIES[v] for v in ("full", "fixed_mod", "double_ris")]
         shared, rng = experiments.Replication(), derive_rng(1, 0, 0)
-        ledgers = [run_one_route(cfg, rng, variant=v, shared=shared) for v in variants]
-        assert len(draws) == 1 and len(shared.routed) == 3 and shared.scans
+        ledgers = [run_one_route(cfg, rng, policy, shared=shared) for policy in policies]
+        assert len(draws) == 1 and len(shared.routed) == 3 and shared.topo._scans
         assert all(ledger.hop_count for ledger in ledgers)
-        for v, ledger in zip(variants, ledgers):
-            assert ledger == run_one_route(cfg, derive_rng(1, 0, 0), variant=v)
+        for policy, ledger in zip(policies, ledgers):
+            assert ledger == run_one_route(cfg, derive_rng(1, 0, 0), policy)
 
     def test_moving_ius_refuse_a_shared_replication(self):
         cfg = SimConfig(iu_count=50)

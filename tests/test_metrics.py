@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from conftest import build_topology, idle_law, line_config, rng_for
+from conftest import build_topology, idle_law, line_config, rng_for, route
 
 from risroute.config import SimConfig
 from risroute.metrics import NetNegativeEnergyError, compute_route_metrics
-from risroute.router import HopChoice, HopKind, RouteLedger, route
+from risroute.router import HopChoice, HopKind, RouteLedger
 
 CFG = SimConfig()  # P_b = 1e-6
 

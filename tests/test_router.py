@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import build_topology, idle_law, line_config, rng_for, traffic_law
+from conftest import build_topology, idle_law, line_config, rng_for, route, traffic_law
 
 from risroute import channel, linkbudget, topology, traffic
 from risroute.config import SimConfig
@@ -26,12 +26,11 @@ from risroute.router import (
     Router,
     _link,
     availability_set,
-    route,
     select_entry,
     slot_table,
 )
 from risroute.experiments import MobilityField, _profiles_for
-from risroute.topology import DEST_ID, SOURCE_ID, generate_topology
+from risroute.topology import DEST_ID, SOURCE_ID, Topology, generate_topology
 
 
 LINE_ENDS = {"source_xy": (20.0, 200.0), "dest_xy": (380.0, 200.0)}
@@ -596,10 +595,14 @@ class ExhaustiveRouter(Router):
     stopping stages must match. Its relay stage draws as the router's does. Its single stage draws
     nothing: it reads ``draws``, a lazy stage's ``h_in`` by surface id and ``h_out`` by (surface id,
     endpoint id), and reaches a surface or endpoint missing there at ``MAX_GAIN`` (``skipped``
-    counts those reads)."""
+    counts those reads). Every scan of its table is fresh, so a memoized scan is checked too."""
 
     draws: dict = {}
     skipped = 0
+
+    def _scan(self, center, ids=None):
+        ids = self.relay_ids if ids is None else ids
+        return tuple(topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m))
 
     def _direct_links(self, origin, ids, nus, limit):
         if not ids:
@@ -673,7 +676,6 @@ class StageOracle:
         self.router = router
         self.oracle = ExhaustiveRouter(router.topo, router.field.law, router.cfg, rng_for(0), policy=router.policy)
         self.oracle.xy = router.xy  # a walk moves both
-        self.oracle.scans = None  # every oracle scan is fresh, so a memoized scan is checked too
         self.relay_stages = self.single_stages = 0
         self.links = np.zeros(2, dtype=int)  # direct links evaluated: by the router, by the oracle
         self.relay, self.single = router._relay_stage, router._single_stage
@@ -950,11 +952,12 @@ class TestStageReached:
 
 
 class TestScanMemo:
-    """A static router keeps each scan once (``Router.scans``); a mobile one scans afresh every time."""
+    """A static router reads its scans from the topology's memo (``Topology.scan``), keyed by radius
+    too; a mobile one scans afresh every time."""
 
     @staticmethod
     def counted_route(monkeypatch, cfg, topo, walk=None, seed=0):
-        """(router, ``_scan`` calls, ``half_circle_scan`` calls) of one route."""
+        """(ledger, ``_scan`` calls, ``half_circle_scan`` calls) of one route."""
         real_scan, real_half = Router._scan, topology.half_circle_scan
         calls = [0, 0]
 
@@ -968,22 +971,27 @@ class TestScanMemo:
 
         monkeypatch.setattr(Router, "_scan", scan)
         monkeypatch.setattr(topology, "half_circle_scan", half)
-        r = Router(topo, _profiles_for(cfg), cfg, rng_for(170, seed), mobility=walk)
-        r.run()
+        ledger = Router(topo, _profiles_for(cfg), cfg, rng_for(170, seed), mobility=walk).run()
         monkeypatch.undo()
-        return r, *calls
+        return ledger, *calls
+
+    @staticmethod
+    def check_memo(topo):
+        """Every memo entry is a tuple equal to a fresh scan of the topology's table."""
+        dest = tuple(topo.xy[DEST_ID].tolist())
+        for (ids, center, r), found in topo._scans.items():
+            assert isinstance(found, tuple)  # a caller cannot change what later scans read
+            assert found == tuple(topology.half_circle_scan(topo.xy, ids, center, dest, r))
 
     def test_hits_equal_fresh_scans(self, monkeypatch):
         cfg = SimConfig(coverage_m=30.0, iu_count=400, **LINE_ENDS)
         hits = 0
         for seed in range(3):
             topo = generate_topology(cfg, rng_for(171, seed))
-            r, scans, computed = self.counted_route(monkeypatch, cfg, topo, seed=seed)
-            assert computed == len(r.scans) and scans >= computed
+            _, scans, computed = self.counted_route(monkeypatch, cfg, topo, seed=seed)
+            assert computed == len(topo._scans) and scans >= computed
             hits += scans - computed
-            for (ids, center), found in r.scans.items():
-                assert isinstance(found, tuple)  # a caller cannot change what later scans read
-                assert found == tuple(topology.half_circle_scan(topo.xy, ids, center, r.dest, cfg.coverage_m))
+            self.check_memo(topo)
         assert hits >= 1
 
     def test_moving_ius_never_read_a_memo(self, monkeypatch):
@@ -991,7 +999,22 @@ class TestScanMemo:
         for seed in range(3):
             topo = generate_topology(cfg, rng_for(172, seed))
             walk = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), 20.0, rng_for(173, seed))
-            r, scans, computed = self.counted_route(monkeypatch, cfg, topo, walk=walk, seed=seed)
-            assert r.scans is None and scans == computed > 0
-        with pytest.raises(ValueError, match="memo"):
-            Router(topo, _profiles_for(cfg), cfg, rng_for(174), mobility=walk, scans={})
+            _, scans, computed = self.counted_route(monkeypatch, cfg, topo, walk=walk, seed=seed)
+            assert not topo._scans and scans == computed > 0
+
+    def test_radii_keep_separate_entries(self, monkeypatch):
+        """One topology routed at two radii keeps each radius's scans apart: each route equals the
+        route on a fresh copy of the topology, and a second route at a radius scans nothing anew."""
+        narrow = SimConfig(coverage_m=30.0, iu_count=400, **LINE_ENDS)
+        wide = narrow.with_overrides(coverage_m=60.0)
+        for seed in range(3):
+            topo = generate_topology(narrow, rng_for(175, seed))
+            for cfg in (narrow, wide):
+                fresh = Topology(topo.xy[SOURCE_ID], topo.xy[DEST_ID], topo.iu_xy, topo.xy[topo.first_ris_id:],
+                                 (cfg.arena_m, cfg.arena_m))
+                ledger, _, computed = self.counted_route(monkeypatch, cfg, topo, seed=seed)
+                assert ledger == self.counted_route(monkeypatch, cfg, fresh, seed=seed)[0] and computed > 0
+                assert self.counted_route(monkeypatch, cfg, topo, seed=seed)[0::2] == (ledger, 0)
+            radii = {r for _, _, r in topo._scans}
+            assert radii == {30.0, 60.0}
+            self.check_memo(topo)

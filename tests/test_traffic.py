@@ -10,8 +10,7 @@ from risroute.traffic import (
     TrafficField,
     chain_law,
     deferral_window,
-    duration_of_busyness,
-    duration_of_idleness,
+    duration_estimate,
     idle_wait_estimate,
     switch_probability,
 )
@@ -133,24 +132,24 @@ class TestChainStep:
 
 class TestDurationEstimators:
     def test_idleness_frozen_value(self):
-        assert duration_of_idleness(LAM, SLOT, 0.1) == pytest.approx(4.214420626313054, rel=1e-12)
+        assert duration_estimate(LAM, SLOT, 0.1) == pytest.approx(4.214420626313054, rel=1e-12)
 
     def test_busyness_frozen_value(self):
-        assert duration_of_busyness(MU, SLOT, 0.1) == pytest.approx(4.214420626313054, rel=1e-12)
+        assert duration_estimate(MU, SLOT, 0.1) == pytest.approx(4.214420626313054, rel=1e-12)
 
     def test_vanishing_tolerance(self):
-        assert duration_of_idleness(LAM, SLOT, 1e-12) < 1e-9
-        assert duration_of_busyness(MU, SLOT, 1e-12) < 1e-9
+        assert duration_estimate(LAM, SLOT, 1e-12) < 1e-9
+        assert duration_estimate(MU, SLOT, 1e-12) < 1e-9
 
     def test_linearity_in_mean(self):
-        a = duration_of_idleness(4 * MS, SLOT, 0.1)
-        b = duration_of_idleness(8 * MS, SLOT, 0.1)
+        a = duration_estimate(4 * MS, SLOT, 0.1)
+        b = duration_estimate(8 * MS, SLOT, 0.1)
         assert b == pytest.approx(2 * a, rel=1e-12)
 
     def test_delta_out_of_range_rejected(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                duration_of_idleness(LAM, SLOT, bad)
+                duration_estimate(LAM, SLOT, bad)
 
     def test_idleness_against_chain_survival_oracle(self):
         # step idle chains slot by slot; the largest n with empirical
@@ -161,7 +160,7 @@ class TestDurationEstimators:
         chains = 100_000
         alive = np.ones(chains, dtype=bool)
         survival_n = 0
-        analytic = duration_of_idleness(LAM, SLOT, delta)
+        analytic = duration_estimate(LAM, SLOT, delta)
         for n in range(1, 200):
             flips = rng.random(chains) < p01
             alive &= ~flips
@@ -178,7 +177,7 @@ class TestDurationEstimators:
         chains = 100_000
         alive = np.ones(chains, dtype=bool)
         survival_n = 0
-        analytic = duration_of_busyness(6 * MS, SLOT, delta)
+        analytic = duration_estimate(6 * MS, SLOT, delta)
         for n in range(1, 400):
             flips = rng.random(chains) < p10
             alive &= ~flips
@@ -191,8 +190,8 @@ class TestDurationEstimators:
     def test_duty_cycle_complement(self):
         # nu_I strictly falls and nu_B strictly rises as the duty cycle grows
         xi = np.linspace(0.1, 0.9, 9)
-        nub = duration_of_busyness(xi * LAM / (1 - xi), SLOT, 0.1)
-        nui = duration_of_idleness(MU * (1 - xi) / xi, SLOT, 0.1)
+        nub = duration_estimate(xi * LAM / (1 - xi), SLOT, 0.1)
+        nui = duration_estimate(MU * (1 - xi) / xi, SLOT, 0.1)
         assert (np.diff(nub) > 0).all()
         assert (np.diff(nui) < 0).all()
 
