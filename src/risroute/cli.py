@@ -9,7 +9,9 @@ Subcommands map onto the experiment kinds:
     compare           policy variants across the coverage grid
     mobility          throughput vs maximum waypoint speed
 
-Exit status: 0 success, 1 configuration error, 2 experiment failure.
+Exit status: 0 success, 1 configuration error, 2 experiment failure or
+usage error (an unknown subcommand or flag, or a malformed value, which
+argparse reports before any file is written).
 Every run writes a manifest JSON capturing the resolved configuration
 (for the grid kinds, with the endpoints they pin), the plan and the
 random stream version. Feeding that manifest back through --config
@@ -56,12 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value file or run-manifest JSON")
         p.add_argument("--out", default="results", help="output directory (default: results)")
         p.add_argument("--seed", type=int, default=1, help="master seed (default: 1)")
-        p.add_argument(
-            "--replications",
-            type=int,
-            default=None,
-            help="replications per grid point (default: 1 for route, 500 otherwise)",
-        )
+        if kind == "trajectory":
+            p.add_argument("--replications", type=int, default=1, help="seeded routes to run (default: 1)")
+        elif kind != "traffic_validation":  # which runs Monte Carlo chains, not replications
+            p.add_argument("--replications", type=int, default=500,
+                           help="replications per grid point (default: 500)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes, used by sweep-coverage and sweep-density only")
         p.add_argument("--quiet", action="store_true", help="suppress the summary line")
@@ -79,13 +80,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    replications = args.replications
-    if replications is None:
-        replications = 1 if kind == "trajectory" else 500
+    plan_args = {"replications": args.replications} if "replications" in args else {}
     try:
-        plan = experiments.ExperimentPlan(
-            kind=kind, seed=args.seed, replications=replications, threads=args.threads
-        )
+        plan = experiments.ExperimentPlan(kind=kind, seed=args.seed, threads=args.threads, **plan_args)
         result = experiments.run(plan, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,10 +17,10 @@ when asked) into CSVs.
 
 Node positions are rows of the topology's node table (a node's id is its row;
 see ``topology``). The mobility walk keeps IU i's position, waypoint and
-speed on row i of three arrays: nodes that stay on their leg move in one
-vectorised step, and each node that reaches its waypoint walks on in IU
-order with scalar float arithmetic (``math.dist``), drawing its next
-waypoint and speed from the walk's own stream.
+speed on row i of three arrays. Each tick moves every row in one array pass
+(a row not on its leg adds zero), and then each node that reaches its
+waypoint walks on in IU order with scalar float arithmetic (``math.dist``),
+drawing its next waypoint and speed from the walk's own stream.
 
 Each replication does only per-route work. What depends on the config
 alone is computed once per distinct key and shared read-only: the traffic
@@ -60,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, router, topology, traffic
+from . import invariants, metrics, router, topology, traffic
 from .config import ConfigError, SimConfig
 
 EXPERIMENT_KINDS = (
@@ -214,7 +214,12 @@ class MobilityField:
 
     def positions_at(self, t: float) -> np.ndarray:
         """The IU positions at time ``t``: the walk's own ``xy`` array, not a copy, which the next
-        call moves in place."""
+        call moves in place.
+
+        One array pass moves every row by ``delta * (step / dist)``. An arriving row adds ±0
+        there and keeps its bits, as does a row at speed 0 (``0 / dist``); then each arriving
+        row walks on in IU order.
+        """
         if t < self.t - 1e-12:
             raise ValueError("mobility clock moved backwards")
         dt = t - self.t
@@ -222,11 +227,8 @@ class MobilityField:
             delta = self.waypoints - self.xy
             dist = np.hypot(delta[:, 0], delta[:, 1])
             step = self.speeds * dt
-            arriving = step >= dist
-            moving = ~arriving & (self.speeds > 0)
-            if np.any(moving):
-                frac = (step[moving] / dist[moving])[:, None]
-                self.xy[moving] += delta[moving] * frac
+            arriving = step >= dist  # a row on its waypoint arrives, so no row left divides by zero
+            self.xy += delta * np.divide(step, dist, out=np.zeros_like(step), where=~arriving)[:, None]
             # arriving nodes walk on leg by leg; each arrival draws the next waypoint's x, y, then the speed
             for i in np.nonzero(arriving)[0]:
                 (x, y), (wx, wy), v = self.xy[i].tolist(), self.waypoints[i].tolist(), float(self.speeds[i])
@@ -475,6 +477,8 @@ def _run_trajectory(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: Exp
     for rep in range(plan.replications):
         rng = derive_rng(plan.seed, rep)
         ledger = run_one_route(cfg, rng)
+        if problems := invariants.check_ledger(ledger, ledger.topo, cfg):
+            raise RuntimeError(f"route {rep + 1} breaks its ledger's invariants: {'; '.join(problems)}")
         result.attempted += 1
         result.succeeded += ledger.success
         result.traces.append(ledger.trace())

@@ -1,8 +1,10 @@
-"""Shared builders for constructed-topology router tests."""
+"""Shared builders for constructed-topology router tests, and the ledger check every test's routes pass."""
 
 import numpy as np
+import pytest
 
 from risroute.config import SimConfig
+from risroute.invariants import check_ledger
 from risroute.router import BASELINE_POLICIES, Router
 from risroute.topology import Topology
 from risroute.traffic import chain_law
@@ -36,3 +38,16 @@ def rng_for(*key):
 def route(topo, law, cfg, rng, variant="full", mobility=None):
     """One route under the policy ``variant`` names (see ``BASELINE_POLICIES``)."""
     return Router(topo, law, cfg, rng, BASELINE_POLICIES[variant], mobility).run()
+
+
+@pytest.fixture(autouse=True)
+def checked_ledgers(monkeypatch):
+    """Every ledger a ``Router`` returns in a test passes ``invariants.check_ledger``."""
+    run = Router.run
+
+    def checked(router):
+        ledger = run(router)
+        assert check_ledger(ledger, router.topo, router.cfg, mobile=router.mobility is not None) == []
+        return ledger
+
+    monkeypatch.setattr(Router, "run", checked)

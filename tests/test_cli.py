@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,12 +123,29 @@ class TestRejectedBeforeAnyRoute:
         ["route", "--threads", "0"],
         ["sweep-coverage", "--threads", "-2", "--replications", "1"],
         ["route", "--replications", "0"],
-        ["validate-traffic", "--seed", "5", "--replications", "3"],
     ])
     def test_bad_plan_flag_is_config_error(self, tmp_path, capsys, args):
         assert main(args + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_replications_on_validate_traffic_is_usage_error(self, tmp_path, capsys):
+        # validate-traffic runs Monte Carlo chains, so it offers no --replications flag
+        with pytest.raises(SystemExit) as exit_:
+            main(["validate-traffic", "--seed", "5", "--replications", "3", "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --replications 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_each_subcommand_states_its_own_replications_default(self, capsys):
+        for subcommand, default in (("route", 1), ("compare", 500), ("mobility", 500), ("sweep-density", 500)):
+            with pytest.raises(SystemExit):
+                main([subcommand, "--help"])
+            help_ = " ".join(capsys.readouterr().out.split())
+            assert re.search(r"--replications REPLICATIONS [^-]*\(default: (\d+)\)", help_)[1] == str(default)
+        with pytest.raises(SystemExit):
+            main(["validate-traffic", "--help"])
+        assert "--replications" not in capsys.readouterr().out
 
 
 class TestValidateTraffic:

@@ -3,7 +3,8 @@ import json
 import re
 from pathlib import Path
 
-from risroute.cli import build_parser
+from risroute import experiments
+from risroute.cli import _SUBCOMMAND_KINDS, build_parser
 from risroute.config import load_config
 from risroute.linkbudget import transfer_slots
 
@@ -28,6 +29,28 @@ def test_config_runs_cover_per_iu_means_fixed_endpoints_and_equal_slot_modes(tmp
     assert sorted(args[0] for _, args in cli_hashes.CONFIG_COMMANDS) == ["compare", "mobility", "route"]
     for seed, args in cli_hashes.CONFIG_COMMANDS:
         build_parser().parse_args([*args, "--seed", str(seed), "--config", str(path)])
+
+
+def test_arrival_config_runs_meet_waypoint_arrivals(tmp_path, monkeypatch):
+    path = tmp_path / "arrivals.json"
+    path.write_text(json.dumps(cli_hashes.ARRIVAL_CONFIG))
+    cfg = load_config(path)
+    arrivals = []
+    walk = experiments.MobilityField.positions_at
+
+    def counted(field, t):  # an arrival always draws its IU a new waypoint
+        before = field.waypoints.copy()
+        xy = walk(field, t)
+        arrivals.append(int((field.waypoints != before).any(axis=1).sum()))
+        return xy
+
+    monkeypatch.setattr(experiments.MobilityField, "positions_at", counted)
+    for seed, args in cli_hashes.ARRIVAL_COMMANDS:
+        parsed = build_parser().parse_args([*args, "--seed", str(seed), "--config", str(path)])
+        plan = experiments.ExperimentPlan(kind=_SUBCOMMAND_KINDS[parsed.subcommand], seed=parsed.seed,
+                                          replications=parsed.replications)
+        experiments.run(plan, cfg, tmp_path / "out")
+    assert sum(arrivals) >= 1
 
 
 def test_hashes_each_csv_by_name():

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,8 +108,9 @@ def mobility_step(state, dt, arena, v_max, rng) -> MobilityState:
 
 
 def oracle_positions_at(walk, dt, arena, v_max, rng) -> int:
-    """Oracle: ``MobilityField.positions_at`` over ``walk = (xy, waypoints, speeds)``,
-    each arriving node advanced by ``mobility_step``; returns the arrivals."""
+    """Oracle: ``MobilityField.positions_at`` over ``walk = (xy, waypoints, speeds)`` with masked
+    gathers (only rows on their leg at a nonzero speed move), each arriving node advanced by
+    ``mobility_step``; returns the arrivals."""
     xy, waypoints, speeds = walk
     delta = waypoints - xy
     dist = np.hypot(delta[:, 0], delta[:, 1])
@@ -166,22 +168,41 @@ class TestMobilityField:
         d2 = f2.positions_at(0.05) - xy
         assert np.allclose(d2, 2.0 * d1, rtol=1e-9)
 
-    def test_walk_matches_oracle_bit_for_bit(self):
-        # steps of tens of seconds at up to 20 m/s: most nodes finish one or more legs per step
-        arena, v_max = (400.0, 400.0), 20.0
-        field = MobilityField(derive_rng(5, 0).uniform(0.0, 400.0, size=(200, 2)), arena, v_max, derive_rng(5, 1))
+    @staticmethod
+    def check_against_oracle(field, times, min_arrivals):
+        """``field`` walks through ``times`` with the bits, arrivals and draws of the oracle."""
+        arena, v_max = field.arena, field.v_max
         walk = (field.xy.copy(), field.waypoints.copy(), field.speeds.copy())
         rng = copy.deepcopy(field.rng)
         arrivals, prev = 0, 0.0
-        for t in (0.5, 7.5, 37.5, 67.5, 162.5, 162.501, 412.501, 425.0):
-            xy = field.positions_at(t)
-            arrivals += oracle_positions_at(walk, t - prev, arena, v_max, rng)
-            prev = t
-            assert xy.tobytes() == walk[0].tobytes()
-            assert field.waypoints.tobytes() == walk[1].tobytes()
-            assert field.speeds.tobytes() == walk[2].tobytes()
-        assert arrivals > 500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an unguarded step / dist warns on a leg of length 0
+            for t in times:
+                xy = field.positions_at(t)
+                arrivals += oracle_positions_at(walk, t - prev, arena, v_max, rng)
+                prev = t
+                assert xy.tobytes() == walk[0].tobytes()
+                assert field.waypoints.tobytes() == walk[1].tobytes()
+                assert field.speeds.tobytes() == walk[2].tobytes()
+        assert arrivals >= min_arrivals
         assert field.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_walk_matches_oracle_bit_for_bit(self):
+        # steps of tens of seconds at up to 20 m/s: most nodes finish one or more legs per step
+        field = MobilityField(derive_rng(5, 0).uniform(0.0, 400.0, size=(200, 2)), (400.0, 400.0), 20.0,
+                              derive_rng(5, 1))
+        self.check_against_oracle(field, (0.5, 7.5, 37.5, 67.5, 162.5, 162.501, 412.501, 425.0), 501)
+
+    def test_walk_matches_oracle_at_route_ticks(self):
+        # a mobile route's ticks, 1 to 10 slots of 100 us, over 400 IUs at up to 20 m/s: no drawn leg ends.
+        # Row 0 has speed 0, row 1 sits on its waypoint and row 2 both, so every tick divides 0 by a
+        # distance and meets a leg of length 0: row 2 arrives at every tick, row 1 once
+        field = MobilityField(derive_rng(6, 0).uniform(0.0, 400.0, size=(400, 2)), (400.0, 400.0), 20.0,
+                              derive_rng(6, 1))
+        field.speeds[[0, 2]] = 0.0
+        field.xy[[1, 2]] = field.waypoints[[1, 2]]
+        slots = np.cumsum(derive_rng(6, 2).integers(1, 11, size=100))
+        self.check_against_oracle(field, (slots * 1e-4).tolist(), 101)
 
     def test_returns_the_walks_own_array(self):
         field = MobilityField(np.array([[10.0, 10.0], [20.0, 20.0]]), (400.0, 400.0), 20.0, derive_rng(4, 1))

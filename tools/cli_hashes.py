@@ -18,7 +18,10 @@ to ``CONFIG``, written to a JSON file: per-IU OFF means, fixed endpoints
 and 5, 3 for b = 6 and 7), so these lines also cover the relay's choice
 among them and the throughput's 2**b term. The sweeps set ``iu_count``
 per grid point and refuse per-IU lists, so they run at the default only.
-31 CSVs, 11 to 15 s on a 2-vCPU host.
+Last, ``mobility`` runs at seed 7 with ``ARRIVAL_CONFIG``: 0.1 s slots and
+a 50 s budget, so the walk's IUs reach their waypoints mid-route and the
+lines cover its per-arrival loop, which no route at the default slot
+meets. 33 CSVs, about 5 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ CONFIG_COMMANDS = (
     (7, ["compare", "--replications", "2"]),
     (7, ["mobility", "--replications", "6"]),
 )
+# slot, budget and traffic means 1000x the default's, so a mobile route lasts seconds of walk
+ARRIVAL_CONFIG = {"slot_us": 100000.0, "total_delay_ms": 50000.0, "lambda_off_ms": 4000.0, "mu_on_ms": 4000.0}
+ARRIVAL_COMMANDS = ((7, ["mobility", "--replications", "6"]),)
 
 
 def csv_hashes(root: Path, seed: int, args: list[str], config: dict | None = None) -> list[tuple[str, str]]:
@@ -86,10 +92,11 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.root / "src" / "risroute" / "cli.py").is_file():
         print(f"cli_hashes: no risroute sources under {args.root / 'src'}", file=sys.stderr)
         return 1
-    runs = [(seed, cli_args, None) for seed, cli_args in COMMANDS]
-    runs += [(seed, cli_args, CONFIG) for seed, cli_args in CONFIG_COMMANDS]
-    for seed, cli_args, config in runs:
-        command = " ".join(cli_args) + (" --config" if config else "")
+    runs = [(seed, cli_args, None, "") for seed, cli_args in COMMANDS]
+    runs += [(seed, cli_args, CONFIG, " --config") for seed, cli_args in CONFIG_COMMANDS]
+    runs += [(seed, cli_args, ARRIVAL_CONFIG, " --config arrivals") for seed, cli_args in ARRIVAL_COMMANDS]
+    for seed, cli_args, config, label in runs:
+        command = " ".join(cli_args) + label
         for name, digest in csv_hashes(args.root.resolve(), seed, cli_args, config):
             print(f"{seed} {command:<45} {name:<24} {digest}", flush=True)
     return 0
