@@ -31,18 +31,16 @@ The short-packet achievable rate is the normal approximation
     R(g) = log2(1+g) - Qinv(eps)/ln2 * sqrt((g^2+2g) / (M_b (1+g)^2)),
 
 clamped at zero (a negative value means no transmission). Qinv is
-sqrt(2) erfc^-1(2 eps), and erfc^-1(y) = -ndtri(y/2) / sqrt(2), so ``ndtri``
-here is a port of S. Moshier's Cephes ``ndtri``, the routine SciPy runs for
-both: the same coefficient tables and the same operation order, in plain
-``math``. It gives SciPy's bits exactly (``tests/test_channel.py`` checks
-``q_inv`` against ``scipy.special.erfcinv`` and ``ndtri`` against
-``scipy.special.ndtri`` with ``==``), so the simulator does not import SciPy.
+sqrt(2) erfc^-1(2 eps) = -Phi^-1(eps), with Phi the standard normal CDF;
+``q_inv`` takes it from ``statistics.NormalDist``, so the simulator does
+not import SciPy. Both rates rate one float gamma, as the router passes it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import statistics
 
 import numpy as np
 
@@ -177,101 +175,30 @@ def alternating_double_phases(
     return np.mod(np.angle(diag_i), TWO_PI), np.mod(np.angle(diag_j), TWO_PI)
 
 
-# Cephes ndtri (S. Moshier), as SciPy 1.17 runs it: sqrt(2 pi), exp(-2), and
-# the rational approximations P/Q for |y - 1/2| <= 1/2 - exp(-2) (0), then in
-# 1/x with x = sqrt(-2 ln y) for x < 8 (1) and x >= 8 (2); Q's leading 1 is
-# implicit.
-S2PI = 2.50662827463100050242e0
-EXP_M2 = 0.13533528323661269189
-P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-      1.39312609387279679503e1, -1.23916583867381258016e0)
-Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-      -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-      1.59056225126211695515e1, -1.18331621121330003142e0)
-P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-      4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-      -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-      1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-      -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-      1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-      3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-      2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-      2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def polevl(x: float, coef: tuple[float, ...]) -> float:
-    """Horner's rule, highest degree first."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def p1evl(x: float, coef: tuple[float, ...]) -> float:
-    """Horner's rule for a monic polynomial whose leading 1 is left out of ``coef``."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def ndtri(y0: float) -> float:
-    """Inverse of the standard normal CDF for 0 < y0 < 1, SciPy's bits exactly.
-
-    Cephes ``ndtri`` line for line; ``math.log`` raises on 0, 1 and values
-    outside [0, 1].
-    """
-    y, negate = y0, True
-    if y > 1.0 - EXP_M2:
-        y, negate = 1.0 - y, False
-    if y > EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * polevl(y2, P0) / p1evl(y2, Q0))
-        return x * S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:  # y > exp(-32)
-        x1 = z * polevl(z, P1) / p1evl(z, Q1)
-    else:
-        x1 = z * polevl(z, P2) / p1evl(z, Q2)
-    x = x0 - x1
-    return -x if negate else x
-
-
 @functools.cache
 def q_inv(epsilon: float) -> float:
-    """Inverse Gaussian Q function, sqrt(2) erfc^-1(2 eps).
+    """Inverse Gaussian Q function, sqrt(2) erfc^-1(2 eps) = -Phi^-1(eps).
 
-    SciPy's ``erfcinv(y)`` is ``-ndtri(y/2) * sqrt(1/2)`` with Cephes
-    ``ndtri``, ported above, so this is ``math.sqrt(2.0) *
-    float(scipy.special.erfcinv(2 * epsilon))`` bit for bit (the oracle
-    test in ``tests/test_channel.py``), without SciPy.
+    Phi^-1 is the standard library's ``statistics.NormalDist().inv_cdf``
+    (Wichura's AS 241), so the simulator needs no SciPy.
+    ``tests/test_channel.py`` checks it against ``math.sqrt(2.0) *
+    scipy.special.erfcinv(2 * epsilon)`` to within 10 ulp.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    return math.sqrt(2.0) * (-ndtri(epsilon) * math.sqrt(0.5))
+    return -statistics.NormalDist().inv_cdf(epsilon)
 
 
-SCALAR_MAX = 1e150  # below this, M_b (1 + gamma)**2 stays finite and the scalar paths apply
+SCALAR_MAX = 1e150  # from here on, M_b (1 + gamma)**2 may overflow and the ratio is taken as 1
 
 
-def finite_blocklength_rate(gamma, blocklength: int, epsilon: float):
+def finite_blocklength_rate(gamma: float, blocklength: int, epsilon: float) -> float:
     """Short-packet achievable rate in bits per channel use, clamped at 0.
 
-    Accepts scalars or arrays for gamma. blocklength is the channel-use
-    count M_b; epsilon the tolerated block error probability.
-
-    A float gamma in [0, ``SCALAR_MAX``) takes a scalar path in Python
-    floats, free of numpy's per-call cost on 0-d arrays. Every path rates a
-    gamma with the same bits, alone or in an array: ``(1 + gamma)**2`` is
-    libm's ``pow`` throughout (``np.float_power`` on arrays, where ``**2``
-    would square and differ in the last bit for some gammas), and ``log2``
-    is numpy's (``math.log2`` differs in the last bit for some gammas).
+    ``gamma`` is the SNR as a float >= 0, ``blocklength`` the channel-use
+    count M_b and ``epsilon`` the tolerated block error probability. The
+    rate is taken in Python floats, except ``log2``, which is numpy's
+    (``math.log2`` differs in the last bit for some gammas).
 
     From ``SCALAR_MAX`` on, (gamma^2 + 2 gamma) / (1 + gamma)^2 is 1 to
     within an ulp, and the squares overflow (gamma^2 from 1.34e154, M_b
@@ -280,27 +207,16 @@ def finite_blocklength_rate(gamma, blocklength: int, epsilon: float):
     if blocklength < 1:
         raise ValueError("blocklength must be >= 1")
     qi = q_inv(epsilon)
-    if isinstance(gamma, float) and 0.0 <= gamma < SCALAR_MAX:
-        one = 1.0 + gamma
-        dispersion = math.sqrt((gamma * gamma + 2.0 * gamma) / (blocklength * one**2))
-        return max(float(np.log2(one)) - (qi / math.log(2.0)) * dispersion, 0.0)
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
+    if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    big = g >= SCALAR_MAX
-    g_small = np.where(big, 0.0, g)  # keeps the squares finite where the ratio is saturated
-    squared = (g_small**2 + 2.0 * g_small) / (blocklength * np.float_power(1.0 + g_small, 2.0))
-    dispersion = np.sqrt(np.where(big, 1.0 / blocklength, squared))
-    r = np.log2(1.0 + g) - (qi / math.log(2.0)) * dispersion
-    r = np.maximum(r, 0.0)
-    return float(r) if np.isscalar(gamma) else r
+    one = 1.0 + gamma
+    if gamma < SCALAR_MAX:
+        dispersion = math.sqrt((gamma * gamma + 2.0 * gamma) / (blocklength * one**2))
+    else:
+        dispersion = math.sqrt(1.0 / blocklength)
+    return max(float(np.log2(one)) - (qi / math.log(2.0)) * dispersion, 0.0)
 
 
-def shannon_rate(gamma) -> float:
-    """Delay-unconstrained limit of the achievable rate (M_b -> infinity); a float gamma skips the
-    0-d array, with the same bits."""
-    if isinstance(gamma, float):
-        return float(np.log2(1.0 + gamma))
-    g = np.asarray(gamma, dtype=float)
-    r = np.log2(1.0 + g)
-    return float(r) if np.isscalar(gamma) else r
+def shannon_rate(gamma: float) -> float:
+    """Delay-unconstrained limit of the achievable rate (M_b -> infinity), log2(1 + gamma)."""
+    return float(np.log2(1.0 + gamma))

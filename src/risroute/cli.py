@@ -60,11 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=1, help="master seed (default: 1)")
         if kind == "trajectory":
             p.add_argument("--replications", type=int, default=1, help="seeded routes to run (default: 1)")
-        elif kind != "traffic_validation":  # which runs Monte Carlo chains, not replications
+        elif kind != "traffic_validation":  # the grid kinds; validate-traffic runs Monte Carlo chains
             p.add_argument("--replications", type=int, default=500,
                            help="replications per grid point (default: 500)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes, used by sweep-coverage and sweep-density only")
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker processes, used by sweep-coverage and sweep-density only")
         p.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser
 
@@ -80,9 +80,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    plan_args = {"replications": args.replications} if "replications" in args else {}
+    plan_args = {name: getattr(args, name) for name in ("replications", "threads") if name in args}
     try:
-        plan = experiments.ExperimentPlan(kind=kind, seed=args.seed, threads=args.threads, **plan_args)
+        plan = experiments.ExperimentPlan(kind=kind, seed=args.seed, **plan_args)
         result = experiments.run(plan, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -45,7 +45,10 @@ variant on its own stream.
 
 ``STREAM_VERSION`` names the order in which a route consumes its stream.
 A change that moves any draw bumps it, and every manifest records it.
-Version 2 draws fading only where it is read (see ``router``).
+Version 2 draws fading only where it is read (see ``router``). Version 3
+moves values, not draws: Q^-1 comes from ``statistics`` (``channel.q_inv``),
+and a mobile route transmits from where the IU holding the packet is after
+it waits.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ DETAIL_COLUMNS = [
     "success",
 ]
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 # The grid kinds pin one endpoint pair so grid points differ only in the topology draw.
 SWEEP_SOURCE = (20.0, 200.0)

@@ -607,7 +607,8 @@ class Router:
         """The hop loop of ``run``; None once the destination is reached."""
         if self.cfg.total_delay_s < self.cfg.slot_s:
             return FailureReason.DELAY_EXCEEDED
-        src = origin = self._point(SOURCE_ID)
+        holder = SOURCE_ID  # the node holding the packet; a mobile IU walks on while it waits
+        src = origin = self._point(holder)
         budget = delaymodel.DelayBudget.start(self.cfg.total_delay_s, ledger.psi)
         while True:
             wait_slots = 0
@@ -616,6 +617,7 @@ class Router:
                 wait_slots = self._deferral(origin, busy, budget)
                 if wait_slots > 0:
                     self._tick(wait_slots)
+                    origin = self._point(holder)
                     remaining = math.dist(origin, self.dest)
                     ledger.hops.append(HopChoice(HopKind.WAIT, (), wait_slots, 0.0, 0.0, remaining))
                     entry, _ = self._relay_stage(origin)
@@ -623,6 +625,7 @@ class Router:
             if entry is None:
                 self._tick(1)  # the reflector decision epoch costs one slot
                 wait_slots += 1  # and joins the t'' tally
+                origin = self._point(holder)
                 if self._remaining_s() < 0:
                     return FailureReason.DELAY_EXCEEDED
                 outcome = self.ris_fallback(origin)
@@ -641,7 +644,7 @@ class Router:
                 budget.advance(wait_s, psi_next)
             except delaymodel.HopOvershootError:
                 budget.pin_next(wait_s, self._remaining_s())
-            origin = endpoint
+            holder, origin = entry.link.node_id, endpoint
 
     # -- commit helpers ----------------------------------------------------------
 

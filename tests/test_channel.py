@@ -7,14 +7,12 @@ from scipy import integrate, special
 from scipy.stats import kstest
 
 from risroute.channel import (
-    EXP_M2,
     SCALAR_MAX,
     TWO_PI,
     alternating_double_phases,
     direct_snr,
     double_reflection_sinr,
     finite_blocklength_rate,
-    ndtri,
     optimal_single_reflection_snr,
     q_inv,
     sample_fading,
@@ -41,6 +39,24 @@ def q_inv_bisection(eps: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def rate_oracle(gamma: np.ndarray, blocklength: int, epsilon: float) -> np.ndarray:
+    """The finite-blocklength rate of each element of a numpy array (0-d or 1-D) of gammas >= 0.
+
+    ``(1 + gamma)**2`` goes through ``np.float_power``, libm's ``pow`` as in the float path's ``**2``
+    (numpy's ``**2`` squares inside an array and differs in the last bit for some gammas), and the
+    ratio is taken as 1 from ``SCALAR_MAX`` on, where the squares would overflow.
+    """
+    big = gamma >= SCALAR_MAX
+    g_small = np.where(big, 0.0, gamma)  # keeps the squares finite where the ratio is saturated
+    squared = (g_small**2 + 2.0 * g_small) / (blocklength * np.float_power(1.0 + g_small, 2.0))
+    dispersion = np.sqrt(np.where(big, 1.0 / blocklength, squared))
+    return np.maximum(np.log2(1.0 + gamma) - (q_inv(epsilon) / math.log(2.0)) * dispersion, 0.0)
+
+
+def shannon_oracle(gamma: np.ndarray) -> np.ndarray:
+    return np.log2(1.0 + gamma)
 
 
 def ones_vector(n):
@@ -313,9 +329,9 @@ class TestFiniteBlocklengthRate:
             assert q_inv(eps) == pytest.approx(q_inv_bisection(eps), abs=1e-7)
 
     def test_monotone_grid(self):
-        gammas = np.linspace(0.0, 200.0, 50)
-        blocklengths = np.unique(np.logspace(1, 6, 50).astype(int))
-        table = np.array([finite_blocklength_rate(gammas, int(mb), 1e-4) for mb in blocklengths])
+        gammas = np.linspace(0.0, 200.0, 50).tolist()
+        blocklengths = np.unique(np.logspace(1, 6, 50).astype(int)).tolist()
+        table = np.array([[finite_blocklength_rate(g, mb, 1e-4) for g in gammas] for mb in blocklengths])
         assert np.all(np.diff(table, axis=1) >= -1e-12)  # in gamma
         assert np.all(np.diff(table, axis=0) >= -1e-12)  # in blocklength
         eps_sweep = [finite_blocklength_rate(10.0, 1000, e) for e in np.logspace(-8, -1, 30)]
@@ -324,16 +340,19 @@ class TestFiniteBlocklengthRate:
     def test_negative_clamped_to_zero(self):
         assert finite_blocklength_rate(1e-4, 10, 1e-6) == 0.0
 
+    def test_negative_gamma_rejected(self):
+        with pytest.raises(ValueError, match="gamma"):
+            finite_blocklength_rate(-1e-12, 1000, 1e-4)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_snr_saturates_the_dispersion(self):
         """Where the squares overflow (gamma^2 from 1.34e154; M_b (1 + gamma)^2 from 4.2e152 at
         M_b = 1000) the rate is log2(1 + gamma) less the dispersion term at (gamma^2 + 2 gamma) /
-        (1 + gamma)^2 = 1, alone or in an array, and it is continuous across ``SCALAR_MAX``."""
+        (1 + gamma)^2 = 1, and it is continuous across ``SCALAR_MAX``."""
         qi = q_inv(1e-4)
         gammas = [5e152, 1.35e154, 1e200, 1e300]
         want = [math.log2(1.0 + g) - qi / math.log(2.0) * math.sqrt(1.0 / 1000) for g in gammas]
         assert [finite_blocklength_rate(g, 1000, 1e-4) for g in gammas] == pytest.approx(want, rel=1e-15)
-        assert finite_blocklength_rate(np.array(gammas), 1000, 1e-4).tolist() == pytest.approx(want, rel=1e-15)
         edge = [math.nextafter(SCALAR_MAX, 0.0), SCALAR_MAX]
         below, at = (finite_blocklength_rate(g, 1000, 1e-4) for g in edge)
         assert below == pytest.approx(at, rel=1e-15)
@@ -350,85 +369,60 @@ class TestFiniteBlocklengthRate:
 
 
 class TestScalarRatePath:
-    """A float gamma takes the rates' Python-float path. It must give, bit for bit, what the numpy
-    path gives a 0-d gamma, which rated every reflected hop before the scalar path existed, and what
-    it gives the same gamma inside a 1-D array. (Numpy's ``**2`` squares ``1 + gamma`` in an array
-    but calls ``pow`` on a 0-d one, and the two differ in the last bit for some gammas, so the array
-    path calls ``pow`` through ``np.float_power``.)"""
+    """The rates take one float gamma, as the router passes it. They must give, bit for bit, what
+    the numpy oracles above give that gamma, alone in a 0-d array (as every reflected hop was rated
+    before the float path existed) or inside a 1-D array."""
 
     @staticmethod
     def gammas() -> list[float]:
         rng = np.random.default_rng(94)
-        edges = [0.0, 5e-324, 1e-300, 1.0, math.nextafter(SCALAR_MAX, 0.0)]
+        edges = [0.0, 5e-324, 1e-300, 1.0, math.nextafter(SCALAR_MAX, 0.0), SCALAR_MAX, 1e300]
         return edges + rng.exponential(1.0, 40_000).tolist() + (10.0 ** rng.uniform(-12.0, 12.0, 60_000)).tolist()
 
     def test_finite_blocklength_rate_equals_the_0d_numpy_path(self):
         gammas = self.gammas()
         got = [finite_blocklength_rate(g, 200, 1e-5) for g in gammas]
-        want = [float(finite_blocklength_rate(np.array(g), 200, 1e-5)) for g in gammas]
+        want = [float(rate_oracle(np.array(g), 200, 1e-5)) for g in gammas]
         assert len(gammas) > 100_000 and got[0] == 0.0
         assert got == want, [g for g, a, b in zip(gammas, got, want) if a != b][:5]
 
     def test_array_elements_equal_their_scalar_calls(self):
         gammas = self.gammas()
-        got = finite_blocklength_rate(np.array(gammas), 200, 1e-5).tolist()
+        got = rate_oracle(np.array(gammas), 200, 1e-5).tolist()
         want = [finite_blocklength_rate(g, 200, 1e-5) for g in gammas]
         assert got == want, [g for g, a, b in zip(gammas, got, want) if a != b][:5]
 
     def test_shannon_rate_equals_the_0d_numpy_path(self):
         gammas = self.gammas()
-        assert [shannon_rate(g) for g in gammas] == [float(shannon_rate(np.array(g))) for g in gammas]
+        assert [shannon_rate(g) for g in gammas] == [float(shannon_oracle(np.array(g))) for g in gammas]
 
     def test_floats_take_the_scalar_path(self, monkeypatch):
-        monkeypatch.setattr(np, "asarray", None)  # the array path would fail
-        assert finite_blocklength_rate(10.0, 1000, 1e-4) > 0.0 and shannon_rate(3.0) > 0.0
+        monkeypatch.setattr(np, "asarray", None)  # no array is built
+        rates = finite_blocklength_rate(10.0, 1000, 1e-4), shannon_rate(3.0)
+        assert all(type(r) is float and r > 0.0 for r in rates)
 
 
-def branch_edges():
-    """exp(-2), 1 - exp(-2) and exp(-32), the edges of ndtri's branches, and the float either side;
-    then the two floats either side of x = sqrt(-2 ln y) = 8, since x rounds to 8 on all three of
-    exp(-32) and its neighbours."""
-    edges = []
-    for y in (math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)):
-        edges += [math.nextafter(y, 0.0), y, math.nextafter(y, 1.0)]
-    y = edges[-1]
-    while math.sqrt(-2.0 * math.log(y)) >= 8.0:
-        y = math.nextafter(y, 1.0)
-    return edges + [math.nextafter(y, 0.0), y]
-
-
-class TestQinvBitExact:
-    """The pure-math Q^-1 against SciPy as a test-only oracle, compared with ==."""
+class TestQinv:
+    """Q^-1 from the standard library against SciPy as a test-only oracle."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
         yield
         q_inv.cache_clear()
 
-    def test_q_inv_equals_erfcinv(self):
+    def test_q_inv_within_10_ulp_of_erfcinv(self):
+        """sqrt(2) erfcinv(2 eps) over 100,000 log-uniform eps in (1e-300, 0.5); the largest gap
+        measured was 8 ulp of the oracle (Python 3.11, SciPy 1.17)."""
         rng = np.random.default_rng(91)
-        eps = np.concatenate([10.0 ** rng.uniform(-300.0, math.log10(0.5), 100_000), branch_edges()])
+        eps = 10.0 ** rng.uniform(-300.0, math.log10(0.5), 100_000)
         eps = eps[(eps > 1e-300) & (eps < 1.0)]
         oracle = math.sqrt(2.0) * special.erfcinv(2.0 * eps)
         got = np.array([q_inv(e) for e in eps.tolist()])
-        assert np.array_equal(got, oracle), eps[got != oracle][:5]
-
-    def test_ndtri_equals_scipy(self):
-        rng = np.random.default_rng(92)
-        tail = 10.0 ** rng.uniform(-300.0, 0.0, 50_000)
-        y = np.concatenate([rng.uniform(0.0, 1.0, 50_000), tail, 1.0 - tail, branch_edges(), [0.5]])
-        y = y[(y > 0.0) & (y < 1.0)]
-        got = np.array([ndtri(v) for v in y.tolist()])
-        assert np.array_equal(got, special.ndtri(y)), y[got != special.ndtri(y)][:5]
-
-    def test_edges_straddle_every_branch(self):
-        edges = branch_edges()
-        assert edges[0] < EXP_M2 == edges[1] < edges[2]  # tail rational up to exp(-2), central above
-        assert edges[3] < 1.0 - EXP_M2 == edges[4] < edges[5]  # central up to 1 - exp(-2), upper tail above
-        assert math.sqrt(-2.0 * math.log(edges[-2])) >= 8.0 > math.sqrt(-2.0 * math.log(edges[-1]))
+        ulps = np.abs(got - oracle) / np.spacing(oracle)
+        assert ulps.max() <= 10.0, eps[ulps > 10.0][:5]
 
     def test_cached(self):
         q_inv.cache_clear()
         finite_blocklength_rate(10.0, 1000, 1e-4)
-        finite_blocklength_rate(np.array([1.0, 2.0]), 1000, 1e-4)
+        finite_blocklength_rate(2.0, 1000, 1e-4)
         assert q_inv.cache_info().misses == 1 and q_inv.cache_info().hits == 1

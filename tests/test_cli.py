@@ -120,7 +120,7 @@ class TestRejectedBeforeAnyRoute:
         assert err.startswith("config error:") and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
-        ["route", "--threads", "0"],
+        ["mobility", "--threads", "0", "--replications", "1"],
         ["sweep-coverage", "--threads", "-2", "--replications", "1"],
         ["route", "--replications", "0"],
     ])
@@ -135,6 +135,15 @@ class TestRejectedBeforeAnyRoute:
             main(["validate-traffic", "--seed", "5", "--replications", "3", "--out", str(tmp_path / "out")])
         assert exit_.value.code == 2
         assert "unrecognized arguments: --replications 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand", ["route", "validate-traffic"])
+    def test_threads_on_a_serial_subcommand_is_usage_error(self, tmp_path, capsys, subcommand):
+        # only the four grid subcommands offer --threads
+        with pytest.raises(SystemExit) as exit_:
+            main([subcommand, "--threads", "0", "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --threads 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_each_subcommand_states_its_own_replications_default(self, capsys):
@@ -189,7 +198,7 @@ class TestBlasPinned:
 
 class TestNoScipy:
     def test_cli_and_experiments_never_load_scipy(self, tmp_path):
-        # the simulator's only special function, Q^-1, is a pure-math port (channel.ndtri)
+        # the simulator's only special function, Q^-1, comes from statistics.NormalDist (channel.q_inv)
         src = Path(__file__).resolve().parents[1] / "src"
         script = (
             "import sys\n"

@@ -322,7 +322,7 @@ class TestManifest:
         plan = ExperimentPlan(kind=kind, seed=3, **sizes)
         run(plan, SimConfig(iu_count=50), tmp_path)
         payload = json.loads((tmp_path / f"manifest_{kind}.json").read_text())
-        assert payload["stream_version"] == experiments.STREAM_VERSION == 2
+        assert payload["stream_version"] == experiments.STREAM_VERSION == 3
 
     @pytest.mark.parametrize("kind", ["comparison", "mobility"])
     def test_grid_kinds_record_the_endpoints_they_ran(self, kind, tmp_path):

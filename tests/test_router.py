@@ -492,6 +492,41 @@ class TestMobilityOutage:
         assert static.to_rows() == moving.to_rows()
 
 
+class TestMobileOrigin:
+    """A mobile route transmits from where the packet is: the IU holding it walks on through a
+    deferral and the reflector decision slot, and each stage scans from its current row."""
+
+    def test_every_stage_starts_at_the_holders_row(self, monkeypatch):
+        cfg = SimConfig(coverage_m=30.0, iu_count=400, **LINE_ENDS)
+        relay, fallback, commit = Router._relay_stage, Router.ris_fallback, Router._commit
+        holder, stages = [SOURCE_ID], []
+
+        def at_holder(stage):
+            def checked(router, origin):
+                assert origin == router._point(holder[0]), (stage, holder[0])
+                stages.append(stage)
+                return (relay if stage == "relay" else fallback)(router, origin)
+            return checked
+
+        def tracked_commit(router, origin, surfaces, entry, ledger):
+            endpoint = commit(router, origin, surfaces, entry, ledger)
+            if not isinstance(endpoint, FailureReason):
+                holder[0] = entry.link.node_id
+            return endpoint
+
+        monkeypatch.setattr(Router, "_relay_stage", at_holder("relay"))
+        monkeypatch.setattr(Router, "ris_fallback", at_holder("fallback"))
+        monkeypatch.setattr(Router, "_commit", tracked_commit)
+        waits = 0
+        for seed in range(6):
+            topo = generate_topology(cfg, rng_for(180, seed))
+            walk = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), 20.0, rng_for(181, seed))
+            holder[0] = SOURCE_ID
+            ledger = Router(topo, _profiles_for(cfg), cfg, rng_for(182, seed), mobility=walk).run()
+            waits += sum(hop.kind is HopKind.WAIT for hop in ledger.hops)
+        assert waits > 0 and "fallback" in stages  # the walk went on through both kinds of wait
+
+
 class TestNodeTable:
     def test_static_router_reads_the_topology_table(self):
         topo = build_topology([(50.0, 200.0)], [(30.0, 200.0)])
