@@ -1,13 +1,7 @@
 """Command-line entry point.
 
-Subcommands map onto the experiment kinds:
-
-    route             one seeded route, ledger CSV + hop trace
-    sweep-coverage    reflector usage vs coverage radius
-    sweep-density     reflector usage vs IU density
-    validate-traffic  idle/busy-duration estimators vs Monte Carlo
-    compare           policy variants across the coverage grid
-    mobility          throughput vs maximum waypoint speed
+Each subcommand runs one experiment kind of ``experiments.KINDS``, and offers
+a flag for each plan field the kind reads; ``risroute --help`` lists them.
 
 Exit status: 0 success, 1 configuration error, 2 experiment failure or
 usage error (an unknown subcommand or flag, or a malformed value, which
@@ -37,34 +31,29 @@ from .config import ConfigError, SimConfig, load_config
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-_SUBCOMMAND_KINDS = {
-    "route": "trajectory",
-    "sweep-coverage": "coverage_sweep",
-    "sweep-density": "density_sweep",
-    "validate-traffic": "traffic_validation",
-    "compare": "comparison",
-    "mobility": "mobility",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
+    from .experiments import KINDS, ExperimentPlan  # loads numpy: ``main`` calls this after the BLAS pin
+
     parser = argparse.ArgumentParser(
         prog="risroute",
         description="Deterministic RIS-assisted multihop routing simulator",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, kind in _SUBCOMMAND_KINDS.items():
-        p = sub.add_parser(name, help=f"run the {kind} experiment")
+    for kind, entry in KINDS.items():
+        p = sub.add_parser(entry.subcommand, help=entry.about)
+        p.set_defaults(kind=kind)
         p.add_argument("--config", help="flat key=value file or run-manifest JSON")
         p.add_argument("--out", default="results", help="output directory (default: results)")
         p.add_argument("--seed", type=int, default=1, help="master seed (default: 1)")
-        if kind == "trajectory":
-            p.add_argument("--replications", type=int, default=1, help="seeded routes to run (default: 1)")
-        elif kind != "traffic_validation":  # the grid kinds; validate-traffic runs Monte Carlo chains
-            p.add_argument("--replications", type=int, default=500,
-                           help="replications per grid point (default: 500)")
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker processes, used by sweep-coverage and sweep-density only")
+        if "replications" in entry.reads:
+            p.add_argument("--replications", type=int,
+                           default=1 if entry.subcommand == "route" else ExperimentPlan.replications,
+                           help="seeded routes, or replications per grid point (default: %(default)s)")
+        if "threads" in entry.reads:
+            p.add_argument("--threads", type=int, default=ExperimentPlan.threads,
+                           help="worker processes (default: %(default)s); compare and mobility accept it "
+                                "but run serially until ROADMAP item 3")
         p.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser
 
@@ -74,7 +63,6 @@ def main(argv: list[str] | None = None) -> int:
     from . import experiments  # loads numpy, after the BLAS pin
 
     args = build_parser().parse_args(argv)
-    kind = _SUBCOMMAND_KINDS[args.subcommand]
     try:
         cfg = load_config(args.config) if args.config else SimConfig()
     except ConfigError as exc:
@@ -82,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     plan_args = {name: getattr(args, name) for name in ("replications", "threads") if name in args}
     try:
-        plan = experiments.ExperimentPlan(kind=kind, seed=args.seed, **plan_args)
+        plan = experiments.ExperimentPlan(kind=args.kind, seed=args.seed, **plan_args)
         result = experiments.run(plan, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -92,9 +80,8 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         return 2
     if not args.quiet:
-        if kind == "trajectory":
-            for trace in result.traces:
-                print(trace)
+        for trace in result.traces:  # one per route of the route subcommand
+            print(trace)
         files = ", ".join(str(p) for p in result.files)
         print(
             f"{args.subcommand}: {result.attempted} routes attempted, "

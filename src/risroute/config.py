@@ -259,22 +259,32 @@ def _coerce(key: str, raw) -> object:
         raise ConfigError(f"config key '{key}': cannot parse value {raw!r}") from exc
 
 
-def config_from_mapping(mapping: dict, base: SimConfig | None = None) -> SimConfig:
+def config_from_mapping(mapping: dict) -> SimConfig:
     """Build a config from a flat mapping; unknown keys are rejected by name."""
-    base = base or SimConfig()
     overrides = {}
     for key, raw in mapping.items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key '{key}'")
         overrides[key] = _coerce(key, raw)
-    return base.with_overrides(**overrides)
+    return SimConfig(**overrides)
 
 
-def load_config(path: str | Path, base: SimConfig | None = None) -> SimConfig:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's mapping; a key set twice is refused, not resolved by the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"config key '{key}' is set twice")
+        out[key] = value
+    return out
+
+
+def load_config(path: str | Path) -> SimConfig:
     """Load a flat ``key = value`` file or a JSON run manifest.
 
     Lines starting with ``#`` and blank lines are ignored. A JSON file may
-    either be a flat mapping or a manifest with a ``"config"`` entry.
+    either be a flat mapping or a manifest with a ``"config"`` entry. Either
+    refuses a key set twice.
     """
     path = Path(path)
     if not path.is_file():
@@ -285,15 +295,15 @@ def load_config(path: str | Path, base: SimConfig | None = None) -> SimConfig:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if path.suffix.lower() == ".json":
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
         if "config" in data and isinstance(data["config"], dict):
             data = data["config"]
-        return config_from_mapping(data, base)
-    mapping = {}
+        return config_from_mapping(data)
+    mapping, first = {}, {}  # key: value, key: the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -301,5 +311,8 @@ def load_config(path: str | Path, base: SimConfig | None = None) -> SimConfig:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
-        mapping[key.strip()] = value.split("#", 1)[0].strip()
-    return config_from_mapping(mapping, base)
+        key = key.strip()
+        if first.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{path}:{lineno}: config key '{key}' is set twice (first on line {first[key]})")
+        mapping[key] = value.split("#", 1)[0].strip()
+    return config_from_mapping(mapping)

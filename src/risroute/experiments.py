@@ -1,12 +1,8 @@
 """Seeded Monte Carlo studies emitting CSV results and a run manifest.
 
-Kinds:
-  trajectory         one or more seeded routes, ledger CSV per replication
-  coverage_sweep     mean reflector usage vs coverage radius, per IU density
-  density_sweep      mean reflector usage vs IU density, per coverage radius
-  traffic_validation analytic idle/busy-duration estimators vs Monte Carlo
-  comparison         policy variants across the coverage grid
-  mobility           throughput vs maximum waypoint speed
+Each experiment kind is declared once, in ``KINDS``: its CLI subcommand, the
+plan fields it reads, its runner and its default grids. The plan checks,
+the grid defaults, the CLI and ``run`` all read that table.
 
 The sweep, comparison and mobility kinds are grids of cells, each cell one
 grid point under one policy and one summary row: ``_grid_cells`` lists them
@@ -56,6 +52,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache, partial
@@ -65,15 +62,6 @@ import numpy as np
 
 from . import invariants, metrics, router, topology, traffic
 from .config import ConfigError, SimConfig
-
-EXPERIMENT_KINDS = (
-    "trajectory",
-    "coverage_sweep",
-    "density_sweep",
-    "traffic_validation",
-    "comparison",
-    "mobility",
-)
 
 DETAIL_COLUMNS = [
     "scenario_id",
@@ -103,33 +91,33 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    kind: str
+    kind: str  # a key of ``KINDS``
     seed: int = 1
     replications: int = 500
-    coverage_grid: tuple[float, ...] | None = None
-    density_grid: tuple[int, ...] | None = None
+    coverage_grid: tuple[float, ...] | None = None  # None: the kind's default
+    density_grid: tuple[int, ...] | None = None  # None: the kind's default
     deltas: tuple[float, ...] = (0.1, 0.2, 0.3)
     xi_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
     chains: int = 100_000
     batches: int = 20
     vmax_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     variants: tuple[str, ...] = ("full", "shannon", "fixed_mod", "single_ris", "double_ris")
-    threads: int = 1  # worker processes; only coverage_sweep and density_sweep use them
+    threads: int = 1  # sweep workers; comparison and mobility accept it but run serially until ROADMAP item 3
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.replications < 1 or self.batches < 2 or self.chains < self.batches:  # a batch needs a chain
-            raise ConfigError("replications must be >= 1, batches >= 2 and chains >= batches")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if not all((self.resolved_coverage_grid(), self.resolved_density_grid(), self.vmax_grid, self.variants)):
+        kind = KINDS.get(self.kind)
+        if kind is None:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {sorted(KINDS)}")
+        # a field the kind would ignore is refused rather than dropped
+        for f in fields(self):
+            if f.name not in kind.reads | {"kind", "seed"} and getattr(self, f.name) != f.default:
+                readers = [name for name, other in KINDS.items() if f.name in other.reads]
+                raise ConfigError(f"{self.kind} takes no {f.name} (read only by {', '.join(readers)})")
+        # a batch needs a chain
+        if min(self.replications, self.threads) < 1 or self.batches < 2 or self.chains < self.batches:
+            raise ConfigError("replications and threads must be >= 1, batches >= 2 and chains >= batches")
+        if () in (self.coverage_grid, self.density_grid, self.vmax_grid, self.variants):
             raise ConfigError("grids and variants must not be empty")
-        # a grid the kind would ignore is refused rather than dropped
-        if self.density_grid is not None and self.kind not in ("coverage_sweep", "density_sweep"):
-            raise ConfigError(f"{self.kind} takes no density_grid (only the two sweeps run one)")
-        if self.coverage_grid is not None and self.kind in ("trajectory", "traffic_validation"):
-            raise ConfigError(f"{self.kind} takes no coverage_grid")
         # refused here, before any file is written: an unknown variant would fail as a bare KeyError
         # in ``_grid_cells``, and a negative or NaN speed would run static routes
         unknown = [v for v in self.variants if v not in router.BASELINE_POLICIES]
@@ -139,40 +127,22 @@ class ExperimentPlan:
             raise ConfigError(f"vmax_grid speeds must be finite and >= 0, got {self.vmax_grid}")
         if self.kind == "mobility" and len(self.resolved_coverage_grid()) > 1:
             raise ConfigError("mobility runs at one coverage radius; give coverage_grid a single value")
-        for name, readers in _OWNED_FIELDS:
-            if self.kind not in readers and getattr(self, name) != _PLAN_DEFAULTS[name]:
-                raise ConfigError(f"{self.kind} takes no {name} (read only by {', '.join(readers)})")
+        # each value names its cells' scenario ids as ``_grid_cells`` prints it, so no two may print alike
+        for name, values, spec in (("coverage_grid", self.resolved_coverage_grid(), "{:g}"),
+                                   ("density_grid", self.resolved_density_grid(), "{}"),
+                                   ("vmax_grid", self.vmax_grid, "{:g}"), ("variants", self.variants, "{}")):
+            if len({spec.format(v) for v in values}) < len(values):
+                raise ConfigError(f"{name} {values} names two cells alike: scenario ids must be unique")
 
     def resolved_coverage_grid(self) -> tuple[float, ...]:
-        if self.coverage_grid is not None:
-            return self.coverage_grid
-        if self.kind == "density_sweep":
-            return (30.0, 45.0, 60.0)
-        if self.kind == "mobility":
-            return (50.0,)
-        return (30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0)
+        return KINDS[self.kind].coverage_grid if self.coverage_grid is None else self.coverage_grid
 
     def resolved_density_grid(self) -> tuple[int, ...]:
-        if self.density_grid is not None:
-            return self.density_grid
-        if self.kind == "density_sweep":
-            return (100, 200, 400, 600, 900)
-        return (100, 400, 900)
-
-
-_PLAN_DEFAULTS = {f.name: f.default for f in fields(ExperimentPlan)}
-# plan fields some kinds do not read, with the kinds that do; any other kind refuses a non-default value
-_OWNED_FIELDS = (
-    ("variants", ("comparison",)),
-    ("vmax_grid", ("mobility",)),
-    *((name, ("traffic_validation",)) for name in ("deltas", "xi_grid", "chains", "batches")),
-    ("replications", tuple(kind for kind in EXPERIMENT_KINDS if kind != "traffic_validation")),
-)
+        return KINDS[self.kind].density_grid if self.density_grid is None else self.density_grid
 
 
 @dataclass
 class ExperimentResult:
-    kind: str
     files: list[Path] = field(default_factory=list)
     attempted: int = 0
     succeeded: int = 0
@@ -542,7 +512,7 @@ def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: Experimen
     """Sweeps, comparison and mobility: one summary row per cell."""
     groups = _grid_cells(plan, cfg)
     run_cells = partial(_run_cells, seed=plan.seed, replications=plan.replications)
-    if plan.threads > 1 and plan.kind in ("coverage_sweep", "density_sweep"):
+    if plan.threads > 1 and KINDS[plan.kind].pooled:
         # never more workers than cells: a fork-started pool forks every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(plan.threads, len(groups))) as pool:
             outcomes = [rows for group in pool.map(run_cells, groups) for rows in group]
@@ -560,18 +530,47 @@ def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: Experimen
     result.files.append(write_csv(out / f"{stem}_summary.csv", list(summaries[0]), summaries))
 
 
+@dataclass(frozen=True)
+class Kind:
+    """One experiment kind, as the plan checks, the CLI and ``run`` read it."""
+
+    subcommand: str  # the CLI subcommand that runs it
+    about: str  # the subcommand's help
+    reads: frozenset[str]  # plan fields it reads besides kind and seed; any other must keep its default
+    runner: Callable[[ExperimentPlan, SimConfig, Path, ExperimentResult], None]
+    coverage_grid: tuple[float, ...] = ()  # default grids; empty for a kind that reads none
+    density_grid: tuple[int, ...] = ()
+    pooled: bool = False  # runs its cells on ``plan.threads`` worker processes
+
+
+_GRID_FIELDS = frozenset({"replications", "coverage_grid", "threads"})  # read by every kind ``_run_grid`` runs
+_COVERAGES = (30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0)
+
+KINDS = {
+    "trajectory": Kind("route", "one or more seeded routes, a ledger CSV and hop trace each",
+                       frozenset({"replications"}), _run_trajectory),
+    "coverage_sweep": Kind("sweep-coverage", "mean reflector usage vs coverage radius, per IU density",
+                           _GRID_FIELDS | {"density_grid"}, _run_grid, _COVERAGES, (100, 400, 900), pooled=True),
+    "density_sweep": Kind("sweep-density", "mean reflector usage vs IU density, per coverage radius",
+                          _GRID_FIELDS | {"density_grid"}, _run_grid, (30.0, 45.0, 60.0), (100, 200, 400, 600, 900),
+                          pooled=True),
+    "traffic_validation": Kind("validate-traffic", "analytic idle/busy-duration estimators vs Monte Carlo",
+                               frozenset({"deltas", "xi_grid", "chains", "batches"}), _run_traffic_validation),
+    "comparison": Kind("compare", "policy variants across the coverage grid", _GRID_FIELDS | {"variants"},
+                       _run_grid, _COVERAGES),
+    "mobility": Kind("mobility", "throughput vs maximum waypoint speed", _GRID_FIELDS | {"vmax_grid"},
+                     _run_grid, (50.0,)),
+}
+
+
 def run(plan: ExperimentPlan, cfg: SimConfig, out_dir: str | Path) -> ExperimentResult:
     """Execute a plan, writing CSVs plus a manifest into ``out_dir``."""
+    kind = KINDS[plan.kind]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = ExperimentResult(kind=plan.kind)
-    if plan.kind not in ("trajectory", "traffic_validation"):  # the grid kinds run at the pinned endpoints
+    result = ExperimentResult()
+    if kind.runner is _run_grid:  # the grid kinds run at the pinned endpoints
         cfg = cfg.with_overrides(source_xy=SWEEP_SOURCE, dest_xy=SWEEP_DEST)
     result.files.append(write_manifest(out / f"manifest_{plan.kind}.json", plan, cfg))
-    if plan.kind == "trajectory":
-        _run_trajectory(plan, cfg, out, result)
-    elif plan.kind == "traffic_validation":
-        _run_traffic_validation(plan, cfg, out, result)
-    else:
-        _run_grid(plan, cfg, out, result)
+    kind.runner(plan, cfg, out, result)
     return result

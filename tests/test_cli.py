@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from risroute.cli import BLAS_VARS, main
+from risroute.cli import BLAS_VARS, build_parser, main
+from risroute.experiments import KINDS
 
 
 def write_cfg(path: Path, text: str) -> str:
@@ -155,6 +156,19 @@ class TestRejectedBeforeAnyRoute:
         with pytest.raises(SystemExit):
             main(["validate-traffic", "--help"])
         assert "--replications" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_subcommand_offers_the_plan_flags_its_kind_reads(self, kind, capsys):
+        entry = KINDS[kind]
+        for flag in ("replications", "threads"):
+            try:
+                parsed = build_parser().parse_args([entry.subcommand, f"--{flag}", "2"])
+            except SystemExit:
+                offered = False
+            else:
+                offered = True
+                assert parsed.kind == kind and getattr(parsed, flag) == 2
+            assert offered == (flag in entry.reads), (entry.subcommand, flag)
 
 
 class TestValidateTraffic:

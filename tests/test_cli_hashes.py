@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 from risroute import experiments
-from risroute.cli import _SUBCOMMAND_KINDS, build_parser
+from risroute.cli import build_parser
 from risroute.config import load_config
 from risroute.linkbudget import transfer_slots
 
@@ -47,8 +47,7 @@ def test_arrival_config_runs_meet_waypoint_arrivals(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments.MobilityField, "positions_at", counted)
     for seed, args in cli_hashes.ARRIVAL_COMMANDS:
         parsed = build_parser().parse_args([*args, "--seed", str(seed), "--config", str(path)])
-        plan = experiments.ExperimentPlan(kind=_SUBCOMMAND_KINDS[parsed.subcommand], seed=parsed.seed,
-                                          replications=parsed.replications)
+        plan = experiments.ExperimentPlan(kind=parsed.kind, seed=parsed.seed, replications=parsed.replications)
         experiments.run(plan, cfg, tmp_path / "out")
     assert sum(arrivals) >= 1
 

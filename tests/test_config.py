@@ -123,6 +123,26 @@ class TestDeadKeys:
             load_config(path)
 
 
+class TestKeySetTwice:
+    def test_flat_file_names_the_line(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("iu_count = 100\n# a comment\ndelta = 0.2\niu_count = 200\n")
+        with pytest.raises(ConfigError, match=r"twice.cfg:4: config key 'iu_count' is set twice \(first on line 1\)"):
+            load_config(path)
+
+    def test_json_key_refused(self, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"iu_count": 100, "iu_count": 300}')
+        with pytest.raises(ConfigError, match="config key 'iu_count' is set twice"):
+            load_config(path)
+
+    def test_manifest_config_key_refused(self, tmp_path):
+        path = tmp_path / "manifest_trajectory.json"
+        path.write_text('{"schema": 1, "config": {"delta": 0.2, "packets": 2, "delta": 0.3}}')
+        with pytest.raises(ConfigError, match="key 'delta' is set twice"):
+            load_config(path)
+
+
 class TestPerIuLists:
     @pytest.mark.parametrize("key", ["lambda_off_ms", "mu_on_ms"])
     def test_length_must_equal_iu_count(self, key):

@@ -4,7 +4,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +55,28 @@ class TestPlanValidation:
         {"kind": "traffic_validation", "replications": 3},
         # fewer chains than batches leaves every batch empty
         {"kind": "traffic_validation", "chains": 3, "batches": 4},
+        # threads, on a kind that reads none
+        {"kind": "trajectory", "threads": 2}, {"kind": "traffic_validation", "threads": 2},
+        # two cells under one scenario id: a repeated value, or two that print alike
+        {"variants": ("full", "full")}, {"kind": "mobility", "vmax_grid": (5.0, 5.0)},
+        {"coverage_grid": (30.0, 30.0000001)}, {"kind": "density_sweep", "density_grid": (100, 100)},
     ])
     def test_rejected_as_config_error(self, bad):
         with pytest.raises(ConfigError):
             ExperimentPlan(**{"kind": "comparison", **bad})
+
+    @pytest.mark.parametrize("kind", sorted(experiments.KINDS))
+    def test_every_field_the_kind_does_not_read_is_refused(self, kind):
+        # a valid non-default value of every plan field but kind and seed
+        changed = {"replications": 3, "coverage_grid": (60.0,), "density_grid": (100,), "deltas": (0.2,),
+                   "xi_grid": (0.5,), "chains": 200_000, "batches": 10, "vmax_grid": (0.0,),
+                   "variants": ("shannon",), "threads": 2}
+        assert set(changed) == {f.name for f in fields(ExperimentPlan)} - {"kind", "seed"}
+        reads = experiments.KINDS[kind].reads
+        assert ExperimentPlan(kind=kind, **{name: changed[name] for name in reads})
+        for name in changed.keys() - reads:
+            with pytest.raises(ConfigError, match=f"{kind} takes no {name}"):
+                ExperimentPlan(kind=kind, **{name: changed[name]})
 
     @pytest.mark.parametrize("bad", [
         {"kind": "comparison", "variants": ("full", "fixed-mod"), "coverage_grid": (60.0,)},
