@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -45,6 +46,16 @@ class ConfigError(ValueError):
 
 
 MAX_RIS_PER_SIDE = 100
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` of the integer field ``name`` as an int; numpy's int64 passes, a bool or a float is refused."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def db_to_linear(db: float) -> float:
@@ -97,6 +108,8 @@ class SimConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "int":  # stored as an int, so the manifest can record it
+                object.__setattr__(self, f.name, as_integer(f.name, value))
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v!r}")
@@ -222,7 +235,6 @@ class SimConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
 
-_INT_KEYS = {"iu_count", "ris_elements", "blocklength", "packets", "bits_per_packet", "fixed_rate_bits"}
 _STR_KEYS = {"threshold_rule"}
 _LIST_OK = {"lambda_off_ms", "mu_on_ms"}
 _PAIR_KEYS = {"source_xy", "dest_xy"}
@@ -252,7 +264,7 @@ def _coerce(key: str, raw) -> object:
     if key in _PAIR_KEYS:
         raise ConfigError(f"config key '{key}' needs exactly two values, got {raw!r}")
     try:
-        if key in _INT_KEYS:
+        if _FIELD_TYPES[key] == "int":
             return int(str(raw).strip())
         return float(raw)
     except (TypeError, ValueError) as exc:

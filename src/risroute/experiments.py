@@ -61,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from . import invariants, metrics, router, topology, traffic
-from .config import ConfigError, SimConfig
+from .config import ConfigError, SimConfig, as_integer
 
 DETAIL_COLUMNS = [
     "scenario_id",
@@ -108,11 +108,15 @@ class ExperimentPlan:
         kind = KINDS.get(self.kind)
         if kind is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {sorted(KINDS)}")
-        # a field the kind would ignore is refused rather than dropped
+        # an integer field takes integers only; a field the kind would ignore is refused rather than dropped
         for f in fields(self):
+            if f.type == "int":  # stored as an int, so the manifest can record it
+                object.__setattr__(self, f.name, as_integer(f.name, getattr(self, f.name)))
             if f.name not in kind.reads | {"kind", "seed"} and getattr(self, f.name) != f.default:
                 readers = [name for name, other in KINDS.items() if f.name in other.reads]
                 raise ConfigError(f"{self.kind} takes no {f.name} (read only by {', '.join(readers)})")
+        if self.density_grid is not None:
+            object.__setattr__(self, "density_grid", tuple(as_integer("density_grid", d) for d in self.density_grid))
         # a batch needs a chain
         if min(self.replications, self.threads) < 1 or self.batches < 2 or self.chains < self.batches:
             raise ConfigError("replications and threads must be >= 1, batches >= 2 and chains >= batches")
@@ -430,13 +434,16 @@ def write_csv(path: Path, columns: list[str], rows: list[dict], preamble: str = 
     return path
 
 
-def write_manifest(path: Path, plan: ExperimentPlan, cfg: SimConfig) -> Path:
+def write_manifest(out: Path, plan: ExperimentPlan, cfg: SimConfig) -> Path:
+    """Write the run's manifest into ``out``, made if need be; runners call this once their checks pass."""
     payload = {
         "schema": 1,
         "stream_version": STREAM_VERSION,
         "plan": asdict(plan),
         "config": cfg.to_dict(),
     }
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"manifest_{plan.kind}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -447,10 +454,11 @@ def write_manifest(path: Path, plan: ExperimentPlan, cfg: SimConfig) -> Path:
 
 
 def _run_trajectory(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
+    result.files.append(write_manifest(out, plan, cfg))
     for rep in range(plan.replications):
         rng = derive_rng(plan.seed, rep)
         ledger = run_one_route(cfg, rng)
-        if problems := invariants.check_ledger(ledger, ledger.topo, cfg):
+        if problems := invariants.check_ledger(ledger, cfg):
             raise RuntimeError(f"route {rep + 1} breaks its ledger's invariants: {'; '.join(problems)}")
         result.attempted += 1
         result.succeeded += ledger.success
@@ -484,6 +492,7 @@ def estimate_duration_quantiles(
 def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
     if isinstance(cfg.lambda_off_ms, tuple) or isinstance(cfg.mu_on_ms, tuple):
         raise ConfigError("traffic validation needs scalar lambda_off_ms and mu_on_ms, not per-IU lists")
+    result.files.append(write_manifest(out, plan, cfg))
     slot = cfg.slot_s
     rng = derive_rng(plan.seed, 0)
     for figure, fixed_ms in (("nu_b", cfg.lambda_off_ms), ("nu_i", cfg.mu_on_ms)):
@@ -511,6 +520,7 @@ def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, res
 def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
     """Sweeps, comparison and mobility: one summary row per cell."""
     groups = _grid_cells(plan, cfg)
+    result.files.append(write_manifest(out, plan, cfg))
     run_cells = partial(_run_cells, seed=plan.seed, replications=plan.replications)
     if plan.threads > 1 and KINDS[plan.kind].pooled:
         # never more workers than cells: a fork-started pool forks every worker at the first submit
@@ -566,11 +576,8 @@ KINDS = {
 def run(plan: ExperimentPlan, cfg: SimConfig, out_dir: str | Path) -> ExperimentResult:
     """Execute a plan, writing CSVs plus a manifest into ``out_dir``."""
     kind = KINDS[plan.kind]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     result = ExperimentResult()
     if kind.runner is _run_grid:  # the grid kinds run at the pinned endpoints
         cfg = cfg.with_overrides(source_xy=SWEEP_SOURCE, dest_xy=SWEEP_DEST)
-    result.files.append(write_manifest(out / f"manifest_{plan.kind}.json", plan, cfg))
-    kind.runner(plan, cfg, out, result)
+    kind.runner(plan, cfg, Path(out_dir), result)
     return result

@@ -72,6 +72,10 @@ the double-reflection stage stay eager.
 A static router reads its scans from the topology's memo
 (``topology.Topology.scan``); a mobile one scans its moving table afresh.
 
+The ledger (``RouteLedger``) is the route's only record: a hop's kind is
+read off the nodes it names (``HOP_KINDS``), a route's success off its
+failure reason, and ``mobile`` says whether the IUs moved.
+
 Stages reached. Each ledger records the deepest stage its route reached
 (``STAGES``): the relay stage, the reflector stage (``ris_fallback``
 entered) or the double stage (a reflector stage ended its single stage
@@ -111,7 +115,7 @@ class HopKind(Enum):
     WAIT = "wait"
 
 
-HOP_KINDS = (HopKind.DIRECT_IU, HopKind.SINGLE_RIS, HopKind.DOUBLE_RIS)  # by surfaces crossed
+HOP_KINDS = (HopKind.WAIT, HopKind.DIRECT_IU, HopKind.SINGLE_RIS, HopKind.DOUBLE_RIS)  # by nodes named
 
 
 class FailureReason(Enum):
@@ -123,25 +127,32 @@ class FailureReason(Enum):
 
 @dataclass(frozen=True)
 class HopChoice:
-    kind: HopKind
     via: tuple[int, ...]  # node ids: (iu,) | (ris, endpoint) | (ris_i, ris_j, endpoint); () on waits
     slots_used: int
     rate: float  # bit count b (constellation 2**b) on direct hops, bits/use on reflected hops
     harvested_j: float
     remaining_m: float  # distance endpoint -> destination after the hop
 
+    @property
+    def kind(self) -> HopKind:
+        return HOP_KINDS[len(self.via)]
+
 
 @dataclass
 class RouteLedger:
     hops: list[HopChoice] = field(default_factory=list)
     total_slots: int = 0
-    success: bool = False
-    failure_reason: FailureReason | None = None
+    failure_reason: FailureReason | None = None  # None once the route reached the destination
     total_delay_s: float = 0.0
     slot_s: float = 0.0
     psi: int = 0
     stage_reached: str = "relay"  # the deepest of STAGES the route reached
+    mobile: bool = False  # the IUs moved during the route
     topo: Topology | None = field(default=None, compare=False, repr=False)  # names the hops' node ids
+
+    @property
+    def success(self) -> bool:
+        return self.failure_reason is None
 
     @property
     def transmission_hops(self) -> list[HopChoice]:
@@ -352,7 +363,6 @@ class Router:
         self.relay_ids = range(DEST_ID, topo.first_ris_id)  # the destination and the IUs
         self.ris_ids = range(topo.first_ris_id, len(topo.xy))
         self.dest = self._point(DEST_ID)
-        self.stage_reached = "relay"
 
     # -- clock -------------------------------------------------------------------
 
@@ -514,7 +524,7 @@ class Router:
         (_, ris_id), endpoints, entry_at = best
         return (ris_id,), select_entry([e for i in range(len(endpoints)) if (e := entry_at(i)) is not None])
 
-    def ris_fallback(self, origin: Point):
+    def ris_fallback(self, origin: Point, ledger: RouteLedger):
         """Reflector stage; returns (surfaces, entry) or a FailureReason.
 
         ``surfaces`` holds the one or two RIS ids the signal crosses, in
@@ -535,12 +545,12 @@ class Router:
         the single stage did), ``h_mid``, then each endpoint's ``h_out`` in
         scan order, and evaluates every endpoint.
 
-        Entering raises ``stage_reached`` to the reflector stage, and passing
-        the single stage without a hop to the double stage.
+        Entering raises ``ledger.stage_reached`` to the reflector stage, and
+        passing the single stage without a hop to the double stage.
         """
         n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
-        if self.stage_reached == "relay":
-            self.stage_reached = "reflector"
+        if ledger.stage_reached == "relay":
+            ledger.stage_reached = "reflector"
         candidates = self._scan(origin, self.ris_ids)
         if not candidates:
             return FailureReason.NO_IU_NO_RIS
@@ -551,7 +561,7 @@ class Router:
             if outcome is not None:
                 return outcome
 
-        self.stage_reached = "double"
+        ledger.stage_reached = "double"
         if self.policy.runs_double:
             first = candidates[0]  # nearest the destination (LRD scan order)
             first_pos = self._point(first)
@@ -596,11 +606,10 @@ class Router:
         """
         cfg = self.cfg
         psi = topology.min_hops(math.dist(self._point(SOURCE_ID), self.dest), cfg.coverage_m)
-        ledger = RouteLedger(total_delay_s=cfg.total_delay_s, slot_s=cfg.slot_s, psi=psi, topo=self.topo)
+        ledger = RouteLedger(total_delay_s=cfg.total_delay_s, slot_s=cfg.slot_s, psi=psi,
+                             mobile=self.mobility is not None, topo=self.topo)
         ledger.failure_reason = self._route(ledger)
-        ledger.success = ledger.failure_reason is None
         ledger.total_slots = self.clock
-        ledger.stage_reached = self.stage_reached
         return ledger
 
     def _route(self, ledger: RouteLedger) -> FailureReason | None:
@@ -619,7 +628,7 @@ class Router:
                     self._tick(wait_slots)
                     origin = self._point(holder)
                     remaining = math.dist(origin, self.dest)
-                    ledger.hops.append(HopChoice(HopKind.WAIT, (), wait_slots, 0.0, 0.0, remaining))
+                    ledger.hops.append(HopChoice((), wait_slots, 0.0, 0.0, remaining))
                     entry, _ = self._relay_stage(origin)
             surfaces = ()
             if entry is None:
@@ -628,7 +637,7 @@ class Router:
                 origin = self._point(holder)
                 if self._remaining_s() < 0:
                     return FailureReason.DELAY_EXCEEDED
-                outcome = self.ris_fallback(origin)
+                outcome = self.ris_fallback(origin, ledger)
                 if isinstance(outcome, FailureReason):
                     return outcome
                 surfaces, entry = outcome
@@ -690,7 +699,6 @@ class Router:
             harvested = linkbudget.harvested_energy_for_transfer(self.cfg, received, tau)
         ledger.hops.append(
             HopChoice(
-                kind=HOP_KINDS[len(surfaces)],
                 via=(*surfaces, link.node_id),
                 slots_used=tau,
                 rate=float(entry.rate),

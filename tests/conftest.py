@@ -47,7 +47,7 @@ def checked_ledgers(monkeypatch):
 
     def checked(router):
         ledger = run(router)
-        assert check_ledger(ledger, router.topo, router.cfg, mobile=router.mobility is not None) == []
+        assert check_ledger(ledger, router.cfg) == []
         return ledger
 
     monkeypatch.setattr(Router, "run", checked)

@@ -52,6 +52,10 @@ class TestRejectsBadNumbers:
     def test_constellation_range_accepted(self):
         assert [SimConfig(fixed_rate_bits=b).fixed_rate_bits for b in (1, 8)] == [1, 8]
 
+    def test_numpy_integers_accepted_as_int(self):
+        cfg = SimConfig(iu_count=np.int64(50), packets=np.int32(2))
+        assert (cfg.iu_count, cfg.packets) == (50, 2) and type(cfg.iu_count) is type(cfg.packets) is int
+
 
 # values a downstream constructor would refuse later, mid-run
 OUT_OF_RANGE = [
@@ -74,6 +78,12 @@ OUT_OF_RANGE = [
     # the harvester: an overflowing curve, a saturation above the transmit power (1000 mW)
     ("eh_slope", 60000.0),
     ("mh_mw", 1000.5),
+    # an integer key given a bool or a non-integral value
+    ("iu_count", 50.5),
+    ("blocklength", 10.5),
+    ("packets", 1.5),
+    ("iu_count", True),
+    ("fixed_rate_bits", True),
 ]
 
 

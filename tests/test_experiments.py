@@ -60,10 +60,19 @@ class TestPlanValidation:
         # two cells under one scenario id: a repeated value, or two that print alike
         {"variants": ("full", "full")}, {"kind": "mobility", "vmax_grid": (5.0, 5.0)},
         {"coverage_grid": (30.0, 30.0000001)}, {"kind": "density_sweep", "density_grid": (100, 100)},
+        # an integer field given a bool or a non-integral value
+        {"replications": 1.5}, {"threads": True}, {"seed": 2.5}, {"kind": "density_sweep", "density_grid": (50.5,)},
+        {"kind": "density_sweep", "density_grid": (True,)}, {"kind": "traffic_validation", "chains": 1000.5},
     ])
     def test_rejected_as_config_error(self, bad):
         with pytest.raises(ConfigError):
             ExperimentPlan(**{"kind": "comparison", **bad})
+
+    def test_numpy_integers_are_recorded_as_int(self, tmp_path):
+        plan = ExperimentPlan(kind="density_sweep", replications=np.int64(2), density_grid=(np.int64(100),))
+        path = experiments.write_manifest(tmp_path, plan, SimConfig(iu_count=np.int64(100)))
+        payload = json.loads(path.read_text())
+        assert (payload["plan"]["replications"], payload["plan"]["density_grid"]) == (2, [100])
 
     @pytest.mark.parametrize("kind", sorted(experiments.KINDS))
     def test_every_field_the_kind_does_not_read_is_refused(self, kind):
@@ -80,13 +89,15 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize("bad", [
         {"kind": "comparison", "variants": ("full", "fixed-mod"), "coverage_grid": (60.0,)},
+        {"kind": "coverage_sweep", "coverage_grid": (-5.0,)},
         {"kind": "mobility", "vmax_grid": (0.0, -5.0)},
         {"kind": "mobility", "vmax_grid": (math.nan,)},
         {"kind": "mobility", "vmax_grid": (5.0, math.inf)},
     ])
     def test_refused_before_any_route_runs(self, bad, tmp_path, monkeypatch):
         # unchecked, an unknown variant fails as a bare KeyError once the manifest is written,
-        # and a negative or NaN speed runs static routes
+        # and a negative or NaN speed runs static routes; a grid point's config is refused before
+        # the manifest is written
         routed = []
         monkeypatch.setattr(experiments, "run_one_route", lambda *args, **kwargs: routed.append(args))
         with pytest.raises(ConfigError):
@@ -435,6 +446,19 @@ class TestMobilityExperiment:
                 assert float(row["D_T"]) == compute_route_metrics(led, cfg)["D_T"]
             else:
                 assert float(row["D_T"]) == 0.0
+
+    def test_ledgers_say_whether_their_ius_moved(self, tmp_path, monkeypatch):
+        seen = []  # (v_max, ledger.mobile) of every route
+        real = experiments.run_one_route
+
+        def recorded(*args, v_max=0.0, **kwargs):
+            ledger = real(*args, v_max=v_max, **kwargs)
+            seen.append((v_max, ledger.mobile))
+            return ledger
+
+        monkeypatch.setattr(experiments, "run_one_route", recorded)
+        run(ExperimentPlan(kind="mobility", seed=6, replications=3, vmax_grid=(0.0, 10.0)), SimConfig(), tmp_path)
+        assert sorted(seen) == [(0.0, False)] * 3 + [(10.0, True)] * 3
 
 
 class TestRunOneRoute:

@@ -160,9 +160,9 @@ def test_sparse_case_reaches_dead_end_check(tmp_path, monkeypatch):
         observed[0] += 1
         return real_observe(self, found, origin)
 
-    def fallback(self, origin):
+    def fallback(self, origin, ledger):
         before, surfaces = observed[0], len(self._scan(origin, self.ris_ids))
-        outcome = real_fallback(self, origin)
+        outcome = real_fallback(self, origin, ledger)
         checked[0] += outcome is router.FailureReason.DEAD_END_AFTER_DOUBLE_RIS and observed[0] - before == surfaces
         return outcome
 

@@ -57,8 +57,7 @@ def oracle_select(modes, snr_db):
 
 def spent_energy(cfg, slots):
     """(P + P_proc) tau T_s of one unharvested hop, read back through the route efficiency."""
-    ledger = RouteLedger(hops=[HopChoice(HopKind.DIRECT_IU, (1,), slots, 8.0, 0.0, 0.0)],
-                         total_slots=slots, success=True)
+    ledger = RouteLedger(hops=[HopChoice((1,), slots, 8.0, 0.0, 0.0)], total_slots=slots)
     return cfg.total_bits / compute_route_metrics(ledger, cfg)["E_eff"]
 
 

@@ -5,25 +5,24 @@ from conftest import build_topology, idle_law, line_config, rng_for, route
 
 from risroute.config import SimConfig
 from risroute.metrics import NetNegativeEnergyError, compute_route_metrics
-from risroute.router import HopChoice, HopKind, RouteLedger
+from risroute.router import FailureReason, HopChoice, HopKind, RouteLedger
 
 CFG = SimConfig()  # P_b = 1e-6
 
 
-def ledger_from(hops, success=True):
-    led = RouteLedger(total_delay_s=0.05, slot_s=1e-4, psi=7)
+def ledger_from(hops, failure_reason=None):
+    led = RouteLedger(failure_reason=failure_reason, total_delay_s=0.05, slot_s=1e-4, psi=7)
     led.hops = hops
-    led.success = success
     led.total_slots = sum(h.slots_used for h in hops)
     return led
 
 
 def direct_hop(bits=8, slots=4, harvested=0.0, remaining=0.0):
-    return HopChoice(HopKind.DIRECT_IU, (2,), slots, float(bits), harvested, remaining)
+    return HopChoice((2,), slots, float(bits), harvested, remaining)
 
 
 def ris_hop(rate=3.29, slots=10, harvested=0.0, remaining=100.0):
-    return HopChoice(HopKind.SINGLE_RIS, (9, 2), slots, rate, harvested, remaining)
+    return HopChoice((9, 2), slots, rate, harvested, remaining)
 
 
 def metrics_of(hops, cfg=CFG):
@@ -75,7 +74,7 @@ class TestThroughput:
             prev = cur
 
     def test_wait_hops_do_not_contribute(self):
-        wait = HopChoice(HopKind.WAIT, (), 14, 0.0, 0.0, 300.0)
+        wait = HopChoice((), 14, 0.0, 0.0, 300.0)
         assert metrics_of([direct_hop(), wait, direct_hop()]) == metrics_of([direct_hop(), direct_hop()])
 
     def test_normalized_uses_bits_per_symbol(self):
@@ -95,7 +94,7 @@ class TestThroughput:
 
     def test_failed_ledger_rejected(self):
         with pytest.raises(ValueError, match="successful routes only"):
-            compute_route_metrics(ledger_from([direct_hop()], success=False), CFG)
+            compute_route_metrics(ledger_from([direct_hop()], FailureReason.OUTAGE), CFG)
 
     def test_zero_rate_hop_raises(self):
         for bad in (ris_hop(rate=0.0), direct_hop(bits=0)):
@@ -138,8 +137,8 @@ class TestEnergyEfficiency:
 
 class TestColumns:
     def test_counts_and_columns(self):
-        wait = HopChoice(HopKind.WAIT, (), 14, 0.0, 0.0, 200.0)
-        double = HopChoice(HopKind.DOUBLE_RIS, (11, 12, 4), 4, 9.8, 3e-9, 100.0)
+        wait = HopChoice((), 14, 0.0, 0.0, 200.0)
+        double = HopChoice((11, 12, 4), 4, 9.8, 3e-9, 100.0)
         m = metrics_of([ris_hop(11.0, slots=3, harvested=1e-9), wait, double, direct_hop(slots=4)])
         assert list(m) == ["D_T", "D_T_normalized", "E_eff", "ris_count", "hops"]
         assert (m["ris_count"], m["hops"]) == (3, 3)
@@ -147,8 +146,8 @@ class TestColumns:
 
     def test_frozen_values(self):
         # frozen to the bit: a change in how or in what order the hops are summed shows here
-        wait = HopChoice(HopKind.WAIT, (), 14, 0.0, 0.0, 200.0)
-        double = HopChoice(HopKind.DOUBLE_RIS, (11, 12, 4), 4, 9.8, 3e-9, 100.0)
+        wait = HopChoice((), 14, 0.0, 0.0, 200.0)
+        double = HopChoice((11, 12, 4), 4, 9.8, 3e-9, 100.0)
         hops = [ris_hop(3.29, slots=10, harvested=1e-9, remaining=300.0), direct_hop(5, 6, 2e-9, 200.0),
                 wait, double, direct_hop(8, 4)]
         assert metrics_of(hops) == {"D_T": 2.266810540379838, "D_T_normalized": 1.3680030746419607,

@@ -350,7 +350,7 @@ class TestDoubleStageDeadEnd:
         r = self.router(self.on_boundary)
         shapes = fading_shapes(monkeypatch)
         before = r.rng.bit_generator.state
-        assert r.ris_fallback(self.origin) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
+        assert r.ris_fallback(self.origin, RouteLedger()) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
         assert [n for n in shapes if not isinstance(n, int)] == []
         assert r.rng.bit_generator.state == before
 
@@ -359,7 +359,7 @@ class TestDoubleStageDeadEnd:
         r.field.state[:] = traffic.BUSY  # observed at slot 0, so read without a draw
         shapes = fading_shapes(monkeypatch)
         before = r.rng.bit_generator.state
-        assert r.ris_fallback(self.origin) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
+        assert r.ris_fallback(self.origin, RouteLedger()) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
         assert shapes == []
         assert r.rng.bit_generator.state == before
 
@@ -367,7 +367,7 @@ class TestDoubleStageDeadEnd:
         r = self.router(self.inside_boundary)
         r.field.state[:] = traffic.IDLE
         shapes = fading_shapes(monkeypatch)
-        r.ris_fallback(self.origin)
+        r.ris_fallback(self.origin, RouteLedger())
         assert shapes == [250, (250, 250), 250]
 
 
@@ -386,14 +386,14 @@ class TestSingleStageDraws:
         r = self.router(traffic.BUSY)
         shapes = fading_shapes(monkeypatch)
         before = r.rng.bit_generator.state
-        assert r.ris_fallback(r._point(SOURCE_ID)) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
+        assert r.ris_fallback(r._point(SOURCE_ID), RouteLedger()) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
         assert shapes == []
         assert r.rng.bit_generator.state == before
 
     def test_idle_forward_endpoint_draws_h_in_then_h_out(self, monkeypatch):
         r = self.router(traffic.IDLE)
         shapes = fading_shapes(monkeypatch)
-        surfaces, entry = r.ris_fallback(r._point(SOURCE_ID))
+        surfaces, entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
         assert (surfaces, entry.link.node_id) == ((r.topo.first_ris_id,), 2)
         assert shapes == [250, 250]
 
@@ -502,10 +502,10 @@ class TestMobileOrigin:
         holder, stages = [SOURCE_ID], []
 
         def at_holder(stage):
-            def checked(router, origin):
+            def checked(router, origin, *ledger):
                 assert origin == router._point(holder[0]), (stage, holder[0])
                 stages.append(stage)
-                return (relay if stage == "relay" else fallback)(router, origin)
+                return (relay if stage == "relay" else fallback)(router, origin, *ledger)
             return checked
 
         def tracked_commit(router, origin, surfaces, entry, ledger):
@@ -550,14 +550,13 @@ class TestLedgerOutput:
         topo = build_topology([(40.0 * k, 100.0) for k in range(1, 10)], [(40.0 * k, 300.0) for k in range(1, 5)])
         led = RouteLedger(total_delay_s=0.05, slot_s=1e-4, psi=7, topo=topo)
         led.hops = [
-            HopChoice(HopKind.SINGLE_RIS, (11, 4), 3, 11.2, 1e-9, 300.0),
-            HopChoice(HopKind.WAIT, (), 14, 0.0, 0.0, 300.0),
-            HopChoice(HopKind.DOUBLE_RIS, (13, 14, 6), 3, 9.8, 1e-9, 200.0),
-            HopChoice(HopKind.DIRECT_IU, (8,), 4, 8.0, 2e-9, 100.0),
-            HopChoice(HopKind.DIRECT_IU, (10,), 4, 8.0, 2e-9, 50.0),
-            HopChoice(HopKind.DIRECT_IU, (1,), 4, 8.0, 0.0, 0.0),
+            HopChoice((11, 4), 3, 11.2, 1e-9, 300.0),
+            HopChoice((), 14, 0.0, 0.0, 300.0),
+            HopChoice((13, 14, 6), 3, 9.8, 1e-9, 200.0),
+            HopChoice((8,), 4, 8.0, 2e-9, 100.0),
+            HopChoice((10,), 4, 8.0, 2e-9, 50.0),
+            HopChoice((1,), 4, 8.0, 0.0, 0.0),
         ]
-        led.success = True
         led.total_slots = 32
         return led
 
@@ -571,7 +570,8 @@ class TestLedgerOutput:
 
     def test_rows_schema(self):
         rows = self.sample().to_rows()
-        assert rows[0]["kind"] == "single_ris"
+        # a hop's kind is read off the nodes it names, a route's outcome off its failure reason
+        assert [row["kind"] for row in rows[:-1]] == ["single_ris", "wait", "double_ris"] + ["direct_iu"] * 3
         assert rows[-1]["index"] == "summary"
         assert rows[-1]["kind"] == "success"
         assert rows[-1]["slots"] == 32
@@ -580,6 +580,9 @@ class TestLedgerOutput:
         for row in rows:
             assert set(row) == {"index", "kind", "ids", "slots", "rate",
                                 "harvested_J", "remaining_distance_m"}
+        failed = self.sample()
+        failed.failure_reason = FailureReason.OUTAGE
+        assert not failed.success and failed.to_rows()[-1]["kind"] == "fail:outage"
 
 
 class TestCommitProgress:
@@ -901,7 +904,7 @@ class TestSingleStageAgainstExhaustive:
         origin = r._point(SOURCE_ID)
         assert r._relay_stage(origin)[0] is None
         check = StageOracle(r)
-        outcome = r.ris_fallback(origin)
+        outcome = r.ris_fallback(origin, RouteLedger())
         assert check.single_stages == 1
         return outcome
 

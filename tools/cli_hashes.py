@@ -10,8 +10,9 @@ core count. From the root of a checkout:
 
 Each output line is ``<seed> <command> <csv name> <first 12 hex of sha256>``;
 two checkouts produce the same output exactly when every CSV is
-byte-identical. The list covers every subcommand, both sweeps at
-``--threads 1`` and ``2``, and seeds 5 and 9 at the default config. Then
+byte-identical. The list covers every subcommand, and seeds 5 and 9 at
+the default config. At seed 5 every grid subcommand also runs at
+``--threads 2``; those lines must show the hashes of its serial line. Then
 ``route``, ``compare`` and ``mobility`` run at seed 7 with ``--config`` set
 to ``CONFIG``, written to a JSON file: per-IU OFF means, fixed endpoints
 (read by ``route``; the grid kinds pin their own) and 2-packet transfers. 16 bits make equal-slot modes (4 slots for b = 4
@@ -21,7 +22,7 @@ per grid point and refuse per-IU lists, so they run at the default only.
 Last, ``mobility`` runs at seed 7 with ``ARRIVAL_CONFIG``: 0.1 s slots and
 a 50 s budget, so the walk's IUs reach their waypoints mid-route and the
 lines cover its per-arrival loop, which no route at the default slot
-meets. 33 CSVs, about 5 s on a 2-vCPU host.
+meets. 37 CSVs, about 9 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ COMMANDS = (
     (5, ["sweep-density", "--replications", "2", "--threads", "1"]),
     (5, ["sweep-density", "--replications", "2", "--threads", "2"]),
     (5, ["compare", "--replications", "2"]),
+    (5, ["compare", "--replications", "2", "--threads", "2"]),
     (5, ["mobility", "--replications", "3"]),
+    (5, ["mobility", "--replications", "3", "--threads", "2"]),
     (5, ["validate-traffic"]),
     (9, ["mobility", "--replications", "25"]),
     (9, ["compare", "--replications", "6"]),
