@@ -20,7 +20,15 @@ the router draws only what it reads. Direct and single-reflection SNRs
 read the amplitudes |h|; the alignment and the double cascade read the
 gains themselves. A draw is built in its own output array: one complex
 output and one real scratch array per call, whatever the shape, and the
-generator calls of the draw written out term by term.
+generator calls of the draw written out term by term. The line-of-sight
+phasor of a 1-D draw is cos and sin of its phase, which give
+np.exp(1j phase) bit for bit. A 2-D draw (the 250 x 250 surface-to-surface
+matrix) takes both from one tangent t = tan(phase / 2), as (1 - t^2) /
+(1 + t^2) and 2t / (1 + t^2), within an ulp of cos and sin. numpy runs
+float64 cos and sin at scalar speed but vectorises tan under AVX-512: on
+62,500 elements the phasor takes about 0.4 ms against 2.3 ms (tan alone
+0.1 ms, and 1.3 ms at numpy's x86-64 baseline). On 250 elements or fewer
+the tangent is no faster, so the 1-D draws keep cos and sin.
 
 The link-budget constants P, rho_L, alpha and sigma^2 live only in
 ``SimConfig``: every SNR here reads them from the config it is handed,
@@ -59,25 +67,40 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
     (out x in) for the surface-to-surface segment.
 
     A draw allocates its complex output and one real scratch array, no
-    more: the phases go into the scratch, their cosines and sines straight
-    into the output's real and imaginary parts, and each part's normals
+    more: the phases go into the scratch, their phasor's real and
+    imaginary parts straight into the output's, and each part's normals
     refill the scratch before they are scaled and added in place. On a
     250x250 draw that is 1.5 MB at the peak. The generator calls and
     their order are those of the draw written out term by term, and so
     are the bits.
+
+    The phasor is cos and sin of the phase in a 1-D draw and the
+    half-angle pair of t = tan(phase / 2) in a 2-D one (module docstring),
+    finite also near phase pi, where t reaches 1.6e16.
     """
     shape = (n,) if isinstance(n, int) else tuple(n)
     if any(s < 1 for s in shape):
         raise ValueError("fading shape components must be >= 1")
     k = 10.0 ** (rician_k_db / 10.0)
     los_amp, scatter_amp = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
-    # los_amp exp(j phase) + scatter_amp (re + j im) by parts, built in the output; cos and sin give
-    # np.exp(1j * phase) bit for bit
+    # los_amp exp(j phase) + scatter_amp (re + j im) by parts, built in the output
     gains = np.empty(shape, dtype=complex)
+    real, imag = gains.real, gains.imag
     scratch = rng.uniform(0.0, TWO_PI, size=shape)
-    np.cos(scratch, out=gains.real)
-    np.sin(scratch, out=gains.imag)
-    for part in (gains.real, gains.imag):
+    if len(shape) == 1:
+        np.cos(scratch, out=real)
+        np.sin(scratch, out=imag)
+    else:
+        # t = tan(phase / 2); the imaginary part holds t^2, then 1 + t^2, then the sine
+        scratch *= 0.5
+        np.tan(scratch, out=scratch)
+        np.multiply(scratch, scratch, out=imag)
+        np.subtract(1.0, imag, out=real)
+        imag += 1.0
+        real /= imag
+        scratch += scratch
+        np.divide(scratch, imag, out=imag)
+    for part in (real, imag):
         part *= los_amp
         rng.standard_normal(out=scratch)
         scratch *= scatter_amp
@@ -158,21 +181,37 @@ def alternating_double_phases(
 
     Each half-step aligns one surface for its effective incident/outgoing
     vectors with the other held fixed, which cannot decrease the cascade
-    magnitude. 20 rounds stop short of convergence: on 8 draws (K = 10 dB,
-    250 elements; ``h_in``, ``h_mid``, ``h_out`` drawn in that order from
+    magnitude. The aligning phasor exp(-j angle(z)) of each effective term
+    z is taken as conj(z) / |z| (``_unit_conjugate``). 20 rounds stop short
+    of convergence: on 8 draws (K = 10 dB, 250 elements; ``h_in``,
+    ``h_mid``, ``h_out`` drawn in that order from
     ``np.random.default_rng(seed)``, seeds 0-7) the cascade power |h_out
     Phi_j H Phi_i h_in|^2 after 20 rounds was 0.14-0.41 dB below that after
-    200 rounds, the same to 3 decimals whether the rounds read the gains as
-    drawn or after an amplitude/phase round trip.
+    200 rounds (0.141, 0.222, 0.281, 0.290, 0.305, 0.389, 0.394, 0.411 dB at
+    stream version 4, as at version 3), the same to 3 decimals whether the
+    rounds read the gains as drawn or after an amplitude/phase round trip.
     """
     diag_i = np.ones(h_mid.shape[1], dtype=complex)
     diag_j = np.ones(h_mid.shape[0], dtype=complex)
     for _ in range(rounds):
         inner = h_mid @ (diag_i * h_in)
-        diag_j = np.exp(-1j * np.angle(h_out * inner))
+        diag_j = _unit_conjugate(h_out * inner)
         outgoing = (h_out * diag_j) @ h_mid
-        diag_i = np.exp(-1j * np.angle(outgoing * h_in))
+        diag_i = _unit_conjugate(outgoing * h_in)
     return np.mod(np.angle(diag_i), TWO_PI), np.mod(np.angle(diag_j), TWO_PI)
+
+
+def _unit_conjugate(z: np.ndarray) -> np.ndarray:
+    """exp(-j angle(z)) of each entry as conj(z) / |z|, overwriting ``z``; 1 where z == 0, as
+    ``np.angle`` gives 0 there."""
+    mag = np.abs(z)
+    if not mag.all():
+        zero = mag == 0.0
+        z[zero] = 1.0
+        mag[zero] = 1.0
+    np.conjugate(z, out=z)
+    z /= mag
+    return z
 
 
 @functools.cache

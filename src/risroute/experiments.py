@@ -44,7 +44,10 @@ A change that moves any draw bumps it, and every manifest records it.
 Version 2 draws fading only where it is read (see ``router``). Version 3
 moves values, not draws: Q^-1 comes from ``statistics`` (``channel.q_inv``),
 and a mobile route transmits from where the IU holding the packet is after
-it waits.
+it waits. Version 4 also moves values, not draws: the line-of-sight phasor
+of a 2-D fading draw comes from one half-angle tangent instead of cos and
+sin, and the alignment's phasors are conj(z) / |z| instead of exp(-j
+angle(z)) (see ``channel``).
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ DETAIL_COLUMNS = [
     "success",
 ]
 
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 # The grid kinds pin one endpoint pair so grid points differ only in the topology draw.
 SWEEP_SOURCE = (20.0, 200.0)

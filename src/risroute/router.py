@@ -486,15 +486,17 @@ class Router:
         ris_pos = self._point(ris_id)
         endpoints = self._reflector_endpoints(self._scan(ris_pos), origin)
         d_in = math.dist(origin, ris_pos)
+        entries: dict[int, Entry | None] = {}
 
-        @functools.cache
         def entry_at(i: int) -> Entry | None:
-            if ris_id not in incoming:
-                incoming[ris_id] = channel.sample_fading(n_elements, k_db, self.rng)
-            h_out = channel.sample_fading(n_elements, k_db, self.rng)
-            d_out = math.dist(ris_pos, endpoints[i][1])
-            gamma = channel.optimal_single_reflection_snr(self.cfg, incoming[ris_id], h_out, d_in, d_out)
-            return self._reflected_entry(endpoints[i], gamma)
+            if i not in entries:
+                if ris_id not in incoming:
+                    incoming[ris_id] = channel.sample_fading(n_elements, k_db, self.rng)
+                h_out = channel.sample_fading(n_elements, k_db, self.rng)
+                d_out = math.dist(ris_pos, endpoints[i][1])
+                gamma = channel.optimal_single_reflection_snr(self.cfg, incoming[ris_id], h_out, d_in, d_out)
+                entries[i] = self._reflected_entry(endpoints[i], gamma)
+            return entries[i]
 
         return endpoints, entry_at
 

@@ -116,15 +116,18 @@ def half_circle_scan(
     c = np.array(center)
     t = np.array(target)
     axis = t - c
-    axis = axis / np.linalg.norm(axis)
+    axis = axis / math.sqrt(axis.dot(axis))  # the bits of np.linalg.norm, sqrt of the dot product
     pos = xy[ids.start:ids.stop]
     rel = pos - c
     dist_c = np.hypot(rel[:, 0], rel[:, 1])
     proj = rel @ axis
-    hits = np.nonzero((proj > 0.0) & (dist_c <= r))[0]
-    remaining = np.hypot(pos[hits, 0] - t[0], pos[hits, 1] - t[1])
-    found = ids.start + hits
-    return found[np.lexsort((found, remaining))].tolist()
+    hits = np.flatnonzero((proj > 0.0) & (dist_c <= r))
+    if len(hits) < 2:
+        return (ids.start + hits).tolist()
+    hit = pos[hits]
+    remaining = np.hypot(hit[:, 0] - t[0], hit[:, 1] - t[1])
+    # hits are in id order, so a stable sort breaks ties by lower id
+    return (ids.start + hits[np.argsort(remaining, kind="stable")]).tolist()
 
 
 def min_hops(l: float, r: float) -> int:

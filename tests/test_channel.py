@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -84,22 +85,51 @@ def aligned_phases(h_in, h_out):
     return phases_of(h_in) + phases_of(h_out)
 
 
-def written_out_fading(n, rician_k_db, rng):
+def cos_sin(phase):
+    """The line-of-sight phasor of a 1-D draw, and of every draw at stream version 3: cos and sin give
+    np.exp(1j * phase) bit for bit."""
+    return np.cos(phase), np.sin(phase)
+
+
+def half_angle(phase):
+    """The line-of-sight phasor of a 2-D draw from t = tan(phase / 2): (1 - t^2) / (1 + t^2) and
+    2t / (1 + t^2)."""
+    t = np.tan(phase / 2.0)
+    return (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
+
+
+def written_out_fading(n, rician_k_db, rng, phasor=None):
     """The Rician draw written out term by term, one temporary per term, as the byte oracle of
     ``sample_fading``: the phases, then the real and imaginary normals, from ``rng``, and the gains
-    los exp(j phase) + scatter (re + j im), with scatter = sqrt(1/(K+1)) / sqrt 2."""
+    los exp(j phase) + scatter (re + j im), with scatter = sqrt(1/(K+1)) / sqrt 2. The phasor
+    exp(j phase) is ``cos_sin`` for a 1-D draw and ``half_angle`` for a 2-D one, unless ``phasor``
+    names another."""
     shape = (n,) if isinstance(n, int) else tuple(n)
     k = 10.0 ** (rician_k_db / 10.0)
     los_amp, scatter_amp = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
     phase = rng.uniform(0.0, TWO_PI, size=shape)
     re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-    # cos and sin give np.exp(1j * phase) bit for bit
-    real, imag = np.cos(phase), np.sin(phase)
+    phasor = phasor or (cos_sin if len(shape) == 1 else half_angle)
+    real, imag = phasor(phase)
     for part, normals in ((real, re), (imag, im)):
         part *= los_amp
         normals *= scatter_amp
         part += normals
     return real + 1j * imag
+
+
+class FixedPhases:
+    """A stand-in generator whose ``uniform`` returns the given phases and whose normals are 0."""
+
+    def __init__(self, phases):
+        self.phases = np.asarray(phases, dtype=float)
+
+    def uniform(self, low, high, size):
+        return self.phases.reshape(size).copy()
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+        return out
 
 
 class TestFadingSampler:
@@ -137,6 +167,26 @@ class TestFadingSampler:
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
             assert h.dtype == want.dtype and h.shape == want.shape
             assert h.tobytes() == want.tobytes(), seed
+
+    @pytest.mark.parametrize("rician_k_db", [-10.0, 10.0, 400.0])
+    @pytest.mark.parametrize("shape", [(3, 5), (250, 250)])
+    def test_2d_gains_within_1e_15_of_cos_and_sin(self, shape, rician_k_db):
+        for seed in range(6):
+            h = sample_fading(shape, rician_k_db, np.random.default_rng(seed))
+            want = written_out_fading(shape, rician_k_db, np.random.default_rng(seed), phasor=cos_sin)
+            assert np.abs(h.real - want.real).max() <= 1e-15 and np.abs(h.imag - want.imag).max() <= 1e-15
+
+    def test_2d_phasor_at_the_edges_of_its_range(self):
+        # at K = 400 dB los_amp is 1.0 and the normals are scaled to 0: the gains are the phasor itself
+        pi = math.pi
+        edges = [0.0, pi / 2, np.nextafter(pi, 0.0), pi, np.nextafter(pi, 4.0), np.nextafter(TWO_PI, 0.0)]
+        phases = np.concatenate([edges, np.random.default_rng(8).uniform(0.0, TWO_PI, size=994)])
+        h = sample_fading((2, 500), 400.0, FixedPhases(phases))
+        real, imag = h.ravel().real, h.ravel().imag
+        assert np.all(np.isfinite(real)) and np.all(np.isfinite(imag))
+        assert np.abs(real - np.cos(phases)).max() <= 1e-15
+        assert np.abs(imag - np.sin(phases)).max() <= 1e-15
+        assert (real[0], imag[0]) == (1.0, 0.0)
 
     def test_a_draw_allocates_its_output_and_one_scratch_array(self):
         # a 250x250 draw holds its complex output (250 * 250 * 16 B = 1.0 MB) and one real scratch
@@ -244,6 +294,19 @@ class TestSingleReflection:
                 assert best_grid >= opt * math.cos(math.pi / 64) ** 2 * (1 - 1e-9)
 
 
+def alternating_double_phases_v3(h_in, h_mid, h_out, rounds=20):
+    """The alignment of stream version 3, each half-step's phasor taken as exp(-j angle(z)): the
+    oracle of ``alternating_double_phases``, which takes it as conj(z) / |z|."""
+    diag_i = np.ones(h_mid.shape[1], dtype=complex)
+    diag_j = np.ones(h_mid.shape[0], dtype=complex)
+    for _ in range(rounds):
+        inner = h_mid @ (diag_i * h_in)
+        diag_j = np.exp(-1j * np.angle(h_out * inner))
+        outgoing = (h_out * diag_j) @ h_mid
+        diag_i = np.exp(-1j * np.angle(outgoing * h_in))
+    return np.mod(np.angle(diag_i), TWO_PI), np.mod(np.angle(diag_j), TWO_PI)
+
+
 def unit_gain(h_in, phase_i, h_mid, phase_j, h_out):
     """|h_out Phi_j H Phi_i h_in|^2 read through the SNR at unit power, loss, noise and distances."""
     return double_reflection_sinr(UNIT, h_in, phase_i, h_mid, phase_j, h_out, 1.0, 1.0, 1.0)
@@ -297,6 +360,34 @@ class TestDoubleReflection:
             pi, pj = alternating_double_phases(h_in, h_mid, h_out, rounds=rounds)
             gains.append(unit_gain(h_in, pi, h_mid, pj, h_out))
         assert all(a <= b + 1e-9 * abs(b) for a, b in zip(gains, gains[1:]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sinr_within_1e_12_of_the_angle_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        h_in = sample_fading(250, 10.0, rng)
+        h_mid = sample_fading((250, 250), 10.0, rng)
+        h_out = sample_fading(250, 10.0, rng)
+        pi, pj = alternating_double_phases(h_in, h_mid, h_out)
+        got = double_reflection_sinr(PARAMS, h_in, pi, h_mid, pj, h_out, 20.0, 30.0, 25.0)
+        pi, pj = alternating_double_phases_v3(h_in, h_mid, h_out)
+        want = double_reflection_sinr(PARAMS, h_in, pi, h_mid, pj, h_out, 20.0, 30.0, 25.0)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_a_zero_gain_gives_finite_phases(self):
+        rng = np.random.default_rng(17)
+        n = 8
+        h_in = sample_fading(n, 10.0, rng)
+        h_mid = sample_fading((n, n), 10.0, rng)
+        h_out = sample_fading(n, 10.0, rng)
+        h_out[3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pi, pj = alternating_double_phases(h_in, h_mid, h_out)
+        assert np.all(np.isfinite(pi)) and np.all(np.isfinite(pj))
+        assert pj[3] == 0.0  # the phasor 1 of np.angle(0) = 0, as in the oracle
+        want_i, want_j = alternating_double_phases_v3(h_in, h_mid, h_out)
+        assert unit_gain(h_in, pi, h_mid, pj, h_out) == pytest.approx(
+            unit_gain(h_in, want_i, h_mid, want_j, h_out), rel=1e-12)
 
     def test_dimension_checks(self):
         n = 4

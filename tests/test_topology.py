@@ -132,6 +132,57 @@ class TestScanProperty:
         assert keys == sorted(keys)
 
 
+def half_circle_scan_v3(xy, ids, center, target, r):
+    """The scan as written at stream version 3, with ``np.linalg.norm`` and a ``lexsort`` on (remaining,
+    id): the byte oracle of ``half_circle_scan``."""
+    if center == target:
+        raise ValueError("scan center must differ from target")
+    c = np.array(center)
+    t = np.array(target)
+    axis = t - c
+    axis = axis / np.linalg.norm(axis)
+    pos = xy[ids.start:ids.stop]
+    rel = pos - c
+    dist_c = np.hypot(rel[:, 0], rel[:, 1])
+    proj = rel @ axis
+    hits = np.nonzero((proj > 0.0) & (dist_c <= r))[0]
+    remaining = np.hypot(pos[hits, 0] - t[0], pos[hits, 1] - t[1])
+    found = ids.start + hits
+    return found[np.lexsort((found, remaining))].tolist()
+
+
+class TestScanAgainstV3:
+    def test_same_ids_in_the_same_order_on_6000_scans(self):
+        rng = np.random.default_rng(24)
+        at_r = on_perpendicular = tied = 0
+        for k in range(6000):
+            n = int(rng.integers(1, 60))
+            if k % 2:  # whole metres on a 16 m square: exact radii, zero projections and ties
+                xy = rng.integers(0, 17, size=(n, 2)).astype(float)
+                center = tuple(rng.integers(0, 17, size=2).astype(float).tolist())
+                target = (center[0] + float(rng.choice([-30.0, 30.0, 7.0])), center[1]) if k % 4 == 1 else (
+                    center[0], center[1] + float(rng.choice([-30.0, 30.0, 7.0])))
+                r = float(rng.choice([5.0, 10.0, 13.0]))
+            else:  # any float, with r at some node's scan distance from the center
+                xy = rng.uniform(0.0, 400.0, size=(n, 2))
+                center, target = tuple(rng.uniform(0.0, 400.0, size=2).tolist()), tuple(xy[0].tolist())
+                rel = xy - np.array(center)
+                r = float(np.hypot(rel[:, 0], rel[:, 1])[rng.integers(n)]) if k % 4 == 0 else float(rng.uniform(5.0, 120.0))
+            if center == target:
+                continue
+            start = int(rng.integers(0, n))
+            ids = range(start, int(rng.integers(start, n + 1)))
+            found = half_circle_scan(xy, ids, center, target, r)
+            assert found == half_circle_scan_v3(xy, ids, center, target, r), k
+            rel = xy[ids.start:ids.stop] - np.array(center)
+            at_r += int(np.any(np.hypot(rel[:, 0], rel[:, 1]) == r))
+            on_perpendicular += int(np.any(rel @ (np.array(target) - np.array(center)) == 0.0))
+            remaining = np.hypot(xy[found, 0] - target[0], xy[found, 1] - target[1])
+            tied += int(len(np.unique(remaining)) < len(found))
+        # the scans did meet each edge case many times over
+        assert min(at_r, on_perpendicular, tied) > 200, (at_r, on_perpendicular, tied)
+
+
 class TestHopArithmetic:
     @pytest.mark.parametrize("l,r,expected", [(400, 60, 7), (60, 60, 1), (61, 60, 2), (360, 60, 6)])
     def test_min_hops(self, l, r, expected):

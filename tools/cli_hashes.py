@@ -10,7 +10,12 @@ core count. From the root of a checkout:
 
 Each output line is ``<seed> <command> <csv name> <first 12 hex of sha256>``;
 two checkouts produce the same output exactly when every CSV is
-byte-identical. The list covers every subcommand, and seeds 5 and 9 at
+byte-identical. Hashes compare only between runs on one host at one numpy
+SIMD level: float64 ``tan``, ``log2``, ``log10``, ``power``, ``exp`` and
+``angle`` give other bits under AVX-512 than at numpy's x86-64 baseline
+(``NPY_DISABLE_CPU_FEATURES`` set to every dispatch target), and there 3
+of the lines (the seed-9 ``compare`` and ``sweep-coverage`` CSVs) differ.
+The list covers every subcommand, and seeds 5 and 9 at
 the default config. At seed 5 every grid subcommand also runs at
 ``--threads 2``; those lines must show the hashes of its serial line. Then
 ``route``, ``compare`` and ``mobility`` run at seed 7 with ``--config`` set
