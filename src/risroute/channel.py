@@ -15,12 +15,21 @@ arbitrary Phi lives in ``tests/test_channel.py`` as the oracle it is
 checked against. Two surfaces have no closed form: their phases are
 aligned alternately, one surface at a time, and the cascade is evaluated.
 
-A fading draw is the array of its complex gains, built when it is drawn;
-the router draws only what it reads. Direct and single-reflection SNRs
-read the amplitudes |h|; the alignment and the double cascade read the
-gains themselves. A draw is built in its own output array: one complex
-output and one real scratch array per call, whatever the shape, and the
-generator calls of the draw written out term by term. The line-of-sight
+A fading draw is built when it is drawn, and the router draws only what
+it reads. Direct and single-reflection SNRs read the amplitudes |h|, so
+the relay links, every single-reflection ``h_out`` and the ``h_in`` of
+every surface but the first in scan order are drawn as amplitudes alone
+(``sample_amplitudes``): the scattered part is circularly symmetric, so
+|h| has the same law whatever the line-of-sight phase, and no phase is
+drawn. The alignment and the double cascade read the gains themselves, so
+the double stage draws complex gains (``sample_fading``). So does the
+single stage for the first surface's ``h_in``: the double stage starts at
+that surface and reuses the ``h_in`` a failed single stage drew there,
+so both stages see one incoming channel.
+
+A complex draw is built in its own output array: one complex output and
+one real scratch array per call, whatever the shape, and the generator
+calls of the draw written out term by term. The line-of-sight
 phasor of a 1-D draw is cos and sin of its phase, which give
 np.exp(1j phase) bit for bit. A 2-D draw (the 250 x 250 surface-to-surface
 matrix) takes both from one tangent t = tan(phase / 2), as (1 - t^2) /
@@ -32,7 +41,7 @@ the tangent is no faster, so the 1-D draws keep cos and sin.
 
 The link-budget constants P, rho_L, alpha and sigma^2 live only in
 ``SimConfig``: every SNR here reads them from the config it is handed,
-and the caller passes the config's K to ``sample_fading``.
+and the caller passes the config's K to each draw.
 
 The short-packet achievable rate is the normal approximation
 
@@ -78,11 +87,7 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
     half-angle pair of t = tan(phase / 2) in a 2-D one (module docstring),
     finite also near phase pi, where t reaches 1.6e16.
     """
-    shape = (n,) if isinstance(n, int) else tuple(n)
-    if any(s < 1 for s in shape):
-        raise ValueError("fading shape components must be >= 1")
-    k = 10.0 ** (rician_k_db / 10.0)
-    los_amp, scatter_amp = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
+    shape, los_amp, scatter_amp = _rician(n, rician_k_db)
     # los_amp exp(j phase) + scatter_amp (re + j im) by parts, built in the output
     gains = np.empty(shape, dtype=complex)
     real, imag = gains.real, gains.imag
@@ -108,6 +113,31 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
     return gains
 
 
+def sample_amplitudes(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.Generator) -> np.ndarray:
+    """Independent draws of the amplitudes |g| of ``sample_fading``'s law, with no phase.
+
+    Each is hypot(los_amp + scatter_amp x, scatter_amp y): by circular
+    symmetry of the scattered part, the law of |los_amp exp(j phase) +
+    scatter_amp (x + j y)|. ``rng`` is advanced by one ``standard_normal((2,
+    *shape))`` call, every x before every y; no cos or sin is computed.
+    """
+    shape, los_amp, scatter_amp = _rician(n, rician_k_db)
+    parts = rng.standard_normal((2, *shape))
+    parts *= scatter_amp
+    parts[0] += los_amp
+    return np.hypot(parts[0], parts[1])
+
+
+def _rician(n: int | tuple[int, ...], rician_k_db: float) -> tuple[tuple[int, ...], float, float]:
+    """The shape of a draw of ``n``, and the line-of-sight amplitude sqrt(K/(K+1)) and the scale
+    sqrt(1/(2(K+1))) of each scattered part at ``rician_k_db``."""
+    shape = (n,) if isinstance(n, int) else tuple(n)
+    if any(s < 1 for s in shape):
+        raise ValueError("fading shape components must be >= 1")
+    k = 10.0 ** (rician_k_db / 10.0)
+    return shape, math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
+
+
 def direct_snr(cfg: SimConfig, h: complex | float, d: float) -> float:
     """P rho_L d^-alpha |h|^2 / sigma^2 on a direct device-device link; ``h`` may be the amplitude |h|."""
     if d <= 0:
@@ -122,7 +152,7 @@ def optimal_single_reflection_snr(
     d_in: float,
     d_out: float,
 ) -> float:
-    """Closed-form aligned SNR over the gains ``h_in`` and ``h_out``, of amplitudes a = |h|:
+    """Closed-form aligned SNR over ``h_in`` and ``h_out``, complex gains or their amplitudes a = |h|:
     P (sum a_in a_out)^2 rho_L^2 (d_in d_out)^-alpha / sigma^2."""
     if len(h_in) != len(h_out):
         raise ValueError("element counts of h_in and h_out must agree")

@@ -47,7 +47,12 @@ and a mobile route transmits from where the IU holding the packet is after
 it waits. Version 4 also moves values, not draws: the line-of-sight phasor
 of a 2-D fading draw comes from one half-angle tangent instead of cos and
 sin, and the alignment's phasors are conj(z) / |z| instead of exp(-j
-angle(z)) (see ``channel``).
+angle(z)) (see ``channel``). Version 5 draws amplitudes where only
+amplitudes are read: the relay links, each single-reflection ``h_out`` and
+the ``h_in`` of every surface but the first are two normals per element,
+with no phase (``channel.sample_amplitudes``), and each single stage
+observes the IUs of all its surfaces in one call before any draw (see
+``router``). The law of every output is unchanged.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ import csv
 import json
 import math
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache, partial
 from pathlib import Path
@@ -80,7 +84,7 @@ DETAIL_COLUMNS = [
     "success",
 ]
 
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 # The grid kinds pin one endpoint pair so grid points differ only in the topology draw.
 SWEEP_SOURCE = (20.0, 200.0)
@@ -526,6 +530,8 @@ def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: Experimen
     result.files.append(write_manifest(out, plan, cfg))
     run_cells = partial(_run_cells, seed=plan.seed, replications=plan.replications)
     if plan.threads > 1 and KINDS[plan.kind].pooled:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: a serial run never needs a pool
+
         # never more workers than cells: a fork-started pool forks every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(plan.threads, len(groups))) as pool:
             outcomes = [rows for group in pool.map(run_cells, groups) for rows in group]

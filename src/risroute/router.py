@@ -12,10 +12,10 @@ entries ``(link, tau, rate)``:
   relay's estimated idle window (the availability constraint). With none,
   the transmitter defers once — waiting the minimum estimated turn-idle
   time of the busy relays in sight that would make forward progress,
-  budget permitting — and rescans. One fading draw covers every idle relay
-  in sight, in scan order, but a link is built only for those strictly
-  closer to the destination than the transmitter, the only ones a hop may
-  take;
+  budget permitting — and rescans. One amplitude draw covers every idle
+  relay in sight, in scan order, but a link is built only for those
+  strictly closer to the destination than the transmitter, the only ones a
+  hop may take;
 * one reflector: the surface whose best qualifying endpoint makes the
   most forward progress;
 * two reflectors: the surface nearest the destination extended to exactly
@@ -42,24 +42,24 @@ same distance the ledger records.
 
 Stopping early. Candidates come in scan order, least remaining distance
 first, so the relay and single-reflection stages stop evaluating links once
-no later candidate can win. Every traffic observation still happens, and a
-surface's endpoints are observed before any of its draws, so each hop is
-the one the exhaustive stage picks over the same draws (the oracles in
-``tests/test_router.py``):
+no later candidate can win. Every traffic observation still happens, so
+each hop is the one the exhaustive stage picks over the same draws (the
+oracles in ``tests/test_router.py``):
 
 * relays: once a link's entry needs the floor, the fewest slots any allowed
   mode needs (``SlotTable.floor``), only a later link at most as far from
   the destination can beat it, so evaluation ends at the first later link
-  farther than that entry's remaining distance times ``STOP_MARGIN``. The
-  relay fading is one draw over every idle relay in sight;
-* single reflection: a surface's key is the least remaining distance of its
-  qualifying endpoints, then its id. Its endpoints are evaluated in scan
-  order only while one could still lower that key or beat the best key so
-  far (a tie on remaining distance goes to the lower id, so an equal
-  distance is still evaluated); the winning surface is then evaluated in
-  full for ``select_entry``. An endpoint's ``h_out`` is drawn when it is
-  first evaluated, and the surface's ``h_in`` just before the first of
-  them, so a surface or endpoint that is never evaluated draws nothing.
+  farther than that entry's remaining distance times ``STOP_MARGIN``;
+* single reflection: each single stage observes once, before any draw: the
+  IUs in sight of all its surfaces, in one call, first seen first. A
+  surface's key is the least remaining distance of its qualifying
+  endpoints, then its id. Its endpoints are evaluated in scan order only
+  while one could still lower that key or beat the best key so far (a tie
+  on remaining distance goes to the lower id, so an equal distance is still
+  evaluated); the winning surface is then evaluated in full for
+  ``select_entry``. An endpoint's ``h_out`` is drawn when it is first
+  evaluated, and the surface's ``h_in`` just before the first of them, so a
+  surface or endpoint that is never evaluated draws nothing.
 
 The scan orders by ``np.hypot`` and the router keys on ``math.dist``; both
 are faithfully rounded norms of the same coordinate differences, within
@@ -394,14 +394,14 @@ class Router:
     def _direct_links(self, origin: Point, ids: list[int], nus: list[float], limit: float) -> list[CandidateLink]:
         """Direct links from ``origin`` to those of ``ids`` (scan order; idle windows ``nus``) that end
         strictly closer to the destination than ``limit``, up to the last one that could still be the
-        hop; one fading draw covers every id, in order.
+        hop; one amplitude draw covers every id, in order.
 
         Once a link's entry needs the floor slot count, a later link farther from the destination
         than its remaining distance times ``STOP_MARGIN`` ends the list (module docstring).
         """
         if not ids:
             return []
-        amplitudes = np.abs(channel.sample_fading(len(ids), self.cfg.rician_k_db, self.rng)).tolist()
+        amplitudes = channel.sample_amplitudes(len(ids), self.cfg.rician_k_db, self.rng).tolist()
         dest, links, stop = self.dest, [], math.inf
         floor, floor_db = self.slots.floor, self.floor_db
         for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
@@ -428,9 +428,10 @@ class Router:
         rows = zip(node_ids, self.xy[list(node_ids)].tolist())
         return [(i, pos, r) for i, pos in rows if (r := math.dist(pos, dest)) < origin_remaining]
 
-    def _split_idle_busy(self, ius: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The ids of ``ius`` idle and busy at the clock, as arrays in the given order."""
-        ids = np.array(ius, dtype=np.intp)
+    def _split_idle_busy(self, found: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the IUs in ``found`` (distinct ids) idle and busy at the clock, as arrays in the
+        given order; one observation of each."""
+        ids = np.array([i for i in found if i != DEST_ID], dtype=np.intp)
         idle = self.field.states_at(self.clock, ids - FIRST_IU_ID, self.rng) == traffic.IDLE
         return ids[idle], ids[~idle]
 
@@ -449,22 +450,22 @@ class Router:
             bits = min(linkbudget.mode_bits(self.thresholds_db, link.snr_db), self.slots.highest)  # the fastest
             if bits >= self.slots.lowest:
                 return Entry(link, self.slots.tau_of[bits], bits), []
-        idle, busy = self._split_idle_busy([i for i in found if i != DEST_ID])
+        idle, busy = self._split_idle_busy(found)
         # forward progress is required of a hop, not just half-disc membership
         nu_idle = self.field.law.nu_idle[idle - FIRST_IU_ID].tolist()
         links = self._direct_links(origin, idle.tolist(), nu_idle, math.dist(origin, self.dest))
         aset = availability_set(links, self.thresholds_db, self.cfg.total_bits, self.fixed_rate_bits)
         return (select_entry(aset) if aset else None), busy.tolist()
 
-    def _reflector_endpoints(self, found: Sequence[int], origin: Point) -> list[tuple[int, Point, float, float]]:
-        """(id, position, remaining distance, idle window) of the destination, then of each idle IU in
-        ``found``, a reflector's scan, in scan order, that ends strictly closer to the destination than
-        ``origin`` (a reflector hop must still make forward progress); observes every IU in ``found``."""
-        idle, _ = self._split_idle_busy([i for i in found if i != DEST_ID])
+    def _reflector_endpoints(self, found: Sequence[int], origin: Point, idle: set[int]) -> list[tuple]:
+        """(id, position, remaining distance, idle window) of the destination, then of each IU of
+        ``idle`` in ``found``, a reflector's scan, in scan order, that ends strictly closer to the
+        destination than ``origin`` (a reflector hop must still make forward progress)."""
         nu_idle = self.field.law.nu_idle
+        ends = ([DEST_ID] if DEST_ID in found else []) + [i for i in found if i in idle]
         return [
             (node_id, pos, remaining, math.inf if node_id == DEST_ID else float(nu_idle[node_id - FIRST_IU_ID]))
-            for node_id, pos, remaining in self._forward(([DEST_ID] if DEST_ID in found else []) + idle.tolist(), origin)
+            for node_id, pos, remaining in self._forward(ends, origin)
         ]
 
     def _reflected_entry(self, endpoint: tuple[int, Point, float, float], gamma: float) -> Entry | None:
@@ -478,40 +479,43 @@ class Router:
         tau = linkbudget.transfer_slots(self.cfg.total_bits, rate)
         return Entry(link, tau, rate) if tau <= nu else None
 
-    def _single_surface(self, origin: Point, ris_id: int, incoming: dict[int, np.ndarray]):
-        """The endpoints behind ``ris_id`` (``_reflector_endpoints``, which observes them) and a function
-        giving the entry of the i-th one, worked out on first call. That first call draws the surface's
-        ``h_in``, kept in ``incoming``, unless it is there already, then the endpoint's ``h_out``."""
+    def _single_surface(self, origin: Point, ris_id: int, endpoints: list, incoming: dict, phased: bool):
+        """A function giving the entry of the i-th of ``endpoints`` behind ``ris_id``, worked out on first
+        call: that draws the surface's ``h_in`` into ``incoming`` unless it is there (complex gains when
+        ``phased``, else amplitudes), then the endpoint's ``h_out`` amplitudes."""
         n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
         ris_pos = self._point(ris_id)
-        endpoints = self._reflector_endpoints(self._scan(ris_pos), origin)
         d_in = math.dist(origin, ris_pos)
         entries: dict[int, Entry | None] = {}
 
         def entry_at(i: int) -> Entry | None:
             if i not in entries:
                 if ris_id not in incoming:
-                    incoming[ris_id] = channel.sample_fading(n_elements, k_db, self.rng)
-                h_out = channel.sample_fading(n_elements, k_db, self.rng)
+                    draw = channel.sample_fading if phased else channel.sample_amplitudes
+                    incoming[ris_id] = draw(n_elements, k_db, self.rng)
+                h_out = channel.sample_amplitudes(n_elements, k_db, self.rng)
                 d_out = math.dist(ris_pos, endpoints[i][1])
                 gamma = channel.optimal_single_reflection_snr(self.cfg, incoming[ris_id], h_out, d_in, d_out)
                 entries[i] = self._reflected_entry(endpoints[i], gamma)
             return entries[i]
 
-        return endpoints, entry_at
+        return entry_at
 
-    def _single_stage(self, origin: Point, candidates: Sequence[int], incoming: dict[int, np.ndarray]):
-        """One reflector among ``candidates``: ((ris_id,), entry), or None when no surface has a
-        qualifying endpoint. The ``h_in`` of each surface whose endpoints are evaluated is kept in
-        ``incoming``.
+    def _single_stage(self, origin: Point, candidates: Sequence[int]):
+        """One reflector among ``candidates``: (((ris_id,), entry), None), or, when no surface has a
+        qualifying endpoint, (None, the complex ``h_in`` of ``candidates[0]``, None if not drawn).
 
-        The surface with the least key (least remaining distance of a qualifying endpoint, id)
-        wins; a surface's endpoints are evaluated only while one could still lower its key or beat
-        the best key so far (module docstring), then the winner's in full.
+        Every candidate's IUs are observed first, in one call. The surface with the least key (least
+        remaining distance of a qualifying endpoint, id) wins; its endpoints are evaluated only while
+        one could still lower its key or beat the best key so far (module docstring), then in full.
         """
+        scans = [self._scan(self._point(ris_id)) for ris_id in candidates]
+        idle = set(self._split_idle_busy(list(dict.fromkeys(i for found in scans for i in found)))[0].tolist())
+        incoming: dict[int, np.ndarray] = {}  # h_in by surface
         best = None  # ((remaining, ris_id), endpoints, entry_at)
-        for ris_id in candidates:
-            endpoints, entry_at = self._single_surface(origin, ris_id, incoming)
+        for ris_id, found in zip(candidates, scans):
+            endpoints = self._reflector_endpoints(found, origin, idle)
+            entry_at = self._single_surface(origin, ris_id, endpoints, incoming, ris_id == candidates[0])
             least = math.inf  # remaining distance of this surface's nearest qualifying endpoint so far
             bound = math.inf if best is None else best[0][0]
             for i, (_, _, remaining, _) in enumerate(endpoints):
@@ -522,9 +526,9 @@ class Router:
             if least < math.inf and (best is None or (least, ris_id) < best[0]):
                 best = ((least, ris_id), endpoints, entry_at)
         if best is None:
-            return None
+            return None, incoming.get(candidates[0])
         (_, ris_id), endpoints, entry_at = best
-        return (ris_id,), select_entry([e for i in range(len(endpoints)) if (e := entry_at(i)) is not None])
+        return ((ris_id,), select_entry([e for i in range(len(endpoints)) if (e := entry_at(i)) is not None])), None
 
     def ris_fallback(self, origin: Point, ledger: RouteLedger):
         """Reflector stage; returns (surfaces, entry) or a FailureReason.
@@ -556,10 +560,9 @@ class Router:
         candidates = self._scan(origin, self.ris_ids)
         if not candidates:
             return FailureReason.NO_IU_NO_RIS
-        incoming: dict[int, np.ndarray] = {}
-
+        h_in = None  # the first surface's, once drawn
         if self.policy.runs_single:
-            outcome = self._single_stage(origin, candidates, incoming)
+            outcome, h_in = self._single_stage(origin, candidates)
             if outcome is not None:
                 return outcome
 
@@ -567,8 +570,7 @@ class Router:
         if self.policy.runs_double:
             first = candidates[0]  # nearest the destination (LRD scan order)
             first_pos = self._point(first)
-            adjacent = self._scan(first_pos, self.ris_ids)
-            adjacent = [r for r in adjacent if r != first]
+            adjacent = [r for r in self._scan(first_pos, self.ris_ids) if r != first]
             if not adjacent:
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
             second = adjacent[0]
@@ -576,21 +578,19 @@ class Router:
             found = self._scan(second_pos)
             if not self._forward(found, origin):
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # nothing h_mid could reach
-            endpoints = self._reflector_endpoints(found, origin)
+            endpoints = self._reflector_endpoints(found, origin, set(self._split_idle_busy(found)[0].tolist()))
             if not endpoints:
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # every forward IU busy: nothing to draw for
-            h_in = incoming[first] if first in incoming else channel.sample_fading(n_elements, k_db, self.rng)
+            if h_in is None:
+                h_in = channel.sample_fading(n_elements, k_db, self.rng)
             h_mid = channel.sample_fading((n_elements, n_elements), k_db, self.rng)
-            d_in = math.dist(origin, first_pos)
-            d_mid = math.dist(first_pos, second_pos)
+            d_in, d_mid = math.dist(origin, first_pos), math.dist(first_pos, second_pos)
             entries = []
             for endpoint in endpoints:
                 h_out = channel.sample_fading(n_elements, k_db, self.rng)
                 phase_i, phase_j = channel.alternating_double_phases(h_in, h_mid, h_out)
-                gamma = channel.double_reflection_sinr(
-                    self.cfg, h_in, phase_i, h_mid, phase_j, h_out,
-                    d_in, d_mid, math.dist(second_pos, endpoint[1]),
-                )
+                gamma = channel.double_reflection_sinr(self.cfg, h_in, phase_i, h_mid, phase_j, h_out,
+                                                       d_in, d_mid, math.dist(second_pos, endpoint[1]))
                 if (entry := self._reflected_entry(endpoint, gamma)) is not None:
                     entries.append(entry)
             if entries:

@@ -16,6 +16,7 @@ from risroute.channel import (
     finite_blocklength_rate,
     optimal_single_reflection_snr,
     q_inv,
+    sample_amplitudes,
     sample_fading,
     shannon_rate,
 )
@@ -209,6 +210,29 @@ class TestFadingSampler:
     def test_rejects_an_empty_shape(self):
         with pytest.raises(ValueError, match=">= 1"):
             sample_fading((3, 0), 10.0, np.random.default_rng(5))
+
+
+class TestAmplitudeSampler:
+    """``sample_amplitudes`` against its formula; its law is checked in ``tests/test_channel_moments.py``."""
+
+    @pytest.mark.parametrize("rician_k_db", [-400.0, -10.0, 10.0, 400.0])
+    @pytest.mark.parametrize("shape", [1, 7, 250, (3, 5)])
+    def test_same_stream_and_amplitudes_as_written_out(self, shape, rician_k_db):
+        # hypot(los + scatter x, scatter y), x and y from one standard_normal((2, *shape)) call
+        dims = (shape,) if isinstance(shape, int) else shape
+        k = 10.0 ** (rician_k_db / 10.0)
+        los_amp, scatter_amp = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
+        for seed in range(3):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            a = sample_amplitudes(shape, rician_k_db, rng)
+            x, y = oracle_rng.standard_normal((2, *dims))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert a.dtype == float and a.shape == dims
+            assert a.tobytes() == np.hypot(los_amp + scatter_amp * x, scatter_amp * y).tobytes()
+
+    def test_rejects_an_empty_shape(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            sample_amplitudes((3, 0), 10.0, np.random.default_rng(5))
 
 
 class TestDirectSnr:

@@ -7,7 +7,10 @@ Fading Channels*, 2005) has
              L_{1/2}(-K) = exp(-K/2) [(1+K) I0(K/2) + K I1(K/2)],   0.977624 at K = 10 dB,
     E|h|^2 = 1,   Var|h|^2 = (1 + 2K) / (1 + K)^2,
 
-and, elements independent, the aligned single reflection's coherent power has
+whatever the phase of the line-of-sight part, so the amplitudes drawn without one
+(``sample_amplitudes``) must have this law too; from K = 30 dB on the series below gives way to the
+large-K expansion E|h| = sqrt(K/(K+1)) (1 + 1/(4K) + 1/(32K^2) + O(K^-3)). Elements independent,
+the aligned single reflection's coherent power has
 E[(sum_n a_in,n a_out,n)^2] = N + N (N-1) (E|h|)^4 (Wu & Zhang, IEEE TWC 2019).
 
 The double reflection has no closed form. Its cascade power |h_out Phi_j H Phi_i h_in|^2, with the
@@ -19,6 +22,8 @@ Each check compares a sample mean with its closed form, or the documented gap, w
 standard errors; the bound and the sample sizes were fixed before the first run. Drawn with K
 inverted, E|h| at -10 dB reads 63 SE off; with the coherent gain halved, the reflection mean is off
 by a factor of 4; with one alignment round, the cascade power sits 2.6-3.3 dB below the oracle's.
+The amplitude draws are also set against |sample_fading| by a two-sample Kolmogorov-Smirnov
+distance at level ``KS_ALPHA``.
 """
 
 import math
@@ -32,6 +37,7 @@ from risroute.channel import (
     direct_snr,
     double_reflection_sinr,
     optimal_single_reflection_snr,
+    sample_amplitudes,
     sample_fading,
 )
 from risroute.config import SimConfig
@@ -40,6 +46,7 @@ K_SE = 4.0
 DRAWS = 100_000
 REFLECTIONS = 2_000
 CASCADES = 50
+KS_ALPHA = 1e-3
 GAP_DB = (0.14, 0.41)  # the 20-round cascade power below 200 rounds (``alternating_double_phases``)
 CFG = SimConfig()
 # P = 1 W, rho_L = 1, sigma^2 = 1 W, every exponent 2: direct_snr at 1 m is |h|^2
@@ -58,8 +65,11 @@ def bessel_i(order: int, x: float) -> float:
 
 
 def rician_mean_amplitude(k_db: float) -> float:
-    """E|h| for unit mean power: sqrt(pi / (4 (K+1))) L_{1/2}(-K)."""
+    """E|h| for unit mean power: sqrt(pi / (4 (K+1))) L_{1/2}(-K), by its large-K expansion beyond
+    K = 1000 (the Bessel series overflows from K = 1430), where the two agree to 3e-11."""
     k = 10.0 ** (k_db / 10.0)
+    if k > 1e3:
+        return math.sqrt(k / (k + 1.0)) * (1.0 + 1.0 / (4.0 * k) + 1.0 / (32.0 * k * k))
     laguerre = math.exp(-k / 2.0) * ((1.0 + k) * bessel_i(0, k / 2.0) + k * bessel_i(1, k / 2.0))
     return math.sqrt(math.pi / (4.0 * (k + 1.0))) * laguerre
 
@@ -73,6 +83,10 @@ def test_the_series_against_scipy():
 def test_the_closed_form_at_known_points():
     assert round(rician_mean_amplitude(10.0), 6) == 0.977624
     assert rician_mean_amplitude(-400.0) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-15)  # Rayleigh
+    assert rician_mean_amplitude(400.0) == 1.0  # pure line of sight
+    k = 1e3  # the series at the last K it is used, against the expansion
+    assert rician_mean_amplitude(30.0) == pytest.approx(
+        math.sqrt(k / (k + 1.0)) * (1.0 + 1.0 / (4.0 * k) + 1.0 / (32.0 * k * k)), rel=3e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("k_db", [-10.0, 0.0, 10.0])
@@ -86,18 +100,56 @@ def test_rician_amplitude_and_power_means(k_db):
     assert abs(float(np.mean(direct_snr(UNIT, h, 1.0))) - 1.0) <= K_SE * power_se
 
 
-@pytest.mark.parametrize("k_db", [0.0, 10.0])
-def test_aligned_single_reflection_mean(k_db):
+@pytest.mark.parametrize("k_db", [-10.0, 10.0, 400.0])
+def test_amplitude_draw_means(k_db):
+    a = sample_amplitudes(DRAWS, k_db, np.random.default_rng(304))
+    mean = rician_mean_amplitude(k_db)
+    amplitude_se = math.sqrt((1.0 - mean**2) / DRAWS)
+    assert abs(float(np.mean(a)) - mean) <= K_SE * amplitude_se
+    k = 10.0 ** (k_db / 10.0)
+    power_se = math.sqrt((1.0 + 2.0 * k) / (1.0 + k) ** 2 / DRAWS)
+    assert abs(float(np.mean(a * a)) - 1.0) <= K_SE * power_se
+
+
+def ks_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """The two-sample Kolmogorov-Smirnov statistic sup_t |F_x(t) - F_y(t)| of the empirical CDFs."""
+    both = np.concatenate([x, y])
+    cdf_x = np.searchsorted(np.sort(x), both, side="right") / len(x)
+    cdf_y = np.searchsorted(np.sort(y), both, side="right") / len(y)
+    return float(np.max(np.abs(cdf_x - cdf_y)))
+
+
+@pytest.mark.parametrize("k_db", [-10.0, 10.0])
+def test_amplitude_draws_against_the_complex_draw(k_db):
+    a = sample_amplitudes(DRAWS, k_db, np.random.default_rng(305))
+    h = np.abs(sample_fading(DRAWS, k_db, np.random.default_rng(306)))
+    critical = math.sqrt(-math.log(KS_ALPHA / 2.0) / 2.0) * math.sqrt(2.0 / DRAWS)  # equal sample sizes
+    assert ks_distance(a, h) <= critical
+
+
+def check_aligned_single_reflection_mean(k_db, draw_in, draw_out, seed):
     n, d_in, d_out = CFG.ris_elements, 20.0, 30.0
     path = CFG.tx_power_w * CFG.rho_l**2 * d_in ** (-CFG.alpha_other) * d_out ** (-CFG.alpha_other) / CFG.noise_w
-    rng = np.random.default_rng(302)
+    rng = np.random.default_rng(seed)
     coherent_power = np.array([
-        optimal_single_reflection_snr(CFG, sample_fading(n, k_db, rng), sample_fading(n, k_db, rng), d_in, d_out)
+        optimal_single_reflection_snr(CFG, draw_in(n, k_db, rng), draw_out(n, k_db, rng), d_in, d_out)
         for _ in range(REFLECTIONS)
     ]) / path
     want = n + n * (n - 1) * rician_mean_amplitude(k_db) ** 4
     se = float(np.std(coherent_power, ddof=1)) / math.sqrt(REFLECTIONS)
     assert abs(float(np.mean(coherent_power)) - want) <= K_SE * se
+
+
+@pytest.mark.parametrize("k_db", [0.0, 10.0])
+def test_aligned_single_reflection_mean(k_db):
+    check_aligned_single_reflection_mean(k_db, sample_fading, sample_fading, 302)
+
+
+@pytest.mark.parametrize("k_db", [0.0, 10.0])
+def test_aligned_single_reflection_mean_over_amplitude_draws(k_db):
+    # as the router draws them: h_out always, h_in for every surface but the first, as amplitudes
+    check_aligned_single_reflection_mean(k_db, sample_amplitudes, sample_amplitudes, 307)
+    check_aligned_single_reflection_mean(k_db, sample_fading, sample_amplitudes, 308)
 
 
 def oracle_cascade_power(h_in: np.ndarray, h_mid: np.ndarray, h_out: np.ndarray, rounds: int = 200) -> float:

@@ -224,3 +224,20 @@ class TestNoScipy:
                              capture_output=True, text=True, check=True, timeout=300)
         assert run.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "route_0002.csv").exists()
+
+
+class TestNoPoolImport:
+    def test_serial_sweep_never_loads_a_process_pool(self, tmp_path):
+        # the pool's modules cost start-up time; only a pooled run imports them (experiments._run_grid)
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            "import sys\n"
+            "import risroute.cli\n"
+            "argv = ['sweep-coverage', '--replications', '1', '--threads', '1', '--quiet']\n"
+            f"assert risroute.cli.main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True, check=True, timeout=300)
+        assert run.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "coverage_summary.csv").exists()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import json
@@ -315,7 +316,7 @@ class TestSweeps:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # imported by the pooled run
         plan = ExperimentPlan(kind="coverage_sweep", seed=3, replications=1, threads=threads,
                               coverage_grid=(50.0, 70.0), density_grid=(20, 40))  # 4 cells
         run(plan, SimConfig(), tmp_path)
@@ -351,7 +352,7 @@ class TestManifest:
         plan = ExperimentPlan(kind=kind, seed=3, **sizes)
         run(plan, SimConfig(iu_count=50), tmp_path)
         payload = json.loads((tmp_path / f"manifest_{kind}.json").read_text())
-        assert payload["stream_version"] == experiments.STREAM_VERSION == 4
+        assert payload["stream_version"] == experiments.STREAM_VERSION == 5
 
     @pytest.mark.parametrize("kind", ["comparison", "mobility"])
     def test_grid_kinds_record_the_endpoints_they_ran(self, kind, tmp_path):

@@ -147,18 +147,19 @@ def test_outputs_match_golden(name, tmp_path):
 def test_sparse_case_reaches_dead_end_check(tmp_path, monkeypatch):
     """Some route of the sparse case ends at the double stage's geometric check.
 
-    A reflector stage observes each surface the single stage scans once
-    (``_reflector_endpoints``), and the double stage's second surface once
-    more after the check. The RIS grid (spacing r/2) gives every first
-    surface here an adjacent one, so a dead end with no further observation
-    is one the check ended, before any observation or draw of its own.
+    A reflector stage lists the endpoints of each surface the single stage
+    scans once (``_reflector_endpoints``), and those of the double stage's
+    second surface once more, after the check. The RIS grid (spacing r/2)
+    gives every first surface here an adjacent one, so a dead end with no
+    further listing is one the check ended, before any observation or draw
+    of its own.
     """
     real_observe, real_fallback = router.Router._reflector_endpoints, router.Router.ris_fallback
     observed, checked = [0], [0]
 
-    def observe(self, found, origin):
+    def observe(self, found, origin, idle):
         observed[0] += 1
-        return real_observe(self, found, origin)
+        return real_observe(self, found, origin, idle)
 
     def fallback(self, origin, ledger):
         before, surfaces = observed[0], len(self._scan(origin, self.ris_ids))

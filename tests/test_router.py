@@ -30,7 +30,7 @@ from risroute.router import (
     slot_table,
 )
 from risroute.experiments import MobilityField, _profiles_for
-from risroute.topology import DEST_ID, SOURCE_ID, Topology, generate_topology
+from risroute.topology import DEST_ID, FIRST_IU_ID, SOURCE_ID, Topology, generate_topology
 
 
 LINE_ENDS = {"source_xy": (20.0, 200.0), "dest_xy": (380.0, 200.0)}
@@ -314,11 +314,24 @@ class TestReflectorFallback:
         assert len(traces) == 1
 
 
-def fading_shapes(monkeypatch) -> list:
-    """Record the shape of every ``sample_fading`` call from now on."""
-    real, shapes = channel.sample_fading, []
-    monkeypatch.setattr(channel, "sample_fading", lambda n, k, rng: shapes.append(n) or real(n, k, rng))
-    return shapes
+DRAWS = {"sample_fading": "gains", "sample_amplitudes": "amplitudes"}  # the channel's draws, by what they give
+
+
+def recorded_draws(monkeypatch) -> list:
+    """Record (what, shape, value) of every channel draw from now on, ``what`` as in ``DRAWS``."""
+    draws = []
+
+    def recorder(name):
+        real = getattr(channel, name)
+        return lambda n, k, rng: draws.append((DRAWS[name], n, real(n, k, rng))) or draws[-1][2]
+
+    for name in DRAWS:
+        monkeypatch.setattr(channel, name, recorder(name))
+    return draws
+
+
+def shapes(draws) -> list:
+    return [(what, shape) for what, shape, _ in draws]
 
 
 class TestDoubleStageDeadEnd:
@@ -348,54 +361,79 @@ class TestDoubleStageDeadEnd:
 
     def test_no_forward_endpoint_draws_nothing(self, monkeypatch):
         r = self.router(self.on_boundary)
-        shapes = fading_shapes(monkeypatch)
+        draws = recorded_draws(monkeypatch)
         before = r.rng.bit_generator.state
         assert r.ris_fallback(self.origin, RouteLedger()) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
-        assert [n for n in shapes if not isinstance(n, int)] == []
+        assert draws == []
         assert r.rng.bit_generator.state == before
 
     def test_busy_forward_endpoint_draws_no_h_mid(self, monkeypatch):
         r = self.router(self.inside_boundary)
         r.field.state[:] = traffic.BUSY  # observed at slot 0, so read without a draw
-        shapes = fading_shapes(monkeypatch)
+        draws = recorded_draws(monkeypatch)
         before = r.rng.bit_generator.state
         assert r.ris_fallback(self.origin, RouteLedger()) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
-        assert shapes == []
+        assert draws == []
         assert r.rng.bit_generator.state == before
 
     def test_idle_forward_endpoint_draws_h_in_h_mid_then_h_out(self, monkeypatch):
         r = self.router(self.inside_boundary)
         r.field.state[:] = traffic.IDLE
-        shapes = fading_shapes(monkeypatch)
+        draws = recorded_draws(monkeypatch)
         r.ris_fallback(self.origin, RouteLedger())
-        assert shapes == [250, (250, 250), 250]
+        assert shapes(draws) == [("gains", 250), ("gains", (250, 250)), ("gains", 250)]
 
 
 class TestSingleStageDraws:
-    """A surface draws its ``h_in`` only once one of its endpoints is evaluated."""
+    """A surface draws its ``h_in`` only once one of its endpoints is evaluated: as complex gains for
+    the first surface, which the double stage reuses, else as amplitudes; every ``h_out`` is drawn as
+    amplitudes."""
 
-    def router(self, iu_state):
+    def router(self, iu_state, ius=((180.0, 200.0),), riss=((150.0, 200.0),), policy="single_ris", **cfg):
         # S at (100, 200) sees no relay; R1 at (150, 200) sees U1 at (180, 200), 80 m closer to D
-        topo = build_topology([(180.0, 200.0)], [(150.0, 200.0)], src=(100.0, 200.0))
-        cfg = line_config()
-        r = Router(topo, idle_law(1, cfg), cfg, rng_for(122), policy=BASELINE_POLICIES["single_ris"])
+        topo = build_topology(list(ius), list(riss), src=(100.0, 200.0))
+        cfg = line_config(**cfg)
+        r = Router(topo, idle_law(len(ius), cfg), cfg, rng_for(122), policy=BASELINE_POLICIES[policy])
         r.field.state[:] = iu_state  # observed at slot 0, so read without a draw
         return r
 
     def test_no_idle_forward_endpoint_draws_no_h_in(self, monkeypatch):
         r = self.router(traffic.BUSY)
-        shapes = fading_shapes(monkeypatch)
+        draws = recorded_draws(monkeypatch)
         before = r.rng.bit_generator.state
         assert r.ris_fallback(r._point(SOURCE_ID), RouteLedger()) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
-        assert shapes == []
+        assert draws == []
         assert r.rng.bit_generator.state == before
 
     def test_idle_forward_endpoint_draws_h_in_then_h_out(self, monkeypatch):
         r = self.router(traffic.IDLE)
-        shapes = fading_shapes(monkeypatch)
+        draws = recorded_draws(monkeypatch)
         surfaces, entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
         assert (surfaces, entry.link.node_id) == ((r.topo.first_ris_id,), 2)
-        assert shapes == [250, 250]
+        assert shapes(draws) == [("gains", 250), ("amplitudes", 250)]
+
+    def test_a_later_surface_draws_amplitudes_only(self, monkeypatch):
+        # R1 at (150, 200) sees nothing; R2 at (130, 150), scanned second, sees U1 at (170, 120)
+        r = self.router(traffic.IDLE, riss=((150.0, 200.0), (130.0, 150.0)), ius=((170.0, 120.0),))
+        assert r._scan(r._point(SOURCE_ID), r.ris_ids) == (3, 4) and r._scan((150.0, 200.0)) == ()
+        draws = recorded_draws(monkeypatch)
+        surfaces, entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
+        assert (surfaces, entry.link.node_id) == ((4,), 2)
+        assert shapes(draws) == [("amplitudes", 250), ("amplitudes", 250)]
+
+    def test_double_stage_reuses_the_first_surfaces_h_in(self, monkeypatch):
+        # at +100 dBm noise no rate is positive: the single stage evaluates U1 behind R1 and fails, and
+        # the double stage runs from R1 over R2 at (200, 200), out of S's sight, to U2 at (240, 200)
+        r = self.router(traffic.IDLE, ius=((180.0, 200.0), (240.0, 200.0)),
+                        riss=((150.0, 200.0), (200.0, 200.0)), policy="full", noise_dbm=100.0)
+        assert r._scan(r._point(SOURCE_ID), r.ris_ids) == (4,) and r._scan((200.0, 200.0)) == (3,)
+        draws, aligned = recorded_draws(monkeypatch), []
+        real_align = channel.alternating_double_phases
+        monkeypatch.setattr(channel, "alternating_double_phases",
+                            lambda h_in, h_mid, h_out: aligned.append(h_in) or real_align(h_in, h_mid, h_out))
+        assert r.ris_fallback(r._point(SOURCE_ID), RouteLedger()) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
+        assert shapes(draws) == [("gains", 250), ("amplitudes", 250), ("gains", (250, 250)), ("gains", 250)]
+        assert aligned == [draws[0][2]] and aligned[0] is draws[0][2]
 
 
 class TestDeferral:
@@ -645,7 +683,7 @@ class ExhaustiveRouter(Router):
     def _direct_links(self, origin, ids, nus, limit):
         if not ids:
             return []
-        amplitudes = np.abs(channel.sample_fading(len(ids), self.cfg.rician_k_db, self.rng)).tolist()
+        amplitudes = channel.sample_amplitudes(len(ids), self.cfg.rician_k_db, self.rng).tolist()
         links = []
         for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
             remaining = math.dist(pos, self.dest)
@@ -659,12 +697,14 @@ class ExhaustiveRouter(Router):
         self.skipped += 1
         return np.full(self.cfg.ris_elements, MAX_GAIN, dtype=complex)
 
-    def _single_stage(self, origin, candidates, incoming):
+    def _single_stage(self, origin, candidates):
         best = None  # ((progress, ris_id), surfaces, entry)
         for ris_id in candidates:
             ris_pos = self._point(ris_id)
+            found = self._scan(ris_pos)
             entries = []
-            for endpoint in self._reflector_endpoints(self._scan(ris_pos), origin):
+            idle = set(self._split_idle_busy(found)[0].tolist())
+            for endpoint in self._reflector_endpoints(found, origin, idle):
                 gamma = channel.optimal_single_reflection_snr(
                     self.cfg, self._gains(ris_id), self._gains((ris_id, endpoint[0])),
                     math.dist(origin, ris_pos), math.dist(ris_pos, endpoint[1]))
@@ -674,7 +714,7 @@ class ExhaustiveRouter(Router):
                 key = (min(e.link.remaining_m for e in entries), ris_id)
                 if best is None or key < best[0]:
                     best = (key, (ris_id,), select_entry(entries))
-        return None if best is None else best[1:]
+        return None if best is None else best[1:], None
 
 
 @contextlib.contextmanager
@@ -701,13 +741,15 @@ class StageOracle:
     """Checks every relay and single-reflection stage ``router`` runs against an ``ExhaustiveRouter``
     set to the router's state.
 
-    A relay stage must give the oracle's entry, draws and traffic observations. A single stage is
+    A relay stage must give the oracle's entry, draws and traffic observations. A single stage must
+    observe once, before any draw: every IU in sight of a candidate surface, first seen first. It is
     evaluated by the oracle over the lazy stage's draws and over the traffic field as the stage left
     it (so the oracle's observations read the same states and draw nothing), with ``MAX_GAIN`` for
     every surface and endpoint the lazy stage skipped. Both must pick the same hop, and the oracle
-    must leave its generator untouched. Every fading draw of the lazy stage must be read, and
-    replaying its observations and draws, in order, from where the stage began must leave the
-    generator and the field where the stage left them: nothing else advanced them.
+    must leave its generator untouched. Every draw of the lazy stage must be read; only the first
+    surface's ``h_in`` is complex, and the stage hands it on when it finds no hop. Replaying its
+    observation and draws, in order, from where the stage began must leave the generator and the
+    field where the stage left them: nothing else advanced them.
     """
 
     def __init__(self, router):
@@ -737,56 +779,68 @@ class StageOracle:
         self.links += (links[0], oracle_links[0])
         return got
 
-    def single_stage(self, origin, candidates, incoming):
+    def single_stage(self, origin, candidates):
         r = self.router
         field_before, rng_before = copy.deepcopy(r.field), copy.deepcopy(r.rng)
-        events, draws = [], {}  # events: (kind, arguments but the generator, result)
-        real_fading, real_observe, real_surface = channel.sample_fading, r.field.states_at, r._single_surface
+        events, draws = [], {}  # events: (function name, arguments but the generator, result)
+        real = {name: getattr(channel, name) for name in DRAWS}
+        real_observe, real_surface = r.field.states_at, r._single_surface
 
-        def fading(n, k, rng):
-            events.append(("draw", (n, k), real_fading(n, k, rng)))
-            return events[-1][2]
+        def recorder(name):
+            def draw(n, k, rng):
+                events.append((name, (n, k), real[name](n, k, rng)))
+                return events[-1][2]
+            return draw
 
         def observe(slot, indices, rng):
-            events.append(("observe", (slot, np.array(indices)), None))
+            events.append(("states_at", (slot, np.array(indices)), None))
             return real_observe(slot, indices, rng)
 
-        def surface(origin, ris_id, incoming):
-            endpoints, entry_at = real_surface(origin, ris_id, incoming)
+        def surface(origin, ris_id, endpoints, incoming, phased):
+            entry_at = real_surface(origin, ris_id, endpoints, incoming, phased)
 
             def recorded(i):
                 before = len(events)
                 entry = entry_at(i)
-                made = [value for kind, _, value in events[before:] if kind == "draw"]
+                made = [value for name, _, value in events[before:] if name != "states_at"]
                 if made:  # a first evaluation: the surface's h_in unless drawn already, then the endpoint's h_out
                     *h_in, draws[ris_id, endpoints[i][0]] = made
                     if h_in:
                         (draws[ris_id],) = h_in
                 return entry
 
-            return endpoints, recorded
+            return recorded
 
-        channel.sample_fading, r.field.states_at, r._single_surface = fading, observe, surface
+        for name in DRAWS:
+            setattr(channel, name, recorder(name))
+        r.field.states_at, r._single_surface = observe, surface
         try:
-            got = self.single(origin, candidates, incoming)
+            got, h_in = self.single(origin, candidates)
         finally:
-            channel.sample_fading = real_fading
+            for name, draw in real.items():
+                setattr(channel, name, draw)
             del r.field.states_at, r._single_surface
+        in_sight = [i for ris_id in candidates for i in self.oracle._scan(self.oracle._point(ris_id))]
+        assert [name for name, _, _ in events].count("states_at") == 1 and events[0][0] == "states_at"
+        assert events[0][1][1].tolist() == list(dict.fromkeys(i - FIRST_IU_ID for i in in_sight if i != DEST_ID))
         self.sync(r.field, rng_before)
         self.oracle.draws = draws
-        assert got == self.oracle._single_stage(origin, candidates, {})
+        assert got == self.oracle._single_stage(origin, candidates)[0]
         assert self.oracle.rng.bit_generator.state == rng_before.bit_generator.state
-        made = [value for kind, _, value in events if kind == "draw"]
+        made = [value for name, _, value in events if name != "states_at"]
         assert sorted(map(id, made)) == sorted(map(id, draws.values()))  # every draw is read
-        for kind, args, value in events:
-            if kind == "draw":
-                assert np.array_equal(channel.sample_fading(*args, rng_before), value)
-            else:
+        assert {key: d.dtype.kind for key, d in draws.items()} == {
+            key: "c" if key == candidates[0] else "f" for key in draws}
+        assert h_in is (draws.get(candidates[0]) if got is None else None)
+        for name, args, value in events:
+            if name == "states_at":
                 field_before.states_at(*args, rng_before)
+            else:
+                assert np.array_equal(getattr(channel, name)(*args, rng_before), value)
         assert rng_before.bit_generator.state == r.rng.bit_generator.state
         assert same_field(field_before, r.field)
         self.single_stages += 1
-        return got
+        return got, h_in
 
 
 class TestStopRulesMatchExhaustiveStages:
