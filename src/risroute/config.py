@@ -27,7 +27,7 @@ obstructed buildings), which keeps ``d ** -alpha`` finite for any
 d > 1e-30 m. The harvester's ``eh_slope * eh_threshold_w`` is at most 700
 (2.1 by default), so its curve never overflows, and its saturation power
 ``mh_mw`` is at most the transmit power: a relay harvests less than a hop
-spends, and the last hop, into the destination, harvests nothing, so a
+spends (``invariants.check_ledger`` checks it), and the last hop, into the destination, harvests nothing, so a
 route's net energy is positive.
 """
 

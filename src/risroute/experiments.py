@@ -40,19 +40,8 @@ routing again. Every row keeps the bytes of routing each
 variant on its own stream.
 
 ``STREAM_VERSION`` names the order in which a route consumes its stream.
-A change that moves any draw bumps it, and every manifest records it.
-Version 2 draws fading only where it is read (see ``router``). Version 3
-moves values, not draws: Q^-1 comes from ``statistics`` (``channel.q_inv``),
-and a mobile route transmits from where the IU holding the packet is after
-it waits. Version 4 also moves values, not draws: the line-of-sight phasor
-of a 2-D fading draw comes from one half-angle tangent instead of cos and
-sin, and the alignment's phasors are conj(z) / |z| instead of exp(-j
-angle(z)) (see ``channel``). Version 5 draws amplitudes where only
-amplitudes are read: the relay links, each single-reflection ``h_out`` and
-the ``h_in`` of every surface but the first are two normals per element,
-with no phase (``channel.sample_amplitudes``), and each single stage
-observes the IUs of all its surfaces in one call before any draw (see
-``router``). The law of every output is unchanged.
+A change that moves any draw bumps it, and every manifest records it; what
+each version moved is in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ read off what it records (``router``), so they cannot disagree with it:
 * a successful route ends at D and fits its delay budget;
 * a direct hop carries a whole bit count b of ``linkbudget``'s modes, a
   reflected hop a positive rate;
+* a hop harvests less than it spends, (P + P_proc) T_s per slot used, so a
+  route's net energy, the denominator of ``metrics``' E_eff, is positive;
 * each hop crosses at most two surfaces, each a RIS, and ends at D or an IU;
 * when the IUs stay still, each node a hop reaches lies within the coverage
   radius of the point it was scanned from (the hop's origin, then each
@@ -71,6 +73,8 @@ def check_ledger(ledger: RouteLedger, cfg: SimConfig) -> list[str]:
                 problems.append(f"hop {i}: direct rate {hop.rate!r} is not a bit count 1..{MAX_RATE}")
         elif not hop.rate > 0.0:
             problems.append(f"hop {i}: reflected rate {hop.rate!r} is not positive")
+        if not hop.harvested_j < (spent := (cfg.tx_power_w + cfg.proc_power_w) * cfg.slot_s * hop.slots_used):
+            problems.append(f"hop {i}: harvests {hop.harvested_j!r} J, not below the {spent!r} J it spends")
         reached += zip(hop.via, (anchor, *surfaces))
         anchor = endpoint
     used = sum(h.slots_used for h in ledger.hops)

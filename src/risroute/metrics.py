@@ -24,10 +24,6 @@ from .config import SimConfig
 from .router import HopKind, RouteLedger
 
 
-class NetNegativeEnergyError(ValueError):
-    """Harvest exceeded spend; the efficiency ratio is undefined."""
-
-
 def compute_route_metrics(ledger: RouteLedger, cfg: SimConfig) -> dict:
     """The columns ``D_T``, ``D_T_normalized``, ``E_eff``, ``ris_count`` and ``hops`` of a successful route."""
     if not ledger.success:
@@ -44,9 +40,6 @@ def compute_route_metrics(ledger: RouteLedger, cfg: SimConfig) -> dict:
         bits_denom += 1.0 / (scale * hop.rate)
         slots += hop.slots_used
         harvested += hop.harvested_j
-    spent = (cfg.tx_power_w + cfg.proc_power_w) * cfg.slot_s * slots
-    net = spent - harvested
-    if net <= 0.0:
-        raise NetNegativeEnergyError(f"harvested {harvested:.3e} J >= spent {spent:.3e} J on this route")
+    net = (cfg.tx_power_w + cfg.proc_power_w) * cfg.slot_s * slots - harvested
     return {"D_T": 1.0 / size_denom, "D_T_normalized": 1.0 / bits_denom, "E_eff": cfg.total_bits / net,
             "ris_count": ledger.ris_count, "hops": len(hops)}

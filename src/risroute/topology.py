@@ -162,8 +162,10 @@ def ris_grid_positions(arena: tuple[float, float], spacing: float) -> np.ndarray
 def generate_topology(cfg: SimConfig, rng: np.random.Generator) -> Topology:
     """Random IU placement plus a deterministic RIS grid.
 
-    IUs are uniform over the arena; RISs sit on a grid with spacing
-    <= coverage so a forward half-disc always holds a reflector. The
+    IUs are uniform over the arena; RISs sit on the grid of
+    ``cfg.ris_spacing`` (r/2 unless ``ris_spacing_m`` is set). Any spacing
+    is accepted, so a forward half-disc may hold no surface: a route whose
+    half-disc holds neither an IU nor a surface ends ``no_iu_no_ris``. The
     source and destination are the config's ``source_xy`` and ``dest_xy``;
     either left unset is drawn uniformly (redrawn until the two are distinct).
     """

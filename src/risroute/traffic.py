@@ -20,9 +20,8 @@ and the transmission deferral window eta_w = min over busy users of eta_I.
 
 A run's traffic is held as arrays indexed by IU row (the IU's node id
 minus ``topology.FIRST_IU_ID``). ``chain_law`` turns the per-IU means
-``lambda_s`` and ``mu_s`` (seconds) into a ``ChainLaw``: the switch
-probabilities, the stationary busy probability ``pi``, the chain eigenvalue
-``rho``, ``nu_idle`` and ``eta_idle``. The law depends on the traffic config
+``lambda_s`` and ``mu_s`` (seconds) into a ``ChainLaw``: the stationary
+busy probability ``pi``, the chain eigenvalue ``rho``, ``nu_idle`` and ``eta_idle``. The law depends on the traffic config
 alone, so one law is computed per config and shared read-only (every array
 has ``flags.writeable = False``) by the ``TrafficField`` of each route,
 which holds only that route's chain states. The estimators accept a scalar
@@ -95,8 +94,6 @@ def deferral_window(busy_eta: np.ndarray) -> int | float:
 class ChainLaw(NamedTuple):
     """Per-IU chain law and estimators of one traffic config, every array read-only."""
 
-    p01: np.ndarray
-    p10: np.ndarray
     pi: np.ndarray  # stationary busy probability
     rho: np.ndarray  # chain eigenvalue 1 - p01 - p10
     nu_idle: np.ndarray
@@ -114,8 +111,6 @@ def chain_law(lambda_s, mu_s, slot: float, delta: float, p_th: float) -> ChainLa
     p01 = switch_probability(lam, slot)
     p10 = switch_probability(mu, slot)
     law = ChainLaw(
-        p01=p01,
-        p10=p10,
         pi=p01 / (p01 + p10),
         rho=1.0 - p01 - p10,
         nu_idle=duration_estimate(lam, slot, delta),

@@ -493,7 +493,10 @@ class TestPerConfigConstants:
         law = experiments._profiles_for(cfg)
         assert experiments._profiles_for(SimConfig(iu_count=3, lambda_off_ms=(1.0, 2.0, 3.0))) is law
         other = experiments._profiles_for(cfg.with_overrides(lambda_off_ms=(1.0, 2.0, 4.0)))
-        assert law.p01[:2].tolist() == other.p01[:2].tolist() and law.p01[2] != other.p01[2]
+        p01 = traffic.switch_probability(np.array([1.0, 2.0, 3.0]) * 1e-3, cfg.slot_s)
+        p10 = traffic.switch_probability(np.full(3, cfg.mu_on_ms * 1e-3), cfg.slot_s)
+        assert law.pi.tolist() == (p01 / (p01 + p10)).tolist()
+        assert law.pi[:2].tolist() == other.pi[:2].tolist() and law.pi[2] != other.pi[2]
 
     def test_fields_of_one_law_evolve_independently(self):
         law = experiments._profiles_for(SimConfig(iu_count=200))

@@ -58,6 +58,9 @@ BROKEN = {
     "direct rate NaN": (lambda led: with_hop(led, 2, rate=math.nan), "hop 2: direct rate nan is not a bit count"),
     "reflected rate 0": (lambda led: with_hop(led, 3, rate=0.0), "hop 3: reflected rate 0.0 is not positive"),
     "reflected rate NaN": (lambda led: with_hop(led, 4, rate=math.nan), "hop 4: reflected rate nan is not positive"),
+    # hop 2 spends (P + P_proc) T_s over its 2 slots; a harvest of exactly that leaves no net energy
+    "harvest reaches spend": (lambda led: with_hop(led, 2, harvested_j=(CFG.tx_power_w + CFG.proc_power_w)
+                                                   * CFG.slot_s * 2), "hop 2: harvests"),
     "via long for its kind": (lambda led: with_hop(led, 4, via=(R1, R2, R3, D)), "hop 4: names 4 nodes, more than"),
     "surface not a RIS": (lambda led: with_hop(led, 3, via=(U2, U3)), "hop 3: surfaces (3,) are not all RIS ids"),
     "ends at a RIS": (lambda led: with_hop(led, 2, via=(R1,)), "hop 2: ends at (5,), neither D nor an IU"),

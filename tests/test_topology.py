@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risroute.config import SimConfig
-from risroute.experiments import _profiles_for
+from risroute.experiments import _profiles_for, run_one_route
+from risroute.router import FailureReason
 from risroute.topology import (
     DEST_ID,
     FIRST_IU_ID,
@@ -254,6 +255,21 @@ class TestTopologyConstruction:
         assert t1.iu_xy.shape == (50, 2)
         assert np.array_equal(t1.xy[t1.first_ris_id:], ris_grid_positions((400.0, 400.0), cfg.ris_spacing))
         assert np.array_equal(t1.iu_xy, t2.iu_xy)
+
+    def test_a_half_disc_without_iu_or_surface_ends_the_route(self):
+        # a 4r grid (surfaces at 60, 180, 300 m) leaves no surface within r = 30 m of S: a route whose
+        # first half-disc holds no IU either has nowhere to go
+        cfg = SimConfig(iu_count=50, coverage_m=30.0, ris_spacing_m=120.0,
+                        source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
+        empty = 0
+        for seed in range(6):
+            ledger = run_one_route(cfg, np.random.default_rng(seed))
+            topo, origin = ledger.topo, point(ledger.topo, SOURCE_ID)
+            assert topo.scan(range(topo.first_ris_id, len(topo.xy)), origin, cfg.coverage_m) == ()
+            if topo.scan(range(FIRST_IU_ID, topo.first_ris_id), origin, cfg.coverage_m) == ():
+                empty += 1
+                assert ledger.failure_reason is FailureReason.NO_IU_NO_RIS and ledger.hops == []
+        assert empty >= 3
 
 
 class TestScenarioIsArrays:

@@ -51,17 +51,18 @@ class Draws:
 
 class TestTransitionMatrix:
     def test_off_switch_probability_exact(self):
-        field = make_field()
-        assert field.law.p01[0] == pytest.approx(1 - math.exp(-0.025), rel=1e-15)
-        assert field.law.p01[0] == pytest.approx(0.024690087971667385, rel=1e-12)
-        assert field.law.p10[0] == pytest.approx(0.024690087971667385, rel=1e-12)
+        p01, p10 = switch_probability(LAM, SLOT), switch_probability(MU, SLOT)
+        assert p01 == pytest.approx(1 - math.exp(-0.025), rel=1e-15)
+        assert p01 == pytest.approx(0.024690087971667385, rel=1e-12)
+        assert p10 == pytest.approx(0.024690087971667385, rel=1e-12)
+        assert make_field().law.pi[0] == p01 / (p01 + p10)
 
     def test_off_switch_probability_monte_carlo_oracle(self):
         # fraction of exponential OFF periods ending within one slot
         rng = np.random.default_rng(2024)
         draws = rng.exponential(LAM, size=1_000_000)
         frac = float(np.mean(draws < SLOT))
-        p01 = make_field().law.p01[0]
+        p01 = switch_probability(LAM, SLOT)
         sigma = math.sqrt(p01 * (1 - p01) / 1_000_000)
         assert abs(frac - p01) < 4 * sigma
 
@@ -74,14 +75,16 @@ class TestTransitionMatrix:
                 field = make_field(lam * MS, mu * MS, slot=ts * MS)
             p = oracle_matrix(lam * MS, mu * MS, ts * MS)
             assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-            assert abs(field.law.p01[0] - p[0, 1]) < 1e-15 and abs(field.law.p10[0] - p[1, 0]) < 1e-15
+            p01, p10 = switch_probability(lam * MS, ts * MS), switch_probability(mu * MS, ts * MS)
+            assert abs(p01 - p[0, 1]) < 1e-15 and abs(p10 - p[1, 0]) < 1e-15
+            assert field.law.pi[0] == p01 / (p01 + p10) and field.law.rho[0] == 1.0 - p01 - p10
             assert 0 <= field.law.pi[0] <= 1 and abs(field.law.rho[0]) <= 1
 
     def test_infinite_off_mean_limit(self):
         field = make_field(lam=1e9)
-        assert field.law.p01[0] < 1e-9 and field.law.pi[0] < 1e-9
+        assert switch_probability(1e9, SLOT) < 1e-9 and field.law.pi[0] < 1e-9
         never = make_field(lam=math.inf)
-        assert never.law.p01[0] == 0.0 and never.law.pi[0] == 0.0
+        assert switch_probability(math.inf, SLOT) == 0.0 and never.law.pi[0] == 0.0
 
     def test_invalid_rows_rejected(self):
         # means that cannot give a stochastic matrix are refused
@@ -312,7 +315,7 @@ class TestTrafficField:
         for j in range(4):
             p01 = 1.0 - math.exp(-SLOT / lam[j])
             p10 = 1.0 - math.exp(-SLOT / mu[j])
-            assert field.law.p01[j] == p01 and field.law.p10[j] == p10
+            assert switch_probability(lam, SLOT)[j] == p01 and switch_probability(mu, SLOT)[j] == p10
             assert field.law.pi[j] == p01 / (p01 + p10) and field.law.rho[j] == 1.0 - p01 - p10
             assert field.law.nu_idle[j] == (lam[j] / SLOT) * math.log(1.0 / (1.0 - delta))
             assert field.law.eta_idle[j] == (mu[j] / SLOT) * math.log(max(p10 / p_th, 1.0)) + 1.0
