@@ -11,7 +11,8 @@ Every run writes a manifest JSON capturing the resolved configuration
 random stream version. Feeding that manifest back through --config
 restores only the configuration: the outputs are reproduced byte for
 byte when --seed and --replications are passed again with their
-original values.
+original values. A grid point's rows do not depend on the rest of its
+grid: a one-point grid reruns one point of a larger run.
 
 ``main`` pins BLAS and OpenMP to one thread before numpy loads: a
 250x250 mat-vec of the double-reflection alignment rounds differently

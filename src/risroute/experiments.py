@@ -6,7 +6,7 @@ the grid defaults, the CLI and ``run`` all read that table.
 
 The sweep, comparison and mobility kinds are grids of cells, each cell one
 grid point under one policy and one summary row: ``_grid_cells`` lists them
-in output order, grouped by shared stream (the comparison variants at one
+in output order, grouped by shared topology (the comparison variants at one
 coverage; any other cell alone), ``_run_cells`` runs the replications of one
 group and ``_run_grid`` runs them all (the two sweeps on worker processes
 when asked) into CSVs.
@@ -23,11 +23,14 @@ alone is computed once per distinct key and shared read-only: the traffic
 chain law (``_profiles_for``), the RIS grid (``topology.ris_grid_positions``)
 and the mode table (``linkbudget.build_mode_table``).
 
-Replication streams derive deterministically from (seed, indices) via
-SeedSequence, so outputs are byte-identical across runs and thread
-counts; comparison variants and mobility grid points reuse the same
-replication streams (common random numbers) so differences between
-curves are driven by the policies, not by sampling noise.
+Every generator comes from ``_stream``, keyed by the seed, the runner
+family, the grid point as its scenario id prints it (coverage and density)
+and the replication. So outputs are byte-identical across runs and thread
+counts, a grid point's rows do not depend on the rest of its grid, and no
+two families share a stream. The variant and the speed are not in the key:
+comparison variants and mobility speeds reuse the same replication streams
+(common random numbers), so differences between curves are driven by the
+policies, not by sampling noise.
 
 The variants of one comparison replication are routed together
 (``Replication``): the topology is drawn once and each variant's route
@@ -36,12 +39,12 @@ would have started on its own; the variants share the topology's scan
 memo (``topology.Topology.scan``); and a variant whose route would take
 the same draws and hops as one routed before it
 (``router.RoutePolicy.first_difference``) reuses that ledger instead of
-routing again. Every row keeps the bytes of routing each
-variant on its own stream.
+routing again. Every row keeps the bytes of routing each variant alone.
 
 ``STREAM_VERSION`` names the order in which a route consumes its stream.
 A change that moves any draw bumps it, and every manifest records it; what
-each version moved is in CHANGES.md.
+each version moved is in CHANGES.md. Version 6 keys each stream by what its
+routes draw (``_stream``), not by where its cell sits in the grid.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ DETAIL_COLUMNS = [
     "success",
 ]
 
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 # The grid kinds pin one endpoint pair so grid points differ only in the topology draw.
 SWEEP_SOURCE = (20.0, 200.0)
@@ -83,6 +86,15 @@ SWEEP_DEST = (380.0, 200.0)
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic child stream for (seed, indices)."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
+
+
+def _stream(seed: int, family: str, rep: int, scenario: str = "") -> np.random.Generator:
+    """Replication ``rep``'s generator in one runner family (``grid``, ``walk``, ``trajectory`` or
+    ``traffic``) at one grid point, ``scenario``. Family and scenario are packed into one integer,
+    then come ``rep`` and the text's byte count, which fixes where the text ends: no key is a prefix
+    of another, and none ends in the zero word that SeedSequence would ignore."""
+    text = f"{family}:{scenario}".encode()
+    return derive_rng(seed, int.from_bytes(text, "big"), rep, len(text))
 
 
 @dataclass(frozen=True)
@@ -305,13 +317,12 @@ class Cell:
     variant: str  # label in the detail rows' variant column
     policy: router.RoutePolicy  # the policy the routes run under
     cfg: SimConfig  # the grid point's coverage and density are cfg.coverage_m and cfg.iu_count
-    stream: int | None  # grid index keying the route streams; None keys them by replication only
     v_max: float = 0.0  # maximum waypoint speed of the IUs
     extra: dict = field(default_factory=dict)  # summary columns between density and the stats
 
 
 def _grid_cells(plan: ExperimentPlan, base: SimConfig) -> list[tuple[Cell, ...]]:
-    """A grid plan's cells in output order, grouped by shared stream, each a variation of ``base``;
+    """A grid plan's cells in output order, grouped by shared topology, each a variation of ``base``;
     every config is built (and checked) and every variant resolved to its policy before any route
     runs."""
     coverages = plan.resolved_coverage_grid()
@@ -319,38 +330,36 @@ def _grid_cells(plan: ExperimentPlan, base: SimConfig) -> list[tuple[Cell, ...]]
     if plan.kind == "comparison":
         return [
             tuple(Cell(f"comparison-r{c:g}-{v}", v, router.BASELINE_POLICIES[v], base.with_overrides(coverage_m=c),
-                       ci, extra={"variant": v}) for v in plan.variants)
-            for ci, c in enumerate(coverages)
+                       extra={"variant": v}) for v in plan.variants)
+            for c in coverages
         ]
     if plan.kind == "mobility":
         point = base.with_overrides(coverage_m=coverages[0])
         return [
-            (Cell(f"mobility-v{v:g}", f"v{v:g}", full, point, None, v_max=v, extra={"v_max": v}),)
+            (Cell(f"mobility-v{v:g}", f"v{v:g}", full, point, v_max=v, extra={"v_max": v}),)
             for v in plan.vmax_grid
         ]
     points = [(c, d) for d in plan.resolved_density_grid() for c in coverages]
     return [
-        (Cell(f"{plan.kind}-r{c:g}-m{d}", "full", full, base.with_overrides(coverage_m=c, iu_count=d), gi),)
-        for gi, (c, d) in enumerate(points)
+        (Cell(f"{plan.kind}-r{c:g}-m{d}", "full", full, base.with_overrides(coverage_m=c, iu_count=d)),)
+        for c, d in points
     ]
 
 
 def _run_cells(cells: tuple[Cell, ...], seed: int, replications: int) -> list[list[dict]]:
-    """Each cell's detail rows, for cells that share one ``stream``; module-level for process pools,
-    and the one place grid streams are derived.
+    """Each cell's detail rows, for cells at one grid point and speed; module-level for process pools.
 
-    Comparison cells at one coverage share ``stream``, so each replication
-    routes their policies together on one topology (``Replication``).
-    Mobility cells share the per-replication streams, and each runs alone. So
-    the curves differ by policy or speed only.
+    Every replication draws the point's ``grid`` stream, and a moving cell also its ``walk`` stream.
+    Comparison cells at one coverage route their policies together on one topology
+    (``Replication``); a mobility cell runs alone on the streams every speed shares. So the curves
+    differ by policy or speed only.
     """
-    stream = cells[0].stream
+    point = f"r{cells[0].cfg.coverage_m:g}-m{cells[0].cfg.iu_count}"  # as the cell's scenario id prints it
     rows: list[list[dict]] = [[] for _ in cells]
     for rep in range(replications):
-        if stream is None:
-            rng, walk, shared = derive_rng(seed, rep, 0), derive_rng(seed, rep, 1), None
-        else:
-            rng, walk, shared = derive_rng(seed, stream, rep), None, Replication()
+        rng = _stream(seed, "grid", rep, point)
+        walk = _stream(seed, "walk", rep, point) if cells[0].v_max > 0 else None
+        shared = Replication() if walk is None else None
         for cell, out in zip(cells, rows):
             ledger = run_one_route(cell.cfg, rng, cell.policy, mobility_rng=walk, v_max=cell.v_max, shared=shared)
             out.append(_detail_row(cell, seed, ledger))
@@ -452,8 +461,7 @@ def write_manifest(out: Path, plan: ExperimentPlan, cfg: SimConfig) -> Path:
 def _run_trajectory(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
     result.files.append(write_manifest(out, plan, cfg))
     for rep in range(plan.replications):
-        rng = derive_rng(plan.seed, rep)
-        ledger = run_one_route(cfg, rng)
+        ledger = run_one_route(cfg, _stream(plan.seed, "trajectory", rep))
         if problems := invariants.check_ledger(ledger, cfg):
             raise RuntimeError(f"route {rep + 1} breaks its ledger's invariants: {'; '.join(problems)}")
         result.attempted += 1
@@ -490,7 +498,7 @@ def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, res
         raise ConfigError("traffic validation needs scalar lambda_off_ms and mu_on_ms, not per-IU lists")
     result.files.append(write_manifest(out, plan, cfg))
     slot = cfg.slot_s
-    rng = derive_rng(plan.seed, 0)
+    rng = _stream(plan.seed, "traffic", 0)
     for figure, fixed_ms in (("nu_b", cfg.lambda_off_ms), ("nu_i", cfg.mu_on_ms)):
         fixed_s = fixed_ms * 1e-3
         if figure == "nu_b":  # lambda fixed, mu swept

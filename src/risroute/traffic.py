@@ -21,11 +21,12 @@ and the transmission deferral window eta_w = min over busy users of eta_I.
 A run's traffic is held as arrays indexed by IU row (the IU's node id
 minus ``topology.FIRST_IU_ID``). ``chain_law`` turns the per-IU means
 ``lambda_s`` and ``mu_s`` (seconds) into a ``ChainLaw``: the stationary
-busy probability ``pi``, the chain eigenvalue ``rho``, ``nu_idle`` and ``eta_idle``. The law depends on the traffic config
-alone, so one law is computed per config and shared read-only (every array
-has ``flags.writeable = False``) by the ``TrafficField`` of each route,
-which holds only that route's chain states. The estimators accept a scalar
-or such an array.
+busy probability ``pi``, the chain eigenvalue ``rho``, ``nu_idle`` and
+``eta_idle``. The law depends on the traffic config alone, so one law is
+computed per config and shared read-only (every array has
+``flags.writeable = False``) by the ``TrafficField`` of each route, which
+holds only that route's chain states. The estimators accept a scalar or
+such an array.
 """
 
 from __future__ import annotations

@@ -37,6 +37,72 @@ class TestRngDerivation:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_families_never_share_a_stream(self, monkeypatch):
+        keys = []  # every key ``_stream`` derives
+        real = experiments.derive_rng
+        monkeypatch.setattr(experiments, "derive_rng", lambda seed, *key: keys.append(key) or real(seed, *key))
+        points = [f"r{c:g}-m{d}" for c in (30.0, 45.0, 60.0) for d in (100, 400, 900)]
+        draws = {(family, point, rep): tuple(experiments._stream(21, family, rep, point).random(2))
+                 for family, scenarios in (("grid", points), ("walk", points), ("trajectory", [""]), ("traffic", [""]))
+                 for point in scenarios for rep in range(6)}
+        assert len(set(draws.values())) == len(draws) == len(keys) == len(set(keys))
+        # SeedSequence pads a short key with zeros, so a key ending in zero draws the stream of the key
+        # without it: when traffic validation was keyed (seed, 0) and a grid cell (seed, cell, rep), the
+        # traffic stream was cell 0's rep-0 stream. Every key now ends in its text's length.
+        assert derive_rng(21, 0).random() == derive_rng(21, 0, 0).random()
+        assert all(key[-1] > 0 for key in keys)
+
+
+def rows_by_point(path: Path, variant: str) -> dict[tuple[str, str], list[dict]]:
+    """The detail rows of ``variant`` by (coverage, density), without the columns that name the cell."""
+    out = {}
+    for row in read_csv(path):
+        if row["variant"] == variant:
+            rest = {k: v for k, v in row.items() if k not in ("scenario_id", "variant")}
+            out.setdefault((row["coverage_m"], row["density"]), []).append(rest)
+    return out
+
+
+class TestPointStreams:
+    """A grid point draws the streams of what it is, its coverage and density, so it gives the same
+    rows in any plan and any grid kind that holds it."""
+
+    SEED, REPS = 11, 2
+
+    @pytest.fixture(scope="class")
+    def default_grids(self, tmp_path_factory):
+        """Each grid kind's rows on its default grid, for ``full`` (``v0`` for mobility)."""
+        out = {}
+        for kind, stem, variant in (("coverage_sweep", "coverage", "full"), ("density_sweep", "density", "full"),
+                                    ("comparison", "comparison", "full"), ("mobility", "mobility", "v0")):
+            path = tmp_path_factory.mktemp(kind)
+            run(ExperimentPlan(kind=kind, seed=self.SEED, replications=self.REPS), SimConfig(), path)
+            out[kind] = rows_by_point(path / f"{stem}_detail.csv", variant)
+        return out
+
+    def test_a_one_point_plan_repeats_its_row_in_the_grid(self, default_grids, tmp_path):
+        plan = ExperimentPlan(kind="density_sweep", seed=self.SEED, replications=self.REPS,
+                              coverage_grid=(45.0,), density_grid=(200,))
+        run(plan, SimConfig(), tmp_path)
+        alone = rows_by_point(tmp_path / "density_detail.csv", "full")
+        assert list(alone) == [("45.0", "200")]
+        assert alone[("45.0", "200")] == default_grids["density_sweep"][("45.0", "200")]
+
+    def test_both_sweeps_agree_where_their_grids_meet(self, default_grids):
+        coverage, density = default_grids["coverage_sweep"], default_grids["density_sweep"]
+        shared = sorted(set(coverage) & set(density))
+        assert shared == [(c, d) for c in ("30.0", "60.0") for d in ("100", "400", "900")]
+        assert all(coverage[point] == density[point] for point in shared)
+
+    def test_comparison_full_is_the_sweep_at_400_ius(self, default_grids):
+        comparison, coverage = default_grids["comparison"], default_grids["coverage_sweep"]
+        assert len(comparison) == 7 and all(d == "400" for _, d in comparison)
+        assert all(rows == coverage[point] for point, rows in comparison.items())
+
+    def test_static_mobility_is_the_sweep_at_its_point(self, default_grids):
+        assert list(default_grids["mobility"]) == [("50.0", "400")]
+        assert default_grids["mobility"][("50.0", "400")] == default_grids["coverage_sweep"][("50.0", "400")]
+
 
 class TestPlanValidation:
     @pytest.mark.parametrize("bad", [
@@ -352,7 +418,7 @@ class TestManifest:
         plan = ExperimentPlan(kind=kind, seed=3, **sizes)
         run(plan, SimConfig(iu_count=50), tmp_path)
         payload = json.loads((tmp_path / f"manifest_{kind}.json").read_text())
-        assert payload["stream_version"] == experiments.STREAM_VERSION == 5
+        assert payload["stream_version"] == experiments.STREAM_VERSION == 6
 
     @pytest.mark.parametrize("kind", ["comparison", "mobility"])
     def test_grid_kinds_record_the_endpoints_they_ran(self, kind, tmp_path):
@@ -441,12 +507,28 @@ class TestMobilityExperiment:
                                          dest_xy=experiments.SWEEP_DEST)
         from risroute.metrics import compute_route_metrics
         for rep, row in enumerate(v0):
-            rng = derive_rng(6, rep, 0)
-            led = run_one_route(cfg, rng)
+            led = run_one_route(cfg, experiments._stream(6, "grid", rep, "r50-m400"))
             if led.success:
                 assert float(row["D_T"]) == compute_route_metrics(led, cfg)["D_T"]
             else:
                 assert float(row["D_T"]) == 0.0
+
+    def test_every_speed_starts_from_the_replications_streams(self, tmp_path, monkeypatch):
+        starts = {}  # (v_max, rep) -> states of the route's and the walk's generators as the route starts
+        real = experiments.run_one_route
+
+        def recorded(cfg, rng, policy, mobility_rng=None, v_max=0.0, shared=None):
+            rep = sum(v == v_max for v, _ in starts)
+            walk = None if mobility_rng is None else mobility_rng.bit_generator.state
+            starts[v_max, rep] = (rng.bit_generator.state, walk)
+            return real(cfg, rng, policy, mobility_rng, v_max, shared)
+
+        monkeypatch.setattr(experiments, "run_one_route", recorded)
+        run(ExperimentPlan(kind="mobility", seed=6, replications=2, vmax_grid=(0.0, 5.0, 10.0)), SimConfig(), tmp_path)
+        for rep in range(2):
+            assert starts[0.0, rep][0] == starts[5.0, rep][0] == starts[10.0, rep][0]
+            assert starts[0.0, rep][1] is None and starts[5.0, rep][1] == starts[10.0, rep][1] is not None
+        assert starts[5.0, 0] != starts[5.0, 1]
 
     def test_ledgers_say_whether_their_ius_moved(self, tmp_path, monkeypatch):
         seen = []  # (v_max, ledger.mobile) of every route
@@ -520,7 +602,7 @@ class TestPerConfigConstants:
         assert per_law > 0
         experiments._chain_law.cache_clear()
         calls.clear()
-        cell = experiments.Cell("c", "full", router.RoutePolicy(), cfg, 0)
+        cell = experiments.Cell("c", "full", router.RoutePolicy(), cfg)
         (rows,) = experiments._run_cells((cell,), seed=3, replications=3)
         assert len(rows) == 3 and len(calls) == per_law
 
@@ -528,8 +610,8 @@ class TestPerConfigConstants:
 class TestSharedReplication:
     """Comparison replications route their variants together (``experiments.Replication``). The
     oracle routes each cell's replication alone on its own stream, ``run_one_route(cfg,
-    derive_rng(seed, ci, rep), policy)``, as every comparison did before: each ledger must equal
-    the oracle's, stage reached included, and the detail CSV must keep its bytes."""
+    _stream(seed, "grid", rep, point), policy)``, as every comparison did before: each ledger must
+    equal the oracle's, stage reached included, and the detail CSV must keep its bytes."""
 
     def check(self, plan, cfg, out, monkeypatch):
         """Run ``plan`` and compare it with the oracle; returns, per stage a pair of policies first
@@ -551,11 +633,12 @@ class TestSharedReplication:
                                                                   dest_xy=experiments.SWEEP_DEST))
         n = len(plan.variants)  # one group per coverage, its variants in plan order
         assert [len(group) for group in groups] == [n] * len(plan.resolved_coverage_grid())
-        assert all(cell.policy == router.BASELINE_POLICIES[v] and cell.stream == ci
-                   for ci, group in enumerate(groups) for cell, v in zip(group, plan.variants))
+        assert all(cell.policy == router.BASELINE_POLICIES[v] and cell.cfg == group[0].cfg
+                   for group in groups for cell, v in zip(group, plan.variants))
         cells = [cell for group in groups for cell in group]
-        oracle = {(i, rep): run_one_route(cell.cfg, derive_rng(plan.seed, cell.stream, rep), cell.policy)
-                  for i, cell in enumerate(cells) for rep in range(plan.replications)}
+        points = [f"r{cell.cfg.coverage_m:g}-m{cell.cfg.iu_count}" for cell in cells]
+        oracle = {(i, rep): run_one_route(cell.cfg, experiments._stream(plan.seed, "grid", rep, point), cell.policy)
+                  for i, (cell, point) in enumerate(zip(cells, points)) for rep in range(plan.replications)}
         # cells i*n to i*n + n - 1 share coverage i and route together, rep by rep
         routing_order = [(ci * n + v, rep) for ci in range(len(groups))
                          for rep in range(plan.replications) for v in range(n)]
