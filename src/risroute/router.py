@@ -15,7 +15,8 @@ entries ``(link, tau, rate)``:
   budget permitting — and rescans. One amplitude draw covers every idle
   relay in sight, in scan order, but a link is built only for those
   strictly closer to the destination than the transmitter, the only ones a
-  hop may take;
+  hop may take, and whose idle window holds the fewest slots any mode
+  needs, the only ones that can pass the availability constraint;
 * one reflector: the surface whose best qualifying endpoint makes the
   most forward progress;
 * two reflectors: the surface nearest the destination extended to exactly
@@ -69,8 +70,10 @@ destination, and once a link is farther than R (1 + 2^-48) every later one
 is farther than R. The destination shortcut, the traffic observations and
 the double-reflection stage stay eager.
 
-A static router reads its scans from the topology's memo
-(``topology.Topology.scan``); a mobile one scans its moving table afresh.
+A static router reads every scan, of IUs and of surfaces, from the
+topology's memo (``topology.Topology.scan``), which computes a miss through
+the topology's cell index where it has one. A mobile one scans its moving
+table afresh, surfaces included, on the numpy path: no memo, no index.
 
 The ledger (``RouteLedger``) is the route's only record: a hop's kind is
 read off the nodes it names (``HOP_KINDS``), a route's success off its
@@ -394,7 +397,8 @@ class Router:
     def _direct_links(self, origin: Point, ids: list[int], nus: list[float], limit: float) -> list[CandidateLink]:
         """Direct links from ``origin`` to those of ``ids`` (scan order; idle windows ``nus``) that end
         strictly closer to the destination than ``limit``, up to the last one that could still be the
-        hop; one amplitude draw covers every id, in order.
+        hop; one amplitude draw covers every id, in order. An id whose idle window is below the floor
+        gets no link: ``availability_set`` would drop it at any SNR.
 
         Once a link's entry needs the floor slot count, a later link farther from the destination
         than its remaining distance times ``STOP_MARGIN`` ends the list (module docstring).
@@ -408,10 +412,10 @@ class Router:
             remaining = math.dist(pos, dest)
             if remaining > stop:
                 break
-            if remaining < limit:
+            if remaining < limit and nu >= floor:
                 link = _link(node_id, channel.direct_snr(self.cfg, amp, math.dist(origin, pos)), remaining, nu)
                 links.append(link)
-                if stop == math.inf and nu >= floor and link.snr_db >= floor_db:
+                if stop == math.inf and link.snr_db >= floor_db:
                     stop = remaining * STOP_MARGIN
         return links
 

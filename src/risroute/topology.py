@@ -28,18 +28,52 @@ the centre and r (the destination is row ``DEST_ID``), so ``Topology.scan``
 keeps each result, as a tuple, keyed by (id range, centre, r): a deferral's
 rescan, a surface scanned again and the routes of other policies on the same
 topology cost one lookup, and routes at another radius get their own
-entries. A mobile route moves a copy of the table and scans it afresh.
+entries. A mobile route moves a copy of the table and scans it afresh, with
+no memo and no index.
 
-A topology holds only positions and the memo of their scans. The coverage
-radius, the arena and the surfaces' element count are ``SimConfig`` fields
-(``coverage_m``, ``arena_m``, ``ris_elements``), read from the config by
-whoever needs them.
+Cell index. A scan the memo misses still runs ``half_circle_scan``, handed
+the topology's ``CellIndex`` of (id range, r) when there is one. Its numpy
+path passes over every row of the range, which costs tens of microseconds
+even on a small table; the index lets it visit only the rows of the 3 x 3
+cells of side r round the centre, in Python. ``cell_index`` builds one,
+lazily, on the first scan of an (id range, r), and only where few rows are
+in sight: at most ``MAX_ROWS_IN_SIGHT`` expected in a 2r square (the rows'
+count times 4r^2 over the arena's area), and no more than about four cells
+a row. Other tables (900 IUs at r = 90 m, say) keep the numpy path. The
+surfaces' index depends only on their rows, r and the destination, so it is
+kept in a small cache that every topology of a grid run shares
+(``_surface_index``); an IU range's index belongs to its topology. Each
+entry holds a row's id, ``(x, y)`` and its ``np.hypot`` distance to the
+destination, bucketed with one stable ``argsort`` of the cell numbers.
+
+The index path returns the numpy path's ids in the same order, bit for bit,
+by these rules (``TestCellIndex`` holds both to them):
+
+* distance: ``dist <= r`` is decided on dx^2 + dy^2 against r^2, except within
+  a relative 1e-12 of r^2, where the row's scalar ``np.hypot`` decides, as
+  the array's does;
+* projection: a row whose dx * ax and dy * ay are both exactly 0 (the
+  centre's own row, or one exactly on the perpendicular) is out. Where
+  |dx * ax + dy * ay| is at most 1e-12 (|dx * ax| + |dy * ay|), the rounding
+  of the numpy projection could decide its sign, so the whole scan falls
+  back to the numpy path;
+* cells: a row's cell is the floor of its coordinates over r, and the cells
+  a scan visits span the floors of the centre's coordinates plus and minus
+  r, widened by a relative 1e-9 against rounding;
+* order: hits sort by (distance to the destination, id), the stable sort of
+  the numpy path.
+
+A topology holds only positions, the memo of their scans and the index of
+its IUs. The coverage radius, the arena and the surfaces' element count are
+``SimConfig`` fields (``coverage_m``, ``arena_m``, ``ris_elements``), read
+from the config by whoever needs them.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +85,13 @@ FIRST_IU_ID = 2
 
 Point = tuple[float, float]  # (x, y) in metres
 
+MAX_ROWS_IN_SIGHT = 40  # a range gets a cell index only if at most this many rows are expected in a 2r square
+NEAR = 1e-12  # relative band round r^2 and round a zero projection that the cell scan leaves to np.hypot and numpy
+
 
 class Topology:
-    """Immutable scenario: the node table, every row checked to lie inside ``arena``, and the memo
-    of its scans (module docstring)."""
+    """Immutable scenario: the node table, every row checked to lie inside ``arena``, the memo of
+    its scans and their cell indexes (module docstring)."""
 
     def __init__(self, source: Point, dest: Point, iu_xy: np.ndarray, ris_xy: np.ndarray, arena: tuple[float, float]):
         iu_xy = np.asarray(iu_xy, dtype=float).reshape(-1, 2)
@@ -69,6 +106,8 @@ class Topology:
         self.xy = xy
         self.first_ris_id = FIRST_IU_ID + len(iu_xy)
         self._scans: dict[tuple[range, Point, float], tuple[int, ...]] = {}
+        self._indexes: dict[tuple[range, float], CellIndex | None] = {}
+        self._area = w * h
 
     @property
     def iu_xy(self) -> np.ndarray:
@@ -87,13 +126,111 @@ class Topology:
         raise ValueError(f"no node with id {node_id}")
 
     def scan(self, ids: range, center: Point, r: float) -> tuple[int, ...]:
-        """``half_circle_scan`` of this table toward the destination, computed once per (ids, center, r)."""
+        """``half_circle_scan`` of this table toward the destination, computed once per (ids, center, r),
+        through the cell index of (ids, r) where there is one."""
         key = (ids, center, r)
         found = self._scans.get(key)
         if found is None:
             dest = tuple(self.xy[DEST_ID].tolist())
-            found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, dest, r))
+            if (ids, r) not in self._indexes:
+                self._indexes[ids, r] = self._cell_index(ids, r, dest)
+            index = self._indexes[ids, r]
+            found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, dest, r, index))
         return found
+
+    def _cell_index(self, ids: range, r: float, dest: Point) -> CellIndex | None:
+        """The cell index of (ids, r), or None where more than ``MAX_ROWS_IN_SIGHT`` rows of ``ids``
+        are expected in a 2r square of the arena; the surfaces' from the shared cache."""
+        if 4.0 * len(ids) * r * r > MAX_ROWS_IN_SIGHT * self._area:
+            return None
+        rows = self.xy[ids.start:ids.stop]
+        if ids == range(self.first_ris_id, len(self.xy)):
+            return _surface_index(ids.start, rows.tobytes(), r, dest)
+        return cell_index(rows, ids.start, r, dest)
+
+
+class CellIndex(NamedTuple):
+    """The rows of one id range bucketed into square cells of side ``r`` (module docstring).
+
+    Cell (i, j) holds the rows whose coordinates over r floor to (i, j); its entries are
+    ``entries[starts[k]:starts[k + 1]]`` with k = (i - ix_lo) * width + j - iy_lo, each
+    (id, x, y, ``np.hypot`` distance to ``target``), by id within a cell.
+    """
+
+    r: float
+    target: Point
+    ix_lo: int
+    ix_hi: int
+    iy_lo: int
+    iy_hi: int
+    width: int  # iy_hi - iy_lo + 1
+    starts: tuple[int, ...]
+    entries: tuple[tuple[int, float, float, float], ...]
+
+
+def cell_index(rows: np.ndarray, start: int, r: float, target: Point) -> CellIndex | None:
+    """The cell index of ``rows`` (ids from ``start``) for scans of radius ``r`` toward ``target``, or
+    None where there are no rows or the cells they span outnumber them more than fourfold."""
+    n = len(rows)
+    if n == 0:
+        return None
+    cells = np.floor(rows / r).astype(np.int64)
+    ix, iy = cells[:, 0], cells[:, 1]
+    ix_lo, ix_hi, iy_lo, iy_hi = int(ix.min()), int(ix.max()), int(iy.min()), int(iy.max())
+    width = iy_hi - iy_lo + 1
+    count = (ix_hi - ix_lo + 1) * width
+    if count > 4 * n + 64:
+        return None
+    flat = (ix - ix_lo) * width + (iy - iy_lo)
+    order = np.argsort(flat, kind="stable")
+    starts = tuple(np.searchsorted(flat[order], np.arange(count + 1)).tolist())
+    x, y = rows[order, 0], rows[order, 1]
+    remaining = np.hypot(x - target[0], y - target[1])
+    entries = tuple(zip((start + order).tolist(), x.tolist(), y.tolist(), remaining.tolist()))
+    return CellIndex(r, target, ix_lo, ix_hi, iy_lo, iy_hi, width, starts, entries)
+
+
+@lru_cache(maxsize=8)
+def _surface_index(start: int, rows: bytes, r: float, target: Point) -> CellIndex | None:
+    """``cell_index`` of the surface rows ``rows`` (their bytes), shared by every topology that holds them."""
+    return cell_index(np.frombuffer(rows).reshape(-1, 2), start, r, target)
+
+
+def _cell_scan(index: CellIndex, center: Point, r: float) -> list[int] | None:
+    """``half_circle_scan`` through ``index``, or None where a projection is too near 0 to sign."""
+    cx, cy = center
+    tx, ty = index.target
+    ax, ay = tx - cx, ty - cy
+    norm = math.sqrt(ax * ax + ay * ay)
+    if not norm > 0.0:
+        return None
+    ax, ay = ax / norm, ay / norm
+    r2 = r * r
+    below, above = r2 * (1.0 - NEAR), r2 * (1.0 + NEAR)
+    reach = r + 1e-9 * (abs(cx) + abs(cy) + r)  # r, widened against the rounding of cx +- r
+    ix_lo, iy_lo, width, starts, entries = index.ix_lo, index.iy_lo, index.width, index.starts, index.entries
+    i0 = max(math.floor((cx - reach) / r), ix_lo) - ix_lo
+    i1 = min(math.floor((cx + reach) / r), index.ix_hi) - ix_lo
+    j0 = max(math.floor((cy - reach) / r), iy_lo) - iy_lo
+    j1 = min(math.floor((cy + reach) / r), index.iy_hi) - iy_lo
+    if j0 > j1:
+        return []
+    hits = []
+    for i in range(i0, i1 + 1):
+        cell = i * width
+        for node_id, x, y, remaining in entries[starts[cell + j0]:starts[cell + j1 + 1]]:
+            dx, dy = x - cx, y - cy
+            s = dx * dx + dy * dy
+            if s > above or (s >= below and np.hypot(dx, dy) > r):
+                continue
+            px, py = dx * ax, dy * ay
+            p = px + py
+            if p > NEAR * (abs(px) + abs(py)):
+                hits.append((remaining, node_id))
+            elif p >= -NEAR * (abs(px) + abs(py)) and (px or py):
+                return None
+    hits.sort()
+    return [node_id for _, node_id in hits]
 
 
 def half_circle_scan(
@@ -102,6 +239,7 @@ def half_circle_scan(
     center: Point,
     target: Point,
     r: float,
+    index: CellIndex | None = None,
 ) -> list[int]:
     """Ids in ``ids`` (a contiguous range of rows of ``xy``) within ``r`` of
     ``center`` in the half-disc facing ``target``.
@@ -110,9 +248,18 @@ def half_circle_scan(
     axis and distance <= r from the center, ordered by ascending remaining
     distance to the target, ties broken by lower node id. The center itself
     never qualifies (zero projection). Empty result is valid.
+
+    ``index``, the ``cell_index`` of these rows for ``r`` and ``target``, lets the scan
+    visit only the cells round the centre; the result is the same (module docstring).
     """
     if center == target:
         raise ValueError("scan center must differ from target")
+    if index is not None:
+        if (index.r, index.target) != (r, target):
+            raise ValueError("the cell index was built for another radius or target")
+        found = _cell_scan(index, center, r)
+        if found is not None:
+            return found
     c = np.array(center)
     t = np.array(target)
     axis = t - c

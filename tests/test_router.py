@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import build_topology, idle_law, line_config, rng_for, route, traffic_law
 
-from risroute import channel, linkbudget, topology, traffic
+from risroute import channel, linkbudget, router, topology, traffic
 from risroute.config import SimConfig
 from risroute.linkbudget import build_mode_table
 from risroute.router import (
@@ -741,7 +741,9 @@ class StageOracle:
     """Checks every relay and single-reflection stage ``router`` runs against an ``ExhaustiveRouter``
     set to the router's state.
 
-    A relay stage must give the oracle's entry, draws and traffic observations. A single stage must
+    A relay stage must give the oracle's entry, draws and traffic observations, and pass
+    ``availability_set`` no link whose idle window is below the floor (the oracle passes it every
+    forward link). A single stage must
     observe once, before any draw: every IU in sight of a candidate surface, first seen first. It is
     evaluated by the oracle over the lazy stage's draws and over the traffic field as the stage left
     it (so the oracle's observations read the same states and draw nothing), with ``MAX_GAIN`` for
@@ -758,6 +760,7 @@ class StageOracle:
         self.oracle.xy = router.xy  # a walk moves both
         self.relay_stages = self.single_stages = 0
         self.links = np.zeros(2, dtype=int)  # direct links evaluated: by the router, by the oracle
+        self.offered = 0  # links the router's relay stages passed to availability_set
         self.relay, self.single = router._relay_stage, router._single_stage
         router._relay_stage, router._single_stage = self.relay_stage, self.single_stage
 
@@ -770,9 +773,21 @@ class StageOracle:
         self.sync(r.field, r.rng)
         with counted("direct_snr") as oracle_links:
             want = self.oracle._relay_stage(origin)
-        with counted("direct_snr") as links:
-            got = self.relay(origin)
+        offered, real_aset = [], router.availability_set
+
+        def aset(links, *args):
+            offered.extend(links)
+            return real_aset(links, *args)
+
+        router.availability_set = aset
+        try:
+            with counted("direct_snr") as links:
+                got = self.relay(origin)
+        finally:
+            router.availability_set = real_aset
         assert got == want
+        assert all(link.nu_idle_slots >= r.slots.floor for link in offered)
+        self.offered += len(offered)
         assert r.rng.bit_generator.state == self.oracle.rng.bit_generator.state
         assert same_field(r.field, self.oracle.field)
         self.relay_stages += 1
@@ -879,28 +894,31 @@ class TestStopRulesMatchExhaustiveStages:
         assert relay >= 8
 
     def direct_evaluations(self, variant):
-        """Direct links the relay stages of three dense routes evaluate: (router, oracle)."""
+        """Direct links the relay stages of three dense routes evaluate, by the router and by the
+        oracle, and the links the router's stages passed to ``availability_set``."""
         cfg = SimConfig(coverage_m=90.0, iu_count=900, **LINE_ENDS)
-        links = np.zeros(2, dtype=int)
+        links, offered = np.zeros(2, dtype=int), 0
         for seed in range(3):
             topo = generate_topology(cfg, rng_for(143, seed))
             r = Router(topo, _profiles_for(cfg), cfg, rng_for(144, seed), policy=BASELINE_POLICIES[variant])
             check = StageOracle(r)
             r.run()
             links += check.links
-        return links
+            offered += check.offered
+        return *links.tolist(), offered
 
     def test_dense_relay_stage_evaluates_fewer_links(self):
-        lazy, exhaustive = self.direct_evaluations("full")
-        assert lazy * 2 < exhaustive
+        lazy, exhaustive, offered = self.direct_evaluations("full")
+        assert lazy * 2 < exhaustive and 0 < offered <= lazy
 
     def test_fixed_mod_never_reaches_the_floor(self):
         # the pinned QPSK needs 16 slots, more than any default idle window, so no relay
-        # qualifies, the stop never fires and every link is evaluated
+        # qualifies: the relay stages build no IU link (only the destination's, when in sight)
+        # and pass availability_set none, while the oracle builds every forward link
         cfg = SimConfig()
         assert slot_table(cfg.total_bits, cfg.fixed_rate_bits).floor == 16 > _profiles_for(cfg).nu_idle.max()
-        lazy, exhaustive = self.direct_evaluations("fixed_mod")
-        assert lazy == exhaustive > 0
+        lazy, exhaustive, offered = self.direct_evaluations("fixed_mod")
+        assert offered == 0 and exhaustive > lazy
 
 
 def relay_pick(iu_xy, seed=150):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risroute import topology
 from risroute.config import SimConfig
 from risroute.experiments import _profiles_for, run_one_route
 from risroute.router import FailureReason
@@ -15,6 +16,7 @@ from risroute.topology import (
     FIRST_IU_ID,
     SOURCE_ID,
     Topology,
+    cell_index,
     generate_topology,
     half_circle_scan,
     hops_consumed,
@@ -182,6 +184,148 @@ class TestScanAgainstV3:
             tied += int(len(np.unique(remaining)) < len(found))
         # the scans did meet each edge case many times over
         assert min(at_r, on_perpendicular, tied) > 200, (at_r, on_perpendicular, tied)
+
+
+class TestCellIndex:
+    """``Topology.scan`` through the cell index against ``half_circle_scan``'s numpy path: the same ids
+    in the same order, with the index built where few rows are in sight and the scan falling back to
+    numpy where a projection is too near 0 to sign."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """A one-item list counting the cell scans that left the scan to the numpy path."""
+        count, real = [0], topology._cell_scan
+
+        def cell_scan(*args):
+            found = real(*args)
+            count[0] += found is None
+            return found
+
+        monkeypatch.setattr(topology, "_cell_scan", cell_scan)
+        return count
+
+    @staticmethod
+    def check(topo, ids, center, r):
+        """Whether ``topo`` scanned (ids, r) with an index; its scan must equal the numpy path's."""
+        want = half_circle_scan(topo.xy, ids, center, point(topo, DEST_ID), r)
+        assert topo.scan(ids, center, r) == tuple(want)
+        return topo._indexes[ids, r] is not None
+
+    def test_same_ids_in_the_same_order_on_6000_scans(self, fallbacks):
+        # TestScanAgainstV3's generator, as a topology's table, shifted 40 m into the arena, up to
+        # 400 rows; a scan's range may hold S and D
+        rng = np.random.default_rng(27)
+        indexed = at_r = on_perpendicular = tied = on_boundary = 0
+        for k in range(6000):
+            if k % 2:  # whole metres on a 16 m square: exact radii, zero projections, ties, cell edges
+                n = int(rng.integers(1, 60))
+                xy = 40.0 + rng.integers(0, 17, size=(n, 2)).astype(float)
+                center = tuple((40.0 + rng.integers(0, 17, size=2)).astype(float).tolist())
+                step = float(rng.choice([-30.0, 30.0, 7.0]))
+                target = (center[0] + step, center[1]) if k % 4 == 1 else (center[0], center[1] + step)
+                r = float(rng.choice([5.0, 10.0, 13.0]))
+                arena = (100.0, 100.0)
+            else:  # any float, with r at some row's scan distance from the center
+                n = int(rng.integers(1, 400))
+                xy = rng.uniform(0.0, 400.0, size=(n, 2))
+                center, target = tuple(rng.uniform(0.0, 400.0, size=2).tolist()), tuple(xy[0].tolist())
+                rel = xy - np.array(center)
+                r = float(np.hypot(rel[:, 0], rel[:, 1])[rng.integers(n)]) if k % 4 == 0 else float(rng.uniform(20.0, 120.0))
+                arena = (400.0, 400.0)
+            if center == target:
+                continue
+            topo = Topology(center, target, xy, [], arena)
+            start = int(rng.integers(0, n + 2))
+            ids = range(start, int(rng.integers(start, n + 3)))
+            if not self.check(topo, ids, center, r):
+                continue
+            indexed += 1
+            rows = topo.xy[ids.start:ids.stop]
+            rel = rows - np.array(center)
+            at_r += int(np.any(np.hypot(rel[:, 0], rel[:, 1]) == r))
+            on_perpendicular += int(np.any((rel @ (np.array(target) - np.array(center)) == 0.0) & rel.any(axis=1)))
+            found = list(topo.scan(ids, center, r))
+            remaining = np.hypot(topo.xy[found, 0] - target[0], topo.xy[found, 1] - target[1])
+            tied += int(len(np.unique(remaining)) < len(found))
+            on_boundary += int(np.any(rows % r == 0.0)) + (center[0] % r == 0.0 or center[1] % r == 0.0)
+        # the index served most scans, and met each edge case many times over
+        assert indexed > 4000 and min(at_r, on_perpendicular, tied, on_boundary) > 200, (
+            indexed, at_r, on_perpendicular, tied, on_boundary)
+        assert fallbacks[0] < indexed // 100
+
+    @pytest.mark.parametrize("r", [30.0, 60.0, 90.0])
+    def test_a_surface_grid_mirrored_about_the_axis(self, r):
+        # the r/2 grid's rows (at 7.5 + 15k for r = 30) mirror about a multiple of r/2: surfaces in
+        # pairs at one remaining distance, rows exactly r apart along either axis, every surface a
+        # scan centre
+        axis_y = {30.0: 195.0, 60.0: 180.0, 90.0: 180.0}[r]
+        cfg = SimConfig(coverage_m=r, iu_count=100, source_xy=(20.0, axis_y), dest_xy=(380.0, axis_y))
+        topos = [generate_topology(cfg, np.random.default_rng(seed)) for seed in range(2)]
+        for topo in topos:
+            surfaces, relays = range(topo.first_ris_id, len(topo.xy)), range(DEST_ID, topo.first_ris_id)
+            rows = {tuple(row) for row in topo.xy[surfaces.start:].tolist()}
+            assert all((x, 2 * axis_y - y) in rows for x, y in rows if 0.0 <= 2 * axis_y - y <= cfg.arena_m)
+            centers = [point(topo, i) for i in surfaces] + [point(topo, SOURCE_ID)]
+            for center in centers:
+                if center != point(topo, DEST_ID):
+                    assert self.check(topo, surfaces, center, r)
+                    assert self.check(topo, relays, center, r)
+        ids = range(topos[0].first_ris_id, len(topos[0].xy))
+        assert topos[0]._indexes[ids, r] is topos[1]._indexes[ids, r]  # one index for the run's surfaces
+
+    def test_a_projection_too_near_zero_falls_back(self, fallbacks):
+        # a row planted on the perpendicular through the centre of a slanted axis: its two
+        # projection terms cancel to within rounding, so numpy's rounding signs it
+        rng = np.random.default_rng(2701)
+        planted = 0
+        for _ in range(200):
+            center = tuple(rng.uniform(100.0, 300.0, size=2).tolist())
+            target = tuple(rng.uniform(0.0, 400.0, size=2).tolist())
+            ax, ay = target[0] - center[0], target[1] - center[1]
+            s = float(rng.uniform(-50.0, 50.0)) / math.hypot(ax, ay)
+            row = (center[0] - s * ay, center[1] + s * ax)
+            if not all(0.0 <= v <= 400.0 for v in row) or row == center:
+                continue
+            xy = np.vstack([rng.uniform(center[0] - 40, center[0] + 40, size=(20, 2)), [row]])
+            topo = Topology(center, target, xy.clip(0.0, 400.0), [], (400.0, 400.0))
+            ids = range(FIRST_IU_ID, topo.first_ris_id)
+            before = fallbacks[0]
+            assert self.check(topo, ids, center, 60.0)
+            planted += 1
+            assert fallbacks[0] == before + 1
+        assert planted > 150
+
+    def test_a_dense_table_gets_no_index(self):
+        cfg = SimConfig(coverage_m=90.0, iu_count=900, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
+        topo = generate_topology(cfg, np.random.default_rng(3))
+        relays, surfaces = range(DEST_ID, topo.first_ris_id), range(topo.first_ris_id, len(topo.xy))
+        rng = np.random.default_rng(4)
+        for center in map(tuple, rng.uniform(0.0, 400.0, size=(20, 2)).tolist()):
+            assert not self.check(topo, relays, center, 90.0)
+            assert self.check(topo, surfaces, center, 90.0)
+        # 900 rows over 400 m x 400 m: 81 expected in a 2r square at r = 60 m, 20 at r = 30 m
+        assert topo._cell_index(relays, 60.0, point(topo, DEST_ID)) is None
+        assert topo._cell_index(relays, 30.0, point(topo, DEST_ID)) is not None
+
+    def test_ties_on_np_hypot_go_by_id(self):
+        # both IUs are exactly 40 m from D by np.hypot, so the scan lists them by id; by math.dist, or
+        # the square root of dx^2 + dy^2, the second is 1 ulp nearer
+        tied, nearer = (360.12893312130933, 203.20905374759846), (360.4868987313775, 193.77787591448208)
+        dest = (400.0, 200.0)
+        assert [math.dist(p, dest) for p in (tied, nearer)] == [40.0, math.nextafter(40.0, 0.0)]
+        assert math.sqrt((nearer[0] - 400.0) ** 2 + (nearer[1] - 200.0) ** 2) < 40.0
+        topo = make_topo([tied, nearer], src=(330.0, 200.0), dst=dest)
+        assert self.check(topo, range(FIRST_IU_ID, topo.first_ris_id), (330.0, 200.0), R)
+        assert topo.scan(range(FIRST_IU_ID, topo.first_ris_id), (330.0, 200.0), R) == (2, 3)
+
+    def test_an_index_serves_only_its_radius_and_target(self):
+        topo = make_topo([(30.0, 10.0), (50.0, 20.0)])
+        ids = range(FIRST_IU_ID, topo.first_ris_id)
+        index = cell_index(topo.xy[ids.start:ids.stop], ids.start, R, point(topo, DEST_ID))
+        assert half_circle_scan(topo.xy, ids, (0.0, 0.0), point(topo, DEST_ID), R, index) == [3, 2]
+        for r, target in ((R / 2, point(topo, DEST_ID)), (R, (400.0, 10.0))):
+            with pytest.raises(ValueError, match="another radius or target"):
+                half_circle_scan(topo.xy, ids, (0.0, 0.0), target, r, index)
 
 
 class TestHopArithmetic:
