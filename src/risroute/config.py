@@ -14,10 +14,15 @@ quantities are computed once per config, on first read. A transmission
 mode is its bit count b (constellation 2**b): ``target_ber`` and
 ``threshold_rule`` set the SNR threshold of each b (see ``linkbudget``),
 and ``fixed_rate_bits`` pins one b for the fixed-modulation baseline.
-Fixed endpoints, when set, must differ and lie inside the arena, and the
-destination off the reflector grid. The reflector grid holds at most
+Fixed endpoints, when set, must lie inside the arena and more than 1e-9 m
+apart, as ``generate_topology`` draws them, and the destination off the
+reflector grid. The reflector grid holds at most
 ``MAX_RIS_PER_SIDE`` surfaces a side (10,000 in all; the densest workload
-grid, at r = 30 m, is 27 x 27), counted before any grid is built.
+grid, at r = 30 m, is 27 x 27), counted before any grid is built. The arena
+is ``MIN_ARENA_M`` to ``MAX_ARENA_M`` a side, 1 m to 1e6 m: the scan's
+unnormalised projection would overflow near 1e154 m and underflow near
+1e-154 m, and ``generate_topology``, which draws endpoints until they lie
+1e-9 m apart, would never end in an arena under 7e-10 m.
 Link-budget keys outside their physical ranges are refused, never clamped:
 ``rho_l_db <= 0`` (a loss),
 ``noise_dbm >= -200``, ``tx_power_dbm <= 60``, and path-loss exponents
@@ -46,6 +51,7 @@ class ConfigError(ValueError):
 
 
 MAX_RIS_PER_SIDE = 100
+MIN_ARENA_M, MAX_ARENA_M = 1.0, 1e6
 
 
 def as_integer(name: str, value) -> int:
@@ -174,12 +180,14 @@ class SimConfig:
             xy = getattr(self, name)
             if xy is not None and not all(0.0 <= v <= self.arena_m for v in xy):
                 raise ConfigError(f"{name} {xy} lies outside the arena (arena_m = {self.arena_m:g})")
-        if self.source_xy is not None and self.source_xy == self.dest_xy:
-            raise ConfigError(f"source_xy and dest_xy must differ, both are {self.source_xy}")
+        if None not in (self.source_xy, self.dest_xy) and not math.dist(self.source_xy, self.dest_xy) > 1e-9:
+            raise ConfigError(f"source_xy {self.source_xy} and dest_xy {self.dest_xy} must lie more than 1e-9 m apart")
         # np.arange(spacing/2, arena, spacing) holds ceil of this many surfaces a row, and the grid is square
         if (self.arena_m - self.ris_spacing / 2.0) / self.ris_spacing > MAX_RIS_PER_SIDE:
             raise ConfigError(f"a {self.ris_spacing:g} m reflector grid over a {self.arena_m:g} m arena has more "
                               f"than {MAX_RIS_PER_SIDE} surfaces a side; raise coverage_m or ris_spacing_m")
+        if not MIN_ARENA_M <= self.arena_m <= MAX_ARENA_M:
+            raise ConfigError(f"arena_m must lie in [{MIN_ARENA_M:g}, {MAX_ARENA_M:g}] m, got {self.arena_m:g}")
         if self.dest_xy is not None:  # a scan centred on the destination would face no direction
             from .topology import ris_grid_positions  # deferred: topology imports this module
             if (ris_grid_positions((self.arena_m, self.arena_m), self.ris_spacing) == self.dest_xy).all(axis=1).any():

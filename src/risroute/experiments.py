@@ -125,6 +125,8 @@ class ExperimentPlan:
                 raise ConfigError(f"{self.kind} takes no {f.name} (read only by {', '.join(readers)})")
         if self.density_grid is not None:
             object.__setattr__(self, "density_grid", tuple(as_integer("density_grid", d) for d in self.density_grid))
+        if self.seed < 0:  # SeedSequence refuses one too, but only after the manifest is written
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # a batch needs a chain
         if min(self.replications, self.threads) < 1 or self.batches < 2 or self.chains < self.batches:
             raise ConfigError("replications and threads must be >= 1, batches >= 2 and chains >= batches")

@@ -16,9 +16,13 @@ distance the router compares or writes is ``math.dist`` of two such pairs.
 
 Every routing step scans the half-disc of radius r facing the destination
 (the forward half circle) and orders candidates by least remaining
-distance (LRD), ties broken by lower id. Nodes sitting exactly on the
-perpendicular through the scan center count as zero progress and are
-excluded. The scan measures with ``np.hypot``, which disagrees with
+distance (LRD), ties broken by lower id. A node is forward when
+dx * ax + dy * ay > 0, with (dx, dy) its offset from the centre and
+(ax, ay) = target - centre, unnormalised: two float64 products and one add,
+each rounded on its own, so a node's side depends on its own row alone. A
+node whose projection rounds to 0 (the centre's own row, one exactly on the
+perpendicular through it) counts as zero progress and is excluded. The scan
+measures with ``np.hypot``, which disagrees with
 ``math.dist`` in the last bit for about 0.6 % of point pairs (5,607 of 10^6
 uniform pairs in a 400 m square), so the router recomputes every distance
 it compares or writes instead of reusing the scan's.
@@ -52,11 +56,10 @@ by these rules (``TestCellIndex`` holds both to them):
 * distance: ``dist <= r`` is decided on dx^2 + dy^2 against r^2, except within
   a relative 1e-12 of r^2, where the row's scalar ``np.hypot`` decides, as
   the array's does;
-* projection: a row whose dx * ax and dy * ay are both exactly 0 (the
-  centre's own row, or one exactly on the perpendicular) is out. Where
-  |dx * ax + dy * ay| is at most 1e-12 (|dx * ax| + |dy * ay|), the rounding
-  of the numpy projection could decide its sign, so the whole scan falls
-  back to the numpy path;
+* projection: both paths compute dx * ax + dy * ay > 0 as above, the
+  numpy path elementwise and the cell scan in Python floats, so they round
+  alike on every row, one on the perpendicular included, and no scan falls
+  back. The products stay finite because ``SimConfig`` bounds ``arena_m``;
 * cells: a row's cell is the floor of its coordinates over r, and the cells
   a scan visits span the floors of the centre's coordinates plus and minus
   r, widened by a relative 1e-9 against rounding;
@@ -86,7 +89,7 @@ FIRST_IU_ID = 2
 Point = tuple[float, float]  # (x, y) in metres
 
 MAX_ROWS_IN_SIGHT = 40  # a range gets a cell index only if at most this many rows are expected in a 2r square
-NEAR = 1e-12  # relative band round r^2 and round a zero projection that the cell scan leaves to np.hypot and numpy
+NEAR = 1e-12  # relative band round r^2 in which the cell scan leaves dist <= r to np.hypot
 
 
 class Topology:
@@ -196,15 +199,11 @@ def _surface_index(start: int, rows: bytes, r: float, target: Point) -> CellInde
     return cell_index(np.frombuffer(rows).reshape(-1, 2), start, r, target)
 
 
-def _cell_scan(index: CellIndex, center: Point, r: float) -> list[int] | None:
-    """``half_circle_scan`` through ``index``, or None where a projection is too near 0 to sign."""
+def _cell_scan(index: CellIndex, center: Point, r: float) -> list[int]:
+    """``half_circle_scan`` through ``index``."""
     cx, cy = center
     tx, ty = index.target
     ax, ay = tx - cx, ty - cy
-    norm = math.sqrt(ax * ax + ay * ay)
-    if not norm > 0.0:
-        return None
-    ax, ay = ax / norm, ay / norm
     r2 = r * r
     below, above = r2 * (1.0 - NEAR), r2 * (1.0 + NEAR)
     reach = r + 1e-9 * (abs(cx) + abs(cy) + r)  # r, widened against the rounding of cx +- r
@@ -220,15 +219,10 @@ def _cell_scan(index: CellIndex, center: Point, r: float) -> list[int] | None:
         cell = i * width
         for node_id, x, y, remaining in entries[starts[cell + j0]:starts[cell + j1 + 1]]:
             dx, dy = x - cx, y - cy
-            s = dx * dx + dy * dy
-            if s > above or (s >= below and np.hypot(dx, dy) > r):
-                continue
-            px, py = dx * ax, dy * ay
-            p = px + py
-            if p > NEAR * (abs(px) + abs(py)):
-                hits.append((remaining, node_id))
-            elif p >= -NEAR * (abs(px) + abs(py)) and (px or py):
-                return None
+            if dx * ax + dy * ay > 0.0:
+                s = dx * dx + dy * dy
+                if s < below or (s <= above and np.hypot(dx, dy) <= r):
+                    hits.append((remaining, node_id))
     hits.sort()
     return [node_id for _, node_id in hits]
 
@@ -244,10 +238,11 @@ def half_circle_scan(
     """Ids in ``ids`` (a contiguous range of rows of ``xy``) within ``r`` of
     ``center`` in the half-disc facing ``target``.
 
-    Keeps nodes with strictly positive projection onto the center->target
-    axis and distance <= r from the center, ordered by ascending remaining
-    distance to the target, ties broken by lower node id. The center itself
-    never qualifies (zero projection). Empty result is valid.
+    Keeps nodes whose offset (dx, dy) from the center has dx * ax + dy * ay > 0,
+    with (ax, ay) = target - center unnormalised, and whose ``np.hypot`` distance
+    from the center is <= r, ordered by ascending remaining distance to the target,
+    ties broken by lower node id. The center itself never qualifies (zero
+    projection). Empty result is valid.
 
     ``index``, the ``cell_index`` of these rows for ``r`` and ``target``, lets the scan
     visit only the cells round the centre; the result is the same (module docstring).
@@ -257,22 +252,16 @@ def half_circle_scan(
     if index is not None:
         if (index.r, index.target) != (r, target):
             raise ValueError("the cell index was built for another radius or target")
-        found = _cell_scan(index, center, r)
-        if found is not None:
-            return found
-    c = np.array(center)
-    t = np.array(target)
-    axis = t - c
-    axis = axis / math.sqrt(axis.dot(axis))  # the bits of np.linalg.norm, sqrt of the dot product
+        return _cell_scan(index, center, r)
+    cx, cy = center
+    ax, ay = target[0] - cx, target[1] - cy
     pos = xy[ids.start:ids.stop]
-    rel = pos - c
-    dist_c = np.hypot(rel[:, 0], rel[:, 1])
-    proj = rel @ axis
-    hits = np.flatnonzero((proj > 0.0) & (dist_c <= r))
+    dx, dy = pos[:, 0] - cx, pos[:, 1] - cy
+    hits = np.flatnonzero((dx * ax + dy * ay > 0.0) & (np.hypot(dx, dy) <= r))
     if len(hits) < 2:
         return (ids.start + hits).tolist()
     hit = pos[hits]
-    remaining = np.hypot(hit[:, 0] - t[0], hit[:, 1] - t[1])
+    remaining = np.hypot(hit[:, 0] - target[0], hit[:, 1] - target[1])
     # hits are in id order, so a stable sort breaks ties by lower id
     return (ids.start + hits[np.argsort(remaining, kind="stable")]).tolist()
 

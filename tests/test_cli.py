@@ -124,11 +124,15 @@ class TestRejectedBeforeAnyRoute:
         ["mobility", "--threads", "0", "--replications", "1"],
         ["sweep-coverage", "--threads", "-2", "--replications", "1"],
         ["route", "--replications", "0"],
+        # a negative seed: each wrote its manifest, then exited 2 with numpy's traceback
+        ["route", "--seed", "-3"],
+        ["compare", "--seed", "-1", "--replications", "1"],
     ])
     def test_bad_plan_flag_is_config_error(self, tmp_path, capsys, args):
         assert main(args + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_replications_on_validate_traffic_is_usage_error(self, tmp_path, capsys):
         # validate-traffic runs Monte Carlo chains, so it offers no --replications flag

@@ -192,3 +192,25 @@ class TestReflectorGridCap:
                 assert ris_grid_positions((400.0, 400.0), spacing).shape == (row * row, 2)
         assert SimConfig(ris_spacing_m=4.0).ris_spacing == 4.0  # 100 x 100 surfaces is the largest grid
         assert SimConfig(coverage_m=30.0).coverage_m == 30.0  # the densest workload grid, 27 x 27
+
+
+class TestProjectionRange:
+    """The bounds that keep the scan's unnormalised projection products finite and nonzero."""
+
+    def test_an_arena_past_either_bound_is_refused(self):
+        # at 1e160 m a grid of 12 surfaces a side passes the cap, but the scan's projection products
+        # overflow to inf near 1e154 m and the scans lose rows; at 5e-10 m the endpoint draw never
+        # finds two points 1e-9 m apart, and generate_topology never returned
+        for arena in (1e160, math.nextafter(1e6, math.inf), math.nextafter(1.0, 0.0), 5e-10):
+            with pytest.raises(ConfigError, match=r"arena_m must lie in \[1, 1e\+06\] m"):
+                SimConfig(arena_m=arena, coverage_m=max(arena / 6, 60.0))
+        for arena in (1.0, 1e6):
+            assert SimConfig(arena_m=arena, coverage_m=max(arena / 6, 60.0)).arena_m == arena
+
+    def test_endpoints_within_1e_9_m_are_refused(self):
+        # a destination 1e-300 m from the source: the square of its offset underflows, and the
+        # source's scan never found it
+        for source, dest in (((0.0, 0.0), (1e-300, 0.0)), ((0.0, 0.0), (0.0, 1e-9)), ((20.0, 200.0), (20.0, 200.0))):
+            with pytest.raises(ConfigError, match="must lie more than 1e-9 m apart"):
+                SimConfig(source_xy=source, dest_xy=dest)
+        assert SimConfig(source_xy=(0.0, 0.0), dest_xy=(0.0, math.nextafter(1e-9, 1.0))).dest_xy[1] > 1e-9

@@ -128,7 +128,7 @@ class TestPlanValidation:
         {"variants": ("full", "full")}, {"kind": "mobility", "vmax_grid": (5.0, 5.0)},
         {"coverage_grid": (30.0, 30.0000001)}, {"kind": "density_sweep", "density_grid": (100, 100)},
         # an integer field given a bool or a non-integral value
-        {"replications": 1.5}, {"threads": True}, {"seed": 2.5}, {"kind": "density_sweep", "density_grid": (50.5,)},
+        {"replications": 1.5}, {"threads": True}, {"seed": 2.5}, {"seed": -1}, {"kind": "density_sweep", "density_grid": (50.5,)},
         {"kind": "density_sweep", "density_grid": (True,)}, {"kind": "traffic_validation", "chains": 1000.5},
     ])
     def test_rejected_as_config_error(self, bad):

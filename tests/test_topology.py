@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risroute import topology
 from risroute.config import SimConfig
 from risroute.experiments import _profiles_for, run_one_route
 from risroute.router import FailureReason
@@ -188,21 +187,7 @@ class TestScanAgainstV3:
 
 class TestCellIndex:
     """``Topology.scan`` through the cell index against ``half_circle_scan``'s numpy path: the same ids
-    in the same order, with the index built where few rows are in sight and the scan falling back to
-    numpy where a projection is too near 0 to sign."""
-
-    @pytest.fixture
-    def fallbacks(self, monkeypatch):
-        """A one-item list counting the cell scans that left the scan to the numpy path."""
-        count, real = [0], topology._cell_scan
-
-        def cell_scan(*args):
-            found = real(*args)
-            count[0] += found is None
-            return found
-
-        monkeypatch.setattr(topology, "_cell_scan", cell_scan)
-        return count
+    in the same order, with the index built where few rows are in sight."""
 
     @staticmethod
     def check(topo, ids, center, r):
@@ -211,7 +196,7 @@ class TestCellIndex:
         assert topo.scan(ids, center, r) == tuple(want)
         return topo._indexes[ids, r] is not None
 
-    def test_same_ids_in_the_same_order_on_6000_scans(self, fallbacks):
+    def test_same_ids_in_the_same_order_on_6000_scans(self):
         # TestScanAgainstV3's generator, as a topology's table, shifted 40 m into the arena, up to
         # 400 rows; a scan's range may hold S and D
         rng = np.random.default_rng(27)
@@ -251,7 +236,6 @@ class TestCellIndex:
         # the index served most scans, and met each edge case many times over
         assert indexed > 4000 and min(at_r, on_perpendicular, tied, on_boundary) > 200, (
             indexed, at_r, on_perpendicular, tied, on_boundary)
-        assert fallbacks[0] < indexed // 100
 
     @pytest.mark.parametrize("r", [30.0, 60.0, 90.0])
     def test_a_surface_grid_mirrored_about_the_axis(self, r):
@@ -273,27 +257,29 @@ class TestCellIndex:
         ids = range(topos[0].first_ris_id, len(topos[0].xy))
         assert topos[0]._indexes[ids, r] is topos[1]._indexes[ids, r]  # one index for the run's surfaces
 
-    def test_a_projection_too_near_zero_falls_back(self, fallbacks):
-        # a row planted on the perpendicular through the centre of a slanted axis: its two
-        # projection terms cancel to within rounding, so numpy's rounding signs it
+    def test_rows_on_the_perpendicular_scan_alike_alone_and_in_the_table(self):
+        # half of each table planted on the perpendicular through the centre of a slanted axis: a
+        # planted row's two projection terms cancel to within rounding, so the rounding signs it, and
+        # it must sign it alike whatever other rows the scan holds and in either path
         rng = np.random.default_rng(2701)
-        planted = 0
-        for _ in range(200):
+        signs = {True: 0, False: 0}
+        for _ in range(300):
             center = tuple(rng.uniform(100.0, 300.0, size=2).tolist())
             target = tuple(rng.uniform(0.0, 400.0, size=2).tolist())
             ax, ay = target[0] - center[0], target[1] - center[1]
-            s = float(rng.uniform(-50.0, 50.0)) / math.hypot(ax, ay)
-            row = (center[0] - s * ay, center[1] + s * ax)
-            if not all(0.0 <= v <= 400.0 for v in row) or row == center:
-                continue
-            xy = np.vstack([rng.uniform(center[0] - 40, center[0] + 40, size=(20, 2)), [row]])
-            topo = Topology(center, target, xy.clip(0.0, 400.0), [], (400.0, 400.0))
+            s = rng.uniform(-50.0, 50.0, size=32) / math.hypot(ax, ay)
+            planted = np.column_stack([center[0] - s * ay, center[1] + s * ax])
+            xy = np.vstack([rng.uniform(np.subtract(center, 40.0), np.add(center, 40.0), size=(32, 2)), planted])
+            topo = Topology(center, target, xy, [], (400.0, 400.0))
             ids = range(FIRST_IU_ID, topo.first_ris_id)
-            before = fallbacks[0]
-            assert self.check(topo, ids, center, 60.0)
-            planted += 1
-            assert fallbacks[0] == before + 1
-        assert planted > 150
+            assert self.check(topo, ids, center, R)
+            found = set(half_circle_scan(topo.xy, ids, center, target, R))
+            for i in range(FIRST_IU_ID + 32, topo.first_ris_id):
+                alone = half_circle_scan(topo.xy, range(i, i + 1), center, target, R) == [i]
+                assert alone == (i in found), i
+                signs[alone] += 1
+        # the rounding put thousands of planted rows on either side
+        assert min(signs.values()) > 1000, signs
 
     def test_a_dense_table_gets_no_index(self):
         cfg = SimConfig(coverage_m=90.0, iu_count=900, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
