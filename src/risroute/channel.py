@@ -29,15 +29,29 @@ so both stages see one incoming channel.
 
 A complex draw is built in its own output array: one complex output and
 one real scratch array per call, whatever the shape, and the generator
-calls of the draw written out term by term. The line-of-sight
-phasor of a 1-D draw is cos and sin of its phase, which give
-np.exp(1j phase) bit for bit. A 2-D draw (the 250 x 250 surface-to-surface
-matrix) takes both from one tangent t = tan(phase / 2), as (1 - t^2) /
-(1 + t^2) and 2t / (1 + t^2), within an ulp of cos and sin. numpy runs
-float64 cos and sin at scalar speed but vectorises tan under AVX-512: on
-62,500 elements the phasor takes about 0.4 ms against 2.3 ms (tan alone
-0.1 ms, and 1.3 ms at numpy's x86-64 baseline). On 250 elements or fewer
-the tangent is no faster, so the 1-D draws keep cos and sin.
+calls of the draw written out term by term. A 1-D draw (``h_in``,
+``h_out``) takes one ``uniform`` call for its line-of-sight phases, then
+one ``standard_normal`` call for the real and one for the imaginary
+scattered parts; its phasor is cos and sin of the phase, which give
+np.exp(1j phase) bit for bit.
+
+A 2-D draw (the 250 x 250 surface-to-surface matrix) is drawn in polar
+form since stream version 7: a circularly symmetric Gaussian of power
+1/(K+1) is sqrt(E/(K+1)) exp(j psi) with E ~ Exp(1) and psi uniform on
+[0, 2 pi) independent (Box and Muller's polar form), so each element,
+los exp(j phi) + sqrt(E/(K+1)) exp(j psi), has the 1-D law exactly, from
+two uniforms and one exponential instead of one uniform and two normals
+(about 12 against 38 ns of generator time). One ``random((*shape, 2))``
+call draws every element's u0 then u1 (phi = 2 pi u0, psi = 2 pi u1),
+then one ``standard_exponential`` call every E. Each phasor is taken
+from its half-angle tangent t = tan(pi u) as (1 - t^2) / (1 + t^2) and
+2t / (1 + t^2), within an ulp of cos and sin: numpy vectorises float64
+tan under AVX-512 but not cos and sin (on 62,500 elements 0.2 against
+2.5 ms). The arithmetic runs in place, in blocks (``_polar_fading``), so
+a steady-state draw takes no page faults; with full-size temporaries it
+took hundreds. 1-D draws keep their version-6 recipe and bytes, and so
+does every route that draws no ``h_mid``: the polar form is slower on 32
+elements or fewer and saves about 8 of 30-45 us on 250.
 
 The link-budget constants P, rho_L, alpha and sigma^2 live only in
 ``SimConfig``: every SNR here reads them from the config it is handed,
@@ -71,45 +85,85 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
 
     The line-of-sight part carries K/(K+1) of the power at a uniformly
     drawn phase; the scattered part is circularly symmetric Gaussian with
-    the remaining 1/(K+1). ``rng`` is advanced by the phases and then the
-    real and imaginary normals. 1-D for device-surface segments, 2-D
-    (out x in) for the surface-to-surface segment.
+    the remaining 1/(K+1). 1-D for device-surface segments, 2-D (out x in)
+    for the surface-to-surface segment, drawn by ``_polar_fading`` (module
+    docstring).
 
-    A draw allocates its complex output and one real scratch array, no
-    more: the phases go into the scratch, their phasor's real and
-    imaginary parts straight into the output's, and each part's normals
-    refill the scratch before they are scaled and added in place. On a
-    250x250 draw that is 1.5 MB at the peak. The generator calls and
-    their order are those of the draw written out term by term, and so
-    are the bits.
-
-    The phasor is cos and sin of the phase in a 1-D draw and the
-    half-angle pair of t = tan(phase / 2) in a 2-D one (module docstring),
-    finite also near phase pi, where t reaches 1.6e16.
+    A 1-D draw advances ``rng`` by the phases and then the real and
+    imaginary normals: the phases go into the scratch, their cos and sin
+    straight into the output's real and imaginary parts, and each part's
+    normals refill the scratch before they are scaled and added in place.
+    A draw allocates its complex output and one real scratch array, 1.5 MB
+    on a 250x250 draw (and a 2-D draw two ``POLAR_BLOCK`` temporaries).
+    The generator calls and their order are those of the draw written out
+    term by term, and so are the bits.
     """
-    shape, los_amp, scatter_amp = _rician(n, rician_k_db)
+    shape, los_amp, scatter_power = _rician(n, rician_k_db)
+    if len(shape) > 1:
+        return _polar_fading(shape, los_amp, scatter_power, rng)
+    scatter_amp = math.sqrt(scatter_power) / math.sqrt(2.0)
     # los_amp exp(j phase) + scatter_amp (re + j im) by parts, built in the output
     gains = np.empty(shape, dtype=complex)
     real, imag = gains.real, gains.imag
     scratch = rng.uniform(0.0, TWO_PI, size=shape)
-    if len(shape) == 1:
-        np.cos(scratch, out=real)
-        np.sin(scratch, out=imag)
-    else:
-        # t = tan(phase / 2); the imaginary part holds t^2, then 1 + t^2, then the sine
-        scratch *= 0.5
-        np.tan(scratch, out=scratch)
-        np.multiply(scratch, scratch, out=imag)
-        np.subtract(1.0, imag, out=real)
-        imag += 1.0
-        real /= imag
-        scratch += scratch
-        np.divide(scratch, imag, out=imag)
+    np.cos(scratch, out=real)
+    np.sin(scratch, out=imag)
     for part in (real, imag):
         part *= los_amp
         rng.standard_normal(out=scratch)
         scratch *= scatter_amp
         part += scratch
+    return gains
+
+
+POLAR_BLOCK = 3072  # elements per pass of a 2-D draw's arithmetic: two 24 KiB temporaries
+
+
+def _polar_fading(
+    shape: tuple[int, ...], los_amp: float, scatter_power: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The 2-D draw of ``sample_fading``: los_amp exp(j phi) + sqrt(E scatter_power) exp(j psi).
+
+    u = ``rng.random((*shape, 2))`` is drawn straight into the output, u0
+    into each element's real slot and u1 into its imaginary slot, then E =
+    ``rng.standard_exponential(size)`` (C order) into the scratch, which
+    becomes the radius r = sqrt(E scatter_power). Per element, with t =
+    tan(pi u) the half-angle tangent of each phase and w = 2 a / (1 + t^2)
+    for its amplitude a, a exp(j phase) is (w - a) + j t w. The scattered
+    phasor goes first, which frees u0's slot for the line-of-sight sum.
+    """
+    gains = np.empty(shape, dtype=complex)
+    size = gains.size
+    slots = gains.reshape(-1).view(float).reshape(size, 2)  # the real and imaginary slot of each element
+    rng.random(out=slots)
+    radius = rng.standard_exponential(size)
+    radius *= scatter_power
+    np.sqrt(radius, out=radius)
+    block = min(POLAR_BLOCK, size)
+    tangents, weights = np.empty(block), np.empty(block)
+    for start in range(0, size, block):
+        stop = min(start + block, size)
+        real, imag, r = slots[start:stop, 0], slots[start:stop, 1], radius[start:stop]
+        t, w = tangents[: stop - start], weights[: stop - start]
+        # the scattered phasor: r sin psi into the imaginary slot, r cos psi into the scratch
+        np.multiply(imag, math.pi, out=t)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=w)
+        w += 1.0
+        np.divide(r, w, out=w)
+        w += w
+        np.multiply(t, w, out=imag)
+        np.subtract(w, r, out=r)
+        # the line-of-sight phasor, added to it
+        np.multiply(real, math.pi, out=t)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=w)
+        w += 1.0
+        np.divide(2.0 * los_amp, w, out=w)
+        t *= w
+        imag += t
+        w -= los_amp
+        np.add(w, r, out=real)
     return gains
 
 
@@ -121,21 +175,22 @@ def sample_amplitudes(n: int | tuple[int, ...], rician_k_db: float, rng: np.rand
     scatter_amp (x + j y)|. ``rng`` is advanced by one ``standard_normal((2,
     *shape))`` call, every x before every y; no cos or sin is computed.
     """
-    shape, los_amp, scatter_amp = _rician(n, rician_k_db)
+    shape, los_amp, scatter_power = _rician(n, rician_k_db)
     parts = rng.standard_normal((2, *shape))
-    parts *= scatter_amp
+    parts *= math.sqrt(scatter_power) / math.sqrt(2.0)
     parts[0] += los_amp
     return np.hypot(parts[0], parts[1])
 
 
 def _rician(n: int | tuple[int, ...], rician_k_db: float) -> tuple[tuple[int, ...], float, float]:
-    """The shape of a draw of ``n``, and the line-of-sight amplitude sqrt(K/(K+1)) and the scale
-    sqrt(1/(2(K+1))) of each scattered part at ``rician_k_db``."""
+    """The shape of a draw of ``n``, and the line-of-sight amplitude sqrt(K/(K+1)) and the scattered
+    power 1/(K+1) at ``rician_k_db``; each scattered part of a 1-D draw has the scale
+    sqrt(1/(K+1)) / sqrt(2)."""
     shape = (n,) if isinstance(n, int) else tuple(n)
     if any(s < 1 for s in shape):
         raise ValueError("fading shape components must be >= 1")
     k = 10.0 ** (rician_k_db / 10.0)
-    return shape, math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
+    return shape, math.sqrt(k / (k + 1.0)), 1.0 / (k + 1.0)
 
 
 def direct_snr(cfg: SimConfig, h: complex | float, d: float) -> float:
@@ -216,10 +271,11 @@ def alternating_double_phases(
     of convergence: on 8 draws (K = 10 dB, 250 elements; ``h_in``,
     ``h_mid``, ``h_out`` drawn in that order from
     ``np.random.default_rng(seed)``, seeds 0-7) the cascade power |h_out
-    Phi_j H Phi_i h_in|^2 after 20 rounds was 0.14-0.41 dB below that after
-    200 rounds (0.141, 0.222, 0.281, 0.290, 0.305, 0.389, 0.394, 0.411 dB at
-    stream version 4, as at version 3), the same to 3 decimals whether the
-    rounds read the gains as drawn or after an amplitude/phase round trip.
+    Phi_j H Phi_i h_in|^2 after 20 rounds was 0.16-0.35 dB below that after
+    200 rounds (0.165, 0.179, 0.186, 0.212, 0.285, 0.320, 0.327, 0.341 dB at
+    stream version 7; 0.141-0.411 dB on version 6's draws), the same to 3
+    decimals whether the rounds read the gains as drawn or after an
+    amplitude/phase round trip.
     """
     diag_i = np.ones(h_mid.shape[1], dtype=complex)
     diag_j = np.ones(h_mid.shape[0], dtype=complex)

@@ -45,6 +45,13 @@ routing again. Every row keeps the bytes of routing each variant alone.
 A change that moves any draw bumps it, and every manifest records it; what
 each version moved is in CHANGES.md. Version 6 keys each stream by what its
 routes draw (``_stream``), not by where its cell sits in the grid.
+
+Version 7 draws the 250 x 250 surface-to-surface gains in polar form
+(``channel.sample_fading``): each element from two uniforms and one
+exponential instead of one uniform and two normals, with the same Rician
+law. Only routes that reach the double-reflection stage's ``h_mid`` draw
+move; 1-D draws keep their bytes, and so does every route that stops
+before that draw.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ DETAIL_COLUMNS = [
     "success",
 ]
 
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 
 # The grid kinds pin one endpoint pair so grid points differ only in the topology draw.
 SWEEP_SOURCE = (20.0, 200.0)

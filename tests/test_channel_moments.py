@@ -13,15 +13,24 @@ large-K expansion E|h| = sqrt(K/(K+1)) (1 + 1/(4K) + 1/(32K^2) + O(K^-3)). Eleme
 the aligned single reflection's coherent power has
 E[(sum_n a_in,n a_out,n)^2] = N + N (N-1) (E|h|)^4 (Wu & Zhang, IEEE TWC 2019).
 
+The surface-to-surface draw (250 x 250, in polar form since stream version 7) must have the same
+law: its E|h|, E|h|^2 and Var|h|^2 are checked against the closed forms, E h and E h^2 against 0
+(circular symmetry), and |h| against ``sample_amplitudes`` by the KS distance below.
+
 The double reflection has no closed form. Its cascade power |h_out Phi_j H Phi_i h_in|^2, with the
 phases of ``alternating_double_phases`` (20 rounds), is checked against an alternating alignment
-written here and run 200 rounds on the same draws: the simulator's power sits the documented
-0.14-0.41 dB below the oracle's.
+written here and run 200 rounds on the same draws: the simulator's power sits within ``GAP_DB``
+below the oracle's (0.165-0.341 dB on the 8 documented draws at stream version 7, 0.141-0.411 dB at
+version 6; the seed-303 mean gap is 0.239 +- 0.015 dB, 0.265 +- 0.018 dB at version 6). Its mean
+with the polar ``h_mid`` is also set against its mean with version 6's normal-pair ``h_mid``.
 
 Each check compares a sample mean with its closed form, or the documented gap, within ``K_SE``
 standard errors; the bound and the sample sizes were fixed before the first run. Drawn with K
 inverted, E|h| at -10 dB reads 63 SE off; with the coherent gain halved, the reflection mean is off
 by a factor of 4; with one alignment round, the cascade power sits 2.6-3.3 dB below the oracle's.
+With the 2-D draw's E taken without its square root, its scale missing a sqrt 2, or one phase used
+for both of its phasors, the 2-D moment, KS and cascade-mean checks fail; with its line-of-sight
+phase on [0, pi), the circular-symmetry and cascade checks do.
 The amplitude draws are also set against |sample_fading| by a two-sample Kolmogorov-Smirnov
 distance at level ``KS_ALPHA``.
 """
@@ -46,6 +55,7 @@ K_SE = 4.0
 DRAWS = 100_000
 REFLECTIONS = 2_000
 CASCADES = 50
+MATRICES = 2  # 250 x 250 draws per check of the 2-D law: 125,000 elements
 KS_ALPHA = 1e-3
 GAP_DB = (0.14, 0.41)  # the 20-round cascade power below 200 rounds (``alternating_double_phases``)
 CFG = SimConfig()
@@ -185,3 +195,70 @@ def test_double_cascade_mean_gap():
     gaps = np.array([cascade_gap_db(rng) for _ in range(CASCADES)])
     se = float(np.std(gaps, ddof=1)) / math.sqrt(CASCADES)
     assert GAP_DB[0] - K_SE * se <= float(np.mean(gaps)) <= GAP_DB[1] + K_SE * se
+
+
+def matrix_draws(k_db: float, seed: int) -> np.ndarray:
+    """The elements of ``MATRICES`` surface-to-surface draws (250 x 250) from one generator, flattened."""
+    n, rng = CFG.ris_elements, np.random.default_rng(seed)
+    return np.concatenate([sample_fading((n, n), k_db, rng).ravel() for _ in range(MATRICES)])
+
+
+@pytest.mark.parametrize("k_db", [-10.0, 0.0, 10.0])
+def test_2d_draw_amplitude_and_power_moments(k_db):
+    h = matrix_draws(k_db, 309)
+    count, mean = len(h), rician_mean_amplitude(k_db)
+    assert abs(float(np.mean(np.abs(h))) - mean) <= K_SE * math.sqrt((1.0 - mean**2) / count)
+    k = 10.0 ** (k_db / 10.0)
+    power, power_var = h.real**2 + h.imag**2, (1.0 + 2.0 * k) / (1.0 + k) ** 2
+    assert abs(float(np.mean(power)) - 1.0) <= K_SE * math.sqrt(power_var / count)
+    # the sample variance's standard error from the sample's fourth central moment
+    sample_var = float(np.var(power, ddof=1))
+    var_se = math.sqrt((float(np.mean((power - np.mean(power)) ** 4)) - sample_var**2) / count)
+    assert abs(sample_var - power_var) <= K_SE * var_se
+
+
+@pytest.mark.parametrize("k_db", [-10.0, 10.0])
+def test_2d_draw_is_circularly_symmetric(k_db):
+    # E h = 0 and E h^2 = 0; a complex mean's standard error is sqrt(E|x|^2 / count), with
+    # E|h|^2 = 1 and E|h^2|^2 = E|h|^4 = 1 + Var|h|^2
+    h = matrix_draws(k_db, 310)
+    k = 10.0 ** (k_db / 10.0)
+    assert abs(complex(np.mean(h))) <= K_SE * math.sqrt(1.0 / len(h))
+    fourth = 1.0 + (1.0 + 2.0 * k) / (1.0 + k) ** 2
+    assert abs(complex(np.mean(h * h))) <= K_SE * math.sqrt(fourth / len(h))
+
+
+@pytest.mark.parametrize("k_db", [-10.0, 10.0])
+def test_2d_draw_amplitudes_against_the_amplitude_draw(k_db):
+    h = np.abs(matrix_draws(k_db, 311))
+    a = sample_amplitudes(DRAWS, k_db, np.random.default_rng(312))
+    critical = math.sqrt(-math.log(KS_ALPHA / 2.0) / 2.0) * math.sqrt((len(a) + len(h)) / (len(a) * len(h)))
+    assert ks_distance(a, h) <= critical
+
+
+def normal_pair_h_mid(shape: tuple[int, int], k_db: float, rng: np.random.Generator) -> np.ndarray:
+    """The surface-to-surface draw of stream version 6, the oracle of the polar draw's law: los exp(j phase)
+    + scatter (x + j y), scatter = sqrt(1/(K+1)) / sqrt 2, drawing the phases, then every x, then every y."""
+    k = 10.0 ** (k_db / 10.0)
+    los_amp, scatter_amp = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
+    phasor = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=shape))
+    real, imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    return los_amp * phasor + scatter_amp * (real + 1j * imag)
+
+
+def aligned_cascade_powers(draw_mid, seed: int) -> np.ndarray:
+    """|h_out Phi_j H Phi_i h_in|^2 under ``alternating_double_phases`` on ``CASCADES`` draws (K = 10 dB, 250
+    elements) of ``h_in``, ``h_mid`` = ``draw_mid`` and ``h_out``, in that order from one generator."""
+    n, rng = CFG.ris_elements, np.random.default_rng(seed)
+    powers = []
+    for _ in range(CASCADES):
+        h_in, h_mid, h_out = sample_fading(n, 10.0, rng), draw_mid((n, n), 10.0, rng), sample_fading(n, 10.0, rng)
+        phase_i, phase_j = alternating_double_phases(h_in, h_mid, h_out)
+        powers.append(double_reflection_sinr(UNIT, h_in, phase_i, h_mid, phase_j, h_out, 1.0, 1.0, 1.0))
+    return np.array(powers)
+
+
+def test_aligned_double_cascade_mean_against_the_normal_pair_draw():
+    polar, normal = aligned_cascade_powers(sample_fading, 313), aligned_cascade_powers(normal_pair_h_mid, 314)
+    se = math.sqrt(float(np.var(polar, ddof=1) + np.var(normal, ddof=1)) / CASCADES)
+    assert abs(float(np.mean(polar) - np.mean(normal))) <= K_SE * se
