@@ -16,42 +16,32 @@ checked against. Two surfaces have no closed form: their phases are
 aligned alternately, one surface at a time, and the cascade is evaluated.
 
 A fading draw is built when it is drawn, and the router draws only what
-it reads. Direct and single-reflection SNRs read the amplitudes |h|, so
-the relay links, every single-reflection ``h_out`` and the ``h_in`` of
-every surface but the first in scan order are drawn as amplitudes alone
-(``sample_amplitudes``): the scattered part is circularly symmetric, so
-|h| has the same law whatever the line-of-sight phase, and no phase is
-drawn. The alignment and the double cascade read the gains themselves, so
-the double stage draws complex gains (``sample_fading``). So does the
-single stage for the first surface's ``h_in``: the double stage starts at
-that surface and reuses the ``h_in`` a failed single stage drew there,
-so both stages see one incoming channel.
+it reads. Every device-surface segment and every relay link is drawn as
+its amplitudes |h| alone (``sample_amplitudes``), and only the
+surface-to-surface matrix H as complex gains (``sample_fading``). Direct
+and single-reflection SNRs read |h|. So does the double cascade, through
+its end segments: with D = diag(h / |h|), every Phi and D diagonal,
+h_out Phi_j H Phi_i h_in = |h_out| Phi_j (D_out H D_in) Phi_i |h_in|, and
+``alternating_double_phases`` gives the same phases on both sides round
+by round. D_out H D_in has H's law, as H's elements are independent and
+circularly symmetric, so the SNR's law is that of complex ends. Circular
+symmetry also gives |h| one law whatever the line-of-sight phase, so an
+amplitude draw draws no phase.
 
-A complex draw is built in its own output array: one complex output and
-one real scratch array per call, whatever the shape, and the generator
-calls of the draw written out term by term. A 1-D draw (``h_in``,
-``h_out``) takes one ``uniform`` call for its line-of-sight phases, then
-one ``standard_normal`` call for the real and one for the imaginary
-scattered parts; its phasor is cos and sin of the phase, which give
-np.exp(1j phase) bit for bit.
-
-A 2-D draw (the 250 x 250 surface-to-surface matrix) is drawn in polar
-form since stream version 7: a circularly symmetric Gaussian of power
-1/(K+1) is sqrt(E/(K+1)) exp(j psi) with E ~ Exp(1) and psi uniform on
-[0, 2 pi) independent (Box and Muller's polar form), so each element,
-los exp(j phi) + sqrt(E/(K+1)) exp(j psi), has the 1-D law exactly, from
-two uniforms and one exponential instead of one uniform and two normals
-(about 12 against 38 ns of generator time). One ``random((*shape, 2))``
-call draws every element's u0 then u1 (phi = 2 pi u0, psi = 2 pi u1),
-then one ``standard_exponential`` call every E. Each phasor is taken
-from its half-angle tangent t = tan(pi u) as (1 - t^2) / (1 + t^2) and
-2t / (1 + t^2), within an ulp of cos and sin: numpy vectorises float64
-tan under AVX-512 but not cos and sin (on 62,500 elements 0.2 against
-2.5 ms). The arithmetic runs in place, in blocks (``_polar_fading``), so
-a steady-state draw takes no page faults; with full-size temporaries it
-took hundreds. 1-D draws keep their version-6 recipe and bytes, and so
-does every route that draws no ``h_mid``: the polar form is slower on 32
-elements or fewer and saves about 8 of 30-45 us on 250.
+A complex draw is built in polar form, in its own output array: one
+complex output and one real scratch array per call, whatever the shape. A
+circularly symmetric Gaussian of power 1/(K+1) is sqrt(E/(K+1)) exp(j psi)
+with E ~ Exp(1) and psi uniform on [0, 2 pi) independent (Box and
+Muller's polar form), so each element, los exp(j phi) + sqrt(E/(K+1))
+exp(j psi), has the Rician law from two uniforms and one exponential. One
+``random((*shape, 2))`` call draws every element's u0 then u1 (phi = 2 pi
+u0, psi = 2 pi u1), then one ``standard_exponential`` call every E. Each
+phasor is taken from its half-angle tangent t = tan(pi u) as (1 - t^2) /
+(1 + t^2) and 2t / (1 + t^2), within an ulp of cos and sin: numpy
+vectorises float64 tan under AVX-512 but not cos and sin (on 62,500
+elements 0.2 against 2.5 ms). The arithmetic runs in place, in blocks of
+``POLAR_BLOCK`` elements, so a steady-state draw takes no page faults;
+with full-size temporaries it took hundreds.
 
 The link-budget constants P, rho_L, alpha and sigma^2 live only in
 ``SimConfig``: every SNR here reads them from the config it is handed,
@@ -78,6 +68,7 @@ import numpy as np
 from .config import SimConfig
 
 TWO_PI = 2.0 * math.pi
+POLAR_BLOCK = 3072  # elements per pass of a draw's arithmetic: two 24 KiB temporaries
 
 
 def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.Generator) -> np.ndarray:
@@ -85,44 +76,9 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
 
     The line-of-sight part carries K/(K+1) of the power at a uniformly
     drawn phase; the scattered part is circularly symmetric Gaussian with
-    the remaining 1/(K+1). 1-D for device-surface segments, 2-D (out x in)
-    for the surface-to-surface segment, drawn by ``_polar_fading`` (module
-    docstring).
-
-    A 1-D draw advances ``rng`` by the phases and then the real and
-    imaginary normals: the phases go into the scratch, their cos and sin
-    straight into the output's real and imaginary parts, and each part's
-    normals refill the scratch before they are scaled and added in place.
-    A draw allocates its complex output and one real scratch array, 1.5 MB
-    on a 250x250 draw (and a 2-D draw two ``POLAR_BLOCK`` temporaries).
-    The generator calls and their order are those of the draw written out
-    term by term, and so are the bits.
-    """
-    shape, los_amp, scatter_power = _rician(n, rician_k_db)
-    if len(shape) > 1:
-        return _polar_fading(shape, los_amp, scatter_power, rng)
-    scatter_amp = math.sqrt(scatter_power) / math.sqrt(2.0)
-    # los_amp exp(j phase) + scatter_amp (re + j im) by parts, built in the output
-    gains = np.empty(shape, dtype=complex)
-    real, imag = gains.real, gains.imag
-    scratch = rng.uniform(0.0, TWO_PI, size=shape)
-    np.cos(scratch, out=real)
-    np.sin(scratch, out=imag)
-    for part in (real, imag):
-        part *= los_amp
-        rng.standard_normal(out=scratch)
-        scratch *= scatter_amp
-        part += scratch
-    return gains
-
-
-POLAR_BLOCK = 3072  # elements per pass of a 2-D draw's arithmetic: two 24 KiB temporaries
-
-
-def _polar_fading(
-    shape: tuple[int, ...], los_amp: float, scatter_power: float, rng: np.random.Generator
-) -> np.ndarray:
-    """The 2-D draw of ``sample_fading``: los_amp exp(j phi) + sqrt(E scatter_power) exp(j psi).
+    the remaining 1/(K+1). Each element is los_amp exp(j phi) + sqrt(E
+    scatter_power) exp(j psi) (module docstring); the router draws only the
+    2-D (out x in) surface-to-surface segment this way.
 
     u = ``rng.random((*shape, 2))`` is drawn straight into the output, u0
     into each element's real slot and u1 into its imaginary slot, then E =
@@ -130,8 +86,11 @@ def _polar_fading(
     becomes the radius r = sqrt(E scatter_power). Per element, with t =
     tan(pi u) the half-angle tangent of each phase and w = 2 a / (1 + t^2)
     for its amplitude a, a exp(j phase) is (w - a) + j t w. The scattered
-    phasor goes first, which frees u0's slot for the line-of-sight sum.
+    phasor goes first, which frees u0's slot for the line-of-sight sum. A
+    draw allocates its complex output, the scratch and two ``POLAR_BLOCK``
+    temporaries: 1.5 MB on a 250x250 draw.
     """
+    shape, los_amp, scatter_power = _rician(n, rician_k_db)
     gains = np.empty(shape, dtype=complex)
     size = gains.size
     slots = gains.reshape(-1).view(float).reshape(size, 2)  # the real and imaginary slot of each element
@@ -184,7 +143,7 @@ def sample_amplitudes(n: int | tuple[int, ...], rician_k_db: float, rng: np.rand
 
 def _rician(n: int | tuple[int, ...], rician_k_db: float) -> tuple[tuple[int, ...], float, float]:
     """The shape of a draw of ``n``, and the line-of-sight amplitude sqrt(K/(K+1)) and the scattered
-    power 1/(K+1) at ``rician_k_db``; each scattered part of a 1-D draw has the scale
+    power 1/(K+1) at ``rician_k_db``; each scattered part of an amplitude draw has the scale
     sqrt(1/(K+1)) / sqrt(2)."""
     shape = (n,) if isinstance(n, int) else tuple(n)
     if any(s < 1 for s in shape):
@@ -269,14 +228,15 @@ def alternating_double_phases(
     magnitude. The aligning phasor exp(-j angle(z)) of each effective term
     z is taken as conj(z) / |z| (``_unit_conjugate``). 20 rounds stop short
     of convergence: on 8 draws (K = 10 dB, 250 elements; ``h_in``,
-    ``h_mid``, ``h_out`` drawn in that order from
+    ``h_mid``, ``h_out`` drawn in that order by ``sample_fading`` from
     ``np.random.default_rng(seed)``, seeds 0-7) the cascade power |h_out
-    Phi_j H Phi_i h_in|^2 after 20 rounds was 0.16-0.35 dB below that after
-    200 rounds (0.165, 0.179, 0.186, 0.212, 0.285, 0.320, 0.327, 0.341 dB at
-    stream version 7; 0.141-0.411 dB on version 6's draws), the same to 3
-    decimals whether the rounds read the gains as drawn or after an
-    amplitude/phase round trip.
+    Phi_j H Phi_i h_in|^2 after 20 rounds was 0.07-0.34 dB below that after
+    200 rounds (0.076, 0.174, 0.194, 0.205, 0.213, 0.229, 0.271, 0.337 dB at
+    stream version 8), the same to 3 decimals whether the rounds read the
+    gains as drawn or after an amplitude/phase round trip.
     """
+    # amplitude ends are cast to complex once here rather than in each of the 3 * rounds products
+    h_in, h_out = np.asarray(h_in, dtype=complex), np.asarray(h_out, dtype=complex)
     diag_i = np.ones(h_mid.shape[1], dtype=complex)
     diag_j = np.ones(h_mid.shape[0], dtype=complex)
     for _ in range(rounds):

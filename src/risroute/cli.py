@@ -53,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="seeded routes, or replications per grid point (default: %(default)s)")
         if "threads" in entry.reads:
             p.add_argument("--threads", type=int, default=ExperimentPlan.threads,
-                           help="worker processes (default: %(default)s); compare and mobility accept it "
-                                "but run serially until ROADMAP item 3")
+                           help="worker processes for the two sweeps (default: %(default)s); compare and "
+                                "mobility accept it and run serially")
         p.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser
 

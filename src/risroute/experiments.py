@@ -43,15 +43,7 @@ routing again. Every row keeps the bytes of routing each variant alone.
 
 ``STREAM_VERSION`` names the order in which a route consumes its stream.
 A change that moves any draw bumps it, and every manifest records it; what
-each version moved is in CHANGES.md. Version 6 keys each stream by what its
-routes draw (``_stream``), not by where its cell sits in the grid.
-
-Version 7 draws the 250 x 250 surface-to-surface gains in polar form
-(``channel.sample_fading``): each element from two uniforms and one
-exponential instead of one uniform and two normals, with the same Rician
-law. Only routes that reach the double-reflection stage's ``h_mid`` draw
-move; 1-D draws keep their bytes, and so does every route that stops
-before that draw.
+each version moved is in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -83,7 +75,7 @@ DETAIL_COLUMNS = [
     "success",
 ]
 
-STREAM_VERSION = 7
+STREAM_VERSION = 8
 
 # The grid kinds pin one endpoint pair so grid points differ only in the topology draw.
 SWEEP_SOURCE = (20.0, 200.0)
@@ -117,7 +109,7 @@ class ExperimentPlan:
     batches: int = 20
     vmax_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     variants: tuple[str, ...] = ("full", "shannon", "fixed_mod", "single_ris", "double_ris")
-    threads: int = 1  # sweep workers; comparison and mobility accept it but run serially until ROADMAP item 3
+    threads: int = 1  # worker processes for the two sweeps; comparison and mobility accept it and run serially
 
     def __post_init__(self):
         kind = KINDS.get(self.kind)

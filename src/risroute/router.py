@@ -483,10 +483,10 @@ class Router:
         tau = linkbudget.transfer_slots(self.cfg.total_bits, rate)
         return Entry(link, tau, rate) if tau <= nu else None
 
-    def _single_surface(self, origin: Point, ris_id: int, endpoints: list, incoming: dict, phased: bool):
+    def _single_surface(self, origin: Point, ris_id: int, endpoints: list, incoming: dict):
         """A function giving the entry of the i-th of ``endpoints`` behind ``ris_id``, worked out on first
-        call: that draws the surface's ``h_in`` into ``incoming`` unless it is there (complex gains when
-        ``phased``, else amplitudes), then the endpoint's ``h_out`` amplitudes."""
+        call: that draws the surface's ``h_in`` amplitudes into ``incoming`` unless they are there, then
+        the endpoint's ``h_out`` amplitudes."""
         n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
         ris_pos = self._point(ris_id)
         d_in = math.dist(origin, ris_pos)
@@ -495,8 +495,7 @@ class Router:
         def entry_at(i: int) -> Entry | None:
             if i not in entries:
                 if ris_id not in incoming:
-                    draw = channel.sample_fading if phased else channel.sample_amplitudes
-                    incoming[ris_id] = draw(n_elements, k_db, self.rng)
+                    incoming[ris_id] = channel.sample_amplitudes(n_elements, k_db, self.rng)
                 h_out = channel.sample_amplitudes(n_elements, k_db, self.rng)
                 d_out = math.dist(ris_pos, endpoints[i][1])
                 gamma = channel.optimal_single_reflection_snr(self.cfg, incoming[ris_id], h_out, d_in, d_out)
@@ -507,7 +506,7 @@ class Router:
 
     def _single_stage(self, origin: Point, candidates: Sequence[int]):
         """One reflector among ``candidates``: (((ris_id,), entry), None), or, when no surface has a
-        qualifying endpoint, (None, the complex ``h_in`` of ``candidates[0]``, None if not drawn).
+        qualifying endpoint, (None, the ``h_in`` of ``candidates[0]``, None if not drawn).
 
         Every candidate's IUs are observed first, in one call. The surface with the least key (least
         remaining distance of a qualifying endpoint, id) wins; its endpoints are evaluated only while
@@ -519,7 +518,7 @@ class Router:
         best = None  # ((remaining, ris_id), endpoints, entry_at)
         for ris_id, found in zip(candidates, scans):
             endpoints = self._reflector_endpoints(found, origin, idle)
-            entry_at = self._single_surface(origin, ris_id, endpoints, incoming, ris_id == candidates[0])
+            entry_at = self._single_surface(origin, ris_id, endpoints, incoming)
             least = math.inf  # remaining distance of this surface's nearest qualifying endpoint so far
             bound = math.inf if best is None else best[0][0]
             for i, (_, _, remaining, _) in enumerate(endpoints):
@@ -553,7 +552,8 @@ class Router:
         (``_forward``), and before any draw when the observation finds every
         such IU busy. Otherwise it draws the first surface's ``h_in`` (unless
         the single stage did), ``h_mid``, then each endpoint's ``h_out`` in
-        scan order, and evaluates every endpoint.
+        scan order, and evaluates every endpoint. Only ``h_mid`` is drawn as
+        complex gains; the ends are amplitudes (``channel`` docstring).
 
         Entering raises ``ledger.stage_reached`` to the reflector stage, and
         passing the single stage without a hop to the double stage.
@@ -586,12 +586,12 @@ class Router:
             if not endpoints:
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # every forward IU busy: nothing to draw for
             if h_in is None:
-                h_in = channel.sample_fading(n_elements, k_db, self.rng)
+                h_in = channel.sample_amplitudes(n_elements, k_db, self.rng)
             h_mid = channel.sample_fading((n_elements, n_elements), k_db, self.rng)
             d_in, d_mid = math.dist(origin, first_pos), math.dist(first_pos, second_pos)
             entries = []
             for endpoint in endpoints:
-                h_out = channel.sample_fading(n_elements, k_db, self.rng)
+                h_out = channel.sample_amplitudes(n_elements, k_db, self.rng)
                 phase_i, phase_j = channel.alternating_double_phases(h_in, h_mid, h_out)
                 gamma = channel.double_reflection_sinr(self.cfg, h_in, phase_i, h_mid, phase_j, h_out,
                                                        d_in, d_mid, math.dist(second_pos, endpoint[1]))

@@ -86,14 +86,8 @@ def aligned_phases(h_in, h_out):
     return phases_of(h_in) + phases_of(h_out)
 
 
-def cos_sin(phase):
-    """The line-of-sight phasor of a 1-D draw, and of every draw at stream version 3: cos and sin give
-    np.exp(1j * phase) bit for bit."""
-    return np.cos(phase), np.sin(phase)
-
-
 def tangent_phasor(u, amp):
-    """amp exp(j 2 pi u) of a 2-D draw from the half-angle tangent t = tan(pi u): (w - amp) + j t w with
+    """amp exp(j 2 pi u) of a draw from the half-angle tangent t = tan(pi u): (w - amp) + j t w with
     w = 2 amp / (1 + t^2), i.e. amp (1 - t^2) / (1 + t^2) and amp 2t / (1 + t^2)."""
     t = np.tan(math.pi * u)
     w = 2.0 * amp / (1.0 + t * t)
@@ -108,32 +102,18 @@ def cos_sin_phasor(u, amp):
 
 def written_out_fading(n, rician_k_db, rng, phasor=tangent_phasor):
     """The Rician draw written out term by term, one temporary per term, as the byte oracle of
-    ``sample_fading``.
-
-    1-D: the phases, then the real and imaginary normals, from ``rng``, and the gains
-    los exp(j phase) + scatter (re + j im), with scatter = sqrt(1/(K+1)) / sqrt 2 and the phasor
-    ``cos_sin``. 2-D (stream version 7): u = ``rng.random((*shape, 2))``, then
-    E = ``rng.standard_exponential(shape)``, and the gains los exp(j 2 pi u0) + r exp(j 2 pi u1) with
-    r = sqrt(E / (K+1)), each term by ``phasor``."""
+    ``sample_fading``: u = ``rng.random((*shape, 2))``, then E = ``rng.standard_exponential(shape)``,
+    and the gains los exp(j 2 pi u0) + r exp(j 2 pi u1) with r = sqrt(E / (K+1)), each term by
+    ``phasor``."""
     shape = (n,) if isinstance(n, int) else tuple(n)
     k = 10.0 ** (rician_k_db / 10.0)
-    los_amp, scatter_amp = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
-    if len(shape) > 1:
-        u = rng.random((*shape, 2))
-        r = np.sqrt(rng.standard_exponential(shape) * (1.0 / (k + 1.0)))
-        los_re, los_im = phasor(u[..., 0], los_amp)
-        scatter_re, scatter_im = phasor(u[..., 1], r)
-        gains = np.empty(shape, dtype=complex)
-        gains.real, gains.imag = los_re + scatter_re, los_im + scatter_im
-        return gains
-    phase = rng.uniform(0.0, TWO_PI, size=shape)
-    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-    real, imag = cos_sin(phase)
-    for part, normals in ((real, re), (imag, im)):
-        part *= los_amp
-        normals *= scatter_amp
-        part += normals
-    return real + 1j * imag
+    u = rng.random((*shape, 2))
+    r = np.sqrt(rng.standard_exponential(shape) * (1.0 / (k + 1.0)))
+    los_re, los_im = phasor(u[..., 0], math.sqrt(k / (k + 1.0)))
+    scatter_re, scatter_im = phasor(u[..., 1], r)
+    gains = np.empty(shape, dtype=complex)
+    gains.real, gains.imag = los_re + scatter_re, los_im + scatter_im
+    return gains
 
 
 class FixedDraws:
@@ -421,6 +401,22 @@ class TestDoubleReflection:
         pi, pj = alternating_double_phases_v3(h_in, h_mid, h_out)
         want = double_reflection_sinr(PARAMS, h_in, pi, h_mid, pj, h_out, 20.0, 30.0, 25.0)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [32, 250])
+    def test_complex_ends_give_the_sinr_of_their_amplitudes_over_a_rotated_h_mid(self, n):
+        # h_out Phi_j H Phi_i h_in = |h_out| Phi_j (D_out H D_in) Phi_i |h_in| with D = diag(h / |h|), and
+        # the alignment reads the draws only through that cascade, so the router may draw the ends as
+        # amplitudes; the largest relative gap measured here was 1.6e-15
+        rng = np.random.default_rng(318)
+        for _ in range(8):
+            h_in, h_mid, h_out = (sample_fading(shape, 10.0, rng) for shape in (n, (n, n), n))
+            pi, pj = alternating_double_phases(h_in, h_mid, h_out)
+            want = double_reflection_sinr(PARAMS, h_in, pi, h_mid, pj, h_out, 20.0, 30.0, 25.0)
+            a_in, a_out = np.abs(h_in), np.abs(h_out)
+            rotated = (h_out / a_out)[:, None] * h_mid * (h_in / a_in)
+            pi, pj = alternating_double_phases(a_in, rotated, a_out)
+            got = double_reflection_sinr(PARAMS, a_in, pi, rotated, pj, a_out, 20.0, 30.0, 25.0)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_a_zero_gain_gives_finite_phases(self):
         rng = np.random.default_rng(17)

@@ -147,7 +147,7 @@ class TestColumns:
                 wait, double, direct_hop(8, 4)]
         assert metrics_of(hops) == {"D_T": 2.266810540379838, "D_T_normalized": 1.3680030746419607,
                                     "E_eff": 13201.352808629064, "ris_count": 3, "hops": 4}
-        led, cfg = mixed_route()  # its draws are stream version 5's
+        led, cfg = mixed_route()  # its draws are stream version 8's
         assert led.trace() == "S → R1 → U2 → U3 → U4 → U5 → U6 → U7 → D"
-        assert compute_route_metrics(led, cfg) == {"D_T": 9.794624099706727, "D_T_normalized": 1.2067674807105886,
-                                                   "E_eff": 11315.417256558278, "ris_count": 1, "hops": 7}
+        assert compute_route_metrics(led, cfg) == {"D_T": 9.784808749817202, "D_T_normalized": 1.2066183527096879,
+                                                   "E_eff": 11315.417256562638, "ris_count": 1, "hops": 7}

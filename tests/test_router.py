@@ -381,13 +381,12 @@ class TestDoubleStageDeadEnd:
         r.field.state[:] = traffic.IDLE
         draws = recorded_draws(monkeypatch)
         r.ris_fallback(self.origin, RouteLedger())
-        assert shapes(draws) == [("gains", 250), ("gains", (250, 250)), ("gains", 250)]
+        assert shapes(draws) == [("amplitudes", 250), ("gains", (250, 250)), ("amplitudes", 250)]
 
 
 class TestSingleStageDraws:
-    """A surface draws its ``h_in`` only once one of its endpoints is evaluated: as complex gains for
-    the first surface, which the double stage reuses, else as amplitudes; every ``h_out`` is drawn as
-    amplitudes."""
+    """A surface draws its ``h_in`` only once one of its endpoints is evaluated, and the double stage
+    reuses the first surface's; every ``h_in`` and ``h_out`` is drawn as amplitudes."""
 
     def router(self, iu_state, ius=((180.0, 200.0),), riss=((150.0, 200.0),), policy="single_ris", **cfg):
         # S at (100, 200) sees no relay; R1 at (150, 200) sees U1 at (180, 200), 80 m closer to D
@@ -410,7 +409,7 @@ class TestSingleStageDraws:
         draws = recorded_draws(monkeypatch)
         surfaces, entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
         assert (surfaces, entry.link.node_id) == ((r.topo.first_ris_id,), 2)
-        assert shapes(draws) == [("gains", 250), ("amplitudes", 250)]
+        assert shapes(draws) == [("amplitudes", 250), ("amplitudes", 250)]
 
     def test_a_later_surface_draws_amplitudes_only(self, monkeypatch):
         # R1 at (150, 200) sees nothing; R2 at (130, 150), scanned second, sees U1 at (170, 120)
@@ -432,7 +431,7 @@ class TestSingleStageDraws:
         monkeypatch.setattr(channel, "alternating_double_phases",
                             lambda h_in, h_mid, h_out: aligned.append(h_in) or real_align(h_in, h_mid, h_out))
         assert r.ris_fallback(r._point(SOURCE_ID), RouteLedger()) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
-        assert shapes(draws) == [("gains", 250), ("amplitudes", 250), ("gains", (250, 250)), ("gains", 250)]
+        assert shapes(draws) == [("amplitudes", 250), ("amplitudes", 250), ("gains", (250, 250)), ("amplitudes", 250)]
         assert aligned == [draws[0][2]] and aligned[0] is draws[0][2]
 
 
@@ -748,8 +747,8 @@ class StageOracle:
     evaluated by the oracle over the lazy stage's draws and over the traffic field as the stage left
     it (so the oracle's observations read the same states and draw nothing), with ``MAX_GAIN`` for
     every surface and endpoint the lazy stage skipped. Both must pick the same hop, and the oracle
-    must leave its generator untouched. Every draw of the lazy stage must be read; only the first
-    surface's ``h_in`` is complex, and the stage hands it on when it finds no hop. Replaying its
+    must leave its generator untouched. Every draw of the lazy stage must be read and is an amplitude
+    draw, and the stage hands the first surface's ``h_in`` on when it finds no hop. Replaying its
     observation and draws, in order, from where the stage began must leave the generator and the
     field where the stage left them: nothing else advanced them.
     """
@@ -811,8 +810,8 @@ class StageOracle:
             events.append(("states_at", (slot, np.array(indices)), None))
             return real_observe(slot, indices, rng)
 
-        def surface(origin, ris_id, endpoints, incoming, phased):
-            entry_at = real_surface(origin, ris_id, endpoints, incoming, phased)
+        def surface(origin, ris_id, endpoints, incoming):
+            entry_at = real_surface(origin, ris_id, endpoints, incoming)
 
             def recorded(i):
                 before = len(events)
@@ -844,8 +843,7 @@ class StageOracle:
         assert self.oracle.rng.bit_generator.state == rng_before.bit_generator.state
         made = [value for name, _, value in events if name != "states_at"]
         assert sorted(map(id, made)) == sorted(map(id, draws.values()))  # every draw is read
-        assert {key: d.dtype.kind for key, d in draws.items()} == {
-            key: "c" if key == candidates[0] else "f" for key in draws}
+        assert {d.dtype.kind for d in draws.values()} <= {"f"}
         assert h_in is (draws.get(candidates[0]) if got is None else None)
         for name, args, value in events:
             if name == "states_at":

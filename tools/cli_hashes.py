@@ -13,10 +13,12 @@ two checkouts produce the same output exactly when every CSV is
 byte-identical. Hashes compare only between runs on one host at one numpy
 SIMD level: float64 ``tan``, ``log2``, ``log10``, ``power``, ``exp`` and
 ``angle`` give other bits under AVX-512 than at numpy's x86-64 baseline
-(``NPY_DISABLE_CPU_FEATURES`` set to every dispatch target), and there 5
-of the lines differ at stream version 7 (4 at version 6): the ``compare``
-CSVs at seed 9 and at seed 7 with ``--config``, and the seed-9
-``sweep-coverage`` ``coverage_detail.csv``.
+(``NPY_DISABLE_CPU_FEATURES`` set to every dispatch target), and there 12
+of the lines differ at stream version 8 (5 at version 7): every seed-5
+``sweep-coverage``, ``sweep-density`` and ``compare`` CSV, serial and at
+``--threads 2``. Each of those runs takes a double-reflection hop whose
+SINR differs in its last bits between the two levels, so which lines
+differ moves with the draws.
 The list covers every subcommand, and seeds 5 and 9 at
 the default config. At seed 5 every grid subcommand also runs at
 ``--threads 2``; those lines must show the hashes of its serial line. Then
