@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -190,7 +190,7 @@ class SimConfig:
             raise ConfigError(f"arena_m must lie in [{MIN_ARENA_M:g}, {MAX_ARENA_M:g}] m, got {self.arena_m:g}")
         if self.dest_xy is not None:  # a scan centred on the destination would face no direction
             from .topology import ris_grid_positions  # deferred: topology imports this module
-            if (ris_grid_positions((self.arena_m, self.arena_m), self.ris_spacing) == self.dest_xy).all(axis=1).any():
+            if (ris_grid_positions(self.arena_m, self.ris_spacing) == self.dest_xy).all(axis=1).any():
                 raise ConfigError(f"dest_xy {self.dest_xy} sits on a reflector of the {self.ris_spacing:g} m grid")
 
     # Derived quantities, SI units, each computed on first read.
@@ -228,9 +228,6 @@ class SimConfig:
         """alpha_k phi, the bits one transfer carries."""
         return self.packets * self.bits_per_packet
 
-    def with_overrides(self, **kwargs) -> "SimConfig":
-        return replace(self, **kwargs)
-
     def to_dict(self) -> dict:
         out = {}
         for f in fields(self):
@@ -249,6 +246,16 @@ _PAIR_KEYS = {"source_xy", "dest_xy"}
 _NULLABLE = {"ris_spacing_m", "source_xy", "dest_xy"}
 
 
+def _number(key: str, raw) -> int | float:
+    """One number of ``key``: its value, or one element of its list or pair."""
+    if isinstance(raw, bool):
+        raise ConfigError(f"config key '{key}' takes numbers, not booleans, got {raw!r}")
+    try:
+        return int(str(raw).strip()) if _FIELD_TYPES[key] == "int" else float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key '{key}': cannot parse value {raw!r}") from exc
+
+
 def _coerce(key: str, raw) -> object:
     if raw is None or (isinstance(raw, str) and raw.strip().lower() in ("none", "null")):
         if key in _NULLABLE:
@@ -256,27 +263,17 @@ def _coerce(key: str, raw) -> object:
         raise ConfigError(f"config key '{key}' cannot be null")
     if key in _STR_KEYS:
         return str(raw).strip()
-    if any(isinstance(v, bool) for v in (raw if isinstance(raw, (list, tuple)) else (raw,))):
-        raise ConfigError(f"config key '{key}' takes numbers, not booleans, got {raw!r}")
     if isinstance(raw, str) and "," in raw:
-        parts = [p for p in (s.strip() for s in raw.split(",")) if p]
-        raw = [float(p) for p in parts]
-    if isinstance(raw, (list, tuple)):
-        if key in _LIST_OK:
-            return tuple(float(v) for v in raw)
+        raw = [p for p in (s.strip() for s in raw.split(",")) if p]
+    if not isinstance(raw, (list, tuple)):
         if key in _PAIR_KEYS:
-            if len(raw) != 2:
-                raise ConfigError(f"config key '{key}' needs exactly two values")
-            return (float(raw[0]), float(raw[1]))
+            raise ConfigError(f"config key '{key}' needs exactly two values, got {raw!r}")
+        return _number(key, raw)
+    if key not in _LIST_OK | _PAIR_KEYS:
         raise ConfigError(f"config key '{key}' does not accept a list")
-    if key in _PAIR_KEYS:
-        raise ConfigError(f"config key '{key}' needs exactly two values, got {raw!r}")
-    try:
-        if _FIELD_TYPES[key] == "int":
-            return int(str(raw).strip())
-        return float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key '{key}': cannot parse value {raw!r}") from exc
+    if key in _PAIR_KEYS and len(raw) != 2:
+        raise ConfigError(f"config key '{key}' needs exactly two values")
+    return tuple(_number(key, v) for v in raw)
 
 
 def config_from_mapping(mapping: dict) -> SimConfig:

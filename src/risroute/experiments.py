@@ -24,8 +24,8 @@ chain law (``_profiles_for``), the RIS grid (``topology.ris_grid_positions``)
 and the mode table (``linkbudget.build_mode_table``).
 
 Every generator comes from ``_stream``, keyed by the seed, the runner
-family, the grid point as its scenario id prints it (coverage and density)
-and the replication. So outputs are byte-identical across runs and thread
+family, the grid point's name (``_point``: coverage and density) and the
+replication. So outputs are byte-identical across runs and thread
 counts, a grid point's rows do not depend on the rest of its grid, and no
 two families share a stream. The variant and the speed are not in the key:
 comparison variants and mobility speeds reuse the same replication streams
@@ -52,7 +52,7 @@ import csv
 import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -183,18 +183,16 @@ class MobilityField:
     def __init__(
         self,
         initial_xy: np.ndarray,
-        arena: tuple[float, float],
+        arena: float,
         v_max: float,
         rng: np.random.Generator,
     ):
-        self.arena = arena
+        self.arena = arena  # the side of the square arena
         self.v_max = float(v_max)
         self.rng = rng
-        self.xy = np.array(initial_xy, dtype=float).reshape(-1, 2).copy()
+        self.xy = np.array(initial_xy, dtype=float).reshape(-1, 2)  # the walk's own copy
         m = self.xy.shape[0]
-        self.waypoints = np.column_stack(
-            [rng.uniform(0.0, arena[0], size=m), rng.uniform(0.0, arena[1], size=m)]
-        )
+        self.waypoints = np.column_stack([rng.uniform(0.0, arena, size=m), rng.uniform(0.0, arena, size=m)])
         self.speeds = rng.uniform(0.0, 1.0, size=m) * self.v_max
         self.t = 0.0
 
@@ -228,7 +226,7 @@ class MobilityField:
                         break
                     x, y = wx, wy
                     remaining -= time_to_wp
-                    wx, wy = self.rng.uniform(0.0, self.arena[0]), self.rng.uniform(0.0, self.arena[1])
+                    wx, wy = self.rng.uniform(0.0, self.arena), self.rng.uniform(0.0, self.arena)
                     v = self.rng.uniform(0.0, 1.0) * self.v_max
                 self.xy[i], self.waypoints[i], self.speeds[i] = (x, y), (wx, wy), v
         self.t = t
@@ -295,7 +293,7 @@ def run_one_route(
         if shared is not None:
             raise ValueError("a shared replication routes static IUs only")
         topo = topology.generate_topology(cfg, rng)
-        mobility = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), v_max, mobility_rng)
+        mobility = MobilityField(topo.iu_xy, cfg.arena_m, v_max, mobility_rng)
         return router.Router(topo, law, cfg, rng, policy, mobility).run()
     shared = Replication() if shared is None else shared
     if shared.topo is None:
@@ -322,29 +320,31 @@ class Cell:
     extra: dict = field(default_factory=dict)  # summary columns between density and the stats
 
 
+def _point(cfg: SimConfig) -> str:
+    """The name of ``cfg``'s grid point, in its sweep cells' scenario ids and its stream keys."""
+    return f"r{cfg.coverage_m:g}-m{cfg.iu_count}"
+
+
 def _grid_cells(plan: ExperimentPlan, base: SimConfig) -> list[tuple[Cell, ...]]:
     """A grid plan's cells in output order, grouped by shared topology, each a variation of ``base``;
     every config is built (and checked) and every variant resolved to its policy before any route
-    runs."""
+    runs. The cells of one grid point share its config."""
     coverages = plan.resolved_coverage_grid()
     full = router.BASELINE_POLICIES["full"]
     if plan.kind == "comparison":
         return [
-            tuple(Cell(f"comparison-r{c:g}-{v}", v, router.BASELINE_POLICIES[v], base.with_overrides(coverage_m=c),
+            tuple(Cell(f"comparison-r{point.coverage_m:g}-{v}", v, router.BASELINE_POLICIES[v], point,
                        extra={"variant": v}) for v in plan.variants)
-            for c in coverages
+            for point in (replace(base, coverage_m=c) for c in coverages)
         ]
     if plan.kind == "mobility":
-        point = base.with_overrides(coverage_m=coverages[0])
+        point = replace(base, coverage_m=coverages[0])
         return [
             (Cell(f"mobility-v{v:g}", f"v{v:g}", full, point, v_max=v, extra={"v_max": v}),)
             for v in plan.vmax_grid
         ]
-    points = [(c, d) for d in plan.resolved_density_grid() for c in coverages]
-    return [
-        (Cell(f"{plan.kind}-r{c:g}-m{d}", "full", full, base.with_overrides(coverage_m=c, iu_count=d)),)
-        for c, d in points
-    ]
+    points = [replace(base, coverage_m=c, iu_count=d) for d in plan.resolved_density_grid() for c in coverages]
+    return [(Cell(f"{plan.kind}-{_point(point)}", "full", full, point),) for point in points]
 
 
 def _run_cells(cells: tuple[Cell, ...], seed: int, replications: int) -> list[list[dict]]:
@@ -355,7 +355,7 @@ def _run_cells(cells: tuple[Cell, ...], seed: int, replications: int) -> list[li
     (``Replication``); a mobility cell runs alone on the streams every speed shares. So the curves
     differ by policy or speed only.
     """
-    point = f"r{cells[0].cfg.coverage_m:g}-m{cells[0].cfg.iu_count}"  # as the cell's scenario id prints it
+    point = _point(cells[0].cfg)
     rows: list[list[dict]] = [[] for _ in cells]
     for rep in range(replications):
         rng = _stream(seed, "grid", rep, point)
@@ -487,9 +487,7 @@ def estimate_duration_quantiles(
     batched = base[: per_batch * batches].reshape(batches, per_batch)
     out = {}
     for si, scale in enumerate(scales_slots):
-        durations = batched * scale
-        for di, delta in enumerate(deltas):
-            q = np.quantile(durations, delta, axis=1)
+        for di, q in enumerate(np.quantile(batched * scale, deltas, axis=1)):
             out[(si, di)] = (float(q.mean()), float(q.std(ddof=1) / np.sqrt(batches)))
     return out
 
@@ -585,6 +583,6 @@ def run(plan: ExperimentPlan, cfg: SimConfig, out_dir: str | Path) -> Experiment
     kind = KINDS[plan.kind]
     result = ExperimentResult()
     if kind.runner is _run_grid:  # the grid kinds run at the pinned endpoints
-        cfg = cfg.with_overrides(source_xy=SWEEP_SOURCE, dest_xy=SWEEP_DEST)
+        cfg = replace(cfg, source_xy=SWEEP_SOURCE, dest_xy=SWEEP_DEST)
     kind.runner(plan, cfg, Path(out_dir), result)
     return result

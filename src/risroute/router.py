@@ -94,7 +94,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -109,6 +109,7 @@ from .topology import DEST_ID, FIRST_IU_ID, SOURCE_ID, Point, Topology
 LEDGER_SCHEMA_VERSION = 1
 STAGES = ("relay", "reflector", "double")  # in the order a route reaches them (module docstring)
 STOP_MARGIN = 1.0 + 2.0**-48  # covers np.hypot scan order against math.dist keys (module docstring)
+Endpoint = tuple[int, Point, float, float]  # a reflected hop's end: id, position, remaining distance, idle window
 
 
 class HopKind(Enum):
@@ -365,7 +366,7 @@ class Router:
         self.xy = topo.xy if mobility is None else topo.xy.copy()  # node positions at the clock
         self.relay_ids = range(DEST_ID, topo.first_ris_id)  # the destination and the IUs
         self.ris_ids = range(topo.first_ris_id, len(topo.xy))
-        self.dest = self._point(DEST_ID)
+        self.dest = topo.dest
 
     # -- clock -------------------------------------------------------------------
 
@@ -383,8 +384,7 @@ class Router:
 
     def _point(self, node_id: int) -> Point:
         """Where ``node_id`` is at the clock."""
-        x, y = self.xy[node_id].tolist()
-        return x, y
+        return tuple(self.xy[node_id].tolist())
 
     def _scan(self, center: Point, ids: range | None = None) -> tuple[int, ...]:
         """Ids in ``ids`` (default: the destination and the IUs) in the half-disc
@@ -394,11 +394,11 @@ class Router:
             return self.topo.scan(ids, center, self.cfg.coverage_m)
         return tuple(topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m))
 
-    def _direct_links(self, origin: Point, ids: list[int], nus: list[float], limit: float) -> list[CandidateLink]:
+    def _direct_links(self, origin: Point, ids: list[int], nus: list[float]) -> list[CandidateLink]:
         """Direct links from ``origin`` to those of ``ids`` (scan order; idle windows ``nus``) that end
-        strictly closer to the destination than ``limit``, up to the last one that could still be the
-        hop; one amplitude draw covers every id, in order. An id whose idle window is below the floor
-        gets no link: ``availability_set`` would drop it at any SNR.
+        strictly closer to the destination than ``origin`` (the destination itself, at 0, always does),
+        up to the last one that could still be the hop; one amplitude draw covers every id, in order. An
+        id whose idle window is below the floor gets no link: ``availability_set`` would drop it at any SNR.
 
         Once a link's entry needs the floor slot count, a later link farther from the destination
         than its remaining distance times ``STOP_MARGIN`` ends the list (module docstring).
@@ -407,7 +407,7 @@ class Router:
             return []
         amplitudes = channel.sample_amplitudes(len(ids), self.cfg.rician_k_db, self.rng).tolist()
         dest, links, stop = self.dest, [], math.inf
-        floor, floor_db = self.slots.floor, self.floor_db
+        limit, floor, floor_db = math.dist(origin, dest), self.slots.floor, self.floor_db
         for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
             remaining = math.dist(pos, dest)
             if remaining > stop:
@@ -424,15 +424,16 @@ class Router:
             return channel.shannon_rate(gamma)
         return channel.finite_blocklength_rate(gamma, self.cfg.blocklength, self.cfg.epsilon)
 
-    def _forward(self, node_ids: Sequence[int], origin: Point) -> list[tuple[int, Point, float]]:
-        """(id, position, remaining distance) of each node strictly closer to the
-        destination than ``origin``."""
-        dest = self.dest
+    def _forward(self, node_ids: Sequence[int], origin: Point) -> list[Endpoint]:
+        """The endpoint of each of ``node_ids`` strictly closer to the destination than ``origin``, in
+        the given order: (id, position, remaining distance, idle window), the destination's window inf."""
+        dest, nu_idle = self.dest, self.field.law.nu_idle
         origin_remaining = math.dist(origin, dest)
         rows = zip(node_ids, self.xy[list(node_ids)].tolist())
-        return [(i, pos, r) for i, pos in rows if (r := math.dist(pos, dest)) < origin_remaining]
+        return [(i, pos, r, math.inf if i == DEST_ID else float(nu_idle[i - FIRST_IU_ID]))
+                for i, pos in rows if (r := math.dist(pos, dest)) < origin_remaining]
 
-    def _split_idle_busy(self, found: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    def _split_idle_busy(self, found: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """The ids of the IUs in ``found`` (distinct ids) idle and busy at the clock, as arrays in the
         given order; one observation of each."""
         ids = np.array([i for i in found if i != DEST_ID], dtype=np.intp)
@@ -450,31 +451,19 @@ class Router:
         """
         found = self._scan(origin)
         if DEST_ID in found:
-            link = self._direct_links(origin, [DEST_ID], [math.inf], math.inf)[0]
+            link = self._direct_links(origin, [DEST_ID], [math.inf])[0]
             bits = min(linkbudget.mode_bits(self.thresholds_db, link.snr_db), self.slots.highest)  # the fastest
             if bits >= self.slots.lowest:
                 return Entry(link, self.slots.tau_of[bits], bits), []
         idle, busy = self._split_idle_busy(found)
         # forward progress is required of a hop, not just half-disc membership
-        nu_idle = self.field.law.nu_idle[idle - FIRST_IU_ID].tolist()
-        links = self._direct_links(origin, idle.tolist(), nu_idle, math.dist(origin, self.dest))
+        links = self._direct_links(origin, idle.tolist(), self.field.law.nu_idle[idle - FIRST_IU_ID].tolist())
         aset = availability_set(links, self.thresholds_db, self.cfg.total_bits, self.fixed_rate_bits)
         return (select_entry(aset) if aset else None), busy.tolist()
 
-    def _reflector_endpoints(self, found: Sequence[int], origin: Point, idle: set[int]) -> list[tuple]:
-        """(id, position, remaining distance, idle window) of the destination, then of each IU of
-        ``idle`` in ``found``, a reflector's scan, in scan order, that ends strictly closer to the
-        destination than ``origin`` (a reflector hop must still make forward progress)."""
-        nu_idle = self.field.law.nu_idle
-        ends = ([DEST_ID] if DEST_ID in found else []) + [i for i in found if i in idle]
-        return [
-            (node_id, pos, remaining, math.inf if node_id == DEST_ID else float(nu_idle[node_id - FIRST_IU_ID]))
-            for node_id, pos, remaining in self._forward(ends, origin)
-        ]
-
-    def _reflected_entry(self, endpoint: tuple[int, Point, float, float], gamma: float) -> Entry | None:
-        """The entry of ``endpoint`` (see ``_reflector_endpoints``) reached at SNR ``gamma``, or None
-        when its rate is zero or its transfer overruns its idle window."""
+    def _reflected_entry(self, endpoint: Endpoint, gamma: float) -> Entry | None:
+        """The entry of ``endpoint`` reached at SNR ``gamma``, or None when its rate is zero or its
+        transfer overruns its idle window."""
         node_id, _, remaining, nu = endpoint
         link = _link(node_id, gamma, remaining, nu)
         rate = self._reflected_rate(link.snr_linear)
@@ -483,7 +472,7 @@ class Router:
         tau = linkbudget.transfer_slots(self.cfg.total_bits, rate)
         return Entry(link, tau, rate) if tau <= nu else None
 
-    def _single_surface(self, origin: Point, ris_id: int, endpoints: list, incoming: dict):
+    def _single_surface(self, origin: Point, ris_id: int, endpoints: list[Endpoint], incoming: dict):
         """A function giving the entry of the i-th of ``endpoints`` behind ``ris_id``, worked out on first
         call: that draws the surface's ``h_in`` amplitudes into ``incoming`` unless they are there, then
         the endpoint's ``h_out`` amplitudes."""
@@ -508,16 +497,20 @@ class Router:
         """One reflector among ``candidates``: (((ris_id,), entry), None), or, when no surface has a
         qualifying endpoint, (None, the ``h_in`` of ``candidates[0]``, None if not drawn).
 
-        Every candidate's IUs are observed first, in one call. The surface with the least key (least
-        remaining distance of a qualifying endpoint, id) wins; its endpoints are evaluated only while
-        one could still lower its key or beat the best key so far (module docstring), then in full.
+        Every candidate's IUs are observed first, in one call, and the endpoints in sight listed once
+        (``_forward``); each surface takes those of its own scan, in scan order. The surface with the
+        least key (least remaining distance of a qualifying endpoint, id) wins; its endpoints are
+        evaluated only while one could still lower its key or beat the best key so far (module
+        docstring), then in full.
         """
         scans = [self._scan(self._point(ris_id)) for ris_id in candidates]
-        idle = set(self._split_idle_busy(list(dict.fromkeys(i for found in scans for i in found)))[0].tolist())
+        seen = dict.fromkeys(i for found in scans for i in found)  # first seen first
+        idle = self._split_idle_busy(seen)[0].tolist()
+        ends = {e[0]: e for e in self._forward([DEST_ID, *idle] if DEST_ID in seen else idle, origin)}
         incoming: dict[int, np.ndarray] = {}  # h_in by surface
         best = None  # ((remaining, ris_id), endpoints, entry_at)
         for ris_id, found in zip(candidates, scans):
-            endpoints = self._reflector_endpoints(found, origin, idle)
+            endpoints = [ends[i] for i in found if i in ends]
             entry_at = self._single_surface(origin, ris_id, endpoints, incoming)
             least = math.inf  # remaining distance of this surface's nearest qualifying endpoint so far
             bound = math.inf if best is None else best[0][0]
@@ -580,9 +573,10 @@ class Router:
             second = adjacent[0]
             second_pos = self._point(second)
             found = self._scan(second_pos)
-            if not self._forward(found, origin):
+            if not (forward := self._forward(found, origin)):
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # nothing h_mid could reach
-            endpoints = self._reflector_endpoints(found, origin, set(self._split_idle_busy(found)[0].tolist()))
+            idle = {DEST_ID, *self._split_idle_busy(found)[0].tolist()}
+            endpoints = [e for e in forward if e[0] in idle]
             if not endpoints:
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # every forward IU busy: nothing to draw for
             if h_in is None:
@@ -666,7 +660,7 @@ class Router:
     def _deferral(self, origin: Point, busy: list[int], budget: delaymodel.DelayBudget) -> int:
         """Slots to wait at this position for the busy IUs ``busy`` in sight that would make forward
         progress, honoring the wait caps; 0 = skip."""
-        forward = [i for i, _, _ in self._forward(busy, origin)]
+        forward = [e[0] for e in self._forward(busy, origin)]
         if not forward:
             return 0
         eta = traffic.deferral_window(self.field.law.eta_idle[np.array(forward, dtype=np.intp) - FIRST_IU_ID])

@@ -93,24 +93,24 @@ NEAR = 1e-12  # relative band round r^2 in which the cell scan leaves dist <= r 
 
 
 class Topology:
-    """Immutable scenario: the node table, every row checked to lie inside ``arena``, the memo of
-    its scans and their cell indexes (module docstring)."""
+    """Immutable scenario: the node table, every row checked to lie inside the square arena of side
+    ``arena``, the memo of its scans and their cell indexes (module docstring)."""
 
-    def __init__(self, source: Point, dest: Point, iu_xy: np.ndarray, ris_xy: np.ndarray, arena: tuple[float, float]):
+    def __init__(self, source: Point, dest: Point, iu_xy: np.ndarray, ris_xy: np.ndarray, arena: float):
         iu_xy = np.asarray(iu_xy, dtype=float).reshape(-1, 2)
         ris_xy = np.asarray(ris_xy, dtype=float).reshape(-1, 2)
-        w, h = arena
         xy = np.vstack([source, dest, iu_xy, ris_xy])
-        outside = np.nonzero(~((xy[:, 0] >= 0.0) & (xy[:, 0] <= w) & (xy[:, 1] >= 0.0) & (xy[:, 1] <= h)))[0]
+        outside = np.nonzero(~((xy >= 0.0) & (xy <= arena)).all(axis=1))[0]
         if outside.size:
             i = int(outside[0])
             raise ValueError(f"node {i} at ({xy[i, 0]}, {xy[i, 1]}) lies outside the arena")
         xy.flags.writeable = False
         self.xy = xy
+        self.dest: Point = tuple(xy[DEST_ID].tolist())
         self.first_ris_id = FIRST_IU_ID + len(iu_xy)
         self._scans: dict[tuple[range, Point, float], tuple[int, ...]] = {}
         self._indexes: dict[tuple[range, float], CellIndex | None] = {}
-        self._area = w * h
+        self._area = arena * arena
 
     @property
     def iu_xy(self) -> np.ndarray:
@@ -134,22 +134,21 @@ class Topology:
         key = (ids, center, r)
         found = self._scans.get(key)
         if found is None:
-            dest = tuple(self.xy[DEST_ID].tolist())
             if (ids, r) not in self._indexes:
-                self._indexes[ids, r] = self._cell_index(ids, r, dest)
+                self._indexes[ids, r] = self._cell_index(ids, r)
             index = self._indexes[ids, r]
-            found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, dest, r, index))
+            found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, self.dest, r, index))
         return found
 
-    def _cell_index(self, ids: range, r: float, dest: Point) -> CellIndex | None:
+    def _cell_index(self, ids: range, r: float) -> CellIndex | None:
         """The cell index of (ids, r), or None where more than ``MAX_ROWS_IN_SIGHT`` rows of ``ids``
         are expected in a 2r square of the arena; the surfaces' from the shared cache."""
         if 4.0 * len(ids) * r * r > MAX_ROWS_IN_SIGHT * self._area:
             return None
         rows = self.xy[ids.start:ids.stop]
         if ids == range(self.first_ris_id, len(self.xy)):
-            return _surface_index(ids.start, rows.tobytes(), r, dest)
-        return cell_index(rows, ids.start, r, dest)
+            return _surface_index(ids.start, rows.tobytes(), r, self.dest)
+        return cell_index(rows, ids.start, r, self.dest)
 
 
 class CellIndex(NamedTuple):
@@ -281,15 +280,15 @@ def hops_consumed(s_pos: Point, u_pos: Point, r: float) -> int:
 
 
 @lru_cache(maxsize=16)
-def ris_grid_positions(arena: tuple[float, float], spacing: float) -> np.ndarray:
-    """(k, 2) grid covering the arena row by row, first row/column offset by spacing/2.
+def ris_grid_positions(arena: float, spacing: float) -> np.ndarray:
+    """(k, 2) grid over the arena (side ``arena``) row by row, first row/column offset by spacing/2.
 
     Computed once per (arena, spacing) and shared, so the array is read-only.
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    w, h = arena
-    xs, ys = np.meshgrid(np.arange(spacing / 2.0, w, spacing), np.arange(spacing / 2.0, h, spacing))
+    ticks = np.arange(spacing / 2.0, arena, spacing)
+    xs, ys = np.meshgrid(ticks, ticks)
     grid = np.column_stack([xs.ravel(), ys.ravel()])
     grid.flags.writeable = False
     return grid
@@ -305,7 +304,6 @@ def generate_topology(cfg: SimConfig, rng: np.random.Generator) -> Topology:
     source and destination are the config's ``source_xy`` and ``dest_xy``;
     either left unset is drawn uniformly (redrawn until the two are distinct).
     """
-    arena = (cfg.arena_m, cfg.arena_m)
     source, dest = cfg.source_xy, cfg.dest_xy
     if source is None or dest is None:
         while True:
@@ -316,5 +314,5 @@ def generate_topology(cfg: SimConfig, rng: np.random.Generator) -> Topology:
                 source, dest = s, d
                 break
     iu_xy = rng.uniform(0.0, cfg.arena_m, size=(cfg.iu_count, 2))
-    ris_xy = ris_grid_positions(arena, cfg.ris_spacing)
-    return Topology(source, dest, iu_xy, ris_xy, arena)
+    ris_xy = ris_grid_positions(cfg.arena_m, cfg.ris_spacing)
+    return Topology(source, dest, iu_xy, ris_xy, cfg.arena_m)

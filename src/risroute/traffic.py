@@ -153,9 +153,10 @@ class TrafficField:
         lag = slot - self.updated_at[indices]
         if np.any(lag < 0):
             raise ValueError("traffic clock moved backwards")
-        stale = indices[lag > 0]
+        moved = lag > 0
+        stale = indices[moved]
         if stale.size:
-            n = (slot - self.updated_at[stale]).astype(np.float64)
+            n = lag[moved].astype(np.float64)
             pi = self.law.pi[stale]
             p_busy = pi + (self.law.rho[stale] ** n) * (self.state[stale] - pi)
             self.state[stale] = (rng.random(stale.size) < p_busy).astype(np.int8)

@@ -10,7 +10,7 @@ from risroute.topology import Topology
 from risroute.traffic import chain_law
 
 
-def build_topology(iu_xy, ris_xy=(), src=(0.0, 200.0), dst=(400.0, 200.0), arena=(400.0, 400.0)):
+def build_topology(iu_xy, ris_xy=(), src=(0.0, 200.0), dst=(400.0, 200.0), arena=400.0):
     """The coverage radius and element count are the config's (60 m and 250 by default)."""
     return Topology(src, dst, np.array(iu_xy, dtype=float), np.array(ris_xy, dtype=float), arena)
 

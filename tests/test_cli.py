@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_config import MALFORMED_ELEMENTS
 
 from risroute.cli import BLAS_VARS, build_parser, main
 from risroute.experiments import KINDS
@@ -119,6 +120,15 @@ class TestRejectedBeforeAnyRoute:
         assert main(["route", "--config", str(tmp_path / name), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,text,key", MALFORMED_ELEMENTS)
+    def test_malformed_element_is_config_error(self, tmp_path, capsys, name, text, key):
+        # each raised out of main with a ValueError or TypeError traceback
+        cfg = write_cfg(tmp_path / name, text)
+        assert main(["route", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args", [
         ["mobility", "--threads", "0", "--replications", "1"],

@@ -31,6 +31,17 @@ def test_config_runs_cover_per_iu_means_fixed_endpoints_and_equal_slot_modes(tmp
         build_parser().parse_args([*args, "--seed", str(seed), "--config", str(path)])
 
 
+def test_channel_config_sets_keys_no_other_run_sets(tmp_path):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(cli_hashes.CHANNEL_CONFIG))
+    cfg = load_config(path)
+    assert (cfg.threshold_rule, cfg.ris_spacing_m, cfg.fixed_rate_bits, cfg.rician_k_db) == ("eqtext", 45.0, 4, 3.0)
+    assert not set(cli_hashes.CHANNEL_CONFIG) & (set(cli_hashes.CONFIG) | set(cli_hashes.ARRIVAL_CONFIG))
+    assert sorted(args[0] for _, args in cli_hashes.CHANNEL_COMMANDS) == ["compare", "route", "sweep-density"]
+    for seed, args in cli_hashes.CHANNEL_COMMANDS:
+        build_parser().parse_args([*args, "--seed", str(seed), "--config", str(path)])
+
+
 def test_arrival_config_runs_meet_waypoint_arrivals(tmp_path, monkeypatch):
     path = tmp_path / "arrivals.json"
     path.write_text(json.dumps(cli_hashes.ARRIVAL_CONFIG))

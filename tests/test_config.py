@@ -17,6 +17,13 @@ NON_FINITE = [
     ("dest_xy", (math.nan, 200.0)),
 ]
 
+# (file name, text, key): a list or pair element that is no number
+MALFORMED_ELEMENTS = [
+    pytest.param("list.cfg", "lambda_off_ms = 1, abc\n", "lambda_off_ms", id="flat-list"),
+    pytest.param("pair.json", '{"source_xy": ["x", 1]}', "source_xy", id="json-pair"),
+    pytest.param("nested.json", '{"lambda_off_ms": [[1], 2]}', "lambda_off_ms", id="json-nested-list"),
+]
+
 
 class TestRejectsBadNumbers:
     @pytest.mark.parametrize("key,value", NON_FINITE)
@@ -47,6 +54,14 @@ class TestRejectsBadNumbers:
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({key: value}))
         with pytest.raises(ConfigError, match=f"config key '{key}' takes numbers, not booleans"):
+            load_config(path)
+
+    @pytest.mark.parametrize("name,text,key", MALFORMED_ELEMENTS)
+    def test_malformed_element_rejected(self, name, text, key, tmp_path):
+        # each raised a bare ValueError or TypeError: only a scalar value's conversion was guarded
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"config key '{key}': cannot parse value"):
             load_config(path)
 
     def test_constellation_range_accepted(self):
@@ -189,7 +204,7 @@ class TestReflectorGridCap:
                 assert row > MAX_RIS_PER_SIDE
             else:
                 assert row <= MAX_RIS_PER_SIDE
-                assert ris_grid_positions((400.0, 400.0), spacing).shape == (row * row, 2)
+                assert ris_grid_positions(400.0, spacing).shape == (row * row, 2)
         assert SimConfig(ris_spacing_m=4.0).ris_spacing == 4.0  # 100 x 100 surfaces is the largest grid
         assert SimConfig(coverage_m=30.0).coverage_m == 30.0  # the densest workload grid, 27 x 27
 

@@ -5,7 +5,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +198,7 @@ def mobility_step(state, dt, arena, v_max, rng) -> MobilityState:
             break
         pos = wp
         remaining -= time_to_wp
-        wp = (rng.uniform(0.0, arena[0]), rng.uniform(0.0, arena[1]))
+        wp = (rng.uniform(0.0, arena), rng.uniform(0.0, arena))
         v = rng.uniform(0.0, 1.0) * v_max
     return MobilityState(position=pos, waypoint=wp, velocity=v)
 
@@ -222,7 +222,7 @@ def oracle_positions_at(walk, dt, arena, v_max, rng) -> int:
 
 
 class TestMobilityStep:
-    arena = (400.0, 400.0)
+    arena = 400.0
 
     def test_displacement_toward_waypoint(self):
         state = MobilityState(position=(0.0, 0.0), waypoint=(300.0, 400.0), velocity=5.0)
@@ -253,13 +253,13 @@ class TestMobilityStep:
 class TestMobilityField:
     def test_zero_vmax_constant_positions(self):
         xy = np.array([[10.0, 10.0], [20.0, 20.0]])
-        field = MobilityField(xy, (400.0, 400.0), 0.0, derive_rng(1, 1))
+        field = MobilityField(xy, 400.0, 0.0, derive_rng(1, 1))
         assert np.array_equal(field.positions_at(0.05), xy)
 
     def test_displacement_scales_linearly_with_vmax(self):
         xy = np.tile(np.array([[200.0, 200.0]]), (5, 1))
-        f1 = MobilityField(xy, (400.0, 400.0), 5.0, derive_rng(2, 1))
-        f2 = MobilityField(xy, (400.0, 400.0), 10.0, derive_rng(2, 1))
+        f1 = MobilityField(xy, 400.0, 5.0, derive_rng(2, 1))
+        f2 = MobilityField(xy, 400.0, 10.0, derive_rng(2, 1))
         d1 = f1.positions_at(0.05) - xy
         d2 = f2.positions_at(0.05) - xy
         assert np.allclose(d2, 2.0 * d1, rtol=1e-9)
@@ -285,7 +285,7 @@ class TestMobilityField:
 
     def test_walk_matches_oracle_bit_for_bit(self):
         # steps of tens of seconds at up to 20 m/s: most nodes finish one or more legs per step
-        field = MobilityField(derive_rng(5, 0).uniform(0.0, 400.0, size=(200, 2)), (400.0, 400.0), 20.0,
+        field = MobilityField(derive_rng(5, 0).uniform(0.0, 400.0, size=(200, 2)), 400.0, 20.0,
                               derive_rng(5, 1))
         self.check_against_oracle(field, (0.5, 7.5, 37.5, 67.5, 162.5, 162.501, 412.501, 425.0), 501)
 
@@ -293,7 +293,7 @@ class TestMobilityField:
         # a mobile route's ticks, 1 to 10 slots of 100 us, over 400 IUs at up to 20 m/s: no drawn leg ends.
         # Row 0 has speed 0, row 1 sits on its waypoint and row 2 both, so every tick divides 0 by a
         # distance and meets a leg of length 0: row 2 arrives at every tick, row 1 once
-        field = MobilityField(derive_rng(6, 0).uniform(0.0, 400.0, size=(400, 2)), (400.0, 400.0), 20.0,
+        field = MobilityField(derive_rng(6, 0).uniform(0.0, 400.0, size=(400, 2)), 400.0, 20.0,
                               derive_rng(6, 1))
         field.speeds[[0, 2]] = 0.0
         field.xy[[1, 2]] = field.waypoints[[1, 2]]
@@ -301,14 +301,14 @@ class TestMobilityField:
         self.check_against_oracle(field, (slots * 1e-4).tolist(), 101)
 
     def test_returns_the_walks_own_array(self):
-        field = MobilityField(np.array([[10.0, 10.0], [20.0, 20.0]]), (400.0, 400.0), 20.0, derive_rng(4, 1))
+        field = MobilityField(np.array([[10.0, 10.0], [20.0, 20.0]]), 400.0, 20.0, derive_rng(4, 1))
         xy = field.positions_at(1.0)
         assert xy is field.xy
         before = xy.copy()
         assert field.positions_at(2.0) is xy and not np.array_equal(xy, before)  # moved in place
 
     def test_clock_cannot_rewind(self):
-        field = MobilityField(np.array([[0.0, 0.0]]), (400.0, 400.0), 5.0, derive_rng(3, 1))
+        field = MobilityField(np.array([[0.0, 0.0]]), 400.0, 5.0, derive_rng(3, 1))
         field.positions_at(1.0)
         with pytest.raises(ValueError):
             field.positions_at(0.5)
@@ -404,7 +404,7 @@ class TestSweeps:
         cfg = SimConfig(delta=0.2, packets=3)
         run(self.small_plan(), cfg, tmp_path / "first")
         cfg2 = load_config(tmp_path / "first" / "manifest_coverage_sweep.json")
-        assert cfg2 == cfg.with_overrides(source_xy=experiments.SWEEP_SOURCE, dest_xy=experiments.SWEEP_DEST)
+        assert cfg2 == replace(cfg, source_xy=experiments.SWEEP_SOURCE, dest_xy=experiments.SWEEP_DEST)
         run(self.small_plan(), cfg2, tmp_path / "second")
         assert (tmp_path / "first" / "coverage_detail.csv").read_bytes() == \
                (tmp_path / "second" / "coverage_detail.csv").read_bytes()
@@ -502,7 +502,7 @@ class TestMobilityExperiment:
         run(plan, SimConfig(), tmp_path)
         detail = read_csv(tmp_path / "mobility_detail.csv")
         v0 = [r for r in detail if r["variant"] == "v0"]
-        cfg = SimConfig().with_overrides(coverage_m=50.0,
+        cfg = replace(SimConfig(), coverage_m=50.0,
                                          source_xy=experiments.SWEEP_SOURCE,
                                          dest_xy=experiments.SWEEP_DEST)
         from risroute.metrics import compute_route_metrics
@@ -546,7 +546,7 @@ class TestMobilityExperiment:
 
 class TestRunOneRoute:
     def test_variant_dispatch(self):
-        cfg = SimConfig(iu_count=80).with_overrides(source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
+        cfg = replace(SimConfig(iu_count=80), source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
         led = run_one_route(cfg, derive_rng(9, 0), router.BASELINE_POLICIES["full"])
         assert led.psi == 6 and led == run_one_route(cfg, derive_rng(9, 0))
 
@@ -558,12 +558,12 @@ class TestPerConfigConstants:
     def test_shared_arrays_are_read_only(self):
         cfg = SimConfig(iu_count=30)
         law = experiments._profiles_for(cfg)
-        assert experiments._profiles_for(cfg.with_overrides(coverage_m=90.0)) is law  # not a traffic key
+        assert experiments._profiles_for(replace(cfg, coverage_m=90.0)) is law  # not a traffic key
         for name, array in law._asdict().items():
             if isinstance(array, np.ndarray):
                 assert not array.flags.writeable, name
-        grid = topology.ris_grid_positions((400.0, 400.0), 30.0)
-        assert topology.ris_grid_positions((400.0, 400.0), 30.0) is grid and not grid.flags.writeable
+        grid = topology.ris_grid_positions(400.0, 30.0)
+        assert topology.ris_grid_positions(400.0, 30.0) is grid and not grid.flags.writeable
         with pytest.raises(ValueError):
             law.nu_idle[0] = 0.0
         with pytest.raises(ValueError):
@@ -574,7 +574,7 @@ class TestPerConfigConstants:
         cfg = SimConfig(iu_count=3, lambda_off_ms=(1.0, 2.0, 3.0))
         law = experiments._profiles_for(cfg)
         assert experiments._profiles_for(SimConfig(iu_count=3, lambda_off_ms=(1.0, 2.0, 3.0))) is law
-        other = experiments._profiles_for(cfg.with_overrides(lambda_off_ms=(1.0, 2.0, 4.0)))
+        other = experiments._profiles_for(replace(cfg, lambda_off_ms=(1.0, 2.0, 4.0)))
         p01 = traffic.switch_probability(np.array([1.0, 2.0, 3.0]) * 1e-3, cfg.slot_s)
         p10 = traffic.switch_probability(np.full(3, cfg.mu_on_ms * 1e-3), cfg.slot_s)
         assert law.pi.tolist() == (p01 / (p01 + p10)).tolist()
@@ -629,7 +629,7 @@ class TestSharedReplication:
         run(plan, cfg, out)
         monkeypatch.setattr(experiments, "run_one_route", real)
 
-        groups = experiments._grid_cells(plan, cfg.with_overrides(source_xy=experiments.SWEEP_SOURCE,
+        groups = experiments._grid_cells(plan, replace(cfg, source_xy=experiments.SWEEP_SOURCE,
                                                                   dest_xy=experiments.SWEEP_DEST))
         n = len(plan.variants)  # one group per coverage, its variants in plan order
         assert [len(group) for group in groups] == [n] * len(plan.resolved_coverage_grid())

@@ -147,27 +147,26 @@ def test_outputs_match_golden(name, tmp_path):
 def test_sparse_case_reaches_dead_end_check(tmp_path, monkeypatch):
     """Some route of the sparse case ends at the double stage's geometric check.
 
-    A reflector stage lists the endpoints of each surface the single stage
-    scans once (``_reflector_endpoints``), and those of the double stage's
-    second surface once more, after the check. The RIS grid (spacing r/2)
-    gives every first surface here an adjacent one, so a dead end with no
-    further listing is one the check ended, before any observation or draw
-    of its own.
+    A reflector stage observes traffic once in its single stage
+    (``_split_idle_busy``), and once more in the double stage, after the
+    check. The RIS grid (spacing r/2) gives every first surface here an
+    adjacent one, so a dead end with no further observation is one the check
+    ended, before any observation or draw of its own.
     """
-    real_observe, real_fallback = router.Router._reflector_endpoints, router.Router.ris_fallback
+    real_observe, real_fallback = router.Router._split_idle_busy, router.Router.ris_fallback
     observed, checked = [0], [0]
 
-    def observe(self, found, origin, idle):
+    def observe(self, found):
         observed[0] += 1
-        return real_observe(self, found, origin, idle)
+        return real_observe(self, found)
 
     def fallback(self, origin, ledger):
-        before, surfaces = observed[0], len(self._scan(origin, self.ris_ids))
+        before, single = observed[0], int(self.policy.runs_single)
         outcome = real_fallback(self, origin, ledger)
-        checked[0] += outcome is router.FailureReason.DEAD_END_AFTER_DOUBLE_RIS and observed[0] - before == surfaces
+        checked[0] += outcome is router.FailureReason.DEAD_END_AFTER_DOUBLE_RIS and observed[0] - before == single
         return outcome
 
-    monkeypatch.setattr(router.Router, "_reflector_endpoints", observe)
+    monkeypatch.setattr(router.Router, "_split_idle_busy", observe)
     monkeypatch.setattr(router.Router, "ris_fallback", fallback)
     outputs("coverage_sweep_sparse", tmp_path)
     assert checked[0] >= 1

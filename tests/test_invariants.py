@@ -100,7 +100,7 @@ def test_scan_radius_is_measured_like_the_scan():
     ledger = RouteLedger(hops=[hop], total_slots=4, failure_reason=FailureReason.DELAY_EXCEEDED, topo=topo)
     cfg = SimConfig(coverage_m=r)
     assert invariants.check_ledger(ledger, cfg) == []
-    assert invariants.check_ledger(ledger, cfg.with_overrides(coverage_m=math.nextafter(r, 0.0))) != []
+    assert invariants.check_ledger(ledger, replace(cfg, coverage_m=math.nextafter(r, 0.0))) != []
 
 
 def test_the_trajectory_kind_refuses_a_broken_ledger(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import copy
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -511,7 +512,7 @@ class TestMobilityOutage:
         found = False
         for seed in range(12):
             r = Router(topo, idle_law(1, cfg), cfg, rng_for(114, seed),
-                       mobility=MobilityField(np.array([[59.5, 200.0]]), (400.0, 400.0),
+                       mobility=MobilityField(np.array([[59.5, 200.0]]), 400.0,
                                               20000.0, rng_for(115, seed)))
             led = r.run()
             if led.failure_reason is FailureReason.OUTAGE:
@@ -524,7 +525,7 @@ class TestMobilityOutage:
                                (200.0, 200.0), (250.0, 200.0), (300.0, 200.0), (350.0, 200.0)])
         cfg = line_config()
         static = route(topo, idle_law(7, cfg), cfg, rng_for(116))
-        mob = MobilityField(topo.iu_xy, (400.0, 400.0), 0.0, rng_for(117))
+        mob = MobilityField(topo.iu_xy, 400.0, 0.0, rng_for(117))
         moving = route(topo, idle_law(7, cfg), cfg, rng_for(116), mobility=mob)
         assert static.to_rows() == moving.to_rows()
 
@@ -557,7 +558,7 @@ class TestMobileOrigin:
         waits = 0
         for seed in range(6):
             topo = generate_topology(cfg, rng_for(180, seed))
-            walk = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), 20.0, rng_for(181, seed))
+            walk = MobilityField(topo.iu_xy, cfg.arena_m, 20.0, rng_for(181, seed))
             holder[0] = SOURCE_ID
             ledger = Router(topo, _profiles_for(cfg), cfg, rng_for(182, seed), mobility=walk).run()
             waits += sum(hop.kind is HopKind.WAIT for hop in ledger.hops)
@@ -572,7 +573,7 @@ class TestNodeTable:
 
     def test_walk_moves_only_the_routers_iu_rows(self):
         topo = build_topology([(50.0, 200.0), (120.0, 210.0)], [(30.0, 200.0)])
-        walk = MobilityField(topo.iu_xy, (400.0, 400.0), 20.0, rng_for(121))
+        walk = MobilityField(topo.iu_xy, 400.0, 20.0, rng_for(121))
         r = Router(topo, idle_law(2, line_config()), line_config(), rng_for(119), mobility=walk)
         before = topo.xy.copy()
         r._tick(500)
@@ -679,9 +680,10 @@ class ExhaustiveRouter(Router):
         ids = self.relay_ids if ids is None else ids
         return tuple(topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m))
 
-    def _direct_links(self, origin, ids, nus, limit):
+    def _direct_links(self, origin, ids, nus):
         if not ids:
             return []
+        limit = math.dist(origin, self.dest)
         amplitudes = channel.sample_amplitudes(len(ids), self.cfg.rician_k_db, self.rng).tolist()
         links = []
         for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
@@ -702,8 +704,8 @@ class ExhaustiveRouter(Router):
             ris_pos = self._point(ris_id)
             found = self._scan(ris_pos)
             entries = []
-            idle = set(self._split_idle_busy(found)[0].tolist())
-            for endpoint in self._reflector_endpoints(found, origin, idle):
+            idle = {DEST_ID, *self._split_idle_busy(found)[0].tolist()}
+            for endpoint in (e for e in self._forward(found, origin) if e[0] in idle):
                 gamma = channel.optimal_single_reflection_snr(
                     self.cfg, self._gains(ris_id), self._gains((ris_id, endpoint[0])),
                     math.dist(origin, ris_pos), math.dist(ris_pos, endpoint[1]))
@@ -868,7 +870,7 @@ class TestStopRulesMatchExhaustiveStages:
         reads at ``MAX_GAIN``), summed."""
         counts = np.zeros(3, dtype=int)
         for seed, topo in enumerate(topos):
-            walk = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), 20.0, rng_for(141, seed)) if mobile else None
+            walk = MobilityField(topo.iu_xy, cfg.arena_m, 20.0, rng_for(141, seed)) if mobile else None
             r = Router(topo, _profiles_for(cfg), cfg, rng_for(140, seed), policy=policy, mobility=walk)
             check = StageOracle(r)
             r.run()
@@ -1106,7 +1108,7 @@ class TestScanMemo:
         cfg = SimConfig(coverage_m=50.0, iu_count=400, **LINE_ENDS)
         for seed in range(3):
             topo = generate_topology(cfg, rng_for(172, seed))
-            walk = MobilityField(topo.iu_xy, (cfg.arena_m, cfg.arena_m), 20.0, rng_for(173, seed))
+            walk = MobilityField(topo.iu_xy, cfg.arena_m, 20.0, rng_for(173, seed))
             _, scans, computed = self.counted_route(monkeypatch, cfg, topo, walk=walk, seed=seed)
             assert not topo._scans and scans == computed > 0
 
@@ -1114,12 +1116,12 @@ class TestScanMemo:
         """One topology routed at two radii keeps each radius's scans apart: each route equals the
         route on a fresh copy of the topology, and a second route at a radius scans nothing anew."""
         narrow = SimConfig(coverage_m=30.0, iu_count=400, **LINE_ENDS)
-        wide = narrow.with_overrides(coverage_m=60.0)
+        wide = replace(narrow, coverage_m=60.0)
         for seed in range(3):
             topo = generate_topology(narrow, rng_for(175, seed))
             for cfg in (narrow, wide):
                 fresh = Topology(topo.xy[SOURCE_ID], topo.xy[DEST_ID], topo.iu_xy, topo.xy[topo.first_ris_id:],
-                                 (cfg.arena_m, cfg.arena_m))
+                                 cfg.arena_m)
                 ledger, _, computed = self.counted_route(monkeypatch, cfg, topo, seed=seed)
                 assert ledger == self.counted_route(monkeypatch, cfg, fresh, seed=seed)[0] and computed > 0
                 assert self.counted_route(monkeypatch, cfg, topo, seed=seed)[0::2] == (ledger, 0)

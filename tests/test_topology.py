@@ -28,7 +28,7 @@ from risroute.traffic import TrafficField
 R = 60.0  # scan radius, m
 
 
-def make_topo(iu_positions, arena=(400.0, 400.0), src=(0.0, 0.0), dst=(400.0, 0.0), ris=()):
+def make_topo(iu_positions, arena=400.0, src=(0.0, 0.0), dst=(400.0, 0.0), ris=()):
     return Topology(src, dst, np.array(iu_positions, dtype=float), np.array(ris, dtype=float), arena)
 
 
@@ -84,7 +84,7 @@ class TestHalfCircleScan:
         rng = np.random.default_rng(1234)
         for _ in range(20):
             pts = rng.uniform(0.0, 500.0, size=(40, 2))
-            topo = make_topo([tuple(p) for p in pts], arena=(500.0, 500.0), src=(100.0, 100.0),
+            topo = make_topo([tuple(p) for p in pts], arena=500.0, src=(100.0, 100.0),
                              dst=(400.0, 100.0))
             hits = set(scan_ius(topo))
             expected = set()
@@ -209,14 +209,14 @@ class TestCellIndex:
                 step = float(rng.choice([-30.0, 30.0, 7.0]))
                 target = (center[0] + step, center[1]) if k % 4 == 1 else (center[0], center[1] + step)
                 r = float(rng.choice([5.0, 10.0, 13.0]))
-                arena = (100.0, 100.0)
+                arena = 100.0
             else:  # any float, with r at some row's scan distance from the center
                 n = int(rng.integers(1, 400))
                 xy = rng.uniform(0.0, 400.0, size=(n, 2))
                 center, target = tuple(rng.uniform(0.0, 400.0, size=2).tolist()), tuple(xy[0].tolist())
                 rel = xy - np.array(center)
                 r = float(np.hypot(rel[:, 0], rel[:, 1])[rng.integers(n)]) if k % 4 == 0 else float(rng.uniform(20.0, 120.0))
-                arena = (400.0, 400.0)
+                arena = 400.0
             if center == target:
                 continue
             topo = Topology(center, target, xy, [], arena)
@@ -270,7 +270,7 @@ class TestCellIndex:
             s = rng.uniform(-50.0, 50.0, size=32) / math.hypot(ax, ay)
             planted = np.column_stack([center[0] - s * ay, center[1] + s * ax])
             xy = np.vstack([rng.uniform(np.subtract(center, 40.0), np.add(center, 40.0), size=(32, 2)), planted])
-            topo = Topology(center, target, xy, [], (400.0, 400.0))
+            topo = Topology(center, target, xy, [], 400.0)
             ids = range(FIRST_IU_ID, topo.first_ris_id)
             assert self.check(topo, ids, center, R)
             found = set(half_circle_scan(topo.xy, ids, center, target, R))
@@ -290,8 +290,8 @@ class TestCellIndex:
             assert not self.check(topo, relays, center, 90.0)
             assert self.check(topo, surfaces, center, 90.0)
         # 900 rows over 400 m x 400 m: 81 expected in a 2r square at r = 60 m, 20 at r = 30 m
-        assert topo._cell_index(relays, 60.0, point(topo, DEST_ID)) is None
-        assert topo._cell_index(relays, 30.0, point(topo, DEST_ID)) is not None
+        assert topo._cell_index(relays, 60.0) is None
+        assert topo._cell_index(relays, 30.0) is not None
 
     def test_ties_on_np_hypot_go_by_id(self):
         # both IUs are exactly 40 m from D by np.hypot, so the scan lists them by id; by math.dist, or
@@ -368,7 +368,7 @@ class TestTopologyConstruction:
             make_topo([(30.0, 10.0), (30.0, -1.0)])
 
     def test_grid_spacing_and_bounds(self):
-        pts = ris_grid_positions((400.0, 400.0), 30.0)
+        pts = ris_grid_positions(400.0, 30.0)
         assert pts.shape == (169, 2)  # 13 x 13
         assert ((pts >= 0) & (pts <= 400)).all()
         xs = sorted(set(pts[:, 0]))
@@ -383,7 +383,7 @@ class TestTopologyConstruction:
         t2 = generate_topology(cfg, rng2)
         assert (point(t1, SOURCE_ID), point(t1, DEST_ID)) == ((20, 200), (380, 200))
         assert t1.iu_xy.shape == (50, 2)
-        assert np.array_equal(t1.xy[t1.first_ris_id:], ris_grid_positions((400.0, 400.0), cfg.ris_spacing))
+        assert np.array_equal(t1.xy[t1.first_ris_id:], ris_grid_positions(400.0, cfg.ris_spacing))
         assert np.array_equal(t1.iu_xy, t2.iu_xy)
 
     def test_a_half_disc_without_iu_or_surface_ends_the_route(self):

@@ -13,10 +13,11 @@ two checkouts produce the same output exactly when every CSV is
 byte-identical. Hashes compare only between runs on one host at one numpy
 SIMD level: float64 ``tan``, ``log2``, ``log10``, ``power``, ``exp`` and
 ``angle`` give other bits under AVX-512 than at numpy's x86-64 baseline
-(``NPY_DISABLE_CPU_FEATURES`` set to every dispatch target), and there 12
+(``NPY_DISABLE_CPU_FEATURES`` set to every dispatch target), and there 14
 of the lines differ at stream version 8 (5 at version 7): every seed-5
 ``sweep-coverage``, ``sweep-density`` and ``compare`` CSV, serial and at
-``--threads 2``. Each of those runs takes a double-reflection hop whose
+``--threads 2``, and the seed-7 ``sweep-density`` CSVs under
+``CHANNEL_CONFIG``. Each of those runs takes a double-reflection hop whose
 SINR differs in its last bits between the two levels, so which lines
 differ moves with the draws.
 The list covers every subcommand, and seeds 5 and 9 at
@@ -28,10 +29,14 @@ to ``CONFIG``, written to a JSON file: per-IU OFF means, fixed endpoints
 and 5, 3 for b = 6 and 7), so these lines also cover the relay's choice
 among them and the throughput's 2**b term. The sweeps set ``iu_count``
 per grid point and refuse per-IU lists, so they run at the default only.
-Last, ``mobility`` runs at seed 7 with ``ARRIVAL_CONFIG``: 0.1 s slots and
+Then ``mobility`` runs at seed 7 with ``ARRIVAL_CONFIG``: 0.1 s slots and
 a 50 s budget, so the walk's IUs reach their waypoints mid-route and the
 lines cover its per-arrival loop, which no route at the default slot
-meets. 37 CSVs, about 9 s on a 2-vCPU host.
+meets. Last, ``route``, ``sweep-density`` and ``compare`` run at seed 7 with
+``CHANNEL_CONFIG``, which sets keys no other line does: the ``eqtext``
+threshold rule, a 45 m reflector spacing, 4-bit fixed modulation (read by
+``compare``'s ``fixed_mod``) and Rician K = 3 dB. 45 CSVs, about 7 s on a
+2-vCPU host (8 to 9 s at the baseline SIMD level).
 """
 
 from __future__ import annotations
@@ -80,6 +85,13 @@ CONFIG_COMMANDS = (
 # slot, budget and traffic means 1000x the default's, so a mobile route lasts seconds of walk
 ARRIVAL_CONFIG = {"slot_us": 100000.0, "total_delay_ms": 50000.0, "lambda_off_ms": 4000.0, "mu_on_ms": 4000.0}
 ARRIVAL_COMMANDS = ((7, ["mobility", "--replications", "6"]),)
+# the other threshold rule, a fixed reflector spacing, 4-bit fixed modulation and a weak line of sight
+CHANNEL_CONFIG = {"threshold_rule": "eqtext", "ris_spacing_m": 45.0, "fixed_rate_bits": 4, "rician_k_db": 3.0}
+CHANNEL_COMMANDS = (
+    (7, ["route", "--replications", "4"]),
+    (7, ["sweep-density", "--replications", "2"]),
+    (7, ["compare", "--replications", "2"]),
+)
 
 
 def csv_hashes(root: Path, seed: int, args: list[str], config: dict | None = None) -> list[tuple[str, str]]:
@@ -107,6 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     runs = [(seed, cli_args, None, "") for seed, cli_args in COMMANDS]
     runs += [(seed, cli_args, CONFIG, " --config") for seed, cli_args in CONFIG_COMMANDS]
     runs += [(seed, cli_args, ARRIVAL_CONFIG, " --config arrivals") for seed, cli_args in ARRIVAL_COMMANDS]
+    runs += [(seed, cli_args, CHANNEL_CONFIG, " --config channel") for seed, cli_args in CHANNEL_COMMANDS]
     for seed, cli_args, config, label in runs:
         command = " ".join(cli_args) + label
         for name, digest in csv_hashes(args.root.resolve(), seed, cli_args, config):
