@@ -51,6 +51,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache, partial
@@ -140,12 +141,11 @@ class ExperimentPlan:
             raise ConfigError(f"vmax_grid speeds must be finite and >= 0, got {self.vmax_grid}")
         if self.kind == "mobility" and len(self.resolved_coverage_grid()) > 1:
             raise ConfigError("mobility runs at one coverage radius; give coverage_grid a single value")
-        # each value names its cells' scenario ids as ``_grid_cells`` prints it, so no two may print alike
-        for name, values, spec in (("coverage_grid", self.resolved_coverage_grid(), "{:g}"),
-                                   ("density_grid", self.resolved_density_grid(), "{}"),
-                                   ("vmax_grid", self.vmax_grid, "{:g}"), ("variants", self.variants, "{}")):
-            if len({spec.format(v) for v in values}) < len(values):
-                raise ConfigError(f"{name} {values} names two cells alike: scenario ids must be unique")
+        # the grids name their cells' scenario ids (``_scenario_ids``), so no two values may print alike
+        ids = Counter(sid for group in _scenario_ids(self) for sid in group)
+        alike = [sid for sid, n in ids.items() if n > 1]
+        if alike:
+            raise ConfigError(f"two grid cells share the scenario id {alike[0]!r}: no two grid values may print alike")
 
     def resolved_coverage_grid(self) -> tuple[float, ...]:
         return KINDS[self.kind].coverage_grid if self.coverage_grid is None else self.coverage_grid
@@ -320,31 +320,45 @@ class Cell:
     extra: dict = field(default_factory=dict)  # summary columns between density and the stats
 
 
-def _point(cfg: SimConfig) -> str:
-    """The name of ``cfg``'s grid point, in its sweep cells' scenario ids and its stream keys."""
-    return f"r{cfg.coverage_m:g}-m{cfg.iu_count}"
+def _point(coverage: float, density: int) -> str:
+    """The name of the grid point (coverage radius, IU count), in its sweep cells' scenario ids and its
+    stream keys."""
+    return f"r{coverage:g}-m{density}"
+
+
+def _scenario_ids(plan: ExperimentPlan) -> list[tuple[str, ...]]:
+    """The scenario ids of a plan's grid cells, grouped and ordered as ``_grid_cells`` lists them; none
+    for a kind that runs no grid. The plan check refuses a plan that names two cells alike."""
+    coverages = plan.resolved_coverage_grid()
+    if plan.kind == "comparison":
+        return [tuple(f"comparison-r{c:g}-{v}" for v in plan.variants) for c in coverages]
+    if plan.kind == "mobility":
+        return [(f"mobility-v{v:g}",) for v in plan.vmax_grid]
+    return [(f"{plan.kind}-{_point(c, d)}",) for d in plan.resolved_density_grid() for c in coverages]
 
 
 def _grid_cells(plan: ExperimentPlan, base: SimConfig) -> list[tuple[Cell, ...]]:
-    """A grid plan's cells in output order, grouped by shared topology, each a variation of ``base``;
-    every config is built (and checked) and every variant resolved to its policy before any route
-    runs. The cells of one grid point share its config."""
+    """A grid plan's cells in output order, grouped by shared topology, each a variation of ``base``
+    named by ``_scenario_ids``; every config is built (and checked) and every variant resolved to its
+    policy before any route runs. The cells of one grid point share its config."""
+    ids = _scenario_ids(plan)
     coverages = plan.resolved_coverage_grid()
     full = router.BASELINE_POLICIES["full"]
     if plan.kind == "comparison":
+        points = [replace(base, coverage_m=c) for c in coverages]
         return [
-            tuple(Cell(f"comparison-r{point.coverage_m:g}-{v}", v, router.BASELINE_POLICIES[v], point,
-                       extra={"variant": v}) for v in plan.variants)
-            for point in (replace(base, coverage_m=c) for c in coverages)
+            tuple(Cell(sid, v, router.BASELINE_POLICIES[v], point, extra={"variant": v})
+                  for sid, v in zip(group, plan.variants))
+            for group, point in zip(ids, points)
         ]
     if plan.kind == "mobility":
         point = replace(base, coverage_m=coverages[0])
         return [
-            (Cell(f"mobility-v{v:g}", f"v{v:g}", full, point, v_max=v, extra={"v_max": v}),)
-            for v in plan.vmax_grid
+            (Cell(sid, f"v{v:g}", full, point, v_max=v, extra={"v_max": v}),)
+            for (sid,), v in zip(ids, plan.vmax_grid)
         ]
     points = [replace(base, coverage_m=c, iu_count=d) for d in plan.resolved_density_grid() for c in coverages]
-    return [(Cell(f"{plan.kind}-{_point(point)}", "full", full, point),) for point in points]
+    return [(Cell(sid, "full", full, point),) for (sid,), point in zip(ids, points)]
 
 
 def _run_cells(cells: tuple[Cell, ...], seed: int, replications: int) -> list[list[dict]]:
@@ -355,7 +369,7 @@ def _run_cells(cells: tuple[Cell, ...], seed: int, replications: int) -> list[li
     (``Replication``); a mobility cell runs alone on the streams every speed shares. So the curves
     differ by policy or speed only.
     """
-    point = _point(cells[0].cfg)
+    point = _point(cells[0].cfg.coverage_m, cells[0].cfg.iu_count)
     rows: list[list[dict]] = [[] for _ in cells]
     for rep in range(replications):
         rng = _stream(seed, "grid", rep, point)

@@ -33,43 +33,46 @@ keeps each result, as a tuple, keyed by (id range, centre, r): a deferral's
 rescan, a surface scanned again and the routes of other policies on the same
 topology cost one lookup, and routes at another radius get their own
 entries. A mobile route moves a copy of the table and scans it afresh, with
-no memo and no index.
+no memo and no table.
 
-Cell index. A scan the memo misses still runs ``half_circle_scan``, handed
-the topology's ``CellIndex`` of (id range, r) when there is one. Its numpy
-path passes over every row of the range, which costs tens of microseconds
-even on a small table; the index lets it visit only the rows of the 3 x 3
-cells of side r round the centre, in Python. ``cell_index`` builds one,
-lazily, on the first scan of an (id range, r), and only where few rows are
-in sight: at most ``MAX_ROWS_IN_SIGHT`` expected in a 2r square (the rows'
-count times 4r^2 over the arena's area), and no more than about four cells
-a row. Other tables (900 IUs at r = 90 m, say) keep the numpy path. The
-surfaces' index depends only on their rows, r and the destination, so it is
-kept in a small cache that every topology of a grid run shares
-(``_surface_index``); an IU range's index belongs to its topology. Each
-entry holds a row's id, ``(x, y)`` and its ``np.hypot`` distance to the
-destination, bucketed with one stable ``argsort`` of the cell numbers.
+Scan tables. A scan the memo misses still runs ``half_circle_scan``, handed
+the topology's scan table of (id range, r), built lazily on the first scan
+of that pair (``scan_table``). Where few rows are in sight (at most
+``MAX_ROWS_IN_SIGHT`` expected in a 2r square: the rows' count times 4r^2
+over the arena's area) and the cells of side r number no more than about
+four a row, the table is a ``CellIndex``: each row's id, ``(x, y)`` and its
+``np.hypot`` distance to the destination, bucketed with one stable
+``argsort`` of the cell numbers, so that a scan visits only the rows of the
+3 x 3 cells round the centre, in Python. Any other table (900 IUs at
+r = 90 m, say) is a ``ColumnTable``: the range's ``x`` and ``y`` as
+contiguous columns and each row's ``np.hypot`` distance to the destination,
+which the array path scans in a few passes over every row. The surfaces'
+table depends only on their rows, r and the destination, so it is kept in a
+small cache that every topology of a grid run shares (``_surface_table``);
+an IU range's table belongs to its topology. A moving table has no scan
+table: the array path reads its rows as they are and measures the remaining
+distance of its hits alone.
 
-The index path returns the numpy path's ids in the same order, bit for bit,
-by these rules (``TestCellIndex`` holds both to them):
+Every path returns the same ids in the same order, bit for bit, by these
+rules (``TestCellIndex`` and ``TestColumnTable`` hold them to it):
 
 * distance: ``dist <= r`` is decided on dx^2 + dy^2 against r^2, except within
-  a relative 1e-12 of r^2, where the row's scalar ``np.hypot`` decides, as
-  the array's does;
-* projection: both paths compute dx * ax + dy * ay > 0 as above, the
-  numpy path elementwise and the cell scan in Python floats, so they round
-  alike on every row, one on the perpendicular included, and no scan falls
-  back. The products stay finite because ``SimConfig`` bounds ``arena_m``;
+  a relative ``NEAR`` = 1e-12 of r^2, where the row's ``np.hypot`` decides, so
+  every path agrees with an ``np.hypot`` of every row;
+* projection: every path computes dx * ax + dy * ay > 0 as above, the array
+  path elementwise and the cell scan in Python floats, so they round alike on
+  every row, one on the perpendicular included, and no scan falls back. The
+  products stay finite because ``SimConfig`` bounds ``arena_m``;
 * cells: a row's cell is the floor of its coordinates over r, and the cells
   a scan visits span the floors of the centre's coordinates plus and minus
   r, widened by a relative 1e-9 against rounding;
-* order: hits sort by (distance to the destination, id), the stable sort of
-  the numpy path.
+* order: hits sort by (``np.hypot`` distance to the destination, id): a stable
+  sort of the hits, which are found in id order.
 
-A topology holds only positions, the memo of their scans and the index of
-its IUs. The coverage radius, the arena and the surfaces' element count are
-``SimConfig`` fields (``coverage_m``, ``arena_m``, ``ris_elements``), read
-from the config by whoever needs them.
+A topology holds only positions, the memo of their scans and the scan
+tables of its IU ranges. The coverage radius, the arena and the surfaces'
+element count are ``SimConfig`` fields (``coverage_m``, ``arena_m``,
+``ris_elements``), read from the config by whoever needs them.
 """
 
 from __future__ import annotations
@@ -89,12 +92,12 @@ FIRST_IU_ID = 2
 Point = tuple[float, float]  # (x, y) in metres
 
 MAX_ROWS_IN_SIGHT = 40  # a range gets a cell index only if at most this many rows are expected in a 2r square
-NEAR = 1e-12  # relative band round r^2 in which the cell scan leaves dist <= r to np.hypot
+NEAR = 1e-12  # relative band round r^2 in which a scan leaves dist <= r to np.hypot
 
 
 class Topology:
     """Immutable scenario: the node table, every row checked to lie inside the square arena of side
-    ``arena``, the memo of its scans and their cell indexes (module docstring)."""
+    ``arena``, the memo of its scans and their scan tables (module docstring)."""
 
     def __init__(self, source: Point, dest: Point, iu_xy: np.ndarray, ris_xy: np.ndarray, arena: float):
         iu_xy = np.asarray(iu_xy, dtype=float).reshape(-1, 2)
@@ -109,7 +112,7 @@ class Topology:
         self.dest: Point = tuple(xy[DEST_ID].tolist())
         self.first_ris_id = FIRST_IU_ID + len(iu_xy)
         self._scans: dict[tuple[range, Point, float], tuple[int, ...]] = {}
-        self._indexes: dict[tuple[range, float], CellIndex | None] = {}
+        self._tables: dict[tuple[range, float], ScanTable] = {}
         self._area = arena * arena
 
     @property
@@ -130,25 +133,24 @@ class Topology:
 
     def scan(self, ids: range, center: Point, r: float) -> tuple[int, ...]:
         """``half_circle_scan`` of this table toward the destination, computed once per (ids, center, r),
-        through the cell index of (ids, r) where there is one."""
+        through the scan table of (ids, r)."""
         key = (ids, center, r)
         found = self._scans.get(key)
         if found is None:
-            if (ids, r) not in self._indexes:
-                self._indexes[ids, r] = self._cell_index(ids, r)
-            index = self._indexes[ids, r]
-            found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, self.dest, r, index))
+            table = self._tables.get((ids, r))
+            if table is None:
+                table = self._tables[ids, r] = self._scan_table(ids, r)
+            found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, self.dest, r, table))
         return found
 
-    def _cell_index(self, ids: range, r: float) -> CellIndex | None:
-        """The cell index of (ids, r), or None where more than ``MAX_ROWS_IN_SIGHT`` rows of ``ids``
-        are expected in a 2r square of the arena; the surfaces' from the shared cache."""
-        if 4.0 * len(ids) * r * r > MAX_ROWS_IN_SIGHT * self._area:
-            return None
+    def _scan_table(self, ids: range, r: float) -> ScanTable:
+        """The scan table of (ids, r): a cell index only where at most ``MAX_ROWS_IN_SIGHT`` rows of
+        ``ids`` are expected in a 2r square of the arena; the surfaces' from the shared cache."""
+        indexed = 4.0 * len(ids) * r * r <= MAX_ROWS_IN_SIGHT * self._area
         rows = self.xy[ids.start:ids.stop]
         if ids == range(self.first_ris_id, len(self.xy)):
-            return _surface_index(ids.start, rows.tobytes(), r, self.dest)
-        return cell_index(rows, ids.start, r, self.dest)
+            return _surface_table(ids.start, rows.tobytes(), r, self.dest, indexed)
+        return scan_table(rows, ids.start, r, self.dest, indexed)
 
 
 class CellIndex(NamedTuple):
@@ -192,10 +194,37 @@ def cell_index(rows: np.ndarray, start: int, r: float, target: Point) -> CellInd
     return CellIndex(r, target, ix_lo, ix_hi, iy_lo, iy_hi, width, starts, entries)
 
 
+class ColumnTable(NamedTuple):
+    """The rows of one id range as contiguous, read-only columns, for the array scan of radius ``r``
+    toward ``target`` (module docstring)."""
+
+    r: float
+    target: Point
+    x: np.ndarray
+    y: np.ndarray
+    remaining: np.ndarray  # each row's np.hypot distance to target
+
+
+ScanTable = CellIndex | ColumnTable
+
+
+def scan_table(rows: np.ndarray, start: int, r: float, target: Point, indexed: bool) -> ScanTable:
+    """The scan table of ``rows`` (ids from ``start``) for scans of radius ``r`` toward ``target``: their
+    ``cell_index`` if ``indexed`` and it has one, else their ``ColumnTable``."""
+    index = cell_index(rows, start, r, target) if indexed else None
+    if index is not None:
+        return index
+    x, y = np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1])
+    table = ColumnTable(r, target, x, y, np.hypot(x - target[0], y - target[1]))
+    for column in table[2:]:
+        column.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=8)
-def _surface_index(start: int, rows: bytes, r: float, target: Point) -> CellIndex | None:
-    """``cell_index`` of the surface rows ``rows`` (their bytes), shared by every topology that holds them."""
-    return cell_index(np.frombuffer(rows).reshape(-1, 2), start, r, target)
+def _surface_table(start: int, rows: bytes, r: float, target: Point, indexed: bool) -> ScanTable:
+    """``scan_table`` of the surface rows ``rows`` (their bytes), shared by every topology that holds them."""
+    return scan_table(np.frombuffer(rows).reshape(-1, 2), start, r, target, indexed)
 
 
 def _cell_scan(index: CellIndex, center: Point, r: float) -> list[int]:
@@ -232,7 +261,7 @@ def half_circle_scan(
     center: Point,
     target: Point,
     r: float,
-    index: CellIndex | None = None,
+    table: ScanTable | None = None,
 ) -> list[int]:
     """Ids in ``ids`` (a contiguous range of rows of ``xy``) within ``r`` of
     ``center`` in the half-disc facing ``target``.
@@ -243,24 +272,36 @@ def half_circle_scan(
     ties broken by lower node id. The center itself never qualifies (zero
     projection). Empty result is valid.
 
-    ``index``, the ``cell_index`` of these rows for ``r`` and ``target``, lets the scan
-    visit only the cells round the centre; the result is the same (module docstring).
+    ``table``, the ``scan_table`` of these rows for ``r`` and ``target``, lets the scan
+    visit only the cells round the centre or read contiguous columns; the result is the
+    same (module docstring).
     """
     if center == target:
         raise ValueError("scan center must differ from target")
-    if index is not None:
-        if (index.r, index.target) != (r, target):
-            raise ValueError("the cell index was built for another radius or target")
-        return _cell_scan(index, center, r)
+    remaining = None
+    if table is None:
+        pos = xy[ids.start:ids.stop]
+        x, y = pos[:, 0], pos[:, 1]
+    elif (table.r, table.target) != (r, target):
+        raise ValueError("the scan table was built for another radius or target")
+    elif isinstance(table, CellIndex):
+        return _cell_scan(table, center, r)
+    else:
+        x, y, remaining = table.x, table.y, table.remaining
     cx, cy = center
     ax, ay = target[0] - cx, target[1] - cy
-    pos = xy[ids.start:ids.stop]
-    dx, dy = pos[:, 0] - cx, pos[:, 1] - cy
-    hits = np.flatnonzero((dx * ax + dy * ay > 0.0) & (np.hypot(dx, dy) <= r))
+    dx, dy = x - cx, y - cy
+    s = dx * dx + dy * dy
+    r2 = r * r
+    hits = np.flatnonzero((s <= r2 * (1.0 + NEAR)) & (dx * ax + dy * ay > 0.0))
+    band = s[hits] >= r2 * (1.0 - NEAR)
+    if np.count_nonzero(band):  # rows within NEAR of r^2: np.hypot decides, as in _cell_scan
+        edge = hits[band]
+        band[band] = np.hypot(dx[edge], dy[edge]) > r
+        hits = hits[~band]
     if len(hits) < 2:
         return (ids.start + hits).tolist()
-    hit = pos[hits]
-    remaining = np.hypot(hit[:, 0] - target[0], hit[:, 1] - target[1])
+    remaining = np.hypot(x[hits] - target[0], y[hits] - target[1]) if remaining is None else remaining[hits]
     # hits are in id order, so a stable sort breaks ties by lower id
     return (ids.start + hits[np.argsort(remaining, kind="stable")]).tolist()
 

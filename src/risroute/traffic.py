@@ -151,12 +151,15 @@ class TrafficField:
         if indices.size == 0:
             return np.empty(0, dtype=np.int8)
         lag = slot - self.updated_at[indices]
-        if np.any(lag < 0):
+        least = lag.min()
+        if least < 0:
             raise ValueError("traffic clock moved backwards")
-        moved = lag > 0
-        stale = indices[moved]
+        stale = indices
+        if least == 0:  # some chains were observed at this slot already: only the others move
+            moved = lag > 0
+            stale, lag = indices[moved], lag[moved]
         if stale.size:
-            n = lag[moved].astype(np.float64)
+            n = lag.astype(np.float64)
             pi = self.law.pi[stale]
             p_busy = pi + (self.law.rho[stale] ** n) * (self.state[stale] - pi)
             self.state[stale] = (rng.random(stale.size) < p_busy).astype(np.int8)

@@ -154,6 +154,28 @@ class TestPlanValidation:
             with pytest.raises(ConfigError, match=f"{kind} takes no {name}"):
                 ExperimentPlan(kind=kind, **{name: changed[name]})
 
+    @pytest.mark.parametrize("kind", sorted(k for k, spec in experiments.KINDS.items()
+                                            if spec.runner is experiments._run_grid))
+    def test_the_uniqueness_check_compares_the_cells_scenario_ids(self, kind, monkeypatch):
+        # on the kind's default grids and on grids of values that print near alike, the names the
+        # plan check compares are exactly the scenario ids of ``_grid_cells``' cells, in their groups
+        grids = {"coverage_grid": (50.0,) if kind == "mobility" else (30.0, 30.5, 31),
+                 "density_grid": (100, 101), "vmax_grid": (0.0, 0.5, 5), "variants": ("full", "shannon")}
+        base = replace(SimConfig(), source_xy=experiments.SWEEP_SOURCE, dest_xy=experiments.SWEEP_DEST)
+        real, compared = experiments._scenario_ids, []
+
+        def recorded(plan):
+            compared.append(real(plan))
+            return compared[-1]
+
+        monkeypatch.setattr(experiments, "_scenario_ids", recorded)
+        for given in ({}, {name: grid for name, grid in grids.items() if name in experiments.KINDS[kind].reads}):
+            compared.clear()
+            plan = ExperimentPlan(kind=kind, **given)
+            cells = [tuple(cell.scenario_id for cell in group) for group in experiments._grid_cells(plan, base)]
+            assert compared[0] == cells and len(compared) == 2  # the check's call, then the cells'
+            assert len({sid for group in cells for sid in group}) == sum(map(len, cells)) > 1
+
     @pytest.mark.parametrize("bad", [
         {"kind": "comparison", "variants": ("full", "fixed-mod"), "coverage_grid": (60.0,)},
         {"kind": "coverage_sweep", "coverage_grid": (-5.0,)},

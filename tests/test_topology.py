@@ -14,13 +14,15 @@ from risroute.topology import (
     DEST_ID,
     FIRST_IU_ID,
     SOURCE_ID,
+    CellIndex,
+    ColumnTable,
     Topology,
-    cell_index,
     generate_topology,
     half_circle_scan,
     hops_consumed,
     min_hops,
     ris_grid_positions,
+    scan_table,
 )
 from risroute.traffic import TrafficField
 
@@ -191,10 +193,10 @@ class TestCellIndex:
 
     @staticmethod
     def check(topo, ids, center, r):
-        """Whether ``topo`` scanned (ids, r) with an index; its scan must equal the numpy path's."""
+        """Whether ``topo`` scanned (ids, r) with a cell index; its scan must equal the numpy path's."""
         want = half_circle_scan(topo.xy, ids, center, point(topo, DEST_ID), r)
         assert topo.scan(ids, center, r) == tuple(want)
-        return topo._indexes[ids, r] is not None
+        return isinstance(topo._tables[ids, r], CellIndex)
 
     def test_same_ids_in_the_same_order_on_6000_scans(self):
         # TestScanAgainstV3's generator, as a topology's table, shifted 40 m into the arena, up to
@@ -255,7 +257,7 @@ class TestCellIndex:
                     assert self.check(topo, surfaces, center, r)
                     assert self.check(topo, relays, center, r)
         ids = range(topos[0].first_ris_id, len(topos[0].xy))
-        assert topos[0]._indexes[ids, r] is topos[1]._indexes[ids, r]  # one index for the run's surfaces
+        assert topos[0]._tables[ids, r] is topos[1]._tables[ids, r]  # one index for the run's surfaces
 
     def test_rows_on_the_perpendicular_scan_alike_alone_and_in_the_table(self):
         # half of each table planted on the perpendicular through the centre of a slanted axis: a
@@ -281,7 +283,7 @@ class TestCellIndex:
         # the rounding put thousands of planted rows on either side
         assert min(signs.values()) > 1000, signs
 
-    def test_a_dense_table_gets_no_index(self):
+    def test_a_dense_table_gets_a_column_table(self):
         cfg = SimConfig(coverage_m=90.0, iu_count=900, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
         topo = generate_topology(cfg, np.random.default_rng(3))
         relays, surfaces = range(DEST_ID, topo.first_ris_id), range(topo.first_ris_id, len(topo.xy))
@@ -289,9 +291,18 @@ class TestCellIndex:
         for center in map(tuple, rng.uniform(0.0, 400.0, size=(20, 2)).tolist()):
             assert not self.check(topo, relays, center, 90.0)
             assert self.check(topo, surfaces, center, 90.0)
+        table = topo._tables[relays, 90.0]
+        assert isinstance(table, ColumnTable) and (table.r, table.target) == (90.0, point(topo, DEST_ID))
+        rows = topo.xy[relays.start:relays.stop]
+        assert table.x.tolist() == rows[:, 0].tolist() and table.y.tolist() == rows[:, 1].tolist()
+        assert table.remaining.tolist() == np.hypot(rows[:, 0] - 380.0, rows[:, 1] - 200.0).tolist()
+        assert all(column.flags.c_contiguous and not column.flags.writeable for column in table[2:])
         # 900 rows over 400 m x 400 m: 81 expected in a 2r square at r = 60 m, 20 at r = 30 m
-        assert topo._cell_index(relays, 60.0) is None
-        assert topo._cell_index(relays, 30.0) is not None
+        assert isinstance(topo._scan_table(relays, 60.0), ColumnTable)
+        assert isinstance(topo._scan_table(relays, 30.0), CellIndex)
+        # a sparse range whose cells outnumber its rows more than fourfold gets a column table too
+        spread = make_topo([(1.0, 1.0), (399.0, 399.0)])
+        assert isinstance(spread._scan_table(range(FIRST_IU_ID, spread.first_ris_id), 5.0), ColumnTable)
 
     def test_ties_on_np_hypot_go_by_id(self):
         # both IUs are exactly 40 m from D by np.hypot, so the scan lists them by id; by math.dist, or
@@ -304,14 +315,87 @@ class TestCellIndex:
         assert self.check(topo, range(FIRST_IU_ID, topo.first_ris_id), (330.0, 200.0), R)
         assert topo.scan(range(FIRST_IU_ID, topo.first_ris_id), (330.0, 200.0), R) == (2, 3)
 
-    def test_an_index_serves_only_its_radius_and_target(self):
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_a_table_serves_only_its_radius_and_target(self, indexed):
         topo = make_topo([(30.0, 10.0), (50.0, 20.0)])
         ids = range(FIRST_IU_ID, topo.first_ris_id)
-        index = cell_index(topo.xy[ids.start:ids.stop], ids.start, R, point(topo, DEST_ID))
-        assert half_circle_scan(topo.xy, ids, (0.0, 0.0), point(topo, DEST_ID), R, index) == [3, 2]
+        table = scan_table(topo.xy[ids.start:ids.stop], ids.start, R, point(topo, DEST_ID), indexed)
+        assert isinstance(table, CellIndex if indexed else ColumnTable)
+        assert half_circle_scan(topo.xy, ids, (0.0, 0.0), point(topo, DEST_ID), R, table) == [3, 2]
         for r, target in ((R / 2, point(topo, DEST_ID)), (R, (400.0, 10.0))):
             with pytest.raises(ValueError, match="another radius or target"):
-                half_circle_scan(topo.xy, ids, (0.0, 0.0), target, r, index)
+                half_circle_scan(topo.xy, ids, (0.0, 0.0), target, r, table)
+
+
+def steps(v, k):
+    """``v`` and the k floats on either side of it."""
+    out, lo, hi = [v], v, v
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def at_hypot(origin, angle, distance):
+    """Points near ``origin`` + ``distance`` along ``angle`` whose ``np.hypot`` distance from ``origin``
+    is exactly ``distance``, found among the floats within 6 ulps of that point in each coordinate."""
+    x, y = origin[0] + distance * math.cos(angle), origin[1] + distance * math.sin(angle)
+    grid = np.array([(u, v) for u in steps(x, 6) for v in steps(y, 6)])
+    return grid[np.hypot(grid[:, 0] - origin[0], grid[:, 1] - origin[1]) == distance]
+
+
+class TestColumnTable:
+    """``Topology.scan`` through a column table, and the moving table's array scan, against the v3
+    oracle on 900-row tables at r = 90 m, with rows planted where squared distances mislead: at an
+    ``np.hypot`` distance of exactly r from the centre or 1 ulp either side, and at one ``np.hypot``
+    distance from the destination but distinct squared distances, each tie's ids ordered against its
+    squares."""
+
+    def test_planted_rows_against_v3(self):
+        rng = np.random.default_rng(3201)
+        r, r2 = 90.0, 8100.0
+        misjudged = misordered = 0
+        for trial in range(30):
+            center = tuple(rng.uniform(120.0, 280.0, size=2).tolist())
+            dest = tuple(rng.uniform(0.0, 400.0, size=2).tolist())
+            if math.dist(center, dest) < 150.0:
+                continue
+            facing = math.atan2(dest[1] - center[1], dest[0] - center[0])
+            ring = []  # at np.hypot distance r, or 1 ulp either side, all forward
+            for distance in (r, math.nextafter(r, 0.0), math.nextafter(r, math.inf)):
+                for angle in facing + rng.uniform(-1.4, 1.4, size=8):
+                    ring += at_hypot(center, angle, distance)[:2].tolist()
+            ties = []  # groups at one np.hypot distance from the destination, squares decreasing by id
+            back = math.atan2(center[1] - dest[1], center[0] - dest[0])
+            for remaining in math.dist(center, dest) - rng.uniform(5.0, 60.0, size=4):
+                group = [p for angle in back + rng.uniform(-0.15, 0.15, size=6)
+                         for p in at_hypot(dest, angle, remaining).tolist()]
+                group.sort(key=lambda p: -((p[0] - dest[0]) ** 2 + (p[1] - dest[1]) ** 2))
+                ties += group
+            planted = ring + ties
+            xy = rng.uniform(0.0, 400.0, size=(900, 2))
+            where = np.sort(rng.choice(900, size=len(planted), replace=False))
+            xy[where] = planted
+            topo = Topology(center, dest, xy, [], 400.0)
+            relays = range(DEST_ID, topo.first_ris_id)
+            centers = [center] + list(map(tuple, rng.uniform(0.0, 400.0, size=(5, 2)).tolist()))
+            for c in centers:
+                if c == dest:
+                    continue
+                want = half_circle_scan_v3(topo.xy, relays, c, dest, r)
+                assert topo.scan(relays, c, r) == tuple(want), trial
+                moving = topo.xy.copy()  # a mobile route's table: no scan table
+                assert half_circle_scan(moving, relays, c, dest, r) == want, trial
+            assert isinstance(topo._tables[relays, r], ColumnTable)
+            # the planted rows do mislead a squared-distance rule without the band, and a sort on squares
+            rel = np.array(ring) - np.array(center)
+            misjudged += int(np.sum((rel[:, 0] ** 2 + rel[:, 1] ** 2 <= r2) != (np.hypot(rel[:, 0], rel[:, 1]) <= r)))
+            found = list(topo.scan(relays, center, r))
+            hit = topo.xy[found] - np.array(dest)
+            squares = (hit[:, 0] ** 2 + hit[:, 1] ** 2).tolist()
+            misordered += int(np.sum(np.diff(squares) < 0.0))
+        assert misjudged > 20 and misordered > 50, (misjudged, misordered)
+
 
 
 class TestHopArithmetic:

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -319,6 +320,43 @@ class TestTrafficField:
             assert field.law.pi[j] == p01 / (p01 + p10) and field.law.rho[j] == 1.0 - p01 - p10
             assert field.law.nu_idle[j] == (lam[j] / SLOT) * math.log(1.0 / (1.0 - delta))
             assert field.law.eta_idle[j] == (mu[j] / SLOT) * math.log(max(p10 / p_th, 1.0)) + 1.0
+
+
+def observe_oracle(field, slot, indices, rng):
+    """``TrafficField.states_at`` written out chain by chain, for distinct ``indices``: each chain last
+    observed before ``slot`` draws one uniform, in the order given, and is busy after its n slots
+    with probability pi + rho^n (state - pi); a chain observed at ``slot`` already keeps its state."""
+    for i in indices:
+        n = slot - int(field.updated_at[i])
+        if n < 0:
+            raise ValueError("traffic clock moved backwards")
+        if n:
+            pi, rho = float(field.law.pi[i]), float(field.law.rho[i])
+            field.state[i] = BUSY if rng.random() < pi + rho ** n * (int(field.state[i]) - pi) else IDLE
+            field.updated_at[i] = slot
+    return field.state[indices]
+
+
+class TestObservationOracle:
+    def test_mixed_and_all_moved_lags_match_the_oracle(self):
+        count = 12
+        lam, mu = np.linspace(1.0, 8.0, count) * MS, np.linspace(6.0, 2.0, count) * MS
+        field = TrafficField(chain_law(lam, mu, SLOT, 0.1, 0.01), np.random.default_rng(5))
+        oracle = copy.deepcopy(field)
+        rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
+        order = np.random.default_rng(7).permutation(count)
+        kinds = []
+        # all moved at one lag, all moved at two lags, mixed (lags 0, 3 and 5), all moved, all moved
+        for slot, indices in ((2, order[:4]), (5, order[2:7]), (5, order), (9, order[::-1]), (40, order[5:])):
+            lags = set((slot - field.updated_at[indices]).tolist())
+            kinds.append("mixed" if 0 in lags else "moved")
+            got = field.states_at(slot, indices, rng)
+            assert got.tolist() == observe_oracle(oracle, slot, indices.tolist(), oracle_rng).tolist()
+            assert field.state.tolist() == oracle.state.tolist()
+            assert field.updated_at.tolist() == oracle.updated_at.tolist()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state  # the same uniforms consumed
+        assert kinds == ["moved", "moved", "mixed", "moved", "moved"]
+        assert len(set(field.state.tolist())) == 2  # the chains did take both states
 
 
 class TestProfileValidation:
