@@ -116,10 +116,14 @@ class ExperimentPlan:
         kind = KINDS.get(self.kind)
         if kind is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {sorted(KINDS)}")
-        # an integer field takes integers only; a field the kind would ignore is refused rather than dropped
+        # an integer field takes integers only, a grid is stored as a tuple (so a list compares with
+        # its default and with ()); a field the kind would ignore is refused rather than dropped
         for f in fields(self):
+            value = getattr(self, f.name)
             if f.type == "int":  # stored as an int, so the manifest can record it
-                object.__setattr__(self, f.name, as_integer(f.name, getattr(self, f.name)))
+                object.__setattr__(self, f.name, as_integer(f.name, value))
+            elif f.type.startswith("tuple") and value is not None:
+                object.__setattr__(self, f.name, tuple(value))
             if f.name not in kind.reads | {"kind", "seed"} and getattr(self, f.name) != f.default:
                 readers = [name for name, other in KINDS.items() if f.name in other.reads]
                 raise ConfigError(f"{self.kind} takes no {f.name} (read only by {', '.join(readers)})")
@@ -130,8 +134,11 @@ class ExperimentPlan:
         # a batch needs a chain
         if min(self.replications, self.threads) < 1 or self.batches < 2 or self.chains < self.batches:
             raise ConfigError("replications and threads must be >= 1, batches >= 2 and chains >= batches")
-        if () in (self.coverage_grid, self.density_grid, self.vmax_grid, self.variants):
+        if () in (self.coverage_grid, self.density_grid, self.vmax_grid, self.variants, self.xi_grid, self.deltas):
             raise ConfigError("grids and variants must not be empty")
+        for name in ("xi_grid", "deltas"):  # a traffic share and a tolerance, each a probability
+            if not all(0.0 < v < 1.0 for v in getattr(self, name)):
+                raise ConfigError(f"{name} values must lie in (0, 1), got {getattr(self, name)}")
         # refused here, before any file is written: an unknown variant would fail as a bare KeyError
         # in ``_grid_cells``, and a negative or NaN speed would run static routes
         unknown = [v for v in self.variants if v not in router.BASELINE_POLICIES]

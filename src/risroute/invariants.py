@@ -28,7 +28,7 @@ after a wait, which records it, and only there is a mobile hop checked.
 
 The trajectory kind checks each ledger before it writes the ledger's CSV
 (``experiments``); the grid kinds do not, as a check costs about 30 us
-against a dense-relay route's 1.2 ms (2-vCPU host).
+against a dense-relay route's 1.0 ms (2-vCPU host).
 """
 
 from __future__ import annotations

@@ -33,33 +33,32 @@ keeps each result, as a tuple, keyed by (id range, centre, r): a deferral's
 rescan, a surface scanned again and the routes of other policies on the same
 topology cost one lookup, and routes at another radius get their own
 entries. A mobile route moves a copy of the table and scans it afresh, with
-no memo and no table.
+no memo and no index.
 
-Scan tables. A scan the memo misses still runs ``half_circle_scan``, handed
-the topology's scan table of (id range, r), built lazily on the first scan
-of that pair (``scan_table``). Where few rows are in sight (at most
-``MAX_ROWS_IN_SIGHT`` expected in a 2r square: the rows' count times 4r^2
-over the arena's area) and the cells of side r number no more than about
-four a row, the table is a ``CellIndex``: each row's id, ``(x, y)`` and its
-``np.hypot`` distance to the destination, bucketed with one stable
-``argsort`` of the cell numbers, so that a scan visits only the rows of the
-3 x 3 cells round the centre, in Python. Any other table (900 IUs at
-r = 90 m, say) is a ``ColumnTable``: the range's ``x`` and ``y`` as
-contiguous columns and each row's ``np.hypot`` distance to the destination,
-which the array path scans in a few passes over every row. The surfaces'
-table depends only on their rows, r and the destination, so it is kept in a
-small cache that every topology of a grid run shares (``_surface_table``);
-an IU range's table belongs to its topology. A moving table has no scan
-table: the array path reads its rows as they are and measures the remaining
-distance of its hits alone.
+Cell indexes. A scan the memo misses still runs ``half_circle_scan``,
+handed the topology's cell index of (id range, r), built lazily on the
+first scan of that pair (``cell_index``): each row's id, ``(x, y)`` and its
+``np.hypot`` distance to the destination, bucketed into square cells of
+side r with one stable ``argsort`` of the cell numbers, so that a scan
+visits only the rows of the 3 x 3 cells round the centre, in Python. A
+range gets an index only where its rows are sparse in their own bounding
+box: its r-cells number no more than about four a row, and its rows
+average no more than 10 a cell (about 40 in a 2r square). Elsewhere (900
+IUs at r = 90 m, say) the topology stores None for the pair, and the scan
+takes the array path: a few numpy passes over every row, measuring the
+remaining distance of the hits alone. The surfaces' index depends only on
+their rows, r and the destination, so it is kept in a small cache that
+every topology of a grid run shares (``_surface_index``); an IU range's
+belongs to its topology. A moving table has no index and takes the array
+path too.
 
-Every path returns the same ids in the same order, bit for bit, by these
-rules (``TestCellIndex`` and ``TestColumnTable`` hold them to it):
+Both paths return the same ids in the same order, bit for bit, by these
+rules (``TestCellIndex`` and ``TestArrayPath`` hold them to it):
 
 * distance: ``dist <= r`` is decided on dx^2 + dy^2 against r^2, except within
   a relative ``NEAR`` = 1e-12 of r^2, where the row's ``np.hypot`` decides, so
-  every path agrees with an ``np.hypot`` of every row;
-* projection: every path computes dx * ax + dy * ay > 0 as above, the array
+  both paths agree with an ``np.hypot`` of every row;
+* projection: both paths compute dx * ax + dy * ay > 0 as above, the array
   path elementwise and the cell scan in Python floats, so they round alike on
   every row, one on the perpendicular included, and no scan falls back. The
   products stay finite because ``SimConfig`` bounds ``arena_m``;
@@ -69,8 +68,8 @@ rules (``TestCellIndex`` and ``TestColumnTable`` hold them to it):
 * order: hits sort by (``np.hypot`` distance to the destination, id): a stable
   sort of the hits, which are found in id order.
 
-A topology holds only positions, the memo of their scans and the scan
-tables of its IU ranges. The coverage radius, the arena and the surfaces'
+A topology holds only positions, the memo of their scans and the cell
+indexes of its IU ranges. The coverage radius, the arena and the surfaces'
 element count are ``SimConfig`` fields (``coverage_m``, ``arena_m``,
 ``ris_elements``), read from the config by whoever needs them.
 """
@@ -91,13 +90,13 @@ FIRST_IU_ID = 2
 
 Point = tuple[float, float]  # (x, y) in metres
 
-MAX_ROWS_IN_SIGHT = 40  # a range gets a cell index only if at most this many rows are expected in a 2r square
 NEAR = 1e-12  # relative band round r^2 in which a scan leaves dist <= r to np.hypot
 
 
 class Topology:
     """Immutable scenario: the node table, every row checked to lie inside the square arena of side
-    ``arena``, the memo of its scans and their scan tables (module docstring)."""
+    ``arena``, the memo of its scans and their cell indexes, None where a range has none (module
+    docstring)."""
 
     def __init__(self, source: Point, dest: Point, iu_xy: np.ndarray, ris_xy: np.ndarray, arena: float):
         iu_xy = np.asarray(iu_xy, dtype=float).reshape(-1, 2)
@@ -112,8 +111,7 @@ class Topology:
         self.dest: Point = tuple(xy[DEST_ID].tolist())
         self.first_ris_id = FIRST_IU_ID + len(iu_xy)
         self._scans: dict[tuple[range, Point, float], tuple[int, ...]] = {}
-        self._tables: dict[tuple[range, float], ScanTable] = {}
-        self._area = arena * arena
+        self._indexes: dict[tuple[range, float], CellIndex | None] = {}
 
     @property
     def iu_xy(self) -> np.ndarray:
@@ -133,24 +131,19 @@ class Topology:
 
     def scan(self, ids: range, center: Point, r: float) -> tuple[int, ...]:
         """``half_circle_scan`` of this table toward the destination, computed once per (ids, center, r),
-        through the scan table of (ids, r)."""
+        through the cell index of (ids, r) where it has one."""
         key = (ids, center, r)
         found = self._scans.get(key)
         if found is None:
-            table = self._tables.get((ids, r))
-            if table is None:
-                table = self._tables[ids, r] = self._scan_table(ids, r)
-            found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, self.dest, r, table))
+            if (ids, r) not in self._indexes:
+                rows = self.xy[ids.start:ids.stop]
+                if ids == range(self.first_ris_id, len(self.xy)):
+                    self._indexes[ids, r] = _surface_index(ids.start, rows.tobytes(), r, self.dest)
+                else:
+                    self._indexes[ids, r] = cell_index(rows, ids.start, r, self.dest)
+            index = self._indexes[ids, r]
+            found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, self.dest, r, index))
         return found
-
-    def _scan_table(self, ids: range, r: float) -> ScanTable:
-        """The scan table of (ids, r): a cell index only where at most ``MAX_ROWS_IN_SIGHT`` rows of
-        ``ids`` are expected in a 2r square of the arena; the surfaces' from the shared cache."""
-        indexed = 4.0 * len(ids) * r * r <= MAX_ROWS_IN_SIGHT * self._area
-        rows = self.xy[ids.start:ids.stop]
-        if ids == range(self.first_ris_id, len(self.xy)):
-            return _surface_table(ids.start, rows.tobytes(), r, self.dest, indexed)
-        return scan_table(rows, ids.start, r, self.dest, indexed)
 
 
 class CellIndex(NamedTuple):
@@ -174,7 +167,8 @@ class CellIndex(NamedTuple):
 
 def cell_index(rows: np.ndarray, start: int, r: float, target: Point) -> CellIndex | None:
     """The cell index of ``rows`` (ids from ``start``) for scans of radius ``r`` toward ``target``, or
-    None where there are no rows or the cells they span outnumber them more than fourfold."""
+    None where there are no rows, the cells their bounding box spans outnumber them more than
+    fourfold, or they average more than 10 a cell."""
     n = len(rows)
     if n == 0:
         return None
@@ -183,7 +177,7 @@ def cell_index(rows: np.ndarray, start: int, r: float, target: Point) -> CellInd
     ix_lo, ix_hi, iy_lo, iy_hi = int(ix.min()), int(ix.max()), int(iy.min()), int(iy.max())
     width = iy_hi - iy_lo + 1
     count = (ix_hi - ix_lo + 1) * width
-    if count > 4 * n + 64:
+    if count > 4 * n + 64 or n > 10 * count:
         return None
     flat = (ix - ix_lo) * width + (iy - iy_lo)
     order = np.argsort(flat, kind="stable")
@@ -194,37 +188,10 @@ def cell_index(rows: np.ndarray, start: int, r: float, target: Point) -> CellInd
     return CellIndex(r, target, ix_lo, ix_hi, iy_lo, iy_hi, width, starts, entries)
 
 
-class ColumnTable(NamedTuple):
-    """The rows of one id range as contiguous, read-only columns, for the array scan of radius ``r``
-    toward ``target`` (module docstring)."""
-
-    r: float
-    target: Point
-    x: np.ndarray
-    y: np.ndarray
-    remaining: np.ndarray  # each row's np.hypot distance to target
-
-
-ScanTable = CellIndex | ColumnTable
-
-
-def scan_table(rows: np.ndarray, start: int, r: float, target: Point, indexed: bool) -> ScanTable:
-    """The scan table of ``rows`` (ids from ``start``) for scans of radius ``r`` toward ``target``: their
-    ``cell_index`` if ``indexed`` and it has one, else their ``ColumnTable``."""
-    index = cell_index(rows, start, r, target) if indexed else None
-    if index is not None:
-        return index
-    x, y = np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1])
-    table = ColumnTable(r, target, x, y, np.hypot(x - target[0], y - target[1]))
-    for column in table[2:]:
-        column.flags.writeable = False
-    return table
-
-
 @lru_cache(maxsize=8)
-def _surface_table(start: int, rows: bytes, r: float, target: Point, indexed: bool) -> ScanTable:
-    """``scan_table`` of the surface rows ``rows`` (their bytes), shared by every topology that holds them."""
-    return scan_table(np.frombuffer(rows).reshape(-1, 2), start, r, target, indexed)
+def _surface_index(start: int, rows: bytes, r: float, target: Point) -> CellIndex | None:
+    """``cell_index`` of the surface rows ``rows`` (their bytes), shared by every topology that holds them."""
+    return cell_index(np.frombuffer(rows).reshape(-1, 2), start, r, target)
 
 
 def _cell_scan(index: CellIndex, center: Point, r: float) -> list[int]:
@@ -261,7 +228,7 @@ def half_circle_scan(
     center: Point,
     target: Point,
     r: float,
-    table: ScanTable | None = None,
+    table: CellIndex | None = None,
 ) -> list[int]:
     """Ids in ``ids`` (a contiguous range of rows of ``xy``) within ``r`` of
     ``center`` in the half-disc facing ``target``.
@@ -272,22 +239,18 @@ def half_circle_scan(
     ties broken by lower node id. The center itself never qualifies (zero
     projection). Empty result is valid.
 
-    ``table``, the ``scan_table`` of these rows for ``r`` and ``target``, lets the scan
-    visit only the cells round the centre or read contiguous columns; the result is the
-    same (module docstring).
+    ``table``, the ``cell_index`` of these rows for ``r`` and ``target``, lets the scan
+    visit only the cells round the centre; without one, the scan takes the array path
+    over every row. The result is the same (module docstring).
     """
     if center == target:
         raise ValueError("scan center must differ from target")
-    remaining = None
-    if table is None:
-        pos = xy[ids.start:ids.stop]
-        x, y = pos[:, 0], pos[:, 1]
-    elif (table.r, table.target) != (r, target):
-        raise ValueError("the scan table was built for another radius or target")
-    elif isinstance(table, CellIndex):
+    if table is not None:
+        if (table.r, table.target) != (r, target):
+            raise ValueError("the cell index was built for another radius or target")
         return _cell_scan(table, center, r)
-    else:
-        x, y, remaining = table.x, table.y, table.remaining
+    pos = xy[ids.start:ids.stop]
+    x, y = pos[:, 0], pos[:, 1]
     cx, cy = center
     ax, ay = target[0] - cx, target[1] - cy
     dx, dy = x - cx, y - cy
@@ -301,7 +264,7 @@ def half_circle_scan(
         hits = hits[~band]
     if len(hits) < 2:
         return (ids.start + hits).tolist()
-    remaining = np.hypot(x[hits] - target[0], y[hits] - target[1]) if remaining is None else remaining[hits]
+    remaining = np.hypot(x[hits] - target[0], y[hits] - target[1])
     # hits are in id order, so a stable sort breaks ties by lower id
     return (ids.start + hits[np.argsort(remaining, kind="stable")]).tolist()
 

@@ -3,7 +3,7 @@ import json
 import re
 from pathlib import Path
 
-from risroute import experiments
+from risroute import experiments, topology
 from risroute.cli import build_parser
 from risroute.config import load_config
 from risroute.linkbudget import transfer_slots
@@ -61,6 +61,27 @@ def test_arrival_config_runs_meet_waypoint_arrivals(tmp_path, monkeypatch):
         plan = experiments.ExperimentPlan(kind=parsed.kind, seed=parsed.seed, replications=parsed.replications)
         experiments.run(plan, cfg, tmp_path / "out")
     assert sum(arrivals) >= 1
+
+
+def test_spacing_config_runs_scan_surfaces_with_and_without_an_index(tmp_path, monkeypatch):
+    path = tmp_path / "spacing.json"
+    path.write_text(json.dumps(cli_hashes.SPACING_CONFIG))
+    cfg = load_config(path)
+    indexed = {}  # radius -> whether the surface ranges scanned at it had a cell index
+    scan = topology.Topology.scan
+
+    def recorded(topo, ids, center, r):
+        found = scan(topo, ids, center, r)
+        if ids == range(topo.first_ris_id, len(topo.xy)):
+            indexed.setdefault(r, set()).add(topo._indexes[ids, r] is not None)
+        return found
+
+    monkeypatch.setattr(topology.Topology, "scan", recorded)
+    for seed, args in cli_hashes.SPACING_COMMANDS:
+        parsed = build_parser().parse_args([*args, "--seed", str(seed), "--config", str(path)])
+        plan = experiments.ExperimentPlan(kind=parsed.kind, seed=parsed.seed, replications=parsed.replications)
+        experiments.run(plan, cfg, tmp_path / "out")
+    assert indexed == {30.0: {True}, 45.0: {False}, 60.0: {False}}
 
 
 def test_hashes_each_csv_by_name():

@@ -107,6 +107,12 @@ class TestPointStreams:
 class TestPlanValidation:
     @pytest.mark.parametrize("bad", [
         {"threads": 0}, {"threads": -2}, {"replications": 0}, {"coverage_grid": ()}, {"variants": ()},
+        # an empty grid given as a list
+        {"coverage_grid": []}, {"variants": []}, {"kind": "mobility", "vmax_grid": []},
+        # an empty traffic grid, or a share or tolerance outside (0, 1)
+        {"kind": "traffic_validation", "xi_grid": ()}, {"kind": "traffic_validation", "deltas": []},
+        {"kind": "traffic_validation", "xi_grid": (0.0,)}, {"kind": "traffic_validation", "xi_grid": (0.5, 1.0)},
+        {"kind": "traffic_validation", "deltas": (1.5,)}, {"kind": "traffic_validation", "deltas": (math.nan,)},
         {"kind": "bogus"},
         # a grid the kind would ignore
         {"kind": "mobility", "coverage_grid": (30.0, 60.0)}, {"density_grid": (100,)},
@@ -182,15 +188,27 @@ class TestPlanValidation:
         {"kind": "mobility", "vmax_grid": (0.0, -5.0)},
         {"kind": "mobility", "vmax_grid": (math.nan,)},
         {"kind": "mobility", "vmax_grid": (5.0, math.inf)},
+        {"kind": "comparison", "coverage_grid": []},
+        {"kind": "comparison", "variants": []},
+        {"kind": "mobility", "vmax_grid": []},
+        {"kind": "traffic_validation", "xi_grid": ()},
+        {"kind": "traffic_validation", "deltas": ()},
+        {"kind": "traffic_validation", "xi_grid": (0.0,)},
+        {"kind": "traffic_validation", "deltas": (1.5,)},
     ])
     def test_refused_before_any_route_runs(self, bad, tmp_path, monkeypatch):
         # unchecked, an unknown variant fails as a bare KeyError once the manifest is written,
         # and a negative or NaN speed runs static routes; a grid point's config is refused before
-        # the manifest is written
+        # the manifest is written. An empty grid given as a list fails as an IndexError once the
+        # manifest is written; an empty traffic grid writes header-only CSVs, xi = 0 divides by
+        # zero after nu_b.csv, and delta = 1.5 fails in np.quantile after the manifest
         routed = []
         monkeypatch.setattr(experiments, "run_one_route", lambda *args, **kwargs: routed.append(args))
+        given = {"seed": 1, **bad}
+        if "replications" in experiments.KINDS[bad["kind"]].reads:  # traffic validation takes none
+            given["replications"] = 1
         with pytest.raises(ConfigError):
-            run(ExperimentPlan(seed=1, replications=1, **bad), SimConfig(), tmp_path)
+            run(ExperimentPlan(**given), SimConfig(), tmp_path)
         assert routed == [] and list(tmp_path.iterdir()) == []
 
 

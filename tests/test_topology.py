@@ -15,14 +15,13 @@ from risroute.topology import (
     FIRST_IU_ID,
     SOURCE_ID,
     CellIndex,
-    ColumnTable,
     Topology,
+    cell_index,
     generate_topology,
     half_circle_scan,
     hops_consumed,
     min_hops,
     ris_grid_positions,
-    scan_table,
 )
 from risroute.traffic import TrafficField
 
@@ -196,7 +195,7 @@ class TestCellIndex:
         """Whether ``topo`` scanned (ids, r) with a cell index; its scan must equal the numpy path's."""
         want = half_circle_scan(topo.xy, ids, center, point(topo, DEST_ID), r)
         assert topo.scan(ids, center, r) == tuple(want)
-        return isinstance(topo._tables[ids, r], CellIndex)
+        return isinstance(topo._indexes[ids, r], CellIndex)
 
     def test_same_ids_in_the_same_order_on_6000_scans(self):
         # TestScanAgainstV3's generator, as a topology's table, shifted 40 m into the arena, up to
@@ -257,12 +256,13 @@ class TestCellIndex:
                     assert self.check(topo, surfaces, center, r)
                     assert self.check(topo, relays, center, r)
         ids = range(topos[0].first_ris_id, len(topos[0].xy))
-        assert topos[0]._tables[ids, r] is topos[1]._tables[ids, r]  # one index for the run's surfaces
+        assert topos[0]._indexes[ids, r] is topos[1]._indexes[ids, r]  # one index for the run's surfaces
 
     def test_rows_on_the_perpendicular_scan_alike_alone_and_in_the_table(self):
         # half of each table planted on the perpendicular through the centre of a slanted axis: a
         # planted row's two projection terms cancel to within rounding, so the rounding signs it, and
-        # it must sign it alike whatever other rows the scan holds and in either path
+        # it must sign it alike whatever other rows the scan holds and in either path; the other half
+        # spread over a 160 m square keeps the table sparse enough for a cell index
         rng = np.random.default_rng(2701)
         signs = {True: 0, False: 0}
         for _ in range(300):
@@ -271,7 +271,7 @@ class TestCellIndex:
             ax, ay = target[0] - center[0], target[1] - center[1]
             s = rng.uniform(-50.0, 50.0, size=32) / math.hypot(ax, ay)
             planted = np.column_stack([center[0] - s * ay, center[1] + s * ax])
-            xy = np.vstack([rng.uniform(np.subtract(center, 40.0), np.add(center, 40.0), size=(32, 2)), planted])
+            xy = np.vstack([rng.uniform(np.subtract(center, 80.0), np.add(center, 80.0), size=(32, 2)), planted])
             topo = Topology(center, target, xy, [], 400.0)
             ids = range(FIRST_IU_ID, topo.first_ris_id)
             assert self.check(topo, ids, center, R)
@@ -283,7 +283,7 @@ class TestCellIndex:
         # the rounding put thousands of planted rows on either side
         assert min(signs.values()) > 1000, signs
 
-    def test_a_dense_table_gets_a_column_table(self):
+    def test_a_dense_table_gets_no_index(self):
         cfg = SimConfig(coverage_m=90.0, iu_count=900, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
         topo = generate_topology(cfg, np.random.default_rng(3))
         relays, surfaces = range(DEST_ID, topo.first_ris_id), range(topo.first_ris_id, len(topo.xy))
@@ -291,18 +291,23 @@ class TestCellIndex:
         for center in map(tuple, rng.uniform(0.0, 400.0, size=(20, 2)).tolist()):
             assert not self.check(topo, relays, center, 90.0)
             assert self.check(topo, surfaces, center, 90.0)
-        table = topo._tables[relays, 90.0]
-        assert isinstance(table, ColumnTable) and (table.r, table.target) == (90.0, point(topo, DEST_ID))
-        rows = topo.xy[relays.start:relays.stop]
-        assert table.x.tolist() == rows[:, 0].tolist() and table.y.tolist() == rows[:, 1].tolist()
-        assert table.remaining.tolist() == np.hypot(rows[:, 0] - 380.0, rows[:, 1] - 200.0).tolist()
-        assert all(column.flags.c_contiguous and not column.flags.writeable for column in table[2:])
-        # 900 rows over 400 m x 400 m: 81 expected in a 2r square at r = 60 m, 20 at r = 30 m
-        assert isinstance(topo._scan_table(relays, 60.0), ColumnTable)
-        assert isinstance(topo._scan_table(relays, 30.0), CellIndex)
-        # a sparse range whose cells outnumber its rows more than fourfold gets a column table too
-        spread = make_topo([(1.0, 1.0), (399.0, 399.0)])
-        assert isinstance(spread._scan_table(range(FIRST_IU_ID, spread.first_ris_id), 5.0), ColumnTable)
+        assert topo._indexes[relays, 90.0] is None
+        # 901 rows over 400 m x 400 m: 18 a cell on average at r = 60 m (7 x 7 cells), 4.6 at r = 30 m (14 x 14)
+        rows, dest = topo.xy[relays.start:relays.stop], point(topo, DEST_ID)
+        assert cell_index(rows, relays.start, 60.0, dest) is None
+        assert isinstance(cell_index(rows, relays.start, 30.0, dest), CellIndex)
+        # a sparse range whose cells outnumber its rows more than fourfold gets none either
+        assert cell_index(np.array([(1.0, 1.0), (399.0, 399.0)]), FIRST_IU_ID, 5.0, dest) is None
+
+    def test_rows_crowded_in_a_corner_get_no_index(self):
+        # 900 IUs in the 100 m corner of a 400 m arena average 56 a cell of side 30 m (4 x 4 cells round
+        # them), though spread over the arena they would average 5: their own rows decide, not the arena
+        rng = np.random.default_rng(3301)
+        topo = Topology((10.0, 10.0), (380.0, 250.0), rng.uniform(0.0, 100.0, size=(900, 2)), [], 400.0)
+        ius, dest = range(FIRST_IU_ID, topo.first_ris_id), point(topo, DEST_ID)
+        for center in [(10.0, 10.0)] + list(map(tuple, rng.uniform(0.0, 130.0, size=(20, 2)).tolist())):
+            assert topo.scan(ius, center, 30.0) == tuple(half_circle_scan_v3(topo.xy, ius, center, dest, 30.0))
+        assert topo._indexes[ius, 30.0] is None
 
     def test_ties_on_np_hypot_go_by_id(self):
         # both IUs are exactly 40 m from D by np.hypot, so the scan lists them by id; by math.dist, or
@@ -315,16 +320,15 @@ class TestCellIndex:
         assert self.check(topo, range(FIRST_IU_ID, topo.first_ris_id), (330.0, 200.0), R)
         assert topo.scan(range(FIRST_IU_ID, topo.first_ris_id), (330.0, 200.0), R) == (2, 3)
 
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_a_table_serves_only_its_radius_and_target(self, indexed):
+    def test_an_index_serves_only_its_radius_and_target(self):
         topo = make_topo([(30.0, 10.0), (50.0, 20.0)])
         ids = range(FIRST_IU_ID, topo.first_ris_id)
-        table = scan_table(topo.xy[ids.start:ids.stop], ids.start, R, point(topo, DEST_ID), indexed)
-        assert isinstance(table, CellIndex if indexed else ColumnTable)
-        assert half_circle_scan(topo.xy, ids, (0.0, 0.0), point(topo, DEST_ID), R, table) == [3, 2]
+        index = cell_index(topo.xy[ids.start:ids.stop], ids.start, R, point(topo, DEST_ID))
+        assert isinstance(index, CellIndex)
+        assert half_circle_scan(topo.xy, ids, (0.0, 0.0), point(topo, DEST_ID), R, index) == [3, 2]
         for r, target in ((R / 2, point(topo, DEST_ID)), (R, (400.0, 10.0))):
             with pytest.raises(ValueError, match="another radius or target"):
-                half_circle_scan(topo.xy, ids, (0.0, 0.0), target, r, table)
+                half_circle_scan(topo.xy, ids, (0.0, 0.0), target, r, index)
 
 
 def steps(v, k):
@@ -344,8 +348,8 @@ def at_hypot(origin, angle, distance):
     return grid[np.hypot(grid[:, 0] - origin[0], grid[:, 1] - origin[1]) == distance]
 
 
-class TestColumnTable:
-    """``Topology.scan`` through a column table, and the moving table's array scan, against the v3
+class TestArrayPath:
+    """``Topology.scan`` of a table with no cell index, and the moving table's array scan, against the v3
     oracle on 900-row tables at r = 90 m, with rows planted where squared distances mislead: at an
     ``np.hypot`` distance of exactly r from the centre or 1 ulp either side, and at one ``np.hypot``
     distance from the destination but distinct squared distances, each tie's ids ordered against its
@@ -384,9 +388,9 @@ class TestColumnTable:
                     continue
                 want = half_circle_scan_v3(topo.xy, relays, c, dest, r)
                 assert topo.scan(relays, c, r) == tuple(want), trial
-                moving = topo.xy.copy()  # a mobile route's table: no scan table
+                moving = topo.xy.copy()  # a mobile route's table: no memo, no index
                 assert half_circle_scan(moving, relays, c, dest, r) == want, trial
-            assert isinstance(topo._tables[relays, r], ColumnTable)
+            assert topo._indexes[relays, r] is None
             # the planted rows do mislead a squared-distance rule without the band, and a sort on squares
             rel = np.array(ring) - np.array(center)
             misjudged += int(np.sum((rel[:, 0] ** 2 + rel[:, 1] ** 2 <= r2) != (np.hypot(rel[:, 0], rel[:, 1]) <= r)))

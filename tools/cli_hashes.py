@@ -32,11 +32,14 @@ per grid point and refuse per-IU lists, so they run at the default only.
 Then ``mobility`` runs at seed 7 with ``ARRIVAL_CONFIG``: 0.1 s slots and
 a 50 s budget, so the walk's IUs reach their waypoints mid-route and the
 lines cover its per-arrival loop, which no route at the default slot
-meets. Last, ``route``, ``sweep-density`` and ``compare`` run at seed 7 with
-``CHANNEL_CONFIG``, which sets keys no other line does: the ``eqtext``
+meets. Then ``route``, ``sweep-density`` and ``compare`` run at seed 7 with
+``CHANNEL_CONFIG``, which sets keys no line before it does: the ``eqtext``
 threshold rule, a 45 m reflector spacing, 4-bit fixed modulation (read by
-``compare``'s ``fixed_mod``) and Rician K = 3 dB. 45 CSVs, about 7 s on a
-2-vCPU host (8 to 9 s at the baseline SIMD level).
+``compare``'s ``fixed_mod``) and Rician K = 3 dB. Last, ``sweep-density``
+runs at seed 7 with ``SPACING_CONFIG``, a reflector every 10 m: its 1600
+surfaces get a cell index at r = 30 m and none at 45 and 60 m, so their
+scans take the array path, which no other line's static surfaces do.
+47 CSVs, about 8 s on a 2-vCPU host (9 to 10 s at the baseline SIMD level).
 """
 
 from __future__ import annotations
@@ -92,6 +95,10 @@ CHANNEL_COMMANDS = (
     (7, ["sweep-density", "--replications", "2"]),
     (7, ["compare", "--replications", "2"]),
 )
+# a reflector every 10 m: the sweep scans its 1600 surfaces through a cell index at r = 30 m and on the
+# array path at r = 45 and 60 m
+SPACING_CONFIG = {"ris_spacing_m": 10.0}
+SPACING_COMMANDS = ((7, ["sweep-density", "--replications", "2"]),)
 
 
 def csv_hashes(root: Path, seed: int, args: list[str], config: dict | None = None) -> list[tuple[str, str]]:
@@ -120,6 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     runs += [(seed, cli_args, CONFIG, " --config") for seed, cli_args in CONFIG_COMMANDS]
     runs += [(seed, cli_args, ARRIVAL_CONFIG, " --config arrivals") for seed, cli_args in ARRIVAL_COMMANDS]
     runs += [(seed, cli_args, CHANNEL_CONFIG, " --config channel") for seed, cli_args in CHANNEL_COMMANDS]
+    runs += [(seed, cli_args, SPACING_CONFIG, " --config spacing") for seed, cli_args in SPACING_COMMANDS]
     for seed, cli_args, config, label in runs:
         command = " ".join(cli_args) + label
         for name, digest in csv_hashes(args.root.resolve(), seed, cli_args, config):
