@@ -166,11 +166,11 @@ def optimal_single_reflection_snr(
     d_in: float,
     d_out: float,
 ) -> float:
-    """Closed-form aligned SNR over ``h_in`` and ``h_out``, complex gains or their amplitudes a = |h|:
-    P (sum a_in a_out)^2 rho_L^2 (d_in d_out)^-alpha / sigma^2."""
+    """Closed-form aligned SNR over the amplitudes a = |h| of each segment, as ``sample_amplitudes``
+    draws them: P (sum a_in a_out)^2 rho_L^2 (d_in d_out)^-alpha / sigma^2."""
     if len(h_in) != len(h_out):
         raise ValueError("element counts of h_in and h_out must agree")
-    coherent = float(np.sum(np.abs(h_in) * np.abs(h_out)))
+    coherent = float(np.sum(h_in * h_out))
     return (
         cfg.tx_power_w
         * coherent**2

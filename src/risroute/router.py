@@ -70,10 +70,10 @@ destination, and once a link is farther than R (1 + 2^-48) every later one
 is farther than R. The destination shortcut, the traffic observations and
 the double-reflection stage stay eager.
 
-A static router reads every scan, of IUs and of surfaces, from the
-topology's memo (``topology.Topology.scan``), which computes a miss through
-the topology's cell index where it has one. A mobile one scans its moving
-table afresh, surfaces included, on the numpy path: no memo, no index.
+Surfaces never move, so every surface scan, and every IU scan of a static
+router, is read from the topology's memo (``topology.Topology.scan``), which
+computes a miss through the topology's cell index where it has one. A mobile
+router scans its moving IUs afresh, on the numpy path: no memo, no index.
 
 The ledger (``RouteLedger``) is the route's only record: a hop's kind is
 read off the nodes it names (``HOP_KINDS``), a route's success off its
@@ -387,12 +387,11 @@ class Router:
         return tuple(self.xy[node_id].tolist())
 
     def _scan(self, center: Point, ids: range | None = None) -> tuple[int, ...]:
-        """Ids in ``ids`` (default: the destination and the IUs) in the half-disc
-        of ``center`` facing the destination; from the topology's memo while IUs do not move."""
-        ids = self.relay_ids if ids is None else ids
-        if self.mobility is None:
-            return self.topo.scan(ids, center, self.cfg.coverage_m)
-        return tuple(topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m))
+        """Ids in ``ids`` (default: the destination and the IUs) in the half-disc of ``center`` facing
+        the destination; from the topology's memo unless they are IUs that move."""
+        if ids is None and self.mobility is not None:
+            return tuple(topology.half_circle_scan(self.xy, self.relay_ids, center, self.dest, self.cfg.coverage_m))
+        return self.topo.scan(self.relay_ids if ids is None else ids, center, self.cfg.coverage_m)
 
     def _direct_links(self, origin: Point, ids: list[int], nus: list[float]) -> list[CandidateLink]:
         """Direct links from ``origin`` to those of ``ids`` (scan order; idle windows ``nus``) that end
@@ -493,9 +492,9 @@ class Router:
 
         return entry_at
 
-    def _single_stage(self, origin: Point, candidates: Sequence[int]):
-        """One reflector among ``candidates``: (((ris_id,), entry), None), or, when no surface has a
-        qualifying endpoint, (None, the ``h_in`` of ``candidates[0]``, None if not drawn).
+    def _single_stage(self, origin: Point, candidates: Sequence[int], incoming: dict) -> tuple | None:
+        """One reflector among ``candidates``: ((ris_id,), entry), or None when no surface has a
+        qualifying endpoint. Each ``h_in`` drawn goes into ``incoming``, by surface.
 
         Every candidate's IUs are observed first, in one call, and the endpoints in sight listed once
         (``_forward``); each surface takes those of its own scan, in scan order. The surface with the
@@ -507,7 +506,6 @@ class Router:
         seen = dict.fromkeys(i for found in scans for i in found)  # first seen first
         idle = self._split_idle_busy(seen)[0].tolist()
         ends = {e[0]: e for e in self._forward([DEST_ID, *idle] if DEST_ID in seen else idle, origin)}
-        incoming: dict[int, np.ndarray] = {}  # h_in by surface
         best = None  # ((remaining, ris_id), endpoints, entry_at)
         for ris_id, found in zip(candidates, scans):
             endpoints = [ends[i] for i in found if i in ends]
@@ -522,9 +520,9 @@ class Router:
             if least < math.inf and (best is None or (least, ris_id) < best[0]):
                 best = ((least, ris_id), endpoints, entry_at)
         if best is None:
-            return None, incoming.get(candidates[0])
+            return None
         (_, ris_id), endpoints, entry_at = best
-        return ((ris_id,), select_entry([e for i in range(len(endpoints)) if (e := entry_at(i)) is not None])), None
+        return (ris_id,), select_entry([e for i in range(len(endpoints)) if (e := entry_at(i)) is not None])
 
     def ris_fallback(self, origin: Point, ledger: RouteLedger):
         """Reflector stage; returns (surfaces, entry) or a FailureReason.
@@ -544,9 +542,9 @@ class Router:
         destination nor an IU strictly closer to it than ``origin``
         (``_forward``), and before any draw when the observation finds every
         such IU busy. Otherwise it draws the first surface's ``h_in`` (unless
-        the single stage did), ``h_mid``, then each endpoint's ``h_out`` in
-        scan order, and evaluates every endpoint. Only ``h_mid`` is drawn as
-        complex gains; the ends are amplitudes (``channel`` docstring).
+        the single stage left it in ``incoming``), ``h_mid``, then each
+        endpoint's ``h_out`` in scan order, and evaluates every endpoint. Only
+        ``h_mid`` is drawn as complex gains; the ends are amplitudes.
 
         Entering raises ``ledger.stage_reached`` to the reflector stage, and
         passing the single stage without a hop to the double stage.
@@ -557,17 +555,15 @@ class Router:
         candidates = self._scan(origin, self.ris_ids)
         if not candidates:
             return FailureReason.NO_IU_NO_RIS
-        h_in = None  # the first surface's, once drawn
-        if self.policy.runs_single:
-            outcome, h_in = self._single_stage(origin, candidates)
-            if outcome is not None:
-                return outcome
+        incoming: dict[int, np.ndarray] = {}  # h_in by surface, drawn at most once in the stage
+        if self.policy.runs_single and (outcome := self._single_stage(origin, candidates, incoming)) is not None:
+            return outcome
 
         ledger.stage_reached = "double"
         if self.policy.runs_double:
             first = candidates[0]  # nearest the destination (LRD scan order)
             first_pos = self._point(first)
-            adjacent = [r for r in self._scan(first_pos, self.ris_ids) if r != first]
+            adjacent = self._scan(first_pos, self.ris_ids)  # a scan never holds its centre, so not ``first``
             if not adjacent:
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
             second = adjacent[0]
@@ -579,7 +575,7 @@ class Router:
             endpoints = [e for e in forward if e[0] in idle]
             if not endpoints:
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # every forward IU busy: nothing to draw for
-            if h_in is None:
+            if (h_in := incoming.get(first)) is None:
                 h_in = channel.sample_amplitudes(n_elements, k_db, self.rng)
             h_mid = channel.sample_fading((n_elements, n_elements), k_db, self.rng)
             d_in, d_mid = math.dist(origin, first_pos), math.dist(first_pos, second_pos)

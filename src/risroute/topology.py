@@ -32,8 +32,8 @@ the centre and r (the destination is row ``DEST_ID``), so ``Topology.scan``
 keeps each result, as a tuple, keyed by (id range, centre, r): a deferral's
 rescan, a surface scanned again and the routes of other policies on the same
 topology cost one lookup, and routes at another radius get their own
-entries. A mobile route moves a copy of the table and scans it afresh, with
-no memo and no index.
+entries. A mobile route moves the IU rows of a copy of the table and scans
+them afresh, with no memo and no index; its surface scans read the memo.
 
 Cell indexes. A scan the memo misses still runs ``half_circle_scan``,
 handed the topology's cell index of (id range, r), built lazily on the
@@ -49,8 +49,8 @@ takes the array path: a few numpy passes over every row, measuring the
 remaining distance of the hits alone. The surfaces' index depends only on
 their rows, r and the destination, so it is kept in a small cache that
 every topology of a grid run shares (``_surface_index``); an IU range's
-belongs to its topology. A moving table has no index and takes the array
-path too.
+belongs to its topology. Moving IUs have no index and take the array path
+too.
 
 Both paths return the same ids in the same order, bit for bit, by these
 rules (``TestCellIndex`` and ``TestArrayPath`` hold them to it):

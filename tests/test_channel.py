@@ -264,12 +264,11 @@ class TestSingleReflection:
         n = 16
         assert single_reflection_sinr(UNIT, ones_vector(n), np.zeros(n), ones_vector(n),
                                       1.0, 1.0) == pytest.approx(n**2, rel=1e-12)
-        assert optimal_single_reflection_snr(UNIT, ones_vector(n), ones_vector(n),
-                                             1.0, 1.0) == pytest.approx(n**2, rel=1e-12)
+        assert optimal_single_reflection_snr(UNIT, np.ones(n), np.ones(n), 1.0, 1.0) == pytest.approx(n**2, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="element counts"):
-            optimal_single_reflection_snr(UNIT, ones_vector(1), ones_vector(5), 1.0, 1.0)
+            optimal_single_reflection_snr(UNIT, np.ones(1), np.ones(5), 1.0, 1.0)
 
     def test_optimal_phases_zero_channel_phases(self):
         h = ones_vector(6)
@@ -277,7 +276,7 @@ class TestSingleReflection:
 
     def test_two_element_coherence(self):
         h = ones_vector(2)
-        aligned = optimal_single_reflection_snr(UNIT, h, h, 1.0, 1.0)
+        aligned = optimal_single_reflection_snr(UNIT, np.abs(h), np.abs(h), 1.0, 1.0)
         anti = single_reflection_sinr(UNIT, h, np.array([0.0, math.pi]), h, 1.0, 1.0)
         assert aligned == pytest.approx(4.0, rel=1e-12)
         assert anti == pytest.approx(0.0, abs=1e-20)
@@ -288,14 +287,14 @@ class TestSingleReflection:
             h_in = sample_fading(32, 10.0, rng)
             h_out = sample_fading(32, 10.0, rng)
             via_cascade = single_reflection_sinr(PARAMS, h_in, aligned_phases(h_in, h_out), h_out, 25.0, 35.0)
-            closed = optimal_single_reflection_snr(PARAMS, h_in, h_out, 25.0, 35.0)
+            closed = optimal_single_reflection_snr(PARAMS, np.abs(h_in), np.abs(h_out), 25.0, 35.0)
             assert via_cascade == pytest.approx(closed, rel=1e-10)
 
     def test_optimum_beats_random_phases_n250(self):
         rng = np.random.default_rng(11)
         h_in = sample_fading(250, 10.0, rng)
         h_out = sample_fading(250, 10.0, rng)
-        best = optimal_single_reflection_snr(UNIT, h_in, h_out, 1.0, 1.0)
+        best = optimal_single_reflection_snr(UNIT, np.abs(h_in), np.abs(h_out), 1.0, 1.0)
         v = h_out * h_in
         random_phases = rng.uniform(0, 2 * math.pi, size=(10_000, 250))
         gains = np.abs(np.exp(1j * random_phases) @ v) ** 2
@@ -310,7 +309,7 @@ class TestSingleReflection:
             for _ in range(20):
                 h_in = sample_fading(n, 10.0, rng)
                 h_out = sample_fading(n, 10.0, rng)
-                opt = optimal_single_reflection_snr(UNIT, h_in, h_out, 1.0, 1.0)
+                opt = optimal_single_reflection_snr(UNIT, np.abs(h_in), np.abs(h_out), 1.0, 1.0)
                 v = h_out * h_in
                 term_phase = np.angle(v)  # phase of each cascaded term pre-shift
                 best_grid = 0.0

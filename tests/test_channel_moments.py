@@ -147,7 +147,7 @@ def check_aligned_single_reflection_mean(k_db, draw_in, draw_out, seed):
     path = CFG.tx_power_w * CFG.rho_l**2 * d_in ** (-CFG.alpha_other) * d_out ** (-CFG.alpha_other) / CFG.noise_w
     rng = np.random.default_rng(seed)
     coherent_power = np.array([
-        optimal_single_reflection_snr(CFG, draw_in(n, k_db, rng), draw_out(n, k_db, rng), d_in, d_out)
+        optimal_single_reflection_snr(CFG, np.abs(draw_in(n, k_db, rng)), np.abs(draw_out(n, k_db, rng)), d_in, d_out)
         for _ in range(REFLECTIONS)
     ]) / path
     want = n + n * (n - 1) * rician_mean_amplitude(k_db) ** 4

@@ -671,7 +671,8 @@ class ExhaustiveRouter(Router):
     stopping stages must match. Its relay stage draws as the router's does. Its single stage draws
     nothing: it reads ``draws``, a lazy stage's ``h_in`` by surface id and ``h_out`` by (surface id,
     endpoint id), and reaches a surface or endpoint missing there at ``MAX_GAIN`` (``skipped``
-    counts those reads). Every scan of its table is fresh, so a memoized scan is checked too."""
+    counts those reads), leaving its ``incoming`` table as it was. Every scan of its table is fresh,
+    so a memoized scan is checked too."""
 
     draws: dict = {}
     skipped = 0
@@ -696,9 +697,9 @@ class ExhaustiveRouter(Router):
         if key in self.draws:
             return self.draws[key]
         self.skipped += 1
-        return np.full(self.cfg.ris_elements, MAX_GAIN, dtype=complex)
+        return np.full(self.cfg.ris_elements, MAX_GAIN)
 
-    def _single_stage(self, origin, candidates):
+    def _single_stage(self, origin, candidates, incoming):
         best = None  # ((progress, ris_id), surfaces, entry)
         for ris_id in candidates:
             ris_pos = self._point(ris_id)
@@ -715,7 +716,7 @@ class ExhaustiveRouter(Router):
                 key = (min(e.link.remaining_m for e in entries), ris_id)
                 if best is None or key < best[0]:
                     best = (key, (ris_id,), select_entry(entries))
-        return None if best is None else best[1:], None
+        return None if best is None else best[1:]
 
 
 @contextlib.contextmanager
@@ -750,7 +751,8 @@ class StageOracle:
     it (so the oracle's observations read the same states and draw nothing), with ``MAX_GAIN`` for
     every surface and endpoint the lazy stage skipped. Both must pick the same hop, and the oracle
     must leave its generator untouched. Every draw of the lazy stage must be read and is an amplitude
-    draw, and the stage hands the first surface's ``h_in`` on when it finds no hop. Replaying its
+    draw, and the stage's ``incoming`` table, empty before it, holds each ``h_in`` it drew, by surface,
+    and nothing else: the double stage reads the first surface's there. Replaying its
     observation and draws, in order, from where the stage began must leave the generator and the
     field where the stage left them: nothing else advanced them.
     """
@@ -795,8 +797,9 @@ class StageOracle:
         self.links += (links[0], oracle_links[0])
         return got
 
-    def single_stage(self, origin, candidates):
+    def single_stage(self, origin, candidates, incoming):
         r = self.router
+        assert not incoming
         field_before, rng_before = copy.deepcopy(r.field), copy.deepcopy(r.rng)
         events, draws = [], {}  # events: (function name, arguments but the generator, result)
         real = {name: getattr(channel, name) for name in DRAWS}
@@ -831,7 +834,7 @@ class StageOracle:
             setattr(channel, name, recorder(name))
         r.field.states_at, r._single_surface = observe, surface
         try:
-            got, h_in = self.single(origin, candidates)
+            got = self.single(origin, candidates, incoming)
         finally:
             for name, draw in real.items():
                 setattr(channel, name, draw)
@@ -841,12 +844,13 @@ class StageOracle:
         assert events[0][1][1].tolist() == list(dict.fromkeys(i - FIRST_IU_ID for i in in_sight if i != DEST_ID))
         self.sync(r.field, rng_before)
         self.oracle.draws = draws
-        assert got == self.oracle._single_stage(origin, candidates)[0]
+        assert got == self.oracle._single_stage(origin, candidates, {})
         assert self.oracle.rng.bit_generator.state == rng_before.bit_generator.state
         made = [value for name, _, value in events if name != "states_at"]
         assert sorted(map(id, made)) == sorted(map(id, draws.values()))  # every draw is read
         assert {d.dtype.kind for d in draws.values()} <= {"f"}
-        assert h_in is (draws.get(candidates[0]) if got is None else None)
+        assert incoming.keys() == {k for k in draws if isinstance(k, int)}
+        assert all(h_in is draws[ris_id] for ris_id, h_in in incoming.items())
         for name, args, value in events:
             if name == "states_at":
                 field_before.states_at(*args, rng_before)
@@ -855,7 +859,7 @@ class StageOracle:
         assert rng_before.bit_generator.state == r.rng.bit_generator.state
         assert same_field(field_before, r.field)
         self.single_stages += 1
-        return got, h_in
+        return got
 
 
 class TestStopRulesMatchExhaustiveStages:
@@ -1062,8 +1066,8 @@ class TestStageReached:
 
 
 class TestScanMemo:
-    """A static router reads its scans from the topology's memo (``Topology.scan``), keyed by radius
-    too; a mobile one scans afresh every time."""
+    """A router reads its surface scans, and a static one its IU scans too, from the topology's memo
+    (``Topology.scan``), keyed by radius too; a mobile one scans its moving IUs afresh every time."""
 
     @staticmethod
     def counted_route(monkeypatch, cfg, topo, walk=None, seed=0):
@@ -1105,12 +1109,36 @@ class TestScanMemo:
         assert hits >= 1
 
     def test_moving_ius_never_read_a_memo(self, monkeypatch):
-        cfg = SimConfig(coverage_m=50.0, iu_count=400, **LINE_ENDS)
-        for seed in range(3):
-            topo = generate_topology(cfg, rng_for(172, seed))
-            walk = MobilityField(topo.iu_xy, cfg.arena_m, 20.0, rng_for(173, seed))
-            _, scans, computed = self.counted_route(monkeypatch, cfg, topo, walk=walk, seed=seed)
-            assert not topo._scans and scans == computed > 0
+        """In a mobile route every memo entry is a surface scan equal to a scan of the router's moving
+        table, and every IU scan is computed afresh."""
+        real_scan, real_half = Router._scan, topology.half_circle_scan
+        surface_scans = 0
+        for coverage, iu_count in ((30.0, 100), (50.0, 400)):
+            cfg = SimConfig(coverage_m=coverage, iu_count=iu_count, **LINE_ENDS)
+            for seed in range(3):
+                topo = generate_topology(cfg, rng_for(172, seed))
+                walk = MobilityField(topo.iu_xy, cfg.arena_m, 20.0, rng_for(173, seed))
+                r = Router(topo, _profiles_for(cfg), cfg, rng_for(170, seed), mobility=walk)
+                iu_scans = [0, 0]  # asked of the router, computed by half_circle_scan
+
+                def scan(self, center, ids=None):
+                    iu_scans[0] += ids is None
+                    return real_scan(self, center, ids)
+
+                def half(xy, ids, *args):
+                    iu_scans[1] += ids == r.relay_ids
+                    return real_half(xy, ids, *args)
+
+                monkeypatch.setattr(Router, "_scan", scan)
+                monkeypatch.setattr(topology, "half_circle_scan", half)
+                r.run()
+                monkeypatch.undo()
+                assert iu_scans[0] == iu_scans[1] > 0
+                for (ids, center, radius), found in topo._scans.items():
+                    assert ids == r.ris_ids and radius == coverage
+                    assert found == tuple(topology.half_circle_scan(r.xy, ids, center, r.dest, radius))
+                surface_scans += len(topo._scans)
+        assert surface_scans >= 1
 
     def test_radii_keep_separate_entries(self, monkeypatch):
         """One topology routed at two radii keeps each radius's scans apart: each route equals the

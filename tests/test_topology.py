@@ -242,7 +242,7 @@ class TestCellIndex:
     def test_a_surface_grid_mirrored_about_the_axis(self, r):
         # the r/2 grid's rows (at 7.5 + 15k for r = 30) mirror about a multiple of r/2: surfaces in
         # pairs at one remaining distance, rows exactly r apart along either axis, every surface a
-        # scan centre
+        # scan centre, whose own row no scan holds (zero projection) on either path
         axis_y = {30.0: 195.0, 60.0: 180.0, 90.0: 180.0}[r]
         cfg = SimConfig(coverage_m=r, iu_count=100, source_xy=(20.0, axis_y), dest_xy=(380.0, axis_y))
         topos = [generate_topology(cfg, np.random.default_rng(seed)) for seed in range(2)]
@@ -250,11 +250,13 @@ class TestCellIndex:
             surfaces, relays = range(topo.first_ris_id, len(topo.xy)), range(DEST_ID, topo.first_ris_id)
             rows = {tuple(row) for row in topo.xy[surfaces.start:].tolist()}
             assert all((x, 2 * axis_y - y) in rows for x, y in rows if 0.0 <= 2 * axis_y - y <= cfg.arena_m)
-            centers = [point(topo, i) for i in surfaces] + [point(topo, SOURCE_ID)]
-            for center in centers:
-                if center != point(topo, DEST_ID):
+            dest = point(topo, DEST_ID)
+            for i in [*surfaces, SOURCE_ID]:
+                if (center := point(topo, i)) != dest:
                     assert self.check(topo, surfaces, center, r)
                     assert self.check(topo, relays, center, r)
+                    assert i not in topo.scan(surfaces, center, r)  # through the surfaces' cell index
+                    assert i not in half_circle_scan(topo.xy, surfaces, center, dest, r)  # the array path
         ids = range(topos[0].first_ris_id, len(topos[0].xy))
         assert topos[0]._indexes[ids, r] is topos[1]._indexes[ids, r]  # one index for the run's surfaces
 
