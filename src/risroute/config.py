@@ -238,12 +238,7 @@ class SimConfig:
         return out
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
-
-_STR_KEYS = {"threshold_rule"}
-_LIST_OK = {"lambda_off_ms", "mu_on_ms"}
-_PAIR_KEYS = {"source_xy", "dest_xy"}
-_NULLABLE = {"ris_spacing_m", "source_xy", "dest_xy"}
+_FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}  # e.g. "float | None", "tuple[float, float] | None"
 
 
 def _number(key: str, raw) -> int | float:
@@ -257,21 +252,25 @@ def _number(key: str, raw) -> int | float:
 
 
 def _coerce(key: str, raw) -> object:
+    """``raw`` as the value of ``key``, by its field's annotation: None where it ends in ``| None``, a
+    string for ``str``, a tuple where it names one (a pair for ``tuple[float, float]``), else a number."""
+    kind = _FIELD_TYPES[key]
     if raw is None or (isinstance(raw, str) and raw.strip().lower() in ("none", "null")):
-        if key in _NULLABLE:
+        if kind.endswith("| None"):
             return None
         raise ConfigError(f"config key '{key}' cannot be null")
-    if key in _STR_KEYS:
+    if kind == "str":
         return str(raw).strip()
     if isinstance(raw, str) and "," in raw:
         raw = [p for p in (s.strip() for s in raw.split(",")) if p]
+    pair = kind.startswith("tuple[float, float]")
     if not isinstance(raw, (list, tuple)):
-        if key in _PAIR_KEYS:
+        if pair:
             raise ConfigError(f"config key '{key}' needs exactly two values, got {raw!r}")
         return _number(key, raw)
-    if key not in _LIST_OK | _PAIR_KEYS:
+    if "tuple" not in kind:
         raise ConfigError(f"config key '{key}' does not accept a list")
-    if key in _PAIR_KEYS and len(raw) != 2:
+    if pair and len(raw) != 2:
         raise ConfigError(f"config key '{key}' needs exactly two values")
     return tuple(_number(key, v) for v in raw)
 

@@ -6,9 +6,10 @@ the grid defaults, the CLI and ``run`` all read that table.
 
 The sweep, comparison and mobility kinds are grids of cells, each cell one
 grid point under one policy and one summary row: ``_grid_cells`` lists them
-in output order, grouped by shared topology (the comparison variants at one
-coverage; any other cell alone), ``_run_cells`` runs the replications of one
-group and ``_run_grid`` runs them all (the two sweeps on worker processes
+from the plan alone, in output order, grouped by shared topology (the
+comparison variants at one coverage; any other cell alone). The plan check
+reads their scenario ids; ``_run_grid`` builds each group's config, then
+runs every group through ``_run_cells`` (the two sweeps on worker processes
 when asked) into CSVs.
 
 Node positions are rows of the topology's node table (a node's id is its row;
@@ -148,8 +149,8 @@ class ExperimentPlan:
             raise ConfigError(f"vmax_grid speeds must be finite and >= 0, got {self.vmax_grid}")
         if self.kind == "mobility" and len(self.resolved_coverage_grid()) > 1:
             raise ConfigError("mobility runs at one coverage radius; give coverage_grid a single value")
-        # the grids name their cells' scenario ids (``_scenario_ids``), so no two values may print alike
-        ids = Counter(sid for group in _scenario_ids(self) for sid in group)
+        # the grids name their cells' scenario ids, so no two values may print alike
+        ids = Counter(cell.scenario_id for group in _grid_cells(self) for cell in group)
         alike = [sid for sid, n in ids.items() if n > 1]
         if alike:
             raise ConfigError(f"two grid cells share the scenario id {alike[0]!r}: no two grid values may print alike")
@@ -322,7 +323,7 @@ class Cell:
     scenario_id: str
     variant: str  # label in the detail rows' variant column
     policy: router.RoutePolicy  # the policy the routes run under
-    cfg: SimConfig  # the grid point's coverage and density are cfg.coverage_m and cfg.iu_count
+    point: dict  # the grid point as config overrides: coverage_m, and iu_count in the sweeps
     v_max: float = 0.0  # maximum waypoint speed of the IUs
     extra: dict = field(default_factory=dict)  # summary columns between density and the stats
 
@@ -333,68 +334,50 @@ def _point(coverage: float, density: int) -> str:
     return f"r{coverage:g}-m{density}"
 
 
-def _scenario_ids(plan: ExperimentPlan) -> list[tuple[str, ...]]:
-    """The scenario ids of a plan's grid cells, grouped and ordered as ``_grid_cells`` lists them; none
-    for a kind that runs no grid. The plan check refuses a plan that names two cells alike."""
-    coverages = plan.resolved_coverage_grid()
-    if plan.kind == "comparison":
-        return [tuple(f"comparison-r{c:g}-{v}" for v in plan.variants) for c in coverages]
-    if plan.kind == "mobility":
-        return [(f"mobility-v{v:g}",) for v in plan.vmax_grid]
-    return [(f"{plan.kind}-{_point(c, d)}",) for d in plan.resolved_density_grid() for c in coverages]
-
-
-def _grid_cells(plan: ExperimentPlan, base: SimConfig) -> list[tuple[Cell, ...]]:
-    """A grid plan's cells in output order, grouped by shared topology, each a variation of ``base``
-    named by ``_scenario_ids``; every config is built (and checked) and every variant resolved to its
-    policy before any route runs. The cells of one grid point share its config."""
-    ids = _scenario_ids(plan)
+def _grid_cells(plan: ExperimentPlan) -> list[tuple[Cell, ...]]:
+    """A plan's grid cells in output order, grouped by shared topology, each variant resolved to its
+    policy; none for a kind that runs no grid, whose grids are empty. The cells of one group share
+    their grid point."""
     coverages = plan.resolved_coverage_grid()
     full = router.BASELINE_POLICIES["full"]
     if plan.kind == "comparison":
-        points = [replace(base, coverage_m=c) for c in coverages]
-        return [
-            tuple(Cell(sid, v, router.BASELINE_POLICIES[v], point, extra={"variant": v})
-                  for sid, v in zip(group, plan.variants))
-            for group, point in zip(ids, points)
-        ]
+        return [tuple(Cell(f"comparison-r{c:g}-{v}", v, router.BASELINE_POLICIES[v], {"coverage_m": c},
+                           extra={"variant": v}) for v in plan.variants) for c in coverages]
     if plan.kind == "mobility":
-        point = replace(base, coverage_m=coverages[0])
-        return [
-            (Cell(sid, f"v{v:g}", full, point, v_max=v, extra={"v_max": v}),)
-            for (sid,), v in zip(ids, plan.vmax_grid)
-        ]
-    points = [replace(base, coverage_m=c, iu_count=d) for d in plan.resolved_density_grid() for c in coverages]
-    return [(Cell(sid, "full", full, point),) for (sid,), point in zip(ids, points)]
+        return [(Cell(f"mobility-v{v:g}", f"v{v:g}", full, {"coverage_m": coverages[0]}, v_max=v,
+                      extra={"v_max": v}),) for v in plan.vmax_grid]
+    return [(Cell(f"{plan.kind}-{_point(c, d)}", "full", full, {"coverage_m": c, "iu_count": d}),)
+            for d in plan.resolved_density_grid() for c in coverages]
 
 
-def _run_cells(cells: tuple[Cell, ...], seed: int, replications: int) -> list[list[dict]]:
-    """Each cell's detail rows, for cells at one grid point and speed; module-level for process pools.
+def _run_cells(cfg: SimConfig, cells: tuple[Cell, ...], seed: int, replications: int) -> list[list[dict]]:
+    """Each cell's detail rows, for cells at one grid point ``cfg`` and speed; module-level for process
+    pools.
 
     Every replication draws the point's ``grid`` stream, and a moving cell also its ``walk`` stream.
     Comparison cells at one coverage route their policies together on one topology
     (``Replication``); a mobility cell runs alone on the streams every speed shares. So the curves
     differ by policy or speed only.
     """
-    point = _point(cells[0].cfg.coverage_m, cells[0].cfg.iu_count)
+    point = _point(cfg.coverage_m, cfg.iu_count)
     rows: list[list[dict]] = [[] for _ in cells]
     for rep in range(replications):
         rng = _stream(seed, "grid", rep, point)
         walk = _stream(seed, "walk", rep, point) if cells[0].v_max > 0 else None
         shared = Replication() if walk is None else None
         for cell, out in zip(cells, rows):
-            ledger = run_one_route(cell.cfg, rng, cell.policy, mobility_rng=walk, v_max=cell.v_max, shared=shared)
-            out.append(_detail_row(cell, seed, ledger))
+            ledger = run_one_route(cfg, rng, cell.policy, mobility_rng=walk, v_max=cell.v_max, shared=shared)
+            out.append(_detail_row(cfg, cell, seed, ledger))
     return rows
 
 
-def _detail_row(cell: Cell, seed: int, ledger: router.RouteLedger) -> dict:
+def _detail_row(cfg: SimConfig, cell: Cell, seed: int, ledger: router.RouteLedger) -> dict:
     row = {
         "scenario_id": cell.scenario_id,
         "seed": seed,
         "variant": cell.variant,
-        "coverage_m": cell.cfg.coverage_m,
-        "density": cell.cfg.iu_count,
+        "coverage_m": cfg.coverage_m,
+        "density": cfg.iu_count,
         "D_T": 0.0,
         "D_T_normalized": 0.0,
         "E_eff": 0.0,
@@ -403,7 +386,7 @@ def _detail_row(cell: Cell, seed: int, ledger: router.RouteLedger) -> dict:
         "success": 0,
     }
     if ledger.success:
-        row.update(metrics.compute_route_metrics(ledger, cell.cfg), success=1)
+        row.update(metrics.compute_route_metrics(ledger, cfg), success=1)
     return row
 
 
@@ -543,7 +526,8 @@ def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, res
 
 def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
     """Sweeps, comparison and mobility: one summary row per cell."""
-    groups = _grid_cells(plan, cfg)
+    groups = _grid_cells(plan)
+    points = [replace(cfg, **group[0].point) for group in groups]  # each checked before any file is written
     result.files.append(write_manifest(out, plan, cfg))
     run_cells = partial(_run_cells, seed=plan.seed, replications=plan.replications)
     if plan.threads > 1 and KINDS[plan.kind].pooled:
@@ -551,16 +535,17 @@ def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: Experimen
 
         # never more workers than cells: a fork-started pool forks every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(plan.threads, len(groups))) as pool:
-            outcomes = [rows for group in pool.map(run_cells, groups) for rows in group]
+            outcomes = list(pool.map(run_cells, points, groups))
     else:
-        outcomes = [rows for group in map(run_cells, groups) for rows in group]
+        outcomes = list(map(run_cells, points, groups))
     details, summaries = [], []
-    for cell, rows in zip((cell for group in groups for cell in group), outcomes):
-        details.extend(rows)
-        summaries.append({"scenario_id": cell.scenario_id, "coverage_m": cell.cfg.coverage_m,
-                          "density": cell.cfg.iu_count, **cell.extra, **_aggregate(rows)})
-        result.attempted += len(rows)
-        result.succeeded += sum(d["success"] for d in rows)
+    for point, group, group_rows in zip(points, groups, outcomes):
+        for cell, rows in zip(group, group_rows):
+            details.extend(rows)
+            summaries.append({"scenario_id": cell.scenario_id, "coverage_m": point.coverage_m,
+                              "density": point.iu_count, **cell.extra, **_aggregate(rows)})
+            result.attempted += len(rows)
+            result.succeeded += sum(d["success"] for d in rows)
     stem = plan.kind.removesuffix("_sweep")
     result.files.append(write_csv(out / f"{stem}_detail.csv", DETAIL_COLUMNS, details))
     result.files.append(write_csv(out / f"{stem}_summary.csv", list(summaries[0]), summaries))

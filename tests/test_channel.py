@@ -8,6 +8,7 @@ from scipy import integrate, special
 from scipy.stats import kstest
 
 from risroute.channel import (
+    POLAR_BLOCK,
     SCALAR_MAX,
     TWO_PI,
     alternating_double_phases,
@@ -195,8 +196,9 @@ class TestFadingSampler:
 
     def test_a_draw_allocates_its_output_and_one_scratch_array(self):
         # a 250x250 draw holds its complex output (250 * 250 * 16 B = 1.0 MB) and one real scratch
-        # array (250 * 250 * 8 B = 0.5 MB) at its peak, and two block temporaries (2 * 24 KiB); 1.5 MB
-        # plus 64 KiB for those and small objects is the bound, and 1.5 MB plus 50,608 B was measured.
+        # array (250 * 250 * 8 B = 0.5 MB) at its peak, and two block temporaries (2 * 8 B a block
+        # element); 1.5 MB plus those and 16 KiB for small objects is the bound (64 KiB over 1.5 MB
+        # at 3072-element blocks); 1.5 MB plus 50,608 B was measured at 3072 and 132,528 B at 8192.
         # ``written_out_fading``, one temporary per term, peaks at 5.50 MB.
         rng = np.random.default_rng(22)
         sample_fading((250, 250), 10.0, rng)  # warm-up
@@ -210,7 +212,7 @@ class TestFadingSampler:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert peak - before <= 250 * 250 * (16 + 8) + 64 * 1024, peak - before
+        assert peak - before <= 250 * 250 * (16 + 8) + 2 * 8 * POLAR_BLOCK + 16 * 1024, peak - before
 
     def test_rejects_an_empty_shape(self):
         with pytest.raises(ValueError, match=">= 1"):

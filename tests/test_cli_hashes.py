@@ -3,7 +3,7 @@ import json
 import re
 from pathlib import Path
 
-from risroute import experiments, topology
+from risroute import experiments, router, topology
 from risroute.cli import build_parser
 from risroute.config import load_config
 from risroute.linkbudget import transfer_slots
@@ -42,10 +42,18 @@ def test_channel_config_sets_keys_no_other_run_sets(tmp_path):
         build_parser().parse_args([*args, "--seed", str(seed), "--config", str(path)])
 
 
-def test_arrival_config_runs_meet_waypoint_arrivals(tmp_path, monkeypatch):
-    path = tmp_path / "arrivals.json"
-    path.write_text(json.dumps(cli_hashes.ARRIVAL_CONFIG))
+def run_lines(commands, config, tmp_path):
+    """Run each of ``commands`` in-process under ``config``, as the tool's lines run them."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     cfg = load_config(path)
+    for seed, args in commands:
+        parsed = build_parser().parse_args([*args, "--seed", str(seed), "--config", str(path)])
+        plan = experiments.ExperimentPlan(kind=parsed.kind, seed=parsed.seed, replications=parsed.replications)
+        experiments.run(plan, cfg, tmp_path / "out")
+
+
+def test_arrival_config_runs_meet_waypoint_arrivals(tmp_path, monkeypatch):
     arrivals = []
     walk = experiments.MobilityField.positions_at
 
@@ -56,17 +64,11 @@ def test_arrival_config_runs_meet_waypoint_arrivals(tmp_path, monkeypatch):
         return xy
 
     monkeypatch.setattr(experiments.MobilityField, "positions_at", counted)
-    for seed, args in cli_hashes.ARRIVAL_COMMANDS:
-        parsed = build_parser().parse_args([*args, "--seed", str(seed), "--config", str(path)])
-        plan = experiments.ExperimentPlan(kind=parsed.kind, seed=parsed.seed, replications=parsed.replications)
-        experiments.run(plan, cfg, tmp_path / "out")
+    run_lines(cli_hashes.ARRIVAL_COMMANDS, cli_hashes.ARRIVAL_CONFIG, tmp_path)
     assert sum(arrivals) >= 1
 
 
 def test_spacing_config_runs_scan_surfaces_with_and_without_an_index(tmp_path, monkeypatch):
-    path = tmp_path / "spacing.json"
-    path.write_text(json.dumps(cli_hashes.SPACING_CONFIG))
-    cfg = load_config(path)
     indexed = {}  # radius -> whether the surface ranges scanned at it had a cell index
     scan = topology.Topology.scan
 
@@ -77,11 +79,44 @@ def test_spacing_config_runs_scan_surfaces_with_and_without_an_index(tmp_path, m
         return found
 
     monkeypatch.setattr(topology.Topology, "scan", recorded)
-    for seed, args in cli_hashes.SPACING_COMMANDS:
-        parsed = build_parser().parse_args([*args, "--seed", str(seed), "--config", str(path)])
-        plan = experiments.ExperimentPlan(kind=parsed.kind, seed=parsed.seed, replications=parsed.replications)
-        experiments.run(plan, cfg, tmp_path / "out")
+    run_lines(cli_hashes.SPACING_COMMANDS, cli_hashes.SPACING_CONFIG, tmp_path)
     assert indexed == {30.0: {True}, 45.0: {False}, 60.0: {False}}
+
+
+def test_handoff_config_takes_double_hops_on_the_single_stages_h_in(tmp_path, monkeypatch):
+    handed = []  # per double hop: whether the single stage before it drew its first surface's h_in
+    tables = []  # the reflector stage's h_in table, as the single stage fills it
+    single, fallback = router.Router._single_stage, router.Router.ris_fallback
+
+    def recorded_single(self, origin, candidates, incoming):
+        tables.append(incoming)
+        return single(self, origin, candidates, incoming)
+
+    def recorded_fallback(self, origin, ledger):
+        tables.clear()
+        outcome = fallback(self, origin, ledger)
+        if not isinstance(outcome, router.FailureReason) and len(outcome[0]) == 2:
+            handed.append(bool(tables) and outcome[0][0] in tables[0])
+        return outcome
+
+    monkeypatch.setattr(router.Router, "_single_stage", recorded_single)
+    monkeypatch.setattr(router.Router, "ris_fallback", recorded_fallback)
+    run_lines(cli_hashes.HANDOFF_COMMANDS, cli_hashes.HANDOFF_CONFIG, tmp_path)
+    assert sum(handed) >= 1
+
+
+def test_delay_config_ends_a_route_in_delay_exceeded(tmp_path, monkeypatch):
+    reasons = []
+    real = experiments.run_one_route
+
+    def recorded(*args, **kwargs):
+        ledger = real(*args, **kwargs)
+        reasons.append(ledger.failure_reason)
+        return ledger
+
+    monkeypatch.setattr(experiments, "run_one_route", recorded)
+    run_lines(cli_hashes.DELAY_COMMANDS, cli_hashes.DELAY_CONFIG, tmp_path)
+    assert router.FailureReason.DELAY_EXCEEDED in reasons
 
 
 def test_hashes_each_csv_by_name():

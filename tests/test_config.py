@@ -168,6 +168,35 @@ class TestKeySetTwice:
             load_config(path)
 
 
+class TestKeyClasses:
+    """A file value is read by its field's annotation: nullable, string, list, pair or number."""
+
+    @pytest.mark.parametrize("text,key,value", [
+        ("ris_spacing_m = none", "ris_spacing_m", None), ("source_xy = null", "source_xy", None),
+        ("threshold_rule = eqtext ", "threshold_rule", "eqtext"), ("mu_on_ms = 3", "mu_on_ms", 3.0),
+        ("source_xy = 10, 20", "source_xy", (10.0, 20.0)), ("iu_count = 3", "iu_count", 3),
+        ("iu_count = 2\nlambda_off_ms = 1, 2", "lambda_off_ms", (1.0, 2.0)),
+    ])
+    def test_accepted(self, text, key, value, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text(text + "\n")
+        assert getattr(load_config(path), key) == value
+
+    @pytest.mark.parametrize("text,message", [
+        ("coverage_m = none", "config key 'coverage_m' cannot be null"),
+        ("threshold_rule = null", "config key 'threshold_rule' cannot be null"),
+        ("coverage_m = 60, 70", "config key 'coverage_m' does not accept a list"),
+        ("ris_spacing_m = 10, 20", "config key 'ris_spacing_m' does not accept a list"),
+        ("dest_xy = 5", "config key 'dest_xy' needs exactly two values, got"),
+        ("source_xy = 1, 2, 3", "config key 'source_xy' needs exactly two values"),
+    ])
+    def test_refused(self, text, message, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+
 class TestPerIuLists:
     @pytest.mark.parametrize("key", ["lambda_off_ms", "mu_on_ms"])
     def test_length_must_equal_iu_count(self, key):

@@ -160,27 +160,16 @@ class TestPlanValidation:
             with pytest.raises(ConfigError, match=f"{kind} takes no {name}"):
                 ExperimentPlan(kind=kind, **{name: changed[name]})
 
-    @pytest.mark.parametrize("kind", sorted(k for k, spec in experiments.KINDS.items()
-                                            if spec.runner is experiments._run_grid))
-    def test_the_uniqueness_check_compares_the_cells_scenario_ids(self, kind, monkeypatch):
-        # on the kind's default grids and on grids of values that print near alike, the names the
-        # plan check compares are exactly the scenario ids of ``_grid_cells``' cells, in their groups
-        grids = {"coverage_grid": (50.0,) if kind == "mobility" else (30.0, 30.5, 31),
-                 "density_grid": (100, 101), "vmax_grid": (0.0, 0.5, 5), "variants": ("full", "shannon")}
-        base = replace(SimConfig(), source_xy=experiments.SWEEP_SOURCE, dest_xy=experiments.SWEEP_DEST)
-        real, compared = experiments._scenario_ids, []
-
-        def recorded(plan):
-            compared.append(real(plan))
-            return compared[-1]
-
-        monkeypatch.setattr(experiments, "_scenario_ids", recorded)
-        for given in ({}, {name: grid for name, grid in grids.items() if name in experiments.KINDS[kind].reads}):
-            compared.clear()
-            plan = ExperimentPlan(kind=kind, **given)
-            cells = [tuple(cell.scenario_id for cell in group) for group in experiments._grid_cells(plan, base)]
-            assert compared[0] == cells and len(compared) == 2  # the check's call, then the cells'
-            assert len({sid for group in cells for sid in group}) == sum(map(len, cells)) > 1
+    @pytest.mark.parametrize("kind,given,count", [
+        ("coverage_sweep", {"coverage_grid": (30.0, 30.5, 31), "density_grid": (100, 101)}, 6),
+        ("density_sweep", {"coverage_grid": (30.0, 30.5), "density_grid": (100, 101, 102)}, 6),
+        ("comparison", {"coverage_grid": (30.0, 30.5, 31), "variants": ("full", "shannon")}, 6),
+        ("mobility", {"vmax_grid": (0.0, 0.5, 5)}, 3),
+    ])
+    def test_grid_values_that_print_near_alike_name_distinct_cells(self, kind, given, count):
+        ids = [cell.scenario_id for group in experiments._grid_cells(ExperimentPlan(kind=kind, **given))
+               for cell in group]
+        assert len(set(ids)) == len(ids) == count
 
     @pytest.mark.parametrize("bad", [
         {"kind": "comparison", "variants": ("full", "fixed-mod"), "coverage_grid": (60.0,)},
@@ -419,8 +408,8 @@ class TestSweeps:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # imported by the pooled run
         plan = ExperimentPlan(kind="coverage_sweep", seed=3, replications=1, threads=threads,
@@ -535,6 +524,31 @@ class TestComparison:
             assert variants["shannon"] >= variants["full"] - 1e-12
             assert variants["full"] >= variants["fixed_mod"]
 
+    def test_fixed_mod_never_relays_at_defaults(self, tmp_path, monkeypatch):
+        # at the default traffic every IU's idle window (4.21 slots) lies below the 16 slots a 2-bit
+        # transfer takes, so fixed_mod hops to an IU only by reflection; full relays (a recorded finding)
+        cfg = SimConfig()
+        floor = linkbudget.transfer_slots(cfg.total_bits, cfg.fixed_rate_bits)
+        assert experiments._profiles_for(cfg).nu_idle.max() < floor == 16
+        routed = {"full": [], "fixed_mod": []}  # the ledgers of each variant
+        real = experiments.run_one_route
+
+        def recorded(cfg, rng, policy=router.RoutePolicy(), *args, **kwargs):
+            ledger = real(cfg, rng, policy, *args, **kwargs)
+            for name in routed:
+                if policy == router.BASELINE_POLICIES[name]:
+                    routed[name].append(ledger)
+            return ledger
+
+        monkeypatch.setattr(experiments, "run_one_route", recorded)
+        run(ExperimentPlan(kind="comparison", seed=11, replications=3), cfg, tmp_path)
+
+        def relayed(name):  # direct hops into an IU
+            return [hop for ledger in routed[name] for hop in ledger.hops
+                    if len(hop.via) == 1 and hop.via[0] != topology.DEST_ID]
+
+        assert len(routed["fixed_mod"]) == 21 and relayed("full") and not relayed("fixed_mod")
+
 
 class TestMobilityExperiment:
     def test_zero_vmax_matches_static_exactly(self, tmp_path):
@@ -642,8 +656,8 @@ class TestPerConfigConstants:
         assert per_law > 0
         experiments._chain_law.cache_clear()
         calls.clear()
-        cell = experiments.Cell("c", "full", router.RoutePolicy(), cfg)
-        (rows,) = experiments._run_cells((cell,), seed=3, replications=3)
+        cell = experiments.Cell("c", "full", router.RoutePolicy(), {})
+        (rows,) = experiments._run_cells(cfg, (cell,), seed=3, replications=3)
         assert len(rows) == 3 and len(calls) == per_law
 
 
@@ -669,22 +683,24 @@ class TestSharedReplication:
         run(plan, cfg, out)
         monkeypatch.setattr(experiments, "run_one_route", real)
 
-        groups = experiments._grid_cells(plan, replace(cfg, source_xy=experiments.SWEEP_SOURCE,
-                                                                  dest_xy=experiments.SWEEP_DEST))
+        groups = experiments._grid_cells(plan)
         n = len(plan.variants)  # one group per coverage, its variants in plan order
         assert [len(group) for group in groups] == [n] * len(plan.resolved_coverage_grid())
-        assert all(cell.policy == router.BASELINE_POLICIES[v] and cell.cfg == group[0].cfg
-                   for group in groups for cell, v in zip(group, plan.variants))
+        assert all(cell.policy == router.BASELINE_POLICIES[v] and cell.point == {"coverage_m": c}
+                   for group, c in zip(groups, plan.resolved_coverage_grid()) for cell, v in zip(group, plan.variants))
         cells = [cell for group in groups for cell in group]
-        points = [f"r{cell.cfg.coverage_m:g}-m{cell.cfg.iu_count}" for cell in cells]
-        oracle = {(i, rep): run_one_route(cell.cfg, experiments._stream(plan.seed, "grid", rep, point), cell.policy)
-                  for i, (cell, point) in enumerate(zip(cells, points)) for rep in range(plan.replications)}
+        pinned = replace(cfg, source_xy=experiments.SWEEP_SOURCE, dest_xy=experiments.SWEEP_DEST)
+        configs = [replace(pinned, **cell.point) for cell in cells]
+        oracle = {(i, rep): run_one_route(point, experiments._stream(plan.seed, "grid", rep,
+                                                                     f"r{point.coverage_m:g}-m{point.iu_count}"),
+                                          cell.policy)
+                  for i, (cell, point) in enumerate(zip(cells, configs)) for rep in range(plan.replications)}
         # cells i*n to i*n + n - 1 share coverage i and route together, rep by rep
         routing_order = [(ci * n + v, rep) for ci in range(len(groups))
                          for rep in range(plan.replications) for v in range(n)]
         assert [ledger for _, _, ledger in calls] == [oracle[key] for key in routing_order]
-        rows = [experiments._detail_row(cell, plan.seed, oracle[i, rep])
-                for i, cell in enumerate(cells) for rep in range(plan.replications)]
+        rows = [experiments._detail_row(point, cell, plan.seed, oracle[i, rep])
+                for i, (cell, point) in enumerate(zip(cells, configs)) for rep in range(plan.replications)]
         experiments.write_csv(out / "oracle.csv", experiments.DETAIL_COLUMNS, rows)
         assert (out / "comparison_detail.csv").read_bytes() == (out / "oracle.csv").read_bytes()
 
