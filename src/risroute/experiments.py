@@ -7,10 +7,10 @@ the grid defaults, the CLI and ``run`` all read that table.
 The sweep, comparison and mobility kinds are grids of cells, each cell one
 grid point under one policy and one summary row: ``_grid_cells`` lists them
 from the plan alone, in output order, grouped by shared topology (the
-comparison variants at one coverage; any other cell alone). The plan check
-reads their scenario ids; ``_run_grid`` builds each group's config, then
-runs every group through ``_run_cells`` (the two sweeps on worker processes
-when asked) into CSVs.
+comparison variants at one coverage, the mobility speeds; any sweep cell
+alone). The plan check reads their scenario ids; ``_run_grid`` builds each
+group's config, then runs every group through ``_run_cells`` (the two
+sweeps on worker processes when asked) into CSVs.
 
 Node positions are rows of the topology's node table (a node's id is its row;
 see ``topology``). The mobility walk keeps IU i's position, waypoint and
@@ -33,14 +33,18 @@ comparison variants and mobility speeds reuse the same replication streams
 (common random numbers), so differences between curves are driven by the
 policies, not by sampling noise.
 
-The variants of one comparison replication are routed together
-(``Replication``): the topology is drawn once and each variant's route
-starts from the generator state just after that draw, exactly where it
-would have started on its own; the variants share the topology's scan
-memo (``topology.Topology.scan``); and a variant whose route would take
-the same draws and hops as one routed before it
-(``router.RoutePolicy.first_difference``) reuses that ledger instead of
-routing again. Every row keeps the bytes of routing each variant alone.
+The cells of one replication are routed together (``Replication``): the
+comparison variants, and the mobility speeds. The topology is drawn once
+and each route starts from the generator state just after that draw,
+exactly where it would have started on its own; each moving route also
+restarts the walk stream where the first moving route started it. The
+routes share the topology's scan memo (``topology.Topology.scan``), a
+moving route until its first tick, while its IU rows are still the
+topology's. A static variant whose route would take the same draws and
+hops as one routed before it (``router.RoutePolicy.first_difference``)
+reuses that ledger instead of routing again; a moving route never takes a
+ledger nor leaves one. Every row keeps the bytes of routing each cell
+alone.
 
 ``STREAM_VERSION`` names the order in which a route consumes its stream.
 A change that moves any draw bumps it, and every manifest records it; what
@@ -208,9 +212,12 @@ class MobilityField:
         """The IU positions at time ``t``: the walk's own ``xy`` array, not a copy, which the next
         call moves in place.
 
-        One array pass moves every row by ``delta * (step / dist)``. An arriving row adds ±0
-        there and keeps its bits, as does a row at speed 0 (``0 / dist``); then each arriving
-        row walks on in IU order.
+        One array pass moves every row by ``delta * (step / dist)``, and a row at speed 0 keeps
+        its bits (``0 / dist``). When no row arrives in the tick, as in most route ticks, no row
+        sits on its waypoint, so every distance is nonzero and the pass divides unmasked; that is
+        the whole step. Otherwise an arriving row adds ±0 in the pass (a masked divide) and keeps
+        its bits, and then each arriving row walks on in IU order. The two passes take the same
+        quotients, so the bits are the same.
         """
         if t < self.t - 1e-12:
             raise ValueError("mobility clock moved backwards")
@@ -220,7 +227,10 @@ class MobilityField:
             dist = np.hypot(delta[:, 0], delta[:, 1])
             step = self.speeds * dt
             arriving = step >= dist  # a row on its waypoint arrives, so no row left divides by zero
-            self.xy += delta * np.divide(step, dist, out=np.zeros_like(step), where=~arriving)[:, None]
+            if arriving.any():
+                self.xy += delta * np.divide(step, dist, out=np.zeros_like(step), where=~arriving)[:, None]
+            else:  # the same quotients, unmasked
+                self.xy += delta * (step / dist)[:, None]
             # arriving nodes walk on leg by leg; each arrival draws the next waypoint's x, y, then the speed
             for i in np.nonzero(arriving)[0]:
                 (x, y), (wx, wy), v = self.xy[i].tolist(), self.waypoints[i].tolist(), float(self.speeds[i])
@@ -262,11 +272,13 @@ def _chain_law(lambda_off_ms, mu_on_ms, iu_count: int, slot: float, delta: float
 
 @dataclass
 class Replication:
-    """What the static routes of one replication under several policies share: the topology (and so
-    its scan memo), the generator state just after drawing it, and each route's (policy, ledger)."""
+    """What the routes of one replication under several policies or IU speeds share: the topology (and
+    so its scan memo), the route stream's state just after drawing it, the walk stream's state before
+    the first moving route draws from it, and each static route's (policy, ledger)."""
 
     topo: topology.Topology | None = None  # drawn by the first route
     after_topology: dict | None = None  # ``bit_generator.state`` just after the topology draw
+    walk_start: dict | None = None  # the walk's ``bit_generator.state`` as the first moving route starts
     routed: list[tuple[router.RoutePolicy, router.RouteLedger]] = field(default_factory=list)
 
     def ledger_for(self, policy: router.RoutePolicy) -> router.RouteLedger | None:
@@ -289,28 +301,31 @@ def run_one_route(
 ) -> router.RouteLedger:
     """One replication: topology draw, traffic, route under ``policy``.
 
-    A static route is one of the routes of ``shared`` (a fresh ``Replication`` when None), which
-    routes the policies given the same ``shared``, ``cfg`` and stream together: the first call
-    draws the topology from ``rng``, and each later call returns a reusable ledger
-    (``Replication.ledger_for``, the same object) or resets ``rng`` to the state after that draw
-    and routes on the shared topology. A mobile route (``mobility_rng`` and
-    ``v_max > 0``) shares nothing.
+    Every route is one of the routes of ``shared`` (a fresh ``Replication`` when None), which routes
+    the policies and speeds given the same ``shared``, ``cfg`` and streams together: the first call
+    draws the topology from ``rng``, and each later call resets ``rng`` to the state after that draw
+    and routes on the shared topology. A static route may instead return a reusable ledger
+    (``Replication.ledger_for``, the same object). A mobile route (``mobility_rng`` and
+    ``v_max > 0``) walks its IUs on ``mobility_rng`` from where the first mobile route of ``shared``
+    started it; it never takes a ledger and leaves none, so no static route reuses a moving one.
     """
     law = _profiles_for(cfg)
-    if mobility_rng is not None and v_max > 0:
-        if shared is not None:
-            raise ValueError("a shared replication routes static IUs only")
-        topo = topology.generate_topology(cfg, rng)
-        mobility = MobilityField(topo.iu_xy, cfg.arena_m, v_max, mobility_rng)
-        return router.Router(topo, law, cfg, rng, policy, mobility).run()
+    moving = mobility_rng is not None and v_max > 0
     shared = Replication() if shared is None else shared
     if shared.topo is None:
         shared.topo = topology.generate_topology(cfg, rng)
         shared.after_topology = rng.bit_generator.state
-    elif (ledger := shared.ledger_for(policy)) is not None:
+    elif not moving and (ledger := shared.ledger_for(policy)) is not None:
         return ledger
     else:
         rng.bit_generator.state = shared.after_topology
+    if moving:
+        if shared.walk_start is None:
+            shared.walk_start = mobility_rng.bit_generator.state
+        else:
+            mobility_rng.bit_generator.state = shared.walk_start
+        mobility = MobilityField(shared.topo.iu_xy, cfg.arena_m, v_max, mobility_rng)
+        return router.Router(shared.topo, law, cfg, rng, policy, mobility).run()
     ledger = router.Router(shared.topo, law, cfg, rng, policy).run()
     shared.routed.append((policy, ledger))
     return ledger
@@ -335,36 +350,35 @@ def _point(coverage: float, density: int) -> str:
 
 
 def _grid_cells(plan: ExperimentPlan) -> list[tuple[Cell, ...]]:
-    """A plan's grid cells in output order, grouped by shared topology, each variant resolved to its
-    policy; none for a kind that runs no grid, whose grids are empty. The cells of one group share
-    their grid point."""
+    """A plan's grid cells in output order, grouped by shared topology (the comparison variants at one
+    coverage, the mobility speeds, any sweep cell alone), each variant resolved to its policy; none for
+    a kind that runs no grid, whose grids are empty. The cells of one group share their grid point."""
     coverages = plan.resolved_coverage_grid()
     full = router.BASELINE_POLICIES["full"]
     if plan.kind == "comparison":
         return [tuple(Cell(f"comparison-r{c:g}-{v}", v, router.BASELINE_POLICIES[v], {"coverage_m": c},
                            extra={"variant": v}) for v in plan.variants) for c in coverages]
     if plan.kind == "mobility":
-        return [(Cell(f"mobility-v{v:g}", f"v{v:g}", full, {"coverage_m": coverages[0]}, v_max=v,
-                      extra={"v_max": v}),) for v in plan.vmax_grid]
+        return [tuple(Cell(f"mobility-v{v:g}", f"v{v:g}", full, {"coverage_m": coverages[0]}, v_max=v,
+                           extra={"v_max": v}) for v in plan.vmax_grid)]
     return [(Cell(f"{plan.kind}-{_point(c, d)}", "full", full, {"coverage_m": c, "iu_count": d}),)
             for d in plan.resolved_density_grid() for c in coverages]
 
 
 def _run_cells(cfg: SimConfig, cells: tuple[Cell, ...], seed: int, replications: int) -> list[list[dict]]:
-    """Each cell's detail rows, for cells at one grid point ``cfg`` and speed; module-level for process
-    pools.
+    """Each cell's detail rows, for cells at one grid point ``cfg``; module-level for process pools.
 
-    Every replication draws the point's ``grid`` stream, and a moving cell also its ``walk`` stream.
-    Comparison cells at one coverage route their policies together on one topology
-    (``Replication``); a mobility cell runs alone on the streams every speed shares. So the curves
-    differ by policy or speed only.
+    Every replication derives the point's ``grid`` stream, and its ``walk`` stream once when any cell
+    moves. The cells of one replication route together on one topology (``Replication``): comparison
+    variants and mobility speeds alike. So the curves differ by policy or speed only.
     """
     point = _point(cfg.coverage_m, cfg.iu_count)
+    moves = any(cell.v_max > 0 for cell in cells)
     rows: list[list[dict]] = [[] for _ in cells]
     for rep in range(replications):
         rng = _stream(seed, "grid", rep, point)
-        walk = _stream(seed, "walk", rep, point) if cells[0].v_max > 0 else None
-        shared = Replication() if walk is None else None
+        walk = _stream(seed, "walk", rep, point) if moves else None
+        shared = Replication()
         for cell, out in zip(cells, rows):
             ledger = run_one_route(cfg, rng, cell.policy, mobility_rng=walk, v_max=cell.v_max, shared=shared)
             out.append(_detail_row(cfg, cell, seed, ledger))

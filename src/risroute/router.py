@@ -73,7 +73,10 @@ the double-reflection stage stay eager.
 Surfaces never move, so every surface scan, and every IU scan of a static
 router, is read from the topology's memo (``topology.Topology.scan``), which
 computes a miss through the topology's cell index where it has one. A mobile
-router scans its moving IUs afresh, on the numpy path: no memo, no index.
+router's IU rows are the topology's until its first tick, so its IU scans
+at clock 0 read the memo too, and the scans of a static route on the same
+topology serve them. After that it scans its moving IUs afresh, on the
+numpy path: no memo, no index.
 
 The ledger (``RouteLedger``) is the route's only record: a hop's kind is
 read off the nodes it names (``HOP_KINDS``), a route's success off its
@@ -388,8 +391,9 @@ class Router:
 
     def _scan(self, center: Point, ids: range | None = None) -> tuple[int, ...]:
         """Ids in ``ids`` (default: the destination and the IUs) in the half-disc of ``center`` facing
-        the destination; from the topology's memo unless they are IUs that move."""
-        if ids is None and self.mobility is not None:
+        the destination; from the topology's memo unless they are IUs that have moved (a mobile
+        router's IU rows are the topology's, bit for bit, until the first tick)."""
+        if ids is None and self.mobility is not None and self.clock:
             return tuple(topology.half_circle_scan(self.xy, self.relay_ids, center, self.dest, self.cfg.coverage_m))
         return self.topo.scan(self.relay_ids if ids is None else ids, center, self.cfg.coverage_m)
 

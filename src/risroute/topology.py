@@ -30,10 +30,12 @@ it compares or writes instead of reusing the scan's.
 Scan memo. A scan of the topology's own table depends only on the id range,
 the centre and r (the destination is row ``DEST_ID``), so ``Topology.scan``
 keeps each result, as a tuple, keyed by (id range, centre, r): a deferral's
-rescan, a surface scanned again and the routes of other policies on the same
-topology cost one lookup, and routes at another radius get their own
-entries. A mobile route moves the IU rows of a copy of the table and scans
-them afresh, with no memo and no index; its surface scans read the memo.
+rescan, a surface scanned again and the routes of other policies or IU
+speeds on the same topology cost one lookup, and routes at another radius
+get their own entries. A mobile route moves the IU rows of a copy of the
+table. Until its first tick those rows are the topology's, so its IU scans
+read the memo; after it, it scans them afresh, with no memo and no index.
+Its surface scans always read the memo.
 
 Cell indexes. A scan the memo misses still runs ``half_circle_scan``,
 handed the topology's cell index of (id range, r), built lazily on the

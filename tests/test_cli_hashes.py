@@ -105,18 +105,33 @@ def test_handoff_config_takes_double_hops_on_the_single_stages_h_in(tmp_path, mo
     assert sum(handed) >= 1
 
 
-def test_delay_config_ends_a_route_in_delay_exceeded(tmp_path, monkeypatch):
-    reasons = []
+def routed_ledgers(commands, config, tmp_path, monkeypatch):
+    """The ledger of every route ``run_lines`` routes, in routing order."""
+    ledgers = []
     real = experiments.run_one_route
 
     def recorded(*args, **kwargs):
-        ledger = real(*args, **kwargs)
-        reasons.append(ledger.failure_reason)
-        return ledger
+        ledgers.append(real(*args, **kwargs))
+        return ledgers[-1]
 
     monkeypatch.setattr(experiments, "run_one_route", recorded)
-    run_lines(cli_hashes.DELAY_COMMANDS, cli_hashes.DELAY_CONFIG, tmp_path)
-    assert router.FailureReason.DELAY_EXCEEDED in reasons
+    run_lines(commands, config, tmp_path)
+    return ledgers
+
+
+def test_delay_config_ends_a_route_in_delay_exceeded(tmp_path, monkeypatch):
+    ledgers = routed_ledgers(cli_hashes.DELAY_COMMANDS, cli_hashes.DELAY_CONFIG, tmp_path, monkeypatch)
+    assert router.FailureReason.DELAY_EXCEEDED in [ledger.failure_reason for ledger in ledgers]
+
+
+def test_decision_config_ends_routes_at_the_decision_slot(tmp_path, monkeypatch):
+    # a transfer that would overrun the budget ends the route before the clock moves, so only the
+    # reflector decision slot leaves a delay_exceeded route's clock past the budget; it ends the route
+    # before the reflector stage is entered
+    ledgers = routed_ledgers(cli_hashes.DECISION_COMMANDS, cli_hashes.DECISION_CONFIG, tmp_path, monkeypatch)
+    past = [ledger.mobile for ledger in ledgers if ledger.failure_reason is router.FailureReason.DELAY_EXCEEDED
+            and ledger.total_slots * ledger.slot_s > ledger.total_delay_s and ledger.stage_reached == "relay"]
+    assert set(past) == {False, True}  # static and moving routes alike
 
 
 def test_hashes_each_csv_by_name():

@@ -329,6 +329,62 @@ class TestMobilityField:
         slots = np.cumsum(derive_rng(6, 2).integers(1, 11, size=100))
         self.check_against_oracle(field, (slots * 1e-4).tolist(), 101)
 
+    @staticmethod
+    def masked_pass(walk, dt):
+        """Oracle: the array pass of a tick as one masked divide, which moves every row by
+        ``delta * (step / dist)`` and an arriving row by ±0; returns the arriving rows."""
+        xy, waypoints, speeds = walk
+        delta = waypoints - xy
+        dist = np.hypot(delta[:, 0], delta[:, 1])
+        step = speeds * dt
+        arriving = step >= dist
+        xy += delta * np.divide(step, dist, out=np.zeros_like(step), where=~arriving)[:, None]
+        return arriving
+
+    def test_a_tick_without_arrivals_is_the_masked_pass(self):
+        """Over random fields and ticks, a tick in which no row arrives leaves every row with the bits
+        of the masked pass and draws nothing, and a tick with arrivals leaves every other row so. Row 0
+        starts on its waypoint, so its first tick is one with arrivals."""
+        quiet = busy = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an unmasked 0 / 0 warns
+            for seed, (m, v_max) in enumerate(((1, 20.0), (50, 5.0), (400, 20.0), (400, 0.5))):
+                field = MobilityField(derive_rng(7, seed).uniform(0.0, 400.0, size=(m, 2)), 400.0, v_max,
+                                      derive_rng(8, seed))
+                field.xy[0] = field.waypoints[0]
+                # route ticks of 1 to 10 slots, and every tenth tick 1 to 60 s, long enough for arrivals
+                ticks = derive_rng(9, seed).integers(1, 11, size=60) * 1e-4
+                ticks[9::10] = derive_rng(10, seed).uniform(1.0, 60.0, size=6)
+                for t in np.cumsum(ticks).tolist():
+                    walk = (field.xy.copy(), field.waypoints.copy(), field.speeds.copy())
+                    state = field.rng.bit_generator.state
+                    arriving = self.masked_pass(walk, t - field.t)
+                    xy = field.positions_at(t)
+                    assert xy[~arriving].tobytes() == walk[0][~arriving].tobytes()
+                    if arriving.any():
+                        busy += 1
+                        continue
+                    quiet += 1
+                    assert xy.tobytes() == walk[0].tobytes() and field.rng.bit_generator.state == state
+                    assert field.waypoints.tobytes() == walk[1].tobytes()
+                    assert field.speeds.tobytes() == walk[2].tobytes()
+        assert quiet >= 100 and busy >= 8
+
+    def test_a_row_on_its_waypoint_takes_the_masked_pass(self):
+        """A row at speed 0 on its waypoint arrives at every tick (a step of 0 covers a distance of 0),
+        so no tick divides 0 by 0: the row keeps its bits, and every other row moves as in the masked
+        pass."""
+        field = MobilityField(derive_rng(11, 0).uniform(0.0, 400.0, size=(50, 2)), 400.0, 20.0, derive_rng(11, 1))
+        field.xy[3], field.speeds[3] = field.waypoints[3], 0.0
+        at = field.xy[3].tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e-4, 5e-4, 1.2e-3):
+                walk = (field.xy.copy(), field.waypoints.copy(), field.speeds.copy())
+                arriving = self.masked_pass(walk, t - field.t)
+                assert np.flatnonzero(arriving).tolist() == [3]
+                assert field.positions_at(t).tobytes() == walk[0].tobytes() and field.xy[3].tobytes() == at
+
     def test_returns_the_walks_own_array(self):
         field = MobilityField(np.array([[10.0, 10.0], [20.0, 20.0]]), 400.0, 20.0, derive_rng(4, 1))
         xy = field.positions_at(1.0)
@@ -568,21 +624,35 @@ class TestMobilityExperiment:
                 assert float(row["D_T"]) == 0.0
 
     def test_every_speed_starts_from_the_replications_streams(self, tmp_path, monkeypatch):
-        starts = {}  # (v_max, rep) -> states of the route's and the walk's generators as the route starts
-        real = experiments.run_one_route
+        """Every speed routes on the replication's one topology, from the route stream's state just
+        after drawing it; every moving speed walks from the walk stream's first state."""
+        routes, walks = [], []  # (topology, route stream state) as each Router starts; walk states likewise
+        real_router, real_field = router.Router.__init__, MobilityField.__init__
 
-        def recorded(cfg, rng, policy, mobility_rng=None, v_max=0.0, shared=None):
-            rep = sum(v == v_max for v, _ in starts)
-            walk = None if mobility_rng is None else mobility_rng.bit_generator.state
-            starts[v_max, rep] = (rng.bit_generator.state, walk)
-            return real(cfg, rng, policy, mobility_rng, v_max, shared)
+        def router_init(self, topo, law, cfg, rng, *args, **kwargs):
+            routes.append((topo, rng.bit_generator.state))
+            real_router(self, topo, law, cfg, rng, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "run_one_route", recorded)
-        run(ExperimentPlan(kind="mobility", seed=6, replications=2, vmax_grid=(0.0, 5.0, 10.0)), SimConfig(), tmp_path)
+        def field_init(self, initial_xy, arena, v_max, rng):
+            walks.append(rng.bit_generator.state)
+            real_field(self, initial_xy, arena, v_max, rng)
+
+        monkeypatch.setattr(router.Router, "__init__", router_init)
+        monkeypatch.setattr(MobilityField, "__init__", field_init)
+        # the static speed between the moving ones: it neither moves the walk nor leaves a state behind
+        run(ExperimentPlan(kind="mobility", seed=6, replications=2, vmax_grid=(5.0, 0.0, 10.0)), SimConfig(), tmp_path)
+        monkeypatch.undo()
+        cfg = replace(SimConfig(), coverage_m=50.0, source_xy=experiments.SWEEP_SOURCE, dest_xy=experiments.SWEEP_DEST)
+        assert len(routes) == 6 and len(walks) == 4
         for rep in range(2):
-            assert starts[0.0, rep][0] == starts[5.0, rep][0] == starts[10.0, rep][0]
-            assert starts[0.0, rep][1] is None and starts[5.0, rep][1] == starts[10.0, rep][1] is not None
-        assert starts[5.0, 0] != starts[5.0, 1]
+            rng = experiments._stream(6, "grid", rep, "r50-m400")
+            topo = topology.generate_topology(cfg, rng)
+            walk = experiments._stream(6, "walk", rep, "r50-m400").bit_generator.state
+            shared = routes[3 * rep][0]
+            assert shared.xy.tobytes() == topo.xy.tobytes()
+            assert routes[3 * rep:3 * rep + 3] == [(shared, rng.bit_generator.state)] * 3
+            assert walks[2 * rep:2 * rep + 2] == [walk] * 2
+        assert routes[0] != routes[3] and walks[0] != walks[2]
 
     def test_ledgers_say_whether_their_ius_moved(self, tmp_path, monkeypatch):
         seen = []  # (v_max, ledger.mobile) of every route
@@ -596,6 +666,44 @@ class TestMobilityExperiment:
         monkeypatch.setattr(experiments, "run_one_route", recorded)
         run(ExperimentPlan(kind="mobility", seed=6, replications=3, vmax_grid=(0.0, 10.0)), SimConfig(), tmp_path)
         assert sorted(seen) == [(0.0, False)] * 3 + [(10.0, True)] * 3
+
+
+    def test_each_speeds_rows_do_not_depend_on_the_other_speeds(self, tmp_path):
+        """A speed's detail rows equal those of a plan that holds that speed alone, and those of a
+        reordered grid: no route depends on which speeds share its replication, nor on their order."""
+
+        def rows(vmax_grid, name):
+            run(ExperimentPlan(kind="mobility", seed=8, replications=4, vmax_grid=vmax_grid), SimConfig(),
+                tmp_path / name)
+            by_speed = {}
+            for row in read_csv(tmp_path / name / "mobility_detail.csv"):
+                by_speed.setdefault(row["variant"], []).append(row)
+            return by_speed
+
+        speeds = (0.0, 5.0, 10.0, 15.0, 20.0)
+        grid = rows(speeds, "grid")
+        assert list(grid) == [f"v{v:g}" for v in speeds] and all(len(r) == 4 for r in grid.values())
+        for v in speeds:
+            assert rows((v,), f"v{v:g}") == {f"v{v:g}": grid[f"v{v:g}"]}
+        assert rows((20.0, 0.0, 5.0), "reordered") == {name: grid[name] for name in ("v20", "v0", "v5")}
+
+    def test_a_replication_draws_one_topology_and_at_most_two_streams(self, tmp_path, monkeypatch):
+        draws, streams = [], []
+        real_topology, real_stream = topology.generate_topology, experiments._stream
+        monkeypatch.setattr(topology, "generate_topology", lambda cfg, rng: draws.append(1) or real_topology(cfg, rng))
+
+        def stream(seed, family, rep, scenario=""):
+            streams.append((family, rep))
+            return real_stream(seed, family, rep, scenario)
+
+        monkeypatch.setattr(experiments, "_stream", stream)
+        run(ExperimentPlan(kind="mobility", seed=6, replications=3), SimConfig(), tmp_path / "moving")
+        assert len(draws) == 3
+        assert sorted(streams) == [(family, rep) for family in ("grid", "walk") for rep in range(3)]
+        draws.clear()
+        streams.clear()
+        run(ExperimentPlan(kind="mobility", seed=6, replications=3, vmax_grid=(0.0,)), SimConfig(), tmp_path / "static")
+        assert len(draws) == 3 and streams == [("grid", rep) for rep in range(3)]  # no cell moves: no walk
 
 
 class TestRunOneRoute:
@@ -756,8 +864,27 @@ class TestSharedReplication:
         for policy, ledger in zip(policies, ledgers):
             assert ledger == run_one_route(cfg, derive_rng(1, 0, 0), policy)
 
-    def test_moving_ius_refuse_a_shared_replication(self):
-        cfg = SimConfig(iu_count=50)
-        with pytest.raises(ValueError, match="static"):
-            run_one_route(cfg, derive_rng(1, 0), mobility_rng=derive_rng(1, 1), v_max=5.0,
-                          shared=experiments.Replication())
+    def test_moving_routes_share_the_topology_but_never_a_ledger(self, monkeypatch):
+        """A moving route on a shared replication routes on its topology, whichever route drew it, and
+        equals the route alone; it takes no static route's ledger and leaves none for one."""
+        draws = []
+        real = topology.generate_topology
+        monkeypatch.setattr(topology, "generate_topology", lambda cfg, rng: draws.append(1) or real(cfg, rng))
+        cfg = SimConfig(coverage_m=50.0, iu_count=400, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
+
+        def routes(order, shared):
+            """Each speed's ledger, routed in ``order`` on ``shared`` and one pair of streams."""
+            rng, walk = derive_rng(1, 0), derive_rng(1, 1)
+            return {v: run_one_route(cfg, rng, mobility_rng=walk, v_max=v, shared=shared) for v in order}
+
+        alone = {v: run_one_route(cfg, derive_rng(1, 0), mobility_rng=derive_rng(1, 1), v_max=v)
+                 for v in (0.0, 5.0, 20.0)}
+        assert alone[5.0].mobile and alone[5.0].hops != alone[0.0].hops != alone[20.0].hops
+        for order in ((0.0, 5.0, 20.0), (5.0, 0.0, 20.0), (20.0, 5.0, 0.0)):
+            draws.clear()
+            shared = experiments.Replication()
+            ledgers = routes(order, shared)
+            assert len(draws) == 1 and ledgers == alone
+            assert shared.routed == [(router.RoutePolicy(), ledgers[0.0])]  # the moving routes left none
+            again = routes((0.0, 5.0), shared)
+            assert again[0.0] is ledgers[0.0] and again[5.0] == ledgers[5.0] and again[5.0] is not ledgers[5.0]

@@ -1067,7 +1067,8 @@ class TestStageReached:
 
 class TestScanMemo:
     """A router reads its surface scans, and a static one its IU scans too, from the topology's memo
-    (``Topology.scan``), keyed by radius too; a mobile one scans its moving IUs afresh every time."""
+    (``Topology.scan``), keyed by radius too; a mobile one reads its IU scans there until its first
+    tick, and scans its moving IUs afresh after it."""
 
     @staticmethod
     def counted_route(monkeypatch, cfg, topo, walk=None, seed=0):
@@ -1108,37 +1109,43 @@ class TestScanMemo:
             self.check_memo(topo)
         assert hits >= 1
 
-    def test_moving_ius_never_read_a_memo(self, monkeypatch):
-        """In a mobile route every memo entry is a surface scan equal to a scan of the router's moving
-        table, and every IU scan is computed afresh."""
+    def test_moving_ius_read_the_memo_only_before_the_first_tick(self, monkeypatch):
+        """A mobile route reads an IU scan from the memo only at clock 0, while its IU rows are the
+        topology's: the memo's IU entries are the centres scanned then, every entry equals a fresh scan
+        of the topology's table, and every IU scan after the first tick is computed afresh from the
+        router's moving table."""
         real_scan, real_half = Router._scan, topology.half_circle_scan
-        surface_scans = 0
+        moved_scans = 0
         for coverage, iu_count in ((30.0, 100), (50.0, 400)):
             cfg = SimConfig(coverage_m=coverage, iu_count=iu_count, **LINE_ENDS)
             for seed in range(3):
                 topo = generate_topology(cfg, rng_for(172, seed))
                 walk = MobilityField(topo.iu_xy, cfg.arena_m, 20.0, rng_for(173, seed))
                 r = Router(topo, _profiles_for(cfg), cfg, rng_for(170, seed), mobility=walk)
-                iu_scans = [0, 0]  # asked of the router, computed by half_circle_scan
+                first = set()  # IU scan centres at clock 0
+                moved = [0, 0]  # IU scans after the first tick: asked of the router, computed on its table
 
                 def scan(self, center, ids=None):
-                    iu_scans[0] += ids is None
+                    if ids is None and self.clock:
+                        moved[0] += 1
+                    elif ids is None:
+                        first.add(center)
                     return real_scan(self, center, ids)
 
                 def half(xy, ids, *args):
-                    iu_scans[1] += ids == r.relay_ids
+                    moved[1] += xy is r.xy
                     return real_half(xy, ids, *args)
 
                 monkeypatch.setattr(Router, "_scan", scan)
                 monkeypatch.setattr(topology, "half_circle_scan", half)
                 r.run()
                 monkeypatch.undo()
-                assert iu_scans[0] == iu_scans[1] > 0
-                for (ids, center, radius), found in topo._scans.items():
-                    assert ids == r.ris_ids and radius == coverage
-                    assert found == tuple(topology.half_circle_scan(r.xy, ids, center, r.dest, radius))
-                surface_scans += len(topo._scans)
-        assert surface_scans >= 1
+                assert first and moved[0] == moved[1]
+                assert {center for ids, center, _ in topo._scans if ids == r.relay_ids} == first
+                assert all(ids in (r.relay_ids, r.ris_ids) and radius == coverage for ids, _, radius in topo._scans)
+                self.check_memo(topo)
+                moved_scans += moved[0]
+        assert moved_scans >= 1
 
     def test_radii_keep_separate_entries(self, monkeypatch):
         """One topology routed at two radii keeps each radius's scans apart: each route equals the

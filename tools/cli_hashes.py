@@ -14,13 +14,13 @@ byte-identical. Hashes compare only between runs on one host at one numpy
 SIMD level: float64 ``tan``, ``log2``, ``log10``, ``power``, ``exp`` and
 ``angle`` give other bits under AVX-512 than at numpy's x86-64 baseline
 (``NPY_DISABLE_CPU_FEATURES`` set to every dispatch target), and there 16
-of the lines differ at stream version 8 (5 at version 7): every seed-5
+of the 53 lines differ at stream version 8 (5 at version 7): every seed-5
 ``sweep-coverage``, ``sweep-density`` and ``compare`` CSV, serial and at
 ``--threads 2``, the seed-7 ``sweep-density`` CSVs under
 ``CHANNEL_CONFIG`` and the ``compare`` CSVs under ``HANDOFF_CONFIG``.
 Each of those runs takes a double-reflection hop whose SINR differs in its
 last bits between the two levels, so which lines differ moves with the
-draws.
+draws; the ``DECISION_CONFIG`` lines keep their bytes at both levels.
 The list covers every subcommand, and seeds 5 and 9 at
 the default config. At seed 5 every grid subcommand also runs at
 ``--threads 2``; those lines must show the hashes of its serial line. Then
@@ -36,7 +36,7 @@ lines cover its per-arrival loop, which no route at the default slot
 meets. Then ``route``, ``sweep-density`` and ``compare`` run at seed 7 with
 ``CHANNEL_CONFIG``, which sets keys no line before it does: the ``eqtext``
 threshold rule, a 45 m reflector spacing, 4-bit fixed modulation (read by
-``compare``'s ``fixed_mod``) and Rician K = 3 dB. Last, ``sweep-density``
+``compare``'s ``fixed_mod``) and Rician K = 3 dB. Then ``sweep-density``
 runs at seed 7 with ``SPACING_CONFIG``, a reflector every 10 m: its 1600
 surfaces get a cell index at r = 30 m and none at 45 and 60 m, so their
 scans take the array path, which no other line's static surfaces do.
@@ -44,11 +44,14 @@ Then ``compare`` runs at seed 7 with ``HANDOFF_CONFIG``, 2 ms mean OFF
 periods: an IU's idle window shrinks to 2.1 slots, which no relay hop and
 few single reflections fit, so routes leave the single stage with the
 first surface's ``h_in`` drawn and take double hops on it, a hand-off no
-line before it meets. Last, ``sweep-coverage`` runs at seed 7 with
+line before it meets. Then ``sweep-coverage`` runs at seed 7 with
 ``DELAY_CONFIG``, a 5 ms budget, where some transfers would overrun it and
 end their routes in ``delay_exceeded``, which no route at the default
-50 ms does.
-51 CSVs, about 9 s on a 2-vCPU host (10 to 11 s at the baseline SIMD level).
+50 ms does. All of them end at the transfer's overrun check; so, last,
+``mobility`` runs at seed 7 with ``DECISION_CONFIG``, a 2 ms budget,
+where routes also end in ``delay_exceeded`` at the reflector decision
+slot, moving and static ones, which leaves the clock past the budget.
+53 CSVs, about 9 s on a 2-vCPU host at either SIMD level.
 """
 
 from __future__ import annotations
@@ -114,6 +117,9 @@ HANDOFF_COMMANDS = ((7, ["compare", "--replications", "2"]),)
 # a budget tight enough that some routes end in delay_exceeded
 DELAY_CONFIG = {"total_delay_ms": 5.0}
 DELAY_COMMANDS = ((7, ["sweep-coverage", "--replications", "2"]),)
+# a budget so tight that routes also end in delay_exceeded at the reflector decision slot
+DECISION_CONFIG = {"total_delay_ms": 2.0}
+DECISION_COMMANDS = ((7, ["mobility", "--replications", "2"]),)
 
 
 def csv_hashes(root: Path, seed: int, args: list[str], config: dict | None = None) -> list[tuple[str, str]]:
@@ -145,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     runs += [(seed, cli_args, SPACING_CONFIG, " --config spacing") for seed, cli_args in SPACING_COMMANDS]
     runs += [(seed, cli_args, HANDOFF_CONFIG, " --config handoff") for seed, cli_args in HANDOFF_COMMANDS]
     runs += [(seed, cli_args, DELAY_CONFIG, " --config delay") for seed, cli_args in DELAY_COMMANDS]
+    runs += [(seed, cli_args, DECISION_CONFIG, " --config decision") for seed, cli_args in DECISION_COMMANDS]
     for seed, cli_args, config, label in runs:
         command = " ".join(cli_args) + label
         for name, digest in csv_hashes(args.root.resolve(), seed, cli_args, config):
