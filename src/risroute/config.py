@@ -139,6 +139,9 @@ class SimConfig:
             raise ConfigError(f"fixed_rate_bits must lie in 1..8, got {self.fixed_rate_bits}")
         if self.slot_us <= 0 or self.total_delay_ms <= 0:
             raise ConfigError("slot_us and total_delay_ms must be positive")
+        if self.total_delay_s < self.slot_s:  # a route takes at least one slot
+            raise ConfigError(f"total_delay_ms = {self.total_delay_ms!r} is shorter than one slot "
+                              f"(slot_us = {self.slot_us!r})")
         if self.packets < 1 or self.bits_per_packet < 1:
             raise ConfigError("packets and bits_per_packet must be >= 1")
         if self.blocklength < 1:

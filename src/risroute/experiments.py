@@ -33,18 +33,18 @@ comparison variants and mobility speeds reuse the same replication streams
 (common random numbers), so differences between curves are driven by the
 policies, not by sampling noise.
 
-The cells of one replication are routed together (``Replication``): the
-comparison variants, and the mobility speeds. The topology is drawn once
-and each route starts from the generator state just after that draw,
-exactly where it would have started on its own; each moving route also
-restarts the walk stream where the first moving route started it. The
-routes share the topology's scan memo (``topology.Topology.scan``), a
-moving route until its first tick, while its IU rows are still the
-topology's. A static variant whose route would take the same draws and
-hops as one routed before it (``router.RoutePolicy.first_difference``)
-reuses that ledger instead of routing again; a moving route never takes a
-ledger nor leaves one. Every row keeps the bytes of routing each cell
-alone.
+Each replication is drawn once, up front (``Replication``): its topology,
+drawn from the route stream, and the states at which every one of its
+routes starts the route stream (just after that draw) and the walk stream
+(before any walk draw). Its cells route on it, the comparison variants and
+the mobility speeds alike, each from those states: exactly where it would
+have started alone, in any order. The routes share the topology's scan
+memo (``topology.Topology.scan``), a moving route until its first tick,
+while its IU rows are still the topology's. A static variant whose route
+would take the same draws and hops as one routed before it
+(``router.RoutePolicy.first_difference``) reuses that ledger instead of
+routing again; a moving route never takes a ledger nor leaves one. Every
+row keeps the bytes of routing each cell alone.
 
 ``STREAM_VERSION`` names the order in which a route consumes its stream.
 A change that moves any draw bumps it, and every manifest records it; what
@@ -270,16 +270,18 @@ def _chain_law(lambda_off_ms, mu_on_ms, iu_count: int, slot: float, delta: float
     return traffic.chain_law(lambda_s, mu_s, slot, delta, p_th)
 
 
-@dataclass
 class Replication:
-    """What the routes of one replication under several policies or IU speeds share: the topology (and
-    so its scan memo), the route stream's state just after drawing it, the walk stream's state before
-    the first moving route draws from it, and each static route's (policy, ledger)."""
+    """One replication, drawn up front: its topology (and so its scan memo), drawn from ``rng``; the
+    route stream's state just after that draw; the walk stream's state before any walk draw (None
+    without a walk); and each static route's (policy, ledger) so far. Every route of the replication
+    starts from those two states (``run_one_route``)."""
 
-    topo: topology.Topology | None = None  # drawn by the first route
-    after_topology: dict | None = None  # ``bit_generator.state`` just after the topology draw
-    walk_start: dict | None = None  # the walk's ``bit_generator.state`` as the first moving route starts
-    routed: list[tuple[router.RoutePolicy, router.RouteLedger]] = field(default_factory=list)
+    def __init__(self, cfg: SimConfig, rng: np.random.Generator, walk: np.random.Generator | None = None):
+        self.topo = topology.generate_topology(cfg, rng)
+        self.rng, self.walk = rng, walk
+        self.after_topology = rng.bit_generator.state
+        self.walk_start = None if walk is None else walk.bit_generator.state
+        self.routed: list[tuple[router.RoutePolicy, router.RouteLedger]] = []
 
     def ledger_for(self, policy: router.RoutePolicy) -> router.RouteLedger | None:
         """The ledger of a route so far that never reached the first stage where its policy and
@@ -293,41 +295,33 @@ class Replication:
 
 def run_one_route(
     cfg: SimConfig,
-    rng: np.random.Generator,
+    rep: Replication | np.random.Generator,
     policy: router.RoutePolicy = router.RoutePolicy(),
-    mobility_rng: np.random.Generator | None = None,
     v_max: float = 0.0,
-    shared: Replication | None = None,
 ) -> router.RouteLedger:
-    """One replication: topology draw, traffic, route under ``policy``.
+    """One cell of replication ``rep``: traffic and a route under ``policy`` on its topology, with the
+    IUs walking at speeds up to ``v_max`` (static at 0). A bare generator is drawn into a replication
+    of its own first.
 
-    Every route is one of the routes of ``shared`` (a fresh ``Replication`` when None), which routes
-    the policies and speeds given the same ``shared``, ``cfg`` and streams together: the first call
-    draws the topology from ``rng``, and each later call resets ``rng`` to the state after that draw
-    and routes on the shared topology. A static route may instead return a reusable ledger
-    (``Replication.ledger_for``, the same object). A mobile route (``mobility_rng`` and
-    ``v_max > 0``) walks its IUs on ``mobility_rng`` from where the first mobile route of ``shared``
-    started it; it never takes a ledger and leaves none, so no static route reuses a moving one.
+    Every route starts the route stream at ``rep.after_topology``, and a moving route starts the walk
+    at ``rep.walk_start``: exactly where the route would start alone, whatever ``rep`` routed before.
+    A static route may instead return a reusable ledger (``Replication.ledger_for``, the same object).
+    A moving route never takes a ledger and leaves none, so no static route reuses a moving one.
     """
+    if isinstance(rep, np.random.Generator):  # one route alone, as bench/test_selftest.py routes one
+        rep = Replication(cfg, rep)
     law = _profiles_for(cfg)
-    moving = mobility_rng is not None and v_max > 0
-    shared = Replication() if shared is None else shared
-    if shared.topo is None:
-        shared.topo = topology.generate_topology(cfg, rng)
-        shared.after_topology = rng.bit_generator.state
-    elif not moving and (ledger := shared.ledger_for(policy)) is not None:
+    rep.rng.bit_generator.state = rep.after_topology
+    if v_max > 0:
+        if rep.walk is None:
+            raise ValueError("a replication drawn without a walk stream routes static IUs only")
+        rep.walk.bit_generator.state = rep.walk_start
+        mobility = MobilityField(rep.topo.iu_xy, cfg.arena_m, v_max, rep.walk)
+        return router.Router(rep.topo, law, cfg, rep.rng, policy, mobility).run()
+    if (ledger := rep.ledger_for(policy)) is not None:
         return ledger
-    else:
-        rng.bit_generator.state = shared.after_topology
-    if moving:
-        if shared.walk_start is None:
-            shared.walk_start = mobility_rng.bit_generator.state
-        else:
-            mobility_rng.bit_generator.state = shared.walk_start
-        mobility = MobilityField(shared.topo.iu_xy, cfg.arena_m, v_max, mobility_rng)
-        return router.Router(shared.topo, law, cfg, rng, policy, mobility).run()
-    ledger = router.Router(shared.topo, law, cfg, rng, policy).run()
-    shared.routed.append((policy, ledger))
+    ledger = router.Router(rep.topo, law, cfg, rep.rng, policy).run()
+    rep.routed.append((policy, ledger))
     return ledger
 
 
@@ -368,20 +362,17 @@ def _grid_cells(plan: ExperimentPlan) -> list[tuple[Cell, ...]]:
 def _run_cells(cfg: SimConfig, cells: tuple[Cell, ...], seed: int, replications: int) -> list[list[dict]]:
     """Each cell's detail rows, for cells at one grid point ``cfg``; module-level for process pools.
 
-    Every replication derives the point's ``grid`` stream, and its ``walk`` stream once when any cell
-    moves. The cells of one replication route together on one topology (``Replication``): comparison
-    variants and mobility speeds alike. So the curves differ by policy or speed only.
+    Each replication is drawn once (``Replication``) from the point's ``grid`` stream, with its
+    ``walk`` stream when any cell moves, and every cell routes on it: comparison variants and mobility
+    speeds alike. So the curves differ by policy or speed only.
     """
     point = _point(cfg.coverage_m, cfg.iu_count)
     moves = any(cell.v_max > 0 for cell in cells)
     rows: list[list[dict]] = [[] for _ in cells]
-    for rep in range(replications):
-        rng = _stream(seed, "grid", rep, point)
-        walk = _stream(seed, "walk", rep, point) if moves else None
-        shared = Replication()
+    for i in range(replications):
+        rep = Replication(cfg, _stream(seed, "grid", i, point), _stream(seed, "walk", i, point) if moves else None)
         for cell, out in zip(cells, rows):
-            ledger = run_one_route(cfg, rng, cell.policy, mobility_rng=walk, v_max=cell.v_max, shared=shared)
-            out.append(_detail_row(cfg, cell, seed, ledger))
+            out.append(_detail_row(cfg, cell, seed, run_one_route(cfg, rep, cell.policy, v_max=cell.v_max)))
     return rows
 
 
@@ -479,16 +470,16 @@ def write_manifest(out: Path, plan: ExperimentPlan, cfg: SimConfig) -> Path:
 
 def _run_trajectory(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
     result.files.append(write_manifest(out, plan, cfg))
-    for rep in range(plan.replications):
-        ledger = run_one_route(cfg, _stream(plan.seed, "trajectory", rep))
+    for i in range(plan.replications):
+        ledger = run_one_route(cfg, Replication(cfg, _stream(plan.seed, "trajectory", i)))
         if problems := invariants.check_ledger(ledger, cfg):
-            raise RuntimeError(f"route {rep + 1} breaks its ledger's invariants: {'; '.join(problems)}")
+            raise RuntimeError(f"route {i + 1} breaks its ledger's invariants: {'; '.join(problems)}")
         result.attempted += 1
         result.succeeded += ledger.success
         result.traces.append(ledger.trace())
         rows = ledger.to_rows()
         schema = f"# ledger-schema v{router.LEDGER_SCHEMA_VERSION}\n"
-        result.files.append(write_csv(out / f"route_{rep + 1:04d}.csv", list(rows[0]), rows, schema))
+        result.files.append(write_csv(out / f"route_{i + 1:04d}.csv", list(rows[0]), rows, schema))
 
 
 def estimate_duration_quantiles(
@@ -539,7 +530,8 @@ def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, res
 
 
 def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
-    """Sweeps, comparison and mobility: one summary row per cell."""
+    """Sweeps, comparison and mobility: one summary row per cell, at the pinned endpoints."""
+    cfg = replace(cfg, source_xy=SWEEP_SOURCE, dest_xy=SWEEP_DEST)
     groups = _grid_cells(plan)
     points = [replace(cfg, **group[0].point) for group in groups]  # each checked before any file is written
     result.files.append(write_manifest(out, plan, cfg))
@@ -600,9 +592,6 @@ KINDS = {
 
 def run(plan: ExperimentPlan, cfg: SimConfig, out_dir: str | Path) -> ExperimentResult:
     """Execute a plan, writing CSVs plus a manifest into ``out_dir``."""
-    kind = KINDS[plan.kind]
     result = ExperimentResult()
-    if kind.runner is _run_grid:  # the grid kinds run at the pinned endpoints
-        cfg = replace(cfg, source_xy=SWEEP_SOURCE, dest_xy=SWEEP_DEST)
-    kind.runner(plan, cfg, Path(out_dir), result)
+    KINDS[plan.kind].runner(plan, cfg, Path(out_dir), result)
     return result

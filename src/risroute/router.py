@@ -614,8 +614,6 @@ class Router:
 
     def _route(self, ledger: RouteLedger) -> FailureReason | None:
         """The hop loop of ``run``; None once the destination is reached."""
-        if self.cfg.total_delay_s < self.cfg.slot_s:
-            return FailureReason.DELAY_EXCEEDED
         holder = SOURCE_ID  # the node holding the packet; a mobile IU walks on while it waits
         src = origin = self._point(holder)
         budget = delaymodel.DelayBudget.start(self.cfg.total_delay_s, ledger.psi)

@@ -19,6 +19,14 @@ def test_every_command_parses():
         build_parser().parse_args([*args, "--seed", str(seed)])
 
 
+def test_every_command_tuple_runs_once_under_its_own_label():
+    # a gate line defined in a *_COMMANDS tuple but left out of RUNS would never print
+    tuples = [value for name, value in vars(cli_hashes).items() if name.endswith("COMMANDS")]
+    assert sorted(map(id, tuples)) == sorted(id(commands) for _, _, commands in cli_hashes.RUNS)
+    labels = [label for label, _, _ in cli_hashes.RUNS]
+    assert len(set(labels)) == len(labels)
+
+
 def test_config_runs_cover_per_iu_means_fixed_endpoints_and_equal_slot_modes(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cli_hashes.CONFIG))

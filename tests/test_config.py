@@ -197,6 +197,26 @@ class TestKeyClasses:
             load_config(path)
 
 
+class TestDelayBudget:
+    """A route takes at least one slot, so ``SimConfig`` refuses a budget shorter than one, by the
+    derived SI values the router reads."""
+
+    def test_budget_below_one_slot_is_refused(self, tmp_path):
+        message = r"total_delay_ms = 0.05 is shorter than one slot \(slot_us = 100.0\)"
+        with pytest.raises(ConfigError, match=message):
+            SimConfig(total_delay_ms=0.05)  # half a slot
+        path = tmp_path / "short.cfg"
+        path.write_text("total_delay_ms = 0.05\n")
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        with pytest.raises(ConfigError, match="slot_us = 60000.0"):
+            SimConfig(slot_us=60000.0)  # the default 50 ms budget is shorter than this slot
+
+    def test_budget_of_exactly_one_slot_is_accepted(self):
+        cfg = SimConfig(total_delay_ms=0.1)  # 0.1 * 1e-3 >= 100 * 1e-6 in floats
+        assert cfg.total_delay_s >= cfg.slot_s
+
+
 class TestPerIuLists:
     @pytest.mark.parametrize("key", ["lambda_off_ms", "mu_on_ms"])
     def test_length_must_equal_iu_count(self, key):

@@ -17,6 +17,7 @@ from risroute.config import ConfigError, SimConfig, load_config
 from risroute.experiments import (
     ExperimentPlan,
     MobilityField,
+    Replication,
     derive_rng,
     estimate_duration_quantiles,
     run,
@@ -617,7 +618,7 @@ class TestMobilityExperiment:
                                          dest_xy=experiments.SWEEP_DEST)
         from risroute.metrics import compute_route_metrics
         for rep, row in enumerate(v0):
-            led = run_one_route(cfg, experiments._stream(6, "grid", rep, "r50-m400"))
+            led = run_one_route(cfg, Replication(cfg, experiments._stream(6, "grid", rep, "r50-m400")))
             if led.success:
                 assert float(row["D_T"]) == compute_route_metrics(led, cfg)["D_T"]
             else:
@@ -709,8 +710,14 @@ class TestMobilityExperiment:
 class TestRunOneRoute:
     def test_variant_dispatch(self):
         cfg = replace(SimConfig(iu_count=80), source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
-        led = run_one_route(cfg, derive_rng(9, 0), router.BASELINE_POLICIES["full"])
-        assert led.psi == 6 and led == run_one_route(cfg, derive_rng(9, 0))
+        led = run_one_route(cfg, Replication(cfg, derive_rng(9, 0)), router.BASELINE_POLICIES["full"])
+        assert led.psi == 6 and led == run_one_route(cfg, Replication(cfg, derive_rng(9, 0)))
+        assert led == run_one_route(cfg, derive_rng(9, 0))  # a bare generator: a replication of its own
+
+    def test_a_replication_without_a_walk_routes_static_ius_only(self):
+        cfg = replace(SimConfig(iu_count=80), source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
+        with pytest.raises(ValueError, match="without a walk stream"):
+            run_one_route(cfg, Replication(cfg, derive_rng(9, 0)), v_max=5.0)
 
 
 class TestPerConfigConstants:
@@ -772,19 +779,20 @@ class TestPerConfigConstants:
 class TestSharedReplication:
     """Comparison replications route their variants together (``experiments.Replication``). The
     oracle routes each cell's replication alone on its own stream, ``run_one_route(cfg,
-    _stream(seed, "grid", rep, point), policy)``, as every comparison did before: each ledger must
-    equal the oracle's, stage reached included, and the detail CSV must keep its bytes."""
+    Replication(cfg, _stream(seed, "grid", rep, point)), policy)``, as every comparison did before:
+    each ledger must equal the oracle's, stage reached included, and the detail CSV must keep its
+    bytes."""
 
     def check(self, plan, cfg, out, monkeypatch):
         """Run ``plan`` and compare it with the oracle; returns, per stage a pair of policies first
         differs at, how often a later variant reused the earlier one's ledger (fired) and how often
         the earlier route reached that stage (declined)."""
-        calls = []  # (shared replication, policy, ledger) of every comparison route, in routing order
+        calls = []  # (replication, policy, ledger) of every comparison route, in routing order
         real = experiments.run_one_route
 
-        def recorded(cfg, rng, policy=router.RoutePolicy(), mobility_rng=None, v_max=0.0, shared=None):
-            ledger = real(cfg, rng, policy, mobility_rng, v_max, shared)
-            calls.append((shared, policy, ledger))
+        def recorded(cfg, rep, policy=router.RoutePolicy(), v_max=0.0):
+            ledger = real(cfg, rep, policy, v_max)
+            calls.append((rep, policy, ledger))
             return ledger
 
         monkeypatch.setattr(experiments, "run_one_route", recorded)
@@ -799,9 +807,12 @@ class TestSharedReplication:
         cells = [cell for group in groups for cell in group]
         pinned = replace(cfg, source_xy=experiments.SWEEP_SOURCE, dest_xy=experiments.SWEEP_DEST)
         configs = [replace(pinned, **cell.point) for cell in cells]
-        oracle = {(i, rep): run_one_route(point, experiments._stream(plan.seed, "grid", rep,
-                                                                     f"r{point.coverage_m:g}-m{point.iu_count}"),
-                                          cell.policy)
+
+        def alone(point, policy, rep):  # the cell's replication, drawn and routed on its own
+            stream = experiments._stream(plan.seed, "grid", rep, f"r{point.coverage_m:g}-m{point.iu_count}")
+            return run_one_route(point, Replication(point, stream), policy)
+
+        oracle = {(i, rep): alone(point, cell.policy, rep)
                   for i, (cell, point) in enumerate(zip(cells, configs)) for rep in range(plan.replications)}
         # cells i*n to i*n + n - 1 share coverage i and route together, rep by rep
         routing_order = [(ci * n + v, rep) for ci in range(len(groups))
@@ -857,34 +868,32 @@ class TestSharedReplication:
         # none of the three can reuse another's ledger here: each routes on the one topology
         cfg = SimConfig(coverage_m=30.0, iu_count=400, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
         policies = [router.BASELINE_POLICIES[v] for v in ("full", "fixed_mod", "double_ris")]
-        shared, rng = experiments.Replication(), derive_rng(1, 0, 0)
-        ledgers = [run_one_route(cfg, rng, policy, shared=shared) for policy in policies]
-        assert len(draws) == 1 and len(shared.routed) == 3 and shared.topo._scans
+        rep = Replication(cfg, derive_rng(1, 0, 0))
+        ledgers = [run_one_route(cfg, rep, policy) for policy in policies]
+        assert len(draws) == 1 and len(rep.routed) == 3 and rep.topo._scans
         assert all(ledger.hop_count for ledger in ledgers)
         for policy, ledger in zip(policies, ledgers):
-            assert ledger == run_one_route(cfg, derive_rng(1, 0, 0), policy)
+            assert ledger == run_one_route(cfg, Replication(cfg, derive_rng(1, 0, 0)), policy)
 
     def test_moving_routes_share_the_topology_but_never_a_ledger(self, monkeypatch):
-        """A moving route on a shared replication routes on its topology, whichever route drew it, and
-        equals the route alone; it takes no static route's ledger and leaves none for one."""
+        """The routes of a replication do not depend on the order they route in: in any order, a
+        moving route routes on the replication's one topology and equals the route alone; it takes no
+        static route's ledger and leaves none for one."""
         draws = []
         real = topology.generate_topology
         monkeypatch.setattr(topology, "generate_topology", lambda cfg, rng: draws.append(1) or real(cfg, rng))
         cfg = SimConfig(coverage_m=50.0, iu_count=400, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
 
-        def routes(order, shared):
-            """Each speed's ledger, routed in ``order`` on ``shared`` and one pair of streams."""
-            rng, walk = derive_rng(1, 0), derive_rng(1, 1)
-            return {v: run_one_route(cfg, rng, mobility_rng=walk, v_max=v, shared=shared) for v in order}
+        def drawn():
+            return Replication(cfg, derive_rng(1, 0), derive_rng(1, 1))
 
-        alone = {v: run_one_route(cfg, derive_rng(1, 0), mobility_rng=derive_rng(1, 1), v_max=v)
-                 for v in (0.0, 5.0, 20.0)}
+        alone = {v: run_one_route(cfg, drawn(), v_max=v) for v in (0.0, 5.0, 20.0)}
         assert alone[5.0].mobile and alone[5.0].hops != alone[0.0].hops != alone[20.0].hops
         for order in ((0.0, 5.0, 20.0), (5.0, 0.0, 20.0), (20.0, 5.0, 0.0)):
             draws.clear()
-            shared = experiments.Replication()
-            ledgers = routes(order, shared)
+            rep = drawn()
+            ledgers = {v: run_one_route(cfg, rep, v_max=v) for v in order}
             assert len(draws) == 1 and ledgers == alone
-            assert shared.routed == [(router.RoutePolicy(), ledgers[0.0])]  # the moving routes left none
-            again = routes((0.0, 5.0), shared)
+            assert rep.routed == [(router.RoutePolicy(), ledgers[0.0])]  # the moving routes left none
+            again = {v: run_one_route(cfg, rep, v_max=v) for v in (0.0, 5.0)}
             assert again[0.0] is ledgers[0.0] and again[5.0] == ledgers[5.0] and again[5.0] is not ledgers[5.0]

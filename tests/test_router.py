@@ -209,14 +209,6 @@ class TestDirectRouting:
         assert all(h.kind is HopKind.DIRECT_IU for h in led.hops)
         assert led.trace().startswith("S → ") and led.trace().endswith(" → D")
 
-    def test_budget_below_one_slot_fails_immediately(self):
-        topo = build_topology([(50.0, 200.0)])
-        cfg = line_config(total_delay_ms=0.05)  # half a slot
-        led = route(topo, idle_law(1, cfg), cfg, rng_for(101))
-        assert not led.success
-        assert led.failure_reason is FailureReason.DELAY_EXCEEDED
-        assert led.hops == []
-
     def test_no_iu_no_ris_failure(self):
         topo = build_topology([])
         cfg = line_config()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risroute.config import SimConfig
-from risroute.experiments import _profiles_for, run_one_route
+from risroute.experiments import Replication, _profiles_for, run_one_route
 from risroute.router import FailureReason
 from risroute.topology import (
     DEST_ID,
@@ -483,7 +483,7 @@ class TestTopologyConstruction:
                         source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
         empty = 0
         for seed in range(6):
-            ledger = run_one_route(cfg, np.random.default_rng(seed))
+            ledger = run_one_route(cfg, Replication(cfg, np.random.default_rng(seed)))
             topo, origin = ledger.topo, point(ledger.topo, SOURCE_ID)
             assert topo.scan(range(topo.first_ris_id, len(topo.xy)), origin, cfg.coverage_m) == ()
             if topo.scan(range(FIRST_IU_ID, topo.first_ris_id), origin, cfg.coverage_m) == ():

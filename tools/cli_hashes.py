@@ -121,6 +121,18 @@ DELAY_COMMANDS = ((7, ["sweep-coverage", "--replications", "2"]),)
 DECISION_CONFIG = {"total_delay_ms": 2.0}
 DECISION_COMMANDS = ((7, ["mobility", "--replications", "2"]),)
 
+# (label after the command in each output line, config or None, commands), in output order
+RUNS = (
+    ("", None, COMMANDS),
+    (" --config", CONFIG, CONFIG_COMMANDS),
+    (" --config arrivals", ARRIVAL_CONFIG, ARRIVAL_COMMANDS),
+    (" --config channel", CHANNEL_CONFIG, CHANNEL_COMMANDS),
+    (" --config spacing", SPACING_CONFIG, SPACING_COMMANDS),
+    (" --config handoff", HANDOFF_CONFIG, HANDOFF_COMMANDS),
+    (" --config delay", DELAY_CONFIG, DELAY_COMMANDS),
+    (" --config decision", DECISION_CONFIG, DECISION_COMMANDS),
+)
+
 
 def csv_hashes(root: Path, seed: int, args: list[str], config: dict | None = None) -> list[tuple[str, str]]:
     """(csv name, 12-hex sha256) of every CSV one command writes, by name; ``config``, when
@@ -144,18 +156,11 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.root / "src" / "risroute" / "cli.py").is_file():
         print(f"cli_hashes: no risroute sources under {args.root / 'src'}", file=sys.stderr)
         return 1
-    runs = [(seed, cli_args, None, "") for seed, cli_args in COMMANDS]
-    runs += [(seed, cli_args, CONFIG, " --config") for seed, cli_args in CONFIG_COMMANDS]
-    runs += [(seed, cli_args, ARRIVAL_CONFIG, " --config arrivals") for seed, cli_args in ARRIVAL_COMMANDS]
-    runs += [(seed, cli_args, CHANNEL_CONFIG, " --config channel") for seed, cli_args in CHANNEL_COMMANDS]
-    runs += [(seed, cli_args, SPACING_CONFIG, " --config spacing") for seed, cli_args in SPACING_COMMANDS]
-    runs += [(seed, cli_args, HANDOFF_CONFIG, " --config handoff") for seed, cli_args in HANDOFF_COMMANDS]
-    runs += [(seed, cli_args, DELAY_CONFIG, " --config delay") for seed, cli_args in DELAY_COMMANDS]
-    runs += [(seed, cli_args, DECISION_CONFIG, " --config decision") for seed, cli_args in DECISION_COMMANDS]
-    for seed, cli_args, config, label in runs:
-        command = " ".join(cli_args) + label
-        for name, digest in csv_hashes(args.root.resolve(), seed, cli_args, config):
-            print(f"{seed} {command:<45} {name:<24} {digest}", flush=True)
+    for label, config, commands in RUNS:
+        for seed, cli_args in commands:
+            command = " ".join(cli_args) + label
+            for name, digest in csv_hashes(args.root.resolve(), seed, cli_args, config):
+                print(f"{seed} {command:<45} {name:<24} {digest}", flush=True)
     return 0
 
 
