@@ -20,6 +20,13 @@ which increases monotonically in i. Leftover budget carries forward one
 hop only; a negative budget is returned as-is so feasibility is decided
 by the caller in one place.
 
+The recursion holds only while Psi_i < Psi. A relay at or past the
+nominal hop span lies at least Psi r, so at least l, from the source (a hop
+must end closer to the destination, not between it and the source). No
+nominal hop is left there to share the budget, and the step would divide by
+zero or by a negative hop count, so the relay's limit is pinned to the
+route's remaining budget instead (``DelayBudget.pin_next``).
+
 With a first-hop wait in the small-T_s/mu regime, t_0 = mu ln(T_s/(mu p_th))
 + T_s (the Taylor form of the deferral wait), the first relay's budget is
 
@@ -35,26 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class HopOvershootError(ValueError):
-    """Relay sits at or beyond the nominal hop span (Psi_i >= Psi)."""
-
-
-def _next_budget(total: float, psi: int, psi_i: int, prev_limit: float, waits: list[float]) -> float:
-    """One recursion step; ``waits`` are w_0..w_(i-1) with i = len(waits)."""
-    if psi_i >= psi:
-        raise HopOvershootError(f"Psi_i={psi_i} must be below Psi={psi}")
-    earlier = sum(waits[:-1])
-    last = waits[-1] if waits else 0.0
-    return (total - earlier - prev_limit) / (psi - psi_i) + (prev_limit - last)
-
-
 @dataclass
 class DelayBudget:
     """Running budget record for one route; per_hop_limits[i] is T_di.
 
     actual_waits[k] is w_k, whatever hop k paid (a relay deferral, or the
     reflector decision slot plus any deferral), so one recursion serves the
-    relay-only, all-busy and mixed relay/reflector variants alike.
+    relay-only, all-busy and mixed relay/reflector variants alike. Every
+    hop records one wait and one limit, recursed or pinned at an overshoot.
     """
 
     total: float
@@ -75,21 +70,24 @@ class DelayBudget:
         """Maximum acceptable wait at the current position."""
         return self.per_hop_limits[-1]
 
-    def advance(self, wait_s: float, psi_next: int) -> float:
+    def advance(self, wait_s: float, psi_next: int, remaining_s: float) -> float:
         """Record the wait paid at the current position and budget the next.
 
-        Returns the new position's limit (may be negative; not clamped).
-        Raises HopOvershootError without mutating state when psi_next >= Psi.
+        Returns the new position's limit (may be negative; not clamped): one
+        recursion step while psi_next < Psi, else ``pin_next(wait_s,
+        remaining_s)``, the route's remaining budget (module docstring).
         """
+        if psi_next >= self.psi:
+            return self.pin_next(wait_s, remaining_s)
         if wait_s < 0:
             raise ValueError("wait must be nonnegative")
-        waits = self.actual_waits + [wait_s]
-        limit = _next_budget(self.total, self.psi, psi_next, self.per_hop_limits[-1], waits)
+        prev = self.per_hop_limits[-1]
+        limit = (self.total - sum(self.actual_waits) - prev) / (self.psi - psi_next) + (prev - wait_s)
         self._record(wait_s, limit)
         return limit
 
     def pin_next(self, wait_s: float, limit: float) -> float:
-        """Record the wait but pin the next limit directly (overshoot fallback)."""
+        """Record the wait and pin the next limit to ``limit``: ``advance`` at an overshoot."""
         if wait_s < 0:
             raise ValueError("wait must be nonnegative")
         self._record(wait_s, limit)

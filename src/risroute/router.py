@@ -279,47 +279,47 @@ class Entry(NamedTuple):
 
 
 class SlotTable(NamedTuple):
-    """The direct modes a policy allows for one transfer size, and their slot counts."""
+    """The direct modes a policy allows for one transfer size: the SNR each needs and its slot count.
 
+    A link's usable modes are the allowed ones its SNR reaches: every mode up
+    to its best (``linkbudget.mode_bits`` over ``thresholds_db``), or a pinned
+    one only if reached.
+    """
+
+    thresholds_db: tuple[float, ...]  # lower SNR thresholds of b = 1..MAX_RATE, BPSK first (the mode table)
     lowest: int  # lowest allowed bit count
     highest: int  # highest allowed bit count
     tau_of: Mapping[int, int]  # allowed bit count -> slots
     first_of: Mapping[int, int]  # allowed bit count -> lowest allowed bit count needing as few slots
-    floor_bits: int  # lowest allowed bit count needing the fewest slots
     floor: int  # the fewest slots any allowed mode needs
+    floor_db: float  # the SNR a link needs to reach the floor: the threshold of first_of[highest]
 
 
 @functools.lru_cache(maxsize=16)
-def slot_table(total_bits: int, fixed_rate_bits: int | None) -> SlotTable:
-    """Every mode up to ``MAX_RATE``, or only a pinned ``fixed_rate_bits``; computed once per key, read-only."""
+def slot_table(thresholds_db: tuple[float, ...], total_bits: int, fixed_rate_bits: int | None) -> SlotTable:
+    """The modes of mode table ``thresholds_db`` (``linkbudget.build_mode_table``) a policy allows for
+    ``total_bits`` per transfer: every mode up to ``MAX_RATE``, or only a pinned ``fixed_rate_bits``;
+    computed once per key, read-only."""
     lowest, highest = (1, linkbudget.MAX_RATE) if fixed_rate_bits is None else (fixed_rate_bits, fixed_rate_bits)
     tau_of = {bits: linkbudget.transfer_slots(total_bits, bits) for bits in range(lowest, highest + 1)}
     first_of = {b: min(c for c in tau_of if tau_of[c] == tau) for b, tau in tau_of.items()}
-    return SlotTable(lowest, highest, MappingProxyType(tau_of), MappingProxyType(first_of),
-                     first_of[highest], tau_of[highest])
+    return SlotTable(thresholds_db, lowest, highest, MappingProxyType(tau_of), MappingProxyType(first_of),
+                     tau_of[highest], thresholds_db[first_of[highest] - 1])
 
 
-def availability_set(
-    links: list[CandidateLink],
-    thresholds_db: tuple[float, ...],
-    total_bits: int,
-    fixed_rate_bits: int | None = None,
-) -> list[Entry]:
-    """At most one entry per relay, in link order: its usable mode needing
-    the fewest slots, the lowest bit count among equal-slot ones, kept
+def availability_set(links: list[CandidateLink], table: SlotTable) -> list[Entry]:
+    """At most one entry per relay, in link order: its usable mode (``SlotTable``)
+    needing the fewest slots, the lowest bit count among equal-slot ones, kept
     only if it passes the availability constraint tau_req <= nu_I.
 
-    A relay's usable modes are every mode up to the best its SNR
-    reaches, or with a pinned ``fixed_rate_bits`` only that one if reached.
     Slot counts never rise with the rate, so this is the only mode of the
     relay that ``select_entry`` could take, and if it overruns the idle
-    window every mode does. The slot counts come from ``slot_table``.
+    window every mode does.
     """
-    table = slot_table(total_bits, fixed_rate_bits)
     tau_of, first_of, highest = table.tau_of, table.first_of, table.highest
     entries = []
     for link in links:
-        best = min(linkbudget.mode_bits(thresholds_db, link.snr_db), highest)
+        best = min(linkbudget.mode_bits(table.thresholds_db, link.snr_db), highest)
         if best >= table.lowest and tau_of[best] <= link.nu_idle_slots:
             bits = first_of[best]
             entries.append(Entry(link, tau_of[bits], bits))
@@ -360,10 +360,8 @@ class Router:
         self.rng = rng
         self.policy = policy
         self.mobility = mobility
-        self.thresholds_db = linkbudget.build_mode_table(cfg.target_ber, rule=cfg.threshold_rule)
-        self.fixed_rate_bits = None if self.policy.adaptive else cfg.fixed_rate_bits
-        self.slots = slot_table(cfg.total_bits, self.fixed_rate_bits)
-        self.floor_db = self.thresholds_db[self.slots.floor_bits - 1]  # the SNR a link needs to reach the floor
+        self.slots = slot_table(linkbudget.build_mode_table(cfg.target_ber, rule=cfg.threshold_rule),
+                                cfg.total_bits, None if policy.adaptive else cfg.fixed_rate_bits)
         self.field = traffic.TrafficField(law, rng)
         self.clock = 0  # slots elapsed
         self.xy = topo.xy if mobility is None else topo.xy.copy()  # node positions at the clock
@@ -410,7 +408,7 @@ class Router:
             return []
         amplitudes = channel.sample_amplitudes(len(ids), self.cfg.rician_k_db, self.rng).tolist()
         dest, links, stop = self.dest, [], math.inf
-        limit, floor, floor_db = math.dist(origin, dest), self.slots.floor, self.floor_db
+        limit, floor, floor_db = math.dist(origin, dest), self.slots.floor, self.slots.floor_db
         for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
             remaining = math.dist(pos, dest)
             if remaining > stop:
@@ -454,14 +452,14 @@ class Router:
         """
         found = self._scan(origin)
         if DEST_ID in found:
-            link = self._direct_links(origin, [DEST_ID], [math.inf])[0]
-            bits = min(linkbudget.mode_bits(self.thresholds_db, link.snr_db), self.slots.highest)  # the fastest
-            if bits >= self.slots.lowest:
-                return Entry(link, self.slots.tau_of[bits], bits), []
+            link, slots = self._direct_links(origin, [DEST_ID], [math.inf])[0], self.slots
+            bits = min(linkbudget.mode_bits(slots.thresholds_db, link.snr_db), slots.highest)  # the fastest
+            if bits >= slots.lowest:
+                return Entry(link, slots.tau_of[bits], bits), []
         idle, busy = self._split_idle_busy(found)
         # forward progress is required of a hop, not just half-disc membership
         links = self._direct_links(origin, idle.tolist(), self.field.law.nu_idle[idle - FIRST_IU_ID].tolist())
-        aset = availability_set(links, self.thresholds_db, self.cfg.total_bits, self.fixed_rate_bits)
+        aset = availability_set(links, self.slots)
         return (select_entry(aset) if aset else None), busy.tolist()
 
     def _reflected_entry(self, endpoint: Endpoint, gamma: float) -> Entry | None:
@@ -646,11 +644,7 @@ class Router:
                 return None
             # budget the next position, carrying this position's wait forward
             psi_next = topology.hops_consumed(src, endpoint, self.cfg.coverage_m)
-            wait_s = wait_slots * self.cfg.slot_s
-            try:
-                budget.advance(wait_s, psi_next)
-            except delaymodel.HopOvershootError:
-                budget.pin_next(wait_s, self._remaining_s())
+            budget.advance(wait_slots * self.cfg.slot_s, psi_next, self._remaining_s())
             holder, origin = entry.link.node_id, endpoint
 
     # -- commit helpers ----------------------------------------------------------

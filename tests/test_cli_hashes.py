@@ -3,7 +3,9 @@ import json
 import re
 from pathlib import Path
 
-from risroute import experiments, router, topology
+import pytest
+
+from risroute import delaymodel, experiments, router, topology
 from risroute.cli import build_parser
 from risroute.config import load_config
 from risroute.linkbudget import transfer_slots
@@ -140,6 +142,48 @@ def test_decision_config_ends_routes_at_the_decision_slot(tmp_path, monkeypatch)
     past = [ledger.mobile for ledger in ledgers if ledger.failure_reason is router.FailureReason.DELAY_EXCEEDED
             and ledger.total_slots * ledger.slot_s > ledger.total_delay_s and ledger.stage_reached == "relay"]
     assert set(past) == {False, True}  # static and moving routes alike
+
+
+@pytest.mark.parametrize("kind", ["sweep-density", "compare"])
+def test_channel_config_runs_end_routes_with_nothing_in_sight(kind, tmp_path, monkeypatch):
+    # on the 45 m reflector grid some transmitters have neither an IU nor a surface in sight
+    commands = [command for command in cli_hashes.CHANNEL_COMMANDS if command[1][0] == kind]
+    ledgers = routed_ledgers(commands, cli_hashes.CHANNEL_CONFIG, tmp_path, monkeypatch)
+    assert router.FailureReason.NO_IU_NO_RIS in [ledger.failure_reason for ledger in ledgers]
+
+
+def test_arrival_config_ends_routes_in_outage(tmp_path, monkeypatch):
+    # a walking IU endpoint leaves the last transmitter's coverage before its transfer ends
+    ledgers = routed_ledgers(cli_hashes.ARRIVAL_COMMANDS, cli_hashes.ARRIVAL_CONFIG, tmp_path, monkeypatch)
+    assert {ledger.mobile for ledger in ledgers if ledger.failure_reason is router.FailureReason.OUTAGE} == {True}
+
+
+def test_a_default_sweep_line_pins_overshooting_relays(tmp_path, monkeypatch):
+    # a relay at or past the nominal hop span gets the route's remaining budget, through pin_next
+    overshoots, pins = [], []  # per advance: psi_next >= Psi; per pin: (its limit, the budget left)
+    routing = []  # the router whose clock last moved
+    advance, pin_next, tick = delaymodel.DelayBudget.advance, delaymodel.DelayBudget.pin_next, router.Router._tick
+
+    def recorded_advance(budget, wait_s, psi_next, remaining_s):
+        overshoots.append(psi_next >= budget.psi)
+        return advance(budget, wait_s, psi_next, remaining_s)
+
+    def recorded_pin(budget, wait_s, limit):
+        pins.append((limit, routing[-1]._remaining_s()))
+        return pin_next(budget, wait_s, limit)
+
+    def recorded_tick(r, slots):
+        routing.append(r)
+        return tick(r, slots)
+
+    monkeypatch.setattr(delaymodel.DelayBudget, "advance", recorded_advance)
+    monkeypatch.setattr(delaymodel.DelayBudget, "pin_next", recorded_pin)
+    monkeypatch.setattr(router.Router, "_tick", recorded_tick)
+    line = (5, ["sweep-density", "--replications", "2", "--threads", "1"])
+    assert line in cli_hashes.COMMANDS
+    run_lines([line], {}, tmp_path)
+    assert 0 < len(pins) == sum(overshoots)
+    assert all(limit == left for limit, left in pins)
 
 
 def test_hashes_each_csv_by_name():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from risroute import traffic
-from risroute.delaymodel import DelayBudget, HopOvershootError
+from risroute.delaymodel import DelayBudget
 
 TD = 0.050
 PSI = 7
+UNREAD = math.nan  # the remaining budget passed to advances below the hop span: never read, a pin would record NaN
 
 
 def fresh_budget():
@@ -18,7 +19,7 @@ def chain(total, psi, psi_list, waits):
     """Limits T_d0..T_di from the production recursion, one advance per hop."""
     budget = DelayBudget.start(total, psi)
     for psi_i, wait in zip(psi_list, waits):
-        budget.advance(wait, psi_i)
+        budget.advance(wait, psi_i, UNREAD)
     return budget.per_hop_limits
 
 
@@ -68,12 +69,12 @@ class TestStartAndFirstHop:
 
     def test_first_hop_no_wait(self):
         b = fresh_budget()
-        assert b.advance(0.0, 1) == pytest.approx(0.014285714285714287, rel=1e-12)
+        assert b.advance(0.0, 1, UNREAD) == pytest.approx(0.014285714285714287, rel=1e-12)
 
     def test_first_hop_full_wait_consumes_carry(self):
         b = fresh_budget()
         t0 = b.current_limit
-        got = b.advance(t0, 1)
+        got = b.advance(t0, 1, UNREAD)
         assert got == pytest.approx((TD - TD / PSI) / (PSI - 1), rel=1e-12)
 
     def test_bad_inputs(self):
@@ -83,7 +84,9 @@ class TestStartAndFirstHop:
             DelayBudget.start(1.0, 0)
         b = fresh_budget()
         with pytest.raises(ValueError):
-            b.advance(-1.0, 1)
+            b.advance(-1.0, 1, UNREAD)
+        with pytest.raises(ValueError):
+            b.advance(-1.0, PSI, 0.01)
         with pytest.raises(ValueError):
             b.pin_next(-1.0, 0.01)
 
@@ -93,7 +96,7 @@ class TestClosedForm:
         got = closed_form_case1(TD, PSI, [1])
         want = TD * (1 / (PSI - 1) + (1 / PSI) * (1 - 1 / (PSI - 1)))
         assert got == pytest.approx(want, rel=1e-14)
-        assert fresh_budget().advance(0.0, 1) == pytest.approx(got, rel=1e-14)
+        assert fresh_budget().advance(0.0, 1, UNREAD) == pytest.approx(got, rel=1e-14)
 
     def test_two_hop_expansion(self):
         got = closed_form_case1(TD, PSI, [1, 2])
@@ -126,18 +129,28 @@ class TestClosedForm:
             assert vals[0] == 1.0 / psi
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_overshoot_rejected(self):
-        # a relay at the hop span is refused at any hop, not only the first
+    def test_overshoot_pinned_to_the_remaining_budget(self):
+        # a relay at the hop span gets the route's remaining budget at any hop, not only the first,
+        # and records one wait and one limit
         b = fresh_budget()
-        b.advance(0.0, 1)
-        with pytest.raises(HopOvershootError):
-            b.advance(0.0, PSI)
+        b.advance(0.0, 1, UNREAD)
+        assert b.advance(0.001, PSI, 0.03) == 0.03
+        assert b.actual_waits == [0.0, 0.001] and b.per_hop_limits[1:] == [chain(TD, PSI, [1], [0.0])[1], 0.03]
+
+    def test_recursion_bit_for_bit_against_reference(self):
+        rng = np.random.default_rng(35)
+        for _ in range(500):
+            psi = int(rng.integers(2, 11))
+            depth = int(rng.integers(1, 7))
+            psi_list = [int(rng.integers(0, psi)) for _ in range(depth)]
+            waits = [float(w) for w in rng.uniform(0, 0.01, size=depth)]
+            assert chain(1.0, psi, psi_list, waits) == recursion_reference(1.0, psi, psi_list, waits)
 
 
 class TestCaseTwo:
     def test_zero_waits_reduce_to_case_one(self):
         b = fresh_budget()
-        got = b.advance(0.0, 1)
+        got = b.advance(0.0, 1, UNREAD)
         assert got == pytest.approx(closed_form_case1(TD, PSI, [1]), rel=1e-13)
 
     def test_first_hop_matches_taylor_form(self):
@@ -146,7 +159,7 @@ class TestCaseTwo:
         mu, slot, p_th = 4e-3, 1e-4, 0.01
         assert slot / (mu * p_th) > 1
         b = fresh_budget()
-        got = b.advance(taylor_wait(mu, slot, p_th), 1)
+        got = b.advance(taylor_wait(mu, slot, p_th), 1, UNREAD)
         want = first_hop_budget_taylor(TD, PSI, 1, mu, slot, p_th)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -164,7 +177,7 @@ class TestCaseTwo:
         # 1 < T_s/(mu p_th) < e; sweep inside that window (p_th=0.01:
         # mu between T_s/(e p_th)=3.68 ms and T_s/p_th=10 ms)
         def budget(mu):
-            return fresh_budget().advance(taylor_wait(float(mu), 1e-4, 0.01), 1)
+            return fresh_budget().advance(taylor_wait(float(mu), 1e-4, 0.01), 1, UNREAD)
 
         vals = [budget(m) for m in np.linspace(4e-3, 9.9e-3, 50)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
@@ -174,15 +187,18 @@ class TestCaseTwo:
 
     def test_wait_lengths_must_match_index(self):
         # every hop records exactly one wait and one limit, pinned or not,
-        # and a refused hop records neither
+        # and a refused wait records neither
         b = fresh_budget()
-        b.advance(0.001, 1)
-        with pytest.raises(HopOvershootError):
-            b.advance(0.0, PSI)
-        b.pin_next(0.002, 0.01)
-        b.advance(0.0, 3)
+        b.advance(0.001, 1, UNREAD)
+        for psi_next in (2, PSI):
+            with pytest.raises(ValueError):
+                b.advance(-1.0, psi_next, 0.01)
+        b.advance(0.002, PSI, 0.01)
+        got = b.advance(0.0, 3, UNREAD)
         assert b.actual_waits == [0.001, 0.002, 0.0]
         assert len(b.per_hop_limits) == len(b.actual_waits) + 1
+        # the recursion carries on from the pinned limit
+        assert got == (TD - 0.003 - 0.01) / (PSI - 3) + 0.01
 
 
 class TestRisIuVariant:
@@ -201,8 +217,8 @@ class TestRisIuVariant:
         # feed the same recursion
         waits = [0.0012, 0.0007]
         b = fresh_budget()
-        b.advance(waits[0], 1)
-        got = b.advance(waits[1], 3)
+        b.advance(waits[0], 1, UNREAD)
+        got = b.advance(waits[1], 3, UNREAD)
         prev = recursion_reference(TD, PSI, [1], waits)[1]  # T_d1
         expected = (TD - waits[0] - prev) / (PSI - 3) + (prev - waits[1])
         assert got == pytest.approx(expected, rel=1e-13)
@@ -244,19 +260,26 @@ class TestBudgetProperties:
             for i in range(1, psi):
                 wait = b.current_limit
                 total_waited += wait
-                b.advance(wait, i)
+                b.advance(wait, i, UNREAD)
             assert total_waited <= 1.0 + 1e-9
 
-    def test_overshoot_guard(self):
+    def test_overshoot_guard(self, monkeypatch):
+        # at or past the hop span advance pins through pin_next, whose calls count the pins; below it never
+        pins, pin_next = [], DelayBudget.pin_next
+
+        def recorded(budget, wait_s, limit):
+            pins.append(limit)
+            return pin_next(budget, wait_s, limit)
+
+        monkeypatch.setattr(DelayBudget, "pin_next", recorded)
         b = fresh_budget()
-        with pytest.raises(HopOvershootError):
-            b.advance(0.0, PSI)
-        # state must be untouched after the failed advance
-        assert b.actual_waits == [] and len(b.per_hop_limits) == 1
-        assert b.pin_next(0.0, 0.02) == 0.02
-        assert b.per_hop_limits[-1] == 0.02
+        b.advance(0.0, PSI - 1, UNREAD)
+        assert pins == []
+        assert b.advance(0.0, PSI, 0.02) == 0.02 and b.advance(0.001, PSI + 3, 0.015) == 0.015
+        assert pins == [0.02, 0.015]
+        assert b.actual_waits == [0.0, 0.0, 0.001] and b.per_hop_limits[-2:] == [0.02, 0.015]
 
     def test_negative_budget_not_clamped(self):
         b = DelayBudget.start(0.01, 3)
-        limit = b.advance(0.5, 1)  # absurd wait
+        limit = b.advance(0.5, 1, UNREAD)  # absurd wait
         assert limit < 0.0

@@ -43,41 +43,43 @@ def make_link(node_id, snr_db, remaining, nu):
 
 
 class TestAvailabilitySet:
-    table = build_mode_table(1e-6)
+    thresholds = build_mode_table(1e-6)
     bits = 24  # per transfer
+    table = slot_table(thresholds, bits, None)  # every mode
+    pinned = slot_table(thresholds, bits, 2)  # QPSK only
 
     def test_fitting_transfer_included(self):
         # 24 bits at 8 bits/symbol -> 3 slots <= nu=4.21
         links = [make_link(2, 25.0, 300.0, 4.21)]
-        aset = availability_set(links, self.table, self.bits)
+        aset = availability_set(links, self.table)
         assert any((e.tau, e.rate) == (3, 8) for e in aset)
         assert all(e.link is links[0] for e in aset)
 
     def test_oversized_transfer_excluded(self):
         # best is 6 bits/symbol at 18 dB -> 4 slots > nu=3.9; lower rates worse
         links = [make_link(2, 18.0, 300.0, 3.9)]
-        aset = availability_set(links, self.table, self.bits)
+        aset = availability_set(links, self.table)
         assert aset == []
 
     def test_no_idle_no_entries(self):
-        assert availability_set([], self.table, self.bits) == []
+        assert availability_set([], self.table) == []
 
     def test_one_entry_per_link(self):
         # rates 1..8 are all usable at 25 dB (slots 24, 12, 8, 6, 5, 4, 4, 3): only 256-QAM is listed;
         # at 18.5 dB rates 6 and 7 both need 4 slots and the lower one is listed
         links = [make_link(2, 25.0, 300.0, 1e9), make_link(3, 18.5, 200.0, 1e9), make_link(4, 0.0, 100.0, 1e9)]
-        aset = availability_set(links, self.table, self.bits)
+        aset = availability_set(links, self.table)
         assert [(e.link, e.tau, e.rate) for e in aset] == [(links[0], 3, 8), (links[1], 4, 6)]
 
     def test_non_adaptive_keeps_only_pinned_mode(self):
         links = [make_link(2, 25.0, 300.0, 1e9)]
-        aset = availability_set(links, self.table, self.bits, fixed_rate_bits=2)
+        aset = availability_set(links, self.pinned)
         assert len(aset) == 1
         assert (aset[0].rate, aset[0].tau) == (2, 12)
 
     def test_non_adaptive_needs_channel_support(self):
         links = [make_link(2, 10.0, 300.0, 1e9)]  # only BPSK feasible
-        aset = availability_set(links, self.table, self.bits, fixed_rate_bits=2)
+        aset = availability_set(links, self.pinned)
         assert aset == []
 
     def test_slot_count_once_per_constellation(self, monkeypatch):
@@ -85,8 +87,8 @@ class TestAvailabilitySet:
         monkeypatch.setattr(linkbudget, "transfer_slots", lambda n, rate: calls.append(rate) or real(n, rate))
         slot_table.cache_clear()
         links = [make_link(2 + i, 25.0, 300.0, 1e9) for i in range(200)]
-        for _ in range(3):
-            assert len(availability_set(links, self.table, self.bits)) == 200
+        for _ in range(3):  # as three routers of one policy would
+            assert len(availability_set(links, slot_table(self.thresholds, self.bits, None))) == 200
         assert sorted(calls) == list(range(1, linkbudget.MAX_RATE + 1))
 
 
@@ -138,7 +140,7 @@ class TestAvailabilitySetOracle:
     @given(data=st.data())
     def test_each_link_gets_its_selected_entry(self, data):
         links, thresholds, total_bits, fixed = self.draw_case(data)
-        got = availability_set(links, thresholds, total_bits, fixed)
+        got = availability_set(links, slot_table(thresholds, total_bits, fixed))
         want = []
         for link in links:
             own = availability_set_by_enumeration([link], thresholds, total_bits, fixed)
@@ -151,12 +153,32 @@ class TestAvailabilitySetOracle:
     @given(data=st.data())
     def test_same_hop_as_over_the_enumeration(self, data):
         links, thresholds, total_bits, fixed = self.draw_case(data)
-        got = availability_set(links, thresholds, total_bits, fixed)
+        got = availability_set(links, slot_table(thresholds, total_bits, fixed))
         want = availability_set_by_enumeration(links, thresholds, total_bits, fixed)
         assert bool(got) == bool(want)
         if want:
             a, b = select_entry(got), select_entry(want)
             assert a.link is b.link and (a.tau, a.rate) == (b.tau, b.rate)
+
+
+class TestFloorSnr:
+    """``SlotTable.floor_db`` is the SNR a link needs for an entry at the floor slot count, the input of
+    ``Router._direct_links``' stop rule: a link exactly there with an idle window of ``floor`` slots gets
+    an ``availability_set`` entry needing ``floor`` slots, and one ulp below it gets no such entry, with
+    that window or any other."""
+
+    @pytest.mark.parametrize("rule", ["table3", "eqtext"])
+    def test_a_link_at_the_floor_snr_reaches_the_floor(self, rule):
+        thresholds = build_mode_table(1e-6, rule)
+        for total_bits in (1, 14, 16, 24, 50, 200):
+            for fixed in (None, *range(1, linkbudget.MAX_RATE + 1)):
+                table = slot_table(thresholds, total_bits, fixed)
+                at = make_link(2, table.floor_db, 100.0, table.floor)
+                below = math.nextafter(table.floor_db, -math.inf)
+                assert [e.tau for e in availability_set([at], table)] == [table.floor], (total_bits, fixed)
+                for nu in (table.floor, math.inf):
+                    entries = availability_set([at._replace(snr_db=below, nu_idle_slots=nu)], table)
+                    assert all(e.tau > table.floor for e in entries), (total_bits, fixed, nu)
 
 
 class TestSelectIu:
@@ -912,7 +934,8 @@ class TestStopRulesMatchExhaustiveStages:
         # qualifies: the relay stages build no IU link (only the destination's, when in sight)
         # and pass availability_set none, while the oracle builds every forward link
         cfg = SimConfig()
-        assert slot_table(cfg.total_bits, cfg.fixed_rate_bits).floor == 16 > _profiles_for(cfg).nu_idle.max()
+        table = slot_table(build_mode_table(cfg.target_ber, cfg.threshold_rule), cfg.total_bits, cfg.fixed_rate_bits)
+        assert table.floor == 16 > _profiles_for(cfg).nu_idle.max()
         lazy, exhaustive, offered = self.direct_evaluations("fixed_mod")
         assert offered == 0 and exhaustive > lazy
 

@@ -33,13 +33,18 @@ per grid point and refuse per-IU lists, so they run at the default only.
 Then ``mobility`` runs at seed 7 with ``ARRIVAL_CONFIG``: 0.1 s slots and
 a 50 s budget, so the walk's IUs reach their waypoints mid-route and the
 lines cover its per-arrival loop, which no route at the default slot
-meets. Then ``route``, ``sweep-density`` and ``compare`` run at seed 7 with
+meets; 3 of its routes end in ``outage``, an IU endpoint having walked out
+of coverage by its transfer's end, the only line where any route does.
+Then ``route``, ``sweep-density`` and ``compare`` run at seed 7 with
 ``CHANNEL_CONFIG``, which sets keys no line before it does: the ``eqtext``
 threshold rule, a 45 m reflector spacing, 4-bit fixed modulation (read by
-``compare``'s ``fixed_mod``) and Rician K = 3 dB. Then ``sweep-density``
-runs at seed 7 with ``SPACING_CONFIG``, a reflector every 10 m: its 1600
-surfaces get a cell index at r = 30 m and none at 45 and 60 m, so their
-scans take the array path, which no other line's static surfaces do.
+``compare``'s ``fixed_mod``) and Rician K = 3 dB. Its ``sweep-density``
+and ``compare`` lines end routes in ``no_iu_no_ris``, with neither an IU
+nor a surface in sight, the only lines where any route does. Then
+``sweep-density`` runs at seed 7 with ``SPACING_CONFIG``, a reflector
+every 10 m: its 1600 surfaces get a cell index at r = 30 m and none at 45
+and 60 m, so their scans take the array path, which no other line's
+static surfaces do.
 Then ``compare`` runs at seed 7 with ``HANDOFF_CONFIG``, 2 ms mean OFF
 periods: an IU's idle window shrinks to 2.1 slots, which no relay hop and
 few single reflections fit, so routes leave the single stage with the
@@ -51,6 +56,10 @@ end their routes in ``delay_exceeded``, which no route at the default
 ``mobility`` runs at seed 7 with ``DECISION_CONFIG``, a 2 ms budget,
 where routes also end in ``delay_exceeded`` at the reflector decision
 slot, moving and static ones, which leaves the clock past the budget.
+So every failure reason ends a route on some line. Routes reach a relay
+at or past the nominal hop span, whose delay limit is pinned to the
+route's remaining budget, on the seed-5 sweep lines, the seed-9
+``compare`` and the ``CHANNEL_CONFIG`` ``sweep-density`` line.
 53 CSVs, about 9 s on a 2-vCPU host at either SIMD level.
 """
 
