@@ -1,7 +1,11 @@
 """Command-line entry point.
 
-Each subcommand runs one experiment kind of ``experiments.KINDS``, and offers
-a flag for each plan field the kind reads; ``risroute --help`` lists them.
+Each subcommand runs one experiment kind of ``experiments.KINDS`` and takes
+--config, --out, --seed and --quiet, plus --replications and --threads where
+the kind reads them; ``risroute --help`` lists them. The other fields of
+``experiments.ExperimentPlan`` (the grids, variants, speeds, xi, delta,
+chains and batches) have no flag: the CLI runs each kind at their defaults,
+and only a Python caller sets them.
 
 Exit status: 0 success, 1 configuration error, 2 experiment failure or
 usage error (an unknown subcommand or flag, or a malformed value, which
@@ -12,7 +16,7 @@ random stream version. Feeding that manifest back through --config
 restores only the configuration: the outputs are reproduced byte for
 byte when --seed and --replications are passed again with their
 original values. A grid point's rows do not depend on the rest of its
-grid: a one-point grid reruns one point of a larger run.
+grid, so a one-point plan built in Python reruns one point of a CLI run.
 
 ``main`` pins BLAS and OpenMP to one thread before numpy loads: a
 250x250 mat-vec of the double-reflection alignment rounds differently

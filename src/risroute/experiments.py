@@ -21,8 +21,10 @@ drawing its next waypoint and speed from the walk's own stream.
 
 Each replication does only per-route work. What depends on the config
 alone is computed once per distinct key and shared read-only: the traffic
-chain law (``_profiles_for``), the RIS grid (``topology.ris_grid_positions``)
-and the mode table (``linkbudget.build_mode_table``).
+chain law (``_profiles_for``), the RIS grid (``topology.ris_grid_positions``),
+the mode table (``linkbudget.build_mode_table``), each policy's slot table
+(``router.slot_table``) and the surfaces' cell index
+(``topology._surface_index``).
 
 Every generator comes from ``_stream``, keyed by the seed, the runner
 family, the grid point's name (``_point``: coverage and density) and the
@@ -536,11 +538,12 @@ def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: Experimen
     points = [replace(cfg, **group[0].point) for group in groups]  # each checked before any file is written
     result.files.append(write_manifest(out, plan, cfg))
     run_cells = partial(_run_cells, seed=plan.seed, replications=plan.replications)
-    if plan.threads > 1 and KINDS[plan.kind].pooled:
+    # never more workers than cells (a fork-started pool forks every worker at the first submit); one runs serially
+    workers = min(plan.threads, len(groups)) if KINDS[plan.kind].pooled else 1
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: a serial run never needs a pool
 
-        # never more workers than cells: a fork-started pool forks every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(plan.threads, len(groups))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_cells, points, groups))
     else:
         outcomes = list(map(run_cells, points, groups))

@@ -4,7 +4,7 @@ Every hop is picked by one rule from the forward half-disc of the current
 transmitter: the destination when it qualifies, otherwise the endpoint
 that needs the fewest slots, ties broken by least remaining distance then
 lower id. Endpoints are sought in three stages, each yielding commit-ready
-entries ``(link, tau, rate)``:
+entries ``(link, tau, rate, surfaces)`` (``Entry``):
 
 * the destination at its fastest usable mode, else idle relays, each
   yielding one entry: its mode needing the fewest slots (the lowest bit
@@ -97,10 +97,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -271,28 +270,27 @@ def _link(node_id: int, snr: float, remaining_m: float, nu_idle_slots: float) ->
 
 
 class Entry(NamedTuple):
-    """A commit-ready hop endpoint: its link, slot count and how it is carried."""
+    """A commit-ready hop decision: the link to its endpoint, its slot count, how it is carried, and
+    the surfaces it crosses."""
 
     link: CandidateLink
     tau: int
     rate: float  # bit count b on direct hops, bits/use on reflected hops
+    surfaces: tuple[int, ...] = ()  # RIS ids crossed, in order; () on direct hops
 
 
 class SlotTable(NamedTuple):
-    """The direct modes a policy allows for one transfer size: the SNR each needs and its slot count.
-
-    A link's usable modes are the allowed ones its SNR reaches: every mode up
-    to its best (``linkbudget.mode_bits`` over ``thresholds_db``), or a pinned
-    one only if reached.
-    """
+    """The direct modes a policy allows for one transfer size, by a link's reach: the bit count b of
+    the fastest mode its SNR reaches (``linkbudget.mode_bits`` over ``thresholds_db``), 0 to
+    ``MAX_RATE``. Its usable modes are the allowed ones up to b: every one, or a pinned one only if
+    b reaches it. ``fastest[b]`` and ``cheapest[b]`` are the ``(slots, bits)`` it is taken at, or None
+    when no mode is usable."""
 
     thresholds_db: tuple[float, ...]  # lower SNR thresholds of b = 1..MAX_RATE, BPSK first (the mode table)
-    lowest: int  # lowest allowed bit count
-    highest: int  # highest allowed bit count
-    tau_of: Mapping[int, int]  # allowed bit count -> slots
-    first_of: Mapping[int, int]  # allowed bit count -> lowest allowed bit count needing as few slots
+    fastest: tuple[tuple[int, int] | None, ...]  # the destination's: the usable mode with the most bits
+    cheapest: tuple[tuple[int, int] | None, ...]  # a relay's: the least (slots, bits) among usable modes
     floor: int  # the fewest slots any allowed mode needs
-    floor_db: float  # the SNR a link needs to reach the floor: the threshold of first_of[highest]
+    floor_db: float  # the SNR a link needs to reach the floor: the threshold of cheapest[MAX_RATE]'s mode
 
 
 @functools.lru_cache(maxsize=16)
@@ -300,11 +298,12 @@ def slot_table(thresholds_db: tuple[float, ...], total_bits: int, fixed_rate_bit
     """The modes of mode table ``thresholds_db`` (``linkbudget.build_mode_table``) a policy allows for
     ``total_bits`` per transfer: every mode up to ``MAX_RATE``, or only a pinned ``fixed_rate_bits``;
     computed once per key, read-only."""
-    lowest, highest = (1, linkbudget.MAX_RATE) if fixed_rate_bits is None else (fixed_rate_bits, fixed_rate_bits)
-    tau_of = {bits: linkbudget.transfer_slots(total_bits, bits) for bits in range(lowest, highest + 1)}
-    first_of = {b: min(c for c in tau_of if tau_of[c] == tau) for b, tau in tau_of.items()}
-    return SlotTable(thresholds_db, lowest, highest, MappingProxyType(tau_of), MappingProxyType(first_of),
-                     tau_of[highest], thresholds_db[first_of[highest] - 1])
+    allowed = range(1, linkbudget.MAX_RATE + 1) if fixed_rate_bits is None else (fixed_rate_bits,)
+    modes = [(linkbudget.transfer_slots(total_bits, bits), bits) for bits in allowed]  # ascending bits
+    usable = [[m for m in modes if m[1] <= reach] for reach in range(linkbudget.MAX_RATE + 1)]
+    floor, floor_bits = min(modes)
+    return SlotTable(thresholds_db, tuple(u[-1] if u else None for u in usable),
+                     tuple(min(u, default=None) for u in usable), floor, thresholds_db[floor_bits - 1])
 
 
 def availability_set(links: list[CandidateLink], table: SlotTable) -> list[Entry]:
@@ -316,25 +315,16 @@ def availability_set(links: list[CandidateLink], table: SlotTable) -> list[Entry
     relay that ``select_entry`` could take, and if it overruns the idle
     window every mode does.
     """
-    tau_of, first_of, highest = table.tau_of, table.first_of, table.highest
-    entries = []
-    for link in links:
-        best = min(linkbudget.mode_bits(table.thresholds_db, link.snr_db), highest)
-        if best >= table.lowest and tau_of[best] <= link.nu_idle_slots:
-            bits = first_of[best]
-            entries.append(Entry(link, tau_of[bits], bits))
-    return entries
+    cheapest, thresholds_db = table.cheapest, table.thresholds_db
+    return [Entry(link, *mode) for link in links
+            if (mode := cheapest[linkbudget.mode_bits(thresholds_db, link.snr_db)]) and mode[0] <= link.nu_idle_slots]
 
 
 def select_entry(entries: list[Entry]) -> Entry:
     """The destination when it qualifies, else the argmin of the slot count;
-    ties by least remaining distance, then id (then first listed)."""
-    if not entries:
-        raise ValueError("no qualifying entry")
-    for entry in entries:
-        if entry.link.node_id == DEST_ID:
-            return entry
-    return min(entries, key=lambda e: (e.tau, e.link.remaining_m, e.link.node_id))
+    ties by least remaining distance, then id (then first listed). Raises
+    ValueError on no entry."""
+    return min(entries, key=lambda e: (e.link.node_id != DEST_ID, e.tau, e.link.remaining_m, e.link.node_id))
 
 
 class Router:
@@ -452,26 +442,25 @@ class Router:
         """
         found = self._scan(origin)
         if DEST_ID in found:
-            link, slots = self._direct_links(origin, [DEST_ID], [math.inf])[0], self.slots
-            bits = min(linkbudget.mode_bits(slots.thresholds_db, link.snr_db), slots.highest)  # the fastest
-            if bits >= slots.lowest:
-                return Entry(link, slots.tau_of[bits], bits), []
+            link = self._direct_links(origin, [DEST_ID], [math.inf])[0]
+            if mode := self.slots.fastest[linkbudget.mode_bits(self.slots.thresholds_db, link.snr_db)]:
+                return Entry(link, *mode), []
         idle, busy = self._split_idle_busy(found)
         # forward progress is required of a hop, not just half-disc membership
         links = self._direct_links(origin, idle.tolist(), self.field.law.nu_idle[idle - FIRST_IU_ID].tolist())
         aset = availability_set(links, self.slots)
         return (select_entry(aset) if aset else None), busy.tolist()
 
-    def _reflected_entry(self, endpoint: Endpoint, gamma: float) -> Entry | None:
-        """The entry of ``endpoint`` reached at SNR ``gamma``, or None when its rate is zero or its
-        transfer overruns its idle window."""
+    def _reflected_entry(self, endpoint: Endpoint, gamma: float, surfaces: tuple[int, ...]) -> Entry | None:
+        """The entry of ``endpoint`` reached over ``surfaces`` at SNR ``gamma``, or None when its rate is
+        zero or its transfer overruns its idle window."""
         node_id, _, remaining, nu = endpoint
         link = _link(node_id, gamma, remaining, nu)
         rate = self._reflected_rate(link.snr_linear)
         if rate <= 0.0:
             return None
         tau = linkbudget.transfer_slots(self.cfg.total_bits, rate)
-        return Entry(link, tau, rate) if tau <= nu else None
+        return Entry(link, tau, rate, surfaces) if tau <= nu else None
 
     def _single_surface(self, origin: Point, ris_id: int, endpoints: list[Endpoint], incoming: dict):
         """A function giving the entry of the i-th of ``endpoints`` behind ``ris_id``, worked out on first
@@ -489,14 +478,14 @@ class Router:
                 h_out = channel.sample_amplitudes(n_elements, k_db, self.rng)
                 d_out = math.dist(ris_pos, endpoints[i][1])
                 gamma = channel.optimal_single_reflection_snr(self.cfg, incoming[ris_id], h_out, d_in, d_out)
-                entries[i] = self._reflected_entry(endpoints[i], gamma)
+                entries[i] = self._reflected_entry(endpoints[i], gamma, (ris_id,))
             return entries[i]
 
         return entry_at
 
-    def _single_stage(self, origin: Point, candidates: Sequence[int], incoming: dict) -> tuple | None:
-        """One reflector among ``candidates``: ((ris_id,), entry), or None when no surface has a
-        qualifying endpoint. Each ``h_in`` drawn goes into ``incoming``, by surface.
+    def _single_stage(self, origin: Point, candidates: Sequence[int], incoming: dict) -> Entry | None:
+        """The entry of one reflector among ``candidates`` (``surfaces`` holds that reflector's id), or
+        None when no surface has a qualifying endpoint. Each ``h_in`` drawn goes into ``incoming``, by surface.
 
         Every candidate's IUs are observed first, in one call, and the endpoints in sight listed once
         (``_forward``); each surface takes those of its own scan, in scan order. The surface with the
@@ -523,14 +512,14 @@ class Router:
                 best = ((least, ris_id), endpoints, entry_at)
         if best is None:
             return None
-        (_, ris_id), endpoints, entry_at = best
-        return (ris_id,), select_entry([e for i in range(len(endpoints)) if (e := entry_at(i)) is not None])
+        _, endpoints, entry_at = best
+        return select_entry([e for i in range(len(endpoints)) if (e := entry_at(i)) is not None])
 
-    def ris_fallback(self, origin: Point, ledger: RouteLedger):
-        """Reflector stage; returns (surfaces, entry) or a FailureReason.
+    def ris_fallback(self, origin: Point, ledger: RouteLedger) -> Entry | FailureReason:
+        """Reflector stage; returns an entry or a FailureReason.
 
-        ``surfaces`` holds the one or two RIS ids the signal crosses, in
-        order; ``entry`` is the endpoint behind the last one, picked by
+        The entry's ``surfaces`` holds the one or two RIS ids the signal
+        crosses, in order; its endpoint is behind the last one, picked by
         ``select_entry`` like a relay.
 
         Single reflection: every visible surface is scored by the forward
@@ -558,8 +547,8 @@ class Router:
         if not candidates:
             return FailureReason.NO_IU_NO_RIS
         incoming: dict[int, np.ndarray] = {}  # h_in by surface, drawn at most once in the stage
-        if self.policy.runs_single and (outcome := self._single_stage(origin, candidates, incoming)) is not None:
-            return outcome
+        if self.policy.runs_single and (entry := self._single_stage(origin, candidates, incoming)) is not None:
+            return entry
 
         ledger.stage_reached = "double"
         if self.policy.runs_double:
@@ -587,10 +576,10 @@ class Router:
                 phase_i, phase_j = channel.alternating_double_phases(h_in, h_mid, h_out)
                 gamma = channel.double_reflection_sinr(self.cfg, h_in, phase_i, h_mid, phase_j, h_out,
                                                        d_in, d_mid, math.dist(second_pos, endpoint[1]))
-                if (entry := self._reflected_entry(endpoint, gamma)) is not None:
+                if (entry := self._reflected_entry(endpoint, gamma, (first, second))) is not None:
                     entries.append(entry)
             if entries:
-                return (first, second), select_entry(entries)
+                return select_entry(entries)
         return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
 
     # -- main loop ---------------------------------------------------------------
@@ -626,18 +615,16 @@ class Router:
                     remaining = math.dist(origin, self.dest)
                     ledger.hops.append(HopChoice((), wait_slots, 0.0, 0.0, remaining))
                     entry, _ = self._relay_stage(origin)
-            surfaces = ()
             if entry is None:
                 self._tick(1)  # the reflector decision epoch costs one slot
                 wait_slots += 1  # and joins the t'' tally
                 origin = self._point(holder)
                 if self._remaining_s() < 0:
                     return FailureReason.DELAY_EXCEEDED
-                outcome = self.ris_fallback(origin, ledger)
-                if isinstance(outcome, FailureReason):
-                    return outcome
-                surfaces, entry = outcome
-            endpoint = self._commit(origin, surfaces, entry, ledger)
+                entry = self.ris_fallback(origin, ledger)
+                if isinstance(entry, FailureReason):
+                    return entry
+            endpoint = self._commit(origin, entry, ledger)
             if isinstance(endpoint, FailureReason):
                 return endpoint
             if entry.link.node_id == DEST_ID:
@@ -661,8 +648,8 @@ class Router:
             return 0
         return eta
 
-    def _commit(self, origin: Point, surfaces: tuple[int, ...], entry: Entry, ledger: RouteLedger):
-        """Transmit ``entry`` from ``origin`` via zero, one or two ``surfaces``.
+    def _commit(self, origin: Point, entry: Entry, ledger: RouteLedger):
+        """Transmit ``entry`` from ``origin`` over its zero, one or two surfaces.
 
         Returns the endpoint's position once ``_tick`` has run the
         transfer's slots, or a FailureReason and logs no hop: DELAY_EXCEEDED,
@@ -672,7 +659,7 @@ class Router:
         before any state changes, on a hop that does not end strictly closer
         to the destination than ``origin``.
         """
-        link, tau = entry.link, entry.tau
+        link, tau, surfaces = entry.link, entry.tau, entry.surfaces
         if not link.remaining_m < math.dist(origin, self.dest):
             raise ValueError(
                 f"hop to {self.topo.label(link.node_id)} ends {link.remaining_m} m from the "

@@ -105,8 +105,8 @@ def test_handoff_config_takes_double_hops_on_the_single_stages_h_in(tmp_path, mo
     def recorded_fallback(self, origin, ledger):
         tables.clear()
         outcome = fallback(self, origin, ledger)
-        if not isinstance(outcome, router.FailureReason) and len(outcome[0]) == 2:
-            handed.append(bool(tables) and outcome[0][0] in tables[0])
+        if not isinstance(outcome, router.FailureReason) and len(outcome.surfaces) == 2:
+            handed.append(bool(tables) and outcome.surfaces[0] in tables[0])
         return outcome
 
     monkeypatch.setattr(router.Router, "_single_stage", recorded_single)

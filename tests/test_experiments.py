@@ -472,7 +472,8 @@ class TestSweeps:
         plan = ExperimentPlan(kind="coverage_sweep", seed=3, replications=1, threads=threads,
                               coverage_grid=(50.0, 70.0), density_grid=(20, 40))  # 4 cells
         run(plan, SimConfig(), tmp_path)
-        assert seen == [min(threads, 4)]
+        run(replace(plan, coverage_grid=(50.0,), density_grid=(20,)), SimConfig(), tmp_path / "one")
+        assert seen == [min(threads, 4)]  # the one-cell plan runs serially: a lone worker is no parallelism
 
     def test_standard_error_shrinks_with_replications(self, tmp_path):
         plan_small = ExperimentPlan(kind="coverage_sweep", seed=5, replications=60,

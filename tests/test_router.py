@@ -181,6 +181,25 @@ class TestFloorSnr:
                     assert all(e.tau > table.floor for e in entries), (total_bits, fixed, nu)
 
 
+def test_mode_tables_against_the_usable_modes():
+    """At every reach, ``SlotTable.cheapest`` (a relay's mode) is the least (slots, bits) and
+    ``SlotTable.fastest`` (the destination's) the most bits among the modes ``usable_modes`` lists for
+    a link at that reach; both None when it lists none."""
+    for rule in ("table3", "eqtext"):
+        thresholds = build_mode_table(1e-6, rule)
+        for total_bits in (16, 24, 32):
+            for fixed in (None, *range(1, linkbudget.MAX_RATE + 1)):
+                table = slot_table(thresholds, total_bits, fixed)
+                for reach in range(linkbudget.MAX_RATE + 1):
+                    snr_db = thresholds[reach - 1] if reach else -math.inf
+                    assert linkbudget.mode_bits(thresholds, snr_db) == reach
+                    modes = [(linkbudget.transfer_slots(total_bits, bits), bits)
+                             for bits in usable_modes(thresholds, snr_db, fixed)]
+                    case = (rule, total_bits, fixed, reach)
+                    assert table.cheapest[reach] == min(modes, default=None), case
+                    assert table.fastest[reach] == max(modes, key=lambda m: m[1], default=None), case
+
+
 class TestSelectIu:
     """``select_entry`` picking among relay (IU) entries, and the destination over any of them."""
 
@@ -259,6 +278,15 @@ class TestDirectRouting:
         cfg16 = line_config(packets=4, fixed_rate_bits=4)
         pinned16 = route(topo, idle_law(0, cfg16), cfg16, rng_for(104), variant="fixed_mod")
         assert (pinned16.hops[0].slots_used, pinned16.hops[0].rate) == (8, 4.0)
+
+    def test_equal_slot_modes_destination_fastest_relay_lowest(self, monkeypatch):
+        # 16 bits: b = 6 and b = 7 both need 3 slots, and every direct link reaches b = 7 but not b = 8
+        cfg = line_config()
+        thresholds = build_mode_table(cfg.target_ber, cfg.threshold_rule)
+        monkeypatch.setattr(channel, "direct_snr", lambda *args: 10 ** ((thresholds[6] + thresholds[7]) / 20))
+        topo = build_topology([(350.0, 200.0)], src=(300.0, 200.0))  # D, 100 m off, is out of S's sight
+        led = route(topo, idle_law(1, cfg), cfg, rng_for(104))
+        assert [(h.via, h.slots_used, h.rate) for h in led.hops] == [((2,), 3, 6.0), ((DEST_ID,), 3, 7.0)]
 
 
 class TestReflectorFallback:
@@ -422,8 +450,8 @@ class TestSingleStageDraws:
     def test_idle_forward_endpoint_draws_h_in_then_h_out(self, monkeypatch):
         r = self.router(traffic.IDLE)
         draws = recorded_draws(monkeypatch)
-        surfaces, entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
-        assert (surfaces, entry.link.node_id) == ((r.topo.first_ris_id,), 2)
+        entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
+        assert (entry.surfaces, entry.link.node_id) == ((r.topo.first_ris_id,), 2)
         assert shapes(draws) == [("amplitudes", 250), ("amplitudes", 250)]
 
     def test_a_later_surface_draws_amplitudes_only(self, monkeypatch):
@@ -431,8 +459,8 @@ class TestSingleStageDraws:
         r = self.router(traffic.IDLE, riss=((150.0, 200.0), (130.0, 150.0)), ius=((170.0, 120.0),))
         assert r._scan(r._point(SOURCE_ID), r.ris_ids) == (3, 4) and r._scan((150.0, 200.0)) == ()
         draws = recorded_draws(monkeypatch)
-        surfaces, entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
-        assert (surfaces, entry.link.node_id) == ((4,), 2)
+        entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
+        assert (entry.surfaces, entry.link.node_id) == ((4,), 2)
         assert shapes(draws) == [("amplitudes", 250), ("amplitudes", 250)]
 
     def test_double_stage_reuses_the_first_surfaces_h_in(self, monkeypatch):
@@ -560,8 +588,8 @@ class TestMobileOrigin:
                 return (relay if stage == "relay" else fallback)(router, origin, *ledger)
             return checked
 
-        def tracked_commit(router, origin, surfaces, entry, ledger):
-            endpoint = commit(router, origin, surfaces, entry, ledger)
+        def tracked_commit(router, origin, entry, ledger):
+            endpoint = commit(router, origin, entry, ledger)
             if not isinstance(endpoint, FailureReason):
                 holder[0] = entry.link.node_id
             return endpoint
@@ -651,14 +679,14 @@ class TestCommitProgress:
         for surfaces, kind in (((), HopKind.DIRECT_IU), ((3,), HopKind.SINGLE_RIS), ((3, 4), HopKind.DOUBLE_RIS)):
             led = RouteLedger()
             with pytest.raises(ValueError, match="no closer"):
-                r._commit(origin, surfaces, Entry(stuck, 3, 8.0), led)
+                r._commit(origin, Entry(stuck, 3, 8.0, surfaces), led)
             assert led.hops == [] and r.clock == 0
             far = (10.0, 200.0)
-            reason = r._commit(far, surfaces, Entry(closer, int(overrun), 8.0), led)
+            reason = r._commit(far, Entry(closer, int(overrun), 8.0, surfaces), led)
             assert reason is FailureReason.DELAY_EXCEEDED
             assert led.hops == [] and r.clock == 0
             # the same hop from farther out commits: clock, ledger and endpoint
-            end = r._commit(far, surfaces, Entry(closer, 3, 8.0), led)
+            end = r._commit(far, Entry(closer, 3, 8.0, surfaces), led)
             assert end == (50.0, 200.0) and r.clock == 3
             hop = led.hops[-1]
             assert (hop.kind, hop.via) == (kind, (*surfaces, 2))
@@ -714,7 +742,7 @@ class ExhaustiveRouter(Router):
         return np.full(self.cfg.ris_elements, MAX_GAIN)
 
     def _single_stage(self, origin, candidates, incoming):
-        best = None  # ((progress, ris_id), surfaces, entry)
+        best = None  # ((progress, ris_id), entry)
         for ris_id in candidates:
             ris_pos = self._point(ris_id)
             found = self._scan(ris_pos)
@@ -724,13 +752,13 @@ class ExhaustiveRouter(Router):
                 gamma = channel.optimal_single_reflection_snr(
                     self.cfg, self._gains(ris_id), self._gains((ris_id, endpoint[0])),
                     math.dist(origin, ris_pos), math.dist(ris_pos, endpoint[1]))
-                if (entry := self._reflected_entry(endpoint, gamma)) is not None:
+                if (entry := self._reflected_entry(endpoint, gamma, (ris_id,))) is not None:
                     entries.append(entry)
             if entries:
                 key = (min(e.link.remaining_m for e in entries), ris_id)
                 if best is None or key < best[0]:
-                    best = (key, (ris_id,), select_entry(entries))
-        return None if best is None else best[1:]
+                    best = (key, select_entry(entries))
+        return None if best is None else best[1]
 
 
 @contextlib.contextmanager
@@ -1009,16 +1037,16 @@ class TestSingleStageAgainstExhaustive:
         scan = r._scan(r._point(SOURCE_ID), r.ris_ids)
         assert [r.xy[i].tolist() for i in scan] == [list(near), list(far)]
         assert all(2 in r._scan(tuple(r.xy[i].tolist())) for i in scan)
-        surfaces, entry = self.pick(topo, line_config(), 1)
-        assert surfaces == (topo.first_ris_id,) and entry.link.node_id == 2
+        entry = self.pick(topo, line_config(), 1)
+        assert entry.surfaces == (topo.first_ris_id,) and entry.link.node_id == 2
 
     def test_destination_behind_a_later_surface(self):
         # at -40 dBm noise the destination is in sight of both surfaces but only the one scanned
         # second, nearer the source, reaches it at a positive rate; the first reaches U1
         cfg = line_config(noise_dbm=-40.0)
         topo = build_topology([(390.0, 215.0)], [(380.0, 225.0), (342.0, 200.0)], src=(330.0, 200.0))
-        surfaces, entry = self.pick(topo, cfg, 1)
-        assert surfaces == (topo.first_ris_id + 1,) and entry.link.node_id == DEST_ID
+        entry = self.pick(topo, cfg, 1)
+        assert entry.surfaces == (topo.first_ris_id + 1,) and entry.link.node_id == DEST_ID
         r = Router(topo, idle_law(1, cfg), cfg, rng_for(151))
         first = r._scan(r._point(SOURCE_ID), r.ris_ids)[0]
         assert first == topo.first_ris_id and DEST_ID in r._scan(r._point(first))
@@ -1032,8 +1060,8 @@ class TestSingleStageAgainstExhaustive:
         r = Router(topo, idle_law(3, line_config()), line_config(), rng_for(151))
         assert r._scan(r._point(SOURCE_ID), r.ris_ids) == (5, 6)
         assert r._scan((320.0, 195.0)) == (2, 3, 4) and r._scan((340.0, 262.0)) == (4,)
-        surfaces, entry = self.pick(topo, line_config(), 3)
-        assert surfaces == (5,) and entry.link.remaining_m == math.nextafter(40.0, 0.0)
+        entry = self.pick(topo, line_config(), 3)
+        assert entry.surfaces == (5,) and entry.link.remaining_m == math.nextafter(40.0, 0.0)
 
 
 HOP_STAGE = {HopKind.DIRECT_IU: "relay", HopKind.SINGLE_RIS: "reflector", HopKind.DOUBLE_RIS: "double"}
