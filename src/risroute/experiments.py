@@ -231,24 +231,24 @@ class MobilityField:
             arriving = step >= dist  # a row on its waypoint arrives, so no row left divides by zero
             if arriving.any():
                 self.xy += delta * np.divide(step, dist, out=np.zeros_like(step), where=~arriving)[:, None]
+                # arriving nodes walk on leg by leg; each arrival draws the next waypoint's x, y, then the speed
+                for i in np.nonzero(arriving)[0]:
+                    (x, y), (wx, wy), v = self.xy[i].tolist(), self.waypoints[i].tolist(), float(self.speeds[i])
+                    remaining = dt
+                    while v > 0.0:
+                        dist = math.dist((x, y), (wx, wy))
+                        time_to_wp = dist / v
+                        if time_to_wp > remaining:
+                            frac = v * remaining / dist
+                            x, y = x + (wx - x) * frac, y + (wy - y) * frac
+                            break
+                        x, y = wx, wy
+                        remaining -= time_to_wp
+                        wx, wy = self.rng.uniform(0.0, self.arena), self.rng.uniform(0.0, self.arena)
+                        v = self.rng.uniform(0.0, 1.0) * self.v_max
+                    self.xy[i], self.waypoints[i], self.speeds[i] = (x, y), (wx, wy), v
             else:  # the same quotients, unmasked
                 self.xy += delta * (step / dist)[:, None]
-            # arriving nodes walk on leg by leg; each arrival draws the next waypoint's x, y, then the speed
-            for i in np.nonzero(arriving)[0]:
-                (x, y), (wx, wy), v = self.xy[i].tolist(), self.waypoints[i].tolist(), float(self.speeds[i])
-                remaining = dt
-                while v > 0.0:
-                    dist = math.dist((x, y), (wx, wy))
-                    time_to_wp = dist / v
-                    if time_to_wp > remaining:
-                        frac = v * remaining / dist
-                        x, y = x + (wx - x) * frac, y + (wy - y) * frac
-                        break
-                    x, y = wx, wy
-                    remaining -= time_to_wp
-                    wx, wy = self.rng.uniform(0.0, self.arena), self.rng.uniform(0.0, self.arena)
-                    v = self.rng.uniform(0.0, 1.0) * self.v_max
-                self.xy[i], self.waypoints[i], self.speeds[i] = (x, y), (wx, wy), v
         self.t = t
         return self.xy
 

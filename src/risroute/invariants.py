@@ -27,8 +27,9 @@ of the position the next hop starts from is known only at the source and
 after a wait, which records it, and only there is a mobile hop checked.
 
 The trajectory kind checks each ledger before it writes the ledger's CSV
-(``experiments``); the grid kinds do not, as a check costs about 30 us
-against a dense-relay route's 1.0 ms (2-vCPU host).
+(``experiments``); the grid kinds do not, as a check costs about a
+twentieth of a dense-relay route (r = 90 m, 900 IUs; medians of 400 routes
+on a 2-vCPU host: 42 us against 0.74 ms).
 """
 
 from __future__ import annotations

@@ -13,10 +13,14 @@ entries ``(link, tau, rate, surfaces)`` (``Entry``):
   the transmitter defers once — waiting the minimum estimated turn-idle
   time of the busy relays in sight that would make forward progress,
   budget permitting — and rescans. One amplitude draw covers every idle
-  relay in sight, in scan order, but a link is built only for those
+  relay in sight, in scan order, but a link is evaluated only for those
   strictly closer to the destination than the transmitter, the only ones a
   hop may take, and whose idle window holds the fewest slots any mode
-  needs, the only ones that can pass the availability constraint;
+  needs, the only ones that can pass the availability constraint. The
+  stage picks its hop in the same pass: it keeps the best entry so far by
+  ``select_entry``'s order, and builds a link and an entry only for a relay
+  that becomes the best (``availability_set`` followed by ``select_entry``
+  is its oracle);
 * one reflector: the surface whose best qualifying endpoint makes the
   most forward progress;
 * two reflectors: the surface nearest the destination extended to exactly
@@ -43,14 +47,17 @@ same distance the ledger records.
 
 Stopping early. Candidates come in scan order, least remaining distance
 first, so the relay and single-reflection stages stop evaluating links once
-no later candidate can win. Every traffic observation still happens, so
-each hop is the one the exhaustive stage picks over the same draws (the
-oracles in ``tests/test_router.py``):
+no later candidate can win. Every traffic observation and draw still
+happens, so each hop is the one the exhaustive stage picks over the same
+draws (the oracles in ``tests/test_router.py``):
 
 * relays: once a link's entry needs the floor, the fewest slots any allowed
   mode needs (``SlotTable.floor``), only a later link at most as far from
-  the destination can beat it, so evaluation ends at the first later link
-  farther than that entry's remaining distance times ``STOP_MARGIN``;
+  the destination can beat it, so the pass ends at the first later link
+  farther than that entry's remaining distance times ``STOP_MARGIN``. Up to
+  there the running best is compared on the whole key (slots, remaining
+  distance, id): a later link can be 1 ulp nearer than an earlier one
+  (below);
 * single reflection: each single stage observes once, before any draw: the
   IUs in sight of all its surfaces, in one call, first seen first. A
   surface's key is the least remaining distance of its qualifying
@@ -263,10 +270,13 @@ class CandidateLink(NamedTuple):
     nu_idle_slots: float  # inf for the destination, which is never busy
 
 
+def _decibels(snr: float) -> float:
+    return 10.0 * math.log10(snr) if snr > 0 else -math.inf
+
+
 def _link(node_id: int, snr: float, remaining_m: float, nu_idle_slots: float) -> CandidateLink:
     """The link to ``node_id`` at linear SNR ``snr``."""
-    snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
-    return CandidateLink(node_id, snr_db, snr, remaining_m, nu_idle_slots)
+    return CandidateLink(node_id, _decibels(snr), snr, remaining_m, nu_idle_slots)
 
 
 class Entry(NamedTuple):
@@ -314,6 +324,11 @@ def availability_set(links: list[CandidateLink], table: SlotTable) -> list[Entry
     Slot counts never rise with the rate, so this is the only mode of the
     relay that ``select_entry`` could take, and if it overruns the idle
     window every mode does.
+
+    The router does not call it: ``Router._relay_stage`` applies the same rule
+    link by link in one pass, and ``select_entry`` over this set is that pass's
+    oracle in the tests. It stays here because the benchmark's tracer wraps it
+    by name.
     """
     cheapest, thresholds_db = table.cheapest, table.thresholds_db
     return [Entry(link, *mode) for link in links
@@ -385,31 +400,6 @@ class Router:
             return tuple(topology.half_circle_scan(self.xy, self.relay_ids, center, self.dest, self.cfg.coverage_m))
         return self.topo.scan(self.relay_ids if ids is None else ids, center, self.cfg.coverage_m)
 
-    def _direct_links(self, origin: Point, ids: list[int], nus: list[float]) -> list[CandidateLink]:
-        """Direct links from ``origin`` to those of ``ids`` (scan order; idle windows ``nus``) that end
-        strictly closer to the destination than ``origin`` (the destination itself, at 0, always does),
-        up to the last one that could still be the hop; one amplitude draw covers every id, in order. An
-        id whose idle window is below the floor gets no link: ``availability_set`` would drop it at any SNR.
-
-        Once a link's entry needs the floor slot count, a later link farther from the destination
-        than its remaining distance times ``STOP_MARGIN`` ends the list (module docstring).
-        """
-        if not ids:
-            return []
-        amplitudes = channel.sample_amplitudes(len(ids), self.cfg.rician_k_db, self.rng).tolist()
-        dest, links, stop = self.dest, [], math.inf
-        limit, floor, floor_db = math.dist(origin, dest), self.slots.floor, self.slots.floor_db
-        for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
-            remaining = math.dist(pos, dest)
-            if remaining > stop:
-                break
-            if remaining < limit and nu >= floor:
-                link = _link(node_id, channel.direct_snr(self.cfg, amp, math.dist(origin, pos)), remaining, nu)
-                links.append(link)
-                if stop == math.inf and link.snr_db >= floor_db:
-                    stop = remaining * STOP_MARGIN
-        return links
-
     def _reflected_rate(self, gamma: float) -> float:
         if self.policy.shannon:
             return channel.shannon_rate(gamma)
@@ -434,22 +424,49 @@ class Router:
     # -- route steps -----------------------------------------------------------
 
     def _relay_stage(self, origin: Point) -> tuple[Entry | None, list[int]]:
-        """One scan at the current epoch: (entry | None, busy IU ids in sight).
+        """One scan at the current epoch: (entry, []), or (None, the busy IU ids in sight).
 
-        The destination, when in sight with a usable mode, is taken at its
-        fastest mode before any IU traffic is observed; a relay at its
-        ``availability_set`` entry.
+        The destination, when in sight with a usable mode, is taken at its fastest mode before any IU
+        traffic is observed. Otherwise the IUs in sight are observed once, one amplitude draw covers
+        the idle ones, and one pass over them in scan order keeps the best entry so far by
+        ``select_entry``'s order (module docstring; ``availability_set`` is the pass's oracle). The
+        ids stay one array up to the pass, and the busy ones are listed only when there is no entry:
+        the deferral is their only reader.
         """
         found = self._scan(origin)
-        if DEST_ID in found:
-            link = self._direct_links(origin, [DEST_ID], [math.inf])[0]
-            if mode := self.slots.fastest[linkbudget.mode_bits(self.slots.thresholds_db, link.snr_db)]:
+        cfg, dest, slots = self.cfg, self.dest, self.slots
+        if found and found[0] == DEST_ID:  # at 0 m from itself, the destination leads any scan it is in
+            amp = channel.sample_amplitudes(1, cfg.rician_k_db, self.rng).tolist()[0]
+            link = _link(DEST_ID, channel.direct_snr(cfg, amp, math.dist(origin, dest)), 0.0, math.inf)
+            if mode := slots.fastest[linkbudget.mode_bits(slots.thresholds_db, link.snr_db)]:
                 return Entry(link, *mode), []
-        idle, busy = self._split_idle_busy(found)
-        # forward progress is required of a hop, not just half-disc membership
-        links = self._direct_links(origin, idle.tolist(), self.field.law.nu_idle[idle - FIRST_IU_ID].tolist())
-        aset = availability_set(links, self.slots)
-        return (select_entry(aset) if aset else None), busy.tolist()
+            found = found[1:]
+        if not found:
+            return None, []
+        ids = np.fromiter(found, np.intp, len(found))
+        rows = ids - FIRST_IU_ID
+        idle = self.field.states_at(self.clock, rows, self.rng) == traffic.IDLE
+        relays = ids[idle]
+        best = key = None
+        if len(relays):
+            nus = self.field.law.nu_idle[rows[idle]].tolist()
+            amplitudes = channel.sample_amplitudes(len(relays), cfg.rician_k_db, self.rng).tolist()
+            limit, stop = math.dist(origin, dest), math.inf
+            thresholds_db, cheapest, floor, floor_db = slots.thresholds_db, slots.cheapest, slots.floor, slots.floor_db
+            for node_id, pos, amp, nu in zip(relays.tolist(), self.xy[relays].tolist(), amplitudes, nus):
+                remaining = math.dist(pos, dest)
+                if remaining > stop:
+                    break
+                if remaining < limit and nu >= floor:  # forward progress, and an idle window that can fit
+                    snr = channel.direct_snr(cfg, amp, math.dist(origin, pos))
+                    snr_db = _decibels(snr)
+                    if stop == math.inf and snr_db >= floor_db:
+                        stop = remaining * STOP_MARGIN
+                    mode = cheapest[linkbudget.mode_bits(thresholds_db, snr_db)]
+                    if mode and mode[0] <= nu and (key is None or (mode[0], remaining, node_id) < key):
+                        key = (mode[0], remaining, node_id)
+                        best = Entry(CandidateLink(node_id, snr_db, snr, remaining, nu), *mode)
+        return (None, ids[~idle].tolist()) if best is None else (best, [])
 
     def _reflected_entry(self, endpoint: Endpoint, gamma: float, surfaces: tuple[int, ...]) -> Entry | None:
         """The entry of ``endpoint`` reached over ``surfaces`` at SNR ``gamma``, or None when its rate is

@@ -37,25 +37,30 @@ table. Until its first tick those rows are the topology's, so its IU scans
 read the memo; after it, it scans them afresh, with no memo and no index.
 Its surface scans always read the memo.
 
-Cell indexes. A scan the memo misses still runs ``half_circle_scan``,
-handed the topology's cell index of (id range, r), built lazily on the
-first scan of that pair (``cell_index``): each row's id, ``(x, y)`` and its
-``np.hypot`` distance to the destination, bucketed into square cells of
-side r with one stable ``argsort`` of the cell numbers, so that a scan
-visits only the rows of the 3 x 3 cells round the centre, in Python. A
-range gets an index only where its rows are sparse in their own bounding
-box: its r-cells number no more than about four a row, and its rows
-average no more than 10 a cell (about 40 in a 2r square). Elsewhere (900
-IUs at r = 90 m, say) the topology stores None for the pair, and the scan
-takes the array path: a few numpy passes over every row, measuring the
-remaining distance of the hits alone. The surfaces' index depends only on
-their rows, r and the destination, so it is kept in a small cache that
-every topology of a grid run shares (``_surface_index``); an IU range's
-belongs to its topology. Moving IUs have no index and take the array path
-too.
+Cell indexes and scan columns. A scan the memo misses still runs
+``half_circle_scan``, handed the topology's cell index of (id range, r),
+built lazily on the first scan of that pair (``cell_index``): each row's
+id, ``(x, y)`` and its ``np.hypot`` distance to the destination, bucketed
+into square cells of side r with one stable ``argsort`` of the cell
+numbers, so that a scan visits only the rows of the 3 x 3 cells round the
+centre, in Python. A range gets an index only where its rows are sparse in
+their own bounding box: its r-cells number no more than about four a row,
+and its rows average no more than 10 a cell (about 40 in a 2r square).
+Elsewhere (900 IUs at r = 90 m, the 1600 surfaces of a 10 m grid at r = 45
+m, say) the topology stores None for the pair, and the scan takes the array
+path: a few numpy passes over every row. Such a range keeps its scan
+columns from its first scan on (``scan_columns``): contiguous x and y
+columns and each row's ``np.hypot`` distance to the destination, so the
+array path reads the remaining distances of its hits instead of measuring
+them. The surfaces' index depends only on their rows, r and the
+destination, so it is kept in a small cache that every topology of a grid
+run shares (``_surface_index``); an IU range's index, and every range's
+columns, belong to its topology. Moving IUs have neither and take the array
+path on their raw rows.
 
-Both paths return the same ids in the same order, bit for bit, by these
-rules (``TestCellIndex`` and ``TestArrayPath`` hold them to it):
+Every path returns the same ids in the same order, bit for bit, by these
+rules (``TestCellIndex``, ``TestArrayPath`` and ``TestScanColumns`` hold
+them to it):
 
 * distance: ``dist <= r`` is decided on dx^2 + dy^2 against r^2, except within
   a relative ``NEAR`` = 1e-12 of r^2, where the row's ``np.hypot`` decides, so
@@ -70,10 +75,11 @@ rules (``TestCellIndex`` and ``TestArrayPath`` hold them to it):
 * order: hits sort by (``np.hypot`` distance to the destination, id): a stable
   sort of the hits, which are found in id order.
 
-A topology holds only positions, the memo of their scans and the cell
-indexes of its IU ranges. The coverage radius, the arena and the surfaces'
-element count are ``SimConfig`` fields (``coverage_m``, ``arena_m``,
-``ris_elements``), read from the config by whoever needs them.
+A topology holds only positions, the memo of their scans, the cell indexes
+of its IU ranges and the scan columns of its ranges without one. The
+coverage radius, the arena and the surfaces' element count are
+``SimConfig`` fields (``coverage_m``, ``arena_m``, ``ris_elements``), read
+from the config by whoever needs them.
 """
 
 from __future__ import annotations
@@ -97,8 +103,8 @@ NEAR = 1e-12  # relative band round r^2 in which a scan leaves dist <= r to np.h
 
 class Topology:
     """Immutable scenario: the node table, every row checked to lie inside the square arena of side
-    ``arena``, the memo of its scans and their cell indexes, None where a range has none (module
-    docstring)."""
+    ``arena``, the memo of its scans, their cell indexes (None where a range has none) and the scan
+    columns of each range without one (module docstring)."""
 
     def __init__(self, source: Point, dest: Point, iu_xy: np.ndarray, ris_xy: np.ndarray, arena: float):
         iu_xy = np.asarray(iu_xy, dtype=float).reshape(-1, 2)
@@ -114,6 +120,7 @@ class Topology:
         self.first_ris_id = FIRST_IU_ID + len(iu_xy)
         self._scans: dict[tuple[range, Point, float], tuple[int, ...]] = {}
         self._indexes: dict[tuple[range, float], CellIndex | None] = {}
+        self._columns: dict[range, ScanColumns] = {}
 
     @property
     def iu_xy(self) -> np.ndarray:
@@ -133,7 +140,7 @@ class Topology:
 
     def scan(self, ids: range, center: Point, r: float) -> tuple[int, ...]:
         """``half_circle_scan`` of this table toward the destination, computed once per (ids, center, r),
-        through the cell index of (ids, r) where it has one."""
+        through the cell index of (ids, r) where it has one, else through the scan columns of ids."""
         key = (ids, center, r)
         found = self._scans.get(key)
         if found is None:
@@ -143,8 +150,12 @@ class Topology:
                     self._indexes[ids, r] = _surface_index(ids.start, rows.tobytes(), r, self.dest)
                 else:
                     self._indexes[ids, r] = cell_index(rows, ids.start, r, self.dest)
-            index = self._indexes[ids, r]
-            found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, self.dest, r, index))
+            table = self._indexes[ids, r]
+            if table is None:
+                table = self._columns.get(ids)
+                if table is None:
+                    table = self._columns[ids] = scan_columns(self.xy[ids.start:ids.stop], self.dest)
+            found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, self.dest, r, table))
         return found
 
 
@@ -196,6 +207,22 @@ def _surface_index(start: int, rows: bytes, r: float, target: Point) -> CellInde
     return cell_index(np.frombuffer(rows).reshape(-1, 2), start, r, target)
 
 
+class ScanColumns(NamedTuple):
+    """The rows of one id range as contiguous x and y columns, and each row's ``np.hypot`` distance to
+    ``target``: what the array path reads of a static range without a cell index."""
+
+    target: Point
+    x: np.ndarray
+    y: np.ndarray
+    remaining: np.ndarray
+
+
+def scan_columns(rows: np.ndarray, target: Point) -> ScanColumns:
+    """The scan columns of ``rows`` toward ``target``."""
+    x, y = np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1])
+    return ScanColumns(target, x, y, np.hypot(x - target[0], y - target[1]))
+
+
 def _cell_scan(index: CellIndex, center: Point, r: float) -> list[int]:
     """``half_circle_scan`` through ``index``."""
     cx, cy = center
@@ -230,7 +257,7 @@ def half_circle_scan(
     center: Point,
     target: Point,
     r: float,
-    table: CellIndex | None = None,
+    table: CellIndex | ScanColumns | None = None,
 ) -> list[int]:
     """Ids in ``ids`` (a contiguous range of rows of ``xy``) within ``r`` of
     ``center`` in the half-disc facing ``target``.
@@ -242,33 +269,46 @@ def half_circle_scan(
     projection). Empty result is valid.
 
     ``table``, the ``cell_index`` of these rows for ``r`` and ``target``, lets the scan
-    visit only the cells round the centre; without one, the scan takes the array path
-    over every row. The result is the same (module docstring).
+    visit only the cells round the centre; their ``scan_columns`` for ``target`` let the
+    array path read contiguous columns and the remaining distances; without either, the
+    array path reads the rows of ``xy``. The result is the same (module docstring).
     """
     if center == target:
         raise ValueError("scan center must differ from target")
-    if table is not None:
+    if isinstance(table, CellIndex):
         if (table.r, table.target) != (r, target):
             raise ValueError("the cell index was built for another radius or target")
         return _cell_scan(table, center, r)
-    pos = xy[ids.start:ids.stop]
-    x, y = pos[:, 0], pos[:, 1]
+    if table is None:
+        pos = xy[ids.start:ids.stop]
+        x, y = pos[:, 0], pos[:, 1]
+    elif table.target != target:
+        raise ValueError("the scan columns were built for another target")
+    else:
+        x, y = table.x, table.y
     cx, cy = center
     ax, ay = target[0] - cx, target[1] - cy
     dx, dy = x - cx, y - cy
-    s = dx * dx + dy * dy
+    s = dx * dx
+    s += dy * dy
+    dx *= ax  # dx and dy become the projection's two terms, summed into dx
+    dy *= ay
+    dx += dy
     r2 = r * r
-    hits = np.flatnonzero((s <= r2 * (1.0 + NEAR)) & (dx * ax + dy * ay > 0.0))
+    hits = ((s <= r2 * (1.0 + NEAR)) & (dx > 0.0)).nonzero()[0]
     band = s[hits] >= r2 * (1.0 - NEAR)
     if np.count_nonzero(band):  # rows within NEAR of r^2: np.hypot decides, as in _cell_scan
         edge = hits[band]
-        band[band] = np.hypot(dx[edge], dy[edge]) > r
+        band[band] = np.hypot(x[edge] - cx, y[edge] - cy) > r
         hits = hits[~band]
     if len(hits) < 2:
         return (ids.start + hits).tolist()
-    remaining = np.hypot(x[hits] - target[0], y[hits] - target[1])
+    if table is None:
+        remaining = np.hypot(x[hits] - target[0], y[hits] - target[1])
+    else:
+        remaining = table.remaining[hits]
     # hits are in id order, so a stable sort breaks ties by lower id
-    return (ids.start + hits[np.argsort(remaining, kind="stable")]).tolist()
+    return (ids.start + hits[remaining.argsort(kind="stable")]).tolist()
 
 
 def min_hops(l: float, r: float) -> int:

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import math
+from collections import Counter
 import subprocess
 import sys
 from dataclasses import replace
@@ -163,7 +164,7 @@ class TestAvailabilitySetOracle:
 
 class TestFloorSnr:
     """``SlotTable.floor_db`` is the SNR a link needs for an entry at the floor slot count, the input of
-    ``Router._direct_links``' stop rule: a link exactly there with an idle window of ``floor`` slots gets
+    ``Router._relay_stage``'s stop rule: a link exactly there with an idle window of ``floor`` slots gets
     an ``availability_set`` entry needing ``floor`` slots, and one ulp below it gets no such entry, with
     that window or any other."""
 
@@ -710,7 +711,9 @@ MAX_GAIN = 1e6  # a fading amplitude far beyond any draw: an endpoint reached th
 
 class ExhaustiveRouter(Router):
     """The router whose relay and single-reflection stages evaluate every candidate: the oracle the
-    stopping stages must match. Its relay stage draws as the router's does. Its single stage draws
+    stopping stages must match. Its relay stage draws as the router's does, builds a link to every idle
+    IU that makes forward progress and picks the hop by ``select_entry`` over their
+    ``availability_set``. Its single stage draws
     nothing: it reads ``draws``, a lazy stage's ``h_in`` by surface id and ``h_out`` by (surface id,
     endpoint id), and reaches a surface or endpoint missing there at ``MAX_GAIN`` (``skipped``
     counts those reads), leaving its ``incoming`` table as it was. Every scan of its table is fresh,
@@ -723,17 +726,23 @@ class ExhaustiveRouter(Router):
         ids = self.relay_ids if ids is None else ids
         return tuple(topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m))
 
-    def _direct_links(self, origin, ids, nus):
-        if not ids:
-            return []
-        limit = math.dist(origin, self.dest)
-        amplitudes = channel.sample_amplitudes(len(ids), self.cfg.rician_k_db, self.rng).tolist()
+    def _relay_stage(self, origin):
+        found, cfg, dest = self._scan(origin), self.cfg, self.dest
+        if DEST_ID in found:
+            amp = channel.sample_amplitudes(1, cfg.rician_k_db, self.rng).tolist()[0]
+            link = _link(DEST_ID, channel.direct_snr(cfg, amp, math.dist(origin, dest)), 0.0, math.inf)
+            if mode := self.slots.fastest[linkbudget.mode_bits(self.slots.thresholds_db, link.snr_db)]:
+                return Entry(link, *mode), []
+        idle, busy = self._split_idle_busy(found)
         links = []
-        for node_id, pos, amp, nu in zip(ids, self.xy[ids].tolist(), amplitudes, nus):
-            remaining = math.dist(pos, self.dest)
-            if remaining < limit:
-                links.append(_link(node_id, channel.direct_snr(self.cfg, amp, math.dist(origin, pos)), remaining, nu))
-        return links
+        if len(idle):
+            amplitudes = channel.sample_amplitudes(len(idle), cfg.rician_k_db, self.rng).tolist()
+            nus = self.field.law.nu_idle[idle - FIRST_IU_ID].tolist()
+            for node_id, pos, amp, nu in zip(idle.tolist(), self.xy[idle].tolist(), amplitudes, nus):
+                if (remaining := math.dist(pos, dest)) < math.dist(origin, dest):
+                    links.append(_link(node_id, channel.direct_snr(cfg, amp, math.dist(origin, pos)), remaining, nu))
+        aset = availability_set(links, self.slots)
+        return (select_entry(aset), []) if aset else (None, busy.tolist())
 
     def _gains(self, key):
         if key in self.draws:
@@ -762,19 +771,53 @@ class ExhaustiveRouter(Router):
 
 
 @contextlib.contextmanager
-def counted(name):
-    """A one-item list counting the calls of ``channel.<name>`` within the block."""
-    real, count = getattr(channel, name), [0]
+def recorded_snrs():
+    """A list of the (amplitude, distance, SNR) of every ``channel.direct_snr`` call within the block."""
+    real, calls = channel.direct_snr, []
 
-    def wrapper(*args):
-        count[0] += 1
-        return real(*args)
+    def wrapper(cfg, h, d):
+        calls.append((h, d, real(cfg, h, d)))
+        return calls[-1][2]
 
-    setattr(channel, name, wrapper)
+    channel.direct_snr = wrapper
     try:
-        yield count
+        yield calls
     finally:
-        setattr(channel, name, real)
+        channel.direct_snr = real
+
+
+def evaluated_links(router, origin, calls):
+    """The links a relay stage of ``router`` evaluated from ``origin``, rebuilt from its ``recorded_snrs``:
+    each call's node is the one in sight of ``origin`` at the call's distance."""
+    by_distance = {}
+    for i in router._scan(origin):
+        by_distance.setdefault(math.dist(origin, router._point(i)), []).append(i)
+    links = []
+    for _, d, snr in calls:
+        (node_id,) = by_distance[d]
+        nu = math.inf if node_id == DEST_ID else float(router.field.law.nu_idle[node_id - FIRST_IU_ID])
+        links.append(_link(node_id, snr, math.dist(router._point(node_id), router.dest), nu))
+    return links
+
+
+def check_one_pass(router, links, got):
+    """A relay stage's entry ``got`` is the destination's at its fastest mode when that is usable, else
+    ``select_entry`` over the ``availability_set`` of the IU links among ``links``, the links it
+    evaluated, and None exactly when that set is empty; it evaluated only links to IUs whose idle
+    window holds the floor, the destination's first. Returns the IU links evaluated."""
+    table = router.slots
+    relays = [link for link in links if link.node_id != DEST_ID]
+    assert all(link.nu_idle_slots >= table.floor for link in relays)
+    if len(relays) < len(links):
+        assert len(relays) == len(links) - 1 and links[0].node_id == DEST_ID
+        mode = table.fastest[linkbudget.mode_bits(table.thresholds_db, links[0].snr_db)]
+        if mode:
+            assert got == Entry(links[0], *mode) and not relays
+            return relays
+    aset = availability_set(relays, table)
+    assert (got is None) == (not aset)
+    assert got == (select_entry(aset) if aset else None)
+    return relays
 
 
 def same_field(a, b) -> bool:
@@ -785,9 +828,9 @@ class StageOracle:
     """Checks every relay and single-reflection stage ``router`` runs against an ``ExhaustiveRouter``
     set to the router's state.
 
-    A relay stage must give the oracle's entry, draws and traffic observations, and pass
-    ``availability_set`` no link whose idle window is below the floor (the oracle passes it every
-    forward link). A single stage must
+    A relay stage must give the oracle's entry, draws and traffic observations, and pick its entry as
+    ``check_one_pass`` says from the links it evaluated, never one to an IU whose idle window is below
+    the floor (the oracle evaluates every forward link). A single stage must
     observe once, before any draw: every IU in sight of a candidate surface, first seen first. It is
     evaluated by the oracle over the lazy stage's draws and over the traffic field as the stage left
     it (so the oracle's observations read the same states and draw nothing), with ``MAX_GAIN`` for
@@ -805,7 +848,7 @@ class StageOracle:
         self.oracle.xy = router.xy  # a walk moves both
         self.relay_stages = self.single_stages = 0
         self.links = np.zeros(2, dtype=int)  # direct links evaluated: by the router, by the oracle
-        self.offered = 0  # links the router's relay stages passed to availability_set
+        self.iu_links = 0  # links to IUs the router's relay stages evaluated
         self.relay, self.single = router._relay_stage, router._single_stage
         router._relay_stage, router._single_stage = self.relay_stage, self.single_stage
 
@@ -816,27 +859,16 @@ class StageOracle:
     def relay_stage(self, origin):
         r = self.router
         self.sync(r.field, r.rng)
-        with counted("direct_snr") as oracle_links:
+        with recorded_snrs() as oracle_calls:
             want = self.oracle._relay_stage(origin)
-        offered, real_aset = [], router.availability_set
-
-        def aset(links, *args):
-            offered.extend(links)
-            return real_aset(links, *args)
-
-        router.availability_set = aset
-        try:
-            with counted("direct_snr") as links:
-                got = self.relay(origin)
-        finally:
-            router.availability_set = real_aset
+        with recorded_snrs() as calls:
+            got = self.relay(origin)
         assert got == want
-        assert all(link.nu_idle_slots >= r.slots.floor for link in offered)
-        self.offered += len(offered)
+        self.iu_links += len(check_one_pass(r, evaluated_links(r, origin, calls), got[0]))
         assert r.rng.bit_generator.state == self.oracle.rng.bit_generator.state
         assert same_field(r.field, self.oracle.field)
         self.relay_stages += 1
-        self.links += (links[0], oracle_links[0])
+        self.links += (len(calls), len(oracle_calls))
         return got
 
     def single_stage(self, origin, candidates, incoming):
@@ -940,32 +972,69 @@ class TestStopRulesMatchExhaustiveStages:
         assert relay >= 8
 
     def direct_evaluations(self, variant):
-        """Direct links the relay stages of three dense routes evaluate, by the router and by the
-        oracle, and the links the router's stages passed to ``availability_set``."""
+        """Direct links the relay stages of three dense routes evaluate (their ``channel.direct_snr``
+        calls), by the router and by the oracle, and the router's links to IUs among them."""
         cfg = SimConfig(coverage_m=90.0, iu_count=900, **LINE_ENDS)
-        links, offered = np.zeros(2, dtype=int), 0
+        links, iu_links = np.zeros(2, dtype=int), 0
         for seed in range(3):
             topo = generate_topology(cfg, rng_for(143, seed))
             r = Router(topo, _profiles_for(cfg), cfg, rng_for(144, seed), policy=BASELINE_POLICIES[variant])
             check = StageOracle(r)
             r.run()
             links += check.links
-            offered += check.offered
-        return *links.tolist(), offered
+            iu_links += check.iu_links
+        return *links.tolist(), iu_links
 
     def test_dense_relay_stage_evaluates_fewer_links(self):
-        lazy, exhaustive, offered = self.direct_evaluations("full")
-        assert lazy * 2 < exhaustive and 0 < offered <= lazy
+        lazy, exhaustive, iu_links = self.direct_evaluations("full")
+        assert lazy * 2 < exhaustive and 0 < iu_links <= lazy
 
     def test_fixed_mod_never_reaches_the_floor(self):
         # the pinned QPSK needs 16 slots, more than any default idle window, so no relay
-        # qualifies: the relay stages build no IU link (only the destination's, when in sight)
-        # and pass availability_set none, while the oracle builds every forward link
+        # qualifies: the relay stages evaluate no IU link (only the destination's, when in
+        # sight), while the oracle evaluates every forward link
         cfg = SimConfig()
         table = slot_table(build_mode_table(cfg.target_ber, cfg.threshold_rule), cfg.total_bits, cfg.fixed_rate_bits)
         assert table.floor == 16 > _profiles_for(cfg).nu_idle.max()
-        lazy, exhaustive, offered = self.direct_evaluations("fixed_mod")
-        assert offered == 0 and exhaustive > lazy
+        lazy, exhaustive, iu_links = self.direct_evaluations("fixed_mod")
+        assert iu_links == 0 and exhaustive > lazy
+
+
+class TestOnePassAgainstAvailabilitySet:
+    """On every relay stage of 200 routes a table, the one pass's entry is ``select_entry`` over the
+    ``availability_set`` of the links it evaluated (``check_one_pass``). The sparse table at 90 m has
+    stages whose every evaluated link fails the availability constraint."""
+
+    TABLES = {"dense-relay": (90.0, 900), "default": (60.0, 400), "sparse-wide": (90.0, 100)}
+
+    @pytest.mark.parametrize("variant", ["full", "fixed_mod"])
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_every_relay_stage(self, table, variant):
+        coverage, iu_count = self.TABLES[table]
+        cfg = SimConfig(coverage_m=coverage, iu_count=iu_count)
+        seen = Counter()
+        for seed in range(200):
+            topo = generate_topology(cfg, rng_for(145, coverage, seed))
+            r = Router(topo, _profiles_for(cfg), cfg, rng_for(146, seed), policy=BASELINE_POLICIES[variant])
+            stage = r._relay_stage
+
+            def checked(origin):
+                with recorded_snrs() as calls:
+                    entry, busy = stage(origin)
+                relays = check_one_pass(r, evaluated_links(r, origin, calls), entry)
+                seen["rejected links"] += len(relays) - len(availability_set(relays, r.slots))
+                seen["destination" if entry and entry.link.node_id == DEST_ID else "relay" if entry
+                     else "none after relay links" if relays else "none"] += 1
+                return entry, busy
+
+            r._relay_stage = checked
+            r.run()
+        assert seen["destination"] >= 50, seen
+        if variant == "full":
+            assert seen["relay"] >= 200 and seen["rejected links"] >= 50, seen
+            assert seen["none after relay links"] >= (50 if table == "sparse-wide" else 0), seen
+        else:  # no relay reaches the pinned mode's floor (TestStopRulesMatchExhaustiveStages)
+            assert seen["relay"] == seen["none after relay links"] == 0 and seen["none"] >= 100, seen
 
 
 def relay_pick(iu_xy, seed=150):

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risroute.config import SimConfig
-from risroute.experiments import Replication, _profiles_for, run_one_route
-from risroute.router import FailureReason
+from risroute import topology
+from risroute.experiments import MobilityField, Replication, _profiles_for, run_one_route
+from risroute.router import FailureReason, Router
 from risroute.topology import (
     DEST_ID,
     FIRST_IU_ID,
     SOURCE_ID,
     CellIndex,
+    ScanColumns,
     Topology,
     cell_index,
     generate_topology,
@@ -402,6 +404,92 @@ class TestArrayPath:
             misordered += int(np.sum(np.diff(squares) < 0.0))
         assert misjudged > 20 and misordered > 50, (misjudged, misordered)
 
+
+
+class TestScanColumns:
+    """A static range without a cell index keeps its scan columns from its first scan on, and the array
+    path through them gives the raw rows' scan, id for id; a moving table's scans never read them."""
+
+    @staticmethod
+    def check(topo, ids, centers, r):
+        """Scan ``ids`` of ``topo`` from every one of ``centers`` through its columns and on the raw rows;
+        both must agree with ``Topology.scan``. Returns the scans."""
+        dest = point(topo, DEST_ID)
+        scans = []
+        for center in centers:
+            if center == dest:
+                continue
+            raw = half_circle_scan(topo.xy, ids, center, dest, r)
+            assert topo.scan(ids, center, r) == tuple(raw), center
+            assert topo._indexes[ids, r] is None
+            assert half_circle_scan(topo.xy, ids, center, dest, r, topo._columns[ids]) == raw, center
+            scans.append(raw)
+        return scans
+
+    def test_dense_ius_with_planted_rows(self):
+        # U1 and U2 sit 90 m from the first centre by np.hypot, one exactly and one 1 ulp beyond, so
+        # both fall in the NEAR band, where np.hypot decides; U3 and U4 sit at one np.hypot distance from
+        # D, within 90 m of the second centre, with distinct squared distances, the larger first
+        cfg = SimConfig(coverage_m=90.0, iu_count=900, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
+        rng = np.random.default_rng(4201)
+        iu_xy = generate_topology(cfg, rng).iu_xy.copy()
+        dest, r, near, far = (380.0, 200.0), 90.0, (150.0, 180.0), (300.0, 230.0)
+        iu_xy[0] = at_hypot(near, 0.3, r)[0]
+        iu_xy[1] = at_hypot(near, -0.2, math.nextafter(r, math.inf))[0]
+        tied = [p for angle in math.pi + rng.uniform(-0.15, 0.15, size=6) for p in at_hypot(dest, angle, 50.0).tolist()]
+        squares = sorted({(p[0] - dest[0]) ** 2 + (p[1] - dest[1]) ** 2: p for p in tied}.items(), reverse=True)
+        assert len(squares) >= 2
+        iu_xy[2], iu_xy[3] = squares[0][1], squares[-1][1]
+        topo = Topology((20.0, 200.0), dest, iu_xy, [], 400.0)
+        relays = range(DEST_ID, topo.first_ris_id)
+        for row in (2, 3):
+            rel = topo.xy[row] - np.array(near)
+            assert abs(rel @ rel - r * r) < r * r * 1e-12  # in the NEAR band
+        centers = [near, far] + list(map(tuple, rng.uniform(0.0, 400.0, size=(1000, 2)).tolist()))
+        scans = self.check(topo, relays, centers, r)
+        assert 2 in scans[0] and 3 not in scans[0]
+        assert scans[1].index(5) == scans[1].index(4) + 1  # tied on np.hypot: by id, against their squares
+        assert sum(map(len, scans)) > 50_000
+
+    def test_a_10_m_surface_grid_at_45_m(self):
+        # 1600 surfaces: no cell index at r = 45 m; D lies on the axis the grid mirrors about, so
+        # surfaces tie in pairs on np.hypot remaining distance; half the centres are surfaces
+        cfg = SimConfig(coverage_m=45.0, iu_count=100, ris_spacing_m=10.0, source_xy=(20.0, 195.0),
+                        dest_xy=(380.0, 195.0))
+        topo = generate_topology(cfg, np.random.default_rng(4202))
+        surfaces = range(topo.first_ris_id, len(topo.xy))
+        assert len(surfaces) == 1600
+        rng = np.random.default_rng(4203)
+        centers = [point(topo, i) for i in rng.choice(surfaces, size=500, replace=False)]
+        centers += list(map(tuple, rng.uniform(0.0, 400.0, size=(500, 2)).tolist()))
+        scans = self.check(topo, surfaces, centers, 45.0)
+        remaining = [np.hypot(*(topo.xy[found] - point(topo, DEST_ID)).T) for found in scans]
+        assert sum(len(np.unique(d)) < len(d) for d in remaining) > 500  # scans holding ties
+
+    def test_a_moving_table_never_reads_the_columns(self, monkeypatch):
+        cfg = SimConfig(coverage_m=90.0, iu_count=900, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
+        read = {"columns": 0, "moving": 0}
+        real = topology.half_circle_scan
+        for seed in range(4):
+            topo = generate_topology(cfg, np.random.default_rng((4204, seed)))
+            walk = MobilityField(topo.iu_xy, cfg.arena_m, 20.0, np.random.default_rng((4205, seed)))
+            router = Router(topo, _profiles_for(cfg), cfg, np.random.default_rng((4206, seed)), mobility=walk)
+
+            def scan(xy, ids, center, target, r, table=None):
+                if isinstance(table, ScanColumns):
+                    assert xy is topo.xy
+                    read["columns"] += 1
+                if xy is router.xy:
+                    assert table is None
+                    read["moving"] += 1
+                return real(xy, ids, center, target, r, table)
+
+            monkeypatch.setattr(topology, "half_circle_scan", scan)
+            router.run()
+            monkeypatch.undo()
+            columns = topo._columns[router.relay_ids]
+            assert np.array_equal(np.column_stack([columns.x, columns.y]), topo.xy[router.relay_ids.start:router.relay_ids.stop])
+        assert read["columns"] >= 4 and read["moving"] >= 4, read
 
 
 class TestHopArithmetic:
