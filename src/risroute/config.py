@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -181,6 +182,9 @@ class SimConfig:
                 raise ConfigError(f"{name} has {len(val)} per-IU values but iu_count is {self.iu_count}")
         for name in ("source_xy", "dest_xy"):
             xy = getattr(self, name)
+            if xy is not None and not (isinstance(xy, tuple) and len(xy) == 2 and all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in xy)):
+                raise ConfigError(f"{name} must be a pair of numbers, got {xy!r}")
             if xy is not None and not all(0.0 <= v <= self.arena_m for v in xy):
                 raise ConfigError(f"{name} {xy} lies outside the arena (arena_m = {self.arena_m:g})")
         if None not in (self.source_xy, self.dest_xy) and not math.dist(self.source_xy, self.dest_xy) > 1e-9:

@@ -23,8 +23,7 @@ Each replication does only per-route work. What depends on the config
 alone is computed once per distinct key and shared read-only: the traffic
 chain law (``_profiles_for``), the RIS grid (``topology.ris_grid_positions``),
 the mode table (``linkbudget.build_mode_table``), each policy's slot table
-(``router.slot_table``) and the surfaces' cell index
-(``topology._surface_index``).
+(``router.slot_table``) and the surfaces' scan table (``topology``).
 
 Every generator comes from ``_stream``, keyed by the seed, the runner
 family, the grid point's name (``_point``: coverage and density) and the

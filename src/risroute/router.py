@@ -4,7 +4,7 @@ Every hop is picked by one rule from the forward half-disc of the current
 transmitter: the destination when it qualifies, otherwise the endpoint
 that needs the fewest slots, ties broken by least remaining distance then
 lower id. Endpoints are sought in three stages, each yielding commit-ready
-entries ``(link, tau, rate, surfaces)`` (``Entry``):
+entries ``(node_id, snr, remaining_m, tau, rate, surfaces)`` (``Entry``):
 
 * the destination at its fastest usable mode, else idle relays, each
   yielding one entry: its mode needing the fewest slots (the lowest bit
@@ -18,9 +18,9 @@ entries ``(link, tau, rate, surfaces)`` (``Entry``):
   hop may take, and whose idle window holds the fewest slots any mode
   needs, the only ones that can pass the availability constraint. The
   stage picks its hop in the same pass: it keeps the best entry so far by
-  ``select_entry``'s order, and builds a link and an entry only for a relay
-  that becomes the best (``availability_set`` followed by ``select_entry``
-  is its oracle);
+  ``select_entry``'s order, and builds an entry only for a relay that
+  becomes the best (``availability_set`` followed by ``select_entry`` is
+  its oracle);
 * one reflector: the surface whose best qualifying endpoint makes the
   most forward progress;
 * two reflectors: the surface nearest the destination extended to exactly
@@ -78,12 +78,11 @@ is farther than R. The destination shortcut, the traffic observations and
 the double-reflection stage stay eager.
 
 Surfaces never move, so every surface scan, and every IU scan of a static
-router, is read from the topology's memo (``topology.Topology.scan``), which
-computes a miss through the topology's cell index where it has one. A mobile
-router's IU rows are the topology's until its first tick, so its IU scans
-at clock 0 read the memo too, and the scans of a static route on the same
-topology serve them. After that it scans its moving IUs afresh, on the
-numpy path: no memo, no index.
+router, is read from the topology's memo (``topology.Topology.scan``; how it
+computes a miss is ``topology``'s to say). A mobile router's IU rows are the
+topology's until its first tick, so its IU scans at clock 0 read the memo
+too, and the scans of a static route on the same topology serve them. After
+that it scans its moving IUs afresh, on the numpy path: no memo, no table.
 
 The ledger (``RouteLedger``) is the route's only record: a hop's kind is
 read off the nodes it names (``HOP_KINDS``), a route's success off its
@@ -261,7 +260,7 @@ BASELINE_POLICIES = {
 
 
 class CandidateLink(NamedTuple):
-    """A node reachable from the transmitter, with what a hop to it needs."""
+    """A direct link from the transmitter, the input of ``availability_set``."""
 
     node_id: int
     snr_db: float
@@ -274,16 +273,13 @@ def _decibels(snr: float) -> float:
     return 10.0 * math.log10(snr) if snr > 0 else -math.inf
 
 
-def _link(node_id: int, snr: float, remaining_m: float, nu_idle_slots: float) -> CandidateLink:
-    """The link to ``node_id`` at linear SNR ``snr``."""
-    return CandidateLink(node_id, _decibels(snr), snr, remaining_m, nu_idle_slots)
-
-
 class Entry(NamedTuple):
-    """A commit-ready hop decision: the link to its endpoint, its slot count, how it is carried, and
-    the surfaces it crosses."""
+    """A commit-ready hop decision: its endpoint, the linear SNR there (what the endpoint harvests from),
+    the endpoint's remaining distance, its slot count, how it is carried, and the surfaces it crosses."""
 
-    link: CandidateLink
+    node_id: int
+    snr: float
+    remaining_m: float
     tau: int
     rate: float  # bit count b on direct hops, bits/use on reflected hops
     surfaces: tuple[int, ...] = ()  # RIS ids crossed, in order; () on direct hops
@@ -317,9 +313,10 @@ def slot_table(thresholds_db: tuple[float, ...], total_bits: int, fixed_rate_bit
 
 
 def availability_set(links: list[CandidateLink], table: SlotTable) -> list[Entry]:
-    """At most one entry per relay, in link order: its usable mode (``SlotTable``)
-    needing the fewest slots, the lowest bit count among equal-slot ones, kept
-    only if it passes the availability constraint tau_req <= nu_I.
+    """At most one entry per relay, in link order: the link's node, linear SNR and
+    remaining distance at its usable mode (``SlotTable``) needing the fewest
+    slots, the lowest bit count among equal-slot ones, kept only if it passes
+    the availability constraint tau_req <= nu_I.
 
     Slot counts never rise with the rate, so this is the only mode of the
     relay that ``select_entry`` could take, and if it overruns the idle
@@ -331,7 +328,7 @@ def availability_set(links: list[CandidateLink], table: SlotTable) -> list[Entry
     by name.
     """
     cheapest, thresholds_db = table.cheapest, table.thresholds_db
-    return [Entry(link, *mode) for link in links
+    return [Entry(link.node_id, link.snr_linear, link.remaining_m, *mode) for link in links
             if (mode := cheapest[linkbudget.mode_bits(thresholds_db, link.snr_db)]) and mode[0] <= link.nu_idle_slots]
 
 
@@ -339,7 +336,7 @@ def select_entry(entries: list[Entry]) -> Entry:
     """The destination when it qualifies, else the argmin of the slot count;
     ties by least remaining distance, then id (then first listed). Raises
     ValueError on no entry."""
-    return min(entries, key=lambda e: (e.link.node_id != DEST_ID, e.tau, e.link.remaining_m, e.link.node_id))
+    return min(entries, key=lambda e: (e.node_id != DEST_ID, e.tau, e.remaining_m, e.node_id))
 
 
 class Router:
@@ -428,8 +425,9 @@ class Router:
 
         The destination, when in sight with a usable mode, is taken at its fastest mode before any IU
         traffic is observed. Otherwise the IUs in sight are observed once, one amplitude draw covers
-        the idle ones, and one pass over them in scan order keeps the best entry so far by
-        ``select_entry``'s order (module docstring; ``availability_set`` is the pass's oracle). The
+        the idle ones, and one pass over them in scan order keeps the best key so far by
+        ``select_entry``'s order, building an ``Entry`` only for a relay that takes the lead (module
+        docstring; ``availability_set`` over ``CandidateLink``s is the pass's oracle). The
         ids stay one array up to the pass, and the busy ones are listed only when there is no entry:
         the deferral is their only reader.
         """
@@ -437,9 +435,9 @@ class Router:
         cfg, dest, slots = self.cfg, self.dest, self.slots
         if found and found[0] == DEST_ID:  # at 0 m from itself, the destination leads any scan it is in
             amp = channel.sample_amplitudes(1, cfg.rician_k_db, self.rng).tolist()[0]
-            link = _link(DEST_ID, channel.direct_snr(cfg, amp, math.dist(origin, dest)), 0.0, math.inf)
-            if mode := slots.fastest[linkbudget.mode_bits(slots.thresholds_db, link.snr_db)]:
-                return Entry(link, *mode), []
+            snr = channel.direct_snr(cfg, amp, math.dist(origin, dest))
+            if mode := slots.fastest[linkbudget.mode_bits(slots.thresholds_db, _decibels(snr))]:
+                return Entry(DEST_ID, snr, 0.0, *mode), []
             found = found[1:]
         if not found:
             return None, []
@@ -465,19 +463,18 @@ class Router:
                     mode = cheapest[linkbudget.mode_bits(thresholds_db, snr_db)]
                     if mode and mode[0] <= nu and (key is None or (mode[0], remaining, node_id) < key):
                         key = (mode[0], remaining, node_id)
-                        best = Entry(CandidateLink(node_id, snr_db, snr, remaining, nu), *mode)
+                        best = Entry(node_id, snr, remaining, *mode)
         return (None, ids[~idle].tolist()) if best is None else (best, [])
 
     def _reflected_entry(self, endpoint: Endpoint, gamma: float, surfaces: tuple[int, ...]) -> Entry | None:
         """The entry of ``endpoint`` reached over ``surfaces`` at SNR ``gamma``, or None when its rate is
         zero or its transfer overruns its idle window."""
         node_id, _, remaining, nu = endpoint
-        link = _link(node_id, gamma, remaining, nu)
-        rate = self._reflected_rate(link.snr_linear)
+        rate = self._reflected_rate(gamma)
         if rate <= 0.0:
             return None
         tau = linkbudget.transfer_slots(self.cfg.total_bits, rate)
-        return Entry(link, tau, rate, surfaces) if tau <= nu else None
+        return Entry(node_id, gamma, remaining, tau, rate, surfaces) if tau <= nu else None
 
     def _single_surface(self, origin: Point, ris_id: int, endpoints: list[Endpoint], incoming: dict):
         """A function giving the entry of the i-th of ``endpoints`` behind ``ris_id``, worked out on first
@@ -644,12 +641,12 @@ class Router:
             endpoint = self._commit(origin, entry, ledger)
             if isinstance(endpoint, FailureReason):
                 return endpoint
-            if entry.link.node_id == DEST_ID:
+            if entry.node_id == DEST_ID:
                 return None
             # budget the next position, carrying this position's wait forward
             psi_next = topology.hops_consumed(src, endpoint, self.cfg.coverage_m)
             budget.advance(wait_slots * self.cfg.slot_s, psi_next, self._remaining_s())
-            holder, origin = entry.link.node_id, endpoint
+            holder, origin = entry.node_id, endpoint
 
     # -- commit helpers ----------------------------------------------------------
 
@@ -676,31 +673,23 @@ class Router:
         before any state changes, on a hop that does not end strictly closer
         to the destination than ``origin``.
         """
-        link, tau, surfaces = entry.link, entry.tau, entry.surfaces
-        if not link.remaining_m < math.dist(origin, self.dest):
+        node_id, snr, remaining, tau, rate, surfaces = entry
+        if not remaining < math.dist(origin, self.dest):
             raise ValueError(
-                f"hop to {self.topo.label(link.node_id)} ends {link.remaining_m} m from the "
+                f"hop to {self.topo.label(node_id)} ends {remaining} m from the "
                 "destination, no closer than its origin"
             )
         if (self.clock + tau) * self.cfg.slot_s > self.cfg.total_delay_s:
             return FailureReason.DELAY_EXCEEDED
         self._tick(tau)
-        endpoint = self._point(link.node_id)
+        endpoint = self._point(node_id)
         harvested = 0.0
-        if link.node_id != DEST_ID:
+        if node_id != DEST_ID:
             anchor = self._point(surfaces[-1]) if surfaces else origin
             if self.mobility is not None and math.dist(anchor, endpoint) > self.cfg.coverage_m:
                 return FailureReason.OUTAGE
-            received = link.snr_linear * self.cfg.noise_w
+            received = snr * self.cfg.noise_w
             harvested = linkbudget.harvested_energy_for_transfer(self.cfg, received, tau)
-        ledger.hops.append(
-            HopChoice(
-                via=(*surfaces, link.node_id),
-                slots_used=tau,
-                rate=float(entry.rate),
-                harvested_j=harvested,
-                remaining_m=link.remaining_m,
-            )
-        )
+        ledger.hops.append(HopChoice((*surfaces, node_id), tau, float(rate), harvested, remaining))
         return endpoint
 

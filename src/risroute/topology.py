@@ -37,26 +37,27 @@ table. Until its first tick those rows are the topology's, so its IU scans
 read the memo; after it, it scans them afresh, with no memo and no index.
 Its surface scans always read the memo.
 
-Cell indexes and scan columns. A scan the memo misses still runs
-``half_circle_scan``, handed the topology's cell index of (id range, r),
-built lazily on the first scan of that pair (``cell_index``): each row's
-id, ``(x, y)`` and its ``np.hypot`` distance to the destination, bucketed
-into square cells of side r with one stable ``argsort`` of the cell
-numbers, so that a scan visits only the rows of the 3 x 3 cells round the
-centre, in Python. A range gets an index only where its rows are sparse in
-their own bounding box: its r-cells number no more than about four a row,
-and its rows average no more than 10 a cell (about 40 in a 2r square).
-Elsewhere (900 IUs at r = 90 m, the 1600 surfaces of a 10 m grid at r = 45
-m, say) the topology stores None for the pair, and the scan takes the array
-path: a few numpy passes over every row. Such a range keeps its scan
-columns from its first scan on (``scan_columns``): contiguous x and y
-columns and each row's ``np.hypot`` distance to the destination, so the
-array path reads the remaining distances of its hits instead of measuring
-them. The surfaces' index depends only on their rows, r and the
-destination, so it is kept in a small cache that every topology of a grid
-run shares (``_surface_index``); an IU range's index, and every range's
-columns, belong to its topology. Moving IUs have neither and take the array
-path on their raw rows.
+Scan tables. A scan the memo misses still runs ``half_circle_scan``,
+handed the topology's one table for (id range, r), built on the first scan
+of that pair. ``scan_table`` decides its kind from the rows:
+
+* a cell index (``cell_index``) where the rows are sparse in their own
+  bounding box: their r-cells number no more than about four a row, and
+  they average no more than 10 a cell (about 40 in a 2r square). It holds
+  each row's id, ``(x, y)`` and its ``np.hypot`` distance to the
+  destination, bucketed into square cells of side r with one stable
+  ``argsort`` of the cell numbers, so that a scan visits only the rows of
+  the 3 x 3 cells round the centre, in Python;
+* scan columns (``scan_columns``) elsewhere (900 IUs at r = 90 m, the 1600
+  surfaces of a 10 m grid at r = 45 m, say): contiguous x and y columns and
+  each row's ``np.hypot`` distance to the destination, so the array path, a
+  few numpy passes over every row, reads the remaining distances of its
+  hits instead of measuring them.
+
+The surfaces' table depends only on their rows, r and the destination, so
+it is kept, read-only, in a small cache that every topology of a grid point
+shares (``_surface_table``); an IU range's table belongs to its topology.
+Moving IUs have none and take the array path on their raw rows.
 
 Every path returns the same ids in the same order, bit for bit, by these
 rules (``TestCellIndex``, ``TestArrayPath`` and ``TestScanColumns`` hold
@@ -75,9 +76,8 @@ them to it):
 * order: hits sort by (``np.hypot`` distance to the destination, id): a stable
   sort of the hits, which are found in id order.
 
-A topology holds only positions, the memo of their scans, the cell indexes
-of its IU ranges and the scan columns of its ranges without one. The
-coverage radius, the arena and the surfaces' element count are
+A topology holds only positions, the memo of their scans and their scan
+tables. The coverage radius, the arena and the surfaces' element count are
 ``SimConfig`` fields (``coverage_m``, ``arena_m``, ``ris_elements``), read
 from the config by whoever needs them.
 """
@@ -103,24 +103,21 @@ NEAR = 1e-12  # relative band round r^2 in which a scan leaves dist <= r to np.h
 
 class Topology:
     """Immutable scenario: the node table, every row checked to lie inside the square arena of side
-    ``arena``, the memo of its scans, their cell indexes (None where a range has none) and the scan
-    columns of each range without one (module docstring)."""
+    ``arena``, the memo of its scans and one scan table per scanned (id range, r) (module docstring)."""
 
     def __init__(self, source: Point, dest: Point, iu_xy: np.ndarray, ris_xy: np.ndarray, arena: float):
         iu_xy = np.asarray(iu_xy, dtype=float).reshape(-1, 2)
         ris_xy = np.asarray(ris_xy, dtype=float).reshape(-1, 2)
         xy = np.vstack([source, dest, iu_xy, ris_xy])
-        outside = np.nonzero(~((xy >= 0.0) & (xy <= arena)).all(axis=1))[0]
-        if outside.size:
-            i = int(outside[0])
+        if not (xy.min() >= 0.0 and xy.max() <= arena):  # NaN fails too; then find the first such row
+            i = int(np.nonzero(~((xy >= 0.0) & (xy <= arena)).all(axis=1))[0][0])
             raise ValueError(f"node {i} at ({xy[i, 0]}, {xy[i, 1]}) lies outside the arena")
         xy.flags.writeable = False
         self.xy = xy
         self.dest: Point = tuple(xy[DEST_ID].tolist())
         self.first_ris_id = FIRST_IU_ID + len(iu_xy)
         self._scans: dict[tuple[range, Point, float], tuple[int, ...]] = {}
-        self._indexes: dict[tuple[range, float], CellIndex | None] = {}
-        self._columns: dict[range, ScanColumns] = {}
+        self._tables: dict[tuple[range, float], CellIndex | ScanColumns] = {}
 
     @property
     def iu_xy(self) -> np.ndarray:
@@ -140,21 +137,18 @@ class Topology:
 
     def scan(self, ids: range, center: Point, r: float) -> tuple[int, ...]:
         """``half_circle_scan`` of this table toward the destination, computed once per (ids, center, r),
-        through the cell index of (ids, r) where it has one, else through the scan columns of ids."""
+        through the scan table of (ids, r)."""
         key = (ids, center, r)
         found = self._scans.get(key)
         if found is None:
-            if (ids, r) not in self._indexes:
+            table = self._tables.get((ids, r))
+            if table is None:
                 rows = self.xy[ids.start:ids.stop]
                 if ids == range(self.first_ris_id, len(self.xy)):
-                    self._indexes[ids, r] = _surface_index(ids.start, rows.tobytes(), r, self.dest)
+                    table = _surface_table(ids.start, rows.tobytes(), r, self.dest)
                 else:
-                    self._indexes[ids, r] = cell_index(rows, ids.start, r, self.dest)
-            table = self._indexes[ids, r]
-            if table is None:
-                table = self._columns.get(ids)
-                if table is None:
-                    table = self._columns[ids] = scan_columns(self.xy[ids.start:ids.stop], self.dest)
+                    table = scan_table(rows, ids.start, r, self.dest)
+                self._tables[ids, r] = table
             found = self._scans[key] = tuple(half_circle_scan(self.xy, ids, center, self.dest, r, table))
         return found
 
@@ -201,15 +195,9 @@ def cell_index(rows: np.ndarray, start: int, r: float, target: Point) -> CellInd
     return CellIndex(r, target, ix_lo, ix_hi, iy_lo, iy_hi, width, starts, entries)
 
 
-@lru_cache(maxsize=8)
-def _surface_index(start: int, rows: bytes, r: float, target: Point) -> CellIndex | None:
-    """``cell_index`` of the surface rows ``rows`` (their bytes), shared by every topology that holds them."""
-    return cell_index(np.frombuffer(rows).reshape(-1, 2), start, r, target)
-
-
 class ScanColumns(NamedTuple):
     """The rows of one id range as contiguous x and y columns, and each row's ``np.hypot`` distance to
-    ``target``: what the array path reads of a static range without a cell index."""
+    ``target``, read-only: what the array path reads of a static range without a cell index."""
 
     target: Point
     x: np.ndarray
@@ -220,7 +208,23 @@ class ScanColumns(NamedTuple):
 def scan_columns(rows: np.ndarray, target: Point) -> ScanColumns:
     """The scan columns of ``rows`` toward ``target``."""
     x, y = np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1])
-    return ScanColumns(target, x, y, np.hypot(x - target[0], y - target[1]))
+    columns = ScanColumns(target, x, y, np.hypot(x - target[0], y - target[1]))
+    for column in columns[1:]:
+        column.flags.writeable = False
+    return columns
+
+
+def scan_table(rows: np.ndarray, start: int, r: float, target: Point) -> CellIndex | ScanColumns:
+    """The table the scans of ``rows`` (ids from ``start``) at radius ``r`` toward ``target`` read: their
+    ``cell_index`` where they have one, else their ``scan_columns`` (module docstring)."""
+    index = cell_index(rows, start, r, target)
+    return scan_columns(rows, target) if index is None else index
+
+
+@lru_cache(maxsize=8)
+def _surface_table(start: int, rows: bytes, r: float, target: Point) -> CellIndex | ScanColumns:
+    """``scan_table`` of the surface rows ``rows`` (their bytes), shared by every topology that holds them."""
+    return scan_table(np.frombuffer(rows).reshape(-1, 2), start, r, target)
 
 
 def _cell_scan(index: CellIndex, center: Point, r: float) -> list[int]:

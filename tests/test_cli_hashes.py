@@ -85,7 +85,7 @@ def test_spacing_config_runs_scan_surfaces_with_and_without_an_index(tmp_path, m
     def recorded(topo, ids, center, r):
         found = scan(topo, ids, center, r)
         if ids == range(topo.first_ris_id, len(topo.xy)):
-            indexed.setdefault(r, set()).add(topo._indexes[ids, r] is not None)
+            indexed.setdefault(r, set()).add(isinstance(topo._tables[ids, r], topology.CellIndex))
         return found
 
     monkeypatch.setattr(topology.Topology, "scan", recorded)

@@ -271,6 +271,21 @@ class TestProjectionRange:
         for arena in (1.0, 1e6):
             assert SimConfig(arena_m=arena, coverage_m=max(arena / 6, 60.0)).arena_m == arena
 
+    @pytest.mark.parametrize("kwargs,key", [
+        ({"source_xy": (1.0, 2.0, 3.0)}, "source_xy"),
+        ({"dest_xy": (5.0,)}, "dest_xy"),
+        ({"source_xy": (1.0, 2.0, 3.0), "dest_xy": (5.0, 6.0)}, "source_xy"),  # math.dist refused the lengths
+        ({"source_xy": (5.0, 6.0), "dest_xy": (1.0, 2.0, 3.0)}, "dest_xy"),
+        ({"source_xy": 5.0}, "source_xy"),
+        ({"dest_xy": ("5", 6.0)}, "dest_xy"),
+        ({"source_xy": (True, 6.0)}, "source_xy"),
+        ({"dest_xy": [5.0, 6.0]}, "dest_xy"),
+    ])
+    def test_an_endpoint_that_is_not_two_numbers_is_refused(self, kwargs, key):
+        with pytest.raises(ConfigError, match=f"{key} must be a pair of numbers"):
+            SimConfig(**kwargs)
+        assert SimConfig(source_xy=(5, 6.0), dest_xy=(np.float64(1.0), 2)).source_xy == (5, 6.0)
+
     def test_endpoints_within_1e_9_m_are_refused(self):
         # a destination 1e-300 m from the source: the square of its offset underflows, and the
         # source's scan never found it

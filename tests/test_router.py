@@ -26,7 +26,7 @@ from risroute.router import (
     STAGES,
     RouteLedger,
     Router,
-    _link,
+    _decibels,
     availability_set,
     select_entry,
     slot_table,
@@ -43,6 +43,16 @@ def make_link(node_id, snr_db, remaining, nu):
                          remaining_m=remaining, nu_idle_slots=nu)
 
 
+def link_at(node_id, snr, remaining, nu):
+    """The link to ``node_id`` at linear SNR ``snr``, as the router measures it."""
+    return CandidateLink(node_id, _decibels(snr), snr, remaining, nu)
+
+
+def entry_for(link, tau, rate, surfaces=()):
+    """The entry a hop over ``link`` takes at ``tau`` slots and ``rate``."""
+    return Entry(link.node_id, link.snr_linear, link.remaining_m, tau, rate, surfaces)
+
+
 class TestAvailabilitySet:
     thresholds = build_mode_table(1e-6)
     bits = 24  # per transfer
@@ -54,7 +64,7 @@ class TestAvailabilitySet:
         links = [make_link(2, 25.0, 300.0, 4.21)]
         aset = availability_set(links, self.table)
         assert any((e.tau, e.rate) == (3, 8) for e in aset)
-        assert all(e.link is links[0] for e in aset)
+        assert all(e[:3] == (2, links[0].snr_linear, 300.0) for e in aset)
 
     def test_oversized_transfer_excluded(self):
         # best is 6 bits/symbol at 18 dB -> 4 slots > nu=3.9; lower rates worse
@@ -70,7 +80,7 @@ class TestAvailabilitySet:
         # at 18.5 dB rates 6 and 7 both need 4 slots and the lower one is listed
         links = [make_link(2, 25.0, 300.0, 1e9), make_link(3, 18.5, 200.0, 1e9), make_link(4, 0.0, 100.0, 1e9)]
         aset = availability_set(links, self.table)
-        assert [(e.link, e.tau, e.rate) for e in aset] == [(links[0], 3, 8), (links[1], 4, 6)]
+        assert aset == [entry_for(links[0], 3, 8), entry_for(links[1], 4, 6)]
 
     def test_non_adaptive_keeps_only_pinned_mode(self):
         links = [make_link(2, 25.0, 300.0, 1e9)]
@@ -106,7 +116,7 @@ def availability_set_by_enumeration(links, thresholds_db, total_bits, fixed_rate
     set ``availability_set`` picks each link's one entry from."""
     tau_of = {bits: linkbudget.transfer_slots(total_bits, bits) for bits in range(1, linkbudget.MAX_RATE + 1)}
     return [
-        Entry(link, tau_of[bits], bits)
+        entry_for(link, tau_of[bits], bits)
         for link in links
         for bits in usable_modes(thresholds_db, link.snr_db, fixed_rate_bits)
         if tau_of[bits] <= link.nu_idle_slots
@@ -147,8 +157,7 @@ class TestAvailabilitySetOracle:
             own = availability_set_by_enumeration([link], thresholds, total_bits, fixed)
             if own:
                 want.append(select_entry(own))
-        assert len(got) == len(want)
-        assert all(a.link is b.link and a[1:] == b[1:] for a, b in zip(got, want))
+        assert got == want
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -159,7 +168,7 @@ class TestAvailabilitySetOracle:
         assert bool(got) == bool(want)
         if want:
             a, b = select_entry(got), select_entry(want)
-            assert a.link is b.link and (a.tau, a.rate) == (b.tau, b.rate)
+            assert a == b
 
 
 class TestFloorSnr:
@@ -201,11 +210,26 @@ def test_mode_tables_against_the_usable_modes():
                     assert table.fastest[reach] == max(modes, key=lambda m: m[1], default=None), case
 
 
+def test_routes_build_no_candidate_link(monkeypatch):
+    """Every hop kind is committed from a flat ``Entry``: a route under any policy builds no
+    ``CandidateLink``, which only ``availability_set`` reads."""
+    monkeypatch.setattr(router, "CandidateLink", None)
+    cfg = SimConfig(coverage_m=60.0, iu_count=100, **LINE_ENDS)
+    kinds = Counter()
+    for seed in range(12):
+        topo = generate_topology(cfg, np.random.default_rng((4310, seed)))
+        for k, policy in enumerate(BASELINE_POLICIES.values()):
+            ledger = Router(topo, _profiles_for(cfg), cfg, np.random.default_rng((4311, seed, k)), policy).run()
+            kinds.update(hop.kind for hop in ledger.hops)
+            kinds["reached"] += ledger.success
+    assert min(kinds[kind] for kind in (*HopKind, "reached")) > 0, kinds
+
+
 class TestSelectIu:
     """``select_entry`` picking among relay (IU) entries, and the destination over any of them."""
 
     def entries(self, taus_remainings):
-        return [Entry(make_link(2 + i, 25.0, rem, 100.0), tau, 8)
+        return [entry_for(make_link(2 + i, 25.0, rem, 100.0), tau, 8)
                 for i, (tau, rem) in enumerate(taus_remainings)]
 
     def test_argmin_slots(self):
@@ -214,11 +238,11 @@ class TestSelectIu:
 
     def test_tie_break_least_remaining(self):
         aset = self.entries([(3, 250.0), (3, 200.0)])
-        assert select_entry(aset).link.remaining_m == 200.0
+        assert select_entry(aset).remaining_m == 200.0
 
     def test_tie_break_lower_id(self):
         aset = self.entries([(3, 200.0), (3, 200.0)])
-        assert select_entry(aset).link.node_id == 2
+        assert select_entry(aset).node_id == 2
 
     def test_singleton(self):
         aset = self.entries([(4, 100.0)])
@@ -229,7 +253,7 @@ class TestSelectIu:
             select_entry([])
 
     def test_destination_beats_faster_iu(self):
-        dest = Entry(make_link(DEST_ID, 12.0, 0.0, math.inf), 6, 4)
+        dest = entry_for(make_link(DEST_ID, 12.0, 0.0, math.inf), 6, 4)
         aset = self.entries([(2, 50.0)]) + [dest]
         assert select_entry(aset) is dest
 
@@ -452,7 +476,7 @@ class TestSingleStageDraws:
         r = self.router(traffic.IDLE)
         draws = recorded_draws(monkeypatch)
         entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
-        assert (entry.surfaces, entry.link.node_id) == ((r.topo.first_ris_id,), 2)
+        assert (entry.surfaces, entry.node_id) == ((r.topo.first_ris_id,), 2)
         assert shapes(draws) == [("amplitudes", 250), ("amplitudes", 250)]
 
     def test_a_later_surface_draws_amplitudes_only(self, monkeypatch):
@@ -461,7 +485,7 @@ class TestSingleStageDraws:
         assert r._scan(r._point(SOURCE_ID), r.ris_ids) == (3, 4) and r._scan((150.0, 200.0)) == ()
         draws = recorded_draws(monkeypatch)
         entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
-        assert (entry.surfaces, entry.link.node_id) == ((4,), 2)
+        assert (entry.surfaces, entry.node_id) == ((4,), 2)
         assert shapes(draws) == [("amplitudes", 250), ("amplitudes", 250)]
 
     def test_double_stage_reuses_the_first_surfaces_h_in(self, monkeypatch):
@@ -592,7 +616,7 @@ class TestMobileOrigin:
         def tracked_commit(router, origin, entry, ledger):
             endpoint = commit(router, origin, entry, ledger)
             if not isinstance(endpoint, FailureReason):
-                holder[0] = entry.link.node_id
+                holder[0] = entry.node_id
             return endpoint
 
         monkeypatch.setattr(Router, "_relay_stage", at_holder("relay"))
@@ -680,14 +704,14 @@ class TestCommitProgress:
         for surfaces, kind in (((), HopKind.DIRECT_IU), ((3,), HopKind.SINGLE_RIS), ((3, 4), HopKind.DOUBLE_RIS)):
             led = RouteLedger()
             with pytest.raises(ValueError, match="no closer"):
-                r._commit(origin, Entry(stuck, 3, 8.0, surfaces), led)
+                r._commit(origin, entry_for(stuck, 3, 8.0, surfaces), led)
             assert led.hops == [] and r.clock == 0
             far = (10.0, 200.0)
-            reason = r._commit(far, Entry(closer, int(overrun), 8.0, surfaces), led)
+            reason = r._commit(far, entry_for(closer, int(overrun), 8.0, surfaces), led)
             assert reason is FailureReason.DELAY_EXCEEDED
             assert led.hops == [] and r.clock == 0
             # the same hop from farther out commits: clock, ledger and endpoint
-            end = r._commit(far, Entry(closer, 3, 8.0, surfaces), led)
+            end = r._commit(far, entry_for(closer, 3, 8.0, surfaces), led)
             assert end == (50.0, 200.0) and r.clock == 3
             hop = led.hops[-1]
             assert (hop.kind, hop.via) == (kind, (*surfaces, 2))
@@ -730,9 +754,9 @@ class ExhaustiveRouter(Router):
         found, cfg, dest = self._scan(origin), self.cfg, self.dest
         if DEST_ID in found:
             amp = channel.sample_amplitudes(1, cfg.rician_k_db, self.rng).tolist()[0]
-            link = _link(DEST_ID, channel.direct_snr(cfg, amp, math.dist(origin, dest)), 0.0, math.inf)
+            link = link_at(DEST_ID, channel.direct_snr(cfg, amp, math.dist(origin, dest)), 0.0, math.inf)
             if mode := self.slots.fastest[linkbudget.mode_bits(self.slots.thresholds_db, link.snr_db)]:
-                return Entry(link, *mode), []
+                return entry_for(link, *mode), []
         idle, busy = self._split_idle_busy(found)
         links = []
         if len(idle):
@@ -740,7 +764,7 @@ class ExhaustiveRouter(Router):
             nus = self.field.law.nu_idle[idle - FIRST_IU_ID].tolist()
             for node_id, pos, amp, nu in zip(idle.tolist(), self.xy[idle].tolist(), amplitudes, nus):
                 if (remaining := math.dist(pos, dest)) < math.dist(origin, dest):
-                    links.append(_link(node_id, channel.direct_snr(cfg, amp, math.dist(origin, pos)), remaining, nu))
+                    links.append(link_at(node_id, channel.direct_snr(cfg, amp, math.dist(origin, pos)), remaining, nu))
         aset = availability_set(links, self.slots)
         return (select_entry(aset), []) if aset else (None, busy.tolist())
 
@@ -764,7 +788,7 @@ class ExhaustiveRouter(Router):
                 if (entry := self._reflected_entry(endpoint, gamma, (ris_id,))) is not None:
                     entries.append(entry)
             if entries:
-                key = (min(e.link.remaining_m for e in entries), ris_id)
+                key = (min(e.remaining_m for e in entries), ris_id)
                 if best is None or key < best[0]:
                     best = (key, select_entry(entries))
         return None if best is None else best[1]
@@ -796,7 +820,7 @@ def evaluated_links(router, origin, calls):
     for _, d, snr in calls:
         (node_id,) = by_distance[d]
         nu = math.inf if node_id == DEST_ID else float(router.field.law.nu_idle[node_id - FIRST_IU_ID])
-        links.append(_link(node_id, snr, math.dist(router._point(node_id), router.dest), nu))
+        links.append(link_at(node_id, snr, math.dist(router._point(node_id), router.dest), nu))
     return links
 
 
@@ -812,7 +836,7 @@ def check_one_pass(router, links, got):
         assert len(relays) == len(links) - 1 and links[0].node_id == DEST_ID
         mode = table.fastest[linkbudget.mode_bits(table.thresholds_db, links[0].snr_db)]
         if mode:
-            assert got == Entry(links[0], *mode) and not relays
+            assert got == entry_for(links[0], *mode) and not relays
             return relays
     aset = availability_set(relays, table)
     assert (got is None) == (not aset)
@@ -1023,7 +1047,7 @@ class TestOnePassAgainstAvailabilitySet:
                     entry, busy = stage(origin)
                 relays = check_one_pass(r, evaluated_links(r, origin, calls), entry)
                 seen["rejected links"] += len(relays) - len(availability_set(relays, r.slots))
-                seen["destination" if entry and entry.link.node_id == DEST_ID else "relay" if entry
+                seen["destination" if entry and entry.node_id == DEST_ID else "relay" if entry
                      else "none after relay links" if relays else "none"] += 1
                 return entry, busy
 
@@ -1072,14 +1096,14 @@ class TestRelayScanOrderAgainstDistance:
         # scan order: 1 ulp above, then 1 ulp below; the second is the hop
         (got, state), want = relay_pick([self.above, self.below])
         assert (got, state) == want
-        assert got[0].link.node_id == 3 and got[0].tau == 2
+        assert got[0].node_id == 3 and got[0].tau == 2
 
     def test_stop_looks_past_a_link_just_beyond_the_floor_entry(self):
         # the first floor entry is at 40 m, the next link 1 ulp beyond it and the last 1 ulp
         # inside it: only the margin keeps the scan going to the last, the hop
         (got, state), want = relay_pick([self.on, self.above, self.below])
         assert (got, state) == want
-        assert got[0].link.node_id == 4 and got[0].tau == 2
+        assert got[0].node_id == 4 and got[0].tau == 2
 
 
 class TestSingleStageAgainstExhaustive:
@@ -1107,7 +1131,7 @@ class TestSingleStageAgainstExhaustive:
         assert [r.xy[i].tolist() for i in scan] == [list(near), list(far)]
         assert all(2 in r._scan(tuple(r.xy[i].tolist())) for i in scan)
         entry = self.pick(topo, line_config(), 1)
-        assert entry.surfaces == (topo.first_ris_id,) and entry.link.node_id == 2
+        assert entry.surfaces == (topo.first_ris_id,) and entry.node_id == 2
 
     def test_destination_behind_a_later_surface(self):
         # at -40 dBm noise the destination is in sight of both surfaces but only the one scanned
@@ -1115,7 +1139,7 @@ class TestSingleStageAgainstExhaustive:
         cfg = line_config(noise_dbm=-40.0)
         topo = build_topology([(390.0, 215.0)], [(380.0, 225.0), (342.0, 200.0)], src=(330.0, 200.0))
         entry = self.pick(topo, cfg, 1)
-        assert entry.surfaces == (topo.first_ris_id + 1,) and entry.link.node_id == DEST_ID
+        assert entry.surfaces == (topo.first_ris_id + 1,) and entry.node_id == DEST_ID
         r = Router(topo, idle_law(1, cfg), cfg, rng_for(151))
         first = r._scan(r._point(SOURCE_ID), r.ris_ids)[0]
         assert first == topo.first_ris_id and DEST_ID in r._scan(r._point(first))
@@ -1130,7 +1154,7 @@ class TestSingleStageAgainstExhaustive:
         assert r._scan(r._point(SOURCE_ID), r.ris_ids) == (5, 6)
         assert r._scan((320.0, 195.0)) == (2, 3, 4) and r._scan((340.0, 262.0)) == (4,)
         entry = self.pick(topo, line_config(), 3)
-        assert entry.surfaces == (5,) and entry.link.remaining_m == math.nextafter(40.0, 0.0)
+        assert entry.surfaces == (5,) and entry.remaining_m == math.nextafter(40.0, 0.0)
 
 
 HOP_STAGE = {HopKind.DIRECT_IU: "relay", HopKind.SINGLE_RIS: "reflector", HopKind.DOUBLE_RIS: "double"}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from risroute.config import SimConfig
 from risroute import topology
 from risroute.experiments import MobilityField, Replication, _profiles_for, run_one_route
-from risroute.router import FailureReason, Router
+from risroute.router import BASELINE_POLICIES, FailureReason, Router
 from risroute.topology import (
     DEST_ID,
     FIRST_IU_ID,
@@ -197,7 +197,7 @@ class TestCellIndex:
         """Whether ``topo`` scanned (ids, r) with a cell index; its scan must equal the numpy path's."""
         want = half_circle_scan(topo.xy, ids, center, point(topo, DEST_ID), r)
         assert topo.scan(ids, center, r) == tuple(want)
-        return isinstance(topo._indexes[ids, r], CellIndex)
+        return isinstance(topo._tables[ids, r], CellIndex)
 
     def test_same_ids_in_the_same_order_on_6000_scans(self):
         # TestScanAgainstV3's generator, as a topology's table, shifted 40 m into the arena, up to
@@ -260,7 +260,7 @@ class TestCellIndex:
                     assert i not in topo.scan(surfaces, center, r)  # through the surfaces' cell index
                     assert i not in half_circle_scan(topo.xy, surfaces, center, dest, r)  # the array path
         ids = range(topos[0].first_ris_id, len(topos[0].xy))
-        assert topos[0]._indexes[ids, r] is topos[1]._indexes[ids, r]  # one index for the run's surfaces
+        assert topos[0]._tables[ids, r] is topos[1]._tables[ids, r]  # one index for the run's surfaces
 
     def test_rows_on_the_perpendicular_scan_alike_alone_and_in_the_table(self):
         # half of each table planted on the perpendicular through the centre of a slanted axis: a
@@ -295,7 +295,7 @@ class TestCellIndex:
         for center in map(tuple, rng.uniform(0.0, 400.0, size=(20, 2)).tolist()):
             assert not self.check(topo, relays, center, 90.0)
             assert self.check(topo, surfaces, center, 90.0)
-        assert topo._indexes[relays, 90.0] is None
+        assert isinstance(topo._tables[relays, 90.0], ScanColumns)
         # 901 rows over 400 m x 400 m: 18 a cell on average at r = 60 m (7 x 7 cells), 4.6 at r = 30 m (14 x 14)
         rows, dest = topo.xy[relays.start:relays.stop], point(topo, DEST_ID)
         assert cell_index(rows, relays.start, 60.0, dest) is None
@@ -311,7 +311,7 @@ class TestCellIndex:
         ius, dest = range(FIRST_IU_ID, topo.first_ris_id), point(topo, DEST_ID)
         for center in [(10.0, 10.0)] + list(map(tuple, rng.uniform(0.0, 130.0, size=(20, 2)).tolist())):
             assert topo.scan(ius, center, 30.0) == tuple(half_circle_scan_v3(topo.xy, ius, center, dest, 30.0))
-        assert topo._indexes[ius, 30.0] is None
+        assert isinstance(topo._tables[ius, 30.0], ScanColumns)
 
     def test_ties_on_np_hypot_go_by_id(self):
         # both IUs are exactly 40 m from D by np.hypot, so the scan lists them by id; by math.dist, or
@@ -394,7 +394,7 @@ class TestArrayPath:
                 assert topo.scan(relays, c, r) == tuple(want), trial
                 moving = topo.xy.copy()  # a mobile route's table: no memo, no index
                 assert half_circle_scan(moving, relays, c, dest, r) == want, trial
-            assert topo._indexes[relays, r] is None
+            assert isinstance(topo._tables[relays, r], ScanColumns)
             # the planted rows do mislead a squared-distance rule without the band, and a sort on squares
             rel = np.array(ring) - np.array(center)
             misjudged += int(np.sum((rel[:, 0] ** 2 + rel[:, 1] ** 2 <= r2) != (np.hypot(rel[:, 0], rel[:, 1]) <= r)))
@@ -421,8 +421,9 @@ class TestScanColumns:
                 continue
             raw = half_circle_scan(topo.xy, ids, center, dest, r)
             assert topo.scan(ids, center, r) == tuple(raw), center
-            assert topo._indexes[ids, r] is None
-            assert half_circle_scan(topo.xy, ids, center, dest, r, topo._columns[ids]) == raw, center
+            columns = topo._tables[ids, r]
+            assert isinstance(columns, ScanColumns)
+            assert half_circle_scan(topo.xy, ids, center, dest, r, columns) == raw, center
             scans.append(raw)
         return scans
 
@@ -487,9 +488,59 @@ class TestScanColumns:
             monkeypatch.setattr(topology, "half_circle_scan", scan)
             router.run()
             monkeypatch.undo()
-            columns = topo._columns[router.relay_ids]
+            columns = topo._tables[router.relay_ids, cfg.coverage_m]
             assert np.array_equal(np.column_stack([columns.x, columns.y]), topo.xy[router.relay_ids.start:router.relay_ids.stop])
         assert read["columns"] >= 4 and read["moving"] >= 4, read
+
+
+class TestScanTables:
+    """Each scanned (id range, r) of a topology has one scan table, its cell index or its scan columns,
+    and the topologies of one grid point share their surfaces' table."""
+
+    @staticmethod
+    def grid_point(cfg):
+        """Two topologies of the grid point of ``cfg``, each with its surfaces scanned from the source."""
+        topos = [generate_topology(cfg, np.random.default_rng((4301, seed))) for seed in range(2)]
+        for topo in topos:
+            topo.scan(range(topo.first_ris_id, len(topo.xy)), point(topo, SOURCE_ID), cfg.coverage_m)
+        return topos, range(topos[0].first_ris_id, len(topos[0].xy))
+
+    def test_a_10_m_surface_grid_shares_read_only_columns(self):
+        cfg = SimConfig(coverage_m=45.0, iu_count=100, ris_spacing_m=10.0, source_xy=(20.0, 195.0),
+                        dest_xy=(380.0, 195.0))
+        (first, second), surfaces = self.grid_point(cfg)
+        columns = first._tables[surfaces, 45.0]
+        assert isinstance(columns, ScanColumns) and second._tables[surfaces, 45.0] is columns
+        for column in columns[1:]:
+            assert len(column) == 1600
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+
+    def test_the_default_grid_shares_its_cell_index(self):
+        cfg = SimConfig(coverage_m=60.0, iu_count=100, source_xy=(20.0, 180.0), dest_xy=(380.0, 180.0))
+        (first, second), surfaces = self.grid_point(cfg)
+        index = first._tables[surfaces, 60.0]
+        assert isinstance(index, CellIndex) and second._tables[surfaces, 60.0] is index
+
+    @pytest.mark.parametrize("iu_count", [100, 900])
+    def test_one_table_per_scanned_range_and_radius(self, iu_count):
+        # routes at 90 m under every policy, then scans at 30 m: the IU range takes a cell index at
+        # 100 IUs and at 30 m, and scan columns at 900 IUs and 90 m
+        cfg = SimConfig(coverage_m=90.0, iu_count=iu_count, source_xy=(20.0, 200.0), dest_xy=(380.0, 200.0))
+        topo = generate_topology(cfg, np.random.default_rng(4302))
+        for k, policy in enumerate(BASELINE_POLICIES.values()):
+            Router(topo, _profiles_for(cfg), cfg, np.random.default_rng((4303, k)), policy).run()
+        tables = dict(topo._tables)
+        relays = range(DEST_ID, topo.first_ris_id)
+        for center in map(tuple, np.random.default_rng(4304).uniform(0.0, 400.0, size=(20, 2)).tolist()):
+            topo.scan(relays, center, 30.0)
+            topo.scan(range(topo.first_ris_id, len(topo.xy)), center, 30.0)
+        assert {(ids, r) for ids, _, r in topo._scans} == set(topo._tables)
+        assert all(topo._tables[key] is table for key, table in tables.items())  # built once each
+        kinds = {key: type(table) for key, table in topo._tables.items()}
+        assert set(kinds.values()) <= {CellIndex, ScanColumns}
+        assert kinds[relays, 90.0] is (CellIndex if iu_count == 100 else ScanColumns)
+        assert kinds[relays, 30.0] is CellIndex and len(kinds) == 4
 
 
 class TestHopArithmetic:
@@ -544,6 +595,18 @@ class TestTopologyConstruction:
             make_topo([], dst=(500.0, 0.0))
         with pytest.raises(ValueError, match="node 3 "):
             make_topo([(30.0, 10.0), (30.0, -1.0)])
+
+    def test_a_nan_row_and_a_last_row_outside_are_named(self):
+        # a NaN compares false against both bounds, so it lies outside; so does a row past the last
+        # one checked first, and only the first row outside is named
+        with pytest.raises(ValueError, match=r"node 2 at \(nan, 10.0\) lies outside"):
+            make_topo([(math.nan, 10.0), (30.0, 10.0)])
+        with pytest.raises(ValueError, match=r"node 3 at \(30.0, nan\) lies outside"):
+            make_topo([(30.0, 10.0), (30.0, math.nan)], ris=[(15.0, -1.0)])
+        with pytest.raises(ValueError, match=r"node 4 at \(15.0, 400.5\) lies outside"):
+            make_topo([(30.0, 10.0)], ris=[(15.0, 15.0), (15.0, 400.5)])
+        edges = make_topo([(0.0, 400.0), (-0.0, 0.0)], ris=[(400.0, 400.0)])  # the edges are inside
+        assert edges.first_ris_id == 4
 
     def test_grid_spacing_and_bounds(self):
         pts = ris_grid_positions(400.0, 30.0)
