@@ -14,26 +14,30 @@ quantities are computed once per config, on first read. A transmission
 mode is its bit count b (constellation 2**b): ``target_ber`` and
 ``threshold_rule`` set the SNR threshold of each b (see ``linkbudget``),
 and ``fixed_rate_bits`` pins one b for the fixed-modulation baseline.
-Fixed endpoints, when set, must lie inside the arena and more than 1e-9 m
-apart, as ``generate_topology`` draws them, and the destination off the
-reflector grid. The reflector grid holds at most
-``MAX_RIS_PER_SIDE`` surfaces a side (10,000 in all; the densest workload
-grid, at r = 30 m, is 27 x 27), counted before any grid is built. The arena
-is ``MIN_ARENA_M`` to ``MAX_ARENA_M`` a side, 1 m to 1e6 m: the scan's
-unnormalised projection would overflow near 1e154 m and underflow near
-1e-154 m, and ``generate_topology``, which draws endpoints until they lie
-1e-9 m apart, would never end in an arena under 7e-10 m.
-Link-budget keys outside their physical ranges are refused, never clamped:
-``rho_l_db <= 0`` (a loss),
-``noise_dbm >= -200``, ``tx_power_dbm <= 60``, and path-loss exponents
-``alpha_d2d`` and ``alpha_other`` in (0, 10]: a gain that falls with
-distance, no faster than the steepest measured exponents (about 6 in
-obstructed buildings), which keeps ``d ** -alpha`` finite for any
-d > 1e-30 m. The harvester's ``eh_slope * eh_threshold_w`` is at most 700
-(2.1 by default), so its curve never overflows, and its saturation power
-``mh_mw`` is at most the transmit power: a relay harvests less than a hop
-spends (``invariants.check_ledger`` checks it), and the last hop, into the destination, harvests nothing, so a
-route's net energy is positive.
+
+Every number field of ``SimConfig`` and of ``experiments.ExperimentPlan``
+has one row in ``RANGES``: the interval each of its values lies in, with
+the reason as the row's comment. ``check_numbers`` reads it for both
+records: it stores each value as its annotation's type, an int or a float
+(so the manifest can record it), refuses a bool or a non-number, and
+checks every element of a tuple. Bad values are refused, never clamped.
+The rules that tie fields together come after it:
+- a route takes at least one slot, so the budget is at least ``slot_us``;
+- each dB key has a finite linear value, and only ``rician_k_db``'s may be
+  0 (Rayleigh fading); every other one scales or divides a power;
+- the harvester's ``eh_slope * eh_threshold_w`` is at most 700 (2.1 by
+  default), so its curve never overflows, and its saturation power
+  ``mh_mw`` is at most the transmit power: a relay harvests less than a
+  hop spends (``invariants.check_ledger`` checks it), and the last hop,
+  into the destination, harvests nothing, so a route's net energy is
+  positive;
+- a per-IU ``lambda_off_ms`` or ``mu_on_ms`` holds one value per IU;
+- fixed endpoints, when set, lie inside the arena and more than 1e-9 m
+  apart, as ``generate_topology`` draws them, and the destination off the
+  reflector grid;
+- the reflector grid holds at most ``MAX_RIS_PER_SIDE`` surfaces a side
+  (10,000 in all; the densest workload grid, at r = 30 m, is 27 x 27),
+  counted before any grid is built.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -52,17 +55,73 @@ class ConfigError(ValueError):
 
 
 MAX_RIS_PER_SIDE = 100
-MIN_ARENA_M, MAX_ARENA_M = 1.0, 1e6
+
+# Each number field's interval, for ``SimConfig`` and ``experiments.ExperimentPlan`` (module docstring),
+# written as a refusal prints it; fields that share a reason share a line.
+RANGES = {
+    # the scan's unnormalised projection would overflow near 1e154 m and underflow near 1e-154 m, and
+    # generate_topology, which draws endpoints until they lie 1e-9 m apart, would never end under 7e-10 m
+    "arena_m": "[1, 1e6]",
+    "coverage_m": "(0, inf)", "ris_spacing_m": "(0, inf)",  # ris_spacing_m when set; the grid cap follows
+    "iu_count": "[0, inf)", "ris_elements": "[1, inf)", "blocklength": "[1, inf)",
+    "packets": "[1, inf)", "bits_per_packet": "[1, inf)",  # a transfer carries at least one bit
+    "lambda_off_ms": "(0, inf)", "mu_on_ms": "(0, inf)",  # a scalar, or each per-IU value
+    "slot_us": "(0, inf)", "total_delay_ms": "(0, inf)",  # a budget of at least one slot follows
+    # a tolerance, a probability threshold and two error probabilities, each strictly inside its ends
+    "delta": "(0, 1)", "p_th": "(0, 1)", "epsilon": "(0, 1)", "target_ber": "(0, 1)",
+    "rho_l_db": "(-inf, 0]",  # a loss
+    # a gain that falls with distance, no faster than the steepest measured exponents (about 6 in
+    # obstructed buildings), which keeps d ** -alpha finite for any d > 1e-30 m
+    "alpha_d2d": "(0, 10]", "alpha_other": "(0, 10]",
+    # physical ranges; these and the other dB keys are finite, and each one's linear value is checked later
+    "noise_dbm": "[-200, inf)", "tx_power_dbm": "(-inf, 60]",
+    "proc_power_dbm": "(-inf, inf)", "rician_k_db": "(-inf, inf)",
+    "mh_mw": "(0, inf)", "eh_slope": "(0, inf)", "eh_threshold_w": "(0, inf)",  # their joint bounds follow
+    "fixed_rate_bits": "[1, 8]",  # a constellation of 2 to 256 points
+    "source_xy": "(-inf, inf)", "dest_xy": "(-inf, inf)",  # finite; the arena bounds them later
+    # ExperimentPlan; SeedSequence refuses a negative seed too, but only after the manifest is written
+    "seed": "[0, inf)", "replications": "[1, inf)", "threads": "[1, inf)",
+    "coverage_grid": "(0, inf)", "density_grid": "[0, inf)",  # each a grid point's coverage_m or iu_count
+    "deltas": "(0, 1)", "xi_grid": "(0, 1)",  # a tolerance and a traffic share
+    "chains": "[2, inf)", "batches": "[2, inf)",  # a batch needs a chain: chains >= batches follows
+    "vmax_grid": "[0, inf)",  # a negative or NaN speed would run static routes
+}
 
 
-def as_integer(name: str, value) -> int:
-    """``value`` of the integer field ``name`` as an int; numpy's int64 passes, a bool or a float is refused."""
+def _stored(name: str, integer: bool, value) -> int | float:
+    """One value of the number field ``name`` as stored, an int (numpy's int64 passes) or a float,
+    refused when it is a bool, no number, or outside its interval."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a real number'}, got {value!r}")
     try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+        number = int(value) if integer else float(value)
+    except OverflowError:  # an int past the float range lies outside every interval, as NaN does
+        number = math.nan
+    interval = RANGES[name]
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if not ((low <= number) if interval[0] == "[" else (low < number)) or \
+            not ((number <= high) if interval[-1] == "]" else (number < high)):
+        raise ConfigError(f"{name} must lie in {interval}, got {value!r}")
+    return number
+
+
+def check_numbers(record) -> None:
+    """Store every number field of ``record``, a ``SimConfig`` or an ``ExperimentPlan``, by its
+    annotation and ``RANGES`` (module docstring): a tuple element by element, and never empty; an
+    endpoint pair as a pair."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.name not in RANGES or (value is None and f.type.endswith("| None")):
+            continue
+        if f.type.startswith("tuple[float, float]") and not (isinstance(value, tuple) and len(value) == 2):
+            raise ConfigError(f"{f.name} must be a pair of numbers, got {value!r}")
+        if isinstance(value, tuple) and "tuple" in f.type:
+            if not value:
+                raise ConfigError(f"{f.name} must hold at least one value")
+            value = tuple(_stored(f.name, "int" in f.type, v) for v in value)
+        else:
+            value = _stored(f.name, "int" in f.type, value)
+        object.__setattr__(record, f.name, value)
 
 
 def db_to_linear(db: float) -> float:
@@ -113,42 +172,12 @@ class SimConfig:
     dest_xy: tuple[float, float] | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":  # stored as an int, so the manifest can record it
-                object.__setattr__(self, f.name, as_integer(f.name, value))
-            for v in value if isinstance(value, tuple) else (value,):
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ConfigError(f"{f.name} must be finite, got {v!r}")
-        if self.arena_m <= 0 or self.coverage_m <= 0:
-            raise ConfigError("arena_m and coverage_m must be positive")
-        if self.iu_count < 0:
-            raise ConfigError("iu_count must be nonnegative")
-        if self.ris_elements < 1:
-            raise ConfigError("ris_elements must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta must lie in (0, 1)")
-        if not 0.0 < self.p_th < 1.0:
-            raise ConfigError("p_th must lie in (0, 1)")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError("epsilon must lie in (0, 1)")
-        if not 0.0 < self.target_ber < 1.0:
-            raise ConfigError("target_ber must lie in (0, 1)")
+        check_numbers(self)
         if self.threshold_rule not in ("table3", "eqtext"):
             raise ConfigError(f"threshold_rule must be 'table3' or 'eqtext', got {self.threshold_rule!r}")
-        if not 1 <= self.fixed_rate_bits <= 8:
-            raise ConfigError(f"fixed_rate_bits must lie in 1..8, got {self.fixed_rate_bits}")
-        if self.slot_us <= 0 or self.total_delay_ms <= 0:
-            raise ConfigError("slot_us and total_delay_ms must be positive")
         if self.total_delay_s < self.slot_s:  # a route takes at least one slot
             raise ConfigError(f"total_delay_ms = {self.total_delay_ms!r} is shorter than one slot "
                               f"(slot_us = {self.slot_us!r})")
-        if self.packets < 1 or self.bits_per_packet < 1:
-            raise ConfigError("packets and bits_per_packet must be >= 1")
-        if self.blocklength < 1:
-            raise ConfigError(f"blocklength must be >= 1, got {self.blocklength}")
-        if self.ris_spacing_m is not None and self.ris_spacing_m <= 0:
-            raise ConfigError(f"ris_spacing_m must be positive when set, got {self.ris_spacing_m}")
         for name, to_linear in (("rician_k_db", db_to_linear), ("rho_l_db", db_to_linear),
                                 ("tx_power_dbm", dbm_to_watts), ("proc_power_dbm", dbm_to_watts),
                                 ("noise_dbm", dbm_to_watts)):
@@ -156,35 +185,18 @@ class SimConfig:
                 linear = to_linear(getattr(self, name))
             except OverflowError:
                 linear = math.inf
-            # K = 0 is Rayleigh fading; every other linear value scales or divides a power
             if not math.isfinite(linear) or (linear <= 0.0 and name != "rician_k_db"):
                 raise ConfigError(f"{name} = {getattr(self, name)!r} is out of range: its linear value is {linear!r}")
-        for name, ok, rule in (("rho_l_db", self.rho_l_db <= 0.0, "<= 0"),
-                               ("noise_dbm", self.noise_dbm >= -200.0, ">= -200"),
-                               ("tx_power_dbm", self.tx_power_dbm <= 60.0, "<= 60"),
-                               ("alpha_d2d", 0.0 < self.alpha_d2d <= 10.0, "in (0, 10]"),
-                               ("alpha_other", 0.0 < self.alpha_other <= 10.0, "in (0, 10]")):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        for name in ("mh_mw", "eh_slope", "eh_threshold_w"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.eh_slope * self.eh_threshold_w > 700.0:  # exp(a b), the harvest curve's largest term, stays finite
             raise ConfigError(f"eh_slope * eh_threshold_w must be <= 700, got {self.eh_slope * self.eh_threshold_w!r}")
         if self.mh_mw * 1e-3 > self.tx_power_w:
             raise ConfigError(f"mh_mw = {self.mh_mw!r} exceeds the transmit power of {self.tx_power_w * 1e3!r} mW")
         for name in ("lambda_off_ms", "mu_on_ms"):
             val = getattr(self, name)
-            vals = val if isinstance(val, tuple) else (val,)
-            if not vals or any(v <= 0 for v in vals):
-                raise ConfigError(f"{name} values must be positive")
             if isinstance(val, tuple) and len(val) != self.iu_count:
                 raise ConfigError(f"{name} has {len(val)} per-IU values but iu_count is {self.iu_count}")
         for name in ("source_xy", "dest_xy"):
             xy = getattr(self, name)
-            if xy is not None and not (isinstance(xy, tuple) and len(xy) == 2 and all(
-                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in xy)):
-                raise ConfigError(f"{name} must be a pair of numbers, got {xy!r}")
             if xy is not None and not all(0.0 <= v <= self.arena_m for v in xy):
                 raise ConfigError(f"{name} {xy} lies outside the arena (arena_m = {self.arena_m:g})")
         if None not in (self.source_xy, self.dest_xy) and not math.dist(self.source_xy, self.dest_xy) > 1e-9:
@@ -193,8 +205,6 @@ class SimConfig:
         if (self.arena_m - self.ris_spacing / 2.0) / self.ris_spacing > MAX_RIS_PER_SIDE:
             raise ConfigError(f"a {self.ris_spacing:g} m reflector grid over a {self.arena_m:g} m arena has more "
                               f"than {MAX_RIS_PER_SIDE} surfaces a side; raise coverage_m or ris_spacing_m")
-        if not MIN_ARENA_M <= self.arena_m <= MAX_ARENA_M:
-            raise ConfigError(f"arena_m must lie in [{MIN_ARENA_M:g}, {MAX_ARENA_M:g}] m, got {self.arena_m:g}")
         if self.dest_xy is not None:  # a scan centred on the destination would face no direction
             from .topology import ris_grid_positions  # deferred: topology imports this module
             if (ris_grid_positions(self.arena_m, self.ris_spacing) == self.dest_xy).all(axis=1).any():
@@ -248,19 +258,21 @@ class SimConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}  # e.g. "float | None", "tuple[float, float] | None"
 
 
-def _number(key: str, raw) -> int | float:
-    """One number of ``key``: its value, or one element of its list or pair."""
-    if isinstance(raw, bool):
-        raise ConfigError(f"config key '{key}' takes numbers, not booleans, got {raw!r}")
+def _number(key: str, raw) -> object:
+    """One number of ``key`` parsed from text by its field's annotation; a JSON value passes as it is,
+    for ``check_numbers`` to store or refuse."""
+    if not isinstance(raw, str):
+        return raw
     try:
-        return int(str(raw).strip()) if _FIELD_TYPES[key] == "int" else float(raw)
-    except (TypeError, ValueError) as exc:
+        return int(raw.strip()) if _FIELD_TYPES[key] == "int" else float(raw)
+    except ValueError as exc:
         raise ConfigError(f"config key '{key}': cannot parse value {raw!r}") from exc
 
 
 def _coerce(key: str, raw) -> object:
     """``raw`` as the value of ``key``, by its field's annotation: None where it ends in ``| None``, a
-    string for ``str``, a tuple where it names one (a pair for ``tuple[float, float]``), else a number."""
+    string for ``str``, a tuple for a list or a comma-separated text, else a number; ``SimConfig``
+    checks the shape and the range."""
     kind = _FIELD_TYPES[key]
     if raw is None or (isinstance(raw, str) and raw.strip().lower() in ("none", "null")):
         if kind.endswith("| None"):
@@ -270,16 +282,7 @@ def _coerce(key: str, raw) -> object:
         return str(raw).strip()
     if isinstance(raw, str) and "," in raw:
         raw = [p for p in (s.strip() for s in raw.split(",")) if p]
-    pair = kind.startswith("tuple[float, float]")
-    if not isinstance(raw, (list, tuple)):
-        if pair:
-            raise ConfigError(f"config key '{key}' needs exactly two values, got {raw!r}")
-        return _number(key, raw)
-    if "tuple" not in kind:
-        raise ConfigError(f"config key '{key}' does not accept a list")
-    if pair and len(raw) != 2:
-        raise ConfigError(f"config key '{key}' needs exactly two values")
-    return tuple(_number(key, v) for v in raw)
+    return tuple(_number(key, v) for v in raw) if isinstance(raw, (list, tuple)) else _number(key, raw)
 
 
 def config_from_mapping(mapping: dict) -> SimConfig:

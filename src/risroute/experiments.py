@@ -66,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from . import invariants, metrics, router, topology, traffic
-from .config import ConfigError, SimConfig, as_integer
+from .config import ConfigError, SimConfig, check_numbers
 
 DETAIL_COLUMNS = [
     "scenario_id",
@@ -122,36 +122,25 @@ class ExperimentPlan:
         kind = KINDS.get(self.kind)
         if kind is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {sorted(KINDS)}")
-        # an integer field takes integers only, a grid is stored as a tuple (so a list compares with
-        # its default and with ()); a field the kind would ignore is refused rather than dropped
+        # a grid is stored as a tuple (so a list compares with its default), and a field the kind would
+        # ignore is refused rather than dropped
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int":  # stored as an int, so the manifest can record it
-                object.__setattr__(self, f.name, as_integer(f.name, value))
-            elif f.type.startswith("tuple") and value is not None:
+            if f.type.startswith("tuple") and value is not None:
                 object.__setattr__(self, f.name, tuple(value))
             if f.name not in kind.reads | {"kind", "seed"} and getattr(self, f.name) != f.default:
                 readers = [name for name, other in KINDS.items() if f.name in other.reads]
                 raise ConfigError(f"{self.kind} takes no {f.name} (read only by {', '.join(readers)})")
-        if self.density_grid is not None:
-            object.__setattr__(self, "density_grid", tuple(as_integer("density_grid", d) for d in self.density_grid))
-        if self.seed < 0:  # SeedSequence refuses one too, but only after the manifest is written
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # a batch needs a chain
-        if min(self.replications, self.threads) < 1 or self.batches < 2 or self.chains < self.batches:
-            raise ConfigError("replications and threads must be >= 1, batches >= 2 and chains >= batches")
-        if () in (self.coverage_grid, self.density_grid, self.vmax_grid, self.variants, self.xi_grid, self.deltas):
-            raise ConfigError("grids and variants must not be empty")
-        for name in ("xi_grid", "deltas"):  # a traffic share and a tolerance, each a probability
-            if not all(0.0 < v < 1.0 for v in getattr(self, name)):
-                raise ConfigError(f"{name} values must lie in (0, 1), got {getattr(self, name)}")
+        check_numbers(self)
+        if self.chains < self.batches:  # a batch needs a chain
+            raise ConfigError(f"chains must be >= batches, got {self.chains} chains and {self.batches} batches")
+        if not self.variants:
+            raise ConfigError("variants must not be empty")
         # refused here, before any file is written: an unknown variant would fail as a bare KeyError
-        # in ``_grid_cells``, and a negative or NaN speed would run static routes
+        # in ``_grid_cells``
         unknown = [v for v in self.variants if v not in router.BASELINE_POLICIES]
         if unknown:
             raise ConfigError(f"unknown variants {unknown}; choose from {sorted(router.BASELINE_POLICIES)}")
-        if not all(0.0 <= v < math.inf for v in self.vmax_grid):
-            raise ConfigError(f"vmax_grid speeds must be finite and >= 0, got {self.vmax_grid}")
         if self.kind == "mobility" and len(self.resolved_coverage_grid()) > 1:
             raise ConfigError("mobility runs at one coverage radius; give coverage_grid a single value")
         # the grids name their cells' scenario ids, so no two values may print alike

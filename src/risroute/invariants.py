@@ -63,11 +63,11 @@ def check_ledger(ledger: RouteLedger, cfg: SimConfig) -> list[str]:
         if start is not None and not hop.remaining_m < start:
             problems.append(f"hop {i}: remaining distance {hop.remaining_m!r} m is not below {start!r} m")
         start = None if mobile else hop.remaining_m
-        if not DEST_ID <= hop.via[-1] < topo.first_ris_id:
+        if hop.via[-1] not in topo.relay_ids:
             problems.append(f"hop {i}: ends at {hop.via[-1:]}, neither D nor an IU")
             continue
         *surfaces, endpoint = hop.via
-        if not all(topo.first_ris_id <= s < len(topo.xy) for s in surfaces):
+        if not all(s in topo.ris_ids for s in surfaces):
             problems.append(f"hop {i}: surfaces {tuple(surfaces)} are not all RIS ids")
         if hop.kind is HopKind.DIRECT_IU:
             if hop.rate not in range(1, MAX_RATE + 1):

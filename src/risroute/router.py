@@ -367,8 +367,6 @@ class Router:
         self.field = traffic.TrafficField(law, rng)
         self.clock = 0  # slots elapsed
         self.xy = topo.xy if mobility is None else topo.xy.copy()  # node positions at the clock
-        self.relay_ids = range(DEST_ID, topo.first_ris_id)  # the destination and the IUs
-        self.ris_ids = range(topo.first_ris_id, len(topo.xy))
         self.dest = topo.dest
 
     # -- clock -------------------------------------------------------------------
@@ -394,8 +392,8 @@ class Router:
         the destination; from the topology's memo unless they are IUs that have moved (a mobile
         router's IU rows are the topology's, bit for bit, until the first tick)."""
         if ids is None and self.mobility is not None and self.clock:
-            return tuple(topology.half_circle_scan(self.xy, self.relay_ids, center, self.dest, self.cfg.coverage_m))
-        return self.topo.scan(self.relay_ids if ids is None else ids, center, self.cfg.coverage_m)
+            return tuple(topology.half_circle_scan(self.xy, self.topo.relay_ids, center, self.dest, self.cfg.coverage_m))
+        return self.topo.scan(self.topo.relay_ids if ids is None else ids, center, self.cfg.coverage_m)
 
     def _reflected_rate(self, gamma: float) -> float:
         if self.policy.shannon:
@@ -557,7 +555,7 @@ class Router:
         n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
         if ledger.stage_reached == "relay":
             ledger.stage_reached = "reflector"
-        candidates = self._scan(origin, self.ris_ids)
+        candidates = self._scan(origin, self.topo.ris_ids)
         if not candidates:
             return FailureReason.NO_IU_NO_RIS
         incoming: dict[int, np.ndarray] = {}  # h_in by surface, drawn at most once in the stage
@@ -568,7 +566,7 @@ class Router:
         if self.policy.runs_double:
             first = candidates[0]  # nearest the destination (LRD scan order)
             first_pos = self._point(first)
-            adjacent = self._scan(first_pos, self.ris_ids)  # a scan never holds its centre, so not ``first``
+            adjacent = self._scan(first_pos, self.topo.ris_ids)  # a scan never holds its centre, so not ``first``
             if not adjacent:
                 return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
             second = adjacent[0]

@@ -9,8 +9,9 @@ is the node's id, in one layout:
     m+2 .. m+k+1       RISs, labels R1..Rk
 
 so an IU's id minus ``FIRST_IU_ID`` is its row in the run's traffic arrays,
-the destination and the IUs are the id range ``range(DEST_ID, first_ris_id)``
-and the RISs ``range(first_ris_id, n)``. A point outside the table (a scan
+the destination and the IUs are the id range ``relay_ids``,
+``range(DEST_ID, first_ris_id)``, and the RISs ``ris_ids``,
+``range(first_ris_id, n)``. A point outside the table (a scan
 center, a hop's origin) is an ``(x, y)`` pair of Python floats, and every
 distance the router compares or writes is ``math.dist`` of two such pairs.
 
@@ -116,6 +117,8 @@ class Topology:
         self.xy = xy
         self.dest: Point = tuple(xy[DEST_ID].tolist())
         self.first_ris_id = FIRST_IU_ID + len(iu_xy)
+        self.relay_ids = range(DEST_ID, self.first_ris_id)  # the destination and the IUs
+        self.ris_ids = range(self.first_ris_id, len(xy))
         self._scans: dict[tuple[range, Point, float], tuple[int, ...]] = {}
         self._tables: dict[tuple[range, float], CellIndex | ScanColumns] = {}
 
@@ -129,9 +132,9 @@ class Topology:
             return "S"
         if node_id == DEST_ID:
             return "D"
-        if FIRST_IU_ID <= node_id < self.first_ris_id:
+        if node_id in self.relay_ids:
             return f"U{node_id - FIRST_IU_ID + 1}"
-        if self.first_ris_id <= node_id < len(self.xy):
+        if node_id in self.ris_ids:
             return f"R{node_id - self.first_ris_id + 1}"
         raise ValueError(f"no node with id {node_id}")
 
@@ -144,7 +147,7 @@ class Topology:
             table = self._tables.get((ids, r))
             if table is None:
                 rows = self.xy[ids.start:ids.stop]
-                if ids == range(self.first_ris_id, len(self.xy)):
+                if ids == self.ris_ids:
                     table = _surface_table(ids.start, rows.tobytes(), r, self.dest)
                 else:
                     table = scan_table(rows, ids.start, r, self.dest)

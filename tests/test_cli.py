@@ -121,13 +121,13 @@ class TestRejectedBeforeAnyRoute:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("name,text,key", MALFORMED_ELEMENTS)
-    def test_malformed_element_is_config_error(self, tmp_path, capsys, name, text, key):
+    @pytest.mark.parametrize("name,text,key,message", MALFORMED_ELEMENTS)
+    def test_malformed_element_is_config_error(self, tmp_path, capsys, name, text, key, message):
         # each raised out of main with a ValueError or TypeError traceback
         cfg = write_cfg(tmp_path / name, text)
         assert main(["route", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and key in err and "Traceback" not in err
+        assert err.startswith("config error:") and key in err and message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args", [

@@ -37,3 +37,19 @@ def test_prints_each_module_and_their_sum(tmp_path, capsys):
     code_lines.main([str(tmp_path)])
     assert capsys.readouterr().out.splitlines()[1:] == ["     7     17  a.py", "     1      1  b.py",
                                                         "     8     18  total"]
+
+
+def test_prints_both_trees_and_their_difference(tmp_path, capsys):
+    base, head = tmp_path / "base", tmp_path / "head"
+    base.mkdir(), head.mkdir()
+    (base / "a.py").write_text(SOURCE)
+    (base / "gone.py").write_text("y = 1\nz = 2\n")
+    (head / "a.py").write_text(SOURCE + "w = 3\n")
+    (head / "new.py").write_text("# a comment\nv = 4\n")
+    code_lines.main([str(base), str(head)])
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "     7     17      8     18     +1     +1  a.py",
+        "     2      2      0      0     -2     -2  gone.py",
+        "     0      0      1      2     +1     +2  new.py",
+        "     9     19      9     20     +0     +1  total",
+    ]

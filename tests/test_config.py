@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from risroute.config import ConfigError, SimConfig, load_config
+from risroute.config import RANGES, ConfigError, SimConfig, load_config
 
 NON_FINITE = [
     ("alpha_d2d", math.nan),
@@ -17,11 +19,14 @@ NON_FINITE = [
     ("dest_xy", (math.nan, 200.0)),
 ]
 
-# (file name, text, key): a list or pair element that is no number
+# (file name, text, key, message): a list or pair element that is no number
 MALFORMED_ELEMENTS = [
-    pytest.param("list.cfg", "lambda_off_ms = 1, abc\n", "lambda_off_ms", id="flat-list"),
-    pytest.param("pair.json", '{"source_xy": ["x", 1]}', "source_xy", id="json-pair"),
-    pytest.param("nested.json", '{"lambda_off_ms": [[1], 2]}', "lambda_off_ms", id="json-nested-list"),
+    pytest.param("list.cfg", "lambda_off_ms = 1, abc\n", "lambda_off_ms",
+                 "config key 'lambda_off_ms': cannot parse value 'abc'", id="flat-list"),
+    pytest.param("pair.json", '{"source_xy": ["x", 1]}', "source_xy",
+                 "config key 'source_xy': cannot parse value 'x'", id="json-pair"),
+    pytest.param("nested.json", '{"lambda_off_ms": [[1], 2]}', "lambda_off_ms",
+                 "lambda_off_ms must be a real number, got [1]", id="json-nested-list"),
 ]
 
 
@@ -53,15 +58,16 @@ class TestRejectsBadNumbers:
     def test_json_booleans_rejected(self, key, value, tmp_path):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({key: value}))
-        with pytest.raises(ConfigError, match=f"config key '{key}' takes numbers, not booleans"):
+        number = "an integer" if key == "iu_count" else "a real number"
+        with pytest.raises(ConfigError, match=f"{key} must be {number}, got {value[0] if isinstance(value, list) else value}"):
             load_config(path)
 
-    @pytest.mark.parametrize("name,text,key", MALFORMED_ELEMENTS)
-    def test_malformed_element_rejected(self, name, text, key, tmp_path):
+    @pytest.mark.parametrize("name,text,key,message", MALFORMED_ELEMENTS)
+    def test_malformed_element_rejected(self, name, text, key, message, tmp_path):
         # each raised a bare ValueError or TypeError: only a scalar value's conversion was guarded
         path = tmp_path / name
         path.write_text(text)
-        with pytest.raises(ConfigError, match=f"config key '{key}': cannot parse value"):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path)
 
     def test_constellation_range_accepted(self):
@@ -185,15 +191,15 @@ class TestKeyClasses:
     @pytest.mark.parametrize("text,message", [
         ("coverage_m = none", "config key 'coverage_m' cannot be null"),
         ("threshold_rule = null", "config key 'threshold_rule' cannot be null"),
-        ("coverage_m = 60, 70", "config key 'coverage_m' does not accept a list"),
-        ("ris_spacing_m = 10, 20", "config key 'ris_spacing_m' does not accept a list"),
-        ("dest_xy = 5", "config key 'dest_xy' needs exactly two values, got"),
-        ("source_xy = 1, 2, 3", "config key 'source_xy' needs exactly two values"),
+        ("coverage_m = 60, 70", "coverage_m must be a real number, got (60.0, 70.0)"),
+        ("ris_spacing_m = 10, 20", "ris_spacing_m must be a real number, got (10.0, 20.0)"),
+        ("dest_xy = 5", "dest_xy must be a pair of numbers, got 5.0"),
+        ("source_xy = 1, 2, 3", "source_xy must be a pair of numbers, got (1.0, 2.0, 3.0)"),
     ])
     def test_refused(self, text, message, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(text + "\n")
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path)
 
 
@@ -235,9 +241,11 @@ class TestReflectorGridCap:
 
         monkeypatch.setattr(topology, "ris_grid_positions", build)
         for kwargs in ({"coverage_m": 0.1}, {"coverage_m": 0.1, "dest_xy": (380.0, 200.0)},
-                       {"ris_spacing_m": 3.9}, {"arena_m": 1e300}):
+                       {"ris_spacing_m": 3.9}, {"arena_m": 1e6}):
             with pytest.raises(ConfigError, match="more than 100 surfaces a side"):
                 SimConfig(**kwargs)
+        with pytest.raises(ConfigError, match=r"arena_m must lie in \[1, 1e6\], got 1e\+300"):
+            SimConfig(arena_m=1e300)  # the arena's range comes first
 
     def test_cap_counts_surfaces_as_the_grid_does(self):
         from risroute.config import MAX_RIS_PER_SIDE
@@ -266,7 +274,7 @@ class TestProjectionRange:
         # overflow to inf near 1e154 m and the scans lose rows; at 5e-10 m the endpoint draw never
         # finds two points 1e-9 m apart, and generate_topology never returned
         for arena in (1e160, math.nextafter(1e6, math.inf), math.nextafter(1.0, 0.0), 5e-10):
-            with pytest.raises(ConfigError, match=r"arena_m must lie in \[1, 1e\+06\] m"):
+            with pytest.raises(ConfigError, match=r"arena_m must lie in \[1, 1e6\], got"):
                 SimConfig(arena_m=arena, coverage_m=max(arena / 6, 60.0))
         for arena in (1.0, 1e6):
             assert SimConfig(arena_m=arena, coverage_m=max(arena / 6, 60.0)).arena_m == arena
@@ -282,9 +290,13 @@ class TestProjectionRange:
         ({"dest_xy": [5.0, 6.0]}, "dest_xy"),
     ])
     def test_an_endpoint_that_is_not_two_numbers_is_refused(self, kwargs, key):
-        with pytest.raises(ConfigError, match=f"{key} must be a pair of numbers"):
+        pair = kwargs[key]  # a two-tuple has a bad element, which the range pass names
+        message = "must be a real number, got" if isinstance(pair, tuple) and len(pair) == 2 else "must be a pair of numbers"
+        with pytest.raises(ConfigError, match=f"{key} {message}"):
             SimConfig(**kwargs)
-        assert SimConfig(source_xy=(5, 6.0), dest_xy=(np.float64(1.0), 2)).source_xy == (5, 6.0)
+        cfg = SimConfig(source_xy=(5, 6.0), dest_xy=(np.float64(1.0), 2))
+        assert (cfg.source_xy, cfg.dest_xy) == ((5.0, 6.0), (1.0, 2.0))
+        assert {type(v) for v in cfg.source_xy + cfg.dest_xy} == {float}
 
     def test_endpoints_within_1e_9_m_are_refused(self):
         # a destination 1e-300 m from the source: the square of its offset underflows, and the
@@ -293,3 +305,155 @@ class TestProjectionRange:
             with pytest.raises(ConfigError, match="must lie more than 1e-9 m apart"):
                 SimConfig(source_xy=source, dest_xy=dest)
         assert SimConfig(source_xy=(0.0, 0.0), dest_xy=(0.0, math.nextafter(1e-9, 1.0))).dest_xy[1] > 1e-9
+
+
+# the nine float keys that only a finiteness check guarded against NaN, and only against a Python float's
+FLOAT32_NAN_KEYS = ["coverage_m", "ris_spacing_m", "lambda_off_ms", "mu_on_ms", "slot_us", "mh_mw", "eh_slope",
+                    "eh_threshold_w", "total_delay_ms"]
+FLOAT_FIELDS = [f.name for f in fields(SimConfig) if "float" in f.type]
+
+
+class TestValueTypes:
+    """A numpy float's NaN or inf, a bool in a float field and a string in a number field are each
+    refused with a message naming the key (a string raised a bare TypeError); a numpy float is stored
+    as a float, which the manifest can record."""
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    @pytest.mark.parametrize("key", FLOAT32_NAN_KEYS)
+    def test_float32_non_finite_refused(self, key, text, tmp_path):
+        with pytest.raises(ConfigError, match=f"{key} must lie in .*, got np.float32\\({text}\\)"):
+            SimConfig(**{key: np.float32(text)})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {text}\n")
+        with pytest.raises(ConfigError, match=f"{key} must lie in .*, got {text}"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["lambda_off_ms", "mu_on_ms"])
+    def test_float32_nan_in_a_per_iu_list_refused(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must lie in"):
+            SimConfig(iu_count=2, **{key: (4.0, np.float32("nan"))})
+
+    @pytest.mark.parametrize("key", FLOAT_FIELDS)
+    def test_bool_in_a_float_field_refused(self, key, tmp_path):
+        value = (True, 200.0) if key.endswith("_xy") else True
+        with pytest.raises(ConfigError, match=f"{key} must be a real number, got True"):
+            SimConfig(**{key: value})
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({key: list(value) if isinstance(value, tuple) else value}))
+        with pytest.raises(ConfigError, match=f"{key} must be a real number, got True"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", [name for name in RANGES if name in {f.name for f in fields(SimConfig)}])
+    def test_string_in_a_number_field_refused(self, key):
+        value = ("0.1", 200.0) if key.endswith("_xy") else "0.1"
+        number = "an integer" if key in {f.name for f in fields(SimConfig) if f.type == "int"} else "a real number"
+        with pytest.raises(ConfigError, match=f"{key} must be {number}, got '0.1'"):
+            SimConfig(**{key: value})
+
+    def test_float32_values_are_stored_as_float_and_reload(self, tmp_path):
+        from risroute.experiments import ExperimentPlan, write_manifest
+
+        cfg = SimConfig(arena_m=np.float32(400), coverage_m=np.float32(60.5), iu_count=2,
+                        lambda_off_ms=(np.float32(2.5), 4), source_xy=(np.float32(20), 200.0), dest_xy=(380, 200))
+        plan = ExperimentPlan(kind="traffic_validation", xi_grid=(np.float32(0.5),))
+        values = [cfg.arena_m, cfg.coverage_m, *cfg.lambda_off_ms, *cfg.source_xy, *cfg.dest_xy, *plan.xi_grid]
+        assert {type(v) for v in values} == {float}
+        assert (cfg.arena_m, cfg.coverage_m, cfg.lambda_off_ms, plan.xi_grid) == (400.0, 60.5, (2.5, 4.0), (0.5,))
+        manifest = write_manifest(tmp_path, plan, cfg)
+        assert json.loads(manifest.read_text())["plan"]["xi_grid"] == [0.5]
+        assert load_config(manifest) == cfg
+
+    def test_an_int_past_the_float_range_is_refused(self):
+        with pytest.raises(ConfigError, match="arena_m must lie in"):
+            SimConfig(arena_m=10 ** 400)
+
+
+def _number_fields(record) -> set[str]:
+    return {f.name for f in fields(record) if "float" in f.type or "int" in f.type}
+
+
+def _row_ends(name: str):
+    """(low, high, low closed, high closed) of a row, read from its text."""
+    text = RANGES[name]
+    low, high = (float(end) for end in text[1:-1].split(","))
+    return low, high, text[0] == "[", text[-1] == "]"
+
+
+def _inside(name: str, x: float) -> bool:
+    low, high, closed_low, closed_high = _row_ends(name)
+    return (low < x or (closed_low and low == x)) and (x < high or (closed_high and high == x))
+
+
+# other keys set so no cross-field rule fires at a row's ends: a one-surface grid at either arena bound,
+# a coverage whose half is no spacing, a slot that stays below a 5e-324 ms budget, two chains' batches
+ROW_CONTEXT = {"arena_m": {"ris_spacing_m": 1e6}, "coverage_m": {"ris_spacing_m": 400.0},
+               "total_delay_ms": {"slot_us": 5e-324}, "chains": {"batches": 2}}
+# the one edge value no other keys can keep from a cross-field rule: no arena of 1 m or more holds a
+# grid this fine under the cap
+CROSS_REFUSED = {("ris_spacing_m", 5e-324): "more than 100 surfaces a side"}
+PLAN_ROW_KIND = {"seed": "trajectory", "replications": "comparison", "threads": "coverage_sweep",
+                 "coverage_grid": "comparison", "density_grid": "density_sweep", "deltas": "traffic_validation",
+                 "xi_grid": "traffic_validation", "chains": "traffic_validation", "batches": "traffic_validation",
+                 "vmax_grid": "mobility"}
+
+
+def _edge_cases():
+    """(row, value) for each finite end of each row and its neighbours: the next floats, or the next
+    integers for an integer field."""
+    from risroute.experiments import ExperimentPlan
+
+    types = {f.name: f.type for record in (SimConfig, ExperimentPlan) for f in fields(record)}
+    for name in RANGES:
+        for end in _row_ends(name)[:2]:
+            if math.isfinite(end):
+                if "int" in types[name]:
+                    values = [int(end) - 1, int(end), int(end) + 1]
+                else:
+                    values = [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+                for value in values:
+                    yield pytest.param(name, value, id=f"{name}-{value!r}")
+
+
+class TestRangeTable:
+    """``RANGES`` has one row for every number field of both records, and each row is what the
+    records accept: at each finite end and on both sides of it."""
+
+    def test_one_row_for_every_number_field(self):
+        import ast
+        import inspect
+
+        from risroute import config
+        from risroute.experiments import ExperimentPlan
+
+        config_fields, plan_fields = _number_fields(SimConfig), _number_fields(ExperimentPlan)
+        assert not config_fields & plan_fields
+        assert set(RANGES) == config_fields | plan_fields
+        table = next(node.value for node in ast.walk(ast.parse(inspect.getsource(config)))
+                     if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "RANGES")
+        keys = [key.value for key in table.keys]
+        assert len(keys) == len(set(keys)) == len(RANGES)  # no row is written twice
+
+    @pytest.mark.parametrize("name,value", _edge_cases())
+    def test_each_finite_end_and_its_neighbours(self, name, value, tmp_path):
+        from risroute.experiments import ExperimentPlan
+
+        if name in _number_fields(ExperimentPlan):
+            kind = PLAN_ROW_KIND[name]
+            given = {"kind": kind, **ROW_CONTEXT.get(name, {}), name: (value,) if name.endswith(("_grid", "deltas")) else value}
+            build = [lambda: ExperimentPlan(**given)]
+        else:
+            given = {**ROW_CONTEXT.get(name, {}), name: value}
+            path = tmp_path / "edge.cfg"
+            path.write_text("".join(f"{key} = {v!r}\n" for key, v in given.items()))
+            build = [lambda: SimConfig(**given), lambda: load_config(path)]
+        for make in build:
+            if (name, value) in CROSS_REFUSED:
+                with pytest.raises(ConfigError, match=CROSS_REFUSED[name, value]):
+                    make()
+            elif _inside(name, value):
+                stored = getattr(make(), name)
+                assert stored == ((value,) if isinstance(stored, tuple) else value)
+                assert {type(v) for v in (stored if isinstance(stored, tuple) else (stored,))} == {type(value)}
+            else:
+                with pytest.raises(ConfigError, match=re.escape(f"{name} must lie in {RANGES[name]}, got ")):
+                    make()

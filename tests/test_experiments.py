@@ -137,6 +137,8 @@ class TestPlanValidation:
         # an integer field given a bool or a non-integral value
         {"replications": 1.5}, {"threads": True}, {"seed": 2.5}, {"seed": -1}, {"kind": "density_sweep", "density_grid": (50.5,)},
         {"kind": "density_sweep", "density_grid": (True,)}, {"kind": "traffic_validation", "chains": 1000.5},
+        # a bool speed, and a numpy NaN share: each was accepted
+        {"kind": "mobility", "vmax_grid": (0.0, True)}, {"kind": "traffic_validation", "xi_grid": (np.float32("nan"),)},
     ])
     def test_rejected_as_config_error(self, bad):
         with pytest.raises(ConfigError):
@@ -147,6 +149,13 @@ class TestPlanValidation:
         path = experiments.write_manifest(tmp_path, plan, SimConfig(iu_count=np.int64(100)))
         payload = json.loads(path.read_text())
         assert (payload["plan"]["replications"], payload["plan"]["density_grid"]) == (2, [100])
+
+    def test_numpy_floats_are_recorded_as_float(self, tmp_path):
+        # a numpy float in a grid failed in json.dumps once the manifest was written
+        plan = ExperimentPlan(kind="mobility", vmax_grid=(np.float32(0.0), np.float64(2.5), 5))
+        assert plan.vmax_grid == (0.0, 2.5, 5.0) and {type(v) for v in plan.vmax_grid} == {float}
+        path = experiments.write_manifest(tmp_path, plan, SimConfig())
+        assert json.loads(path.read_text())["plan"]["vmax_grid"] == [0.0, 2.5, 5.0]
 
     @pytest.mark.parametrize("kind", sorted(experiments.KINDS))
     def test_every_field_the_kind_does_not_read_is_refused(self, kind):

@@ -482,7 +482,7 @@ class TestSingleStageDraws:
     def test_a_later_surface_draws_amplitudes_only(self, monkeypatch):
         # R1 at (150, 200) sees nothing; R2 at (130, 150), scanned second, sees U1 at (170, 120)
         r = self.router(traffic.IDLE, riss=((150.0, 200.0), (130.0, 150.0)), ius=((170.0, 120.0),))
-        assert r._scan(r._point(SOURCE_ID), r.ris_ids) == (3, 4) and r._scan((150.0, 200.0)) == ()
+        assert r._scan(r._point(SOURCE_ID), r.topo.ris_ids) == (3, 4) and r._scan((150.0, 200.0)) == ()
         draws = recorded_draws(monkeypatch)
         entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
         assert (entry.surfaces, entry.node_id) == ((4,), 2)
@@ -493,7 +493,7 @@ class TestSingleStageDraws:
         # the double stage runs from R1 over R2 at (200, 200), out of S's sight, to U2 at (240, 200)
         r = self.router(traffic.IDLE, ius=((180.0, 200.0), (240.0, 200.0)),
                         riss=((150.0, 200.0), (200.0, 200.0)), policy="full", noise_dbm=100.0)
-        assert r._scan(r._point(SOURCE_ID), r.ris_ids) == (4,) and r._scan((200.0, 200.0)) == (3,)
+        assert r._scan(r._point(SOURCE_ID), r.topo.ris_ids) == (4,) and r._scan((200.0, 200.0)) == (3,)
         draws, aligned = recorded_draws(monkeypatch), []
         real_align = channel.alternating_double_phases
         monkeypatch.setattr(channel, "alternating_double_phases",
@@ -747,7 +747,7 @@ class ExhaustiveRouter(Router):
     skipped = 0
 
     def _scan(self, center, ids=None):
-        ids = self.relay_ids if ids is None else ids
+        ids = self.topo.relay_ids if ids is None else ids
         return tuple(topology.half_circle_scan(self.xy, ids, center, self.dest, self.cfg.coverage_m))
 
     def _relay_stage(self, origin):
@@ -1127,7 +1127,7 @@ class TestSingleStageAgainstExhaustive:
         near, far = (150.0, 210.0), (130.0, 180.0)
         topo = build_topology([(180.0, 195.0)], [near, far] if near_first else [far, near], src=(100.0, 200.0))
         r = Router(topo, idle_law(1, line_config()), line_config(), rng_for(151))
-        scan = r._scan(r._point(SOURCE_ID), r.ris_ids)
+        scan = r._scan(r._point(SOURCE_ID), r.topo.ris_ids)
         assert [r.xy[i].tolist() for i in scan] == [list(near), list(far)]
         assert all(2 in r._scan(tuple(r.xy[i].tolist())) for i in scan)
         entry = self.pick(topo, line_config(), 1)
@@ -1141,7 +1141,7 @@ class TestSingleStageAgainstExhaustive:
         entry = self.pick(topo, cfg, 1)
         assert entry.surfaces == (topo.first_ris_id + 1,) and entry.node_id == DEST_ID
         r = Router(topo, idle_law(1, cfg), cfg, rng_for(151))
-        first = r._scan(r._point(SOURCE_ID), r.ris_ids)[0]
+        first = r._scan(r._point(SOURCE_ID), r.topo.ris_ids)[0]
         assert first == topo.first_ris_id and DEST_ID in r._scan(r._point(first))
 
     def test_surface_key_looks_past_an_endpoint_just_beyond_its_nearest(self):
@@ -1151,7 +1151,7 @@ class TestSingleStageAgainstExhaustive:
         ius = TestRelayScanOrderAgainstDistance
         topo = build_topology([ius.on, ius.above, ius.below], [(320.0, 195.0), (340.0, 262.0)], src=(300.0, 230.0))
         r = Router(topo, idle_law(3, line_config()), line_config(), rng_for(151))
-        assert r._scan(r._point(SOURCE_ID), r.ris_ids) == (5, 6)
+        assert r._scan(r._point(SOURCE_ID), r.topo.ris_ids) == (5, 6)
         assert r._scan((320.0, 195.0)) == (2, 3, 4) and r._scan((340.0, 262.0)) == (4,)
         entry = self.pick(topo, line_config(), 3)
         assert entry.surfaces == (5,) and entry.remaining_m == math.nextafter(40.0, 0.0)
@@ -1277,8 +1277,8 @@ class TestScanMemo:
                 r.run()
                 monkeypatch.undo()
                 assert first and moved[0] == moved[1]
-                assert {center for ids, center, _ in topo._scans if ids == r.relay_ids} == first
-                assert all(ids in (r.relay_ids, r.ris_ids) and radius == coverage for ids, _, radius in topo._scans)
+                assert {center for ids, center, _ in topo._scans if ids == topo.relay_ids} == first
+                assert all(ids in (topo.relay_ids, topo.ris_ids) and radius == coverage for ids, _, radius in topo._scans)
                 self.check_memo(topo)
                 moved_scans += moved[0]
         assert moved_scans >= 1

@@ -488,8 +488,8 @@ class TestScanColumns:
             monkeypatch.setattr(topology, "half_circle_scan", scan)
             router.run()
             monkeypatch.undo()
-            columns = topo._tables[router.relay_ids, cfg.coverage_m]
-            assert np.array_equal(np.column_stack([columns.x, columns.y]), topo.xy[router.relay_ids.start:router.relay_ids.stop])
+            columns = topo._tables[topo.relay_ids, cfg.coverage_m]
+            assert np.array_equal(np.column_stack([columns.x, columns.y]), topo.xy[topo.relay_ids.start:topo.relay_ids.stop])
         assert read["columns"] >= 4 and read["moving"] >= 4, read
 
 

@@ -2,11 +2,13 @@
 
 From the root of the checkout:
 
-    python3 tools/code_lines.py [DIR]     (default: src/risroute)
+    python3 tools/code_lines.py [DIR]                 (default: src/risroute)
+    python3 tools/code_lines.py BASE_DIR HEAD_DIR     (both trees, then head minus base)
 
 A line is code when it holds a token that is neither a comment nor part of a
 docstring (the string that opens a module, class or function body). Blank
-lines are neither. The last row sums the modules.
+lines are neither. The last row sums the modules; a module that one of two trees
+lacks counts 0 lines there.
 """
 
 from __future__ import annotations
@@ -36,16 +38,30 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def main(argv: list[str]) -> None:
-    folder = Path(argv[0] if argv else "src/risroute")
-    rows = [(code_lines(text := path.read_text()), text.count("\n"), path.name)
-            for path in sorted(folder.glob("*.py"))]
-    if not rows:
+def counts(folder: Path) -> dict[str, tuple[int, int]]:
+    """Each module's (code lines, total lines), by file name."""
+    table = {path.name: (code_lines(text := path.read_text()), text.count("\n")) for path in sorted(folder.glob("*.py"))}
+    if not table:
         sys.exit(f"no modules in {folder}")
-    rows.append((sum(r[0] for r in rows), sum(r[1] for r in rows), "total"))
-    print(f"{'code':>6} {'lines':>6}  module")
-    for code, total, name in rows:
-        print(f"{code:>6} {total:>6}  {name}")
+    return table
+
+
+def main(argv: list[str]) -> None:
+    tables = [counts(Path(folder)) for folder in argv or ["src/risroute"]]
+    if len(tables) > 2:
+        sys.exit("usage: code_lines.py [DIR | BASE_DIR HEAD_DIR]")
+    names = sorted(set().union(*tables))
+    rows = [[t.get(name, (0, 0)) for t in tables] for name in names]  # a module missing from a tree counts 0
+    rows.append([tuple(map(sum, zip(*t.values()))) for t in tables])
+    if len(tables) == 2:
+        for row in rows:
+            row.append((row[1][0] - row[0][0], row[1][1] - row[0][1]))
+        print(f"{'base':>13} {'head':>13} {'change':>13}")
+    print(" ".join(f"{'code':>6} {'lines':>6}" for _ in rows[0]) + "  module")
+    for name, row in zip([*names, "total"], rows):
+        cells = [f"{code:>6} {total:>6}" for code, total in row[:len(tables)]]
+        cells += [f"{code:>+6} {total:>+6}" for code, total in row[len(tables):]]
+        print(" ".join(cells) + f"  {name}")
 
 
 if __name__ == "__main__":
