@@ -123,10 +123,12 @@ class ExperimentPlan:
         if kind is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {sorted(KINDS)}")
         # a grid is stored as a tuple (so a list compares with its default), and a field the kind would
-        # ignore is refused rather than dropped
+        # ignore is refused rather than dropped; ``tuple`` would split a text and fail bare on a number
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type.startswith("tuple") and value is not None:
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError(f"{f.name} must be a list of values, got {value!r}")
                 object.__setattr__(self, f.name, tuple(value))
             if f.name not in kind.reads | {"kind", "seed"} and getattr(self, f.name) != f.default:
                 readers = [name for name, other in KINDS.items() if f.name in other.reads]

@@ -12,6 +12,15 @@ read off what it records (``router``), so they cannot disagree with it:
 * a successful route ends at D and fits its delay budget;
 * a direct hop carries a whole bit count b of ``linkbudget``'s modes, a
   reflected hop a positive rate;
+* a hop's recorded SNR, the one it was priced at, is a nonnegative number,
+  and its rate is one that SNR gives: a direct hop's b is at most the mode
+  the SNR reaches (``linkbudget.mode_bits`` over the config's mode table),
+  and a reflected hop's rate is exactly ``channel.finite_blocklength_rate``
+  or ``channel.shannon_rate`` of it. (Not merely at most the Shannon rate:
+  from epsilon > 1/2 on, the short-packet rate exceeds it);
+* each hop uses the ``linkbudget.transfer_slots`` its rate needs; an IU
+  endpoint harvests exactly ``linkbudget.harvested_energy_for_transfer`` of
+  the power its SNR receives over those slots, and D harvests 0;
 * a hop harvests less than it spends, (P + P_proc) T_s per slot used, so a
   route's net energy, the denominator of ``metrics``' E_eff, is positive;
 * each hop crosses at most two surfaces, each a RIS, and ends at D or an IU;
@@ -38,9 +47,10 @@ import math
 
 import numpy as np
 
+from . import channel, linkbudget
 from .config import SimConfig
 from .linkbudget import MAX_RATE
-from .router import HOP_KINDS, HopKind, RouteLedger
+from .router import HOP_KINDS, HopKind, RouteLedger, _decibels
 from .topology import DEST_ID, SOURCE_ID
 
 
@@ -48,6 +58,7 @@ def check_ledger(ledger: RouteLedger, cfg: SimConfig) -> list[str]:
     """Each invariant ``ledger`` breaks, as a sentence naming the hop (module docstring)."""
     problems = []
     topo, mobile = ledger.topo, ledger.mobile
+    thresholds_db = linkbudget.build_mode_table(cfg.target_ber, rule=cfg.threshold_rule)
     start = math.dist(topo.xy[SOURCE_ID].tolist(), topo.xy[DEST_ID].tolist())  # None once unknown (docstring)
     reached = []  # (node, anchor): each node a hop reaches and the point it was scanned from
     anchor = SOURCE_ID
@@ -69,11 +80,26 @@ def check_ledger(ledger: RouteLedger, cfg: SimConfig) -> list[str]:
         *surfaces, endpoint = hop.via
         if not all(s in topo.ris_ids for s in surfaces):
             problems.append(f"hop {i}: surfaces {tuple(surfaces)} are not all RIS ids")
-        if hop.kind is HopKind.DIRECT_IU:
+        before = len(problems)
+        if not hop.snr >= 0.0:
+            problems.append(f"hop {i}: SNR {hop.snr!r} is not a nonnegative number")
+        elif hop.kind is HopKind.DIRECT_IU:
             if hop.rate not in range(1, MAX_RATE + 1):
                 problems.append(f"hop {i}: direct rate {hop.rate!r} is not a bit count 1..{MAX_RATE}")
+            elif hop.rate > (reach := linkbudget.mode_bits(thresholds_db, _decibels(hop.snr))):
+                problems.append(f"hop {i}: direct rate {hop.rate!r} is above the {reach} bits its SNR reaches")
         elif not hop.rate > 0.0:
             problems.append(f"hop {i}: reflected rate {hop.rate!r} is not positive")
+        elif hop.rate not in (rates := (channel.finite_blocklength_rate(hop.snr, cfg.blocklength, cfg.epsilon),
+                                        channel.shannon_rate(hop.snr))):
+            problems.append(f"hop {i}: reflected rate {hop.rate!r} is not a rate its SNR gives, {rates!r} "
+                            "(short-packet, Shannon)")
+        if len(problems) == before:  # a rate and an SNR the two checks below can read
+            if hop.slots_used != (slots := linkbudget.transfer_slots(cfg.total_bits, hop.rate)):
+                problems.append(f"hop {i}: uses {hop.slots_used} slots, not the {slots} its rate needs")
+            elif hop.harvested_j != (due := 0.0 if endpoint == DEST_ID else
+                                     linkbudget.harvested_energy_for_transfer(cfg, hop.snr * cfg.noise_w, slots)):
+                problems.append(f"hop {i}: harvests {hop.harvested_j!r} J, not the {due!r} J its SNR gives")
         if not hop.harvested_j < (spent := (cfg.tx_power_w + cfg.proc_power_w) * cfg.slot_s * hop.slots_used):
             problems.append(f"hop {i}: harvests {hop.harvested_j!r} J, not below the {spent!r} J it spends")
         reached += zip(hop.via, (anchor, *surfaces))

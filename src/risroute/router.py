@@ -4,7 +4,8 @@ Every hop is picked by one rule from the forward half-disc of the current
 transmitter: the destination when it qualifies, otherwise the endpoint
 that needs the fewest slots, ties broken by least remaining distance then
 lower id. Endpoints are sought in three stages, each yielding commit-ready
-entries ``(node_id, snr, remaining_m, tau, rate, surfaces)`` (``Entry``):
+``HopChoice`` records, the one record a hop has: the ledger keeps the one a
+stage picked, with the harvest ``_commit`` fills in:
 
 * the destination at its fastest usable mode, else idle relays, each
   yielding one entry: its mode needing the fewest slots (the lowest bit
@@ -18,7 +19,7 @@ entries ``(node_id, snr, remaining_m, tau, rate, surfaces)`` (``Entry``):
   hop may take, and whose idle window holds the fewest slots any mode
   needs, the only ones that can pass the availability constraint. The
   stage picks its hop in the same pass: it keeps the best entry so far by
-  ``select_entry``'s order, and builds an entry only for a relay that
+  ``select_entry``'s order, and builds a record only for a relay that
   becomes the best (``availability_set`` followed by ``select_entry`` is
   its oracle);
 * one reflector: the surface whose best qualifying endpoint makes the
@@ -32,9 +33,10 @@ adaptation through a surface), and the relay
 reached harvests energy from the received signal on every hop. One clock
 counts the slots spent, and moving IUs (mobility runs) move with it.
 
-Baseline policies restrict the reflector stage (single-only /
-double-only), pin the constellation (no rate adaptation), or swap the
-reflected rate for its infinite-blocklength limit.
+Baseline policies switch off the reflector stage's single or double stage
+(``RoutePolicy.single``, ``RoutePolicy.double``), pin the constellation (no
+rate adaptation), or swap the reflected rate for its infinite-blocklength
+limit.
 
 Node positions are rows of the node table ``Router.xy`` (a node's id is its
 row; see ``topology``): the topology's own table in static runs, a copy
@@ -133,17 +135,20 @@ HOP_KINDS = (HopKind.WAIT, HopKind.DIRECT_IU, HopKind.SINGLE_RIS, HopKind.DOUBLE
 class FailureReason(Enum):
     NO_IU_NO_RIS = "no_iu_no_ris"
     DELAY_EXCEEDED = "delay_exceeded"
+    DEAD_END_AFTER_SINGLE_RIS = "dead_end_after_single_ris"  # a policy without the double stage
     DEAD_END_AFTER_DOUBLE_RIS = "dead_end_after_double_ris"
     OUTAGE = "outage"  # counterpart moved out of coverage mid-transfer
 
 
-@dataclass(frozen=True)
-class HopChoice:
+class HopChoice(NamedTuple):
+    """One hop decision, from the stage that prices it to the ledger that keeps it."""
+
     via: tuple[int, ...]  # node ids: (iu,) | (ris, endpoint) | (ris_i, ris_j, endpoint); () on waits
     slots_used: int
     rate: float  # bit count b (constellation 2**b) on direct hops, bits/use on reflected hops
-    harvested_j: float
+    harvested_j: float  # 0 until committed
     remaining_m: float  # distance endpoint -> destination after the hop
+    snr: float = 0.0  # the linear SNR the hop was priced at, which its endpoint harvests from; 0 on waits
 
     @property
     def kind(self) -> HopKind:
@@ -220,21 +225,10 @@ class RouteLedger:
 
 @dataclass(frozen=True)
 class RoutePolicy:
-    ris_mode: str = "both"  # "both" | "single_only" | "double_only"
+    single: bool = True  # the reflector stage runs its single stage
+    double: bool = True  # and its double stage
     adaptive: bool = True  # False pins the constellation to SimConfig.fixed_rate_bits
     shannon: bool = False
-
-    def __post_init__(self):
-        if self.ris_mode not in ("both", "single_only", "double_only"):
-            raise ValueError(f"unknown ris_mode {self.ris_mode!r}")
-
-    @property
-    def runs_single(self) -> bool:
-        return self.ris_mode != "double_only"
-
-    @property
-    def runs_double(self) -> bool:
-        return self.ris_mode != "single_only"
 
     def first_difference(self, other: RoutePolicy) -> str | None:
         """The first of ``STAGES`` whose outcome can differ between this policy and ``other`` over the
@@ -243,9 +237,9 @@ class RoutePolicy:
         the double stage."""
         if self.adaptive != other.adaptive:
             return "relay"
-        if self.shannon != other.shannon or self.runs_single != other.runs_single:
+        if self.shannon != other.shannon or self.single != other.single:
             return "reflector"
-        if self.runs_double != other.runs_double:
+        if self.double != other.double:
             return "double"
         return None
 
@@ -253,8 +247,8 @@ class RoutePolicy:
 BASELINE_POLICIES = {
     "full": RoutePolicy(),
     "shannon": RoutePolicy(shannon=True),
-    "single_ris": RoutePolicy(ris_mode="single_only"),
-    "double_ris": RoutePolicy(ris_mode="double_only"),
+    "single_ris": RoutePolicy(double=False),
+    "double_ris": RoutePolicy(single=False),
     "fixed_mod": RoutePolicy(adaptive=False),
 }
 
@@ -271,18 +265,6 @@ class CandidateLink(NamedTuple):
 
 def _decibels(snr: float) -> float:
     return 10.0 * math.log10(snr) if snr > 0 else -math.inf
-
-
-class Entry(NamedTuple):
-    """A commit-ready hop decision: its endpoint, the linear SNR there (what the endpoint harvests from),
-    the endpoint's remaining distance, its slot count, how it is carried, and the surfaces it crosses."""
-
-    node_id: int
-    snr: float
-    remaining_m: float
-    tau: int
-    rate: float  # bit count b on direct hops, bits/use on reflected hops
-    surfaces: tuple[int, ...] = ()  # RIS ids crossed, in order; () on direct hops
 
 
 class SlotTable(NamedTuple):
@@ -312,9 +294,9 @@ def slot_table(thresholds_db: tuple[float, ...], total_bits: int, fixed_rate_bit
                      tuple(min(u, default=None) for u in usable), floor, thresholds_db[floor_bits - 1])
 
 
-def availability_set(links: list[CandidateLink], table: SlotTable) -> list[Entry]:
-    """At most one entry per relay, in link order: the link's node, linear SNR and
-    remaining distance at its usable mode (``SlotTable``) needing the fewest
+def availability_set(links: list[CandidateLink], table: SlotTable) -> list[HopChoice]:
+    """At most one direct hop per relay, in link order: the link's node, linear SNR
+    and remaining distance at its usable mode (``SlotTable``) needing the fewest
     slots, the lowest bit count among equal-slot ones, kept only if it passes
     the availability constraint tau_req <= nu_I.
 
@@ -328,15 +310,16 @@ def availability_set(links: list[CandidateLink], table: SlotTable) -> list[Entry
     by name.
     """
     cheapest, thresholds_db = table.cheapest, table.thresholds_db
-    return [Entry(link.node_id, link.snr_linear, link.remaining_m, *mode) for link in links
+    return [HopChoice((link.node_id,), mode[0], float(mode[1]), 0.0, link.remaining_m, link.snr_linear)
+            for link in links
             if (mode := cheapest[linkbudget.mode_bits(thresholds_db, link.snr_db)]) and mode[0] <= link.nu_idle_slots]
 
 
-def select_entry(entries: list[Entry]) -> Entry:
+def select_entry(entries: list[HopChoice]) -> HopChoice:
     """The destination when it qualifies, else the argmin of the slot count;
-    ties by least remaining distance, then id (then first listed). Raises
-    ValueError on no entry."""
-    return min(entries, key=lambda e: (e.node_id != DEST_ID, e.tau, e.remaining_m, e.node_id))
+    ties by least remaining distance, then endpoint id (then first listed).
+    Raises ValueError on no entry."""
+    return min(entries, key=lambda e: (e.via[-1] != DEST_ID, e.slots_used, e.remaining_m, e.via[-1]))
 
 
 class Router:
@@ -418,13 +401,13 @@ class Router:
 
     # -- route steps -----------------------------------------------------------
 
-    def _relay_stage(self, origin: Point) -> tuple[Entry | None, list[int]]:
-        """One scan at the current epoch: (entry, []), or (None, the busy IU ids in sight).
+    def _relay_stage(self, origin: Point) -> tuple[HopChoice | None, list[int]]:
+        """One scan at the current epoch: (a direct ``HopChoice``, []), or (None, the busy IU ids in sight).
 
         The destination, when in sight with a usable mode, is taken at its fastest mode before any IU
         traffic is observed. Otherwise the IUs in sight are observed once, one amplitude draw covers
         the idle ones, and one pass over them in scan order keeps the best key so far by
-        ``select_entry``'s order, building an ``Entry`` only for a relay that takes the lead (module
+        ``select_entry``'s order, building a ``HopChoice`` only for a relay that takes the lead (module
         docstring; ``availability_set`` over ``CandidateLink``s is the pass's oracle). The
         ids stay one array up to the pass, and the busy ones are listed only when there is no entry:
         the deferral is their only reader.
@@ -435,7 +418,7 @@ class Router:
             amp = channel.sample_amplitudes(1, cfg.rician_k_db, self.rng).tolist()[0]
             snr = channel.direct_snr(cfg, amp, math.dist(origin, dest))
             if mode := slots.fastest[linkbudget.mode_bits(slots.thresholds_db, _decibels(snr))]:
-                return Entry(DEST_ID, snr, 0.0, *mode), []
+                return HopChoice((DEST_ID,), mode[0], float(mode[1]), 0.0, 0.0, snr), []
             found = found[1:]
         if not found:
             return None, []
@@ -461,18 +444,18 @@ class Router:
                     mode = cheapest[linkbudget.mode_bits(thresholds_db, snr_db)]
                     if mode and mode[0] <= nu and (key is None or (mode[0], remaining, node_id) < key):
                         key = (mode[0], remaining, node_id)
-                        best = Entry(node_id, snr, remaining, *mode)
+                        best = HopChoice((node_id,), mode[0], float(mode[1]), 0.0, remaining, snr)
         return (None, ids[~idle].tolist()) if best is None else (best, [])
 
-    def _reflected_entry(self, endpoint: Endpoint, gamma: float, surfaces: tuple[int, ...]) -> Entry | None:
-        """The entry of ``endpoint`` reached over ``surfaces`` at SNR ``gamma``, or None when its rate is
-        zero or its transfer overruns its idle window."""
+    def _reflected_entry(self, endpoint: Endpoint, gamma: float, surfaces: tuple[int, ...]) -> HopChoice | None:
+        """The hop to ``endpoint`` over ``surfaces`` at SNR ``gamma``, or None when its rate is zero or
+        its transfer overruns its idle window."""
         node_id, _, remaining, nu = endpoint
         rate = self._reflected_rate(gamma)
         if rate <= 0.0:
             return None
         tau = linkbudget.transfer_slots(self.cfg.total_bits, rate)
-        return Entry(node_id, gamma, remaining, tau, rate, surfaces) if tau <= nu else None
+        return HopChoice((*surfaces, node_id), tau, rate, 0.0, remaining, gamma) if tau <= nu else None
 
     def _single_surface(self, origin: Point, ris_id: int, endpoints: list[Endpoint], incoming: dict):
         """A function giving the entry of the i-th of ``endpoints`` behind ``ris_id``, worked out on first
@@ -481,9 +464,9 @@ class Router:
         n_elements, k_db = self.cfg.ris_elements, self.cfg.rician_k_db
         ris_pos = self._point(ris_id)
         d_in = math.dist(origin, ris_pos)
-        entries: dict[int, Entry | None] = {}
+        entries: dict[int, HopChoice | None] = {}
 
-        def entry_at(i: int) -> Entry | None:
+        def entry_at(i: int) -> HopChoice | None:
             if i not in entries:
                 if ris_id not in incoming:
                     incoming[ris_id] = channel.sample_amplitudes(n_elements, k_db, self.rng)
@@ -495,9 +478,9 @@ class Router:
 
         return entry_at
 
-    def _single_stage(self, origin: Point, candidates: Sequence[int], incoming: dict) -> Entry | None:
-        """The entry of one reflector among ``candidates`` (``surfaces`` holds that reflector's id), or
-        None when no surface has a qualifying endpoint. Each ``h_in`` drawn goes into ``incoming``, by surface.
+    def _single_stage(self, origin: Point, candidates: Sequence[int], incoming: dict) -> HopChoice | None:
+        """The hop over one reflector among ``candidates`` (``via`` names it first), or None when no
+        surface has a qualifying endpoint. Each ``h_in`` drawn goes into ``incoming``, by surface.
 
         Every candidate's IUs are observed first, in one call, and the endpoints in sight listed once
         (``_forward``); each surface takes those of its own scan, in scan order. The surface with the
@@ -527,18 +510,20 @@ class Router:
         _, endpoints, entry_at = best
         return select_entry([e for i in range(len(endpoints)) if (e := entry_at(i)) is not None])
 
-    def ris_fallback(self, origin: Point, ledger: RouteLedger) -> Entry | FailureReason:
-        """Reflector stage; returns an entry or a FailureReason.
+    def ris_fallback(self, origin: Point, ledger: RouteLedger) -> HopChoice | FailureReason:
+        """Reflector stage; returns a ``HopChoice`` or a FailureReason.
 
-        The entry's ``surfaces`` holds the one or two RIS ids the signal
-        crosses, in order; its endpoint is behind the last one, picked by
+        The hop's ``via`` names the one or two RIS ids the signal crosses,
+        in order, then its endpoint behind the last one, picked by
         ``select_entry`` like a relay.
 
         Single reflection: every visible surface is scored by the forward
         progress of its best qualifying endpoint. Double reflection: the
         surface nearest the destination extends to exactly one adjacent
-        surface; no third. "single_only" skips the extension,
-        "double_only" skips the single stage.
+        surface; no third. A policy without ``double`` skips the extension,
+        and ends a route its single stage leaves without a hop in
+        DEAD_END_AFTER_SINGLE_RIS; one without ``single`` skips the single
+        stage.
 
         The double stage is a dead end before any draw or traffic
         observation when the second surface's half-disc holds neither the
@@ -559,40 +544,39 @@ class Router:
         if not candidates:
             return FailureReason.NO_IU_NO_RIS
         incoming: dict[int, np.ndarray] = {}  # h_in by surface, drawn at most once in the stage
-        if self.policy.runs_single and (entry := self._single_stage(origin, candidates, incoming)) is not None:
+        if self.policy.single and (entry := self._single_stage(origin, candidates, incoming)) is not None:
             return entry
 
         ledger.stage_reached = "double"
-        if self.policy.runs_double:
-            first = candidates[0]  # nearest the destination (LRD scan order)
-            first_pos = self._point(first)
-            adjacent = self._scan(first_pos, self.topo.ris_ids)  # a scan never holds its centre, so not ``first``
-            if not adjacent:
-                return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
-            second = adjacent[0]
-            second_pos = self._point(second)
-            found = self._scan(second_pos)
-            if not (forward := self._forward(found, origin)):
-                return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # nothing h_mid could reach
-            idle = {DEST_ID, *self._split_idle_busy(found)[0].tolist()}
-            endpoints = [e for e in forward if e[0] in idle]
-            if not endpoints:
-                return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # every forward IU busy: nothing to draw for
-            if (h_in := incoming.get(first)) is None:
-                h_in = channel.sample_amplitudes(n_elements, k_db, self.rng)
-            h_mid = channel.sample_fading((n_elements, n_elements), k_db, self.rng)
-            d_in, d_mid = math.dist(origin, first_pos), math.dist(first_pos, second_pos)
-            entries = []
-            for endpoint in endpoints:
-                h_out = channel.sample_amplitudes(n_elements, k_db, self.rng)
-                phase_i, phase_j = channel.alternating_double_phases(h_in, h_mid, h_out)
-                gamma = channel.double_reflection_sinr(self.cfg, h_in, phase_i, h_mid, phase_j, h_out,
-                                                       d_in, d_mid, math.dist(second_pos, endpoint[1]))
-                if (entry := self._reflected_entry(endpoint, gamma, (first, second))) is not None:
-                    entries.append(entry)
-            if entries:
-                return select_entry(entries)
-        return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
+        if not self.policy.double:
+            return FailureReason.DEAD_END_AFTER_SINGLE_RIS
+        first = candidates[0]  # nearest the destination (LRD scan order)
+        first_pos = self._point(first)
+        adjacent = self._scan(first_pos, self.topo.ris_ids)  # a scan never holds its centre, so not ``first``
+        if not adjacent:
+            return FailureReason.DEAD_END_AFTER_DOUBLE_RIS
+        second = adjacent[0]
+        second_pos = self._point(second)
+        found = self._scan(second_pos)
+        if not (forward := self._forward(found, origin)):
+            return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # nothing h_mid could reach
+        idle = {DEST_ID, *self._split_idle_busy(found)[0].tolist()}
+        endpoints = [e for e in forward if e[0] in idle]
+        if not endpoints:
+            return FailureReason.DEAD_END_AFTER_DOUBLE_RIS  # every forward IU busy: nothing to draw for
+        if (h_in := incoming.get(first)) is None:
+            h_in = channel.sample_amplitudes(n_elements, k_db, self.rng)
+        h_mid = channel.sample_fading((n_elements, n_elements), k_db, self.rng)
+        d_in, d_mid = math.dist(origin, first_pos), math.dist(first_pos, second_pos)
+        entries = []
+        for endpoint in endpoints:
+            h_out = channel.sample_amplitudes(n_elements, k_db, self.rng)
+            phase_i, phase_j = channel.alternating_double_phases(h_in, h_mid, h_out)
+            gamma = channel.double_reflection_sinr(self.cfg, h_in, phase_i, h_mid, phase_j, h_out,
+                                                   d_in, d_mid, math.dist(second_pos, endpoint[1]))
+            if (entry := self._reflected_entry(endpoint, gamma, (first, second))) is not None:
+                entries.append(entry)
+        return select_entry(entries) if entries else FailureReason.DEAD_END_AFTER_DOUBLE_RIS
 
     # -- main loop ---------------------------------------------------------------
 
@@ -639,12 +623,12 @@ class Router:
             endpoint = self._commit(origin, entry, ledger)
             if isinstance(endpoint, FailureReason):
                 return endpoint
-            if entry.node_id == DEST_ID:
+            if entry.via[-1] == DEST_ID:
                 return None
             # budget the next position, carrying this position's wait forward
             psi_next = topology.hops_consumed(src, endpoint, self.cfg.coverage_m)
             budget.advance(wait_slots * self.cfg.slot_s, psi_next, self._remaining_s())
-            holder, origin = entry.node_id, endpoint
+            holder, origin = entry.via[-1], endpoint
 
     # -- commit helpers ----------------------------------------------------------
 
@@ -660,8 +644,9 @@ class Router:
             return 0
         return eta
 
-    def _commit(self, origin: Point, entry: Entry, ledger: RouteLedger):
-        """Transmit ``entry`` from ``origin`` over its zero, one or two surfaces.
+    def _commit(self, origin: Point, hop: HopChoice, ledger: RouteLedger):
+        """Transmit ``hop`` from ``origin`` over its zero, one or two surfaces, and append it to the
+        ledger with what its endpoint harvests.
 
         Returns the endpoint's position once ``_tick`` has run the
         transfer's slots, or a FailureReason and logs no hop: DELAY_EXCEEDED,
@@ -671,23 +656,20 @@ class Router:
         before any state changes, on a hop that does not end strictly closer
         to the destination than ``origin``.
         """
-        node_id, snr, remaining, tau, rate, surfaces = entry
-        if not remaining < math.dist(origin, self.dest):
-            raise ValueError(
-                f"hop to {self.topo.label(node_id)} ends {remaining} m from the "
-                "destination, no closer than its origin"
-            )
-        if (self.clock + tau) * self.cfg.slot_s > self.cfg.total_delay_s:
+        *surfaces, node_id = hop.via
+        if not hop.remaining_m < math.dist(origin, self.dest):
+            raise ValueError(f"hop to {self.topo.label(node_id)} ends {hop.remaining_m} m from the destination, "
+                             "no closer than its origin")
+        if (self.clock + hop.slots_used) * self.cfg.slot_s > self.cfg.total_delay_s:
             return FailureReason.DELAY_EXCEEDED
-        self._tick(tau)
+        self._tick(hop.slots_used)
         endpoint = self._point(node_id)
-        harvested = 0.0
         if node_id != DEST_ID:
             anchor = self._point(surfaces[-1]) if surfaces else origin
             if self.mobility is not None and math.dist(anchor, endpoint) > self.cfg.coverage_m:
                 return FailureReason.OUTAGE
-            received = snr * self.cfg.noise_w
-            harvested = linkbudget.harvested_energy_for_transfer(self.cfg, received, tau)
-        ledger.hops.append(HopChoice((*surfaces, node_id), tau, float(rate), harvested, remaining))
+            received = hop.snr * self.cfg.noise_w
+            hop = hop._replace(harvested_j=linkbudget.harvested_energy_for_transfer(self.cfg, received, hop.slots_used))
+        ledger.hops.append(hop)
         return endpoint
 

@@ -105,8 +105,8 @@ def test_handoff_config_takes_double_hops_on_the_single_stages_h_in(tmp_path, mo
     def recorded_fallback(self, origin, ledger):
         tables.clear()
         outcome = fallback(self, origin, ledger)
-        if not isinstance(outcome, router.FailureReason) and len(outcome.surfaces) == 2:
-            handed.append(bool(tables) and outcome.surfaces[0] in tables[0])
+        if not isinstance(outcome, router.FailureReason) and outcome.kind is router.HopKind.DOUBLE_RIS:
+            handed.append(bool(tables) and outcome.via[0] in tables[0])
         return outcome
 
     monkeypatch.setattr(router.Router, "_single_stage", recorded_single)
@@ -156,6 +156,49 @@ def test_arrival_config_ends_routes_in_outage(tmp_path, monkeypatch):
     # a walking IU endpoint leaves the last transmitter's coverage before its transfer ends
     ledgers = routed_ledgers(cli_hashes.ARRIVAL_COMMANDS, cli_hashes.ARRIVAL_CONFIG, tmp_path, monkeypatch)
     assert {ledger.mobile for ledger in ledgers if ledger.failure_reason is router.FailureReason.OUTAGE} == {True}
+
+
+def test_the_default_compare_line_ends_single_only_routes_after_the_single_stage(tmp_path, monkeypatch):
+    # a policy without the double stage ends a route its single stage leaves without a hop there; a
+    # policy with it never does
+    ended = set()  # the policies of the routes that end in the single stage's dead end
+    real = experiments.run_one_route
+
+    def recorded(cfg, rep, policy, **kwargs):
+        ledger = real(cfg, rep, policy, **kwargs)
+        if ledger.failure_reason is router.FailureReason.DEAD_END_AFTER_SINGLE_RIS:
+            ended.add(policy)
+        return ledger
+
+    monkeypatch.setattr(experiments, "run_one_route", recorded)
+    line = (5, ["compare", "--replications", "2"])
+    assert line in cli_hashes.COMMANDS
+    run_lines([line], {}, tmp_path)
+    assert ended == {router.BASELINE_POLICIES["single_ris"]}
+
+
+def test_a_threads_2_line_must_show_its_serial_lines_hashes(monkeypatch, capsys):
+    # the seed-5 grid commands run serially and at --threads 2; the seed-9 --threads 2 line has no
+    # serial line to match
+    def stub(pooled_digest):
+        def csv_hashes(root, seed, args, config=None):
+            return [("a.csv", "0" * 12), ("b.csv", pooled_digest if args[-2:] == ["--threads", "2"] else "0" * 12)]
+        return csv_hashes
+
+    commands = [args for _, _, commands in cli_hashes.RUNS for _, args in commands]
+    assert sum(args[-2:] == ["--threads", "2"] for args in commands) == 5
+    monkeypatch.setattr(cli_hashes, "csv_hashes", stub("0" * 12))
+    assert cli_hashes.main([]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 2 * len(commands) and err == ""
+    monkeypatch.setattr(cli_hashes, "csv_hashes", stub("1" * 12))
+    assert cli_hashes.main([]) == 1
+    moved, err = capsys.readouterr()
+    assert [line.split()[:-1] for line in moved.splitlines()] == [line.split()[:-1] for line in out.splitlines()]
+    assert moved.count("1" * 12) == 5
+    assert err.count("does not show its serial line's hashes") == 4
+    assert "\n  5 compare --replications 2 --threads 2 " in err and "\n  5 compare --replications 2  " in err
+    assert " 9 sweep-coverage" not in err
 
 
 def test_a_default_sweep_line_pins_overshooting_relays(tmp_path, monkeypatch):

@@ -139,10 +139,19 @@ class TestPlanValidation:
         {"kind": "density_sweep", "density_grid": (True,)}, {"kind": "traffic_validation", "chains": 1000.5},
         # a bool speed, and a numpy NaN share: each was accepted
         {"kind": "mobility", "vmax_grid": (0.0, True)}, {"kind": "traffic_validation", "xi_grid": (np.float32("nan"),)},
+        # a grid given a number or a text: a bare TypeError, and a text split into its letters
+        {"kind": "mobility", "vmax_grid": 5.0}, {"coverage_grid": 30.0}, {"variants": "full"},
+        {"kind": "density_sweep", "density_grid": "100"},
     ])
     def test_rejected_as_config_error(self, bad):
         with pytest.raises(ConfigError):
             ExperimentPlan(**{"kind": "comparison", **bad})
+
+    @pytest.mark.parametrize("key,value", [("vmax_grid", 5.0), ("variants", "full"), ("density_grid", "100")])
+    def test_a_grid_that_is_no_list_names_its_value(self, key, value):
+        kind = {"vmax_grid": "mobility", "variants": "comparison", "density_grid": "density_sweep"}[key]
+        with pytest.raises(ConfigError, match=f"^{key} must be a list of values, got {value!r}$"):
+            ExperimentPlan(kind=kind, **{key: value})
 
     def test_numpy_integers_are_recorded_as_int(self, tmp_path):
         plan = ExperimentPlan(kind="density_sweep", replications=np.int64(2), density_grid=(np.int64(100),))

@@ -161,7 +161,7 @@ def test_sparse_case_reaches_dead_end_check(tmp_path, monkeypatch):
         return real_observe(self, found)
 
     def fallback(self, origin, ledger):
-        before, single = observed[0], int(self.policy.runs_single)
+        before, single = observed[0], int(self.policy.single)
         outcome = real_fallback(self, origin, ledger)
         checked[0] += outcome is router.FailureReason.DEAD_END_AFTER_DOUBLE_RIS and observed[0] - before == single
         return outcome

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import build_topology, line_config
 
-from risroute import experiments, invariants
+from risroute import channel, experiments, invariants, linkbudget
 from risroute.config import SimConfig
 from risroute.router import FailureReason, HopChoice, RouteLedger
 
@@ -19,14 +19,27 @@ S, D, U1, U2, U3, R1, R2, R3 = range(8)
 CFG = line_config()
 
 
+def priced_hop(via, rate, snr, remaining_m, cfg=CFG) -> HopChoice:
+    """The hop over ``via`` at ``rate`` and linear SNR ``snr``, with the slots its rate needs and the
+    harvest its SNR gives over them (none at D)."""
+    slots = linkbudget.transfer_slots(cfg.total_bits, rate)
+    harvested = 0.0 if via[-1] == D else linkbudget.harvested_energy_for_transfer(cfg, snr * cfg.noise_w, slots)
+    return HopChoice(via, slots, rate, harvested, remaining_m, snr)
+
+
+def short_packet_rate(snr, cfg=CFG):
+    return channel.finite_blocklength_rate(snr, cfg.blocklength, cfg.epsilon)
+
+
 def valid_ledger() -> RouteLedger:
-    """S → U1, a wait, → U2, → R1 → U3, → R2+R3 → D, plus the reflector decision slot."""
+    """S → U1, a wait, → U2, → R1 → U3, → R2+R3 → D, plus the reflector decision slot. The direct hops'
+    20 dB reaches 256-QAM; the reflected hops carry their SNR's short-packet rate."""
     hops = [
-        HopChoice((U1,), 4, 4.0, 1e-9, 150.0),
+        priced_hop((U1,), 4.0, 100.0, 150.0),  # 4 slots
         HopChoice((), 3, 0.0, 0.0, 150.0),
-        HopChoice((U2,), 2, 8.0, 1e-9, 100.0),
-        HopChoice((R1, U3), 1, 17.5, 1e-9, 50.0),
-        HopChoice((R2, R3, D), 2, 12.25, 0.0, 0.0),
+        priced_hop((U2,), 8.0, 100.0, 100.0),  # 2 slots
+        priced_hop((R1, U3), short_packet_rate(1e6), 1e6, 50.0),  # 19.8 bits/use, 1 slot
+        priced_hop((R2, R3, D), short_packet_rate(1e4), 1e4, 0.0),  # 13.1 bits/use, 2 slots
     ]
     return RouteLedger(hops=hops, total_slots=13, total_delay_s=CFG.total_delay_s, slot_s=CFG.slot_s,
                        psi=4, stage_reached="double", topo=TOPO)
@@ -34,7 +47,7 @@ def valid_ledger() -> RouteLedger:
 
 def with_hop(ledger, i, **changes):
     hops = list(ledger.hops)
-    hops[i] = replace(hops[i], **changes)
+    hops[i] = hops[i]._replace(**changes)
     return replace(ledger, hops=hops)
 
 
@@ -43,7 +56,13 @@ def test_a_ledger_keeping_every_invariant_passes():
     assert math.dist(TOPO.xy[S], TOPO.xy[D]) == 200.0
     assert invariants.check_ledger(ledger, CFG) == []
     assert invariants.check_ledger(replace(ledger, mobile=True), CFG) == []
+    # the Shannon policy's reflected rate at the same SNR needs the same slot
+    assert invariants.check_ledger(with_hop(ledger, 3, rate=channel.shannon_rate(1e6)), CFG) == []
 
+
+VALID = valid_ledger()
+SPENT_2 = (CFG.tx_power_w + CFG.proc_power_w) * CFG.slot_s * 2  # what hop 2 spends over its 2 slots
+OFF_HARVEST = math.nextafter(VALID.hops[0].harvested_j, 1.0)
 
 BROKEN = {
     "no progress": (lambda led: with_hop(led, 2, remaining_m=150.0), "hop 2: remaining distance 150.0 m is not below"),
@@ -59,8 +78,20 @@ BROKEN = {
     "reflected rate 0": (lambda led: with_hop(led, 3, rate=0.0), "hop 3: reflected rate 0.0 is not positive"),
     "reflected rate NaN": (lambda led: with_hop(led, 4, rate=math.nan), "hop 4: reflected rate nan is not positive"),
     # hop 2 spends (P + P_proc) T_s over its 2 slots; a harvest of exactly that leaves no net energy
-    "harvest reaches spend": (lambda led: with_hop(led, 2, harvested_j=(CFG.tx_power_w + CFG.proc_power_w)
-                                                   * CFG.slot_s * 2), "hop 2: harvests"),
+    "harvest reaches spend": (lambda led: with_hop(led, 2, harvested_j=SPENT_2),
+                              f"hop 2: harvests {SPENT_2!r} J, not below the {SPENT_2!r} J it spends"),
+    "SNR negative": (lambda led: with_hop(led, 0, snr=-1.0), "hop 0: SNR -1.0 is not a nonnegative number"),
+    "SNR NaN": (lambda led: with_hop(led, 3, snr=math.nan), "hop 3: SNR nan is not a nonnegative number"),
+    # 17 dB reaches 32-QAM (16.85 dB) but not 64-QAM (17.64 dB)
+    "direct rate above its SNR's mode": (lambda led: with_hop(led, 2, snr=10 ** 1.7),
+                                         "hop 2: direct rate 8.0 is above the 5 bits its SNR reaches"),
+    "reflected rate not its SNR's": (lambda led: with_hop(led, 3, snr=1e5),
+                                     f"hop 3: reflected rate {VALID.hops[3].rate!r} is not a rate its SNR gives"),
+    "slots not the rate's": (lambda led: with_hop(led, 2, slots_used=3),
+                             "hop 2: uses 3 slots, not the 2 its rate needs"),
+    "IU harvest off its SNR": (lambda led: with_hop(led, 0, harvested_j=OFF_HARVEST),
+                               f"hop 0: harvests {OFF_HARVEST!r} J, not the {VALID.hops[0].harvested_j!r} J its SNR"),
+    "D harvests": (lambda led: with_hop(led, 4, harvested_j=1e-12), "hop 4: harvests 1e-12 J, not the 0.0 J its SNR"),
     "via long for its kind": (lambda led: with_hop(led, 4, via=(R1, R2, R3, D)), "hop 4: names 4 nodes, more than"),
     "surface not a RIS": (lambda led: with_hop(led, 3, via=(U2, U3)), "hop 3: surfaces (3,) are not all RIS ids"),
     "ends at a RIS": (lambda led: with_hop(led, 2, via=(R1,)), "hop 2: ends at (5,), neither D nor an IU"),
@@ -96,9 +127,10 @@ def test_scan_radius_is_measured_like_the_scan():
     rel = topo.xy[U1] - topo.xy[S]
     r = float(np.hypot(rel[0], rel[1]))
     assert math.hypot(*rel.tolist()) > r
-    hop = HopChoice((U1,), 4, 4.0, 0.0, math.dist((103.85, 224.42), (300.0, 200.0)))
-    ledger = RouteLedger(hops=[hop], total_slots=4, failure_reason=FailureReason.DELAY_EXCEEDED, topo=topo)
     cfg = SimConfig(coverage_m=r)
+    hop = priced_hop((U1,), 4.0, 100.0, math.dist((103.85, 224.42), (300.0, 200.0)), cfg)
+    ledger = RouteLedger(hops=[hop], total_slots=hop.slots_used, failure_reason=FailureReason.DELAY_EXCEEDED,
+                         topo=topo)
     assert invariants.check_ledger(ledger, cfg) == []
     assert invariants.check_ledger(ledger, replace(cfg, coverage_m=math.nextafter(r, 0.0))) != []
 

@@ -19,7 +19,6 @@ from risroute.linkbudget import build_mode_table
 from risroute.router import (
     BASELINE_POLICIES,
     CandidateLink,
-    Entry,
     FailureReason,
     HopChoice,
     HopKind,
@@ -49,8 +48,8 @@ def link_at(node_id, snr, remaining, nu):
 
 
 def entry_for(link, tau, rate, surfaces=()):
-    """The entry a hop over ``link`` takes at ``tau`` slots and ``rate``."""
-    return Entry(link.node_id, link.snr_linear, link.remaining_m, tau, rate, surfaces)
+    """The hop over ``surfaces`` to the node of ``link`` at ``tau`` slots and ``rate``, harvest still 0."""
+    return HopChoice((*surfaces, link.node_id), tau, float(rate), 0.0, link.remaining_m, link.snr_linear)
 
 
 class TestAvailabilitySet:
@@ -63,8 +62,8 @@ class TestAvailabilitySet:
         # 24 bits at 8 bits/symbol -> 3 slots <= nu=4.21
         links = [make_link(2, 25.0, 300.0, 4.21)]
         aset = availability_set(links, self.table)
-        assert any((e.tau, e.rate) == (3, 8) for e in aset)
-        assert all(e[:3] == (2, links[0].snr_linear, 300.0) for e in aset)
+        assert any((e.slots_used, e.rate) == (3, 8) for e in aset)
+        assert all((e.via, e.snr, e.remaining_m) == ((2,), links[0].snr_linear, 300.0) for e in aset)
 
     def test_oversized_transfer_excluded(self):
         # best is 6 bits/symbol at 18 dB -> 4 slots > nu=3.9; lower rates worse
@@ -86,7 +85,7 @@ class TestAvailabilitySet:
         links = [make_link(2, 25.0, 300.0, 1e9)]
         aset = availability_set(links, self.pinned)
         assert len(aset) == 1
-        assert (aset[0].rate, aset[0].tau) == (2, 12)
+        assert (aset[0].rate, aset[0].slots_used) == (2, 12)
 
     def test_non_adaptive_needs_channel_support(self):
         links = [make_link(2, 10.0, 300.0, 1e9)]  # only BPSK feasible
@@ -185,10 +184,10 @@ class TestFloorSnr:
                 table = slot_table(thresholds, total_bits, fixed)
                 at = make_link(2, table.floor_db, 100.0, table.floor)
                 below = math.nextafter(table.floor_db, -math.inf)
-                assert [e.tau for e in availability_set([at], table)] == [table.floor], (total_bits, fixed)
+                assert [e.slots_used for e in availability_set([at], table)] == [table.floor], (total_bits, fixed)
                 for nu in (table.floor, math.inf):
                     entries = availability_set([at._replace(snr_db=below, nu_idle_slots=nu)], table)
-                    assert all(e.tau > table.floor for e in entries), (total_bits, fixed, nu)
+                    assert all(e.slots_used > table.floor for e in entries), (total_bits, fixed, nu)
 
 
 def test_mode_tables_against_the_usable_modes():
@@ -211,7 +210,7 @@ def test_mode_tables_against_the_usable_modes():
 
 
 def test_routes_build_no_candidate_link(monkeypatch):
-    """Every hop kind is committed from a flat ``Entry``: a route under any policy builds no
+    """Every hop kind is committed from a ``HopChoice``: a route under any policy builds no
     ``CandidateLink``, which only ``availability_set`` reads."""
     monkeypatch.setattr(router, "CandidateLink", None)
     cfg = SimConfig(coverage_m=60.0, iu_count=100, **LINE_ENDS)
@@ -234,7 +233,7 @@ class TestSelectIu:
 
     def test_argmin_slots(self):
         aset = self.entries([(5, 100.0), (3, 300.0), (7, 50.0)])
-        assert select_entry(aset).tau == 3
+        assert select_entry(aset).slots_used == 3
 
     def test_tie_break_least_remaining(self):
         aset = self.entries([(3, 250.0), (3, 200.0)])
@@ -242,11 +241,11 @@ class TestSelectIu:
 
     def test_tie_break_lower_id(self):
         aset = self.entries([(3, 200.0), (3, 200.0)])
-        assert select_entry(aset).node_id == 2
+        assert select_entry(aset).via == (2,)
 
     def test_singleton(self):
         aset = self.entries([(4, 100.0)])
-        assert select_entry(aset).tau == 4
+        assert select_entry(aset).slots_used == 4
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -261,7 +260,7 @@ class TestSelectIu:
         # 24 bits at 18.5 dB: rates 6 and 7 both need 4 slots, rate 8 is unusable
         aset = availability_set_by_enumeration([make_link(2, 18.5, 300.0, 1e9)], build_mode_table(1e-6), 24)
         chosen = select_entry(aset)
-        assert (chosen.tau, chosen.rate) == (4, 6)
+        assert (chosen.slots_used, chosen.rate) == (4, 6)
 
 
 class TestDirectRouting:
@@ -353,7 +352,7 @@ class TestReflectorFallback:
         cfg = line_config()
         led = route(topo, idle_law(5, cfg), cfg, rng_for(107), variant="single_ris")
         assert not led.success
-        assert led.failure_reason is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
+        assert led.failure_reason is FailureReason.DEAD_END_AFTER_SINGLE_RIS  # the double stage never ran
         full = route(topo, idle_law(5, cfg), cfg, rng_for(107), variant="full")
         assert full.success
 
@@ -468,7 +467,7 @@ class TestSingleStageDraws:
         r = self.router(traffic.BUSY)
         draws = recorded_draws(monkeypatch)
         before = r.rng.bit_generator.state
-        assert r.ris_fallback(r._point(SOURCE_ID), RouteLedger()) is FailureReason.DEAD_END_AFTER_DOUBLE_RIS
+        assert r.ris_fallback(r._point(SOURCE_ID), RouteLedger()) is FailureReason.DEAD_END_AFTER_SINGLE_RIS
         assert draws == []
         assert r.rng.bit_generator.state == before
 
@@ -476,7 +475,7 @@ class TestSingleStageDraws:
         r = self.router(traffic.IDLE)
         draws = recorded_draws(monkeypatch)
         entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
-        assert (entry.surfaces, entry.node_id) == ((r.topo.first_ris_id,), 2)
+        assert entry.via == (r.topo.first_ris_id, 2)
         assert shapes(draws) == [("amplitudes", 250), ("amplitudes", 250)]
 
     def test_a_later_surface_draws_amplitudes_only(self, monkeypatch):
@@ -485,7 +484,7 @@ class TestSingleStageDraws:
         assert r._scan(r._point(SOURCE_ID), r.topo.ris_ids) == (3, 4) and r._scan((150.0, 200.0)) == ()
         draws = recorded_draws(monkeypatch)
         entry = r.ris_fallback(r._point(SOURCE_ID), RouteLedger())
-        assert (entry.surfaces, entry.node_id) == ((4,), 2)
+        assert entry.via == (4, 2)
         assert shapes(draws) == [("amplitudes", 250), ("amplitudes", 250)]
 
     def test_double_stage_reuses_the_first_surfaces_h_in(self, monkeypatch):
@@ -616,7 +615,7 @@ class TestMobileOrigin:
         def tracked_commit(router, origin, entry, ledger):
             endpoint = commit(router, origin, entry, ledger)
             if not isinstance(endpoint, FailureReason):
-                holder[0] = entry.node_id
+                holder[0] = entry.via[-1]
             return endpoint
 
         monkeypatch.setattr(Router, "_relay_stage", at_holder("relay"))
@@ -1047,7 +1046,7 @@ class TestOnePassAgainstAvailabilitySet:
                     entry, busy = stage(origin)
                 relays = check_one_pass(r, evaluated_links(r, origin, calls), entry)
                 seen["rejected links"] += len(relays) - len(availability_set(relays, r.slots))
-                seen["destination" if entry and entry.node_id == DEST_ID else "relay" if entry
+                seen["destination" if entry and entry.via[-1] == DEST_ID else "relay" if entry
                      else "none after relay links" if relays else "none"] += 1
                 return entry, busy
 
@@ -1096,14 +1095,14 @@ class TestRelayScanOrderAgainstDistance:
         # scan order: 1 ulp above, then 1 ulp below; the second is the hop
         (got, state), want = relay_pick([self.above, self.below])
         assert (got, state) == want
-        assert got[0].node_id == 3 and got[0].tau == 2
+        assert got[0].via == (3,) and got[0].slots_used == 2
 
     def test_stop_looks_past_a_link_just_beyond_the_floor_entry(self):
         # the first floor entry is at 40 m, the next link 1 ulp beyond it and the last 1 ulp
         # inside it: only the margin keeps the scan going to the last, the hop
         (got, state), want = relay_pick([self.on, self.above, self.below])
         assert (got, state) == want
-        assert got[0].node_id == 4 and got[0].tau == 2
+        assert got[0].via == (4,) and got[0].slots_used == 2
 
 
 class TestSingleStageAgainstExhaustive:
@@ -1131,7 +1130,7 @@ class TestSingleStageAgainstExhaustive:
         assert [r.xy[i].tolist() for i in scan] == [list(near), list(far)]
         assert all(2 in r._scan(tuple(r.xy[i].tolist())) for i in scan)
         entry = self.pick(topo, line_config(), 1)
-        assert entry.surfaces == (topo.first_ris_id,) and entry.node_id == 2
+        assert entry.via == (topo.first_ris_id, 2)
 
     def test_destination_behind_a_later_surface(self):
         # at -40 dBm noise the destination is in sight of both surfaces but only the one scanned
@@ -1139,7 +1138,7 @@ class TestSingleStageAgainstExhaustive:
         cfg = line_config(noise_dbm=-40.0)
         topo = build_topology([(390.0, 215.0)], [(380.0, 225.0), (342.0, 200.0)], src=(330.0, 200.0))
         entry = self.pick(topo, cfg, 1)
-        assert entry.surfaces == (topo.first_ris_id + 1,) and entry.node_id == DEST_ID
+        assert entry.via == (topo.first_ris_id + 1, DEST_ID)
         r = Router(topo, idle_law(1, cfg), cfg, rng_for(151))
         first = r._scan(r._point(SOURCE_ID), r.topo.ris_ids)[0]
         assert first == topo.first_ris_id and DEST_ID in r._scan(r._point(first))
@@ -1154,7 +1153,7 @@ class TestSingleStageAgainstExhaustive:
         assert r._scan(r._point(SOURCE_ID), r.topo.ris_ids) == (5, 6)
         assert r._scan((320.0, 195.0)) == (2, 3, 4) and r._scan((340.0, 262.0)) == (4,)
         entry = self.pick(topo, line_config(), 3)
-        assert entry.surfaces == (5,) and entry.remaining_m == math.nextafter(40.0, 0.0)
+        assert entry.via[:-1] == (5,) and entry.remaining_m == math.nextafter(40.0, 0.0)
 
 
 HOP_STAGE = {HopKind.DIRECT_IU: "relay", HopKind.SINGLE_RIS: "reflector", HopKind.DOUBLE_RIS: "double"}
@@ -1180,8 +1179,12 @@ class TestStageReached:
                         assert stage == deepest
                     elif ledger.failure_reason is FailureReason.NO_IU_NO_RIS:
                         assert stage >= 1
-                    elif ledger.failure_reason is FailureReason.DEAD_END_AFTER_DOUBLE_RIS:
+                    elif ledger.failure_reason in (FailureReason.DEAD_END_AFTER_SINGLE_RIS,
+                                                   FailureReason.DEAD_END_AFTER_DOUBLE_RIS):
                         assert stage == 2
+                        # a dead end is the single stage's exactly when the policy runs no double stage
+                        single_end = ledger.failure_reason is FailureReason.DEAD_END_AFTER_SINGLE_RIS
+                        assert single_end == (not BASELINE_POLICIES[variant].double)
                     seen.add((ledger.stage_reached, ledger.success))
         assert {stage for stage, _ in seen} == set(STAGES) and {ok for _, ok in seen} == {True, False}
 

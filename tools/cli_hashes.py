@@ -23,7 +23,13 @@ last bits between the two levels, so which lines differ moves with the
 draws; the ``DECISION_CONFIG`` lines keep their bytes at both levels.
 The list covers every subcommand, and seeds 5 and 9 at
 the default config. At seed 5 every grid subcommand also runs at
-``--threads 2``; those lines must show the hashes of its serial line. Then
+``--threads 2``; those lines must show the hashes of its serial line, and
+when one does not, the tool prints both commands' lines on stderr once every
+line is printed and exits 1. The seed-5 ``compare`` lines end one
+``single_ris`` route in ``dead_end_after_single_ris``: its single stage found
+no hop, and the policy runs no double stage (the seed-7 ``compare`` lines
+below end 2, 2 and 4 so, under ``CONFIG``, ``CHANNEL_CONFIG`` and
+``HANDOFF_CONFIG``; no line ends a route of another policy so). Then
 ``route``, ``compare`` and ``mobility`` run at seed 7 with ``--config`` set
 to ``CONFIG``, written to a JSON file: per-IU OFF means, fixed endpoints
 (read by ``route``; the grid kinds pin their own) and 2-packet transfers. 16 bits make equal-slot modes (4 slots for b = 4
@@ -165,12 +171,25 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.root / "src" / "risroute" / "cli.py").is_file():
         print(f"cli_hashes: no risroute sources under {args.root / 'src'}", file=sys.stderr)
         return 1
+    serial, pooled = {}, []  # keyed by seed, label and the arguments but --threads: (hashes, lines)
     for label, config, commands in RUNS:
         for seed, cli_args in commands:
             command = " ".join(cli_args) + label
-            for name, digest in csv_hashes(args.root.resolve(), seed, cli_args, config):
-                print(f"{seed} {command:<45} {name:<24} {digest}", flush=True)
-    return 0
+            hashes = csv_hashes(args.root.resolve(), seed, cli_args, config)
+            lines = [f"{seed} {command:<45} {name:<24} {digest}" for name, digest in hashes]
+            for line in lines:
+                print(line, flush=True)
+            at = cli_args.index("--threads") if "--threads" in cli_args else len(cli_args)
+            key = (seed, label, *cli_args[:at], *cli_args[at + 2:])
+            if cli_args[at + 1:at + 2] == ["2"]:
+                pooled.append((key, hashes, lines))
+            else:
+                serial[key] = (hashes, lines)
+    differ = [serial[key][1] + lines for key, hashes, lines in pooled if key in serial and serial[key][0] != hashes]
+    for pair in differ:
+        print("cli_hashes: a --threads 2 line does not show its serial line's hashes:", *pair, sep="\n  ",
+              file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
