@@ -29,19 +29,22 @@ symmetry also gives |h| one law whatever the line-of-sight phase, so an
 amplitude draw draws no phase.
 
 A complex draw is built in polar form, in its own output array: one
-complex output and one real scratch array per call, whatever the shape. A
-circularly symmetric Gaussian of power 1/(K+1) is sqrt(E/(K+1)) exp(j psi)
-with E ~ Exp(1) and psi uniform on [0, 2 pi) independent (Box and
-Muller's polar form), so each element, los exp(j phi) + sqrt(E/(K+1))
-exp(j psi), has the Rician law from two uniforms and one exponential. One
-``random((*shape, 2))`` call draws every element's u0 then u1 (phi = 2 pi
-u0, psi = 2 pi u1), then one ``standard_exponential`` call every E. Each
-phasor is taken from its half-angle tangent t = tan(pi u) as (1 - t^2) /
-(1 + t^2) and 2t / (1 + t^2), within an ulp of cos and sin: numpy
-vectorises float64 tan under AVX-512 but not cos and sin (on 62,500
-elements 0.2 against 2.5 ms). The arithmetic runs in place, in blocks of
-``POLAR_BLOCK`` elements, so a steady-state draw takes no page faults;
-with full-size temporaries it took hundreds.
+complex output and three ``POLAR_BLOCK`` temporaries per call, whatever
+the shape. A circularly symmetric Gaussian of power 1/(K+1) is
+sqrt(E/(K+1)) exp(j psi) with E ~ Exp(1) and psi uniform on [0, 2 pi)
+independent (Box and Muller's polar form), so each element,
+los exp(j phi) + sqrt(E/(K+1)) exp(j psi), has the Rician law from two
+uniforms and one exponential. One ``random((*shape, 2))`` call draws
+every element's u0 then u1 (phi = 2 pi u0, psi = 2 pi u1). After every
+uniform, E is drawn block by block, one ``standard_exponential(out=...)``
+call a block: the generator fills each block in C order from the same
+stream, so the blocks hold the bits one size-long call would. Each
+phasor is taken from its half-angle tangent t = tan(pi u) as
+(1 - t^2) / (1 + t^2) and 2t / (1 + t^2), within an ulp of cos and sin:
+numpy vectorises float64 tan under AVX-512 but not cos and sin (on
+62,500 elements 0.2 against 2.5 ms). The arithmetic runs in place, in
+blocks of ``POLAR_BLOCK`` elements, so a steady-state draw takes no page
+faults; with full-size temporaries it took hundreds.
 
 The link-budget constants P, rho_L, alpha and sigma^2 live only in
 ``SimConfig``: every SNR here reads them from the config it is handed,
@@ -68,7 +71,7 @@ import numpy as np
 from .config import SimConfig
 
 TWO_PI = 2.0 * math.pi
-# elements per pass of a draw's arithmetic: two 64 KiB temporaries, below glibc's default 128 KiB mmap
+# elements per pass of a draw's arithmetic: three 64 KiB temporaries, below glibc's default 128 KiB mmap
 # threshold, so they never depend on how far glibc has raised it; on a 250x250 draw 8192 took 2.17 ms where
 # 3072 took 2.42 (medians of 120 interleaved rounds, 2-vCPU Xeon VM), with the same bits
 POLAR_BLOCK = 8192
@@ -84,30 +87,32 @@ def sample_fading(n: int | tuple[int, ...], rician_k_db: float, rng: np.random.G
     2-D (out x in) surface-to-surface segment this way.
 
     u = ``rng.random((*shape, 2))`` is drawn straight into the output, u0
-    into each element's real slot and u1 into its imaginary slot, then E =
-    ``rng.standard_exponential(size)`` (C order) into the scratch, which
-    becomes the radius r = sqrt(E scatter_power). Per element, with t =
-    tan(pi u) the half-angle tangent of each phase and w = 2 a / (1 + t^2)
-    for its amplitude a, a exp(j phase) is (w - a) + j t w. The scattered
-    phasor goes first, which frees u0's slot for the line-of-sight sum. A
-    draw allocates its complex output, the scratch and two ``POLAR_BLOCK``
-    temporaries: 1.6 MB on a 250x250 draw.
+    into each element's real slot and u1 into its imaginary slot. Then,
+    one ``POLAR_BLOCK`` block at a time in C order,
+    E = ``rng.standard_exponential(out=...)`` is drawn into a block
+    temporary, which becomes the radius r = sqrt(E scatter_power). Per
+    element, with t = tan(pi u) the half-angle tangent of each phase and
+    w = 2 a / (1 + t^2) for its amplitude a, a exp(j phase) is
+    (w - a) + j t w. The scattered phasor goes first, which frees u0's
+    slot for the line-of-sight sum. A draw allocates its complex output
+    and three ``POLAR_BLOCK`` temporaries: 1.2 MB on a 250x250 draw,
+    1.0 MB of it the output.
     """
     shape, los_amp, scatter_power = _rician(n, rician_k_db)
     gains = np.empty(shape, dtype=complex)
     size = gains.size
     slots = gains.reshape(-1).view(float).reshape(size, 2)  # the real and imaginary slot of each element
     rng.random(out=slots)
-    radius = rng.standard_exponential(size)
-    radius *= scatter_power
-    np.sqrt(radius, out=radius)
     block = min(POLAR_BLOCK, size)
-    tangents, weights = np.empty(block), np.empty(block)
+    tangents, weights, radii = np.empty(block), np.empty(block), np.empty(block)
     for start in range(0, size, block):
         stop = min(start + block, size)
-        real, imag, r = slots[start:stop, 0], slots[start:stop, 1], radius[start:stop]
-        t, w = tangents[: stop - start], weights[: stop - start]
-        # the scattered phasor: r sin psi into the imaginary slot, r cos psi into the scratch
+        real, imag = slots[start:stop, 0], slots[start:stop, 1]
+        t, w, r = tangents[: stop - start], weights[: stop - start], radii[: stop - start]
+        rng.standard_exponential(out=r)  # this block's E, in C order after every uniform
+        r *= scatter_power
+        np.sqrt(r, out=r)
+        # the scattered phasor: r sin psi into the imaginary slot, r cos psi into the radius block
         np.multiply(imag, math.pi, out=t)
         np.tan(t, out=t)
         np.multiply(t, t, out=w)

@@ -88,10 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         for trace in result.traces:  # one per route of the route subcommand
             print(trace)
         files = ", ".join(str(p) for p in result.files)
-        print(
-            f"{args.subcommand}: {result.attempted} routes attempted, "
-            f"success rate {result.success_rate:.3f}, outputs: {files}"
-        )
+        print(f"{args.subcommand}: {result.summary()}, outputs: {files}")
     return 0
 
 

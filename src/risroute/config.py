@@ -67,8 +67,11 @@ RANGES = {
     "packets": "[1, inf)", "bits_per_packet": "[1, inf)",  # a transfer carries at least one bit
     "lambda_off_ms": "(0, inf)", "mu_on_ms": "(0, inf)",  # a scalar, or each per-IU value
     "slot_us": "(0, inf)", "total_delay_ms": "(0, inf)",  # a budget of at least one slot follows
-    # a tolerance, a probability threshold and two error probabilities, each strictly inside its ends
-    "delta": "(0, 1)", "p_th": "(0, 1)", "epsilon": "(0, 1)", "target_ber": "(0, 1)",
+    # a tolerance, a probability threshold and an error probability, each strictly inside its ends
+    "delta": "(0, 1)", "p_th": "(0, 1)", "target_ber": "(0, 1)",
+    # a block error probability: above 1/2, Qinv(epsilon) < 0 and the short-packet rate exceeds the
+    # Shannon rate, and the normal approximation is stated for epsilon below 1/2; at 1/2 the two rates meet
+    "epsilon": "(0, 0.5]",
     "rho_l_db": "(-inf, 0]",  # a loss
     # a gain that falls with distance, no faster than the steepest measured exponents (about 6 in
     # obstructed buildings), which keeps d ** -alpha finite for any d > 1e-30 m

@@ -161,13 +161,20 @@ class ExperimentPlan:
 @dataclass
 class ExperimentResult:
     files: list[Path] = field(default_factory=list)
-    attempted: int = 0
+    attempted: int = 0  # routes, in every kind but the traffic validation, which routes none
     succeeded: int = 0
+    estimated: int = 0  # the traffic validation's (xi, delta, figure) estimator cells
     traces: list[str] = field(default_factory=list)
 
     @property
     def success_rate(self) -> float:
         return self.succeeded / self.attempted if self.attempted else 1.0
+
+    def summary(self) -> str:
+        """What the run counted, as the CLI's summary line states it."""
+        if self.estimated:
+            return f"{self.estimated} estimator cells (xi x delta x figure)"
+        return f"{self.attempted} routes attempted, success rate {self.success_rate:.3f}"
 
 
 # --------------------------------------------------------------------------
@@ -517,8 +524,7 @@ def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, res
                      "mc_mean": mc_mean, "mc_se": mc_se}
                 )
         result.files.append(write_csv(out / f"{figure}.csv", ["xi", "delta", "analytic", "mc_mean", "mc_se"], rows))
-    result.attempted = len(plan.xi_grid) * len(plan.deltas) * 2
-    result.succeeded = result.attempted
+    result.estimated = len(plan.xi_grid) * len(plan.deltas) * 2
 
 
 def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):

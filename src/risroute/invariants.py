@@ -16,8 +16,7 @@ read off what it records (``router``), so they cannot disagree with it:
   and its rate is one that SNR gives: a direct hop's b is at most the mode
   the SNR reaches (``linkbudget.mode_bits`` over the config's mode table),
   and a reflected hop's rate is exactly ``channel.finite_blocklength_rate``
-  or ``channel.shannon_rate`` of it. (Not merely at most the Shannon rate:
-  from epsilon > 1/2 on, the short-packet rate exceeds it);
+  or ``channel.shannon_rate`` of it, and at most the Shannon rate;
 * each hop uses the ``linkbudget.transfer_slots`` its rate needs; an IU
   endpoint harvests exactly ``linkbudget.harvested_energy_for_transfer`` of
   the power its SNR receives over those slots, and D harvests 0;
@@ -94,6 +93,8 @@ def check_ledger(ledger: RouteLedger, cfg: SimConfig) -> list[str]:
                                         channel.shannon_rate(hop.snr))):
             problems.append(f"hop {i}: reflected rate {hop.rate!r} is not a rate its SNR gives, {rates!r} "
                             "(short-packet, Shannon)")
+        elif hop.rate > rates[1]:
+            problems.append(f"hop {i}: reflected rate {hop.rate!r} is above the Shannon rate {rates[1]!r} of its SNR")
         if len(problems) == before:  # a rate and an SNR the two checks below can read
             if hop.slots_used != (slots := linkbudget.transfer_slots(cfg.total_bits, hop.rate)):
                 problems.append(f"hop {i}: uses {hop.slots_used} slots, not the {slots} its rate needs")

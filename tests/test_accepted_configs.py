@@ -59,7 +59,7 @@ def configs(draw):
         proc_power_dbm=key("proc_power_dbm", floats(-400.0, 400.0)),
         rician_k_db=key("rician_k_db", floats(-1000.0, 400.0)),
         blocklength=key("blocklength", st.integers(1, 10**9)),
-        epsilon=key("epsilon", unit),
+        epsilon=key("epsilon", floats(0.0, 0.5, exclude_min=True)),
         target_ber=key("target_ber", unit),
         threshold_rule=draw(st.sampled_from(["table3", "eqtext"])),
         mh_mw=key("mh_mw", floats(1e-6, 2e3)),

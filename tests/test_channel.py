@@ -119,17 +119,20 @@ def written_out_fading(n, rician_k_db, rng, phasor=tangent_phasor):
 
 class FixedDraws:
     """A stand-in generator for a 2-D draw: ``random`` returns the given (u0, u1) pairs and
-    ``standard_exponential`` the given E."""
+    ``standard_exponential`` fills each ``out`` block with the next of the given E, in order."""
 
     def __init__(self, uniforms, exponentials):
         self.uniforms, self.exponentials = np.asarray(uniforms, dtype=float), np.asarray(exponentials, dtype=float)
+        self.drawn = 0  # the E handed out so far
 
     def random(self, out):
         out[...] = self.uniforms.reshape(out.shape)
         return out
 
-    def standard_exponential(self, size):
-        return self.exponentials.reshape(size).copy()
+    def standard_exponential(self, out):
+        out[...] = self.exponentials.ravel()[self.drawn:self.drawn + out.size].reshape(out.shape)
+        self.drawn += out.size
+        return out
 
 
 class TestFadingSampler:
@@ -194,12 +197,11 @@ class TestFadingSampler:
             assert np.abs(imag - np.sin(TWO_PI * u)).max() <= 1e-15
         assert (h.real[0, 0], h.imag[0, 0]) == (1.0, 0.0)
 
-    def test_a_draw_allocates_its_output_and_one_scratch_array(self):
-        # a 250x250 draw holds its complex output (250 * 250 * 16 B = 1.0 MB) and one real scratch
-        # array (250 * 250 * 8 B = 0.5 MB) at its peak, and two block temporaries (2 * 8 B a block
-        # element); 1.5 MB plus those and 16 KiB for small objects is the bound (64 KiB over 1.5 MB
-        # at 3072-element blocks); 1.5 MB plus 50,608 B was measured at 3072 and 132,528 B at 8192.
-        # ``written_out_fading``, one temporary per term, peaks at 5.50 MB.
+    def test_a_draw_allocates_its_output_and_three_blocks(self):
+        # a 250x250 draw holds its complex output (250 * 250 * 16 B = 1.0 MB) and three block
+        # temporaries (3 * 8 B a block element) at its peak; 1.0 MB plus those and 16 KiB for small
+        # objects is the bound; 1.0 MB plus 198,096 B was measured. ``written_out_fading``, one
+        # temporary per term, peaks at 5.50 MB.
         rng = np.random.default_rng(22)
         sample_fading((250, 250), 10.0, rng)  # warm-up
         was_tracing = tracemalloc.is_tracing()
@@ -212,7 +214,7 @@ class TestFadingSampler:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert peak - before <= 250 * 250 * (16 + 8) + 2 * 8 * POLAR_BLOCK + 16 * 1024, peak - before
+        assert peak - before <= 250 * 250 * 16 + 3 * 8 * POLAR_BLOCK + 16 * 1024, peak - before
 
     def test_rejects_an_empty_shape(self):
         with pytest.raises(ValueError, match=">= 1"):

@@ -192,6 +192,13 @@ class TestValidateTraffic:
             header = (tmp_path / name).read_text().splitlines()[0]
             assert header == "xi,delta,analytic,mc_mean,mc_se"
 
+    def test_summary_line_counts_estimator_cells_not_routes(self, tmp_path, capsys):
+        # 8 xi by 3 delta by the two figures, nu_b and nu_i; the validation routes nothing
+        assert main(["validate-traffic", "--out", str(tmp_path)]) == 0
+        counted, outputs = capsys.readouterr().out.splitlines()[-1].split(", outputs: ")
+        assert counted == "validate-traffic: 48 estimator cells (xi x delta x figure)"
+        assert outputs.endswith("nu_i.csv")
+
 
 class TestManifestReproduction:
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path, capsys):

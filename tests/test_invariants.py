@@ -109,6 +109,17 @@ def test_each_broken_invariant_is_reported(name):
     assert any(message in p for p in problems), problems
 
 
+def test_a_short_packet_rate_above_capacity_is_reported():
+    # SimConfig refuses epsilon above 1/2, where Qinv(epsilon) < 0 and the short-packet rate exceeds the
+    # Shannon rate; a config let past that check prices a reflected hop above capacity
+    cfg = line_config()
+    object.__setattr__(cfg, "epsilon", 0.75)
+    rate, capacity = short_packet_rate(1e6, cfg), channel.shannon_rate(1e6)
+    assert rate > capacity
+    problems = invariants.check_ledger(with_hop(valid_ledger(), 3, rate=rate), cfg)
+    assert f"hop 3: reflected rate {rate!r} is above the Shannon rate {capacity!r} of its SNR" in problems
+
+
 def test_mobile_routes_skip_what_moving_ius_change():
     # an endpoint that moved during its transfer may lie past r of its place in the topology's table,
     # and the hop after it may record more remaining distance; a hop after a wait is still checked
