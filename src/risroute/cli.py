@@ -3,9 +3,10 @@
 Each subcommand runs one experiment kind of ``experiments.KINDS`` and takes
 --config, --out, --seed and --quiet, plus --replications and --threads where
 the kind reads them; ``risroute --help`` lists them. The other fields of
-``experiments.ExperimentPlan`` (the grids, variants, speeds, xi, delta,
-chains and batches) have no flag: the CLI runs each kind at their defaults,
-and only a Python caller sets them.
+``experiments.ExperimentPlan`` (the coverage and density grids, the variants
+and the speeds) have no flag: the CLI runs each kind at their defaults, and
+only a Python caller sets them. ``validate-traffic`` reads no plan field but
+the seed; its grids and chain counts are constants of ``experiments``.
 
 Exit status: 0 success, 1 configuration error, 2 experiment failure or
 usage error (an unknown subcommand or flag, or a malformed value, which

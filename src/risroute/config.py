@@ -85,8 +85,6 @@ RANGES = {
     # ExperimentPlan; SeedSequence refuses a negative seed too, but only after the manifest is written
     "seed": "[0, inf)", "replications": "[1, inf)", "threads": "[1, inf)",
     "coverage_grid": "(0, inf)", "density_grid": "[0, inf)",  # each a grid point's coverage_m or iu_count
-    "deltas": "(0, 1)", "xi_grid": "(0, 1)",  # a tolerance and a traffic share
-    "chains": "[2, inf)", "batches": "[2, inf)",  # a batch needs a chain: chains >= batches follows
     "vmax_grid": "[0, inf)",  # a negative or NaN speed would run static routes
 }
 

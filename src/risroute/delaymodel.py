@@ -32,43 +32,42 @@ With a first-hop wait in the small-T_s/mu regime, t_0 = mu ln(T_s/(mu p_th))
 
     T_d1 = T_d ( (1/(Psi-Psi_1)) (1 - 1/Psi) + 1/Psi ) - t_0.
 
-The router runs only the recursion (``DelayBudget``). The closed form and
-the Taylor forms are analysis results; they live in
-``tests/test_delaymodel.py`` as oracles the recursion is checked against.
+The router runs only the recursion (``DelayBudget``). A step reads the
+last limit and the sum of the waits before it, so the budget keeps just
+those two numbers. The sum is a running total, one addition per hop, left
+to right: CPython's builtin ``sum`` compensates float sums from 3.12 on,
+which would make the limits, and so the routes, depend on the Python
+version. The closed form and the Taylor forms are analysis results; they
+live in ``tests/test_delaymodel.py`` as oracles the recursion is checked
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class DelayBudget:
-    """Running budget record for one route; per_hop_limits[i] is T_di.
+    """Running budget record for one route: the current position's limit T_di
+    and the total of the waits w_k paid before it.
 
-    actual_waits[k] is w_k, whatever hop k paid (a relay deferral, or the
-    reflector decision slot plus any deferral), so one recursion serves the
-    relay-only, all-busy and mixed relay/reflector variants alike. Every
-    hop records one wait and one limit, recursed or pinned at an overshoot.
+    w_k is whatever hop k paid (a relay deferral, or the reflector decision
+    slot plus any deferral), so one recursion serves the relay-only, all-busy
+    and mixed relay/reflector variants alike. Every hop adds one wait and sets
+    one limit, recursed or pinned at an overshoot.
     """
 
     total: float
     psi: int
-    per_hop_limits: list[float] = field(default_factory=list)
-    actual_waits: list[float] = field(default_factory=list)
+    current_limit: float  # T_di, the maximum acceptable wait at the current position
+    waited: float = 0.0  # sum of the waits paid before the current position, left to right
 
     @classmethod
     def start(cls, total: float, psi: int) -> "DelayBudget":
         if total <= 0 or psi < 1:
             raise ValueError("total delay and Psi must be positive")
-        budget = cls(total=total, psi=psi)
-        budget.per_hop_limits.append(total / psi)
-        return budget
-
-    @property
-    def current_limit(self) -> float:
-        """Maximum acceptable wait at the current position."""
-        return self.per_hop_limits[-1]
+        return cls(total=total, psi=psi, current_limit=total / psi)
 
     def advance(self, wait_s: float, psi_next: int, remaining_s: float) -> float:
         """Record the wait paid at the current position and budget the next.
@@ -81,19 +80,16 @@ class DelayBudget:
             return self.pin_next(wait_s, remaining_s)
         if wait_s < 0:
             raise ValueError("wait must be nonnegative")
-        prev = self.per_hop_limits[-1]
-        limit = (self.total - sum(self.actual_waits) - prev) / (self.psi - psi_next) + (prev - wait_s)
-        self._record(wait_s, limit)
-        return limit
+        prev = self.current_limit
+        return self._record(wait_s, (self.total - self.waited - prev) / (self.psi - psi_next) + (prev - wait_s))
 
     def pin_next(self, wait_s: float, limit: float) -> float:
         """Record the wait and pin the next limit to ``limit``: ``advance`` at an overshoot."""
         if wait_s < 0:
             raise ValueError("wait must be nonnegative")
-        self._record(wait_s, limit)
+        return self._record(wait_s, limit)
+
+    def _record(self, wait_s: float, limit: float) -> float:
+        self.waited += wait_s
+        self.current_limit = limit
         return limit
-
-    def _record(self, wait_s: float, limit: float) -> None:
-        self.actual_waits.append(wait_s)
-        self.per_hop_limits.append(limit)
-

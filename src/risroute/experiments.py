@@ -49,7 +49,10 @@ row keeps the bytes of routing each cell alone.
 
 ``STREAM_VERSION`` names the order in which a route consumes its stream.
 A change that moves any draw bumps it, and every manifest records it; what
-each version moved is in CHANGES.md.
+each version moved is in CHANGES.md. The bytes do not depend on the Python
+version either: the float totals a route keeps (the delay budget's waits,
+``delaymodel``, and the ledger's harvest, ``RouteLedger.to_rows``) are added
+left to right, not by builtin ``sum``, which compensates from 3.12 on.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -65,7 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import invariants, metrics, router, topology, traffic
+from . import __version__, invariants, metrics, router, topology, traffic
 from .config import ConfigError, SimConfig, check_numbers
 
 DETAIL_COLUMNS = [
@@ -87,6 +91,13 @@ STREAM_VERSION = 8
 # The grid kinds pin one endpoint pair so grid points differ only in the topology draw.
 SWEEP_SOURCE = (20.0, 200.0)
 SWEEP_DEST = (380.0, 200.0)
+
+# The traffic validation's grids and Monte Carlo size: duty cycles xi, quantile tolerances delta, and
+# Exp(1) chains split into batches (each batch's quantiles give one sample of the estimate's SE)
+XI_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+DELTAS = (0.1, 0.2, 0.3)
+CHAINS = 100_000
+BATCHES = 20
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -110,10 +121,6 @@ class ExperimentPlan:
     replications: int = 500
     coverage_grid: tuple[float, ...] | None = None  # None: the kind's default
     density_grid: tuple[int, ...] | None = None  # None: the kind's default
-    deltas: tuple[float, ...] = (0.1, 0.2, 0.3)
-    xi_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-    chains: int = 100_000
-    batches: int = 20
     vmax_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     variants: tuple[str, ...] = ("full", "shannon", "fixed_mod", "single_ris", "double_ris")
     threads: int = 1  # worker processes for the two sweeps; comparison and mobility accept it and run serially
@@ -134,8 +141,6 @@ class ExperimentPlan:
                 readers = [name for name, other in KINDS.items() if f.name in other.reads]
                 raise ConfigError(f"{self.kind} takes no {f.name} (read only by {', '.join(readers)})")
         check_numbers(self)
-        if self.chains < self.batches:  # a batch needs a chain
-            raise ConfigError(f"chains must be >= batches, got {self.chains} chains and {self.batches} batches")
         if not self.variants:
             raise ConfigError("variants must not be empty")
         # refused here, before any file is written: an unknown variant would fail as a bare KeyError
@@ -449,10 +454,13 @@ def write_csv(path: Path, columns: list[str], rows: list[dict], preamble: str = 
 
 
 def write_manifest(out: Path, plan: ExperimentPlan, cfg: SimConfig) -> Path:
-    """Write the run's manifest into ``out``, made if need be; runners call this once their checks pass."""
+    """Write the run's manifest into ``out``, made if need be; runners call this once their checks pass.
+    Besides the plan and the config it records the versions of Python, numpy and risroute that ran."""
     payload = {
-        "schema": 1,
+        "schema": 2,
         "stream_version": STREAM_VERSION,
+        "versions": {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
+                     "risroute": __version__},
         "plan": asdict(plan),
         "config": cfg.to_dict(),
     }
@@ -509,22 +517,20 @@ def _run_traffic_validation(plan: ExperimentPlan, cfg: SimConfig, out: Path, res
     for figure, fixed_ms in (("nu_b", cfg.lambda_off_ms), ("nu_i", cfg.mu_on_ms)):
         fixed_s = fixed_ms * 1e-3
         if figure == "nu_b":  # lambda fixed, mu swept
-            means = [xi * fixed_s / (1.0 - xi) for xi in plan.xi_grid]
+            means = [xi * fixed_s / (1.0 - xi) for xi in XI_GRID]
         else:  # mu fixed, lambda swept
-            means = [fixed_s * (1.0 - xi) / xi for xi in plan.xi_grid]
-        quantiles = estimate_duration_quantiles(
-            np.asarray(means) / slot, plan.deltas, plan.chains, plan.batches, rng
-        )
+            means = [fixed_s * (1.0 - xi) / xi for xi in XI_GRID]
+        quantiles = estimate_duration_quantiles(np.asarray(means) / slot, DELTAS, CHAINS, BATCHES, rng)
         rows = []
-        for si, xi in enumerate(plan.xi_grid):
-            for di, delta in enumerate(plan.deltas):
+        for si, xi in enumerate(XI_GRID):
+            for di, delta in enumerate(DELTAS):
                 mc_mean, mc_se = quantiles[(si, di)]
                 rows.append(
                     {"xi": xi, "delta": delta, "analytic": traffic.duration_estimate(means[si], slot, delta),
                      "mc_mean": mc_mean, "mc_se": mc_se}
                 )
         result.files.append(write_csv(out / f"{figure}.csv", ["xi", "delta", "analytic", "mc_mean", "mc_se"], rows))
-    result.estimated = len(plan.xi_grid) * len(plan.deltas) * 2
+    result.estimated = len(XI_GRID) * len(DELTAS) * 2
 
 
 def _run_grid(plan: ExperimentPlan, cfg: SimConfig, out: Path, result: ExperimentResult):
@@ -581,7 +587,7 @@ KINDS = {
                           _GRID_FIELDS | {"density_grid"}, _run_grid, (30.0, 45.0, 60.0), (100, 200, 400, 600, 900),
                           pooled=True),
     "traffic_validation": Kind("validate-traffic", "analytic idle/busy-duration estimators vs Monte Carlo",
-                               frozenset({"deltas", "xi_grid", "chains", "batches"}), _run_traffic_validation),
+                               frozenset(), _run_traffic_validation),
     "comparison": Kind("compare", "policy variants across the coverage grid", _GRID_FIELDS | {"variants"},
                        _run_grid, _COVERAGES),
     "mobility": Kind("mobility", "throughput vs maximum waypoint speed", _GRID_FIELDS | {"vmax_grid"},

@@ -195,9 +195,12 @@ class RouteLedger:
         return " → ".join(parts)
 
     def to_rows(self) -> list[dict]:
-        """One dict per hop plus a summary row (schema v1)."""
-        rows = []
+        """One dict per hop plus a summary row (schema v1). The summary adds the harvests left to
+        right from the int 0, as builtin ``sum`` does before Python 3.12 (``experiments``), so a
+        route without hops reads 0."""
+        rows, harvested = [], 0
         for i, h in enumerate(self.hops):
+            harvested += h.harvested_j
             rows.append(
                 {
                     "index": i,
@@ -216,7 +219,7 @@ class RouteLedger:
                 "ids": self.trace(),
                 "slots": self.total_slots,
                 "rate": "",
-                "harvested_J": sum(h.harvested_j for h in self.hops),
+                "harvested_J": harvested,
                 "remaining_distance_m": self.hops[-1].remaining_m if self.hops else "",
             }
         )

@@ -1,6 +1,10 @@
+import builtins
 import importlib.util
 import json
+import math
+import operator
 import re
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,64 @@ def run_lines(commands, config, tmp_path):
         parsed = build_parser().parse_args([*args, "--seed", str(seed), "--config", str(path)])
         plan = experiments.ExperimentPlan(kind=parsed.kind, seed=parsed.seed, replications=parsed.replications)
         experiments.run(plan, cfg, tmp_path / "out")
+
+
+def compensated_sum(iterable, /, start=0):
+    """CPython 3.12's builtin ``sum``, ported from its C source. From an int start, ints add exactly
+    until the first other item is added by ``+``; from a float total on, floats add with Neumaier's
+    compensation, which joins the total once at the end, and ints add plainly; any other item
+    leaves the compensation behind and adds by ``+``, as does every item after it."""
+    if isinstance(start, (str, bytes, bytearray)):
+        raise TypeError("sum() can't sum strings, bytes or bytearrays")
+    items, result = iter(iterable), start
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if type(item) not in (int, bool):
+                break
+        else:
+            return result
+    if type(result) is float:
+        total, c = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif isinstance(item, int):
+                total += float(item)
+            else:
+                result = total + item
+                break
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for item in items:
+        result = result + item
+    return result
+
+
+def test_compensated_sum_is_not_the_left_to_right_sum():
+    tenths = [0.1] * 10
+    assert compensated_sum(tenths) == 1.0 and reduce(operator.add, tenths, 0) == 0.9999999999999999
+    assert compensated_sum([1e100, 1.0, -1e100]) == 1.0 and compensated_sum([]) == 0
+    assert compensated_sum([1, 2, True]) == 4 and type(compensated_sum([1, 0.5])) is float
+    assert compensated_sum([[1], [2]], []) == [1, 2]
+
+
+def test_route_csvs_keep_their_bytes_under_the_compensated_sum(tmp_path, monkeypatch):
+    # builtin sum compensates float sums from CPython 3.12 on (requires-python is 3.10): the
+    # ``route --config`` line's ledger CSVs, whose summary rows total each route's harvest and
+    # whose budgets total its waits, must not depend on which sum runs
+    route_line = [(seed, args) for seed, args in cli_hashes.CONFIG_COMMANDS if args[0] == "route"]
+    native, compensated = tmp_path / "native", tmp_path / "compensated"
+    for side in (native, compensated):
+        side.mkdir()
+    run_lines(route_line, cli_hashes.CONFIG, native)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    run_lines(route_line, cli_hashes.CONFIG, compensated)
+    native, compensated = (sorted((side / "out").glob("route_*.csv")) for side in (native, compensated))
+    assert [p.name for p in native] == [p.name for p in compensated] == [f"route_{i:04d}.csv" for i in (1, 2, 3, 4)]
+    assert [p.read_bytes() for p in compensated] == [p.read_bytes() for p in native]
 
 
 def test_arrival_config_runs_meet_waypoint_arrivals(tmp_path, monkeypatch):

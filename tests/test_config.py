@@ -355,12 +355,12 @@ class TestValueTypes:
 
         cfg = SimConfig(arena_m=np.float32(400), coverage_m=np.float32(60.5), iu_count=2,
                         lambda_off_ms=(np.float32(2.5), 4), source_xy=(np.float32(20), 200.0), dest_xy=(380, 200))
-        plan = ExperimentPlan(kind="traffic_validation", xi_grid=(np.float32(0.5),))
-        values = [cfg.arena_m, cfg.coverage_m, *cfg.lambda_off_ms, *cfg.source_xy, *cfg.dest_xy, *plan.xi_grid]
+        plan = ExperimentPlan(kind="mobility", vmax_grid=(np.float32(0.5),))
+        values = [cfg.arena_m, cfg.coverage_m, *cfg.lambda_off_ms, *cfg.source_xy, *cfg.dest_xy, *plan.vmax_grid]
         assert {type(v) for v in values} == {float}
-        assert (cfg.arena_m, cfg.coverage_m, cfg.lambda_off_ms, plan.xi_grid) == (400.0, 60.5, (2.5, 4.0), (0.5,))
+        assert (cfg.arena_m, cfg.coverage_m, cfg.lambda_off_ms, plan.vmax_grid) == (400.0, 60.5, (2.5, 4.0), (0.5,))
         manifest = write_manifest(tmp_path, plan, cfg)
-        assert json.loads(manifest.read_text())["plan"]["xi_grid"] == [0.5]
+        assert json.loads(manifest.read_text())["plan"]["vmax_grid"] == [0.5]
         assert load_config(manifest) == cfg
 
     def test_an_int_past_the_float_range_is_refused(self):
@@ -385,16 +385,14 @@ def _inside(name: str, x: float) -> bool:
 
 
 # other keys set so no cross-field rule fires at a row's ends: a one-surface grid at either arena bound,
-# a coverage whose half is no spacing, a slot that stays below a 5e-324 ms budget, two chains' batches
+# a coverage whose half is no spacing, a slot that stays below a 5e-324 ms budget
 ROW_CONTEXT = {"arena_m": {"ris_spacing_m": 1e6}, "coverage_m": {"ris_spacing_m": 400.0},
-               "total_delay_ms": {"slot_us": 5e-324}, "chains": {"batches": 2}}
+               "total_delay_ms": {"slot_us": 5e-324}}
 # the one edge value no other keys can keep from a cross-field rule: no arena of 1 m or more holds a
 # grid this fine under the cap
 CROSS_REFUSED = {("ris_spacing_m", 5e-324): "more than 100 surfaces a side"}
 PLAN_ROW_KIND = {"seed": "trajectory", "replications": "comparison", "threads": "coverage_sweep",
-                 "coverage_grid": "comparison", "density_grid": "density_sweep", "deltas": "traffic_validation",
-                 "xi_grid": "traffic_validation", "chains": "traffic_validation", "batches": "traffic_validation",
-                 "vmax_grid": "mobility"}
+                 "coverage_grid": "comparison", "density_grid": "density_sweep", "vmax_grid": "mobility"}
 
 
 def _edge_cases():
@@ -439,7 +437,7 @@ class TestRangeTable:
 
         if name in _number_fields(ExperimentPlan):
             kind = PLAN_ROW_KIND[name]
-            given = {"kind": kind, **ROW_CONTEXT.get(name, {}), name: (value,) if name.endswith(("_grid", "deltas")) else value}
+            given = {"kind": kind, **ROW_CONTEXT.get(name, {}), name: (value,) if name.endswith("_grid") else value}
             build = [lambda: ExperimentPlan(**given)]
         else:
             given = {**ROW_CONTEXT.get(name, {}), name: value}

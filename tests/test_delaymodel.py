@@ -1,4 +1,6 @@
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,21 +18,20 @@ def fresh_budget():
 
 
 def chain(total, psi, psi_list, waits):
-    """Limits T_d0..T_di from the production recursion, one advance per hop."""
+    """Limits T_d0..T_di from the production recursion: the start's, then what each hop's advance returns."""
     budget = DelayBudget.start(total, psi)
-    for psi_i, wait in zip(psi_list, waits):
-        budget.advance(wait, psi_i, UNREAD)
-    return budget.per_hop_limits
+    return [budget.current_limit, *(budget.advance(wait, psi_i, UNREAD) for psi_i, wait in zip(psi_list, waits))]
 
 
 # -- analysis forms of the budget, kept here as oracles for DelayBudget --------
 
 
 def recursion_reference(total, psi, psi_list, waits):
-    """Independent expansion of the Table-II row-1/2 recursion."""
+    """Independent expansion of the Table-II row-1/2 recursion. The earlier waits are added left to
+    right, as the budget adds them: builtin ``sum`` compensates float sums from Python 3.12 on."""
     limits = [total / psi]
     for i, psi_i in enumerate(psi_list, start=1):
-        earlier = sum(waits[: i - 1])
+        earlier = reduce(operator.add, waits[: i - 1], 0.0)
         last = waits[i - 1]
         limits.append((total - earlier - limits[-1]) / (psi - psi_i) + (limits[-1] - last))
     return limits
@@ -131,11 +132,11 @@ class TestClosedForm:
 
     def test_overshoot_pinned_to_the_remaining_budget(self):
         # a relay at the hop span gets the route's remaining budget at any hop, not only the first,
-        # and records one wait and one limit
+        # and records its wait and its limit
         b = fresh_budget()
-        b.advance(0.0, 1, UNREAD)
-        assert b.advance(0.001, PSI, 0.03) == 0.03
-        assert b.actual_waits == [0.0, 0.001] and b.per_hop_limits[1:] == [chain(TD, PSI, [1], [0.0])[1], 0.03]
+        limits = [b.advance(0.0, 1, UNREAD), b.advance(0.001, PSI, 0.03)]
+        assert limits == [chain(TD, PSI, [1], [0.0])[1], 0.03]
+        assert (b.waited, b.current_limit) == (0.001, 0.03)
 
     def test_recursion_bit_for_bit_against_reference(self):
         rng = np.random.default_rng(35)
@@ -186,17 +187,17 @@ class TestCaseTwo:
         assert low[0] > low[-1]
 
     def test_wait_lengths_must_match_index(self):
-        # every hop records exactly one wait and one limit, pinned or not,
+        # every hop adds exactly its wait and sets one limit, pinned or not,
         # and a refused wait records neither
         b = fresh_budget()
-        b.advance(0.001, 1, UNREAD)
+        first = b.advance(0.001, 1, UNREAD)
         for psi_next in (2, PSI):
             with pytest.raises(ValueError):
                 b.advance(-1.0, psi_next, 0.01)
+        assert (b.waited, b.current_limit) == (0.001, first)
         b.advance(0.002, PSI, 0.01)
         got = b.advance(0.0, 3, UNREAD)
-        assert b.actual_waits == [0.001, 0.002, 0.0]
-        assert len(b.per_hop_limits) == len(b.actual_waits) + 1
+        assert (b.waited, b.current_limit) == (0.001 + 0.002 + 0.0, got)
         # the recursion carries on from the pinned limit
         assert got == (TD - 0.003 - 0.01) / (PSI - 3) + 0.01
 
@@ -277,7 +278,7 @@ class TestBudgetProperties:
         assert pins == []
         assert b.advance(0.0, PSI, 0.02) == 0.02 and b.advance(0.001, PSI + 3, 0.015) == 0.015
         assert pins == [0.02, 0.015]
-        assert b.actual_waits == [0.0, 0.0, 0.001] and b.per_hop_limits[-2:] == [0.02, 0.015]
+        assert (b.waited, b.current_limit) == (0.001, 0.015)
 
     def test_negative_budget_not_clamped(self):
         b = DelayBudget.start(0.01, 3)

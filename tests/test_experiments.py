@@ -3,6 +3,7 @@ import copy
 import csv
 import json
 import math
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from test_cli_hashes import cli_hashes
 
-from risroute import experiments, linkbudget, router, topology, traffic
+from risroute import __version__, experiments, linkbudget, router, topology, traffic
 from risroute.config import ConfigError, SimConfig, load_config
 from risroute.experiments import (
     ExperimentPlan,
@@ -110,10 +111,10 @@ class TestPlanValidation:
         {"threads": 0}, {"threads": -2}, {"replications": 0}, {"coverage_grid": ()}, {"variants": ()},
         # an empty grid given as a list
         {"coverage_grid": []}, {"variants": []}, {"kind": "mobility", "vmax_grid": []},
-        # an empty traffic grid, or a share or tolerance outside (0, 1)
-        {"kind": "traffic_validation", "xi_grid": ()}, {"kind": "traffic_validation", "deltas": []},
-        {"kind": "traffic_validation", "xi_grid": (0.0,)}, {"kind": "traffic_validation", "xi_grid": (0.5, 1.0)},
-        {"kind": "traffic_validation", "deltas": (1.5,)}, {"kind": "traffic_validation", "deltas": (math.nan,)},
+        # a grid value outside its interval: a negative or NaN speed, a coverage of 0, inf or NaN, a negative count
+        {"kind": "mobility", "vmax_grid": (-1.0,)}, {"kind": "mobility", "vmax_grid": (5.0, math.nan)},
+        {"coverage_grid": (0.0,)}, {"coverage_grid": (60.0, math.inf)}, {"coverage_grid": (math.nan,)},
+        {"kind": "density_sweep", "density_grid": (100, -1)},
         {"kind": "bogus"},
         # a grid the kind would ignore
         {"kind": "mobility", "coverage_grid": (30.0, 60.0)}, {"density_grid": (100,)},
@@ -123,12 +124,13 @@ class TestPlanValidation:
         # a plan field only another kind reads
         {"kind": "coverage_sweep", "variants": ("shannon",)}, {"kind": "mobility", "variants": ("full",)},
         {"vmax_grid": (0.0,)}, {"kind": "density_sweep", "vmax_grid": (0.0, 5.0)},
-        {"deltas": (0.1,)}, {"xi_grid": (0.5,)}, {"chains": 10}, {"batches": 4},
-        {"kind": "mobility", "chains": 10}, {"kind": "trajectory", "deltas": (0.2,)},
-        # a plan field the kind ignores: traffic validation reads chains and batches instead
+        {"kind": "trajectory", "variants": ("shannon",)}, {"kind": "trajectory", "vmax_grid": (5.0,)},
+        {"kind": "coverage_sweep", "vmax_grid": (5.0,)}, {"kind": "mobility", "variants": ("shannon",)},
+        {"kind": "traffic_validation", "variants": ("shannon",)}, {"kind": "traffic_validation", "vmax_grid": (0.0,)},
+        # a plan field the kind ignores: traffic validation reads none but the seed
         {"kind": "traffic_validation", "replications": 3},
-        # fewer chains than batches leaves every batch empty
-        {"kind": "traffic_validation", "chains": 3, "batches": 4},
+        # a seed outside its interval, on the kind that reads no other field
+        {"kind": "traffic_validation", "seed": -1},
         # threads, on a kind that reads none
         {"kind": "trajectory", "threads": 2}, {"kind": "traffic_validation", "threads": 2},
         # two cells under one scenario id: a repeated value, or two that print alike
@@ -136,9 +138,9 @@ class TestPlanValidation:
         {"coverage_grid": (30.0, 30.0000001)}, {"kind": "density_sweep", "density_grid": (100, 100)},
         # an integer field given a bool or a non-integral value
         {"replications": 1.5}, {"threads": True}, {"seed": 2.5}, {"seed": -1}, {"kind": "density_sweep", "density_grid": (50.5,)},
-        {"kind": "density_sweep", "density_grid": (True,)}, {"kind": "traffic_validation", "chains": 1000.5},
-        # a bool speed, and a numpy NaN share: each was accepted
-        {"kind": "mobility", "vmax_grid": (0.0, True)}, {"kind": "traffic_validation", "xi_grid": (np.float32("nan"),)},
+        {"kind": "density_sweep", "density_grid": (True,)}, {"threads": 2.5},
+        # a bool speed, and a numpy NaN speed
+        {"kind": "mobility", "vmax_grid": (0.0, True)}, {"kind": "mobility", "vmax_grid": (np.float32("nan"),)},
         # a grid given a number or a text: a bare TypeError, and a text split into its letters
         {"kind": "mobility", "vmax_grid": 5.0}, {"coverage_grid": 30.0}, {"variants": "full"},
         {"kind": "density_sweep", "density_grid": "100"},
@@ -169,8 +171,7 @@ class TestPlanValidation:
     @pytest.mark.parametrize("kind", sorted(experiments.KINDS))
     def test_every_field_the_kind_does_not_read_is_refused(self, kind):
         # a valid non-default value of every plan field but kind and seed
-        changed = {"replications": 3, "coverage_grid": (60.0,), "density_grid": (100,), "deltas": (0.2,),
-                   "xi_grid": (0.5,), "chains": 200_000, "batches": 10, "vmax_grid": (0.0,),
+        changed = {"replications": 3, "coverage_grid": (60.0,), "density_grid": (100,), "vmax_grid": (0.0,),
                    "variants": ("shannon",), "threads": 2}
         assert set(changed) == {f.name for f in fields(ExperimentPlan)} - {"kind", "seed"}
         reads = experiments.KINDS[kind].reads
@@ -199,17 +200,16 @@ class TestPlanValidation:
         {"kind": "comparison", "coverage_grid": []},
         {"kind": "comparison", "variants": []},
         {"kind": "mobility", "vmax_grid": []},
-        {"kind": "traffic_validation", "xi_grid": ()},
-        {"kind": "traffic_validation", "deltas": ()},
-        {"kind": "traffic_validation", "xi_grid": (0.0,)},
-        {"kind": "traffic_validation", "deltas": (1.5,)},
+        {"kind": "coverage_sweep", "coverage_grid": (60.0, 1.0)},
+        {"kind": "comparison", "coverage_grid": (60.0, math.nan)},
+        {"kind": "density_sweep", "density_grid": (100, -1)},
+        {"kind": "traffic_validation", "replications": 2},
     ])
     def test_refused_before_any_route_runs(self, bad, tmp_path, monkeypatch):
         # unchecked, an unknown variant fails as a bare KeyError once the manifest is written,
-        # and a negative or NaN speed runs static routes; a grid point's config is refused before
-        # the manifest is written. An empty grid given as a list fails as an IndexError once the
-        # manifest is written; an empty traffic grid writes header-only CSVs, xi = 0 divides by
-        # zero after nu_b.csv, and delta = 1.5 fails in np.quantile after the manifest
+        # and a negative or NaN speed runs static routes; a grid point's config (a 0.5 m reflector
+        # grid at r = 1 m) is refused before the manifest is written. An empty grid given as a list
+        # fails as an IndexError once the manifest is written
         routed = []
         monkeypatch.setattr(experiments, "run_one_route", lambda *args, **kwargs: routed.append(args))
         given = {"seed": 1, **bad}
@@ -517,13 +517,23 @@ class TestSweeps:
 
 class TestManifest:
     @pytest.mark.parametrize("kind", ["trajectory", "coverage_sweep", "traffic_validation"])
-    def test_records_the_stream_version(self, kind, tmp_path):
+    def test_records_the_stream_version(self, kind, tmp_path, monkeypatch):
         sizes = {"coverage_sweep": {"replications": 1, "coverage_grid": (60.0,), "density_grid": (50,)},
-                 "trajectory": {"replications": 1}, "traffic_validation": {"chains": 200, "batches": 2}}[kind]
+                 "trajectory": {"replications": 1}, "traffic_validation": {}}[kind]
+        monkeypatch.setattr(experiments, "CHAINS", 200)
+        monkeypatch.setattr(experiments, "BATCHES", 2)
         plan = ExperimentPlan(kind=kind, seed=3, **sizes)
         run(plan, SimConfig(iu_count=50), tmp_path)
         payload = json.loads((tmp_path / f"manifest_{kind}.json").read_text())
         assert payload["stream_version"] == experiments.STREAM_VERSION == 8
+
+    def test_records_the_versions_that_ran(self, tmp_path):
+        path = experiments.write_manifest(tmp_path, ExperimentPlan(kind="trajectory"), SimConfig())
+        payload = json.loads(path.read_text())
+        assert payload["schema"] == 2
+        assert payload["versions"] == {"python": "{}.{}.{}".format(*sys.version_info), "numpy": np.__version__,
+                                       "risroute": __version__}
+        assert load_config(path) == SimConfig()  # a rerun from the manifest reads only its config
 
     @pytest.mark.parametrize("kind", ["comparison", "mobility"])
     def test_grid_kinds_record_the_endpoints_they_ran(self, kind, tmp_path):
@@ -546,8 +556,17 @@ class TestManifest:
 
 
 class TestTrafficValidation:
-    def test_csv_schema_and_band(self, tmp_path):
-        plan = ExperimentPlan(kind="traffic_validation", seed=1, chains=30000, batches=10)
+    @pytest.fixture
+    def chains(self, monkeypatch):
+        """Run the traffic validation at ``chains`` Exp(1) chains in ``batches`` batches."""
+        def set_sizes(chains, batches):
+            monkeypatch.setattr(experiments, "CHAINS", chains)
+            monkeypatch.setattr(experiments, "BATCHES", batches)
+        return set_sizes
+
+    def test_csv_schema_and_band(self, tmp_path, chains):
+        chains(30000, 10)
+        plan = ExperimentPlan(kind="traffic_validation", seed=1)
         run(plan, SimConfig(), tmp_path)
         for name in ("nu_b.csv", "nu_i.csv"):
             rows = read_csv(tmp_path / name)
@@ -557,8 +576,9 @@ class TestTrafficValidation:
                 a, m, se = float(row["analytic"]), float(row["mc_mean"]), float(row["mc_se"])
                 assert abs(a - m) <= 4 * se + 1e-9
 
-    def test_analytic_monotone_in_duty_cycle(self, tmp_path):
-        plan = ExperimentPlan(kind="traffic_validation", seed=2, chains=5000, batches=5)
+    def test_analytic_monotone_in_duty_cycle(self, tmp_path, chains):
+        chains(5000, 5)
+        plan = ExperimentPlan(kind="traffic_validation", seed=2)
         run(plan, SimConfig(), tmp_path)
         nub = read_csv(tmp_path / "nu_b.csv")
         nui = read_csv(tmp_path / "nu_i.csv")
@@ -569,8 +589,9 @@ class TestTrafficValidation:
             assert all(x > y for x, y in zip(i, i[1:]))
 
 
-    def test_analytic_column_is_the_estimator(self, tmp_path, monkeypatch):
-        plan = ExperimentPlan(kind="traffic_validation", seed=3, chains=2000, batches=4)
+    def test_analytic_column_is_the_estimator(self, tmp_path, monkeypatch, chains):
+        chains(2000, 4)
+        plan = ExperimentPlan(kind="traffic_validation", seed=3)
         cfg = SimConfig()
         run(plan, cfg, tmp_path / "a")
         for name, mean in (

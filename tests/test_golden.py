@@ -17,10 +17,11 @@ import json
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from risroute import router
+from risroute import experiments, router
 from risroute.config import SimConfig
 from risroute.experiments import STREAM_VERSION, ExperimentPlan, run
 
@@ -55,7 +56,7 @@ CASES = {
         SimConfig(),
     ),
     "traffic_validation": (
-        ExperimentPlan(kind="traffic_validation", seed=5, chains=2000, batches=4),
+        ExperimentPlan(kind="traffic_validation", seed=5),
         SimConfig(),
     ),
     "comparison": (
@@ -75,6 +76,10 @@ CASES = {
 }
 
 
+# constants of ``experiments`` a case runs at in place of their values: the traffic case draws fewer chains
+CONSTANTS = {"traffic_validation": {"CHAINS": 2000, "BATCHES": 4}}
+
+
 def read_rows(path: Path) -> list[list[str]]:
     """A CSV's rows as lists of cells; a ``#`` comment line is one cell."""
     with open(path, newline="") as fh:
@@ -84,7 +89,8 @@ def read_rows(path: Path) -> list[list[str]]:
 
 def outputs(name: str, out: Path) -> dict[str, list[list[str]]]:
     plan, cfg = CASES[name]
-    run(plan, cfg, out)
+    with mock.patch.dict(vars(experiments), CONSTANTS.get(name, {})):
+        run(plan, cfg, out)
     return {p.name: read_rows(p) for p in sorted(out.glob("*.csv"))}
 
 
